@@ -11,9 +11,7 @@
 //     leans on — the payload allocator (arena vs global new), the pool's
 //     dispatch/steal machinery (trivial jobs), and obs shard padding
 //     (padded vs unpadded counter slots) — so a future scaling regression
-//     is attributable to one of them (run alone: --only=pool_profile);
-//   * route service: batch throughput of examples/route_service's engine,
-//     with the serial routes/sec gated (*_rps) against the baseline.
+//     is attributable to one of them (run alone: --only=pool_profile).
 // Run via scripts/bench_smoke.sh, which records BENCH_sim.json for
 // scripts/bench_compare.py to diff against future PRs.
 #include <algorithm>
@@ -27,7 +25,6 @@
 
 #include "bench_main.hpp"
 #include "harness/experiments.hpp"
-#include "harness/route_service.hpp"
 #include "harness/sim_pool.hpp"
 #include "sim/arena.hpp"
 #include "sim/event_queue.hpp"
@@ -54,24 +51,6 @@ double best_of(Fn&& fn, double min_seconds) {
     best = std::min(best, sw.seconds());
   } while (total.seconds() < min_seconds);
   return best;
-}
-
-/// Steady-state timer for the pool sections: one untimed warm-up rep (so
-/// thread-local arenas are acquired, slabs carved, and pages faulted before
-/// the clock starts) followed by `reps` timed reps, reporting the median —
-/// robust to the occasional descheduling blip a min- or mean-based timer
-/// would either hide or amplify when worker threads are in play.
-template <typename Fn>
-double median_of(Fn&& fn, int reps) {
-  fn();  // warm-up: not timed
-  std::vector<double> times(static_cast<std::size_t>(reps));
-  for (double& t : times) {
-    Stopwatch sw;
-    fn();
-    t = sw.seconds();
-  }
-  std::sort(times.begin(), times.end());
-  return times[times.size() / 2];
 }
 
 // ---------------------------------------------------------------------------
@@ -526,46 +505,6 @@ Table run_pool_profile(const Circuit& circuit) {
   return t;
 }
 
-// ---------------------------------------------------------------------------
-// Route service: batch throughput through the pool with admission control.
-
-Table run_route_bench() {
-  const std::vector<RouteRequest> requests = generate_requests(256, 42);
-
-  RouteServiceOptions options;
-  options.max_inflight = 64;
-  std::uint64_t wires = 0;
-  const auto serve = [&](int width) {
-    options.width = width;
-    const RouteServiceReport report = run_route_service(requests, options);
-    wires = report.wires_routed;
-    return report;
-  };
-
-  // Serial replay is deterministic work on one core, so its routes/sec is
-  // gated (_rps, higher is better, 15%) like the other single-thread
-  // timings; pooled replays depend on the host's cpus and stay
-  // informational.
-  const double serial_wall = median_of([&] { serve(1); }, 3);
-  const double serial_rps = static_cast<double>(wires) / serial_wall;
-  const std::uint64_t serial_wires = wires;
-  const double pooled_wall = median_of([&] { serve(4); }, 3);
-  LOCUS_ASSERT(wires == serial_wires);  // width never changes the work
-
-  benchmain::record("route_serial_rps", serial_rps);
-  benchmain::record("route_pooled_wall_4w", pooled_wall);
-  benchmain::record("svc_jobs", static_cast<double>(requests.size()));
-  benchmain::record("svc_wires_routed", static_cast<double>(serial_wires));
-
-  Table t;
-  t.column("width").column("batch s").column("routes/s");
-  t.row().cell(1).cell(serial_wall, 3)
-      .cell(serial_rps, 0);
-  t.row().cell(4).cell(pooled_wall, 3)
-      .cell(static_cast<double>(serial_wires) / pooled_wall, 0);
-  return t;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -580,7 +519,5 @@ int main(int argc, char** argv) {
        {"pool scaling (8 independent MP sims)",
         [&] { return run_pool_scaling(bnre); }},
        {"pool_profile (allocator / dispatch / obs shards)",
-        [&] { return run_pool_profile(bnre); }},
-       {"route service (batch throughput)",
-        [] { return run_route_bench(); }}});
+        [&] { return run_pool_profile(bnre); }}});
 }

@@ -5,7 +5,7 @@
 //   LOCUS_SCALE_WIRES  comma-separated wire counts   (default "100000")
 //   LOCUS_SCALE_PROCS  comma-separated proc counts   (default "16,64")
 //   LOCUS_SCALE_MODES  comma-separated assignment policies out of
-//                      geo,dyn-fifo,dyn-local,dyn-steal (default "geo")
+//                      geo,dyn-fifo,dyn-local (default "geo")
 //   LOCUS_SCALE_COST_MODEL  per-link timing discipline out of
 //                      fixed,md1,vc (default "fixed")
 // Runs with sharded views and region-batched updates (the configuration
@@ -54,8 +54,6 @@ std::vector<locus::ScaleAssignMode> parse_modes(const char* env) {
       out.push_back(locus::ScaleAssignMode::kDynamicFifo);
     } else if (name == "dyn-local") {
       out.push_back(locus::ScaleAssignMode::kDynamicLocality);
-    } else if (name == "dyn-steal") {
-      out.push_back(locus::ScaleAssignMode::kDynamicSteal);
     } else {
       std::fprintf(stderr, "unknown LOCUS_SCALE_MODES entry: %s\n",
                    name.c_str());

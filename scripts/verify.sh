@@ -76,23 +76,21 @@ if [[ "$RUN_BENCH" == 1 ]]; then
     fi
     echo "pool determinism: $b identical at --threads=1 and --threads=4"
   done
-  # Dynamic-assignment sweep determinism gate: the locality/steal scheduling
-  # protocols are simulated-time deterministic, so a small sweep must emit
+  # Dynamic-assignment sweep determinism gate: the locality grant protocol
+  # is simulated-time deterministic, so a small sweep must emit
   # byte-identical data rows at any SimPool width (only wall-time lines and
   # the wall-clock-dependent counters may differ).
-  for modes in dyn-local dyn-steal; do
-    LOCUS_SCALE_WIRES=2000 LOCUS_SCALE_PROCS=16 LOCUS_SCALE_MODES="geo,$modes" \
-      "./$BUILD_DIR/bench/scale_sweep" --threads=1 \
-      | grep -v 'built in\|total wall time' > /tmp/locus-dyn-serial.txt
-    LOCUS_SCALE_WIRES=2000 LOCUS_SCALE_PROCS=16 LOCUS_SCALE_MODES="geo,$modes" \
-      "./$BUILD_DIR/bench/scale_sweep" --threads=4 \
-      | grep -v 'built in\|total wall time' > /tmp/locus-dyn-pooled.txt
-    if ! diff -u /tmp/locus-dyn-serial.txt /tmp/locus-dyn-pooled.txt; then
-      echo "FAIL: $modes sweep diverges between --threads=1 and --threads=4" >&2
-      exit 1
-    fi
-    echo "dynamic-sweep determinism: $modes identical at --threads=1 and =4"
-  done
+  LOCUS_SCALE_WIRES=2000 LOCUS_SCALE_PROCS=16 LOCUS_SCALE_MODES=geo,dyn-local \
+    "./$BUILD_DIR/bench/scale_sweep" --threads=1 \
+    | grep -v 'built in\|total wall time' > /tmp/locus-dyn-serial.txt
+  LOCUS_SCALE_WIRES=2000 LOCUS_SCALE_PROCS=16 LOCUS_SCALE_MODES=geo,dyn-local \
+    "./$BUILD_DIR/bench/scale_sweep" --threads=4 \
+    | grep -v 'built in\|total wall time' > /tmp/locus-dyn-pooled.txt
+  if ! diff -u /tmp/locus-dyn-serial.txt /tmp/locus-dyn-pooled.txt; then
+    echo "FAIL: dyn-local sweep diverges between --threads=1 and --threads=4" >&2
+    exit 1
+  fi
+  echo "dynamic-sweep determinism: dyn-local identical at --threads=1 and =4"
   # Interconnect determinism gates. First the full topology sweep — four MP
   # schedules x {mesh, torus, fat-tree} x {fixed, md1, vc} with per-link
   # utilization columns — must emit byte-identical rows at any pool width.
@@ -124,27 +122,6 @@ if [[ "$RUN_BENCH" == 1 ]]; then
     fi
     echo "cost-model determinism: $model identical at --threads=1 and =4"
   done
-  # Route-service determinism gate: a replayed request batch must produce
-  # byte-identical per-job results and metrics CSV at width 1 and width 8
-  # (with LOCUS_POOL_IGNORE_AFFINITY forcing real workers even on 1-cpu
-  # hosts, so the pooled path is genuinely exercised).
-  RS=/tmp/locus-route-service
-  mkdir -p "$RS"
-  "./$BUILD_DIR/examples/route_service" --generate=300 --seed=9 \
-    --out="$RS/requests.txt" >/dev/null
-  "./$BUILD_DIR/examples/route_service" --requests="$RS/requests.txt" \
-    --width=1 --results="$RS/results-1.txt" --metrics="$RS/metrics-1.csv" \
-    >/dev/null
-  LOCUS_POOL_IGNORE_AFFINITY=1 \
-    "./$BUILD_DIR/examples/route_service" --requests="$RS/requests.txt" \
-    --width=8 --inflight=32 --results="$RS/results-8.txt" \
-    --metrics="$RS/metrics-8.csv" >/dev/null
-  if ! diff -u "$RS/results-1.txt" "$RS/results-8.txt" ||
-     ! diff -u "$RS/metrics-1.csv" "$RS/metrics-8.csv"; then
-    echo "FAIL: route_service output diverges between width 1 and width 8" >&2
-    exit 1
-  fi
-  echo "route-service determinism: 300 jobs identical at width 1 and width 8"
   scripts/bench_smoke.sh /tmp/locus-bench
   scripts/bench_compare.py BENCH_explorer.json /tmp/locus-bench/BENCH_explorer.json
   scripts/bench_compare.py BENCH_network.json /tmp/locus-bench/BENCH_network.json

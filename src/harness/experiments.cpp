@@ -835,7 +835,6 @@ const char* scale_assign_mode_name(ScaleAssignMode mode) {
     case ScaleAssignMode::kGeographic: return "geo";
     case ScaleAssignMode::kDynamicFifo: return "dyn-fifo";
     case ScaleAssignMode::kDynamicLocality: return "dyn-local";
-    case ScaleAssignMode::kDynamicSteal: return "dyn-steal";
   }
   return "?";
 }
@@ -915,9 +914,6 @@ ScaleSweepResult run_scale_sweep(const ScaleSweepOptions& options) {
       case ScaleAssignMode::kDynamicFifo:
         config.assignment_mode = WireAssignmentMode::kDynamicInterrupt;
         break;
-      case ScaleAssignMode::kDynamicSteal:
-        config.dynamic.neighbor_steal = true;
-        [[fallthrough]];
       case ScaleAssignMode::kDynamicLocality:
         config.assignment_mode = WireAssignmentMode::kDynamicInterrupt;
         config.dynamic.policy = GrantPolicy::kLocality;

@@ -92,13 +92,11 @@ Table run_speedup(const Circuit& bnre, const Circuit& mdc,
 ///                     baseline — fully local, but load follows geography),
 ///   kDynamicFifo      the legacy §4.2 master queue (FIFO grants, one wire
 ///                     per round trip),
-///   kDynamicLocality  extended protocol: locality-scored batched grants,
-///   kDynamicSteal     kDynamicLocality plus neighbor stealing.
+///   kDynamicLocality  extended protocol: locality-scored batched grants.
 enum class ScaleAssignMode : std::int8_t {
   kGeographic,
   kDynamicFifo,
   kDynamicLocality,
-  kDynamicSteal,
 };
 const char* scale_assign_mode_name(ScaleAssignMode mode);
 

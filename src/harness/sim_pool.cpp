@@ -17,7 +17,6 @@ namespace locus {
 namespace {
 
 int g_default_threads = 0;  // 0: resolve from the environment
-int g_pinning = -1;         // -1: resolve from the environment
 
 int resolve_env_threads() {
   const char* env = std::getenv("LOCUS_THREADS");
@@ -31,8 +30,6 @@ bool env_flag(const char* name) {
   return env != nullptr && env[0] != '\0' && env[0] != '0';
 }
 
-thread_local int t_worker_index = 0;
-
 }  // namespace
 
 void set_sim_threads(int n) { g_default_threads = n > 0 ? n : 0; }
@@ -40,15 +37,6 @@ void set_sim_threads(int n) { g_default_threads = n > 0 ? n : 0; }
 int sim_threads() {
   return g_default_threads > 0 ? g_default_threads : resolve_env_threads();
 }
-
-void set_pool_pinning(bool on) { g_pinning = on ? 1 : 0; }
-
-bool pool_pinning() {
-  if (g_pinning >= 0) return g_pinning != 0;
-  return env_flag("LOCUS_POOL_PIN");
-}
-
-int pool_worker_index() { return t_worker_index; }
 
 SimPool::SimPool(int threads)
     : threads_(threads > 0 ? threads : sim_threads()) {
@@ -126,14 +114,6 @@ struct RunState {
 
 void worker_loop(RunState& state, std::size_t worker,
                  const std::function<void(std::size_t)>& fn) {
-  struct IndexScope {
-    int prev;
-    explicit IndexScope(std::size_t w) : prev(t_worker_index) {
-      t_worker_index = static_cast<int>(w);
-    }
-    ~IndexScope() { t_worker_index = prev; }
-  } index_scope(worker);
-
   std::size_t job;
   int idle_rounds = 0;
   while (state.remaining.load(std::memory_order_acquire) > 0) {
@@ -181,19 +161,12 @@ void SimPool::run_indexed(std::size_t n,
   }
   state.remaining.store(n, std::memory_order_release);
 
-  const bool pin = pool_pinning() && numa::pinning_supported();
   std::vector<std::thread> helpers;
   helpers.reserve(workers - 1);
   for (std::size_t w = 1; w < workers; ++w) {
-    helpers.emplace_back([&state, w, &fn, pin] {
-      // Optional NUMA-aware placement: spread helpers round-robin over the
-      // allowed cpus so each worker's first-touched arena pages stay
-      // local. Failure means "run unpinned" — never an error.
-      if (pin) (void)numa::pin_current_thread(static_cast<int>(w));
-      worker_loop(state, w, fn);
-    });
+    helpers.emplace_back([&state, w, &fn] { worker_loop(state, w, fn); });
   }
-  worker_loop(state, 0, fn);  // the caller is worker 0 (never pinned)
+  worker_loop(state, 0, fn);  // the caller is worker 0
   for (std::thread& t : helpers) t.join();
 
   if (state.error != nullptr) std::rethrow_exception(state.error);

@@ -32,11 +32,6 @@
 // identical either way by the determinism contract. Set
 // LOCUS_POOL_IGNORE_AFFINITY=1 to force real threads anyway (the TSan
 // preset does, so cross-thread edges are exercised even on small hosts).
-// With LOCUS_POOL_PIN=1 (or set_pool_pinning(true)) each helper worker
-// pins itself round-robin over the allowed cpus via
-// numa::pin_current_thread; hosts without affinity control fall back to
-// unpinned workers automatically. The caller (worker 0) is never pinned —
-// its affinity outlives the pool.
 //
 // Memory: each worker thread owns a private PayloadArena (sim/arena.hpp,
 // installed thread-locally on first payload allocation), so per-job
@@ -62,17 +57,6 @@ namespace locus {
 void set_sim_threads(int n);
 /// The resolved process-wide default (>= 1).
 int sim_threads();
-
-/// Process-wide worker-pinning default. Unset (the initial state) resolves
-/// from the LOCUS_POOL_PIN environment variable; set_pool_pinning overrides
-/// it for the process.
-void set_pool_pinning(bool on);
-bool pool_pinning();
-
-/// Index of the pool worker running the calling thread: 0 on the caller
-/// (and outside any pool run), 1..N-1 on helper workers. Lets per-worker
-/// instrumentation attribute work without a lookup table.
-int pool_worker_index();
 
 /// One unit of work: an independent, self-contained simulation. The
 /// callable must not touch state shared with any other job in the same

@@ -56,20 +56,12 @@ enum class GrantPolicy : std::int8_t {
 /// The defaults reproduce the legacy single-wire FIFO protocol byte for
 /// byte; any non-default value switches the request/grant exchange to the
 /// extended wire format (resident-region summaries on requests, batched
-/// wire lists on grants, optional neighbor stealing).
+/// wire lists on grants).
 struct DynamicScheduleConfig {
   GrantPolicy policy = GrantPolicy::kFifoOrder;
   /// Wires handed out per grant (>= 1). Batches never straddle an
   /// iteration boundary.
   std::int32_t grant_batch = 1;
-  /// Idle workers probe mesh neighbors for surplus queued wires before
-  /// falling back to the master (decentralized stealing).
-  bool neighbor_steal = false;
-  /// Minimum victim queue depth to donate; victims donate half their queue
-  /// (tail first) and never their in-flight wire.
-  std::int32_t steal_threshold = 2;
-  /// Cap on resident-region ids carried by one wire request.
-  std::int32_t resident_summary_cap = 32;
   /// kLocality roam limit in mesh hops (0 = unlimited): a requester is only
   /// granted wires homed within this many hops of its own region, except
   /// from regions it already backs tiles in (no new footprint there).
@@ -79,7 +71,7 @@ struct DynamicScheduleConfig {
   std::int32_t locality_radius = 0;
 
   bool extended_protocol() const {
-    return policy != GrantPolicy::kFifoOrder || grant_batch > 1 || neighbor_steal;
+    return policy != GrantPolicy::kFifoOrder || grant_batch > 1;
   }
 };
 
@@ -168,7 +160,7 @@ struct MpConfig {
   /// Routing-time slice of the queue owner under kDynamicInterrupt:
   /// arriving requests are serviced within one slice.
   std::int64_t interrupt_slice_ns = 1'000'000;
-  /// Locality/batching/stealing knobs for the dynamic modes; defaults keep
+  /// Locality/batching knobs for the dynamic modes; defaults keep
   /// the legacy FIFO single-wire protocol. Ignored under kStatic.
   DynamicScheduleConfig dynamic;
   /// Override the interconnect shape (CBS simulated k-ary n-cubes of any

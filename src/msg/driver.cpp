@@ -156,8 +156,6 @@ MpRunResult run_message_passing(const Circuit& circuit, const Partition& partiti
   result.grants_issued = shared.grants_issued;
   result.grant_wires = shared.grant_wires;
   result.affinity_grants = shared.affinity_grants;
-  result.steal_requests = shared.steal_requests;
-  result.steal_wires = shared.steal_wires;
   result.routed_per_proc.reserve(shared.work.size());
   for (const RouteWorkStats& w : shared.work) {
     result.routed_per_proc.push_back(w.wires_routed);

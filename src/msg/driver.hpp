@@ -39,8 +39,6 @@ struct MpRunResult {
   std::int64_t grants_issued = 0;    ///< extended protocol only
   std::int64_t grant_wires = 0;      ///< extended protocol only
   std::int64_t affinity_grants = 0;  ///< GrantPolicy::kLocality only
-  std::int64_t steal_requests = 0;   ///< neighbor_steal only
-  std::int64_t steal_wires = 0;      ///< neighbor_steal only
   /// Wires routed by each processor in total (all iterations) — the load
   /// balance the scale sweep reports alongside routes/sec.
   std::vector<std::int64_t> routed_per_proc;

@@ -12,6 +12,9 @@ namespace locus {
 
 namespace {
 
+/// Cap on resident-region ids carried by one extended wire request.
+constexpr std::size_t kResidentSummaryCap = 32;
+
 /// Points the explorer at the shared routing-work counters when the run is
 /// instrumented (MpShared::explorer_obs is bound before node construction).
 RouterParams with_explorer_obs(RouterParams params, const MpShared& shared) {
@@ -70,17 +73,9 @@ RouterNode::RouterNode(const Circuit& circuit, const Partition& partition,
       segments_changed_(static_cast<std::size_t>(partition.num_regions()), 0),
       granted_to_(static_cast<std::size_t>(partition.num_regions()), false) {
   if (config.assignment_mode != WireAssignmentMode::kStatic &&
-      config.dynamic.extended_protocol()) {
-    if (self == 0 && config.dynamic.policy == GrantPolicy::kLocality) {
-      affinity_ = std::make_unique<WireAffinityIndex>(circuit, partition);
-    }
-    if (self != 0 && config.dynamic.neighbor_steal) {
-      // The master is never probed: asking it for a wire *is* the normal
-      // request path, and its queue is the global one.
-      for (ProcId n : partition.neighbors(self)) {
-        if (n != 0) steal_neighbors_.push_back(n);
-      }
-    }
+      config.dynamic.extended_protocol() && self == 0 &&
+      config.dynamic.policy == GrantPolicy::kLocality) {
+    affinity_ = std::make_unique<WireAffinityIndex>(circuit, partition);
   }
 }
 
@@ -96,10 +91,9 @@ bool RouterNode::blocked() const {
     return false;
   }
   if (config_.dynamic.extended_protocol()) {
-    // Extended worker parked while its queue is drained and a grant or a
-    // steal reply is in flight.
-    return queue_head_ >= wire_queue_.size() &&
-           (waiting_grant_ || waiting_steal_) && !no_more_;
+    // Extended worker parked while its queue is drained and a grant is in
+    // flight.
+    return queue_head_ >= wire_queue_.size() && waiting_grant_ && !no_more_;
   }
   // Dynamic-assignment worker parked until its wire grant arrives.
   return waiting_grant_ && granted_wire_ < 0 && !no_more_;
@@ -251,7 +245,6 @@ void RouterNode::on_packet(NodeApi& api, const Packet& packet) {
           wire_queue_.insert(wire_queue_.end(), grant.wires.begin(),
                              grant.wires.end());
           granted_iteration_ = grant.iteration;
-          steal_probe_next_ = 0;  // fresh work rearms the probe rotation
         }
         break;
       }
@@ -262,48 +255,6 @@ void RouterNode::on_packet(NodeApi& api, const Packet& packet) {
       } else {
         granted_wire_ = grant.wire;
         granted_iteration_ = grant.iteration;
-      }
-      break;
-    }
-    case kMsgStealRequest: {
-      LOCUS_ASSERT_MSG(self_ != 0 && config_.dynamic.neighbor_steal,
-                       "steal probes go to worker neighbors only");
-      // Donate half the still-queued wires (tail first, never the wire in
-      // flight) when the queue is deep enough; an empty list declines.
-      std::vector<WireId> donated;
-      const std::size_t queued = wire_queue_.size() - queue_head_;
-      if (!no_more_ &&
-          queued >= static_cast<std::size_t>(config_.dynamic.steal_threshold)) {
-        const std::size_t donate = queued / 2;
-        donated.assign(wire_queue_.end() - static_cast<std::ptrdiff_t>(donate),
-                       wire_queue_.end());
-        wire_queue_.resize(wire_queue_.size() - donate);
-      }
-      auto [reply, reply_data] = make_payload<WireListPayload>();
-      reply_data->iteration = granted_iteration_;
-      reply_data->wires = std::move(donated);
-      const std::int32_t bytes = batch_grant_packet_bytes(
-          static_cast<std::int32_t>(reply_data->wires.size()));
-      api.advance(config_.time.msg_fixed_ns);
-      breakdown().msg_software_ns += config_.time.msg_fixed_ns;
-      api.send(packet.src, kMsgStealGrant, bytes, std::move(reply));
-      note_sent(kMsgStealGrant, bytes);
-      breakdown().network_copy_ns += config_.time.process_time_ns;
-      break;
-    }
-    case kMsgStealGrant: {
-      const auto& grant = packet.payload_as<WireListPayload>();
-      waiting_steal_ = false;
-      if (!grant.wires.empty()) {
-        wire_queue_.insert(wire_queue_.end(), grant.wires.begin(),
-                           grant.wires.end());
-        granted_iteration_ = grant.iteration;
-        steal_probe_next_ = 0;
-        shared_.steal_wires += static_cast<std::int64_t>(grant.wires.size());
-        LOCUS_OBS_HOOK(if (shared_.node_obs) {
-          const obs::MpNodeObs& o = shared_.node_obs;
-          o.obs->counters().add(o.shard, o.steal_wires, grant.wires.size());
-        });
       }
       break;
     }
@@ -551,7 +502,7 @@ bool RouterNode::dynamic_step(NodeApi& api) {
   return true;
 }
 
-// --- extended dynamic protocol: locality grants, batching, stealing ---
+// --- extended dynamic protocol: locality grants and batching ---
 
 std::span<const ProcId> RouterNode::resident_summary() {
   if (config_.dynamic.policy != GrantPolicy::kLocality) return {};
@@ -573,9 +524,9 @@ std::span<const ProcId> RouterNode::resident_summary() {
                      if (da != db) return da < db;
                      return a < b;
                    });
-  const auto cap = static_cast<std::size_t>(
-      std::max<std::int32_t>(0, config_.dynamic.resident_summary_cap));
-  if (resident_summary_.size() > cap) resident_summary_.resize(cap);
+  if (resident_summary_.size() > kResidentSummaryCap) {
+    resident_summary_.resize(kResidentSummaryCap);
+  }
   return resident_summary_;
 }
 
@@ -728,21 +679,6 @@ void RouterNode::request_wire_ext(NodeApi& api) {
   ++shared_.requests_sent;
 }
 
-void RouterNode::send_steal_probe(NodeApi& api) {
-  const ProcId victim = steal_neighbors_[steal_probe_next_++];
-  waiting_steal_ = true;
-  api.advance(config_.time.msg_fixed_ns);
-  breakdown().msg_software_ns += config_.time.msg_fixed_ns;
-  api.send(victim, kMsgStealRequest, steal_request_packet_bytes(), nullptr);
-  note_sent(kMsgStealRequest, steal_request_packet_bytes());
-  breakdown().network_copy_ns += config_.time.process_time_ns;
-  ++shared_.steal_requests;
-  LOCUS_OBS_HOOK(if (shared_.node_obs) {
-    shared_.node_obs.obs->counters().add(shared_.node_obs.shard,
-                                         shared_.node_obs.steal_probes);
-  });
-}
-
 bool RouterNode::master_step_ext(NodeApi& api) {
   // Same slicing structure as the legacy master: requests are serviced by
   // on_packet between slices (the "interrupt" model).
@@ -792,15 +728,8 @@ bool RouterNode::worker_step_ext(NodeApi& api) {
     return true;
   }
   if (no_more_) return false;
-  if (waiting_grant_ || waiting_steal_) {
+  if (waiting_grant_) {
     return true;  // the engine parks us via blocked() until a reply lands
-  }
-  // Queue drained: probe each mesh neighbor once before the master. Fresh
-  // work from any source rearms the rotation.
-  if (config_.dynamic.neighbor_steal &&
-      steal_probe_next_ < steal_neighbors_.size()) {
-    send_steal_probe(api);
-    return true;
   }
   request_wire_ext(api);
   return true;

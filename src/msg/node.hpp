@@ -82,8 +82,6 @@ struct MpShared {
   std::int64_t grants_issued = 0;    ///< grant packets the queue owner sent
   std::int64_t grant_wires = 0;      ///< wires carried by those grants
   std::int64_t affinity_grants = 0;  ///< wires taken from a resident bucket
-  std::int64_t steal_requests = 0;   ///< neighbor probes sent by idle workers
-  std::int64_t steal_wires = 0;      ///< wires obtained by stealing
   /// Bound by the driver when MpConfig::obs is set (the DES is sequential,
   /// so one shard serves every node); unbound otherwise.
   obs::MpNodeObs node_obs;
@@ -127,7 +125,7 @@ class RouterNode final : public Node {
   void request_wire(NodeApi& api);
 
   // Extended dynamic protocol (config_.dynamic.extended_protocol()):
-  // locality-scored batched grants plus optional neighbor stealing.
+  // locality-scored batched grants.
   enum class TakeStatus : std::int8_t { kOk, kWait, kDefer, kDone };
   bool master_step_ext(NodeApi& api);
   bool worker_step_ext(NodeApi& api);
@@ -144,9 +142,8 @@ class RouterNode final : public Node {
   void send_grant_ext(NodeApi& api, ProcId dst, std::vector<WireId> wires,
                       std::int32_t iteration);
   void request_wire_ext(NodeApi& api);
-  void send_steal_probe(NodeApi& api);
   /// Regions where this node's view currently backs storage, nearest first,
-  /// capped at DynamicScheduleConfig::resident_summary_cap. Recomputed only
+  /// capped at kResidentSummaryCap (node.cpp). Recomputed only
   /// when the view's resident footprint changed; empty unless the grant
   /// policy is kLocality.
   std::span<const ProcId> resident_summary();
@@ -238,9 +235,6 @@ class RouterNode final : public Node {
   std::vector<WireId> wire_queue_;    ///< worker: granted, not yet routed
   std::size_t queue_head_ = 0;
   std::int32_t completed_unreported_ = 0;  ///< worker: since last report
-  bool waiting_steal_ = false;        ///< worker: steal probe outstanding
-  std::size_t steal_probe_next_ = 0;  ///< worker: next neighbor to probe
-  std::vector<ProcId> steal_neighbors_;  ///< mesh neighbors minus the master
   std::vector<ProcId> resident_summary_;
   std::int64_t resident_snapshot_cells_ = -1;  ///< summary cache key
 };

@@ -51,8 +51,6 @@ std::int32_t batch_grant_packet_bytes(std::int32_t wires) {
   return kUpdateHeaderBytes + 6 + 4 * wires;
 }
 
-std::int32_t steal_request_packet_bytes() { return kUpdateHeaderBytes; }
-
 std::int32_t ack_packet_bytes() { return kUpdateHeaderBytes + kTransportFrameBytes; }
 
 namespace {
@@ -65,8 +63,7 @@ bool is_update_type(std::int32_t type) {
 bool is_known_type(std::int32_t type) {
   return is_update_type(type) || type == kMsgReqLocData ||
          type == kMsgReqRmtData || type == kMsgWireRequest ||
-         type == kMsgWireGrant || type == kMsgAck ||
-         type == kMsgStealRequest || type == kMsgStealGrant;
+         type == kMsgWireGrant || type == kMsgAck;
 }
 
 /// Absolute payloads carry i16 cells (occupancy fits 16 bits; drifted views
@@ -145,9 +142,8 @@ std::optional<std::vector<std::uint8_t>> encode_packet(const WirePacket& packet)
   const bool update = is_update_type(packet.type);
   const bool batched = !packet.blocks.empty();
   // Dynamic-scheduling fields belong only to their packet kinds.
-  const bool scheduling = packet.type == kMsgWireRequest ||
-                          packet.type == kMsgWireGrant ||
-                          packet.type == kMsgStealGrant;
+  const bool scheduling =
+      packet.type == kMsgWireRequest || packet.type == kMsgWireGrant;
   if (!scheduling && (packet.extended || packet.completed != 0 ||
                       !packet.regions.empty() || !packet.wires.empty())) {
     return std::nullopt;
@@ -227,18 +223,7 @@ std::optional<std::vector<std::uint8_t>> encode_packet(const WirePacket& packet)
               static_cast<std::uint32_t>(6 + 4 * packet.wires.size());
         }
         break;
-      case kMsgStealGrant:
-        if (packet.extended || packet.completed != 0 ||
-            !packet.regions.empty() || packet.wire != kNoMoreWires) {
-          return std::nullopt;
-        }
-        if (packet.wires.size() > 0xFFFF) return std::nullopt;
-        for (WireId w : packet.wires) {
-          if (w < 0) return std::nullopt;
-        }
-        payload_bytes = static_cast<std::uint32_t>(6 + 4 * packet.wires.size());
-        break;
-      default:  // plain requests, steal probes, acks: header (+ frame) only
+      default:  // plain requests and acks: header (+ frame) only
         break;
     }
   }
@@ -307,10 +292,6 @@ std::optional<std::vector<std::uint8_t>> encode_packet(const WirePacket& packet)
     for (std::int32_t r : packet.regions) {
       put_u16(out, static_cast<std::uint32_t>(r));
     }
-  } else if (packet.type == kMsgStealGrant) {
-    put_u16(out, static_cast<std::uint32_t>(packet.wires.size()));
-    put_i32(out, packet.iteration);
-    for (WireId w : packet.wires) put_i32(out, w);
   }
   LOCUS_ASSERT(out.size() == static_cast<std::size_t>(kUpdateHeaderBytes) +
                                  frame_bytes + payload_bytes);
@@ -439,21 +420,6 @@ std::optional<WirePacket> decode_packet(std::span<const std::uint8_t> buffer) {
     }
     return packet;
   }
-  if (packet.type == kMsgStealGrant) {
-    if (payload_bytes < 6) return std::nullopt;
-    const std::uint32_t count = get_u16(buffer, payload_at);
-    if (payload_bytes != 6 + 4 * static_cast<std::int64_t>(count)) {
-      return std::nullopt;
-    }
-    packet.iteration = get_i32(buffer, payload_at + 2);
-    packet.wires.reserve(count);
-    for (std::uint32_t i = 0; i < count; ++i) {
-      const WireId w = get_i32(buffer, payload_at + 6 + 4 * i);
-      if (w < 0) return std::nullopt;
-      packet.wires.push_back(w);
-    }
-    return packet;
-  }
   if (packet.type == kMsgWireRequest && payload_bytes != 0) {
     // Extended form: i32 completed + u16 count + count x u16 region ids.
     if (payload_bytes < 6) return std::nullopt;
@@ -471,7 +437,7 @@ std::optional<WirePacket> decode_packet(std::span<const std::uint8_t> buffer) {
     }
     return packet;
   }
-  if (payload_bytes != 0) return std::nullopt;  // requests/probes/acks: none
+  if (payload_bytes != 0) return std::nullopt;  // requests/acks: none
   return packet;
 }
 

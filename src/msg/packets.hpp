@@ -37,8 +37,6 @@ enum MsgType : std::int32_t {
   kMsgWireRequest = 10, ///< dynamic assignment: give me a wire to route
   kMsgWireGrant = 11,   ///< dynamic assignment: wire id(s) (or no-more)
   kMsgAck = 12,         ///< reliable transport: standalone cumulative ack
-  kMsgStealRequest = 13, ///< dynamic assignment: neighbor steal probe
-  kMsgStealGrant = 14,   ///< dynamic assignment: donated wires (0 = decline)
 };
 
 /// kMsgWireGrant sentinel: the queue owner has no more wires this run.
@@ -111,9 +109,8 @@ struct WireRequestPayload : PacketPayload {
   std::vector<ProcId> resident;
 };
 
-/// Payload of a batched kMsgWireGrant or a kMsgStealGrant: the wires handed
-/// over (empty grant = no more wires / steal declined) and the iteration
-/// they belong to. Batches never straddle an iteration boundary.
+/// Payload of a batched kMsgWireGrant: the wires handed over (empty grant =
+/// no more wires) and the iteration they belong to. Batches never straddle an iteration boundary.
 struct WireListPayload : PacketPayload {
   std::int32_t iteration = 0;
   std::vector<WireId> wires;
@@ -129,12 +126,9 @@ std::int32_t grant_packet_bytes();
 /// u16 region count + 2 B per resident region id.
 std::int32_t wire_request_packet_bytes(std::int32_t resident_regions);
 
-/// On-wire size of a batched wire grant or steal grant: header + u16 wire
+/// On-wire size of a batched wire grant: header + u16 wire
 /// count + i32 iteration + 4 B per wire id.
 std::int32_t batch_grant_packet_bytes(std::int32_t wires);
-
-/// On-wire size of a steal probe (header only).
-std::int32_t steal_request_packet_bytes();
 
 /// On-wire size of a standalone transport ack (header + transport frame; the
 /// cumulative ack value rides in the frame, so there is no payload).
@@ -173,11 +167,8 @@ std::int32_t ack_packet_bytes();
 //     forms are distinguished by payload length);
 //   * batched kMsgWireGrant: u16 wire count (>= 2) + i32 iteration +
 //     count x i32 wire ids — an 8-byte payload stays the legacy single-wire
-//     (i32 wire, i32 iteration) form, and the two length sets are disjoint;
-//   * kMsgStealRequest: header only;
-//   * kMsgStealGrant: u16 wire count (0 = declined) + i32 iteration +
-//     count x i32 wire ids.
-// Grant wire ids must be >= kNoMoreWires (batch/steal entries >= 0); the
+//     (i32 wire, i32 iteration) form, and the two length sets are disjoint.
+// Grant wire ids must be >= kNoMoreWires (batch entries >= 0); the
 // codec rejects anything below the sentinel in both directions.
 
 /// Sanity ceiling on cells per update packet (larger than any real region).
@@ -192,13 +183,13 @@ struct WirePacket {
   std::vector<std::int32_t> values;  ///< update payload, row-major over bbox
   std::vector<UpdateBlock> blocks;   ///< batched update (flag bit 2); values empty
   WireId wire = kNoMoreWires;        ///< single-wire grant only
-  std::int32_t iteration = 0;        ///< grant / steal grant
+  std::int32_t iteration = 0;        ///< grant only
   /// Extended wire request (resident-region summary). `extended` must be
   /// set for the form to be encoded even when both fields are defaulted.
   bool extended = false;
   std::int32_t completed = 0;             ///< wires finished since last report
   std::vector<std::int32_t> regions;      ///< requester-resident region ids
-  /// Batched grant (>= 2 entries) or steal grant (any count) wire list.
+  /// Batched grant wire list (>= 2 entries).
   std::vector<WireId> wires;
   /// Reliable-transport frame (flag bit 1). kMsgAck packets must carry it;
   /// any other kind may.

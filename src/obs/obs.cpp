@@ -6,12 +6,12 @@ namespace locus::obs {
 
 namespace {
 
-// Mirrors MsgType in msg/packets.hpp (values 1..5 and 10..14). Kept as data
+// Mirrors MsgType in msg/packets.hpp (values 1..5 and 10..12). Kept as data
 // here so obs stays a leaf library the msg layer can link against.
-constexpr std::int32_t kMsgValues[] = {1, 2, 3, 4, 5, 10, 11, 12, 13, 14};
+constexpr std::int32_t kMsgValues[] = {1, 2, 3, 4, 5, 10, 11, 12};
 constexpr const char* kMsgNames[] = {
-    "SendLocData", "SendRmtData", "ReqLocData", "ReqRmtData",   "RspRmtData",
-    "WireRequest", "WireGrant",   "Ack",        "StealRequest", "StealGrant",
+    "SendLocData", "SendRmtData", "ReqLocData", "ReqRmtData",
+    "RspRmtData",  "WireRequest", "WireGrant",  "Ack",
 };
 constexpr std::size_t kNamedKinds = std::size(kMsgValues);
 static_assert(kNamedKinds + 1 == MpNodeObs::kKinds);
@@ -100,8 +100,6 @@ void MpNodeObs::bind(Obs* o, std::size_t shard_index) {
   grants = reg.counter("mp.dyn.grants");
   grant_wires = reg.counter("mp.dyn.grant_wires");
   affinity_hits = reg.counter("mp.dyn.affinity_hits");
-  steal_probes = reg.counter("mp.dyn.steal_probes");
-  steal_wires = reg.counter("mp.dyn.steal_wires");
   if (TraceSink* t = obs->trace()) {
     cat_route = t->intern("route");
     n_route = t->intern("route_wire");

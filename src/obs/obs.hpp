@@ -145,7 +145,7 @@ struct MpNodeObs {
   Obs* obs = nullptr;
   std::size_t shard = 0;
   /// Indexed by msg_kind_index(); the last slot catches unknown types.
-  static constexpr std::size_t kKinds = 11;
+  static constexpr std::size_t kKinds = 9;
   std::array<MetricId, kKinds> sent{};
   std::array<MetricId, kKinds> sent_bytes{};
   std::array<MetricId, kKinds> received{};
@@ -159,8 +159,6 @@ struct MpNodeObs {
   MetricId grants = 0;           ///< wire grants sent (queue owner)
   MetricId grant_wires = 0;      ///< wires carried by those grants
   MetricId affinity_hits = 0;    ///< grants satisfied from a resident bucket
-  MetricId steal_probes = 0;     ///< steal requests sent (idle worker)
-  MetricId steal_wires = 0;      ///< wires obtained by stealing
   TraceSink::StrId cat_route = 0;
   TraceSink::StrId n_route = 0;
   TraceSink::StrId a_wire = 0;

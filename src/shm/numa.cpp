@@ -3,7 +3,6 @@
 #include <thread>
 
 #if defined(__linux__)
-#include <pthread.h>
 #include <sched.h>
 #endif
 
@@ -15,16 +14,14 @@ namespace numa {
 
 namespace {
 
-/// The process mask captured on first query, so unpin_current_thread can
-/// restore it even after a worker narrowed its own affinity.
+/// The process mask captured on first query.
 const cpu_set_t& process_mask() {
   static const cpu_set_t mask = [] {
     cpu_set_t m;
     CPU_ZERO(&m);
     if (sched_getaffinity(0, sizeof(m), &m) != 0) {
-      // No mask readable: pretend single-cpu; pinning_supported() stays
-      // false because the mask is empty of usable ids only when the
-      // syscall failed, which allowed_cpus() surfaces as empty.
+      // No mask readable: leave it empty, which allowed_cpus() surfaces as
+      // an empty list and available_cpus() as hardware_concurrency.
       CPU_ZERO(&m);
     }
     return m;
@@ -50,25 +47,7 @@ std::vector<int> allowed_cpus() {
   return cpus;
 }
 
-bool pinning_supported() { return !allowed_cpus().empty(); }
-
-bool pin_current_thread(int slot) {
-  const std::vector<int> cpus = allowed_cpus();
-  if (cpus.empty() || slot < 0) return false;
-  cpu_set_t mask;
-  CPU_ZERO(&mask);
-  CPU_SET(cpus[static_cast<std::size_t>(slot) % cpus.size()], &mask);
-  return pthread_setaffinity_np(pthread_self(), sizeof(mask), &mask) == 0;
-}
-
-bool unpin_current_thread() {
-  const cpu_set_t& mask = process_mask();
-  if (CPU_COUNT(&mask) == 0) return false;
-  cpu_set_t restore = mask;
-  return pthread_setaffinity_np(pthread_self(), sizeof(restore), &restore) == 0;
-}
-
-#else  // !__linux__: no affinity control; report honestly and do nothing.
+#else  // !__linux__: no affinity control; report honestly.
 
 int available_cpus() {
   const unsigned hw = std::thread::hardware_concurrency();
@@ -76,12 +55,6 @@ int available_cpus() {
 }
 
 std::vector<int> allowed_cpus() { return {}; }
-
-bool pinning_supported() { return false; }
-
-bool pin_current_thread(int) { return false; }
-
-bool unpin_current_thread() { return false; }
 
 #endif
 

@@ -25,13 +25,12 @@ namespace locus {
 // Host-machine placement helpers.
 //
 // The model above argues locality matters; these helpers act on it for our
-// own host-side parallelism (SimPool workers, the batch routing service):
-// thread pinning over the process affinity mask and first-touch page
-// placement for per-worker arenas. Everything degrades gracefully on
-// machines without affinity control (CI runners, non-Linux): the queries
-// report pinning unsupported, pin attempts return false without touching
-// thread state, and first_touch remains a plain page warm-up — callers
-// never need a platform #ifdef of their own.
+// own host-side parallelism (SimPool workers): the process affinity mask
+// that bounds the pool width, and first-touch page placement for
+// per-worker arenas. Everything degrades gracefully on machines without
+// affinity control (CI runners, non-Linux): the cpu list comes back empty,
+// the count falls back to hardware_concurrency, and first_touch remains a
+// plain page warm-up — callers never need a platform #ifdef of their own.
 
 namespace numa {
 
@@ -42,22 +41,8 @@ namespace numa {
 int available_cpus();
 
 /// Concrete cpu ids in the process affinity mask, ascending. Empty when
-/// the platform exposes no mask (pinning is then unsupported).
+/// the platform exposes no mask.
 std::vector<int> allowed_cpus();
-
-/// Whether pin_current_thread can work here at all.
-bool pinning_supported();
-
-/// Pins the calling thread to allowed_cpus()[slot % n] — workers pass
-/// their worker index and spread round-robin over the allowed cpus.
-/// Returns false (thread affinity untouched) when pinning is unsupported
-/// or the syscall fails; callers treat that as "run unpinned", not an
-/// error.
-bool pin_current_thread(int slot);
-
-/// Restores the full process affinity mask on the calling thread. Returns
-/// false when pinning is unsupported (nothing to restore).
-bool unpin_current_thread();
 
 /// Page size / first-touch placement, re-exported from support/mem.hpp so
 /// NUMA-aware callers find the whole placement toolkit in one header.

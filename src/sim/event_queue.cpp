@@ -1,14 +1,8 @@
 #include "sim/event_queue.hpp"
 
 #include <limits>
-#include <utility>
 
 namespace locus {
-
-EventQueue::EventQueue() {
-  // Reserved handler 0: trampoline for the legacy closure overload.
-  handlers_.push_back(HandlerEntry{&EventQueue::closure_trampoline, this});
-}
 
 EventQueue::HandlerId EventQueue::add_handler(EventHandler fn, void* ctx) {
   LOCUS_ASSERT(fn != nullptr);
@@ -25,30 +19,6 @@ void EventQueue::schedule(SimTime time, HandlerId handler, std::uint64_t a,
   LOCUS_ASSERT_MSG(next_seq_ >> 48 == 0, "event sequence space exhausted");
   heap_.push(Event{time, (next_seq_++ << 16) | handler, a, b});
   peak_pending_ = std::max(peak_pending_, heap_.size());
-}
-
-void EventQueue::schedule(SimTime time, std::function<void()> fn) {
-  std::uint32_t slot;
-  if (!fn_free_.empty()) {
-    slot = fn_free_.back();
-    fn_free_.pop_back();
-    fn_slots_[slot] = std::move(fn);
-  } else {
-    slot = static_cast<std::uint32_t>(fn_slots_.size());
-    fn_slots_.push_back(std::move(fn));
-  }
-  schedule(time, HandlerId{0}, slot);
-}
-
-void EventQueue::closure_trampoline(void* ctx, SimTime /*now*/, std::uint64_t a,
-                                    std::uint64_t /*b*/) {
-  auto* self = static_cast<EventQueue*>(ctx);
-  // Move the closure out before invoking it: the call may schedule further
-  // closures and reallocate fn_slots_ under a still-live reference.
-  std::function<void()> fn = std::move(self->fn_slots_[a]);
-  self->fn_slots_[a] = nullptr;
-  self->fn_free_.push_back(static_cast<std::uint32_t>(a));
-  fn();
 }
 
 void EventQueue::dispatch(const Event& ev) {

@@ -7,9 +7,7 @@
 // The heap holds only POD events: a handler id registered once per consumer
 // plus two 64-bit operands (typically a target id and a packet-arena slot).
 // Dispatch is one indexed load and an indirect call — no per-event heap
-// allocation and no std::function in the hot loop. A legacy closure overload
-// remains for cold paths (tests, one-shot setup): the closure is parked in a
-// free-listed slot vector and trampolined through reserved handler 0.
+// allocation and no std::function in the hot loop.
 //
 // The pending set is an indexed 4-ary implicit heap rather than the binary
 // std::priority_queue: half the tree depth, and the four children of node i
@@ -26,7 +24,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <functional>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -46,8 +43,6 @@ class EventQueue {
   using EventHandler = void (*)(void* ctx, SimTime now, std::uint64_t a,
                                 std::uint64_t b);
 
-  EventQueue();
-
   /// Registers a dispatch target once; the returned id is valid for the
   /// queue's lifetime. Handlers are expected at setup time only.
   HandlerId add_handler(EventHandler fn, void* ctx);
@@ -55,11 +50,6 @@ class EventQueue {
   /// Schedules a POD event at absolute simulated time `time` (>= now()).
   void schedule(SimTime time, HandlerId handler, std::uint64_t a = 0,
                 std::uint64_t b = 0);
-
-  /// Legacy closure form: parks `fn` in a slot and dispatches through the
-  /// internal trampoline handler. Convenient but allocating; hot paths
-  /// should register a handler instead.
-  void schedule(SimTime time, std::function<void()> fn);
 
   /// Runs events until the queue is empty. Returns the time of the last
   /// event executed (0 if none ran).
@@ -170,13 +160,9 @@ class EventQueue {
   std::size_t run_loop(std::size_t limit);
 
   void dispatch(const Event& ev);
-  static void closure_trampoline(void* ctx, SimTime now, std::uint64_t a,
-                                 std::uint64_t b);
 
   EventHeap heap_;
   std::vector<HandlerEntry> handlers_;
-  std::vector<std::function<void()>> fn_slots_;
-  std::vector<std::uint32_t> fn_free_;
   SimTime now_ = 0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t executed_ = 0;

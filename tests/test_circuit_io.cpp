@@ -79,6 +79,10 @@ struct BadInput {
   int line;
 };
 
+// Without this, gtest prints the param as raw bytes, pointers included, so
+// the listed test names would change from run to run.
+void PrintTo(const BadInput& bad, std::ostream* os) { *os << "line " << bad.line; }
+
 class CircuitIoErrors : public ::testing::TestWithParam<BadInput> {};
 
 TEST_P(CircuitIoErrors, RejectsWithLineNumber) {

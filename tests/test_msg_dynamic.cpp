@@ -119,7 +119,7 @@ TEST_F(DynamicAssignment, ReceiverScheduleRejected) {
 }
 
 // --- Extended dynamic protocol (DESIGN.md §11): locality-scored batched
-// grants plus optional neighbor stealing. ---
+// grants. ---
 
 MpRunResult run_ext(const Circuit& circuit, const DynamicScheduleConfig& dyn,
                     std::int32_t procs = 4, std::int32_t iterations = 2,
@@ -141,8 +141,6 @@ TEST_F(DynamicAssignment, DefaultConfigKeepsLegacyProtocol) {
   EXPECT_EQ(r.grants_issued, 0);
   EXPECT_EQ(r.grant_wires, 0);
   EXPECT_EQ(r.affinity_grants, 0);
-  EXPECT_EQ(r.steal_requests, 0);
-  EXPECT_EQ(r.steal_wires, 0);
 }
 
 TEST_F(DynamicAssignment, LocalityPolicyRoutesEveryWire) {
@@ -185,20 +183,6 @@ TEST_F(DynamicAssignment, BatchesNeverStraddleIterationBoundaries) {
             circuit_height(circuit_.channels(), circuit_.grids(), r.routes));
 }
 
-TEST_F(DynamicAssignment, NeighborStealingRoutesEveryWire) {
-  Circuit bnre = make_bnre_like();
-  DynamicScheduleConfig dyn;
-  dyn.policy = GrantPolicy::kLocality;
-  dyn.grant_batch = 8;
-  dyn.neighbor_steal = true;
-  MpRunResult r = run_ext(bnre, dyn, 16);
-  EXPECT_EQ(r.work.wires_routed, bnre.num_wires() * 2);
-  // Idle workers probe mesh neighbors before falling back to the master.
-  EXPECT_GT(r.steal_requests, 0);
-  EXPECT_GT(r.network.bytes_by_type.count(kMsgStealRequest), 0u);
-  EXPECT_GT(r.network.bytes_by_type.count(kMsgStealGrant), 0u);
-}
-
 TEST_F(DynamicAssignment, ShardedLocalityProducesAffinityGrants) {
   Circuit bnre = make_bnre_like();
   DynamicScheduleConfig dyn;
@@ -234,7 +218,6 @@ TEST_F(DynamicAssignment, ExtendedProtocolDeterministic) {
   DynamicScheduleConfig dyn;
   dyn.policy = GrantPolicy::kLocality;
   dyn.grant_batch = 8;
-  dyn.neighbor_steal = true;
   MpRunResult a = run_ext(bnre, dyn, 16, 2, /*sharded=*/true);
   MpRunResult b = run_ext(bnre, dyn, 16, 2, /*sharded=*/true);
   EXPECT_EQ(a.completion_ns, b.completion_ns);
@@ -243,8 +226,6 @@ TEST_F(DynamicAssignment, ExtendedProtocolDeterministic) {
   EXPECT_EQ(a.grants_issued, b.grants_issued);
   EXPECT_EQ(a.grant_wires, b.grant_wires);
   EXPECT_EQ(a.affinity_grants, b.affinity_grants);
-  EXPECT_EQ(a.steal_requests, b.steal_requests);
-  EXPECT_EQ(a.steal_wires, b.steal_wires);
   EXPECT_EQ(a.routed_per_proc, b.routed_per_proc);
 }
 
@@ -255,7 +236,6 @@ TEST_F(DynamicAssignment, SchedulingTrafficKeepsViewsConsistent) {
   config.assignment_mode = WireAssignmentMode::kDynamicInterrupt;
   config.dynamic.policy = GrantPolicy::kLocality;
   config.dynamic.grant_batch = 4;
-  config.dynamic.neighbor_steal = true;
   config.observer = &checker;
   run_message_passing(make_bnre_like(), 16, config);
   EXPECT_TRUE(checker.report().consistent());
@@ -268,7 +248,6 @@ TEST_F(DynamicAssignment, ExtendedProtocolUnderReliableTransport) {
   config.assignment_mode = WireAssignmentMode::kDynamicInterrupt;
   config.dynamic.policy = GrantPolicy::kLocality;
   config.dynamic.grant_batch = 4;
-  config.dynamic.neighbor_steal = true;
   config.transport.enabled = true;  // finalize() asserts the ledger balances
   MpRunResult r = run_message_passing(circuit_, 4, config);
   for (const WireRoute& route : r.routes) {

@@ -6,7 +6,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <thread>
 #include <vector>
 
 #include "assign/assignment.hpp"
@@ -172,48 +171,19 @@ TEST(Numa, LocalityAssignmentLowersRemoteFraction) {
 // ---------------------------------------------------------------------------
 // numa:: machine helpers. These must degrade, never fail: on hosts without
 // affinity syscalls (and on CI runners whose masks are restricted) every
-// helper still answers coherently and pinning reports false instead of
-// erroring — SimPool treats "cannot pin" as "run unpinned".
+// helper still answers coherently.
 
 TEST(NumaMachine, AvailableCpusIsCoherentWithAllowedList) {
   const int cpus = numa::available_cpus();
   EXPECT_GE(cpus, 1);
   const std::vector<int> allowed = numa::allowed_cpus();
-  if (numa::pinning_supported()) {
+  if (!allowed.empty()) {
     // The count and the enumeration come from the same affinity mask.
     EXPECT_EQ(static_cast<int>(allowed.size()), cpus);
     for (int cpu : allowed) EXPECT_GE(cpu, 0);
     EXPECT_TRUE(std::is_sorted(allowed.begin(), allowed.end()));
-  } else {
-    // Fallback path: no enumeration, but the count still answers.
-    EXPECT_TRUE(allowed.empty());
   }
-}
-
-TEST(NumaMachine, PinFollowsSupportAndSlotsWrapModulo) {
-  const bool supported = numa::pinning_supported();
-  // Success must agree with the advertised support either way — this is
-  // the exact check SimPool performs before pinning workers.
-  EXPECT_EQ(numa::pin_current_thread(0), supported);
-  // Slots beyond the mask wrap (worker w on cpu allowed[w % n]), so any
-  // worker index is pinnable on any machine.
-  EXPECT_EQ(numa::pin_current_thread(1000003), supported);
-  EXPECT_EQ(numa::unpin_current_thread(), supported);
-  // After unpinning, the full original mask is visible again.
-  EXPECT_GE(numa::available_cpus(), 1);
-}
-
-TEST(NumaMachine, PinnedWorkerStillComputes) {
-  // The pool's usage shape: a helper thread pins itself by slot (best
-  // effort), does sim work, exits. Must hold on both the pinned and the
-  // unsupported/fallback path.
-  std::uint64_t sum = 0;
-  std::thread worker([&] {
-    (void)numa::pin_current_thread(1);
-    for (std::uint64_t i = 0; i < 1000; ++i) sum += i;
-  });
-  worker.join();
-  EXPECT_EQ(sum, 499500u);
+  // Without an enumeration (no readable mask) the count still answers.
 }
 
 TEST(NumaMachine, FirstTouchWarmsWithoutResizingPages) {

@@ -23,7 +23,7 @@ WirePacket random_valid_packet(Rng& rng) {
   WirePacket p;
   bool extended_request = false;
   bool batched_grant = false;
-  switch (rng.bounded(12)) {
+  switch (rng.bounded(10)) {
     case 0: p.type = kMsgSendLocData; break;
     case 1: p.type = kMsgSendRmtData; break;
     case 2: p.type = kMsgRspRmtData; break;
@@ -33,8 +33,6 @@ WirePacket random_valid_packet(Rng& rng) {
     case 6: p.type = kMsgWireGrant; break;
     case 7: p.type = kMsgWireRequest; extended_request = true; break;
     case 8: p.type = kMsgWireGrant; batched_grant = true; break;
-    case 9: p.type = kMsgStealRequest; break;
-    case 10: p.type = kMsgStealGrant; break;
     default: p.type = kMsgAck; break;
   }
   p.region = static_cast<ProcId>(rng.bounded(64));
@@ -105,15 +103,7 @@ WirePacket random_valid_packet(Rng& rng) {
     for (std::size_t i = 0; i < n; ++i) {
       p.regions.push_back(static_cast<ProcId>(rng.bounded(256)));
     }
-  } else if (p.type == kMsgStealGrant) {
-    // 0 wires = steal declined; entries are non-negative.
-    const std::size_t n = rng.bounded(9);
-    for (std::size_t i = 0; i < n; ++i) {
-      p.wires.push_back(static_cast<WireId>(rng.bounded(100'000)));
-    }
-    p.iteration = static_cast<std::int32_t>(rng.bounded(8));
-  } else if (p.type != kMsgAck && p.type != kMsgStealRequest &&
-             rng.chance(0.5)) {
+  } else if (p.type != kMsgAck && rng.chance(0.5)) {
     // Requests may scope a sub-box of interest.
     p.bbox = Rect::of(0, 1, 2, 3);
   }
@@ -192,6 +182,36 @@ TEST(PacketCodecFuzz, CorruptedBytesFailCleanly) {
         EXPECT_TRUE(encode_packet(*decoded).has_value())
             << "trial " << trial << " offset " << off;
       }
+    }
+  }
+}
+
+/// Type bytes outside MsgType (a gap value and the two just above kMsgAck)
+/// are rejected in both directions. The decode side re-types two valid
+/// encodings: a header-only request, and an extended wire request whose
+/// 6-byte payload (completed 0, no regions) also reads as an empty wire
+/// list.
+TEST(PacketCodecFuzz, UnassignedTypeBytesRejected) {
+  WirePacket header_only;
+  header_only.type = kMsgReqLocData;
+  header_only.region = 3;
+  WirePacket with_payload;
+  with_payload.type = kMsgWireRequest;
+  with_payload.region = 3;
+  with_payload.extended = true;
+  const auto header_bytes = encode_packet(header_only);
+  const auto payload_bytes = encode_packet(with_payload);
+  ASSERT_TRUE(header_bytes.has_value());
+  ASSERT_TRUE(payload_bytes.has_value());
+  for (const std::int32_t type : {6, 13, 14}) {
+    WirePacket p;
+    p.type = type;
+    p.region = 3;
+    EXPECT_FALSE(encode_packet(p).has_value()) << "type " << type;
+    for (std::vector<std::uint8_t> buffer : {*header_bytes, *payload_bytes}) {
+      buffer[0] = static_cast<std::uint8_t>(type);
+      EXPECT_FALSE(decode_packet(buffer).has_value())
+          << "type " << type << " size " << buffer.size();
     }
   }
 }
@@ -322,7 +342,7 @@ TEST(BatchedPacketCodec, DecodeRejectsCorruptBlockStructure) {
 }
 
 /// kNoMoreWires is the floor of the grant wire-id range: the codec rejects
-/// anything below it in both directions, and batch/steal entries must not
+/// anything below it in both directions, and batch entries must not
 /// even carry the sentinel.
 TEST(DynamicPacketCodec, WireIdsBelowSentinelRejected) {
   {
@@ -363,13 +383,6 @@ TEST(DynamicPacketCodec, WireIdsBelowSentinelRejected) {
     corrupt[29] = 0xFF;
     EXPECT_FALSE(decode_packet(corrupt).has_value());
   }
-  {
-    WirePacket p;
-    p.type = kMsgStealGrant;
-    p.region = 2;
-    p.wires = {kNoMoreWires};
-    EXPECT_FALSE(encode_packet(p).has_value());
-  }
 }
 
 TEST(DynamicPacketCodec, ExtendedFormsRoundTrip) {
@@ -401,25 +414,6 @@ TEST(DynamicPacketCodec, ExtendedFormsRoundTrip) {
     const auto back = decode_packet(*bytes);
     ASSERT_TRUE(back.has_value());
     EXPECT_EQ(*back, p);
-  }
-  {
-    WirePacket p;
-    p.type = kMsgStealRequest;
-    p.region = 4;
-    const auto bytes = encode_packet(p);
-    ASSERT_TRUE(bytes.has_value());
-    EXPECT_EQ(static_cast<std::int32_t>(bytes->size()),
-              steal_request_packet_bytes());
-    EXPECT_EQ(decode_packet(*bytes), p);
-  }
-  {
-    WirePacket p;  // declined steal: zero wires
-    p.type = kMsgStealGrant;
-    p.region = 4;
-    p.iteration = 1;
-    const auto bytes = encode_packet(p);
-    ASSERT_TRUE(bytes.has_value());
-    EXPECT_EQ(decode_packet(*bytes), p);
   }
 }
 

@@ -2,6 +2,7 @@
 // network model (latency formula, contention, statistics).
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <set>
 #include <vector>
 
@@ -12,71 +13,71 @@
 namespace locus {
 namespace {
 
+/// Handler context that records the `a` operand of every event it runs.
+struct Recorder {
+  std::vector<int> order;
+  static void push(void* ctx, SimTime, std::uint64_t a, std::uint64_t) {
+    static_cast<Recorder*>(ctx)->order.push_back(static_cast<int>(a));
+  }
+};
+
+void noop(void*, SimTime, std::uint64_t, std::uint64_t) {}
+
 TEST(EventQueue, ExecutesInTimeOrder) {
   EventQueue q;
-  std::vector<int> order;
-  q.schedule(30, [&] { order.push_back(3); });
-  q.schedule(10, [&] { order.push_back(1); });
-  q.schedule(20, [&] { order.push_back(2); });
+  Recorder rec;
+  const EventQueue::HandlerId h = q.add_handler(&Recorder::push, &rec);
+  q.schedule(30, h, 3);
+  q.schedule(10, h, 1);
+  q.schedule(20, h, 2);
   q.run();
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+  EXPECT_EQ(rec.order, (std::vector<int>{1, 2, 3}));
 }
 
 TEST(EventQueue, SimultaneousEventsRunFifo) {
   EventQueue q;
-  std::vector<int> order;
-  for (int i = 0; i < 10; ++i) {
-    q.schedule(5, [&order, i] { order.push_back(i); });
-  }
+  Recorder rec;
+  const EventQueue::HandlerId h = q.add_handler(&Recorder::push, &rec);
+  for (int i = 0; i < 10; ++i) q.schedule(5, h, static_cast<std::uint64_t>(i));
   q.run();
-  for (int i = 0; i < 10; ++i) EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
+  ASSERT_EQ(rec.order.size(), 10u);
+  for (int i = 0; i < 10; ++i) {
+    EXPECT_EQ(rec.order[static_cast<std::size_t>(i)], i);
+  }
 }
+
+/// A handler that reschedules itself `step` ns later until `stop` events
+/// have run (`stop` < 0: forever).
+struct Chain {
+  EventQueue* q = nullptr;
+  EventQueue::HandlerId h = 0;
+  SimTime step = 0;
+  int stop = -1;
+  int count = 0;
+  static void on(void* ctx, SimTime now, std::uint64_t, std::uint64_t) {
+    auto* c = static_cast<Chain*>(ctx);
+    if (++c->count != c->stop) c->q->schedule(now + c->step, c->h);
+  }
+};
 
 TEST(EventQueue, EventsCanScheduleEvents) {
   EventQueue q;
-  int count = 0;
-  std::function<void()> chain = [&] {
-    if (++count < 5) q.schedule(q.now() + 10, chain);
-  };
-  q.schedule(0, chain);
+  Chain chain{&q, 0, 10, 5};
+  chain.h = q.add_handler(&Chain::on, &chain);
+  q.schedule(0, chain.h);
   SimTime end = q.run();
-  EXPECT_EQ(count, 5);
+  EXPECT_EQ(chain.count, 5);
   EXPECT_EQ(end, 40);
   EXPECT_EQ(q.executed(), 5u);
 }
 
 TEST(EventQueue, RunBoundedStops) {
   EventQueue q;
-  std::function<void()> forever = [&] { q.schedule(q.now() + 1, forever); };
-  q.schedule(0, forever);
+  Chain forever{&q, 0, 1};
+  forever.h = q.add_handler(&Chain::on, &forever);
+  q.schedule(0, forever.h);
   EXPECT_EQ(q.run_bounded(100), 100u);
   EXPECT_FALSE(q.empty());
-}
-
-/// Regression for the POD-event rewrite: simultaneous events execute in
-/// global insertion order regardless of whether each was scheduled as a POD
-/// handler event or a legacy closure — the two forms share one sequence
-/// counter, so mixing them cannot perturb FIFO ordering.
-TEST(EventQueue, SimultaneousPodAndClosureEventsInterleaveFifo) {
-  EventQueue q;
-  std::vector<int> order;
-  struct Ctx {
-    std::vector<int>* order;
-    static void push(void* ctx, SimTime, std::uint64_t a, std::uint64_t) {
-      static_cast<Ctx*>(ctx)->order->push_back(static_cast<int>(a));
-    }
-  } ctx{&order};
-  const EventQueue::HandlerId h = q.add_handler(&Ctx::push, &ctx);
-  for (int i = 0; i < 12; ++i) {
-    if (i % 2 == 0) {
-      q.schedule(5, h, static_cast<std::uint64_t>(i));
-    } else {
-      q.schedule(5, [&order, i] { order.push_back(i); });
-    }
-  }
-  q.run();
-  ASSERT_EQ(order.size(), 12u);
-  for (int i = 0; i < 12; ++i) EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
 }
 
 TEST(EventQueue, PodHandlerReceivesTimeAndOperands) {
@@ -99,7 +100,8 @@ TEST(EventQueue, PodHandlerReceivesTimeAndOperands) {
 
 TEST(EventQueue, PeakPendingTracksHighWater) {
   EventQueue q;
-  for (int i = 0; i < 8; ++i) q.schedule(i, [] {});
+  const EventQueue::HandlerId h = q.add_handler(&noop, nullptr);
+  for (int i = 0; i < 8; ++i) q.schedule(i, h);
   EXPECT_EQ(q.peak_pending(), 8u);
   q.run();
   EXPECT_EQ(q.peak_pending(), 8u);  // high-water survives the drain
@@ -108,14 +110,20 @@ TEST(EventQueue, PeakPendingTracksHighWater) {
 
 TEST(EventQueue, NowAdvancesMonotonically) {
   EventQueue q;
-  SimTime last = -1;
-  for (int i = 0; i < 20; ++i) {
-    q.schedule((i * 7) % 13, [&] {
-      EXPECT_GE(q.now(), last);
-      last = q.now();
-    });
-  }
+  struct Watch {
+    const EventQueue* q;
+    SimTime last = -1;
+    static void on(void* ctx, SimTime now, std::uint64_t, std::uint64_t) {
+      auto* w = static_cast<Watch*>(ctx);
+      EXPECT_EQ(w->q->now(), now);
+      EXPECT_GE(now, w->last);
+      w->last = now;
+    }
+  } watch{&q};
+  const EventQueue::HandlerId h = q.add_handler(&Watch::on, &watch);
+  for (int i = 0; i < 20; ++i) q.schedule((i * 7) % 13, h);
   q.run();
+  EXPECT_EQ(watch.last, 12);
 }
 
 TEST(Topology, CoordsRoundTrip) {

@@ -18,7 +18,6 @@
 
 #include "circuit/generator.hpp"
 #include "harness/experiments.hpp"
-#include "harness/route_service.hpp"
 #include "harness/sim_pool.hpp"
 #include "msg/driver.hpp"
 #include "obs/counters.hpp"
@@ -222,27 +221,6 @@ TEST(PoolDeterminism, MergedObsCsvIsBitIdenticalAtAnyWidth) {
 // ---------------------------------------------------------------------------
 // Per-worker payload arenas: ownership, reclamation, reuse.
 
-/// RAII toggle so pool tests can force real worker threads on hosts whose
-/// affinity mask would otherwise clamp the pool to the inline path.
-struct ForceThreadsScope {
-  std::string saved;
-  bool had = false;
-  ForceThreadsScope() {
-    if (const char* env = std::getenv("LOCUS_POOL_IGNORE_AFFINITY")) {
-      had = true;
-      saved = env;
-    }
-    ::setenv("LOCUS_POOL_IGNORE_AFFINITY", "1", 1);
-  }
-  ~ForceThreadsScope() {
-    if (had) {
-      ::setenv("LOCUS_POOL_IGNORE_AFFINITY", saved.c_str(), 1);
-    } else {
-      ::unsetenv("LOCUS_POOL_IGNORE_AFFINITY");
-    }
-  }
-};
-
 TEST(PayloadArena, LocalAllocFreeBalancesAndStaysLockFree) {
   PayloadArena& arena = PayloadArena::current();
   const ArenaStats before = arena.stats();
@@ -386,75 +364,6 @@ TEST(PoolScaling, FourWorkersBeatSerialOnMultiCoreHosts) {
   const double t4 = median3(4);
   EXPECT_GE(t1 / t4, 1.5) << "4-worker batch speedup regressed: t1=" << t1
                           << "s t4=" << t4 << "s";
-}
-
-// ---------------------------------------------------------------------------
-// Route service: the batch front-end's determinism and admission contract.
-
-TEST(RouteServiceProperty, ResultsAndMetricsBitIdenticalAcrossWidths) {
-  // 50 request-mix seeds, replayed at widths 1/2/8: per-job result lines
-  // and the merged obs CSV must be byte-identical to the serial run.
-  ForceThreadsScope force;  // real workers even on clamped hosts
-  for (std::uint64_t seed = 1; seed <= 50; ++seed) {
-    const std::vector<RouteRequest> requests = generate_requests(12, seed);
-    RouteServiceOptions options;
-    options.max_inflight = 5;  // several waves, not one
-    options.width = 1;
-    const RouteServiceReport serial = run_route_service(requests, options);
-    ASSERT_EQ(serial.results.size(), requests.size());
-    EXPECT_FALSE(serial.metrics_csv.empty());
-    for (int width : {2, 8}) {
-      options.width = width;
-      const RouteServiceReport pooled = run_route_service(requests, options);
-      ASSERT_EQ(pooled.results, serial.results)
-          << "seed=" << seed << " width=" << width;
-      ASSERT_EQ(pooled.metrics_csv, serial.metrics_csv)
-          << "seed=" << seed << " width=" << width;
-      EXPECT_EQ(pooled.wires_routed, serial.wires_routed);
-    }
-  }
-}
-
-TEST(RouteServiceProperty, AdmissionControlHoldsTheInflightBound) {
-  ForceThreadsScope force;
-  obs::CounterRegistry host;
-  RouteServiceOptions options;
-  options.width = 8;        // more workers than the bound permits in flight
-  options.max_inflight = 4;
-  options.host_obs = &host;
-  const RouteServiceReport report =
-      run_route_service(generate_requests(64, 7), options);
-  // Asserted via the published high-water obs counter, as callers would.
-  const std::uint64_t high_water = host.total("svc.inflight_high_water");
-  EXPECT_EQ(high_water, report.inflight_high_water);
-  EXPECT_GE(high_water, 1u);
-  EXPECT_LE(high_water, 4u);
-  EXPECT_EQ(report.jobs, 64u);
-  EXPECT_GT(report.wires_routed, 0u);
-}
-
-TEST(RouteServiceProperty, RequestLinesRoundTripAndRejectGarbage) {
-  for (const RouteRequest& request : generate_requests(32, 11)) {
-    const std::string line = render_request(request);
-    RouteRequest parsed;
-    std::string error;
-    ASSERT_TRUE(parse_request(line, &parsed, &error)) << line << ": " << error;
-    EXPECT_EQ(render_request(parsed), line);
-  }
-  RouteRequest out;
-  std::string error;
-  EXPECT_FALSE(parse_request("", &out, &error));
-  EXPECT_TRUE(error.empty());  // blank: skipped, not an error
-  EXPECT_FALSE(parse_request("# comment", &out, &error));
-  EXPECT_TRUE(error.empty());
-  EXPECT_FALSE(parse_request("udp acme tiny 1 4 sender:2:5", &out, &error));
-  EXPECT_FALSE(error.empty());  // unknown kind
-  EXPECT_FALSE(parse_request("mp acme tiny 1 4 sender:2", &out, &error));
-  EXPECT_FALSE(error.empty());  // malformed schedule
-  EXPECT_FALSE(parse_request("mp acme tiny 1 0 sender:2:5", &out, &error));
-  EXPECT_FALSE(error.empty());  // procs < 1
-  EXPECT_FALSE(parse_request("mp acme tiny 1 4 sender:2:5 extra", &out, &error));
-  EXPECT_FALSE(error.empty());  // trailing field
 }
 
 }  // namespace
