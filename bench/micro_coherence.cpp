@@ -1,6 +1,9 @@
 // google-benchmark microbenchmarks for the coherence simulator: replay
-// throughput per protocol and line size.
+// throughput per protocol and line size, and the single-pass four-size
+// sweep (Table 3) against one replay per size.
 #include <benchmark/benchmark.h>
+
+#include <vector>
 
 #include "circuit/generator.hpp"
 #include "coherence/simulator.hpp"
@@ -47,7 +50,37 @@ void BM_CoherenceProtocols(benchmark::State& state) {
 BENCHMARK(BM_CoherenceProtocols)
     ->Arg(static_cast<int>(ProtocolKind::kWriteBackInvalidate))
     ->Arg(static_cast<int>(ProtocolKind::kWriteThrough))
-    ->Arg(static_cast<int>(ProtocolKind::kMesi));
+    ->Arg(static_cast<int>(ProtocolKind::kMesi))
+    ->Arg(static_cast<int>(ProtocolKind::kDragon));
+
+const std::vector<std::int32_t> kTable3Sizes = {4, 8, 16, 32};
+
+void BM_SweepFused(benchmark::State& state) {
+  const RefTrace& trace = tiny_trace();
+  for (auto _ : state) {
+    auto traffic = sweep_line_sizes(trace, 4, kTable3Sizes);
+    benchmark::DoNotOptimize(traffic.back().total_bytes());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(trace.size() * kTable3Sizes.size()));
+}
+BENCHMARK(BM_SweepFused);
+
+void BM_SweepPerSize(benchmark::State& state) {
+  const RefTrace& trace = tiny_trace();
+  for (auto _ : state) {
+    for (std::int32_t size : kTable3Sizes) {
+      CoherenceParams params;
+      params.line_size = size;
+      CoherenceSim sim(4, params);
+      sim.replay(trace);
+      benchmark::DoNotOptimize(sim.traffic().total_bytes());
+    }
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(trace.size() * kTable3Sizes.size()));
+}
+BENCHMARK(BM_SweepPerSize);
 
 }  // namespace
 

@@ -4,7 +4,9 @@
 //
 //   $ ./examples/trace_tool collect --circuit=bnre --procs=16 --out=run.trc
 //   $ ./examples/trace_tool analyze run.trc --line-size=16 --protocol=dragon
+#include <algorithm>
 #include <cstdio>
+#include <stdexcept>
 #include <string>
 
 #include "assign/assignment.hpp"
@@ -68,10 +70,41 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "analyze needs a .trc path\n");
       return 1;
     }
-    locus::RefTrace trace = locus::read_trace_file(cli.positional()[1]);
+    const std::int64_t procs_flag = cli.get_int("procs");
+    if (procs_flag < 1 || procs_flag > 32) {
+      std::fprintf(stderr, "analyze: --procs=%lld out of range (the coherence model "
+                           "tracks 1..32 caches)\n", static_cast<long long>(procs_flag));
+      return 1;
+    }
     locus::CoherenceParams params;
-    params.line_size = static_cast<std::int32_t>(cli.get_int("line-size"));
+    const std::int64_t line_flag = cli.get_int("line-size");
+    if (line_flag < params.word_size || line_flag > (1 << 30) ||
+        (line_flag & (line_flag - 1)) != 0) {
+      std::fprintf(stderr,
+                   "analyze: --line-size=%lld must be a power of two from %d to 2^30\n",
+                   static_cast<long long>(line_flag), params.word_size);
+      return 1;
+    }
+    params.line_size = static_cast<std::int32_t>(line_flag);
     params.protocol = pick_protocol(cli.get("protocol"));
+    locus::RefTrace trace;
+    try {
+      trace = locus::read_trace_file(cli.positional()[1]);
+    } catch (const std::runtime_error& e) {
+      std::fprintf(stderr, "analyze: %s\n", e.what());
+      return 1;
+    }
+    std::int32_t max_proc = -1;
+    for (const locus::MemRef& ref : trace.refs()) {
+      max_proc = std::max<std::int32_t>(max_proc, ref.proc);
+    }
+    if (max_proc >= procs) {
+      std::fprintf(stderr,
+                   "analyze: the trace references processor %d but --procs=%d; "
+                   "pass the --procs it was collected with (at least %d)\n",
+                   max_proc, procs, max_proc + 1);
+      return 1;
+    }
     locus::CoherenceSim sim(procs, params);
     sim.replay(trace);
     const locus::CoherenceTraffic& t = sim.traffic();

@@ -46,6 +46,8 @@ struct CoherenceTraffic {
   std::uint64_t capacity_evictions = 0;
   std::uint64_t accesses = 0;
 
+  bool operator==(const CoherenceTraffic&) const = default;
+
   std::uint64_t read_bytes() const { return cold_fetch_bytes; }
   std::uint64_t write_bytes() const {
     return refetch_bytes + write_fetch_bytes + word_write_bytes +

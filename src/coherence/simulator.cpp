@@ -1,5 +1,8 @@
 #include "coherence/simulator.hpp"
 
+#include <algorithm>
+#include <bit>
+
 #include "support/assert.hpp"
 
 namespace locus {
@@ -7,13 +10,31 @@ namespace locus {
 CoherenceSim::CoherenceSim(std::int32_t procs, CoherenceParams params)
     : procs_(procs), params_(params) {
   LOCUS_ASSERT(procs >= 1 && procs <= 32);
-  LOCUS_ASSERT(params.line_size >= params.word_size);
+  LOCUS_ASSERT(params.line_size >= params.word_size && params.line_size > 0);
   LOCUS_ASSERT((params.line_size & (params.line_size - 1)) == 0);
   LOCUS_ASSERT(params.capacity_lines >= 0);
+  line_shift_ = std::countr_zero(static_cast<std::uint32_t>(params.line_size));
+  dense_lines_ = kDenseAddrBound >> line_shift_;
   if (params.capacity_lines > 0) {
     lru_order_.resize(static_cast<std::size_t>(procs));
     lru_map_.resize(static_cast<std::size_t>(procs));
   }
+}
+
+CoherenceSim::LineState& CoherenceSim::line_state(std::uint32_t line_addr) {
+  if (line_addr < dense_.size()) return dense_[line_addr];
+  if (line_addr < dense_lines_) {
+    dense_.resize(std::min<std::size_t>(
+        dense_lines_, std::max<std::size_t>(line_addr + 1, 2 * dense_.size())));
+    return dense_[line_addr];
+  }
+  return sparse_[line_addr];
+}
+
+std::size_t CoherenceSim::lines_touched() const {
+  const auto dense = std::count_if(dense_.begin(), dense_.end(),
+                                   [](const LineState& l) { return l.ever_held != 0; });
+  return static_cast<std::size_t>(dense) + sparse_.size();
 }
 
 void CoherenceSim::lru_touch(std::int32_t proc, std::uint32_t line_addr) {
@@ -32,7 +53,7 @@ void CoherenceSim::lru_touch(std::int32_t proc, std::uint32_t line_addr) {
   order.pop_back();
   map.erase(victim);
   ++traffic_.capacity_evictions;
-  LineState& line = lines_[victim];
+  LineState& line = line_state(victim);
   line.present &= ~(1u << proc);
   if (line.dirty_owner == proc) {
     line.dirty_owner = -1;
@@ -44,8 +65,7 @@ void CoherenceSim::lru_touch(std::int32_t proc, std::uint32_t line_addr) {
 void CoherenceSim::access(std::int32_t proc, std::uint32_t addr, MemOp op) {
   LOCUS_ASSERT(proc >= 0 && proc < procs_);
   ++traffic_.accesses;
-  const std::uint32_t line_addr = addr / static_cast<std::uint32_t>(params_.line_size);
-  LineState& line = lines_[line_addr];
+  const std::uint32_t line_addr = addr >> line_shift_;
   const std::uint32_t bit = 1u << proc;
   // Finite caches: the accessed line becomes MRU; an overflowing victim is
   // evicted before the protocol handler can be confused by it. (Note the
@@ -54,6 +74,7 @@ void CoherenceSim::access(std::int32_t proc, std::uint32_t addr, MemOp op) {
   if (params_.capacity_lines > 0) {
     lru_touch(proc, line_addr);
   }
+  LineState& line = line_state(line_addr);
   switch (params_.protocol) {
     case ProtocolKind::kWriteBackInvalidate:
       access_wbi(line, bit, proc, op);
@@ -255,23 +276,29 @@ void CoherenceSim::publish_obs(obs::Obs& o, std::size_t shard) const {
   reg.add(shard, reg.counter(Names::kEvictionWritebackBytes),
           t.eviction_writeback_bytes);
   reg.add(shard, reg.counter(Names::kTotalBytes), t.total_bytes());
-  reg.add(shard, reg.counter(Names::kLinesTouched), lines_.size());
+  reg.add(shard, reg.counter(Names::kLinesTouched), lines_touched());
 }
 
 std::vector<CoherenceTraffic> sweep_line_sizes(const RefTrace& trace,
                                                std::int32_t procs,
                                                const std::vector<std::int32_t>& sizes,
-                                               ProtocolKind protocol) {
-  std::vector<CoherenceTraffic> out;
-  out.reserve(sizes.size());
+                                               ProtocolKind protocol,
+                                               std::int32_t capacity_lines) {
+  std::vector<CoherenceSim> sims;
+  sims.reserve(sizes.size());
   for (std::int32_t size : sizes) {
     CoherenceParams params;
     params.line_size = size;
     params.protocol = protocol;
-    CoherenceSim sim(procs, params);
-    sim.replay(trace);
-    out.push_back(sim.traffic());
+    params.capacity_lines = capacity_lines;
+    sims.emplace_back(procs, params);
   }
+  for (const MemRef& ref : trace.refs()) {
+    for (CoherenceSim& sim : sims) sim.access(ref.proc, ref.addr, ref.op);
+  }
+  std::vector<CoherenceTraffic> out;
+  out.reserve(sims.size());
+  for (const CoherenceSim& sim : sims) out.push_back(sim.traffic());
   return out;
 }
 

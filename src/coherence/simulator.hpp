@@ -4,6 +4,11 @@
 // and which single processor, if any, holds it dirty. Caches are infinite
 // (paper footnote 3: no capacity misses), so state only changes through
 // the protocol events themselves.
+//
+// Line state lives in a dense table indexed by line address, grown on
+// demand up to kDenseAddrBound bytes of address space — the cost array's
+// range. The few shared objects above the bound (the distributed loop
+// counter) go to a small side map.
 #pragma once
 
 #include <cstdint>
@@ -31,7 +36,11 @@ class CoherenceSim {
   const CoherenceParams& params() const { return params_; }
 
   /// Number of distinct lines ever touched (cold footprint).
-  std::size_t lines_touched() const { return lines_.size(); }
+  std::size_t lines_touched() const;
+
+  /// Byte addresses below this bound are tracked in the dense line table
+  /// (16 MiB: a cost array of up to 4M cells); higher ones in a side map.
+  static constexpr std::uint32_t kDenseAddrBound = 1u << 24;
 
   /// Mirrors the accumulated traffic breakdown into `o`'s registry under
   /// the coh.* names (obs::CoherenceObsNames), once, on `shard`. The replay
@@ -42,10 +51,15 @@ class CoherenceSim {
  private:
   struct LineState {
     std::uint32_t present = 0;     ///< bitmask of procs with a valid copy
-    std::uint32_t ever_held = 0;   ///< procs that held the line at some point
+    std::uint32_t ever_held = 0;   ///< procs that held the line at some point;
+                                   ///< nonzero once the line is touched
     std::int32_t dirty_owner = -1; ///< proc holding it dirty, or -1
     bool exclusive_clean = false;  ///< MESI E state (single clean holder)
   };
+
+  /// The state of line `line_addr`, created (untouched) on first use. The
+  /// reference is valid until the next call.
+  LineState& line_state(std::uint32_t line_addr);
 
   void access_wbi(LineState& line, std::uint32_t bit, std::int32_t proc, MemOp op);
   void access_write_through(LineState& line, std::uint32_t bit, std::int32_t proc,
@@ -59,18 +73,23 @@ class CoherenceSim {
   std::int32_t procs_;
   CoherenceParams params_;
   CoherenceTraffic traffic_;
-  std::unordered_map<std::uint32_t, LineState> lines_;
+  std::vector<LineState> dense_;  ///< lines below dense_lines_, grown on demand
+  std::uint32_t dense_lines_ = 0;
+  int line_shift_ = 0;  ///< log2(line_size)
+  std::unordered_map<std::uint32_t, LineState> sparse_;  ///< lines above it
   std::vector<std::list<std::uint32_t>> lru_order_;  ///< per proc, front = MRU
   std::vector<std::unordered_map<std::uint32_t, std::list<std::uint32_t>::iterator>>
       lru_map_;
 };
 
-/// Convenience: replay `trace` for each line size and return the traffic
-/// totals in order (the Table 3 sweep).
+/// Replays `trace` once per line size and returns the traffic totals in
+/// order (the Table 3 sweep). One pass over the trace feeds every size's
+/// simulator in turn; the totals equal separate CoherenceSim::replay runs.
 std::vector<CoherenceTraffic> sweep_line_sizes(const RefTrace& trace,
                                                std::int32_t procs,
                                                const std::vector<std::int32_t>& sizes,
                                                ProtocolKind protocol =
-                                                   ProtocolKind::kWriteBackInvalidate);
+                                                   ProtocolKind::kWriteBackInvalidate,
+                                               std::int32_t capacity_lines = 0);
 
 }  // namespace locus

@@ -16,31 +16,107 @@ namespace {
 
 /// CostView over the single shared array that records shared references.
 /// Reads are deduplicated per wire (see trace.hpp); every add() logs the
-/// read-modify-write pair.
+/// read-modify-write pair. References go to one compact stream per
+/// processor — an {addr, op} entry per reference, a block per flushed wire
+/// — which merge_trace() merges into the time-ordered trace.
 class TracingView final : public CostView {
  public:
-  TracingView(GridBacking& shared, bool capture, bool dedup_reads)
+  TracingView(GridBacking& shared, std::int32_t procs, bool capture, bool dedup_reads)
       : shared_(shared), capture_(capture), dedup_reads_(dedup_reads),
-        read_stamp_(static_cast<std::size_t>(shared.size()), 0) {}
+        read_stamp_(static_cast<std::size_t>(shared.size()), 0),
+        streams_(static_cast<std::size_t>(procs)) {}
 
   void begin_wire() {
     ++epoch_;
     pending_.clear();
   }
 
-  /// Stamps the pending refs across [t0, t0 + duration] for processor
-  /// `proc` and appends them to `trace`.
-  void flush_wire(RefTrace& trace, std::int16_t proc, SimTime t0, SimTime duration) {
+  /// Moves the pending refs into `proc`'s stream as one block, to be stamped
+  /// across [t0, t0 + duration] by merge_trace().
+  void flush_wire(std::int16_t proc, SimTime t0, SimTime duration) {
     if (!capture_ || pending_.empty()) return;
-    const auto n = static_cast<SimTime>(pending_.size());
-    for (std::size_t i = 0; i < pending_.size(); ++i) {
-      MemRef ref;
-      ref.time = t0 + duration * static_cast<SimTime>(i + 1) / (n + 1);
-      ref.addr = pending_[i].addr;
-      ref.proc = proc;
-      ref.op = pending_[i].op;
-      trace.append(ref);
+    LOCUS_ASSERT(duration >= 0);
+    Stream& s = streams_[static_cast<std::size_t>(proc)];
+    s.entries.insert(s.entries.end(), pending_.begin(), pending_.end());
+    s.blocks.push_back(Block{t0, duration, static_cast<std::uint32_t>(pending_.size()),
+                             next_block_seq_++});
+  }
+
+  /// The whole trace in global time order, with the order and timestamps a
+  /// stable sort by time of the emission-ordered trace would give. Ref i of
+  /// an n-ref block is stamped t0 + duration·(i+1)/(n+1), so times rise
+  /// within a block, and the executor (least clock runs next) starts a
+  /// processor's next block no earlier than its previous one ended. Each
+  /// stream is therefore sorted by (time, block emission seq, i), and a heap
+  /// merge of the stream heads on (time, seq) — distinct for distinct
+  /// streams — keeps equal times in emission order (DESIGN.md §7.6).
+  /// Releases the streams.
+  RefTrace merge_trace() {
+    struct Head {
+      SimTime time;
+      std::uint64_t seq;
+      std::size_t proc;
+    };
+    struct Cursor {
+      std::size_t block = 0;
+      std::uint32_t i = 0;  ///< ref within the block
+      std::size_t entry = 0;
+    };
+    auto before = [](const Head& a, const Head& b) {
+      return a.time != b.time ? a.time < b.time : a.seq < b.seq;
+    };
+    auto stamp = [](const Block& b, std::uint32_t i) {
+      return b.t0 + b.duration * static_cast<SimTime>(i + 1) /
+                        (static_cast<SimTime>(b.n) + 1);
+    };
+
+    std::size_t total = 0;
+    std::vector<Head> heap;
+    for (std::size_t p = 0; p < streams_.size(); ++p) {
+      const Stream& s = streams_[p];
+      total += s.entries.size();
+      if (!s.blocks.empty()) {
+        heap.push_back(Head{stamp(s.blocks[0], 0), s.blocks[0].seq, p});
+      }
     }
+    std::make_heap(heap.begin(), heap.end(),
+                   [&](const Head& a, const Head& b) { return before(b, a); });
+    std::vector<Cursor> cursors(streams_.size());
+
+    RefTrace trace;
+    trace.reserve(total);
+    while (!heap.empty()) {
+      // Emit the root, replace it by its stream's next ref (or the last
+      // head once the stream is drained) and sift that down.
+      Head top = heap.front();
+      const Stream& s = streams_[top.proc];
+      Cursor& c = cursors[top.proc];
+      const Entry& e = s.entries[c.entry++];
+      trace.append(MemRef{top.time, e.addr, static_cast<std::int16_t>(top.proc), e.op});
+      if (++c.i == s.blocks[c.block].n) {
+        c.i = 0;
+        ++c.block;
+      }
+      if (c.block < s.blocks.size()) {
+        const Block& b = s.blocks[c.block];
+        top.time = stamp(b, c.i);
+        top.seq = b.seq;
+      } else {
+        top = heap.back();
+        heap.pop_back();
+        if (heap.empty()) break;
+      }
+      std::size_t hole = 0;
+      for (std::size_t child = 1; child < heap.size(); child = 2 * hole + 1) {
+        if (child + 1 < heap.size() && before(heap[child + 1], heap[child])) ++child;
+        if (!before(heap[child], top)) break;
+        heap[hole] = heap[child];
+        hole = child;
+      }
+      heap[hole] = top;
+    }
+    streams_ = std::vector<Stream>(streams_.size());
+    return trace;
   }
 
   std::int32_t read(GridPoint p) override {
@@ -106,9 +182,20 @@ class TracingView final : public CostView {
     pending_.push_back({cost_cell_addr(p.channel, p.x, shared_.channels()), MemOp::kRead});
   }
 
-  struct Pending {
+  struct Entry {
     std::uint32_t addr;
     MemOp op;
+  };
+  /// One flushed wire: `n` consecutive entries of the stream.
+  struct Block {
+    SimTime t0;
+    SimTime duration;
+    std::uint32_t n;
+    std::uint64_t seq;  ///< emission order across all processors
+  };
+  struct Stream {
+    std::vector<Entry> entries;
+    std::vector<Block> blocks;
   };
 
   GridBacking& shared_;
@@ -117,8 +204,10 @@ class TracingView final : public CostView {
   bool defer_ = false;
   std::vector<std::uint32_t> read_stamp_;
   std::uint32_t epoch_ = 0;
-  std::vector<Pending> pending_;
+  std::vector<Entry> pending_;
   std::vector<GridPoint> deferred_cells_;
+  std::vector<Stream> streams_;
+  std::uint64_t next_block_seq_ = 0;
 };
 
 struct ProcState {
@@ -175,7 +264,8 @@ ShmRunResult run_shared_memory(const Circuit& circuit, const ShmConfig& config) 
   GridBacking& shared_cost =
       config.sharded_cost ? static_cast<GridBacking&>(*tiled) : result.cost;
 
-  TracingView view(shared_cost, config.capture_trace, config.trace_dedup_reads);
+  TracingView view(shared_cost, config.procs, config.capture_trace,
+                   config.trace_dedup_reads);
   const TimeModel& tm = config.time;
 
   obs::ShmObs shm_obs;
@@ -247,8 +337,7 @@ ShmRunResult run_shared_memory(const Circuit& circuit, const ShmConfig& config) 
         fetch_cost = tm.shm_read_ns + tm.shm_write_ns;
         if (loop_counter >= circuit.num_wires()) {
           ps.done = true;
-          view.flush_wire(result.trace, static_cast<std::int16_t>(next), ps.clock,
-                          fetch_cost);
+          view.flush_wire(static_cast<std::int16_t>(next), ps.clock, fetch_cost);
           ps.clock += fetch_cost;
           result.proc_finish_ns[static_cast<std::size_t>(next)] = ps.clock;
           continue;
@@ -285,8 +374,7 @@ ShmRunResult run_shared_memory(const Circuit& circuit, const ShmConfig& config) 
           fetch_cost + rip_cost +
           tm.routing_time_ns(result.work.probes - before.probes,
                              result.work.cells_committed - before.cells_committed, 1);
-      view.flush_wire(result.trace, static_cast<std::int16_t>(next), ps.clock,
-                      duration);
+      view.flush_wire(static_cast<std::int16_t>(next), ps.clock, duration);
       LOCUS_OBS_HOOK(if (shm_obs) {
         auto& reg = shm_obs.obs->counters();
         reg.add(shm_obs.shard, shm_obs.wires_routed);
@@ -325,7 +413,7 @@ ShmRunResult run_shared_memory(const Circuit& circuit, const ShmConfig& config) 
   result.circuit_height = circuit_height(result.cost);
   LOCUS_ASSERT(result.cost ==
                rebuild_cost(circuit.channels(), circuit.grids(), result.routes));
-  result.trace.sort_by_time();
+  result.trace = view.merge_trace();
   LOCUS_OBS_HOOK(if (shm_obs) {
     shm_obs.obs->counters().add(shm_obs.shard, shm_obs.trace_refs,
                                 result.trace.size());

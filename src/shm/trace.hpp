@@ -6,11 +6,16 @@
 // simulator (src/coherence) then replays the trace against a cache protocol
 // to produce the Table 3/5 traffic numbers.
 //
-// Volume control: within one wire's routing no remote write can interleave
-// (the executor interleaves at wire granularity), so repeated reads of the
-// same cell by the same processor during that wire cannot change coherence
-// state; the tracer therefore emits each cell's first read once per wire.
-// This is exact for any line size >= one cell and shrinks traces ~30x.
+// Volume control (ShmConfig::trace_dedup_reads, off by default): within one
+// wire's routing no remote write can interleave (the executor interleaves at
+// wire granularity), so the tracer can emit each cell's first read once per
+// wire and shrink traces ~40x. That is not exact for the replay: a cache copy
+// invalidated by a concurrent write between two reads of the same wire misses
+// again on the second read, and those re-misses are the traffic that makes
+// Table 3 grow with line size. Full traces are therefore the default.
+//
+// Order: the shm executor merges per-processor reference streams into one
+// time-ordered trace; equal-time refs keep emission order (DESIGN.md §7.6).
 #pragma once
 
 #include <cstdint>
@@ -49,10 +54,7 @@ inline constexpr std::uint32_t kLoopCounterAddr = 0xF000'0000u;
 class RefTrace {
  public:
   void append(MemRef ref) { refs_.push_back(ref); }
-
-  /// Stable-sorts by time so the coherence replay sees a global order;
-  /// equal-time refs keep emission order (deterministic).
-  void sort_by_time();
+  void reserve(std::size_t n) { refs_.reserve(n); }
 
   const std::vector<MemRef>& refs() const { return refs_; }
   std::size_t size() const { return refs_.size(); }

@@ -81,8 +81,16 @@ RefTrace read_trace(std::istream& in) {
     in.read(reinterpret_cast<char*>(tail), 4);
     if (!in) throw std::runtime_error("truncated .trc file");
     ref.proc = static_cast<std::int16_t>(tail[0] | (tail[1] << 8));
+    if (ref.proc < 0) {
+      throw std::runtime_error("corrupt .trc record " + std::to_string(i) +
+                               " (negative proc " + std::to_string(ref.proc) + ")");
+    }
     if (tail[2] > 1) throw std::runtime_error("corrupt .trc record (bad op)");
     ref.op = static_cast<MemOp>(tail[2]);
+    if (trace.size() > 0 && ref.time < trace.refs().back().time) {
+      throw std::runtime_error("corrupt .trc record " + std::to_string(i) +
+                               " (time goes backwards)");
+    }
     trace.append(ref);
   }
   return trace;

@@ -23,7 +23,10 @@ namespace locus {
 void write_trace(std::ostream& out, const RefTrace& trace);
 void write_trace_file(const std::string& path, const RefTrace& trace);
 
-/// Reads a .trc stream. Throws std::runtime_error on malformed input.
+/// Reads a .trc stream. Throws std::runtime_error on malformed input: bad
+/// magic or version, a truncated record, an op other than read/write, a
+/// negative proc, or a timestamp earlier than the record before it (a
+/// trace is globally time-ordered).
 RefTrace read_trace(std::istream& in);
 RefTrace read_trace_file(const std::string& path);
 

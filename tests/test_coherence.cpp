@@ -2,6 +2,8 @@
 // scenarios, traffic attribution, and line-size behaviour.
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "coherence/simulator.hpp"
 #include "shm/trace.hpp"
 #include "support/rng.hpp"
@@ -203,14 +205,12 @@ TEST(Sweep, ReturnsOneResultPerLineSize) {
   }
 }
 
-TEST(TraceUtils, SortAndCount) {
+TEST(TraceUtils, CountsByOp) {
   RefTrace trace;
-  trace.append({5, 0, 0, MemOp::kWrite});
   trace.append({1, 4, 1, MemOp::kRead});
   trace.append({3, 8, 2, MemOp::kRead});
-  trace.sort_by_time();
-  EXPECT_EQ(trace.refs()[0].time, 1);
-  EXPECT_EQ(trace.refs()[2].time, 5);
+  trace.append({5, 0, 0, MemOp::kWrite});
+  EXPECT_EQ(trace.size(), 3u);
   EXPECT_EQ(trace.count(MemOp::kRead), 2u);
   EXPECT_EQ(trace.count(MemOp::kWrite), 1u);
 }
@@ -312,6 +312,69 @@ TEST_P(LineSizeProperty, FalseSharingGrowsWithLineSize) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, LineSizeProperty, ::testing::Values(0, 1, 2, 3));
+
+
+/// Property: the single-pass sweep equals one CoherenceSim::replay per line
+/// size — every traffic field, for every protocol, with infinite and finite
+/// caches — on seeded traces that mix cost-array addresses with the loop
+/// counter and other addresses above the dense line table's bound. Each
+/// replay's lines_touched() equals the trace's distinct line count.
+class FusedSweepProperty : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(FusedSweepProperty, EqualsSeparateReplayPerSize) {
+  Rng rng(GetParam());
+  const auto procs = static_cast<std::int32_t>(1 + rng.bounded(32));
+  RefTrace trace;
+  for (SimTime t = 0; t < 3000; ++t) {
+    std::uint32_t addr = 0;
+    switch (rng.bounded(8)) {
+      case 0:
+        addr = kLoopCounterAddr;
+        break;
+      case 1:
+        addr = CoherenceSim::kDenseAddrBound +
+               static_cast<std::uint32_t>(rng.bounded(64)) * 4;
+        break;
+      default:
+        addr = static_cast<std::uint32_t>(rng.bounded(600)) * 4;
+        break;
+    }
+    const auto proc =
+        static_cast<std::int16_t>(rng.bounded(static_cast<std::uint64_t>(procs)));
+    trace.append({t, addr, proc, rng.chance(0.3) ? MemOp::kWrite : MemOp::kRead});
+  }
+  const std::vector<std::int32_t> sizes = {4, 8, 16, 32};
+  for (ProtocolKind protocol :
+       {ProtocolKind::kWriteBackInvalidate, ProtocolKind::kWriteThrough,
+        ProtocolKind::kMesi, ProtocolKind::kDragon}) {
+    for (std::int32_t capacity : {0, 3}) {
+      const std::vector<CoherenceTraffic> fused =
+          sweep_line_sizes(trace, procs, sizes, protocol, capacity);
+      ASSERT_EQ(fused.size(), sizes.size());
+      for (std::size_t k = 0; k < sizes.size(); ++k) {
+        CoherenceParams params;
+        params.line_size = sizes[k];
+        params.protocol = protocol;
+        params.capacity_lines = capacity;
+        CoherenceSim sim(procs, params);
+        sim.replay(trace);
+        SCOPED_TRACE(::testing::Message() << "protocol " << static_cast<int>(protocol)
+                                          << " capacity " << capacity << " line "
+                                          << sizes[k]);
+        EXPECT_TRUE(fused[k] == sim.traffic());
+        EXPECT_EQ(fused[k].total_bytes(), sim.traffic().total_bytes());
+        std::set<std::uint32_t> lines;
+        for (const MemRef& r : trace.refs()) {
+          lines.insert(r.addr / static_cast<std::uint32_t>(sizes[k]));
+        }
+        EXPECT_EQ(sim.lines_touched(), lines.size());
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, FusedSweepProperty,
+                         ::testing::Range<std::uint64_t>(0, 8));
 
 }  // namespace
 }  // namespace locus

@@ -3,8 +3,12 @@
 // router.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+
 #include "assign/assignment.hpp"
 #include "circuit/generator.hpp"
+#include "geom/partition.hpp"
 #include "route/quality.hpp"
 #include "route/sequential.hpp"
 #include "shm/shm_router.hpp"
@@ -189,6 +193,102 @@ TEST_P(ShmProcsProperty, Invariants) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Procs, ShmProcsProperty, ::testing::Values(1, 2, 3, 4, 8));
+
+/// FNV-1a over every field of every reference, little-endian field by field
+/// (time 8 bytes, addr 4, proc 2, op 1), so the digest pins the exact
+/// global order and every timestamp of a captured trace.
+std::uint64_t trace_digest(const RefTrace& trace) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  auto mix = [&h](std::uint64_t v, int bytes) {
+    for (int i = 0; i < bytes; ++i) {
+      h ^= (v >> (8 * i)) & 0xFF;
+      h *= 0x100000001b3ULL;
+    }
+  };
+  for (const MemRef& r : trace.refs()) {
+    mix(static_cast<std::uint64_t>(r.time), 8);
+    mix(r.addr, 4);
+    mix(static_cast<std::uint16_t>(r.proc), 2);
+    mix(static_cast<std::uint8_t>(r.op), 1);
+  }
+  return h;
+}
+
+/// make_bnre_like()'s geometry cut down to 60 wires.
+Circuit make_bnre60() {
+  GeneratorParams p;
+  p.name = "bnrE-like-60";
+  p.num_wires = 60;
+  return generate_circuit(p);
+}
+
+enum class DigestMode { kDynamic, kThreshold, kDedup, kSharded };
+
+struct DigestCase {
+  const char* name;
+  bool bnre60;
+  DigestMode mode;
+  std::size_t refs;
+  std::uint64_t digest;
+};
+
+/// Digests recorded from the sort-based capture (a stable sort by time of
+/// the emission-ordered trace); the per-processor merge must reproduce them
+/// bit for bit.
+const DigestCase kDigestCases[] = {
+    {"TinyDynamic", false, DigestMode::kDynamic,
+     28727, 0x8b6c9dec17ea7d03ULL},
+    {"TinyThreshold", false, DigestMode::kThreshold,
+     28557, 0x6c7a5b4d09fe6407ULL},
+    {"TinyDedup", false, DigestMode::kDedup,
+     2088, 0x96c1f75ad71c39ddULL},
+    {"TinySharded", false, DigestMode::kSharded,
+     28727, 0x8b6c9dec17ea7d03ULL},
+    {"Bnre60Dynamic", true, DigestMode::kDynamic,
+     1673321, 0x4d88c54de163aa32ULL},
+    {"Bnre60Threshold", true, DigestMode::kThreshold,
+     1672897, 0xbccb8ab2e86daeceULL},
+    {"Bnre60Dedup", true, DigestMode::kDedup,
+     37726, 0x963be9b4e350d7e5ULL},
+    {"Bnre60Sharded", true, DigestMode::kSharded,
+     1673321, 0x4d88c54de163aa32ULL},
+};
+
+void PrintTo(const DigestCase& c, std::ostream* os) { *os << c.name; }
+
+class ShmTraceDigest : public ::testing::TestWithParam<DigestCase> {};
+
+TEST_P(ShmTraceDigest, MatchesRecordedTrace) {
+  const DigestCase& c = GetParam();
+  const Circuit circuit = c.bnre60 ? make_bnre60() : make_tiny_test_circuit();
+  ShmConfig config;
+  config.procs = c.bnre60 ? 16 : 4;
+  switch (c.mode) {
+    case DigestMode::kDynamic:
+      break;
+    case DigestMode::kThreshold: {
+      const Partition partition(circuit.channels(), circuit.grids(),
+                                MeshShape::for_procs(config.procs));
+      config.assignment = assign_threshold_cost(circuit, partition, 1000);
+      break;
+    }
+    case DigestMode::kDedup:
+      config.trace_dedup_reads = true;
+      break;
+    case DigestMode::kSharded:
+      config.sharded_cost = true;
+      config.tile_dims = TileDims{2, 16};
+      break;
+  }
+  const RefTrace trace = run_shared_memory(circuit, config).trace;
+  EXPECT_EQ(trace.size(), c.refs);
+  EXPECT_EQ(trace_digest(trace), c.digest);
+}
+
+INSTANTIATE_TEST_SUITE_P(Cases, ShmTraceDigest, ::testing::ValuesIn(kDigestCases),
+                         [](const ::testing::TestParamInfo<DigestCase>& param_info) {
+                           return std::string(param_info.param.name);
+                         });
 
 }  // namespace
 }  // namespace locus
