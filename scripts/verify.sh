@@ -10,9 +10,11 @@
 #   scripts/verify.sh --tsan      # SimPool + threaded-router suites under
 #                                 # ThreadSanitizer at LOCUS_THREADS=4
 #   scripts/verify.sh --check     # tier-1 + checking-subsystem smoke via
-#                                 # examples/check_tool: differential oracle
-#                                 # and the transport fault-recovery sweep
-#                                 # (every row must converge bit-identically)
+#                                 # examples/check_tool: differential oracle,
+#                                 # the fault-signature sweep (no row may be
+#                                 # WRONG) and the transport fault-recovery
+#                                 # sweep (every row must converge
+#                                 # bit-identically)
 #   scripts/verify.sh --bench     # tier-1 + benchmark regression gate
 #                                 # (Release run diffed against the checked-in
 #                                 # BENCH_*.json via scripts/bench_compare.py)
@@ -134,11 +136,19 @@ if [[ "$RUN_BENCH" == 1 ]]; then
   echo "simd identity: vector and forced-scalar sweeps bit-identical"
 fi
 
-# Optional checking-subsystem smoke: the differential oracle plus the
-# transport fault-recovery sweep. Every sweep row must report identical
-# routes and a balanced ledger; grep enforces it on the rendered table.
+# Optional checking-subsystem smoke: the differential oracle, the
+# fault-signature sweep and the transport fault-recovery sweep. Every
+# fault-sweep row must be detected as its fault class predicts (no WRONG);
+# every recovery row must report identical routes and a balanced ledger.
+# grep enforces both on the rendered tables.
 if [[ "$RUN_CHECK" == 1 ]]; then
   ./examples/check_tool oracle --circuit=tiny --procs=4
+  FAULTS=$(./examples/check_tool faults --circuit=bnre --procs=4)
+  echo "$FAULTS"
+  if echo "$FAULTS" | grep -q 'WRONG'; then
+    echo "FAIL: fault-signature sweep misclassified a fault plan" >&2
+    exit 1
+  fi
   RECOVERY=$(./examples/check_tool recovery --circuit=tiny --procs=4)
   echo "$RECOVERY"
   if echo "$RECOVERY" | grep -qE 'NO|IMBALANCED'; then

@@ -1,5 +1,9 @@
 #include "check/consistency.hpp"
 
+#include <algorithm>
+#include <cstring>
+#include <stdexcept>
+
 #include "grid/cost_array.hpp"
 #include "msg/node.hpp"
 #include "msg/packets.hpp"
@@ -13,30 +17,51 @@ namespace {
 /// identify what on_delta_applied will later observe.
 std::string packet_key(ProcId region, const Rect& bbox,
                        std::span<const std::int32_t> values) {
-  std::string key;
-  key.reserve(20 + values.size() * 4);
-  const auto append_i32 = [&key](std::int32_t v) {
-    for (int shift = 0; shift < 32; shift += 8) {
-      key.push_back(static_cast<char>((static_cast<std::uint32_t>(v) >> shift) & 0xFF));
-    }
-  };
-  append_i32(region);
-  append_i32(bbox.channel_lo);
-  append_i32(bbox.channel_hi);
-  append_i32(bbox.x_lo);
-  append_i32(bbox.x_hi);
-  for (std::int32_t v : values) append_i32(v);
+  const std::int32_t header[] = {region, bbox.channel_lo, bbox.channel_hi,
+                                 bbox.x_lo, bbox.x_hi};
+  std::string key(sizeof(header) + values.size_bytes(), '\0');
+  std::memcpy(key.data(), header, sizeof(header));
+  if (!values.empty()) {
+    std::memcpy(key.data() + sizeof(header), values.data(), values.size_bytes());
+  }
   return key;
 }
 
+/// Adds `sign` x `values` (row-major over `bbox`) into the per-cell
+/// `ledger`, laid out row-major like `grid`.
+void add_to_ledger(std::vector<std::int64_t>& ledger, const CostArray& grid,
+                   const Rect& bbox, std::span<const std::int32_t> values,
+                   std::int64_t sign) {
+  LOCUS_ASSERT(static_cast<std::int64_t>(values.size()) == bbox.area());
+  LOCUS_ASSERT(grid.bounds().contains(bbox));
+  const std::int64_t width = bbox.width();
+  const std::int32_t* src = values.data();
+  for (std::int32_t c = bbox.channel_lo; c <= bbox.channel_hi; ++c) {
+    std::int64_t* row = ledger.data() + grid.index(GridPoint{c, bbox.x_lo});
+    for (std::int64_t i = 0; i < width; ++i) row[i] += sign * src[i];
+    src += width;
+  }
+}
+
 }  // namespace
+
+ViewConsistencyChecker::ViewConsistencyChecker(ConsistencyOptions options)
+    : options_(options) {
+  if (options_.checkpoint_period < 0) {
+    throw std::invalid_argument(
+        "ConsistencyOptions::checkpoint_period must be >= 0 (0: run end only), got " +
+        std::to_string(options_.checkpoint_period));
+  }
+}
 
 void ViewConsistencyChecker::on_run_start(const MpRunView& run) {
   LOCUS_ASSERT(run.partition != nullptr && run.truth != nullptr);
   LOCUS_ASSERT(static_cast<std::int32_t>(run.nodes.size()) ==
                run.partition->num_regions());
   run_ = run;
-  inflight_.assign(static_cast<std::size_t>(run.truth->size()), 0);
+  const auto cells = static_cast<std::size_t>(run.truth->size());
+  inflight_.assign(cells, 0);
+  pending_.assign(cells, 0);
   outstanding_.clear();
   wires_routed_ = 0;
   report_ = ConsistencyReport{};
@@ -46,13 +71,7 @@ void ViewConsistencyChecker::on_delta_sent(ProcId from, ProcId region,
                                            const Rect& bbox,
                                            std::span<const std::int32_t> values) {
   ++report_.deltas_sent;
-  std::size_t i = 0;
-  for (std::int32_t c = bbox.channel_lo; c <= bbox.channel_hi; ++c) {
-    for (std::int32_t x = bbox.x_lo; x <= bbox.x_hi; ++x, ++i) {
-      inflight_[static_cast<std::size_t>(run_.truth->index(GridPoint{c, x}))] +=
-          values[i];
-    }
-  }
+  add_to_ledger(inflight_, *run_.truth, bbox, values, +1);
   ++outstanding_[packet_key(region, bbox, values)];
   if (options_.roundtrip_codec) {
     WirePacket packet;
@@ -73,13 +92,7 @@ void ViewConsistencyChecker::on_delta_sent(ProcId from, ProcId region,
 void ViewConsistencyChecker::on_delta_applied(ProcId owner, const Rect& bbox,
                                               std::span<const std::int32_t> values) {
   ++report_.deltas_applied;
-  std::size_t i = 0;
-  for (std::int32_t c = bbox.channel_lo; c <= bbox.channel_hi; ++c) {
-    for (std::int32_t x = bbox.x_lo; x <= bbox.x_hi; ++x, ++i) {
-      inflight_[static_cast<std::size_t>(run_.truth->index(GridPoint{c, x}))] -=
-          values[i];
-    }
-  }
+  add_to_ledger(inflight_, *run_.truth, bbox, values, -1);
   // Deltas are addressed to the owner of their region, so the applied
   // (owner, bbox, values) triple must match a sent packet. A miss means the
   // network delivered something twice — the per-cell books still balance
@@ -127,23 +140,32 @@ void ViewConsistencyChecker::check_conservation() {
   ++report_.checkpoints;
   const Partition& partition = *run_.partition;
   const CostArray& truth = *run_.truth;
+  // pending(q) = inflight(q) + sum over every processor r of delta_r(q); the
+  // owner's own term is taken back out per region below.
+  std::copy(inflight_.begin(), inflight_.end(), pending_.begin());
+  for (const RouterNode* node : run_.nodes) {
+    node->delta().accumulate(truth.bounds(), pending_);
+  }
   for (ProcId owner = 0; owner < partition.num_regions(); ++owner) {
     const Rect& region = partition.region(owner);
-    const GridBacking& view = run_.nodes[static_cast<std::size_t>(owner)]->view();
+    const RouterNode& node = *run_.nodes[static_cast<std::size_t>(owner)];
+    node.view().read_rect(region, region_view_);
+    truth.read_rect(region, region_truth_);
+    region_own_delta_.assign(static_cast<std::size_t>(region.area()), 0);
+    node.delta().accumulate(region, region_own_delta_);
+    report_.cells_checked += region.area();
+    std::size_t i = 0;
     for (std::int32_t c = region.channel_lo; c <= region.channel_hi; ++c) {
-      for (std::int32_t x = region.x_lo; x <= region.x_hi; ++x) {
-        const GridPoint q{c, x};
-        ++report_.cells_checked;
-        std::int64_t accounted = view.at(q);
-        for (ProcId r = 0; r < partition.num_regions(); ++r) {
-          if (r == owner) continue;
-          accounted += run_.nodes[static_cast<std::size_t>(r)]->delta().at(q);
-        }
-        accounted += inflight_[static_cast<std::size_t>(truth.index(q))];
-        if (accounted != truth.at(q)) {
+      const std::int64_t* pending_row =
+          pending_.data() + truth.index(GridPoint{c, region.x_lo});
+      for (std::int32_t x = region.x_lo; x <= region.x_hi; ++x, ++i) {
+        const std::int64_t accounted = region_view_[i] +
+                                       pending_row[x - region.x_lo] -
+                                       region_own_delta_[i];
+        if (accounted != region_truth_[i]) {
           ++report_.violations;
-          record(ConsistencyViolation{wires_routed_, q, owner, truth.at(q),
-                                      accounted});
+          record(ConsistencyViolation{wires_routed_, GridPoint{c, x}, owner,
+                                      region_truth_[i], accounted});
         }
       }
     }

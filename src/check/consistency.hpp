@@ -2,15 +2,20 @@
 //
 // The checker rides along a run as an MpObserver and maintains an external
 // ledger of every delta handed to the network ("in flight"). At configurable
-// checkpoints (every N routed wires) it asserts the conservation law
+// checkpoints (every N routed wires) and once more at run end it asserts the
+// conservation law
 //
 //     truth(q) == view_owner(q) + sum_{r != owner} delta_r(q) + inflight(q)
 //
 // for every cost-array cell q: the true occupancy of a cell equals what its
 // owner believes, plus every remote processor's not-yet-propagated delta,
-// plus deltas on the wire. In a fault-free run this holds at every
-// inter-event instant of the sequential DES; each fault class leaves a
-// distinct signature:
+// plus deltas on the wire. In the terms of Partition Consistency
+// (arXiv:1306.0077) the cost grid is partitioned by owner region, and each
+// partition must reconcile: its owner's copy plus every write to it that is
+// still buffered at another processor or in transit equals the true value.
+// Run end adds convergence: nothing may be left in flight or outstanding.
+// In a fault-free run the law holds at every inter-event instant of the
+// sequential DES; each fault class leaves a distinct signature:
 //   * dropped SendRmtData  -> inflight(q) stays nonzero forever, reported
 //     as non-convergence at run end;
 //   * duplicated SendRmtData -> the second application finds no matching
@@ -21,6 +26,14 @@
 //     any delivery schedule, which is itself a useful meta-check.
 // Every observed delta is additionally round-tripped through the byte-level
 // wire codec (msg/packets.hpp) so the on-wire format stays honest.
+//
+// Each check recomputes the whole law from engine state — never from
+// residuals the hooks maintain, which would check the hooks rather than the
+// books (DESIGN.md §7.7). Its cost is one contiguous pass over every
+// processor's delta array into a grid-sized accumulator seeded with the
+// in-flight ledger, plus one pass over each owned region (the owner's view,
+// the truth, and the owner's own delta, which the accumulator includes and
+// the law excludes).
 #pragma once
 
 #include <cstdint>
@@ -36,7 +49,8 @@ namespace locus {
 
 struct ConsistencyOptions {
   /// Run the full conservation check every N routed wires (0: only at run
-  /// end). Each check scans the whole array, so small circuits can afford 1.
+  /// end; negative is rejected). Each check costs a pass over every
+  /// processor's delta array, so its price grows with grid size x procs.
   std::int32_t checkpoint_period = 1;
   /// Encode + decode every observed delta through the wire codec and compare.
   bool roundtrip_codec = true;
@@ -84,8 +98,8 @@ struct ConsistencyReport {
 
 class ViewConsistencyChecker final : public MpObserver {
  public:
-  explicit ViewConsistencyChecker(ConsistencyOptions options = {})
-      : options_(options) {}
+  /// Throws std::invalid_argument when options.checkpoint_period < 0.
+  explicit ViewConsistencyChecker(ConsistencyOptions options = {});
 
   void on_run_start(const MpRunView& run) override;
   void on_delta_sent(ProcId from, ProcId region, const Rect& bbox,
@@ -105,6 +119,13 @@ class ViewConsistencyChecker final : public MpObserver {
   ConsistencyReport report_;
   MpRunView run_;                       ///< valid between run start and end
   std::vector<std::int64_t> inflight_;  ///< per cell, row-major like truth
+  /// Checkpoint scratch: inflight plus every processor's delta (per cell,
+  /// row-major like truth, sized at run start), and one owned region's
+  /// view, truth and own delta (grown to the largest region, then reused).
+  std::vector<std::int64_t> pending_;
+  std::vector<std::int32_t> region_view_;
+  std::vector<std::int32_t> region_truth_;
+  std::vector<std::int64_t> region_own_delta_;
   /// Outstanding sent-but-not-applied packets, keyed by serialized content.
   /// An apply that finds no outstanding match is a duplicated delivery.
   std::unordered_map<std::string, std::int64_t> outstanding_;

@@ -1,5 +1,6 @@
 #include "grid/delta_array.hpp"
 
+#include <algorithm>
 #include <map>
 #include <utility>
 
@@ -56,6 +57,33 @@ void DeltaArray::add(GridPoint p, std::int32_t delta) {
 }
 
 std::int32_t DeltaArray::at(GridPoint p) const { return cell_get(p); }
+
+void DeltaArray::accumulate(const Rect& box, std::span<std::int64_t> out) const {
+  LOCUS_ASSERT(static_cast<std::int64_t>(out.size()) == box.area());
+  if (box.is_empty()) return;
+  LOCUS_ASSERT(box.channel_lo >= 0 && box.channel_hi < partition_->channels());
+  LOCUS_ASSERT(box.x_lo >= 0 && box.x_hi < partition_->grids());
+  const std::int64_t width = box.width();
+  std::int64_t* dst = out.data();
+  for (std::int32_t c = box.channel_lo; c <= box.channel_hi; ++c) {
+    if (!tiles_.has_value()) {
+      const std::int32_t* row = cells_.data() + cell_index(GridPoint{c, box.x_lo});
+      for (std::int64_t i = 0; i < width; ++i) dst[i] += row[i];
+      dst += width;
+      continue;
+    }
+    for (std::int32_t x = box.x_lo; x <= box.x_hi;) {
+      std::int32_t run = 0;
+      const std::int32_t* chunk = tiles_->row_chunk(c, x, &run);
+      run = std::min(run, box.x_hi - x + 1);
+      if (chunk != nullptr) {
+        for (std::int32_t i = 0; i < run; ++i) dst[i] += chunk[i];
+      }
+      dst += run;
+      x += run;
+    }
+  }
+}
 
 bool DeltaArray::region_dirty(ProcId region) const {
   return nonzero_count_[static_cast<std::size_t>(region)] > 0;

@@ -22,6 +22,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "geom/partition.hpp"
@@ -43,6 +44,12 @@ class DeltaArray {
   void add(GridPoint p, std::int32_t delta);
 
   std::int32_t at(GridPoint p) const;
+
+  /// Adds the deltas inside `box` into `out` (row-major over `box`, size
+  /// must equal box.area()). Dense storage runs one contiguous loop per row;
+  /// tiled storage walks the row chunks and skips absent tiles, which hold
+  /// only zeros. Reads every cell of `box`, whatever the dirty boxes say.
+  void accumulate(const Rect& box, std::span<std::int64_t> out) const;
 
   /// True if the region owned by `proc` has any un-propagated change.
   bool region_dirty(ProcId region) const;

@@ -275,5 +275,55 @@ TEST(DeltaArrayTiled, RegionBlocksCoverSingleBboxExtraction) {
   }
 }
 
+/// accumulate() adds, never overwrites: dense and tiled arrays fed the
+/// same adds must yield identical sums, equal to a per-cell at() sum, on
+/// any box — the full grid, boxes crossing tile edges, boxes over tiles
+/// that were never allocated, and a single cell.
+TEST(DeltaArrayTiled, AccumulateMatchesDenseAndPerCellSums) {
+  const Partition partition(8, 64, MeshShape::for_procs(4));
+  DeltaArray dense(partition);
+  DeltaArray tiled(partition, kSmallTiles);
+  // Writes only into channels 0-3, columns 0-39: tiles of channels 4-7 and
+  // of columns 40-63 stay absent.
+  Rng rng(2718);
+  for (int i = 0; i < 200; ++i) {
+    const GridPoint p{static_cast<std::int32_t>(rng.bounded(4)),
+                      static_cast<std::int32_t>(rng.bounded(40))};
+    const auto d = static_cast<std::int32_t>(rng.bounded(9)) - 4;
+    dense.add(p, d);
+    tiled.add(p, d);
+  }
+  ASSERT_LT(tiled.resident_cells(), dense.resident_cells());
+
+  const Rect boxes[] = {
+      Rect::of(0, 7, 0, 63),    // full grid
+      Rect::of(1, 4, 5, 20),    // crosses tile edges in both dimensions
+      Rect::of(3, 6, 37, 50),   // mixes resident and absent tiles
+      Rect::of(4, 7, 40, 63),   // absent tiles only
+      Rect::of(2, 2, 17, 17),   // one cell
+  };
+  for (const Rect& box : boxes) {
+    SCOPED_TRACE(testing::Message() << box.channel_lo << ".." << box.channel_hi
+                                    << " x " << box.x_lo << ".." << box.x_hi);
+    const auto n = static_cast<std::size_t>(box.area());
+    std::vector<std::int64_t> want(n);
+    std::size_t i = 0;
+    for (std::int32_t c = box.channel_lo; c <= box.channel_hi; ++c) {
+      for (std::int32_t x = box.x_lo; x <= box.x_hi; ++x, ++i) {
+        want[i] = 1000 + static_cast<std::int64_t>(i) + dense.at({c, x});
+      }
+    }
+    std::vector<std::int64_t> from_dense(n);
+    std::vector<std::int64_t> from_tiled(n);
+    for (std::size_t k = 0; k < n; ++k) {
+      from_dense[k] = from_tiled[k] = 1000 + static_cast<std::int64_t>(k);
+    }
+    dense.accumulate(box, from_dense);
+    tiled.accumulate(box, from_tiled);
+    EXPECT_EQ(from_dense, want);
+    EXPECT_EQ(from_tiled, want);
+  }
+}
+
 }  // namespace
 }  // namespace locus
