@@ -4,14 +4,11 @@
 //
 //   $ ./examples/obs_tool mp --circuit=bnre --procs=4 --trace=mp.json
 //   $ ./examples/obs_tool shm --circuit=tiny --trace=shm.json --hop-detail
-//   $ ./examples/obs_tool threads-shm --threads=4 --metrics=out.csv
 //   $ ./examples/obs_tool summary --circuit=tiny --procs=4
 //
 // Modes:
 //   mp           simulated message passing (receiver- or sender-initiated)
 //   shm          deterministic shared memory executor + coherence replay
-//   threads-mp   native std::thread message passing (counters only)
-//   threads-shm  native std::thread shared memory (counters only)
 //   summary      obs counters vs engine statistics cross-check table
 #include <cstdio>
 #include <string>
@@ -20,10 +17,8 @@
 #include "coherence/simulator.hpp"
 #include "harness/experiments.hpp"
 #include "msg/driver.hpp"
-#include "msg/threads_mp.hpp"
 #include "obs/obs.hpp"
 #include "shm/shm_router.hpp"
-#include "shm/threads_router.hpp"
 #include "support/cli.hpp"
 
 namespace {
@@ -50,10 +45,6 @@ int emit(const locus::obs::Obs& obs, const std::string& metrics_path,
     std::fprintf(stderr, "metrics: %s\n", metrics_path.c_str());
   }
   if (!trace_path.empty()) {
-    if (obs.trace() == nullptr) {
-      std::fprintf(stderr, "no trace recorded (mode does not produce one)\n");
-      return 1;
-    }
     if (!obs.trace()->write_chrome_json(trace_path)) {
       std::fprintf(stderr, "cannot write trace to '%s'\n", trace_path.c_str());
       return 1;
@@ -70,23 +61,20 @@ int main(int argc, char** argv) {
   locus::Cli cli;
   cli.flag("circuit", "bnre | mdc | tiny", "bnre");
   cli.flag("procs", "processors (mesh for mp, loop count for shm)", "4");
-  cli.flag("threads", "worker threads (threads-* modes)", "4");
   cli.flag("iterations", "routing iterations", "2");
   cli.flag("schedule", "mp schedule: receiver | sender", "receiver");
-  cli.flag("trace", "write Chrome trace JSON here (mp/shm modes)", "");
+  cli.flag("trace", "write Chrome trace JSON here", "");
   cli.flag("metrics", "write metrics CSV here", "");
   cli.flag("hop-detail", "per-hop trace instants (voluminous)", "false");
   if (!cli.parse(argc, argv)) return 1;
   if (cli.positional().empty()) {
-    std::fprintf(stderr,
-                 "usage: obs_tool mp|shm|threads-mp|threads-shm|summary [flags]\n");
+    std::fprintf(stderr, "usage: obs_tool mp|shm|summary [flags]\n");
     return 1;
   }
 
   const std::string mode = cli.positional()[0];
   const locus::Circuit circuit = pick_circuit(cli.get("circuit"));
   const auto procs = static_cast<std::int32_t>(cli.get_int("procs"));
-  const auto threads = static_cast<std::int32_t>(cli.get_int("threads"));
   const auto iterations = static_cast<std::int32_t>(cli.get_int("iterations"));
   const std::string trace_path = cli.get("trace");
   const std::string metrics_path = cli.get("metrics");
@@ -142,40 +130,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "shm on %s: height=%lld refs=%zu time=%.3fs\n",
                  circuit.name().c_str(), static_cast<long long>(r.circuit_height),
                  r.trace.size(), r.seconds());
-    return emit(obs, metrics_path, trace_path);
-  }
-  if (mode == "threads-mp" || mode == "threads-shm") {
-    // Real threads: one registry shard per worker, no simulated clock so no
-    // trace. --trace is rejected by emit() for these modes.
-    opt.shards = static_cast<std::size_t>(threads);
-    opt.trace = false;
-    locus::obs::Obs obs(opt);
-    if (mode == "threads-mp") {
-      const locus::Partition partition(circuit.channels(), circuit.grids(),
-                                       locus::MeshShape::for_procs(threads));
-      const locus::Assignment assignment = make_assignment(
-          circuit, partition, locus::AssignMethod::kThreshold1000);
-      locus::ThreadsMpConfig tm_config;
-      tm_config.iterations = iterations;
-      tm_config.obs = &obs;
-      const locus::ThreadsMpResult r =
-          run_threads_message_passing(circuit, partition, assignment, tm_config);
-      std::fprintf(stderr, "threads-mp on %s: height=%lld msgs=%llu wall=%.3fs\n",
-                   circuit.name().c_str(),
-                   static_cast<long long>(r.circuit_height),
-                   static_cast<unsigned long long>(r.messages_sent),
-                   r.wall_seconds);
-    } else {
-      locus::ThreadsConfig t_config;
-      t_config.threads = threads;
-      t_config.iterations = iterations;
-      t_config.obs = &obs;
-      const locus::ThreadsRunResult r =
-          run_threads_shared_memory(circuit, t_config);
-      std::fprintf(stderr, "threads-shm on %s: height=%lld wall=%.3fs\n",
-                   circuit.name().c_str(),
-                   static_cast<long long>(r.circuit_height), r.wall_seconds);
-    }
     return emit(obs, metrics_path, trace_path);
   }
   std::fprintf(stderr, "unknown mode '%s'\n", mode.c_str());

@@ -7,8 +7,8 @@
 #
 #   scripts/verify.sh             # tier-1
 #   scripts/verify.sh --sanitize  # same suite under ASan + UBSan
-#   scripts/verify.sh --tsan      # SimPool + threaded-router suites under
-#                                 # ThreadSanitizer at LOCUS_THREADS=4
+#   scripts/verify.sh --tsan      # SimPool suites under ThreadSanitizer
+#                                 # at LOCUS_THREADS=4
 #   scripts/verify.sh --check     # tier-1 + checking-subsystem smoke via
 #                                 # examples/check_tool: differential oracle,
 #                                 # the fault-signature sweep (no row may be
@@ -35,8 +35,8 @@ if [[ "${1:-}" == "--sanitize" ]]; then
   BUILD_DIR=build-sanitize
   CMAKE_FLAGS+=(-DLOCUS_SANITIZE=address,undefined)
 elif [[ "${1:-}" == "--tsan" ]]; then
-  # Race check for the SimPool fan-outs and the natively threaded routers:
-  # only the suites that actually spawn threads, at a real pool width.
+  # Race check for the SimPool fan-outs: only the suites that actually
+  # spawn threads, at a real pool width.
   cmake --preset tsan
   cmake --build --preset tsan -j --target locus_tests locus_pool_tests \
     locus_check_tests locus_transport_tests

@@ -259,24 +259,23 @@ void CoherenceSim::replay(const RefTrace& trace) {
   }
 }
 
-void CoherenceSim::publish_obs(obs::Obs& o, std::size_t shard) const {
+void CoherenceSim::publish_obs(obs::Obs& o) const {
   using Names = obs::CoherenceObsNames;
   auto& reg = o.counters();
   const CoherenceTraffic& t = traffic_;
-  reg.add(shard, reg.counter(Names::kAccesses), t.accesses);
-  reg.add(shard, reg.counter(Names::kReadMisses), t.read_misses);
-  reg.add(shard, reg.counter(Names::kWriteMisses), t.write_misses);
-  reg.add(shard, reg.counter(Names::kInvalidations), t.invalidation_msgs);
-  reg.add(shard, reg.counter(Names::kColdFetchBytes), t.cold_fetch_bytes);
-  reg.add(shard, reg.counter(Names::kRefetchBytes), t.refetch_bytes);
-  reg.add(shard, reg.counter(Names::kWriteFetchBytes), t.write_fetch_bytes);
-  reg.add(shard, reg.counter(Names::kWordWriteBytes), t.word_write_bytes);
-  reg.add(shard, reg.counter(Names::kReadFlushBytes), t.read_flush_bytes);
-  reg.add(shard, reg.counter(Names::kWriteFlushBytes), t.write_flush_bytes);
-  reg.add(shard, reg.counter(Names::kEvictionWritebackBytes),
-          t.eviction_writeback_bytes);
-  reg.add(shard, reg.counter(Names::kTotalBytes), t.total_bytes());
-  reg.add(shard, reg.counter(Names::kLinesTouched), lines_touched());
+  reg.add(reg.counter(Names::kAccesses), t.accesses);
+  reg.add(reg.counter(Names::kReadMisses), t.read_misses);
+  reg.add(reg.counter(Names::kWriteMisses), t.write_misses);
+  reg.add(reg.counter(Names::kInvalidations), t.invalidation_msgs);
+  reg.add(reg.counter(Names::kColdFetchBytes), t.cold_fetch_bytes);
+  reg.add(reg.counter(Names::kRefetchBytes), t.refetch_bytes);
+  reg.add(reg.counter(Names::kWriteFetchBytes), t.write_fetch_bytes);
+  reg.add(reg.counter(Names::kWordWriteBytes), t.word_write_bytes);
+  reg.add(reg.counter(Names::kReadFlushBytes), t.read_flush_bytes);
+  reg.add(reg.counter(Names::kWriteFlushBytes), t.write_flush_bytes);
+  reg.add(reg.counter(Names::kEvictionWritebackBytes), t.eviction_writeback_bytes);
+  reg.add(reg.counter(Names::kTotalBytes), t.total_bytes());
+  reg.add(reg.counter(Names::kLinesTouched), lines_touched());
 }
 
 std::vector<CoherenceTraffic> sweep_line_sizes(const RefTrace& trace,

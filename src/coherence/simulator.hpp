@@ -43,10 +43,10 @@ class CoherenceSim {
   static constexpr std::uint32_t kDenseAddrBound = 1u << 24;
 
   /// Mirrors the accumulated traffic breakdown into `o`'s registry under
-  /// the coh.* names (obs::CoherenceObsNames), once, on `shard`. The replay
+  /// the coh.* names (obs::CoherenceObsNames), once. The replay
   /// loop itself carries no hooks — counters are published from the exact
   /// CoherenceTraffic totals after the fact, so replay cost is unchanged.
-  void publish_obs(obs::Obs& o, std::size_t shard = 0) const;
+  void publish_obs(obs::Obs& o) const;
 
  private:
   struct LineState {

@@ -38,9 +38,9 @@
 // payload churn never touches a shared allocator; per-worker deques are
 // cache-line aligned so queue state and steal traffic don't false-share.
 //
-// Per-job observability: give each job its own obs::Obs (or its own shard)
-// and merge after run_all returns via CounterRegistry::merge_from — the
-// same post-join shard merge the threaded routers already rely on.
+// Per-job observability: give each job its own obs::Obs and merge after
+// run_all returns via CounterRegistry::merge_from (a registry has a single
+// writer).
 #pragma once
 
 #include <cstddef>

@@ -186,6 +186,10 @@ struct MpConfig {
   /// (per-packet-kind traffic counters, rip-ups, route spans) to it. Not
   /// owned; must outlive the run.
   obs::Obs* obs = nullptr;
+
+  /// Throws std::invalid_argument, naming the field and its value, when
+  /// this configuration cannot run on `procs` processors.
+  void validate(std::int32_t procs) const;
 };
 
 }  // namespace locus

@@ -2,6 +2,8 @@
 
 #include <cstdlib>
 #include <memory>
+#include <stdexcept>
+#include <string>
 
 #include "grid/tiled_cost_array.hpp"
 #include "msg/node.hpp"
@@ -12,22 +14,42 @@
 
 namespace locus {
 
+void MpConfig::validate(std::int32_t procs) const {
+  auto reject = [](const std::string& what) {
+    throw std::invalid_argument("MpConfig: " + what);
+  };
+  if (iterations < 1) {
+    reject("iterations must be >= 1, got " + std::to_string(iterations));
+  }
+  // Receiver-initiated requesting needs the static wire list for lookahead;
+  // the dynamic queue modes run with sender-initiated (or no) updates.
+  if (assignment_mode != WireAssignmentMode::kStatic && schedule.receiver_enabled()) {
+    reject("schedule.req_rmt_touches = " + std::to_string(schedule.req_rmt_touches) +
+           " (receiver-initiated) cannot be used with dynamic assignment_mode " +
+           std::to_string(static_cast<int>(assignment_mode)));
+  }
+  // Batching tightens exactly the bounding-box encoding; the wire-based and
+  // whole-region byte models have no per-block form.
+  if (shard.batch_updates && packet_structure != PacketStructure::kBoundingBox) {
+    reject("shard.batch_updates requires the bounding-box packet_structure, got " +
+           std::to_string(static_cast<int>(packet_structure)));
+  }
+  if (edges != Topology::Edges::kFatTree && !topology_dims.empty()) {
+    std::int64_t product = 1;
+    for (std::int32_t d : topology_dims) product *= d;
+    if (product != procs) {
+      reject("topology_dims multiply to " + std::to_string(product) +
+             ", not the processor count " + std::to_string(procs));
+    }
+  }
+}
+
 MpRunResult run_message_passing(const Circuit& circuit, const Partition& partition,
                                 const Assignment& assignment,
                                 const MpConfig& config) {
   LOCUS_ASSERT(assignment.num_procs() == partition.num_regions());
   LOCUS_ASSERT(assignment_is_valid(assignment, circuit));
-  LOCUS_ASSERT(config.iterations >= 1);
-  // Receiver-initiated requesting needs the static wire list for lookahead;
-  // the dynamic queue modes run with sender-initiated (or no) updates.
-  LOCUS_ASSERT_MSG(config.assignment_mode == WireAssignmentMode::kStatic ||
-                       !config.schedule.receiver_enabled(),
-                   "dynamic assignment cannot use receiver-initiated updates");
-  // Batching tightens exactly the bounding-box encoding; the wire-based and
-  // whole-region byte models have no per-block form.
-  LOCUS_ASSERT_MSG(!config.shard.batch_updates ||
-                       config.packet_structure == PacketStructure::kBoundingBox,
-                   "batched updates require the bounding-box packet structure");
+  config.validate(partition.num_regions());
 
   Topology topology = [&] {
     if (config.edges == Topology::Edges::kFatTree) {
@@ -36,14 +58,7 @@ MpRunResult run_message_passing(const Circuit& circuit, const Partition& partiti
       return Topology::fat_tree(partition.num_regions(), config.fat_tree_arity);
     }
     std::vector<std::int32_t> dims = config.topology_dims;
-    if (dims.empty()) {
-      dims = {partition.mesh().cols, partition.mesh().rows};
-    } else {
-      std::int32_t product = 1;
-      for (std::int32_t d : dims) product *= d;
-      LOCUS_ASSERT_MSG(product == partition.num_regions(),
-                       "topology_dims must multiply to the processor count");
-    }
+    if (dims.empty()) dims = {partition.mesh().cols, partition.mesh().rows};
     return Topology(dims, config.edges);
   }();
 
@@ -66,8 +81,8 @@ MpRunResult run_message_passing(const Circuit& circuit, const Partition& partiti
   MpShared shared(circuit);
   LOCUS_OBS_HOOK(if (config.obs != nullptr) {
     machine.set_obs(config.obs);
-    shared.node_obs.bind(config.obs, /*shard_index=*/0);
-    shared.explorer_obs.bind(config.obs, /*shard_index=*/0);
+    shared.node_obs.bind(config.obs);
+    shared.explorer_obs.bind(config.obs);
   });
   shared.final_routes.resize(static_cast<std::size_t>(circuit.num_wires()));
   shared.occupancy.assign(static_cast<std::size_t>(partition.num_regions()), 0);
@@ -110,8 +125,7 @@ MpRunResult run_message_passing(const Circuit& circuit, const Partition& partiti
     // network's tally under symbolic kind names.
     auto& reg = config.obs->counters();
     for (const auto& [type, bytes] : result.network.bytes_by_type) {
-      reg.add(0, reg.counter(std::string("net.bytes_by_type.") +
-                             obs::msg_kind_name(type)),
+      reg.add(reg.counter(std::string("net.bytes_by_type.") + obs::msg_kind_name(type)),
               bytes);
     }
     // Per-link interconnect usage from the active cost model: total bytes
@@ -120,9 +134,9 @@ MpRunResult run_message_passing(const Circuit& circuit, const Partition& partiti
     // permille over the links that carried traffic.
     std::uint64_t link_bytes_total = 0;
     for (std::uint64_t b : result.link_bytes) link_bytes_total += b;
-    reg.add(0, reg.counter("net.link_bytes_total"), link_bytes_total);
-    reg.add(0, reg.counter("net.link_stalls"), result.link_usage.stalls);
-    reg.add(0, reg.counter("net.link_stall_ns"),
+    reg.add(reg.counter("net.link_bytes_total"), link_bytes_total);
+    reg.add(reg.counter("net.link_stalls"), result.link_usage.stalls);
+    reg.add(reg.counter("net.link_stall_ns"),
             static_cast<std::uint64_t>(result.link_usage.stall_ns));
     const auto util_hist = reg.histogram("net.link_util_permille");
     const LinkCostModel& cost = machine.network().link_cost();
@@ -130,7 +144,7 @@ MpRunResult run_message_passing(const Circuit& circuit, const Partition& partiti
       if (result.link_bytes[link] == 0) continue;
       const double u = cost.utilization(static_cast<std::int32_t>(link),
                                         result.machine.drain_time);
-      reg.observe(0, util_hist, static_cast<std::uint64_t>(u * 1000.0));
+      reg.observe(util_hist, static_cast<std::uint64_t>(u * 1000.0));
     }
   });
   if (config.observer != nullptr) {
@@ -224,9 +238,9 @@ MpRunResult run_message_passing(const Circuit& circuit, const Partition& partiti
   result.view_resident_bytes = view_resident_bytes;
   LOCUS_OBS_HOOK(if (config.obs != nullptr) {
     auto& reg = config.obs->counters();
-    reg.add(0, reg.counter("grid.view_resident_cells"),
+    reg.add(reg.counter("grid.view_resident_cells"),
             static_cast<std::uint64_t>(view_resident_cells));
-    reg.add(0, reg.counter("grid.view_resident_bytes"),
+    reg.add(reg.counter("grid.view_resident_bytes"),
             static_cast<std::uint64_t>(view_resident_bytes));
   });
   result.view_staleness =

@@ -109,9 +109,8 @@ void RouterNode::on_packet(NodeApi& api, const Packet& packet) {
   LOCUS_OBS_HOOK(if (shared_.node_obs) {
     const obs::MpNodeObs& o = shared_.node_obs;
     const std::size_t k = obs::msg_kind_index(packet.type);
-    o.obs->counters().add(o.shard, o.received[k]);
-    o.obs->counters().add(o.shard, o.received_bytes[k],
-                          static_cast<std::uint64_t>(packet.bytes));
+    o.obs->counters().add(o.received[k]);
+    o.obs->counters().add(o.received_bytes[k], static_cast<std::uint64_t>(packet.bytes));
   });
 
   switch (packet.type) {
@@ -200,8 +199,7 @@ void RouterNode::on_packet(NodeApi& api, const Packet& packet) {
         }
         ++shared_.updates_suppressed;
         LOCUS_OBS_HOOK(if (shared_.node_obs) {
-          shared_.node_obs.obs->counters().add(shared_.node_obs.shard,
-                                               shared_.node_obs.updates_suppressed);
+          shared_.node_obs.obs->counters().add(shared_.node_obs.updates_suppressed);
         });
         break;
       }
@@ -214,8 +212,7 @@ void RouterNode::on_packet(NodeApi& api, const Packet& packet) {
       } else {
         ++shared_.updates_suppressed;
         LOCUS_OBS_HOOK(if (shared_.node_obs) {
-          shared_.node_obs.obs->counters().add(shared_.node_obs.shard,
-                                               shared_.node_obs.updates_suppressed);
+          shared_.node_obs.obs->counters().add(shared_.node_obs.updates_suppressed);
         });
       }
       break;
@@ -337,8 +334,7 @@ SimTime RouterNode::route_wire_id(NodeApi& api, WireId wire_id,
     cost += static_cast<SimTime>(slot.cells.size()) * tm.commit_ns;
     note_route_segments(slot);
     LOCUS_OBS_HOOK(if (shared_.node_obs) {
-      shared_.node_obs.obs->counters().add(shared_.node_obs.shard,
-                                           shared_.node_obs.ripups);
+      shared_.node_obs.obs->counters().add(shared_.node_obs.ripups);
     });
   }
 
@@ -363,8 +359,8 @@ SimTime RouterNode::route_wire_id(NodeApi& api, WireId wire_id,
   }
   LOCUS_OBS_HOOK(if (shared_.node_obs) {
     const obs::MpNodeObs& o = shared_.node_obs;
-    o.obs->counters().add(o.shard, o.wires_routed);
-    o.obs->counters().add(o.shard, o.cells_committed, slot.cells.size());
+    o.obs->counters().add(o.wires_routed);
+    o.obs->counters().add(o.cells_committed, slot.cells.size());
   });
 
   // Price the chosen path against the global oracle *before* committing it
@@ -588,9 +584,8 @@ RouterNode::TakeStatus RouterNode::take_wires_ext(
       if (tier == WireAffinityIndex::Tier::kResident) {
         shared_.affinity_grants += got;
         LOCUS_OBS_HOOK(if (shared_.node_obs) {
-          shared_.node_obs.obs->counters().add(
-              shared_.node_obs.shard, shared_.node_obs.affinity_hits,
-              static_cast<std::uint64_t>(got));
+          shared_.node_obs.obs->counters().add(shared_.node_obs.affinity_hits,
+                                               static_cast<std::uint64_t>(got));
         });
       }
       // One donor bucket per grant: a short batch is preferable to
@@ -624,9 +619,8 @@ void RouterNode::send_grant_ext(NodeApi& api, ProcId dst,
   shared_.grant_wires += count;
   LOCUS_OBS_HOOK(if (shared_.node_obs) {
     const obs::MpNodeObs& o = shared_.node_obs;
-    o.obs->counters().add(o.shard, o.grants);
-    o.obs->counters().add(o.shard, o.grant_wires,
-                          static_cast<std::uint64_t>(count));
+    o.obs->counters().add(o.grants);
+    o.obs->counters().add(o.grant_wires, static_cast<std::uint64_t>(count));
   });
 }
 
@@ -782,8 +776,7 @@ void RouterNode::fire_sender_updates(NodeApi& api) {
       } else {
         ++shared_.updates_suppressed;
         LOCUS_OBS_HOOK(if (shared_.node_obs) {
-          shared_.node_obs.obs->counters().add(shared_.node_obs.shard,
-                                               shared_.node_obs.updates_suppressed);
+          shared_.node_obs.obs->counters().add(shared_.node_obs.updates_suppressed);
         });
       }
       return;
@@ -805,8 +798,7 @@ void RouterNode::fire_sender_updates(NodeApi& api) {
     } else {
       ++shared_.updates_suppressed;
       LOCUS_OBS_HOOK(if (shared_.node_obs) {
-        shared_.node_obs.obs->counters().add(shared_.node_obs.shard,
-                                             shared_.node_obs.updates_suppressed);
+        shared_.node_obs.obs->counters().add(shared_.node_obs.updates_suppressed);
       });
     }
   }
@@ -860,9 +852,8 @@ void RouterNode::send_batched_update(NodeApi& api, ProcId dst, std::int32_t type
   }
   LOCUS_OBS_HOOK(if (shared_.node_obs) {
     const obs::MpNodeObs& o = shared_.node_obs;
-    o.obs->counters().add(o.shard, o.batched_updates);
-    o.obs->counters().add(o.shard, o.batched_blocks,
-                          static_cast<std::uint64_t>(blocks.size()));
+    o.obs->counters().add(o.batched_updates);
+    o.obs->counters().add(o.batched_blocks, static_cast<std::uint64_t>(blocks.size()));
   });
   auto [payload, payload_data] = make_payload<RegionUpdatePayload>();
   payload_data->region = region;

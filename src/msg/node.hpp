@@ -83,7 +83,7 @@ struct MpShared {
   std::int64_t grant_wires = 0;      ///< wires carried by those grants
   std::int64_t affinity_grants = 0;  ///< wires taken from a resident bucket
   /// Bound by the driver when MpConfig::obs is set (the DES is sequential,
-  /// so one shard serves every node); unbound otherwise.
+  /// so one registry serves every node); unbound otherwise.
   obs::MpNodeObs node_obs;
   /// Routing-work counters for every node's explorer; must be bound before
   /// the nodes are constructed (each WireRouter captures the pointer).
@@ -171,9 +171,8 @@ class RouterNode final : public Node {
     LOCUS_OBS_HOOK(if (shared_.node_obs) {
       const obs::MpNodeObs& o = shared_.node_obs;
       const std::size_t k = obs::msg_kind_index(type);
-      o.obs->counters().add(o.shard, o.sent[k]);
-      o.obs->counters().add(o.shard, o.sent_bytes[k],
-                            static_cast<std::uint64_t>(bytes));
+      o.obs->counters().add(o.sent[k]);
+      o.obs->counters().add(o.sent_bytes[k], static_cast<std::uint64_t>(bytes));
     });
   }
 

@@ -367,7 +367,7 @@ void ReliableTransport::publish_obs(obs::Obs* o) const {
   if (o == nullptr) return;
   obs::CounterRegistry& reg = o->counters();
   const auto put = [&reg](const char* name, std::uint64_t value) {
-    reg.add(0, reg.counter(name), value);
+    reg.add(reg.counter(name), value);
   };
   put("mp.retx", stats_.retransmits);
   put("mp.retx_bytes", stats_.retransmit_bytes);

@@ -1,8 +1,8 @@
 // The message passing processors' cost view: reads go straight to the
 // node's (possibly drifted) private CostArray, writes are mirrored into the
-// delta array that feeds SendRmtData / ReqLocData updates. Shared by the
-// simulated node program (msg/node.hpp) and the native-threads backend
-// (msg/threads_mp.cpp); tested directly by the explorer property matrix.
+// delta array that feeds SendRmtData / ReqLocData updates. Used by the
+// simulated node program (msg/node.hpp); tested directly by the explorer
+// property matrix.
 #pragma once
 
 #include <cstdint>

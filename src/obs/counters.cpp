@@ -14,9 +14,6 @@ std::size_t histogram_bucket(std::uint64_t sample) {
   return std::min(bucket, kHistogramBuckets - 1);
 }
 
-CounterRegistry::CounterRegistry(std::size_t num_shards)
-    : shards_(num_shards == 0 ? 1 : num_shards) {}
-
 MetricId CounterRegistry::intern(std::string_view name, Kind kind) {
   std::lock_guard<std::mutex> lock(names_mutex_);
   if (auto it = by_name_.find(std::string(name)); it != by_name_.end()) {
@@ -44,50 +41,21 @@ MetricId CounterRegistry::histogram(std::string_view name) {
   return intern(name, Kind::kHistogram);
 }
 
-std::uint64_t CounterRegistry::total(MetricId id) const {
-  std::uint64_t sum = 0;
-  for (const Shard& shard : shards_) {
-    if (id < shard.values.size()) sum += shard.values[id];
-  }
-  return sum;
+std::optional<MetricId> CounterRegistry::find(std::string_view name) const {
+  std::lock_guard<std::mutex> lock(names_mutex_);
+  auto it = by_name_.find(std::string(name));
+  if (it == by_name_.end()) return std::nullopt;
+  return it->second;
 }
 
 std::uint64_t CounterRegistry::total(std::string_view name) const {
-  std::lock_guard<std::mutex> lock(names_mutex_);
-  auto it = by_name_.find(std::string(name));
-  if (it == by_name_.end()) return 0;
-  const MetricId id = it->second;
-  std::uint64_t sum = 0;
-  for (const Shard& shard : shards_) {
-    if (id < shard.values.size()) sum += shard.values[id];
-  }
-  return sum;
-}
-
-HistogramSnapshot CounterRegistry::histogram_total(MetricId id) const {
-  HistogramSnapshot out;
-  for (const Shard& shard : shards_) {
-    if (id >= shard.hists.size()) continue;
-    const Hist& h = shard.hists[id];
-    if (h.count == 0) continue;
-    if (out.count == 0 || h.min < out.min) out.min = h.min;
-    if (h.max > out.max) out.max = h.max;
-    out.count += h.count;
-    out.sum += h.sum;
-    for (std::size_t b = 0; b < kHistogramBuckets; ++b) out.buckets[b] += h.buckets[b];
-  }
-  return out;
+  const auto id = find(name);
+  return id ? total(*id) : 0;
 }
 
 HistogramSnapshot CounterRegistry::histogram_total(std::string_view name) const {
-  MetricId id;
-  {
-    std::lock_guard<std::mutex> lock(names_mutex_);
-    auto it = by_name_.find(std::string(name));
-    if (it == by_name_.end()) return {};
-    id = it->second;
-  }
-  return histogram_total(id);
+  const auto id = find(name);
+  return id ? histogram_total(*id) : HistogramSnapshot{};
 }
 
 std::vector<std::pair<std::string, std::uint64_t>>
@@ -126,14 +94,13 @@ CounterRegistry::merged_histograms() const {
 
 void CounterRegistry::merge_from(const CounterRegistry& other) {
   for (const auto& [name, value] : other.merged_counters()) {
-    if (value != 0) add(0, counter(name), value);
+    if (value != 0) add(counter(name), value);
   }
   for (const auto& [name, snap] : other.merged_histograms()) {
     if (snap.count == 0) continue;
     const MetricId id = histogram(name);
-    auto& hists = shards_[0].hists;
-    if (id >= hists.size()) hists.resize(slot_count());
-    Hist& h = hists[id];
+    if (id >= hists_.size()) hists_.resize(slot_count());
+    HistogramSnapshot& h = hists_[id];
     if (h.count == 0 || snap.min < h.min) h.min = snap.min;
     if (snap.max > h.max) h.max = snap.max;
     h.count += snap.count;

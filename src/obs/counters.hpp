@@ -1,13 +1,11 @@
-// Sharded metrics registry: named monotonic counters and log2 histograms.
+// Metrics registry: named monotonic counters and log2 histograms.
 //
-// One registry serves a whole run. Names are registered once (idempotent;
-// mutex-protected, intended for setup time) and return a stable MetricId;
-// increments then touch only the caller's shard — a plain uint64 slot with
-// a single writer, so the threaded routers (shm/threads_router,
-// msg/threads_mp) update counters with no atomics and no contention. The
-// deterministic DES runs use shard 0 (or one shard per simulated processor
-// when the registry is built that wide). Reading merged totals is valid
-// once every writer thread has joined; the merge is a plain sum.
+// One registry serves a whole run and has a single writer: the
+// deterministic simulators all run on one host thread. Names are
+// registered once (idempotent; mutex-protected, intended for setup time)
+// and return a stable MetricId; increments are then a plain uint64 add.
+// Concurrent runs (SimPool jobs) each own a registry, and the caller folds
+// them together with merge_from() once the workers have joined.
 //
 // Histograms bucket samples by log2 (bucket 0: sample 0, bucket k:
 // [2^(k-1), 2^k)) and track count/sum/min/max exactly — enough for queue
@@ -18,6 +16,7 @@
 #include <array>
 #include <cstdint>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -47,8 +46,6 @@ std::size_t histogram_bucket(std::uint64_t sample);
 
 class CounterRegistry {
  public:
-  explicit CounterRegistry(std::size_t num_shards = 1);
-
   /// Registers (or looks up) a monotonic counter. Safe to call from any
   /// thread, but intended at setup: adds concurrent with registration of a
   /// *new* name on another thread are not synchronized.
@@ -56,16 +53,14 @@ class CounterRegistry {
   /// Registers (or looks up) a histogram.
   MetricId histogram(std::string_view name);
 
-  void add(std::size_t shard, MetricId id, std::uint64_t delta = 1) {
-    auto& values = shards_[shard].values;
-    if (id >= values.size()) values.resize(slot_count(), 0);
-    values[id] += delta;
+  void add(MetricId id, std::uint64_t delta = 1) {
+    if (id >= values_.size()) values_.resize(slot_count(), 0);
+    values_[id] += delta;
   }
 
-  void observe(std::size_t shard, MetricId id, std::uint64_t sample) {
-    auto& hists = shards_[shard].hists;
-    if (id >= hists.size()) hists.resize(slot_count());
-    Hist& h = hists[id];
+  void observe(MetricId id, std::uint64_t sample) {
+    if (id >= hists_.size()) hists_.resize(slot_count());
+    HistogramSnapshot& h = hists_[id];
     if (h.count == 0 || sample < h.min) h.min = sample;
     if (sample > h.max) h.max = sample;
     ++h.count;
@@ -73,25 +68,28 @@ class CounterRegistry {
     ++h.buckets[histogram_bucket(sample)];
   }
 
-  /// Merged (summed over shards) value of a counter.
-  std::uint64_t total(MetricId id) const;
-  /// Merged value by name; 0 for unknown names (a counter nobody bumped and
-  /// a counter nobody registered read the same).
+  /// Value of a counter.
+  std::uint64_t total(MetricId id) const {
+    return id < values_.size() ? values_[id] : 0;
+  }
+  /// Value by name; 0 for unknown names (a counter nobody bumped and a
+  /// counter nobody registered read the same).
   std::uint64_t total(std::string_view name) const;
-  HistogramSnapshot histogram_total(MetricId id) const;
+  HistogramSnapshot histogram_total(MetricId id) const {
+    return id < hists_.size() ? hists_[id] : HistogramSnapshot{};
+  }
   HistogramSnapshot histogram_total(std::string_view name) const;
 
-  /// All counters with their merged values, sorted by name (deterministic).
+  /// All counters with their values, sorted by name (deterministic).
   std::vector<std::pair<std::string, std::uint64_t>> merged_counters() const;
-  /// All histograms with their merged snapshots, sorted by name.
+  /// All histograms with their snapshots, sorted by name.
   std::vector<std::pair<std::string, HistogramSnapshot>> merged_histograms() const;
 
-  /// Post-join merge of a whole sibling registry: registers every metric of
-  /// `other` here (by name) and folds its merged totals into shard 0. This
-  /// extends the per-shard merge to per-*registry* granularity — each
-  /// SimPool job runs against its own registry, and the caller absorbs them
-  /// in submission order once the workers have joined, so the combined
-  /// totals are deterministic. Not thread safe; call after the join.
+  /// Merge of a whole sibling registry: registers every metric of `other`
+  /// here (by name) and adds its totals in. Each SimPool job runs against
+  /// its own registry, and the caller absorbs them in submission order once
+  /// the workers have joined, so the combined totals are deterministic. Not
+  /// thread safe; call after the join.
   void merge_from(const CounterRegistry& other);
 
   /// Compact CSV: header `kind,name,value`, one row per counter, four rows
@@ -100,38 +98,20 @@ class CounterRegistry {
   /// Writes metrics_csv() to `path`; returns false on I/O failure.
   bool write_csv(const std::string& path) const;
 
-  std::size_t num_shards() const { return shards_.size(); }
-  /// Shard a logical processor / thread id maps onto.
-  std::size_t shard_for(std::int64_t id) const {
-    return static_cast<std::size_t>(id) % shards_.size();
-  }
-
  private:
   enum class Kind : std::uint8_t { kCounter, kHistogram };
 
-  struct Hist {
-    std::uint64_t count = 0;
-    std::uint64_t sum = 0;
-    std::uint64_t min = 0;
-    std::uint64_t max = 0;
-    std::array<std::uint64_t, kHistogramBuckets> buckets{};
-  };
-
-  /// Per-shard storage, one writer each. Separately allocated vectors keep
-  /// shards off each other's cache lines for all but the vector headers.
-  struct alignas(64) Shard {
-    std::vector<std::uint64_t> values;
-    std::vector<Hist> hists;
-  };
-
   MetricId intern(std::string_view name, Kind kind);
+  /// Id of `name`, or nullopt when it was never registered.
+  std::optional<MetricId> find(std::string_view name) const;
   std::size_t slot_count() const;
 
   mutable std::mutex names_mutex_;
   std::vector<std::string> names_;  ///< by id
   std::vector<Kind> kinds_;         ///< by id
   std::unordered_map<std::string, MetricId> by_name_;
-  std::vector<Shard> shards_;
+  std::vector<std::uint64_t> values_;     ///< by id; grown lazily
+  std::vector<HistogramSnapshot> hists_;  ///< by id; grown lazily
 };
 
 }  // namespace locus::obs

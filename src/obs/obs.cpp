@@ -34,7 +34,6 @@ void NetworkObs::bind(Obs* o) {
   obs = o;
   if (obs == nullptr) return;
   CounterRegistry& reg = obs->counters();
-  shard = 0;  // the DES network is sequential
   packets = reg.counter("net.packets");
   bytes = reg.counter("net.bytes");
   byte_hops = reg.counter("net.byte_hops");
@@ -60,26 +59,23 @@ void QueueObs::bind(Obs* o) {
   obs = o;
   if (obs == nullptr) return;
   CounterRegistry& reg = obs->counters();
-  shard = 0;  // the event loop is sequential by construction
   events = reg.counter("sim.events");
   depth = reg.histogram("sim.queue_depth");
 }
 
-void ExplorerObs::bind(Obs* o, std::size_t shard_index) {
+void ExplorerObs::bind(Obs* o) {
   obs = o;
   if (obs == nullptr) return;
   CounterRegistry& reg = obs->counters();
-  shard = shard_index % reg.num_shards();
   connections = reg.counter("route.connections");
   routes_evaluated = reg.counter("route.routes_evaluated");
   cells_probed = reg.counter("route.cells_probed");
 }
 
-void MpNodeObs::bind(Obs* o, std::size_t shard_index) {
+void MpNodeObs::bind(Obs* o) {
   obs = o;
   if (obs == nullptr) return;
   CounterRegistry& reg = obs->counters();
-  shard = shard_index % reg.num_shards();
   for (std::size_t i = 0; i < kNamedKinds; ++i) {
     const std::string base(kMsgNames[i]);
     sent[i] = reg.counter("mp.sent." + base);
@@ -108,11 +104,10 @@ void MpNodeObs::bind(Obs* o, std::size_t shard_index) {
   }
 }
 
-void ShmObs::bind(Obs* o, std::size_t shard_index) {
+void ShmObs::bind(Obs* o) {
   obs = o;
   if (obs == nullptr) return;
   CounterRegistry& reg = obs->counters();
-  shard = shard_index % reg.num_shards();
   wires_routed = reg.counter("shm.wires_routed");
   ripups = reg.counter("shm.ripups");
   cells_committed = reg.counter("shm.cells_committed");

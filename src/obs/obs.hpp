@@ -2,7 +2,7 @@
 //
 // One `Obs` instance per measured run owns the counter registry and the
 // (optional) trace sink; callers hand an `Obs*` to the run configs
-// (MpConfig::obs, ShmConfig::obs, ...) and read merged metrics afterwards.
+// (MpConfig::obs, ShmConfig::obs, ...) and read the metrics afterwards.
 //
 // Gating, two layers:
 //   * compile time — the CMake option LOCUS_OBS (default ON) defines
@@ -43,8 +43,6 @@
 namespace locus::obs {
 
 struct ObsOptions {
-  /// Counter shards; one per concurrent writer (threads), 1 for the DES.
-  std::size_t shards = 1;
   /// Record trace events (counters are always on).
   bool trace = false;
   /// Per-hop traversal instants in the trace (voluminous).
@@ -53,8 +51,7 @@ struct ObsOptions {
 
 class Obs {
  public:
-  explicit Obs(ObsOptions options = {})
-      : options_(options), counters_(options.shards) {
+  explicit Obs(ObsOptions options = {}) : options_(options) {
     if (options.trace) {
       trace_ = std::make_unique<TraceSink>(
           TraceSink::Options{.hop_detail = options.hop_detail});
@@ -85,7 +82,6 @@ class Obs {
 /// hop_detail is on).
 struct NetworkObs {
   Obs* obs = nullptr;
-  std::size_t shard = 0;
   MetricId packets = 0;
   MetricId bytes = 0;
   MetricId byte_hops = 0;
@@ -111,7 +107,6 @@ struct NetworkObs {
 /// sim/event_queue.cpp: dispatch count + pending-depth histogram.
 struct QueueObs {
   Obs* obs = nullptr;
-  std::size_t shard = 0;
   MetricId events = 0;
   MetricId depth = 0;  ///< histogram of heap size at dispatch
 
@@ -123,27 +118,25 @@ struct QueueObs {
 /// simulated router performs, whichever host engine priced them).
 struct ExplorerObs {
   Obs* obs = nullptr;
-  std::size_t shard = 0;
   MetricId connections = 0;
   MetricId routes_evaluated = 0;
   MetricId cells_probed = 0;
 
-  void bind(Obs* o, std::size_t shard_index = 0);
+  void bind(Obs* o);
   explicit operator bool() const { return obs != nullptr; }
 
   void note(std::int64_t routes, std::int64_t cells) const {
     CounterRegistry& reg = obs->counters();
-    reg.add(shard, connections, 1);
-    reg.add(shard, routes_evaluated, static_cast<std::uint64_t>(routes));
-    reg.add(shard, cells_probed, static_cast<std::uint64_t>(cells));
+    reg.add(connections, 1);
+    reg.add(routes_evaluated, static_cast<std::uint64_t>(routes));
+    reg.add(cells_probed, static_cast<std::uint64_t>(cells));
   }
 };
 
-/// msg/node.cpp + msg/threads_mp.cpp: per-packet-kind send/receive
+/// msg/node.cpp: per-packet-kind send/receive
 /// counters, rip-ups, and per-wire route spans.
 struct MpNodeObs {
   Obs* obs = nullptr;
-  std::size_t shard = 0;
   /// Indexed by msg_kind_index(); the last slot catches unknown types.
   static constexpr std::size_t kKinds = 9;
   std::array<MetricId, kKinds> sent{};
@@ -164,7 +157,7 @@ struct MpNodeObs {
   TraceSink::StrId a_wire = 0;
   TraceSink::StrId a_iteration = 0;
 
-  void bind(Obs* o, std::size_t shard_index);
+  void bind(Obs* o);
   explicit operator bool() const { return obs != nullptr; }
 };
 
@@ -174,11 +167,10 @@ std::size_t msg_kind_index(std::int32_t type);
 /// Human name of a MsgType value ("SendLocData", ...; "Unknown" otherwise).
 const char* msg_kind_name(std::int32_t type);
 
-/// shm/shm_router.cpp + shm/threads_router.cpp: per-wire spans and routing
-/// work counters for the shared memory executors.
+/// shm/shm_router.cpp: per-wire spans and routing work counters for the
+/// shared memory executor.
 struct ShmObs {
   Obs* obs = nullptr;
-  std::size_t shard = 0;
   MetricId wires_routed = 0;
   MetricId ripups = 0;
   MetricId cells_committed = 0;
@@ -188,7 +180,7 @@ struct ShmObs {
   TraceSink::StrId a_wire = 0;
   TraceSink::StrId a_iteration = 0;
 
-  void bind(Obs* o, std::size_t shard_index);
+  void bind(Obs* o);
   explicit operator bool() const { return obs != nullptr; }
 };
 

@@ -91,7 +91,7 @@ std::int64_t price(const Route& route, CostView& view, std::int32_t bend_penalty
 }
 
 /// Reusable buffers for the prefix-sum engine. One instance per thread: the
-/// threaded routers price concurrently, and capacity persists across calls
+/// SimPool workers price concurrently, and capacity persists across calls
 /// so steady-state pricing allocates nothing. Everything after `win` is
 /// structure-of-arrays: per-channel rows of contiguous lanes the SIMD
 /// kernels (support/simd.hpp) stream over.

@@ -272,8 +272,8 @@ ShmRunResult run_shared_memory(const Circuit& circuit, const ShmConfig& config) 
   obs::ExplorerObs explorer_obs;
   RouterParams router_params = config.router;
   LOCUS_OBS_HOOK(if (config.obs != nullptr) {
-    shm_obs.bind(config.obs, /*shard_index=*/0);
-    explorer_obs.bind(config.obs, /*shard_index=*/0);
+    shm_obs.bind(config.obs);
+    explorer_obs.bind(config.obs);
     router_params.explorer.obs = &explorer_obs;
     if (obs::TraceSink* t = config.obs->trace()) {
       for (std::int32_t p = 0; p < config.procs; ++p) {
@@ -377,9 +377,9 @@ ShmRunResult run_shared_memory(const Circuit& circuit, const ShmConfig& config) 
       view.flush_wire(static_cast<std::int16_t>(next), ps.clock, duration);
       LOCUS_OBS_HOOK(if (shm_obs) {
         auto& reg = shm_obs.obs->counters();
-        reg.add(shm_obs.shard, shm_obs.wires_routed);
-        reg.add(shm_obs.shard, shm_obs.cells_committed, slot.cells.size());
-        if (ripped) reg.add(shm_obs.shard, shm_obs.ripups);
+        reg.add(shm_obs.wires_routed);
+        reg.add(shm_obs.cells_committed, slot.cells.size());
+        if (ripped) reg.add(shm_obs.ripups);
         if (obs::TraceSink* t = shm_obs.obs->trace()) {
           t->complete(next, shm_obs.cat_route, shm_obs.n_route, ps.clock, duration,
                       shm_obs.a_wire, wire_id, shm_obs.a_iteration, iter);
@@ -415,8 +415,7 @@ ShmRunResult run_shared_memory(const Circuit& circuit, const ShmConfig& config) 
                rebuild_cost(circuit.channels(), circuit.grids(), result.routes));
   result.trace = view.merge_trace();
   LOCUS_OBS_HOOK(if (shm_obs) {
-    shm_obs.obs->counters().add(shm_obs.shard, shm_obs.trace_refs,
-                                result.trace.size());
+    shm_obs.obs->counters().add(shm_obs.trace_refs, result.trace.size());
   });
   return result;
 }

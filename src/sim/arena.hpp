@@ -7,9 +7,9 @@
 // into cross-thread coherence traffic on the allocator's shared state. The
 // arena removes that coupling:
 //
-//   * every thread owns a private PayloadArena (pool workers, the caller,
-//     and the natively threaded routers alike — the arena is installed
-//     thread-locally, lazily on first allocation);
+//   * every thread owns a private PayloadArena (pool workers and the
+//     caller alike — the arena is installed thread-locally, lazily on
+//     first allocation);
 //   * allocation and same-thread free touch only the owner's free lists —
 //     no locks, no atomics, no shared cache lines;
 //   * a block freed on a *different* thread is never pushed onto the

@@ -33,8 +33,8 @@ std::size_t EventQueue::run_loop(std::size_t limit) {
     heap_.pop();
     LOCUS_OBS_HOOK(if (obs_) {
       auto& reg = obs_.obs->counters();
-      reg.add(obs_.shard, obs_.events);
-      reg.observe(obs_.shard, obs_.depth, heap_.size());
+      reg.add(obs_.events);
+      reg.observe(obs_.depth, heap_.size());
     });
     now_ = ev.time;
     ++executed_;

@@ -140,11 +140,11 @@ void Machine::resume(ProcId proc) {
     static_cast<void>(stepped);
     LOCUS_OBS_HOOK(if (obs_ != nullptr) {
       auto& reg = obs_->counters();
-      if (delivered > 0) reg.add(0, obs_delivered_, delivered);
-      if (stepped) reg.add(0, obs_steps_);
+      if (delivered > 0) reg.add(obs_delivered_, delivered);
+      if (stepped) reg.add(obs_steps_);
       const SimTime busy = st.clock - round_start;
       if (busy > 0) {
-        reg.add(0, obs_busy_ns_, static_cast<std::uint64_t>(busy));
+        reg.add(obs_busy_ns_, static_cast<std::uint64_t>(busy));
         if (obs::TraceSink* t = obs_->trace()) {
           t->complete(proc, obs_cat_node_, obs_n_compute_, round_start, busy);
         }

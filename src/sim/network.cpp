@@ -49,12 +49,12 @@ SimTime Network::charge_control(ProcId src, ProcId dst, std::int32_t type,
 
   LOCUS_OBS_HOOK(if (obs_) {
     auto& reg = obs_.obs->counters();
-    reg.add(obs_.shard, obs_.packets);
-    reg.add(obs_.shard, obs_.bytes, static_cast<std::uint64_t>(L));
-    reg.add(obs_.shard, obs_.byte_hops, static_cast<std::uint64_t>(L) * path.size());
-    reg.add(obs_.shard, obs_.hops, path.size());
-    reg.observe(obs_.shard, obs_.latency_ns, static_cast<std::uint64_t>(latency));
-    reg.observe(obs_.shard, obs_.packet_bytes, static_cast<std::uint64_t>(L));
+    reg.add(obs_.packets);
+    reg.add(obs_.bytes, static_cast<std::uint64_t>(L));
+    reg.add(obs_.byte_hops, static_cast<std::uint64_t>(L) * path.size());
+    reg.add(obs_.hops, path.size());
+    reg.observe(obs_.latency_ns, static_cast<std::uint64_t>(latency));
+    reg.observe(obs_.packet_bytes, static_cast<std::uint64_t>(L));
   });
   return now + latency;
 }
@@ -191,20 +191,19 @@ SimTime Network::inject(Packet packet, SimTime ready) {
   if (action == FaultInjector::Action::kDuplicate) {
     ++stats_.duplicate_deliveries;
     LOCUS_OBS_HOOK(if (obs_) {
-      obs_.obs->counters().add(obs_.shard, obs_.dup_deliveries);
+      obs_.obs->counters().add(obs_.dup_deliveries);
     });
   }
 
   LOCUS_OBS_HOOK(if (obs_) {
     auto& reg = obs_.obs->counters();
-    reg.add(obs_.shard, obs_.packets);
-    reg.add(obs_.shard, obs_.bytes, static_cast<std::uint64_t>(L));
-    reg.add(obs_.shard, obs_.byte_hops, static_cast<std::uint64_t>(L) * path.size());
-    reg.add(obs_.shard, obs_.hops, path.size());
-    reg.add(obs_.shard, obs_.link_wait_ns, static_cast<std::uint64_t>(waited));
-    reg.observe(obs_.shard, obs_.latency_ns,
-                static_cast<std::uint64_t>(delivered - ready));
-    reg.observe(obs_.shard, obs_.packet_bytes, static_cast<std::uint64_t>(L));
+    reg.add(obs_.packets);
+    reg.add(obs_.bytes, static_cast<std::uint64_t>(L));
+    reg.add(obs_.byte_hops, static_cast<std::uint64_t>(L) * path.size());
+    reg.add(obs_.hops, path.size());
+    reg.add(obs_.link_wait_ns, static_cast<std::uint64_t>(waited));
+    reg.observe(obs_.latency_ns, static_cast<std::uint64_t>(delivered - ready));
+    reg.observe(obs_.packet_bytes, static_cast<std::uint64_t>(L));
     if (obs::TraceSink* t = obs_.obs->trace()) {
       // One flow id per injected packet; stats_.packets was just bumped.
       const std::uint64_t flow = stats_.packets;

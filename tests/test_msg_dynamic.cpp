@@ -3,6 +3,8 @@
 // latency story.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "check/consistency.hpp"
 #include "circuit/generator.hpp"
 #include "msg/driver.hpp"
@@ -114,8 +116,7 @@ TEST_F(DynamicAssignment, ReceiverScheduleRejected) {
   MpConfig config;
   config.schedule = UpdateSchedule::receiver(1, 5);
   config.assignment_mode = WireAssignmentMode::kDynamicPolled;
-  EXPECT_DEATH(run_message_passing(circuit_, 4, config),
-               "dynamic assignment cannot use receiver-initiated");
+  EXPECT_THROW(run_message_passing(circuit_, 4, config), std::invalid_argument);
 }
 
 // --- Extended dynamic protocol (DESIGN.md §11): locality-scored batched

@@ -1,7 +1,7 @@
 // Tests for the observability layer: registry semantics, histogram
-// bucketing, CSV/trace export determinism, counter merge across threaded
-// shards, and the cross-checks that tie obs counters to the statistics the
-// engines (and the src/check packet ledger) already keep.
+// bucketing, CSV/trace export determinism, and the cross-checks that tie obs
+// counters to the statistics the engines (and the src/check packet ledger)
+// already keep.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -10,34 +10,24 @@
 #include "circuit/generator.hpp"
 #include "coherence/simulator.hpp"
 #include "msg/driver.hpp"
-#include "msg/threads_mp.hpp"
 #include "obs/obs.hpp"
 #include "shm/shm_router.hpp"
-#include "shm/threads_router.hpp"
 
 namespace locus {
 namespace {
 
 TEST(Counters, RegisterAddTotal) {
-  obs::CounterRegistry reg(1);
+  obs::CounterRegistry reg;
   const obs::MetricId a = reg.counter("a");
   const obs::MetricId b = reg.counter("b");
   EXPECT_NE(a, b);
   EXPECT_EQ(reg.counter("a"), a);  // idempotent
-  reg.add(0, a);
-  reg.add(0, a, 4);
-  reg.add(0, b, 7);
+  reg.add(a);
+  reg.add(a, 4);
+  reg.add(b, 7);
   EXPECT_EQ(reg.total(a), 5u);
   EXPECT_EQ(reg.total("b"), 7u);
   EXPECT_EQ(reg.total("nobody"), 0u);
-}
-
-TEST(Counters, ShardMergeIsSum) {
-  obs::CounterRegistry reg(4);
-  const obs::MetricId a = reg.counter("a");
-  for (std::size_t s = 0; s < 4; ++s) reg.add(s, a, s + 1);
-  EXPECT_EQ(reg.total(a), 1u + 2u + 3u + 4u);
-  EXPECT_EQ(reg.shard_for(5), 1u);
 }
 
 TEST(Counters, HistogramBuckets) {
@@ -50,11 +40,11 @@ TEST(Counters, HistogramBuckets) {
 }
 
 TEST(Counters, HistogramSnapshot) {
-  obs::CounterRegistry reg(2);
+  obs::CounterRegistry reg;
   const obs::MetricId h = reg.histogram("lat");
-  reg.observe(0, h, 3);
-  reg.observe(0, h, 5);
-  reg.observe(1, h, 100);
+  reg.observe(h, 3);
+  reg.observe(h, 5);
+  reg.observe(h, 100);
   const obs::HistogramSnapshot snap = reg.histogram_total("lat");
   EXPECT_EQ(snap.count, 3u);
   EXPECT_EQ(snap.sum, 108u);
@@ -67,10 +57,10 @@ TEST(Counters, HistogramSnapshot) {
 }
 
 TEST(Counters, CsvIsSortedAndDeterministic) {
-  obs::CounterRegistry reg(1);
-  reg.add(0, reg.counter("zeta"), 1);
-  reg.add(0, reg.counter("alpha"), 2);
-  reg.observe(0, reg.histogram("mid"), 9);
+  obs::CounterRegistry reg;
+  reg.add(reg.counter("zeta"), 1);
+  reg.add(reg.counter("alpha"), 2);
+  reg.observe(reg.histogram("mid"), 9);
   const std::string csv = reg.metrics_csv();
   EXPECT_EQ(csv, reg.metrics_csv());
   // Counters (name-sorted) come first, then the histogram rows.
@@ -114,28 +104,57 @@ MpRunResult run_mp_with_obs(obs::Obs& obs, const UpdateSchedule& schedule) {
 }
 
 TEST(ObsIntegration, MpCountersMatchEngineStats) {
-  obs::Obs obs;
-  const MpRunResult r = run_mp_with_obs(obs, UpdateSchedule::sender(2, 5));
-  const obs::CounterRegistry& reg = obs.counters();
-  EXPECT_EQ(reg.total("net.packets"), r.network.packets);
-  EXPECT_EQ(reg.total("net.bytes"), r.network.bytes);
-  EXPECT_EQ(reg.total("net.byte_hops"), r.network.byte_hops);
-  EXPECT_EQ(reg.total("net.hops"), r.network.hops);
-  EXPECT_EQ(reg.total("mp.wires_routed"),
-            static_cast<std::uint64_t>(r.work.wires_routed));
-  EXPECT_EQ(reg.total("mp.updates_suppressed"),
-            static_cast<std::uint64_t>(r.updates_suppressed));
-  // The DES dispatched events and the router explored: both nonzero.
-  EXPECT_GT(reg.total("sim.events"), 0u);
-  EXPECT_GT(reg.total("route.routes_evaluated"), 0u);
-  EXPECT_EQ(reg.histogram_total("net.packet_latency_ns").count,
-            r.network.packets);
-  // Per-kind on-wire bytes, published from NetworkStats, sum to the total.
-  std::uint64_t by_type = 0;
-  for (const auto& [name, value] : reg.merged_counters()) {
-    if (name.rfind("net.bytes_by_type.", 0) == 0) by_type += value;
+  struct Case {
+    const char* label;
+    Circuit circuit;
+    std::int32_t procs;
+    UpdateSchedule schedule;
+  };
+  // Tiny at 4 procs sends nothing under the receiver schedule, so that
+  // schedule runs on bnrE, where it does.
+  const Case cases[] = {
+      {"tiny 4p sender", make_tiny_test_circuit(), 4, UpdateSchedule::sender(2, 5)},
+      {"bnrE 16p receiver", make_bnre_like(), 16, UpdateSchedule::receiver(1, 30)},
+      {"bnrE 16p sender", make_bnre_like(), 16, UpdateSchedule::sender(2, 5)},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.label);
+    obs::Obs obs;
+    MpConfig config;
+    config.schedule = c.schedule;
+    config.iterations = 2;
+    config.obs = &obs;
+    const MpRunResult r = run_message_passing(c.circuit, c.procs, config);
+    const obs::CounterRegistry& reg = obs.counters();
+    ASSERT_GT(reg.total("net.packets"), 0u);
+    EXPECT_EQ(reg.total("net.packets"), r.network.packets);
+    EXPECT_EQ(reg.total("net.bytes"), r.network.bytes);
+    EXPECT_EQ(reg.total("net.byte_hops"), r.network.byte_hops);
+    EXPECT_EQ(reg.total("net.hops"), r.network.hops);
+    EXPECT_EQ(reg.total("mp.wires_routed"),
+              static_cast<std::uint64_t>(r.work.wires_routed));
+    EXPECT_EQ(reg.total("mp.updates_suppressed"),
+              static_cast<std::uint64_t>(r.updates_suppressed));
+    // The DES dispatched events and the router explored: both nonzero.
+    EXPECT_GT(reg.total("sim.events"), 0u);
+    EXPECT_GT(reg.total("route.routes_evaluated"), 0u);
+    EXPECT_EQ(reg.histogram_total("net.packet_latency_ns").count, r.network.packets);
+    // Per-kind counters: on a fault-free run every packet is sent once and
+    // received once, so each family sums to the network's own totals.
+    std::uint64_t sent = 0, recv = 0, sent_bytes = 0, recv_bytes = 0, by_type = 0;
+    for (const auto& [name, value] : reg.merged_counters()) {
+      if (name.starts_with("mp.sent.")) sent += value;
+      if (name.starts_with("mp.recv.")) recv += value;
+      if (name.starts_with("mp.sent_bytes.")) sent_bytes += value;
+      if (name.starts_with("mp.recv_bytes.")) recv_bytes += value;
+      if (name.starts_with("net.bytes_by_type.")) by_type += value;
+    }
+    EXPECT_EQ(sent, r.network.packets);
+    EXPECT_EQ(recv, r.network.packets);
+    EXPECT_EQ(sent_bytes, r.network.bytes);
+    EXPECT_EQ(recv_bytes, r.network.bytes);
+    EXPECT_EQ(by_type, r.network.bytes);
   }
-  EXPECT_EQ(by_type, r.network.bytes);
 }
 
 TEST(ObsIntegration, MpSendRecvMatchCheckLedger) {
@@ -210,47 +229,6 @@ TEST(ObsIntegration, ShmCountersAndCoherencePublish) {
             sim.traffic().total_bytes());
   EXPECT_EQ(obs.counters().total(obs::CoherenceObsNames::kLinesTouched),
             sim.lines_touched());
-}
-
-TEST(ObsIntegration, ThreadsShmShardsMergeToEngineTotals) {
-  // Four workers write to four single-writer shards; the merged totals must
-  // equal the engine's own (atomically summed) work statistics.
-  obs::ObsOptions opt;
-  opt.shards = 4;
-  obs::Obs obs(opt);
-  ThreadsConfig config;
-  config.threads = 4;
-  config.iterations = 2;
-  config.obs = &obs;
-  const ThreadsRunResult r =
-      run_threads_shared_memory(make_tiny_test_circuit(), config);
-  EXPECT_EQ(obs.counters().total("shm.wires_routed"),
-            static_cast<std::uint64_t>(r.work.wires_routed));
-}
-
-TEST(ObsIntegration, ThreadsMpShardsMatchMessageTotals) {
-  obs::ObsOptions opt;
-  opt.shards = 4;
-  obs::Obs obs(opt);
-  const Circuit circuit = make_tiny_test_circuit();
-  const Partition partition(circuit.channels(), circuit.grids(),
-                            MeshShape::for_procs(4));
-  const Assignment assignment = assign_threshold_cost(circuit, partition, 1000);
-  ThreadsMpConfig config;
-  config.iterations = 2;
-  config.obs = &obs;
-  const ThreadsMpResult r =
-      run_threads_message_passing(circuit, partition, assignment, config);
-  std::uint64_t sent = 0;
-  std::uint64_t sent_bytes = 0;
-  for (const auto& [name, value] : obs.counters().merged_counters()) {
-    if (name.rfind("mp.sent.", 0) == 0) sent += value;
-    if (name.rfind("mp.sent_bytes.", 0) == 0) sent_bytes += value;
-  }
-  EXPECT_EQ(sent, r.messages_sent);
-  EXPECT_EQ(sent_bytes, r.bytes_sent);
-  EXPECT_EQ(obs.counters().total("mp.wires_routed"),
-            static_cast<std::uint64_t>(r.work.wires_routed));
 }
 
 TEST(ObsIntegration, NullObsLeavesRunIdentical) {

@@ -1,6 +1,5 @@
-// Tests for the shared memory implementations: the Tango-like deterministic
-// executor (trace capture, deferred commits, barriers) and the real-threads
-// router.
+// Tests for the shared memory implementation: the Tango-like deterministic
+// executor (trace capture, deferred commits, barriers).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -12,7 +11,6 @@
 #include "route/quality.hpp"
 #include "route/sequential.hpp"
 #include "shm/shm_router.hpp"
-#include "shm/threads_router.hpp"
 
 namespace locus {
 namespace {
@@ -147,36 +145,6 @@ TEST_F(ShmRunTest, CompletionIsMaxOfFinishTimes) {
   SimTime max_finish = 0;
   for (SimTime t : r.proc_finish_ns) max_finish = std::max(max_finish, t);
   EXPECT_EQ(r.completion_ns, max_finish);
-}
-
-TEST(ThreadsRouter, RoutesEverythingAndAgreesRoughly) {
-  Circuit circuit = make_tiny_test_circuit();
-  ThreadsConfig config;
-  config.threads = 4;
-  ThreadsRunResult r = run_threads_shared_memory(circuit, config);
-  for (const WireRoute& route : r.routes) {
-    ASSERT_TRUE(route.routed());
-  }
-  EXPECT_EQ(r.work.wires_routed, circuit.num_wires() * 2);
-  // Against the deterministic executor: same ballpark quality (threads are
-  // nondeterministic; allow a wide band).
-  ShmConfig shm_config;
-  shm_config.procs = 4;
-  shm_config.capture_trace = false;
-  ShmRunResult tango = run_shared_memory(circuit, shm_config);
-  EXPECT_NEAR(static_cast<double>(r.circuit_height),
-              static_cast<double>(tango.circuit_height),
-              static_cast<double>(tango.circuit_height) * 0.5);
-}
-
-TEST(ThreadsRouter, SingleThreadMatchesSequential) {
-  Circuit circuit = make_tiny_test_circuit();
-  ThreadsConfig config;
-  config.threads = 1;
-  ThreadsRunResult r = run_threads_shared_memory(circuit, config);
-  SequentialResult seq = route_sequential(circuit, {});
-  EXPECT_EQ(r.circuit_height, seq.circuit_height);
-  EXPECT_EQ(r.occupancy_factor, seq.occupancy_factor);
 }
 
 /// Property sweep over processor counts: executor invariants.

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <stdexcept>
+#include <string>
 
 #include "circuit/generator.hpp"
 #include "msg/driver.hpp"
@@ -112,11 +114,45 @@ TEST(TopologyOverride, RingStretchesByteHops) {
   EXPECT_EQ(mesh.bytes_transferred, ring.bytes_transferred);
 }
 
+/// The message validate() throws for `config`, or "" when it accepts it.
+std::string validate_error(const MpConfig& config, std::int32_t procs) {
+  try {
+    config.validate(procs);
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
 TEST(TopologyOverride, WrongProductDies) {
   Circuit c = make_tiny_test_circuit();
   MpConfig config;
   config.topology_dims = {3, 2};  // 6 != 4 procs
-  EXPECT_DEATH(run_message_passing(c, 4, config), "topology_dims");
+  EXPECT_THROW(run_message_passing(c, 4, config), std::invalid_argument);
+  EXPECT_NE(validate_error(config, 4).find("topology_dims multiply to 6"),
+            std::string::npos);
+  config.edges = Topology::Edges::kFatTree;  // dims are ignored on a fat tree
+  EXPECT_EQ(validate_error(config, 4), "");
+}
+
+TEST(MpConfigValidate, ZeroIterationsThrows) {
+  MpConfig config;
+  config.iterations = 0;
+  EXPECT_THROW(run_message_passing(make_tiny_test_circuit(), 4, config),
+               std::invalid_argument);
+  EXPECT_NE(validate_error(config, 4).find("iterations must be >= 1, got 0"),
+            std::string::npos);
+}
+
+TEST(MpConfigValidate, BatchingNeedsBoundingBoxPackets) {
+  MpConfig config;
+  config.shard.batch_updates = true;
+  config.packet_structure = PacketStructure::kWholeRegion;
+  EXPECT_THROW(run_message_passing(make_tiny_test_circuit(), 4, config),
+               std::invalid_argument);
+  EXPECT_NE(validate_error(config, 4).find("shard.batch_updates"), std::string::npos);
+  config.packet_structure = PacketStructure::kBoundingBox;
+  EXPECT_EQ(validate_error(config, 4), "");
 }
 
 TEST(NetworkInvariants, ByteHopsAtLeastBytes) {

@@ -203,9 +203,9 @@ TEST(PoolDeterminism, MergedObsCsvIsBitIdenticalAtAnyWidth) {
       const obs::MetricId events = reg->counter("job.events");
       const obs::MetricId shared = reg->counter("sweep.total");
       const obs::MetricId depth = reg->histogram("job.depth");
-      reg->add(0, events, i + 1);
-      reg->add(0, shared, 10 * i);
-      for (std::uint64_t s = 0; s <= i; ++s) reg->observe(0, depth, s * s);
+      reg->add(events, i + 1);
+      reg->add(shared, 10 * i);
+      for (std::uint64_t s = 0; s <= i; ++s) reg->observe(depth, s * s);
       regs[i] = std::move(reg);
     });
     obs::CounterRegistry merged;
@@ -213,7 +213,9 @@ TEST(PoolDeterminism, MergedObsCsvIsBitIdenticalAtAnyWidth) {
     return merged.metrics_csv();
   };
   const std::string serial_csv = run_at(1);
-  EXPECT_FALSE(serial_csv.empty());
+  // merge_from sums: 1 + 2 + ... + 12 events, 12 * 13 / 2 depth samples.
+  EXPECT_NE(serial_csv.find("counter,job.events,78\n"), std::string::npos);
+  EXPECT_NE(serial_csv.find("histogram,job.depth.count,78\n"), std::string::npos);
   EXPECT_EQ(run_at(2), serial_csv);
   EXPECT_EQ(run_at(4), serial_csv);
 }
