@@ -4,8 +4,8 @@
 //
 //   $ ./examples/trace_tool collect --circuit=bnre --procs=16 --out=run.trc
 //   $ ./examples/trace_tool analyze run.trc --line-size=16 --protocol=dragon
-#include <algorithm>
 #include <cstdio>
+#include <optional>
 #include <stdexcept>
 #include <string>
 
@@ -19,13 +19,12 @@
 
 namespace {
 
-locus::ProtocolKind pick_protocol(const std::string& name) {
+std::optional<locus::ProtocolKind> parse_protocol(const std::string& name) {
   if (name == "wbi") return locus::ProtocolKind::kWriteBackInvalidate;
   if (name == "wt") return locus::ProtocolKind::kWriteThrough;
   if (name == "mesi") return locus::ProtocolKind::kMesi;
   if (name == "dragon") return locus::ProtocolKind::kDragon;
-  std::fprintf(stderr, "unknown protocol '%s', using wbi\n", name.c_str());
-  return locus::ProtocolKind::kWriteBackInvalidate;
+  return std::nullopt;
 }
 
 }  // namespace
@@ -86,7 +85,13 @@ int main(int argc, char** argv) {
       return 1;
     }
     params.line_size = static_cast<std::int32_t>(line_flag);
-    params.protocol = pick_protocol(cli.get("protocol"));
+    const std::optional<locus::ProtocolKind> protocol = parse_protocol(cli.get("protocol"));
+    if (!protocol) {
+      std::fprintf(stderr, "analyze: unknown --protocol=%s (valid: wbi, wt, mesi, dragon)\n",
+                   cli.get("protocol").c_str());
+      return 1;
+    }
+    params.protocol = *protocol;
     locus::RefTrace trace;
     try {
       trace = locus::read_trace_file(cli.positional()[1]);
@@ -94,15 +99,14 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "analyze: %s\n", e.what());
       return 1;
     }
-    std::int32_t max_proc = -1;
-    for (const locus::MemRef& ref : trace.refs()) {
-      max_proc = std::max<std::int32_t>(max_proc, ref.proc);
-    }
-    if (max_proc >= procs) {
+    // One stream per processor up to the highest one referenced.
+    const auto streams = static_cast<std::int64_t>(trace.streams());
+    if (streams > procs) {
       std::fprintf(stderr,
-                   "analyze: the trace references processor %d but --procs=%d; "
-                   "pass the --procs it was collected with (at least %d)\n",
-                   max_proc, procs, max_proc + 1);
+                   "analyze: the trace references processor %lld but --procs=%d; "
+                   "pass the --procs it was collected with (at least %lld)\n",
+                   static_cast<long long>(streams - 1), procs,
+                   static_cast<long long>(streams));
       return 1;
     }
     locus::CoherenceSim sim(procs, params);

@@ -13,12 +13,6 @@ TraceScanReport scan_trace_conflicts(const RefTrace& trace,
   TraceScanReport report;
   report.refs = static_cast<std::int64_t>(trace.size());
 
-  // The trace may arrive unsorted (the executor emits per-processor runs);
-  // replay needs the global time order the coherence simulator also uses.
-  std::vector<MemRef> refs = trace.refs();
-  std::stable_sort(refs.begin(), refs.end(),
-                   [](const MemRef& a, const MemRef& b) { return a.time < b.time; });
-
   struct LineState {
     std::int16_t last_proc = -1;
     MemOp last_op = MemOp::kRead;
@@ -27,7 +21,7 @@ TraceScanReport scan_trace_conflicts(const RefTrace& trace,
   std::unordered_map<std::uint32_t, LineState> lines;
   lines.reserve(1024);
 
-  for (const MemRef& ref : refs) {
+  trace.for_each([&](const MemRef& ref) {
     const auto line = ref.addr / static_cast<std::uint32_t>(options.line_bytes);
     LineState& state = lines[line];
     state.conflicts.line = line;
@@ -47,7 +41,7 @@ TraceScanReport scan_trace_conflicts(const RefTrace& trace,
     }
     state.last_proc = ref.proc;
     state.last_op = ref.op;
-  }
+  });
 
   report.lines_touched = static_cast<std::int64_t>(lines.size());
   std::vector<LineConflicts> conflicted;

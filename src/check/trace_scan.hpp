@@ -50,8 +50,8 @@ struct TraceScanReport {
   std::int64_t conflicts() const { return ww + wr + rw; }
 };
 
-/// Scans `trace` (sorted by time internally; the input is not modified)
-/// against the given line size. Deterministic.
+/// Scans `trace` in its time order (the order the coherence simulator
+/// replays) against the given line size. Deterministic.
 TraceScanReport scan_trace_conflicts(const RefTrace& trace,
                                      TraceScanOptions options = {});
 

@@ -254,9 +254,7 @@ void CoherenceSim::access_dragon(LineState& line, std::uint32_t bit,
 }
 
 void CoherenceSim::replay(const RefTrace& trace) {
-  for (const MemRef& ref : trace.refs()) {
-    access(ref.proc, ref.addr, ref.op);
-  }
+  trace.for_each([&](const MemRef& ref) { access(ref.proc, ref.addr, ref.op); });
 }
 
 void CoherenceSim::publish_obs(obs::Obs& o) const {
@@ -292,9 +290,9 @@ std::vector<CoherenceTraffic> sweep_line_sizes(const RefTrace& trace,
     params.capacity_lines = capacity_lines;
     sims.emplace_back(procs, params);
   }
-  for (const MemRef& ref : trace.refs()) {
+  trace.for_each([&](const MemRef& ref) {
     for (CoherenceSim& sim : sims) sim.access(ref.proc, ref.addr, ref.op);
-  }
+  });
   std::vector<CoherenceTraffic> out;
   out.reserve(sims.size());
   for (const CoherenceSim& sim : sims) out.push_back(sim.traffic());

@@ -361,26 +361,11 @@ ExploreResult explore_connection(const Pin& a, const Pin& b, std::int32_t channe
                                  CostView& view, const ExplorerParams& params) {
   LOCUS_ASSERT(channels >= 2);
   const CandidateWindow w = candidate_window(a, b, channels, params);
-  if (!view.supports_bulk_read()) {
-    ExploreResult res = explore_reference(a, b, view, params, w);
-    LOCUS_OBS_HOOK(if (params.obs != nullptr && *params.obs) {
-      params.obs->note(res.stats.routes_evaluated, res.stats.cells_probed);
-    });
-    return res;
-  }
-  ExploreResult res = explore_bulk(a, b, view, params, w);
+  ExploreResult res = view.supports_bulk_read() ? explore_bulk(a, b, view, params, w)
+                                                : explore_reference(a, b, view, params, w);
   LOCUS_OBS_HOOK(if (params.obs != nullptr && *params.obs) {
     params.obs->note(res.stats.routes_evaluated, res.stats.cells_probed);
   });
-  if (params.verify_bulk_pricing) {
-    const ExploreResult ref = explore_reference(a, b, view, params, w);
-    LOCUS_ASSERT_MSG(res.cost == ref.cost, "bulk pricing: cost diverged");
-    LOCUS_ASSERT_MSG(res.route == ref.route, "bulk pricing: route diverged");
-    LOCUS_ASSERT_MSG(res.stats.cells_probed == ref.stats.cells_probed,
-                     "bulk pricing: probe accounting diverged");
-    LOCUS_ASSERT_MSG(res.stats.routes_evaluated == ref.stats.routes_evaluated,
-                     "bulk pricing: candidate count diverged");
-  }
   return res;
 }
 

@@ -45,13 +45,9 @@ struct ExplorerParams {
   /// sum), 2 -> v^2 (congestion-averse; spreads wires at the cost of
   /// wirelength). Higher powers penalize hot cells superlinearly.
   std::int32_t congestion_power = 1;
-  /// Debug flag: when the prefix-sum engine runs, re-price with the per-cell
-  /// reference engine and assert the chosen route, cost and stats agree
-  /// bit-for-bit. Costs ~2x; for tests and benchmarks.
-  bool verify_bulk_pricing = false;
   /// Optional observability binding (not owned; null = off). When set,
   /// explore_connection() bumps route.connections / route.routes_evaluated /
-  /// route.cells_probed on the binding's shard.
+  /// route.cells_probed in the binding's registry.
   const obs::ExplorerObs* obs = nullptr;
 
   /// Wider search: more channels and finer jog sampling. Costs ~3x probes.

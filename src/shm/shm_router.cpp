@@ -16,108 +16,26 @@ namespace {
 
 /// CostView over the single shared array that records shared references.
 /// Reads are deduplicated per wire (see trace.hpp); every add() logs the
-/// read-modify-write pair. References go to one compact stream per
-/// processor — an {addr, op} entry per reference, a block per flushed wire
-/// — which merge_trace() merges into the time-ordered trace.
+/// read-modify-write pair. Each flushed wire becomes one block of its
+/// processor's stream in the RefTrace.
 class TracingView final : public CostView {
  public:
-  TracingView(GridBacking& shared, std::int32_t procs, bool capture, bool dedup_reads)
+  TracingView(GridBacking& shared, bool capture, bool dedup_reads)
       : shared_(shared), capture_(capture), dedup_reads_(dedup_reads),
-        read_stamp_(static_cast<std::size_t>(shared.size()), 0),
-        streams_(static_cast<std::size_t>(procs)) {}
+        read_stamp_(static_cast<std::size_t>(shared.size()), 0) {}
 
   void begin_wire() {
     ++epoch_;
     pending_.clear();
   }
 
-  /// Moves the pending refs into `proc`'s stream as one block, to be stamped
-  /// across [t0, t0 + duration] by merge_trace().
+  /// Moves the pending refs into `proc`'s stream as one block, stamped
+  /// across [t0, t0 + duration].
   void flush_wire(std::int16_t proc, SimTime t0, SimTime duration) {
-    if (!capture_ || pending_.empty()) return;
-    LOCUS_ASSERT(duration >= 0);
-    Stream& s = streams_[static_cast<std::size_t>(proc)];
-    s.entries.insert(s.entries.end(), pending_.begin(), pending_.end());
-    s.blocks.push_back(Block{t0, duration, static_cast<std::uint32_t>(pending_.size()),
-                             next_block_seq_++});
+    if (capture_) trace_.append_block(proc, t0, duration, pending_);
   }
 
-  /// The whole trace in global time order, with the order and timestamps a
-  /// stable sort by time of the emission-ordered trace would give. Ref i of
-  /// an n-ref block is stamped t0 + duration·(i+1)/(n+1), so times rise
-  /// within a block, and the executor (least clock runs next) starts a
-  /// processor's next block no earlier than its previous one ended. Each
-  /// stream is therefore sorted by (time, block emission seq, i), and a heap
-  /// merge of the stream heads on (time, seq) — distinct for distinct
-  /// streams — keeps equal times in emission order (DESIGN.md §7.6).
-  /// Releases the streams.
-  RefTrace merge_trace() {
-    struct Head {
-      SimTime time;
-      std::uint64_t seq;
-      std::size_t proc;
-    };
-    struct Cursor {
-      std::size_t block = 0;
-      std::uint32_t i = 0;  ///< ref within the block
-      std::size_t entry = 0;
-    };
-    auto before = [](const Head& a, const Head& b) {
-      return a.time != b.time ? a.time < b.time : a.seq < b.seq;
-    };
-    auto stamp = [](const Block& b, std::uint32_t i) {
-      return b.t0 + b.duration * static_cast<SimTime>(i + 1) /
-                        (static_cast<SimTime>(b.n) + 1);
-    };
-
-    std::size_t total = 0;
-    std::vector<Head> heap;
-    for (std::size_t p = 0; p < streams_.size(); ++p) {
-      const Stream& s = streams_[p];
-      total += s.entries.size();
-      if (!s.blocks.empty()) {
-        heap.push_back(Head{stamp(s.blocks[0], 0), s.blocks[0].seq, p});
-      }
-    }
-    std::make_heap(heap.begin(), heap.end(),
-                   [&](const Head& a, const Head& b) { return before(b, a); });
-    std::vector<Cursor> cursors(streams_.size());
-
-    RefTrace trace;
-    trace.reserve(total);
-    while (!heap.empty()) {
-      // Emit the root, replace it by its stream's next ref (or the last
-      // head once the stream is drained) and sift that down.
-      Head top = heap.front();
-      const Stream& s = streams_[top.proc];
-      Cursor& c = cursors[top.proc];
-      const Entry& e = s.entries[c.entry++];
-      trace.append(MemRef{top.time, e.addr, static_cast<std::int16_t>(top.proc), e.op});
-      if (++c.i == s.blocks[c.block].n) {
-        c.i = 0;
-        ++c.block;
-      }
-      if (c.block < s.blocks.size()) {
-        const Block& b = s.blocks[c.block];
-        top.time = stamp(b, c.i);
-        top.seq = b.seq;
-      } else {
-        top = heap.back();
-        heap.pop_back();
-        if (heap.empty()) break;
-      }
-      std::size_t hole = 0;
-      for (std::size_t child = 1; child < heap.size(); child = 2 * hole + 1) {
-        if (child + 1 < heap.size() && before(heap[child + 1], heap[child])) ++child;
-        if (!before(heap[child], top)) break;
-        heap[hole] = heap[child];
-        hole = child;
-      }
-      heap[hole] = top;
-    }
-    streams_ = std::vector<Stream>(streams_.size());
-    return trace;
-  }
+  RefTrace take_trace() { return std::move(trace_); }
 
   std::int32_t read(GridPoint p) override {
     note_read(p);
@@ -182,32 +100,15 @@ class TracingView final : public CostView {
     pending_.push_back({cost_cell_addr(p.channel, p.x, shared_.channels()), MemOp::kRead});
   }
 
-  struct Entry {
-    std::uint32_t addr;
-    MemOp op;
-  };
-  /// One flushed wire: `n` consecutive entries of the stream.
-  struct Block {
-    SimTime t0;
-    SimTime duration;
-    std::uint32_t n;
-    std::uint64_t seq;  ///< emission order across all processors
-  };
-  struct Stream {
-    std::vector<Entry> entries;
-    std::vector<Block> blocks;
-  };
-
   GridBacking& shared_;
   bool capture_;
   bool dedup_reads_;
   bool defer_ = false;
   std::vector<std::uint32_t> read_stamp_;
   std::uint32_t epoch_ = 0;
-  std::vector<Entry> pending_;
+  std::vector<RefTrace::Entry> pending_;
   std::vector<GridPoint> deferred_cells_;
-  std::vector<Stream> streams_;
-  std::uint64_t next_block_seq_ = 0;
+  RefTrace trace_;
 };
 
 struct ProcState {
@@ -264,8 +165,7 @@ ShmRunResult run_shared_memory(const Circuit& circuit, const ShmConfig& config) 
   GridBacking& shared_cost =
       config.sharded_cost ? static_cast<GridBacking&>(*tiled) : result.cost;
 
-  TracingView view(shared_cost, config.procs, config.capture_trace,
-                   config.trace_dedup_reads);
+  TracingView view(shared_cost, config.capture_trace, config.trace_dedup_reads);
   const TimeModel& tm = config.time;
 
   obs::ShmObs shm_obs;
@@ -413,7 +313,7 @@ ShmRunResult run_shared_memory(const Circuit& circuit, const ShmConfig& config) 
   result.circuit_height = circuit_height(result.cost);
   LOCUS_ASSERT(result.cost ==
                rebuild_cost(circuit.channels(), circuit.grids(), result.routes));
-  result.trace = view.merge_trace();
+  result.trace = view.take_trace();
   LOCUS_OBS_HOOK(if (shm_obs) {
     shm_obs.obs->counters().add(shm_obs.trace_refs, result.trace.size());
   });

@@ -51,8 +51,8 @@ struct ShmConfig {
   bool trace_dedup_reads = false;
   /// Optional observability sink: per-wire route spans on "proc N" tracks
   /// (in simulated time), shm.* work counters, and the captured
-  /// shared-reference count. The executor is sequential, so one registry
-  /// shard serves all logical processors. Not owned.
+  /// shared-reference count. The executor is sequential, so all logical
+  /// processors count into the one registry. Not owned.
   obs::Obs* obs = nullptr;
   /// Route against a sparse tiled cost array instead of the dense one. An
   /// absent tile reads as zero — the initial value of every cell — so the
@@ -69,7 +69,7 @@ struct ShmRunResult {
   double seconds() const { return static_cast<double>(completion_ns) / 1e9; }
   RouteWorkStats work;
   std::vector<SimTime> proc_finish_ns;
-  RefTrace trace;
+  RefTrace trace;  ///< per-processor streams; for_each() visits in time order
   std::vector<WireRoute> routes;
   CostArray cost;  ///< final shared array
 };

@@ -3,6 +3,7 @@
 #include <array>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <stdexcept>
 
 namespace locus {
@@ -46,14 +47,14 @@ void write_trace(std::ostream& out, const RefTrace& trace) {
   out.write(kMagic.data(), kMagic.size());
   put_u32(out, kVersion);
   put_u64(out, trace.size());
-  for (const MemRef& ref : trace.refs()) {
+  trace.for_each([&](const MemRef& ref) {
     put_u64(out, static_cast<std::uint64_t>(ref.time));
     put_u32(out, ref.addr);
     char tail[4] = {static_cast<char>(ref.proc & 0xFF),
                     static_cast<char>((ref.proc >> 8) & 0xFF),
                     static_cast<char>(ref.op), 0};
     out.write(tail, 4);
-  }
+  });
   if (!out) throw std::runtime_error("trace write failed");
 }
 
@@ -73,6 +74,7 @@ RefTrace read_trace(std::istream& in) {
   }
   const std::uint64_t count = get_u64(in);
   RefTrace trace;
+  SimTime last = std::numeric_limits<SimTime>::min();
   for (std::uint64_t i = 0; i < count; ++i) {
     MemRef ref;
     ref.time = static_cast<SimTime>(get_u64(in));
@@ -87,10 +89,11 @@ RefTrace read_trace(std::istream& in) {
     }
     if (tail[2] > 1) throw std::runtime_error("corrupt .trc record (bad op)");
     ref.op = static_cast<MemOp>(tail[2]);
-    if (trace.size() > 0 && ref.time < trace.refs().back().time) {
+    if (ref.time < last) {
       throw std::runtime_error("corrupt .trc record " + std::to_string(i) +
                                " (time goes backwards)");
     }
+    last = ref.time;
     trace.append(ref);
   }
   return trace;

@@ -26,7 +26,8 @@ void write_trace_file(const std::string& path, const RefTrace& trace);
 /// Reads a .trc stream. Throws std::runtime_error on malformed input: bad
 /// magic or version, a truncated record, an op other than read/write, a
 /// negative proc, or a timestamp earlier than the record before it (a
-/// trace is globally time-ordered).
+/// trace is globally time-ordered). The file keeps no wire boundaries, so
+/// the result holds one block per reference.
 RefTrace read_trace(std::istream& in);
 RefTrace read_trace_file(const std::string& path);
 

@@ -364,9 +364,9 @@ TEST_P(FusedSweepProperty, EqualsSeparateReplayPerSize) {
         EXPECT_TRUE(fused[k] == sim.traffic());
         EXPECT_EQ(fused[k].total_bytes(), sim.traffic().total_bytes());
         std::set<std::uint32_t> lines;
-        for (const MemRef& r : trace.refs()) {
+        trace.for_each([&](const MemRef& r) {
           lines.insert(r.addr / static_cast<std::uint32_t>(sizes[k]));
-        }
+        });
         EXPECT_EQ(sim.lines_touched(), lines.size());
       }
     }

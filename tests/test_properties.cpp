@@ -215,27 +215,6 @@ TEST(RouterProperty2, CollectUniqueCellsMatchesSortBasedReference) {
   }
 }
 
-/// The verify_bulk_pricing debug flag runs both engines internally and
-/// asserts agreement; it must be transparent to the caller.
-TEST(ExplorerProperty, VerifyBulkPricingFlagIsTransparent) {
-  CostArray cost = test::make_random_landscape(6, 50, 404, 5);
-  ExplorerParams plain;
-  ExplorerParams checked = plain;
-  checked.verify_bulk_pricing = true;
-  Rng rng(404);
-  for (int trial = 0; trial < 20; ++trial) {
-    Pin a{static_cast<std::int32_t>(rng.bounded(50)),
-          static_cast<std::int32_t>(rng.bounded(5))};
-    Pin b{static_cast<std::int32_t>(rng.bounded(50)),
-          static_cast<std::int32_t>(rng.bounded(5))};
-    ExploreResult r1 = explore_connection(a, b, 6, cost, plain);
-    ExploreResult r2 = explore_connection(a, b, 6, cost, checked);
-    EXPECT_EQ(r1.cost, r2.cost);
-    EXPECT_TRUE(r1.route == r2.route);
-    EXPECT_EQ(r1.stats.cells_probed, r2.stats.cells_probed);
-  }
-}
-
 /// Rip-up is the exact inverse of commit: any interleaving of route and
 /// rip-up operations that ends with all routes ripped leaves a zero array.
 TEST(RouterProperty2, ArbitraryRipUpOrderRestoresZero) {

@@ -66,12 +66,12 @@ TEST_F(ShmRunTest, TraceIsTimeOrdered) {
   ShmRunResult r = run(4);
   ASSERT_GT(r.trace.size(), 0u);
   SimTime last = 0;
-  for (const MemRef& ref : r.trace.refs()) {
+  r.trace.for_each([&](const MemRef& ref) {
     EXPECT_GE(ref.time, last);
     last = ref.time;
     EXPECT_GE(ref.proc, 0);
     EXPECT_LT(ref.proc, 4);
-  }
+  });
 }
 
 TEST_F(ShmRunTest, TraceWritesMatchCommitVolume) {
@@ -80,10 +80,12 @@ TEST_F(ShmRunTest, TraceWritesMatchCommitVolume) {
   // commit twice, rip up once per wire.
   std::uint64_t cost_writes = 0;
   std::uint64_t counter_writes = 0;
-  for (const MemRef& ref : r.trace.refs()) {
-    if (ref.op != MemOp::kWrite) continue;
-    if (ref.addr == kLoopCounterAddr) ++counter_writes;
-    else ++cost_writes;
+  for (std::size_t p = 0; p < r.trace.streams(); ++p) {
+    for (const RefTrace::Entry& e : r.trace.entries(p)) {
+      if (e.op != MemOp::kWrite) continue;
+      if (e.addr == kLoopCounterAddr) ++counter_writes;
+      else ++cost_writes;
+    }
   }
   std::uint64_t committed = 0;
   for (const WireRoute& route : r.routes) committed += route.cells.size();
@@ -173,12 +175,12 @@ std::uint64_t trace_digest(const RefTrace& trace) {
       h *= 0x100000001b3ULL;
     }
   };
-  for (const MemRef& r : trace.refs()) {
+  trace.for_each([&](const MemRef& r) {
     mix(static_cast<std::uint64_t>(r.time), 8);
     mix(r.addr, 4);
     mix(static_cast<std::uint16_t>(r.proc), 2);
     mix(static_cast<std::uint8_t>(r.op), 1);
-  }
+  });
   return h;
 }
 

@@ -4,10 +4,12 @@
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "circuit/circuit.hpp"
 #include "circuit/generator.hpp"
 #include "grid/cost_array.hpp"
+#include "shm/trace.hpp"
 #include "support/rng.hpp"
 
 namespace locus::test {
@@ -31,6 +33,15 @@ inline CostArray make_random_landscape(std::int32_t channels,
 /// tests. Different seeds give structurally similar but distinct circuits.
 inline Circuit make_seeded_circuit(std::uint64_t seed = 7) {
   return make_tiny_test_circuit(seed);
+}
+
+/// The references of `trace` in visitation order, copied out so a test can
+/// index them.
+inline std::vector<MemRef> trace_refs(const RefTrace& trace) {
+  std::vector<MemRef> refs;
+  refs.reserve(trace.size());
+  trace.for_each([&](const MemRef& r) { refs.push_back(r); });
+  return refs;
 }
 
 }  // namespace locus::test
