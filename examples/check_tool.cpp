@@ -11,6 +11,7 @@
 //   $ ./examples/check_tool recovery --circuit=tiny --procs=4
 //   $ ./examples/check_tool scan --circuit=tiny --procs=16
 #include <cstdio>
+#include <stdexcept>
 #include <string>
 
 #include "circuit/generator.hpp"
@@ -20,34 +21,16 @@
 
 namespace {
 
-locus::Circuit pick_circuit(const std::string& name) {
-  if (name == "mdc") return locus::make_mdc_like();
-  if (name == "tiny") return locus::make_tiny_test_circuit();
-  if (name != "bnre") {
-    std::fprintf(stderr, "unknown circuit '%s', using bnre\n", name.c_str());
-  }
-  return locus::make_bnre_like();
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  locus::Cli cli;
-  cli.flag("circuit", "bnre | mdc | tiny", "bnre");
-  cli.flag("procs", "processors", "4");
-  cli.flag("iterations", "routing iterations", "2");
-  cli.flag("faults",
-           "fault spec, e.g. drop:0.01,delay:500 or "
-           "dup:0.1,types:2,seed:7 (oracle/faults modes)",
-           "");
-  if (!cli.parse(argc, argv)) return 1;
-  if (cli.positional().empty()) {
-    std::fprintf(stderr, "usage: check_tool oracle|faults|recovery|scan [flags]\n");
+int run(const locus::Cli& cli) {
+  const std::string mode = cli.positional()[0];
+  if (mode != "oracle" && mode != "faults" && mode != "recovery" && mode != "scan") {
+    std::fprintf(stderr, "unknown mode '%s'\n", mode.c_str());
     return 1;
   }
-
-  const std::string mode = cli.positional()[0];
-  const locus::Circuit circuit = pick_circuit(cli.get("circuit"));
+  if (cli.get_int("procs") < 1 || cli.get_int("iterations") < 1) {
+    throw std::invalid_argument("--procs and --iterations must be at least 1");
+  }
+  const locus::Circuit circuit = locus::make_named_circuit(cli.get("circuit"));
   locus::ExperimentConfig config;
   config.procs = static_cast<std::int32_t>(cli.get_int("procs"));
   config.iterations = static_cast<std::int32_t>(cli.get_int("iterations"));
@@ -81,12 +64,32 @@ int main(int argc, char** argv) {
                 circuit.name().c_str(), config.procs, t.render().c_str());
     return 0;
   }
-  if (mode == "scan") {
-    const locus::Table t = run_check_trace_scan(circuit, config);
-    std::printf("trace conflict scan on %s, %d procs:\n%s",
-                circuit.name().c_str(), config.procs, t.render().c_str());
-    return 0;
+  const locus::Table t = run_check_trace_scan(circuit, config);
+  std::printf("trace conflict scan on %s, %d procs:\n%s",
+              circuit.name().c_str(), config.procs, t.render().c_str());
+  return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  locus::Cli cli;
+  cli.flag("circuit", "bnre | mdc | tiny", "bnre");
+  cli.flag("procs", "processors", "4");
+  cli.flag("iterations", "routing iterations", "2");
+  cli.flag("faults",
+           "fault spec, e.g. drop:0.01,delay:500 or "
+           "dup:0.1,types:2,seed:7 (oracle/faults modes)",
+           "");
+  if (!cli.parse(argc, argv)) return 1;
+  if (cli.positional().empty()) {
+    std::fprintf(stderr, "usage: check_tool oracle|faults|recovery|scan [flags]\n");
+    return 1;
   }
-  std::fprintf(stderr, "unknown mode '%s'\n", mode.c_str());
-  return 1;
+  try {
+    return run(cli);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "check_tool: %s\n", e.what());
+    return 1;
+  }
 }

@@ -4,13 +4,16 @@
 //
 //   $ ./examples/obs_tool mp --circuit=bnre --procs=4 --trace=mp.json
 //   $ ./examples/obs_tool shm --circuit=tiny --trace=shm.json --hop-detail
-//   $ ./examples/obs_tool summary --circuit=tiny --procs=4
 //
 // Modes:
 //   mp           simulated message passing (receiver- or sender-initiated)
 //   shm          deterministic shared memory executor + coherence replay
-//   summary      obs counters vs engine statistics cross-check table
+//
+// An unknown mode, circuit or schedule, or a processor or iteration count
+// out of range, exits 1 with a message before anything runs.
+#include <cstdint>
 #include <cstdio>
+#include <stdexcept>
 #include <string>
 
 #include "circuit/generator.hpp"
@@ -23,13 +26,22 @@
 
 namespace {
 
-locus::Circuit pick_circuit(const std::string& name) {
-  if (name == "mdc") return locus::make_mdc_like();
-  if (name == "tiny") return locus::make_tiny_test_circuit();
-  if (name != "bnre") {
-    std::fprintf(stderr, "unknown circuit '%s', using bnre\n", name.c_str());
+locus::UpdateSchedule pick_schedule(const std::string& name) {
+  if (name == "receiver") return locus::UpdateSchedule::receiver(1, 30);
+  if (name == "sender") return locus::UpdateSchedule::sender(2, 5);
+  throw std::invalid_argument("unknown schedule '" + name +
+                              "' (valid: receiver | sender)");
+}
+
+/// Value of an integer flag that must lie in [lo, hi].
+std::int32_t bounded_flag(const locus::Cli& cli, const std::string& name,
+                          std::int64_t lo, std::int64_t hi) {
+  const std::int64_t v = cli.get_int(name);
+  if (v < lo || v > hi) {
+    throw std::invalid_argument("--" + name + "=" + cli.get(name) + " out of range " +
+                                std::to_string(lo) + ".." + std::to_string(hi));
   }
-  return locus::make_bnre_like();
+  return static_cast<std::int32_t>(v);
 }
 
 /// Writes the CSV/JSON outputs requested on the command line and prints the
@@ -55,6 +67,56 @@ int emit(const locus::obs::Obs& obs, const std::string& metrics_path,
   return 0;
 }
 
+int run(const locus::Cli& cli) {
+  const std::string mode = cli.positional()[0];
+  if (mode != "mp" && mode != "shm") {
+    throw std::invalid_argument("unknown mode '" + mode + "' (valid: mp | shm)");
+  }
+  const locus::UpdateSchedule schedule = pick_schedule(cli.get("schedule"));
+  // The shm replay's coherence model tracks at most 32 caches.
+  const std::int32_t procs = bounded_flag(cli, "procs", 1, mode == "shm" ? 32 : 1 << 20);
+  const std::int32_t iterations = bounded_flag(cli, "iterations", 1, 1 << 20);
+  const locus::Circuit circuit = locus::make_named_circuit(cli.get("circuit"));
+  const std::string trace_path = cli.get("trace");
+  const std::string metrics_path = cli.get("metrics");
+
+  locus::ExperimentConfig config;
+  config.procs = procs;
+  config.iterations = iterations;
+
+  locus::obs::ObsOptions opt;
+  opt.trace = !trace_path.empty();
+  opt.hop_detail = cli.get_bool("hop-detail");
+  locus::obs::Obs obs(opt);
+
+  if (mode == "mp") {
+    const locus::Partition partition(circuit.channels(), circuit.grids(),
+                                     locus::MeshShape::for_procs(procs));
+    const locus::Assignment assignment = make_assignment(
+        circuit, partition, locus::AssignMethod::kThreshold1000);
+    locus::MpConfig mp_config = config.mp(schedule);
+    mp_config.obs = &obs;
+    const locus::MpRunResult r =
+        run_message_passing(circuit, partition, assignment, mp_config);
+    std::fprintf(stderr, "mp %s on %s: height=%lld bytes=%llu time=%.3fs\n",
+                 cli.get("schedule").c_str(), circuit.name().c_str(),
+                 static_cast<long long>(r.circuit_height),
+                 static_cast<unsigned long long>(r.bytes_transferred),
+                 r.seconds());
+    return emit(obs, metrics_path, trace_path);
+  }
+  locus::ShmConfig shm_config = config.shm();
+  shm_config.obs = &obs;
+  const locus::ShmRunResult r = run_shared_memory(circuit, shm_config);
+  locus::CoherenceSim sim(procs, locus::CoherenceParams{});
+  sim.replay(r.trace);
+  sim.publish_obs(obs);
+  std::fprintf(stderr, "shm on %s: height=%lld refs=%zu time=%.3fs\n",
+               circuit.name().c_str(), static_cast<long long>(r.circuit_height),
+               r.trace.size(), r.seconds());
+  return emit(obs, metrics_path, trace_path);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -68,70 +130,13 @@ int main(int argc, char** argv) {
   cli.flag("hop-detail", "per-hop trace instants (voluminous)", "false");
   if (!cli.parse(argc, argv)) return 1;
   if (cli.positional().empty()) {
-    std::fprintf(stderr, "usage: obs_tool mp|shm|summary [flags]\n");
+    std::fprintf(stderr, "usage: obs_tool mp|shm [flags]\n");
     return 1;
   }
-
-  const std::string mode = cli.positional()[0];
-  const locus::Circuit circuit = pick_circuit(cli.get("circuit"));
-  const auto procs = static_cast<std::int32_t>(cli.get_int("procs"));
-  const auto iterations = static_cast<std::int32_t>(cli.get_int("iterations"));
-  const std::string trace_path = cli.get("trace");
-  const std::string metrics_path = cli.get("metrics");
-
-#if !LOCUS_OBS_ENABLED
-  std::fprintf(stderr,
-               "warning: built with LOCUS_OBS=OFF; all counters will be zero\n");
-#endif
-
-  locus::ExperimentConfig config;
-  config.procs = procs;
-  config.iterations = iterations;
-
-  if (mode == "summary") {
-    const locus::Table t = run_obs_traffic_summary(circuit, config);
-    std::printf("obs vs engine statistics on %s, %d procs:\n%s",
-                circuit.name().c_str(), procs, t.render().c_str());
-    return 0;
+  try {
+    return run(cli);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "obs_tool: %s\n", e.what());
+    return 1;
   }
-
-  locus::obs::ObsOptions opt;
-  opt.trace = !trace_path.empty();
-  opt.hop_detail = cli.get_bool("hop-detail");
-
-  if (mode == "mp") {
-    locus::obs::Obs obs(opt);
-    const locus::Partition partition(circuit.channels(), circuit.grids(),
-                                     locus::MeshShape::for_procs(procs));
-    const locus::Assignment assignment = make_assignment(
-        circuit, partition, locus::AssignMethod::kThreshold1000);
-    const locus::UpdateSchedule schedule =
-        cli.get("schedule") == "sender" ? locus::UpdateSchedule::sender(2, 5)
-                                        : locus::UpdateSchedule::receiver(1, 30);
-    locus::MpConfig mp_config = config.mp(schedule);
-    mp_config.obs = &obs;
-    const locus::MpRunResult r =
-        run_message_passing(circuit, partition, assignment, mp_config);
-    std::fprintf(stderr, "mp %s on %s: height=%lld bytes=%llu time=%.3fs\n",
-                 cli.get("schedule").c_str(), circuit.name().c_str(),
-                 static_cast<long long>(r.circuit_height),
-                 static_cast<unsigned long long>(r.bytes_transferred),
-                 r.seconds());
-    return emit(obs, metrics_path, trace_path);
-  }
-  if (mode == "shm") {
-    locus::obs::Obs obs(opt);
-    locus::ShmConfig shm_config = config.shm();
-    shm_config.obs = &obs;
-    const locus::ShmRunResult r = run_shared_memory(circuit, shm_config);
-    locus::CoherenceSim sim(procs, locus::CoherenceParams{});
-    sim.replay(r.trace);
-    sim.publish_obs(obs);
-    std::fprintf(stderr, "shm on %s: height=%lld refs=%zu time=%.3fs\n",
-                 circuit.name().c_str(), static_cast<long long>(r.circuit_height),
-                 r.trace.size(), r.seconds());
-    return emit(obs, metrics_path, trace_path);
-  }
-  std::fprintf(stderr, "unknown mode '%s'\n", mode.c_str());
-  return 1;
 }

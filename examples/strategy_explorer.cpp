@@ -6,6 +6,7 @@
 //         (--send-loc=10 --assign=tc1000 --circuit=bnre ...)
 //   $ ./examples/strategy_explorer --paradigm=shm --procs=16 --line-size=8
 #include <cstdio>
+#include <stdexcept>
 #include <string>
 
 #include "assign/locality.hpp"
@@ -20,10 +21,11 @@
 namespace {
 
 locus::Circuit pick_circuit(const std::string& name) {
-  if (name == "bnre") return locus::make_bnre_like();
-  if (name == "mdc") return locus::make_mdc_like();
-  if (name == "tiny") return locus::make_tiny_test_circuit();
-  return locus::read_circuit_file(name);  // treat as a .ckt path
+  try {
+    return locus::make_named_circuit(name);
+  } catch (const std::invalid_argument&) {
+    return locus::read_circuit_file(name);  // treat as a .ckt path
+  }
 }
 
 locus::AssignMethod pick_method(const std::string& name) {

@@ -27,6 +27,23 @@ std::optional<locus::ProtocolKind> parse_protocol(const std::string& name) {
   return std::nullopt;
 }
 
+/// Routes the named circuit on the shm executor and writes its trace.
+int collect(const std::string& circuit_name, std::int32_t procs,
+            const std::string& out) {
+  if (procs < 1) throw std::invalid_argument("--procs must be at least 1");
+  const locus::Circuit circuit = locus::make_named_circuit(circuit_name);
+  locus::ShmConfig config;
+  config.procs = procs;
+  const locus::Partition partition(circuit.channels(), circuit.grids(),
+                                   locus::MeshShape::for_procs(procs));
+  config.assignment = assign_threshold_cost(circuit, partition, 1000);
+  locus::ShmRunResult r = run_shared_memory(circuit, config);
+  locus::write_trace_file(out, r.trace);
+  std::printf("collected %zu shared references from %s (%d procs) into %s\n",
+              r.trace.size(), circuit.name().c_str(), procs, out.c_str());
+  return 0;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -46,22 +63,12 @@ int main(int argc, char** argv) {
   const std::string mode = cli.positional()[0];
 
   if (mode == "collect") {
-    locus::Circuit circuit = cli.get("circuit") == "mdc"
-                                 ? locus::make_mdc_like()
-                             : cli.get("circuit") == "tiny"
-                                 ? locus::make_tiny_test_circuit()
-                                 : locus::make_bnre_like();
-    locus::ShmConfig config;
-    config.procs = procs;
-    const locus::Partition partition(circuit.channels(), circuit.grids(),
-                                     locus::MeshShape::for_procs(procs));
-    config.assignment = assign_threshold_cost(circuit, partition, 1000);
-    locus::ShmRunResult r = run_shared_memory(circuit, config);
-    locus::write_trace_file(cli.get("out"), r.trace);
-    std::printf("collected %zu shared references from %s (%d procs) into %s\n",
-                r.trace.size(), circuit.name().c_str(), procs,
-                cli.get("out").c_str());
-    return 0;
+    try {
+      return collect(cli.get("circuit"), procs, cli.get("out"));
+    } catch (const std::invalid_argument& e) {
+      std::fprintf(stderr, "collect: %s\n", e.what());
+      return 1;
+    }
   }
 
   if (mode == "analyze") {

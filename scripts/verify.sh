@@ -21,8 +21,8 @@
 #                                 # + pool determinism gate: table benches must
 #                                 # emit identical rows at --threads=1 and =4
 #   scripts/verify.sh --obs       # tier-1 + observability smoke: trace +
-#                                 # metrics export and the obs-vs-engine
-#                                 # cross-check table via examples/obs_tool
+#                                 # metrics export via examples/obs_tool, and
+#                                 # its rejection of bad input (exit != 0)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -158,13 +158,19 @@ if [[ "$RUN_CHECK" == 1 ]]; then
 fi
 
 # Optional observability smoke: export a Chrome trace + metrics CSV, check
-# the trace parses as JSON, and run the obs-vs-engine cross-check table.
+# the trace parses as JSON, and check that a bogus circuit, schedule or
+# processor count each exits non-zero.
 if [[ "$RUN_OBS" == 1 ]]; then
   OBS_OUT=/tmp/locus-obs
   mkdir -p "$OBS_OUT"
   ./examples/obs_tool mp --circuit=tiny --procs=4 \
     --trace="$OBS_OUT/trace.json" --metrics="$OBS_OUT/metrics.csv" >/dev/null
   python3 -c "import json,sys; json.load(open(sys.argv[1]))" "$OBS_OUT/trace.json"
-  ./examples/obs_tool summary --circuit=tiny --procs=4
+  for bad in --circuit=bogus --schedule=bogus --procs=0; do
+    if ./examples/obs_tool mp --circuit=tiny "$bad" >/dev/null 2>&1; then
+      echo "FAIL: obs_tool accepted $bad" >&2
+      exit 1
+    fi
+  done
   echo "obs artifacts: $OBS_OUT/trace.json $OBS_OUT/metrics.csv"
 fi

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
 #include <vector>
 
 #include "support/assert.hpp"
@@ -187,6 +188,13 @@ Circuit make_tiny_test_circuit(std::uint64_t seed) {
   p.local_span_mean = 6.0;
   p.max_pins = 4;
   return generate_circuit(p);
+}
+
+Circuit make_named_circuit(const std::string& name) {
+  if (name == "bnre") return make_bnre_like();
+  if (name == "mdc") return make_mdc_like();
+  if (name == "tiny") return make_tiny_test_circuit();
+  throw std::invalid_argument("unknown circuit '" + name + "' (valid: bnre | mdc | tiny)");
 }
 
 }  // namespace locus

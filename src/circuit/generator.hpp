@@ -52,4 +52,8 @@ Circuit make_tiny_test_circuit(std::uint64_t seed = 7);
 /// 18 channels x 900 grids) for scaling studies past 16 processors.
 Circuit make_industrial_like();
 
+/// The circuit a command line names: "bnre", "mdc" or "tiny" (seed 7).
+/// Throws std::invalid_argument naming the valid choices for any other name.
+Circuit make_named_circuit(const std::string& name);
+
 }  // namespace locus

@@ -19,7 +19,6 @@
 #include "harness/paper_data.hpp"
 #include "harness/sim_pool.hpp"
 #include "msg/packets.hpp"
-#include "obs/obs.hpp"
 #include "route/sequential.hpp"
 #include "shm/numa.hpp"
 #include "support/assert.hpp"
@@ -1152,79 +1151,6 @@ Table run_ablation_topology(const Circuit& circuit, const ExperimentConfig& conf
         .cell(r.mbytes(), 3)
         .cell(static_cast<unsigned long long>(r.network.byte_hops))
         .cell(r.seconds(), 3).cell(mean_latency_us, 1);
-  }
-  return t;
-}
-
-Table run_obs_traffic_summary(const Circuit& circuit,
-                              const ExperimentConfig& config) {
-  Table t;
-  t.column("metric", Align::kLeft).column("obs counter").column("engine stat")
-      .column("match", Align::kLeft);
-  auto row = [&t](const char* name, std::uint64_t o, std::uint64_t e) {
-    t.row().cell(name).cell(static_cast<unsigned long long>(o))
-        .cell(static_cast<unsigned long long>(e))
-        .cell(o == e ? "yes" : "NO");
-  };
-
-  // Two pool jobs, each with its own obs::Obs (per-job registries — no
-  // shard is ever shared across jobs); the cross-check rows read the
-  // registries after the join.
-  obs::Obs mp_obs;
-  std::optional<MpRunResult> mp_run;
-  obs::Obs shm_obs_sink;
-  std::optional<ShmRunResult> shm_run;
-  std::optional<CoherenceTraffic> coh_traffic;
-  SimPool().run_all({
-      // MP receiver-initiated run with the obs layer attached: every
-      // counter must agree with the statistic the engine already keeps.
-      {"obs:mp", [&] {
-         const Partition partition(circuit.channels(), circuit.grids(),
-                                   MeshShape::for_procs(config.procs));
-         const Assignment assignment =
-             make_assignment(circuit, partition, kBaselineAssign);
-         MpConfig mp_config = config.mp(UpdateSchedule::receiver(1, 30));
-         mp_config.obs = &mp_obs;
-         mp_run.emplace(
-             run_message_passing(circuit, partition, assignment, mp_config));
-       }},
-      // Deterministic shm run plus a coherence replay of its reference
-      // trace.
-      {"obs:shm", [&] {
-         ShmConfig shm_config = config.shm();
-         shm_config.obs = &shm_obs_sink;
-         shm_run.emplace(run_shared_memory(circuit, shm_config));
-         CoherenceSim sim(config.procs, CoherenceParams{});
-         sim.replay(shm_run->trace);
-         sim.publish_obs(shm_obs_sink);
-         coh_traffic.emplace(sim.traffic());
-       }},
-  });
-
-  {
-    const MpRunResult& r = *mp_run;
-    auto& reg = mp_obs.counters();
-    row("net.packets", reg.total("net.packets"), r.network.packets);
-    row("net.bytes", reg.total("net.bytes"), r.network.bytes);
-    row("net.byte_hops", reg.total("net.byte_hops"), r.network.byte_hops);
-    row("mp.wires_routed", reg.total("mp.wires_routed"),
-        static_cast<std::uint64_t>(r.work.wires_routed));
-    row("mp.updates_suppressed", reg.total("mp.updates_suppressed"),
-        static_cast<std::uint64_t>(r.updates_suppressed));
-  }
-
-  t.separator();
-
-  {
-    const ShmRunResult& r = *shm_run;
-    auto& reg = shm_obs_sink.counters();
-    row("shm.wires_routed", reg.total("shm.wires_routed"),
-        static_cast<std::uint64_t>(r.work.wires_routed));
-    row("shm.trace_refs", reg.total("shm.trace_refs"), r.trace.size());
-    row("coh.accesses", reg.total(obs::CoherenceObsNames::kAccesses),
-        coh_traffic->accesses);
-    row("coh.total_bytes", reg.total(obs::CoherenceObsNames::kTotalBytes),
-        coh_traffic->total_bytes());
   }
   return t;
 }

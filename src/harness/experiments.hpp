@@ -259,14 +259,6 @@ Table run_ablation_cache_size(const Circuit& circuit,
 /// MP) across independently seeded synthetic circuits.
 Table run_seed_robustness(const ExperimentConfig& config = {});
 
-// --- O1: observability layer (src/obs) ---
-/// Runs one MP receiver-initiated run and one shm run (plus a coherence
-/// replay) with the obs layer attached and tabulates each obs counter next
-/// to the engine's own statistic. Every row must match exactly — the obs
-/// layer observes the same events the engines already count.
-Table run_obs_traffic_summary(const Circuit& circuit,
-                              const ExperimentConfig& config = {});
-
 // --- C1/C2/C3: checking subsystem (src/check) ---
 /// Differential oracle: sequential vs shm vs the four message passing
 /// schedules, with legality, quality-band, and view-consistency verdicts.

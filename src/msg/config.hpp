@@ -19,7 +19,6 @@
 #include "geom/partition.hpp"
 #include "grid/tile_grid.hpp"
 #include "msg/transport.hpp"
-#include "obs/obs.hpp"
 #include "route/cost_model.hpp"
 #include "route/router.hpp"
 #include "sim/link_cost.hpp"
@@ -29,6 +28,9 @@ namespace locus {
 
 struct FaultPlan;  // sim/fault.hpp
 class MpObserver;  // msg/observer.hpp
+namespace obs {
+class Obs;  // obs/obs.hpp
+}  // namespace obs
 
 /// How wires reach processors (paper §4.2). The paper evaluates only the
 /// static ThresholdCost assignment because "CBS does not support the notion
@@ -182,9 +184,10 @@ struct MpConfig {
   /// checkers; hooks fire synchronously inside the DES. Not owned.
   MpObserver* observer = nullptr;
   /// Optional observability sink (src/obs). When set, the driver wires the
-  /// machine (event queue, network, compute spans) and every RouterNode
-  /// (per-packet-kind traffic counters, rip-ups, route spans) to it. Not
-  /// owned; must outlive the run.
+  /// per-event histograms and trace spans of the machine (event queue,
+  /// network, compute spans) and every RouterNode (route spans) to it, and
+  /// publishes the run's finished stats as counters at its end. Not owned;
+  /// must outlive the run.
   obs::Obs* obs = nullptr;
 
   /// Throws std::invalid_argument, naming the field and its value, when

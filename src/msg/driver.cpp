@@ -44,6 +44,77 @@ void MpConfig::validate(std::int32_t procs) const {
   }
 }
 
+namespace {
+
+/// Publishes a finished run's statistics into the obs registry, once. Every
+/// counter is a copy of a field the engine keeps for its own reporting, so
+/// the two cannot disagree; the transport counters exist only for runs
+/// that had one.
+void publish_obs(obs::Obs& o, const MpRunResult& r, bool transport) {
+  obs::CounterRegistry& reg = o.counters();
+  const auto put = [&reg](const std::string& name, auto value) {
+    reg.add(reg.counter(name), static_cast<std::uint64_t>(value));
+  };
+  put("net.packets", r.network.packets);
+  put("net.bytes", r.network.bytes);
+  put("net.byte_hops", r.network.byte_hops);
+  put("net.hops", r.network.hops);
+  put("net.link_wait_ns", r.network.total_link_wait_ns);
+  put("net.dup_deliveries", r.network.duplicate_deliveries);
+  for (const auto& [type, bytes] : r.network.bytes_by_type) {
+    put(std::string("net.bytes_by_type.") + msg_kind_name(type), bytes);
+  }
+  // Per-link interconnect usage from the active cost model: total bytes
+  // across all directed links (== net.byte_hops — the conservation law),
+  // backpressure/contention stalls, and a utilization histogram in permille
+  // over the links that carried traffic.
+  std::uint64_t link_bytes_total = 0;
+  for (std::uint64_t b : r.link_bytes) link_bytes_total += b;
+  put("net.link_bytes_total", link_bytes_total);
+  put("net.link_stalls", r.link_usage.stalls);
+  put("net.link_stall_ns", r.link_usage.stall_ns);
+  const obs::MetricId util_hist = reg.histogram("net.link_util_permille");
+  for (std::size_t link = 0; link < r.link_bytes.size(); ++link) {
+    if (r.link_bytes[link] == 0) continue;
+    const double u =
+        LinkCostModel::utilization_of(r.link_busy_ns[link], r.machine.drain_time);
+    reg.observe(util_hist, static_cast<std::uint64_t>(u * 1000.0));
+  }
+  put("sim.events", r.machine.events);
+  put("route.routes_evaluated", r.work.routes_evaluated);
+  put("route.probes", r.work.probes);
+  put("mp.wires_routed", r.work.wires_routed);
+  put("mp.cells_committed", r.work.cells_committed);
+  put("mp.ripups", r.work.ripups);
+  put("mp.updates_suppressed", r.updates_suppressed);
+  put("mp.dyn.grants", r.grants_issued);
+  put("mp.dyn.grant_wires", r.grant_wires);
+  put("mp.dyn.affinity_hits", r.affinity_grants);
+  for (std::size_t k = 0; k < kMsgKinds; ++k) {
+    const std::string kind = kMsgKindNames[k];
+    put("mp.sent." + kind, r.sent_by_kind[k].packets);
+    put("mp.sent_bytes." + kind, r.sent_by_kind[k].bytes);
+    put("mp.recv." + kind, r.received_by_kind[k].packets);
+    put("mp.recv_bytes." + kind, r.received_by_kind[k].bytes);
+  }
+  put("grid.view_resident_cells", r.view_resident_cells);
+  put("grid.view_resident_bytes", r.view_resident_bytes);
+  if (transport) {
+    put("mp.retx", r.transport.retransmits);
+    put("mp.retx_bytes", r.transport.retransmit_bytes);
+    put("mp.dup_dropped", r.transport.dup_dropped);
+    put("mp.ack_bytes", r.transport.ack_bytes);
+    put("mp.acks_sent", r.transport.acks_sent);
+    put("mp.piggyback_acks", r.transport.piggyback_acks);
+    put("mp.wire_losses", r.transport.wire_losses);
+    put("mp.out_of_order", r.transport.out_of_order);
+    put("mp.gave_up", r.transport.gave_up);
+    put("mp.window_stalls", r.transport.window_stalls);
+  }
+}
+
+}  // namespace
+
 MpRunResult run_message_passing(const Circuit& circuit, const Partition& partition,
                                 const Assignment& assignment,
                                 const MpConfig& config) {
@@ -79,11 +150,10 @@ MpRunResult run_message_passing(const Circuit& circuit, const Partition& partiti
   }
 
   MpShared shared(circuit);
-  LOCUS_OBS_HOOK(if (config.obs != nullptr) {
+  if (config.obs != nullptr) {
     machine.set_obs(config.obs);
-    shared.node_obs.bind(config.obs);
-    shared.explorer_obs.bind(config.obs);
-  });
+    shared.route_spans.bind(config.obs);
+  }
   shared.final_routes.resize(static_cast<std::size_t>(circuit.num_wires()));
   shared.occupancy.assign(static_cast<std::size_t>(partition.num_regions()), 0);
   shared.work.assign(static_cast<std::size_t>(partition.num_regions()), {});
@@ -114,39 +184,12 @@ MpRunResult run_message_passing(const Circuit& circuit, const Partition& partiti
   result.network = machine.network().stats();
   result.link_usage = machine.network().link_usage(result.machine.drain_time);
   result.link_bytes = machine.network().link_cost().link_bytes();
+  result.link_busy_ns = machine.network().link_cost().link_busy_ns();
   result.faults = machine.fault_stats();
   if (transport != nullptr) {
     transport->finalize();  // asserts the conservation ledger balances
     result.transport = transport->stats();
-    LOCUS_OBS_HOOK(transport->publish_obs(config.obs));
   }
-  LOCUS_OBS_HOOK(if (config.obs != nullptr) {
-    // Per-packet-kind on-wire byte totals, published once from the
-    // network's tally under symbolic kind names.
-    auto& reg = config.obs->counters();
-    for (const auto& [type, bytes] : result.network.bytes_by_type) {
-      reg.add(reg.counter(std::string("net.bytes_by_type.") + obs::msg_kind_name(type)),
-              bytes);
-    }
-    // Per-link interconnect usage from the active cost model: total bytes
-    // across all directed links (== net.byte_hops — the conservation law),
-    // backpressure/contention stalls, and a utilization histogram in
-    // permille over the links that carried traffic.
-    std::uint64_t link_bytes_total = 0;
-    for (std::uint64_t b : result.link_bytes) link_bytes_total += b;
-    reg.add(reg.counter("net.link_bytes_total"), link_bytes_total);
-    reg.add(reg.counter("net.link_stalls"), result.link_usage.stalls);
-    reg.add(reg.counter("net.link_stall_ns"),
-            static_cast<std::uint64_t>(result.link_usage.stall_ns));
-    const auto util_hist = reg.histogram("net.link_util_permille");
-    const LinkCostModel& cost = machine.network().link_cost();
-    for (std::size_t link = 0; link < result.link_bytes.size(); ++link) {
-      if (result.link_bytes[link] == 0) continue;
-      const double u = cost.utilization(static_cast<std::int32_t>(link),
-                                        result.machine.drain_time);
-      reg.observe(util_hist, static_cast<std::uint64_t>(u * 1000.0));
-    }
-  });
   if (config.observer != nullptr) {
     config.observer->on_run_end(run_view);
   }
@@ -170,6 +213,8 @@ MpRunResult run_message_passing(const Circuit& circuit, const Partition& partiti
   result.grants_issued = shared.grants_issued;
   result.grant_wires = shared.grant_wires;
   result.affinity_grants = shared.affinity_grants;
+  result.sent_by_kind = shared.sent;
+  result.received_by_kind = shared.received;
   result.routed_per_proc.reserve(shared.work.size());
   for (const RouteWorkStats& w : shared.work) {
     result.routed_per_proc.push_back(w.wires_routed);
@@ -236,13 +281,6 @@ MpRunResult run_message_passing(const Circuit& circuit, const Partition& partiti
   }
   result.view_resident_cells = view_resident_cells;
   result.view_resident_bytes = view_resident_bytes;
-  LOCUS_OBS_HOOK(if (config.obs != nullptr) {
-    auto& reg = config.obs->counters();
-    reg.add(reg.counter("grid.view_resident_cells"),
-            static_cast<std::uint64_t>(view_resident_cells));
-    reg.add(reg.counter("grid.view_resident_bytes"),
-            static_cast<std::uint64_t>(view_resident_bytes));
-  });
   result.view_staleness =
       static_cast<double>(total_error) /
       static_cast<double>(cells * partition.num_regions());
@@ -251,6 +289,7 @@ MpRunResult run_message_passing(const Circuit& circuit, const Partition& partiti
                      : static_cast<double>(own_error) / static_cast<double>(own_cells);
 
   result.routes = std::move(shared.final_routes);
+  if (config.obs != nullptr) publish_obs(*config.obs, result, config.transport.enabled);
   return result;
 }
 

@@ -39,6 +39,10 @@ struct MpRunResult {
   std::int64_t grants_issued = 0;    ///< extended protocol only
   std::int64_t grant_wires = 0;      ///< extended protocol only
   std::int64_t affinity_grants = 0;  ///< GrantPolicy::kLocality only
+  /// Packets and application bytes per message kind (msg_kind_index), as
+  /// the nodes handed them to the network and as they were delivered.
+  KindTally sent_by_kind{};
+  KindTally received_by_kind{};
   /// Wires routed by each processor in total (all iterations) — the load
   /// balance the scale sweep reports alongside routes/sec.
   std::vector<std::int64_t> routed_per_proc;
@@ -51,6 +55,9 @@ struct MpRunResult {
   /// Bytes that crossed each directed link (data + control). Sums exactly
   /// to network.byte_hops under every cost model and topology.
   std::vector<std::uint64_t> link_bytes;
+  /// Busy time of each directed link; over machine.drain_time it is the
+  /// link's utilization (LinkCostModel::utilization_of).
+  std::vector<SimTime> link_busy_ns;
   std::vector<WireRoute> routes;        ///< final routing, indexed by wire id
 
   /// Mean absolute error of the processors' final cost-array views against

@@ -15,17 +15,6 @@ namespace {
 /// Cap on resident-region ids carried by one extended wire request.
 constexpr std::size_t kResidentSummaryCap = 32;
 
-/// Points the explorer at the shared routing-work counters when the run is
-/// instrumented (MpShared::explorer_obs is bound before node construction).
-RouterParams with_explorer_obs(RouterParams params, const MpShared& shared) {
-#if LOCUS_OBS_ENABLED
-  if (shared.explorer_obs) params.explorer.obs = &shared.explorer_obs;
-#else
-  static_cast<void>(shared);
-#endif
-  return params;
-}
-
 /// Dense view at paper scale; sparse tiles when sharding is on. The node's
 /// own region is pinned resident up front — it receives every remote delta
 /// and must answer absolute requests from wire 0.
@@ -66,7 +55,7 @@ RouterNode::RouterNode(const Circuit& circuit, const Partition& partition,
       view_(make_view(circuit, partition, config, self)),
       delta_(make_delta(partition, config)),
       view_with_delta_(*view_, delta_),
-      router_(circuit.channels(), with_explorer_obs(config.router, shared)),
+      router_(circuit.channels(), config.router),
       touch_count_(static_cast<std::size_t>(partition.num_regions()), 0),
       interest_bbox_(static_cast<std::size_t>(partition.num_regions())),
       req_rmt_received_(static_cast<std::size_t>(partition.num_regions()), 0),
@@ -106,12 +95,9 @@ void RouterNode::on_packet(NodeApi& api, const Packet& packet) {
       tm.msg_fixed_ns + static_cast<SimTime>(packet.bytes) * tm.unpack_byte_ns;
   api.advance(unpack_cost);
   breakdown().msg_software_ns += unpack_cost;
-  LOCUS_OBS_HOOK(if (shared_.node_obs) {
-    const obs::MpNodeObs& o = shared_.node_obs;
-    const std::size_t k = obs::msg_kind_index(packet.type);
-    o.obs->counters().add(o.received[k]);
-    o.obs->counters().add(o.received_bytes[k], static_cast<std::uint64_t>(packet.bytes));
-  });
+  KindTraffic& received = shared_.received[msg_kind_index(packet.type)];
+  ++received.packets;
+  received.bytes += static_cast<std::uint64_t>(packet.bytes);
 
   switch (packet.type) {
     case kMsgSendLocData:
@@ -198,9 +184,6 @@ void RouterNode::on_packet(NodeApi& api, const Packet& packet) {
           break;
         }
         ++shared_.updates_suppressed;
-        LOCUS_OBS_HOOK(if (shared_.node_obs) {
-          shared_.node_obs.obs->counters().add(shared_.node_obs.updates_suppressed);
-        });
         break;
       }
       if (auto extract = delta_.extract_region(request.region)) {
@@ -211,9 +194,6 @@ void RouterNode::on_packet(NodeApi& api, const Packet& packet) {
                          std::move(extract->values));
       } else {
         ++shared_.updates_suppressed;
-        LOCUS_OBS_HOOK(if (shared_.node_obs) {
-          shared_.node_obs.obs->counters().add(shared_.node_obs.updates_suppressed);
-        });
       }
       break;
     }
@@ -327,18 +307,16 @@ SimTime RouterNode::route_wire_id(NodeApi& api, WireId wire_id,
   const Wire& wire = circuit_.wire(wire_id);
   WireRoute& slot = shared_.final_routes[static_cast<std::size_t>(wire_id)];
 
+  RouteWorkStats& work = shared_.work[static_cast<std::size_t>(self_)];
   SimTime cost = 0;
   if (slot.routed()) {
     WireRouter::rip_up(slot, view_with_delta_);
     WireRouter::rip_up(slot, shared_.truth);
     cost += static_cast<SimTime>(slot.cells.size()) * tm.commit_ns;
     note_route_segments(slot);
-    LOCUS_OBS_HOOK(if (shared_.node_obs) {
-      shared_.node_obs.obs->counters().add(shared_.node_obs.ripups);
-    });
+    ++work.ripups;
   }
 
-  RouteWorkStats& work = shared_.work[static_cast<std::size_t>(self_)];
   const RouteWorkStats before = work;
   slot = router_.route_wire(wire, view_with_delta_, work);
   cost += tm.routing_time_ns(work.probes - before.probes,
@@ -346,22 +324,13 @@ SimTime RouterNode::route_wire_id(NodeApi& api, WireId wire_id,
   note_route_segments(slot);
 
   if (charge_now) {
-    LOCUS_OBS_HOOK(if (shared_.node_obs) {
-      const obs::MpNodeObs& o = shared_.node_obs;
-      if (obs::TraceSink* t = o.obs->trace()) {
-        // The span covers the rip-up + re-route compute about to be charged.
-        t->complete(self_, o.cat_route, o.n_route, api.now(), cost, o.a_wire,
-                    wire_id, o.a_iteration, iteration);
-      }
-    });
+    if (shared_.route_spans) {
+      // The span covers the rip-up + re-route compute about to be charged.
+      shared_.route_spans.span(self_, api.now(), cost, wire_id, iteration);
+    }
     api.advance(cost);
     breakdown().routing_ns += cost;
   }
-  LOCUS_OBS_HOOK(if (shared_.node_obs) {
-    const obs::MpNodeObs& o = shared_.node_obs;
-    o.obs->counters().add(o.wires_routed);
-    o.obs->counters().add(o.cells_committed, slot.cells.size());
-  });
 
   // Price the chosen path against the global oracle *before* committing it
   // there (measurement only — see MpShared::truth).
@@ -583,10 +552,6 @@ RouterNode::TakeStatus RouterNode::take_wires_ext(
       }
       if (tier == WireAffinityIndex::Tier::kResident) {
         shared_.affinity_grants += got;
-        LOCUS_OBS_HOOK(if (shared_.node_obs) {
-          shared_.node_obs.obs->counters().add(shared_.node_obs.affinity_hits,
-                                               static_cast<std::uint64_t>(got));
-        });
       }
       // One donor bucket per grant: a short batch is preferable to
       // spilling the requester's footprint into a second region.
@@ -617,11 +582,6 @@ void RouterNode::send_grant_ext(NodeApi& api, ProcId dst,
   outstanding_wires_ += count;
   ++shared_.grants_issued;
   shared_.grant_wires += count;
-  LOCUS_OBS_HOOK(if (shared_.node_obs) {
-    const obs::MpNodeObs& o = shared_.node_obs;
-    o.obs->counters().add(o.grants);
-    o.obs->counters().add(o.grant_wires, static_cast<std::uint64_t>(count));
-  });
 }
 
 void RouterNode::drain_pending_grants_ext(NodeApi& api) {
@@ -775,9 +735,6 @@ void RouterNode::fire_sender_updates(NodeApi& api) {
         segments_changed_[static_cast<std::size_t>(self_)] = 0;
       } else {
         ++shared_.updates_suppressed;
-        LOCUS_OBS_HOOK(if (shared_.node_obs) {
-          shared_.node_obs.obs->counters().add(shared_.node_obs.updates_suppressed);
-        });
       }
       return;
     }
@@ -797,9 +754,6 @@ void RouterNode::fire_sender_updates(NodeApi& api) {
       segments_changed_[static_cast<std::size_t>(self_)] = 0;
     } else {
       ++shared_.updates_suppressed;
-      LOCUS_OBS_HOOK(if (shared_.node_obs) {
-        shared_.node_obs.obs->counters().add(shared_.node_obs.updates_suppressed);
-      });
     }
   }
 }
@@ -850,11 +804,6 @@ void RouterNode::send_batched_update(NodeApi& api, ProcId dst, std::int32_t type
       config_.observer->on_delta_sent(self_, region, block.bbox, block.values);
     }
   }
-  LOCUS_OBS_HOOK(if (shared_.node_obs) {
-    const obs::MpNodeObs& o = shared_.node_obs;
-    o.obs->counters().add(o.batched_updates);
-    o.obs->counters().add(o.batched_blocks, static_cast<std::uint64_t>(blocks.size()));
-  });
   auto [payload, payload_data] = make_payload<RegionUpdatePayload>();
   payload_data->region = region;
   payload_data->bbox = bbox;

@@ -27,6 +27,7 @@
 #include "msg/config.hpp"
 #include "msg/packets.hpp"
 #include "msg/view.hpp"
+#include "obs/obs.hpp"
 #include "route/cost_view.hpp"
 #include "route/router.hpp"
 #include "sim/machine.hpp"
@@ -82,12 +83,11 @@ struct MpShared {
   std::int64_t grants_issued = 0;    ///< grant packets the queue owner sent
   std::int64_t grant_wires = 0;      ///< wires carried by those grants
   std::int64_t affinity_grants = 0;  ///< wires taken from a resident bucket
-  /// Bound by the driver when MpConfig::obs is set (the DES is sequential,
-  /// so one registry serves every node); unbound otherwise.
-  obs::MpNodeObs node_obs;
-  /// Routing-work counters for every node's explorer; must be bound before
-  /// the nodes are constructed (each WireRouter captures the pointer).
-  obs::ExplorerObs explorer_obs;
+  KindTally sent{};      ///< per message kind, as handed to the network
+  KindTally received{};  ///< per message kind, as delivered to a node
+  /// Per-wire route spans; bound by the driver when MpConfig::obs traces
+  /// (the DES is sequential, so one sink serves every node).
+  obs::RouteSpanObs route_spans;
 };
 
 class RouterNode final : public Node {
@@ -164,16 +164,11 @@ class RouterNode final : public Node {
   void note_route_segments(const WireRoute& route);
   TimeBreakdown& breakdown();
 
-  /// Per-kind sent-traffic counters (no-op unless observability is bound).
+  /// Per-kind sent-traffic tally.
   void note_sent(std::int32_t type, std::int32_t bytes) {
-    static_cast<void>(type);
-    static_cast<void>(bytes);
-    LOCUS_OBS_HOOK(if (shared_.node_obs) {
-      const obs::MpNodeObs& o = shared_.node_obs;
-      const std::size_t k = obs::msg_kind_index(type);
-      o.obs->counters().add(o.sent[k]);
-      o.obs->counters().add(o.sent_bytes[k], static_cast<std::uint64_t>(bytes));
-    });
+    KindTraffic& k = shared_.sent[msg_kind_index(type)];
+    ++k.packets;
+    k.bytes += static_cast<std::uint64_t>(bytes);
   }
 
   const Circuit& circuit_;

@@ -6,6 +6,20 @@
 
 namespace locus {
 
+std::size_t msg_kind_index(std::int32_t type) {
+  switch (type) {
+    case kMsgSendLocData: return 0;
+    case kMsgSendRmtData: return 1;
+    case kMsgReqLocData: return 2;
+    case kMsgReqRmtData: return 3;
+    case kMsgRspRmtData: return 4;
+    case kMsgWireRequest: return 5;
+    case kMsgWireGrant: return 6;
+    case kMsgAck: return 7;
+    default: return kMsgKinds - 1;
+  }
+}
+
 std::int32_t update_packet_bytes(PacketStructure structure, const Rect& bbox,
                                  bool absolute, std::int64_t segments_changed,
                                  std::int64_t region_area) {

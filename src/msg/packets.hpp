@@ -15,6 +15,8 @@
 // and scan costs differ. DESIGN.md §5 records this modeling choice.
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -38,6 +40,28 @@ enum MsgType : std::int32_t {
   kMsgWireGrant = 11,   ///< dynamic assignment: wire id(s) (or no-more)
   kMsgAck = 12,         ///< reliable transport: standalone cumulative ack
 };
+
+/// Dense per-kind slots for traffic tallies: one per MsgType in declaration
+/// order, then a last slot for any other value.
+inline constexpr std::array<const char*, 9> kMsgKindNames = {
+    "SendLocData", "SendRmtData", "ReqLocData", "ReqRmtData", "RspRmtData",
+    "WireRequest", "WireGrant",   "Ack",        "Unknown",
+};
+inline constexpr std::size_t kMsgKinds = kMsgKindNames.size();
+
+/// Slot of a MsgType value in kMsgKindNames; kMsgKinds - 1 for unknown values.
+std::size_t msg_kind_index(std::int32_t type);
+/// Name of a MsgType value ("SendLocData", ...; "Unknown" otherwise).
+inline const char* msg_kind_name(std::int32_t type) {
+  return kMsgKindNames[msg_kind_index(type)];
+}
+
+/// Packets and payload bytes of one message kind.
+struct KindTraffic {
+  std::uint64_t packets = 0;
+  std::uint64_t bytes = 0;
+};
+using KindTally = std::array<KindTraffic, kMsgKinds>;
 
 /// kMsgWireGrant sentinel: the queue owner has no more wires this run.
 /// Wire ids below this value are invalid on the wire and rejected by the

@@ -363,22 +363,4 @@ void ReliableTransport::finalize() {
   LOCUS_ASSERT(stats_.books_balance());
 }
 
-void ReliableTransport::publish_obs(obs::Obs* o) const {
-  if (o == nullptr) return;
-  obs::CounterRegistry& reg = o->counters();
-  const auto put = [&reg](const char* name, std::uint64_t value) {
-    reg.add(reg.counter(name), value);
-  };
-  put("mp.retx", stats_.retransmits);
-  put("mp.retx_bytes", stats_.retransmit_bytes);
-  put("mp.dup_dropped", stats_.dup_dropped);
-  put("mp.ack_bytes", stats_.ack_bytes);
-  put("mp.acks_sent", stats_.acks_sent);
-  put("mp.piggyback_acks", stats_.piggyback_acks);
-  put("mp.wire_losses", stats_.wire_losses);
-  put("mp.out_of_order", stats_.out_of_order);
-  put("mp.gave_up", stats_.gave_up);
-  put("mp.window_stalls", stats_.window_stalls);
-}
-
 }  // namespace locus

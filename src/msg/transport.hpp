@@ -35,7 +35,6 @@
 #include <set>
 #include <vector>
 
-#include "obs/obs.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/fault.hpp"
 #include "sim/network.hpp"
@@ -217,10 +216,6 @@ class ReliableTransport final : public PacketTransport {
 
   const TransportStats& stats() const { return stats_; }
   const TransportConfig& config() const { return config_; }
-
-  /// Publishes the control-plane counters (mp.retx, mp.dup_dropped,
-  /// mp.ack_bytes, ...) to an observability sink. No-op when o is null.
-  void publish_obs(obs::Obs* o) const;
 
   /// Test hook: the channel carrying src -> dst traffic.
   TransportChannel& channel(ProcId src, ProcId dst);

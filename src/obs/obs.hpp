@@ -1,21 +1,22 @@
-// Observability façade and compile/runtime gate.
+// Observability façade.
 //
 // One `Obs` instance per measured run owns the counter registry and the
 // (optional) trace sink; callers hand an `Obs*` to the run configs
 // (MpConfig::obs, ShmConfig::obs, ...) and read the metrics afterwards.
 //
-// Gating, two layers:
-//   * compile time — the CMake option LOCUS_OBS (default ON) defines
-//     LOCUS_OBS_ENABLED; when OFF, every instrumentation site compiles to
-//     nothing via LOCUS_OBS_HOOK() and the binaries carry zero
-//     observability cost;
-//   * run time — a null Obs* (the default everywhere) short-circuits each
-//     hook to one predictable branch, so un-instrumented runs of an
-//     instrumented binary stay effectively free.
-// Hook sites are written as
-//     LOCUS_OBS_HOOK(if (obs_) obs_.on_something(...));
-// and the per-domain binding structs below resolve metric ids and interned
-// strings once at bind() time, keeping name lookups out of every hot loop.
+// Counting happens once, in the engines' own stats structs (NetworkStats,
+// MachineStats, RouteWorkStats, MpRunResult, CoherenceTraffic, ...). Each
+// run publishes those finished structs into the registry at its end
+// (run_message_passing, run_shared_memory, CoherenceSim::publish_obs), so
+// an obs counter and the engine statistic it names cannot disagree. What
+// the engines keep no total for is recorded per event: the histograms
+// (packet latency and size, queue depth) and every trace span and instant.
+//
+// Gating is a runtime null check: a null Obs* (the default everywhere)
+// leaves each per-event site one predictable branch, and the end-of-run
+// publish is skipped. The per-domain binding structs below resolve metric
+// ids and interned strings once at bind() time, keeping name lookups out of
+// every hot loop.
 #pragma once
 
 #include <cstdint>
@@ -24,21 +25,6 @@
 
 #include "obs/counters.hpp"
 #include "obs/trace.hpp"
-
-#ifndef LOCUS_OBS_ENABLED
-#define LOCUS_OBS_ENABLED 1
-#endif
-
-#if LOCUS_OBS_ENABLED
-#define LOCUS_OBS_HOOK(...) \
-  do {                      \
-    __VA_ARGS__;            \
-  } while (0)
-#else
-#define LOCUS_OBS_HOOK(...) \
-  do {                      \
-  } while (0)
-#endif
 
 namespace locus::obs {
 
@@ -75,21 +61,15 @@ class Obs {
 //
 // Each struct resolves its metric ids / interned strings once in bind();
 // `explicit operator bool()` is the runtime gate at the hook site. All
-// methods assume obs != nullptr.
+// methods assume the binding is live.
 
-/// sim/network.cpp: wire-level traffic counters plus packet inject/deliver
-/// trace instants connected by a flow arrow (and per-hop instants when
-/// hop_detail is on).
+/// sim/network.cpp: per-packet latency and size histograms plus packet
+/// inject/deliver trace instants connected by a flow arrow (and per-hop
+/// instants when hop_detail is on).
 struct NetworkObs {
   Obs* obs = nullptr;
-  MetricId packets = 0;
-  MetricId bytes = 0;
-  MetricId byte_hops = 0;
-  MetricId hops = 0;
-  MetricId link_wait_ns = 0;
-  MetricId dup_deliveries = 0;  ///< fault-injected duplicate wire copies
-  MetricId latency_ns = 0;      ///< histogram: injection->delivery per packet
-  MetricId packet_bytes = 0;    ///< histogram
+  MetricId latency_ns = 0;    ///< histogram: injection->delivery per packet
+  MetricId packet_bytes = 0;  ///< histogram
   TraceSink::StrId cat_net = 0;
   TraceSink::StrId n_inject = 0;
   TraceSink::StrId n_deliver = 0;
@@ -104,84 +84,32 @@ struct NetworkObs {
   explicit operator bool() const { return obs != nullptr; }
 };
 
-/// sim/event_queue.cpp: dispatch count + pending-depth histogram.
+/// sim/event_queue.cpp: pending-depth histogram sampled at each dispatch.
 struct QueueObs {
   Obs* obs = nullptr;
-  MetricId events = 0;
-  MetricId depth = 0;  ///< histogram of heap size at dispatch
+  MetricId depth = 0;
 
   void bind(Obs* o);
   explicit operator bool() const { return obs != nullptr; }
 };
 
-/// route/explorer.cpp: pricing work per run (reads of the cost array the
-/// simulated router performs, whichever host engine priced them).
-struct ExplorerObs {
-  Obs* obs = nullptr;
-  MetricId connections = 0;
-  MetricId routes_evaluated = 0;
-  MetricId cells_probed = 0;
+/// msg/node.cpp and shm/shm_router.cpp: one "route_wire" span per routed
+/// wire on the routing processor's track. Live only when tracing is on.
+struct RouteSpanObs {
+  TraceSink* trace = nullptr;
+  TraceSink::StrId cat_route = 0;
+  TraceSink::StrId n_route = 0;
+  TraceSink::StrId a_wire = 0;
+  TraceSink::StrId a_iteration = 0;
 
   void bind(Obs* o);
-  explicit operator bool() const { return obs != nullptr; }
+  explicit operator bool() const { return trace != nullptr; }
 
-  void note(std::int64_t routes, std::int64_t cells) const {
-    CounterRegistry& reg = obs->counters();
-    reg.add(connections, 1);
-    reg.add(routes_evaluated, static_cast<std::uint64_t>(routes));
-    reg.add(cells_probed, static_cast<std::uint64_t>(cells));
+  void span(std::int32_t track, TraceTime start, TraceTime duration,
+            std::int64_t wire, std::int64_t iteration) const {
+    trace->complete(track, cat_route, n_route, start, duration, a_wire, wire,
+                    a_iteration, iteration);
   }
-};
-
-/// msg/node.cpp: per-packet-kind send/receive
-/// counters, rip-ups, and per-wire route spans.
-struct MpNodeObs {
-  Obs* obs = nullptr;
-  /// Indexed by msg_kind_index(); the last slot catches unknown types.
-  static constexpr std::size_t kKinds = 9;
-  std::array<MetricId, kKinds> sent{};
-  std::array<MetricId, kKinds> sent_bytes{};
-  std::array<MetricId, kKinds> received{};
-  std::array<MetricId, kKinds> received_bytes{};
-  MetricId ripups = 0;
-  MetricId wires_routed = 0;
-  MetricId cells_committed = 0;
-  MetricId updates_suppressed = 0;
-  MetricId batched_updates = 0;  ///< region-batched packets sent
-  MetricId batched_blocks = 0;   ///< tight blocks carried by those packets
-  MetricId grants = 0;           ///< wire grants sent (queue owner)
-  MetricId grant_wires = 0;      ///< wires carried by those grants
-  MetricId affinity_hits = 0;    ///< grants satisfied from a resident bucket
-  TraceSink::StrId cat_route = 0;
-  TraceSink::StrId n_route = 0;
-  TraceSink::StrId a_wire = 0;
-  TraceSink::StrId a_iteration = 0;
-
-  void bind(Obs* o);
-  explicit operator bool() const { return obs != nullptr; }
-};
-
-/// Dense index for a MsgType value (msg/packets.hpp); unknown values map to
-/// MpNodeObs::kKinds - 1.
-std::size_t msg_kind_index(std::int32_t type);
-/// Human name of a MsgType value ("SendLocData", ...; "Unknown" otherwise).
-const char* msg_kind_name(std::int32_t type);
-
-/// shm/shm_router.cpp: per-wire spans and routing work counters for the
-/// shared memory executor.
-struct ShmObs {
-  Obs* obs = nullptr;
-  MetricId wires_routed = 0;
-  MetricId ripups = 0;
-  MetricId cells_committed = 0;
-  MetricId trace_refs = 0;
-  TraceSink::StrId cat_route = 0;
-  TraceSink::StrId n_route = 0;
-  TraceSink::StrId a_wire = 0;
-  TraceSink::StrId a_iteration = 0;
-
-  void bind(Obs* o);
-  explicit operator bool() const { return obs != nullptr; }
 };
 
 /// coherence/simulator.cpp: protocol traffic mirrored into named counters.

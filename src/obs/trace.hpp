@@ -11,8 +11,7 @@
 // emission order; because the DES executes events in deterministic order
 // and all timestamps are simulated, the exported JSON is byte-identical
 // across runs of the same seed (the golden test relies on this). The sink
-// is single-writer: only the sequential simulators emit traces — the real-
-// threads backends record counters only.
+// is single-writer: only the sequential simulators emit traces.
 #pragma once
 
 #include <cstdint>

@@ -361,12 +361,8 @@ ExploreResult explore_connection(const Pin& a, const Pin& b, std::int32_t channe
                                  CostView& view, const ExplorerParams& params) {
   LOCUS_ASSERT(channels >= 2);
   const CandidateWindow w = candidate_window(a, b, channels, params);
-  ExploreResult res = view.supports_bulk_read() ? explore_bulk(a, b, view, params, w)
-                                                : explore_reference(a, b, view, params, w);
-  LOCUS_OBS_HOOK(if (params.obs != nullptr && *params.obs) {
-    params.obs->note(res.stats.routes_evaluated, res.stats.cells_probed);
-  });
-  return res;
+  return view.supports_bulk_read() ? explore_bulk(a, b, view, params, w)
+                                   : explore_reference(a, b, view, params, w);
 }
 
 }  // namespace locus

@@ -28,7 +28,6 @@
 #include <cstdint>
 
 #include "circuit/circuit.hpp"
-#include "obs/obs.hpp"
 #include "route/cost_view.hpp"
 #include "route/path.hpp"
 
@@ -45,10 +44,6 @@ struct ExplorerParams {
   /// sum), 2 -> v^2 (congestion-averse; spreads wires at the cost of
   /// wirelength). Higher powers penalize hot cells superlinearly.
   std::int32_t congestion_power = 1;
-  /// Optional observability binding (not owned; null = off). When set,
-  /// explore_connection() bumps route.connections / route.routes_evaluated /
-  /// route.cells_probed in the binding's registry.
-  const obs::ExplorerObs* obs = nullptr;
 
   /// Wider search: more channels and finer jog sampling. Costs ~3x probes.
   static ExplorerParams thorough() {

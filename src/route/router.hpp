@@ -52,12 +52,16 @@ struct RouteWorkStats {
   std::int64_t routes_evaluated = 0;
   std::int64_t cells_committed = 0;
   std::int64_t wires_routed = 0;
+  /// Previous commitments reversed before a re-route. rip_up() is static
+  /// and stats-free, so each engine bumps this where it rips up.
+  std::int64_t ripups = 0;
 
   RouteWorkStats& operator+=(const RouteWorkStats& other) {
     probes += other.probes;
     routes_evaluated += other.routes_evaluated;
     cells_committed += other.cells_committed;
     wires_routed += other.wires_routed;
+    ripups += other.ripups;
     return *this;
   }
 };

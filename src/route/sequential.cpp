@@ -23,6 +23,7 @@ SequentialResult route_sequential(const Circuit& circuit,
       WireRoute& slot = result.routes[static_cast<std::size_t>(wire.id)];
       if (slot.routed()) {
         WireRouter::rip_up(slot, result.cost);
+        ++result.work.ripups;
       }
       slot = router.route_wire(wire, result.cost, result.work);
       if (last) {

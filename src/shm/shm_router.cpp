@@ -134,6 +134,21 @@ struct PendingLater {
   }
 };
 
+/// Publishes a finished run's statistics into the obs registry, once; each
+/// counter is a copy of a field of the result.
+void publish_obs(obs::Obs& o, const ShmRunResult& r) {
+  obs::CounterRegistry& reg = o.counters();
+  const auto put = [&reg](const char* name, auto value) {
+    reg.add(reg.counter(name), static_cast<std::uint64_t>(value));
+  };
+  put("route.routes_evaluated", r.work.routes_evaluated);
+  put("route.probes", r.work.probes);
+  put("shm.wires_routed", r.work.wires_routed);
+  put("shm.cells_committed", r.work.cells_committed);
+  put("shm.ripups", r.work.ripups);
+  put("shm.trace_refs", r.trace.size());
+}
+
 }  // namespace
 
 ShmRunResult run_shared_memory(const Circuit& circuit, const ShmConfig& config) {
@@ -168,20 +183,14 @@ ShmRunResult run_shared_memory(const Circuit& circuit, const ShmConfig& config) 
   TracingView view(shared_cost, config.capture_trace, config.trace_dedup_reads);
   const TimeModel& tm = config.time;
 
-  obs::ShmObs shm_obs;
-  obs::ExplorerObs explorer_obs;
-  RouterParams router_params = config.router;
-  LOCUS_OBS_HOOK(if (config.obs != nullptr) {
-    shm_obs.bind(config.obs);
-    explorer_obs.bind(config.obs);
-    router_params.explorer.obs = &explorer_obs;
-    if (obs::TraceSink* t = config.obs->trace()) {
-      for (std::int32_t p = 0; p < config.procs; ++p) {
-        t->set_track_name(p, "proc " + std::to_string(p));
-      }
+  obs::RouteSpanObs route_spans;
+  route_spans.bind(config.obs);
+  if (route_spans) {
+    for (std::int32_t p = 0; p < config.procs; ++p) {
+      route_spans.trace->set_track_name(p, "proc " + std::to_string(p));
     }
-  });
-  WireRouter router(circuit.channels(), router_params);
+  }
+  WireRouter router(circuit.channels(), config.router);
 
   std::vector<ProcState> procs(static_cast<std::size_t>(config.procs));
   if (!dynamic) {
@@ -261,10 +270,10 @@ ShmRunResult run_shared_memory(const Circuit& circuit, const ShmConfig& config) 
       const Wire& wire = circuit.wire(wire_id);
       WireRoute& slot = result.routes[static_cast<std::size_t>(wire_id)];
       SimTime rip_cost = 0;
-      const bool ripped = slot.routed();
-      if (ripped) {
+      if (slot.routed()) {
         WireRouter::rip_up(slot, view);
         rip_cost = static_cast<SimTime>(slot.cells.size()) * tm.commit_ns;
+        ++result.work.ripups;
       }
       view.set_defer(true);
       const RouteWorkStats before = result.work;
@@ -275,16 +284,7 @@ ShmRunResult run_shared_memory(const Circuit& circuit, const ShmConfig& config) 
           tm.routing_time_ns(result.work.probes - before.probes,
                              result.work.cells_committed - before.cells_committed, 1);
       view.flush_wire(static_cast<std::int16_t>(next), ps.clock, duration);
-      LOCUS_OBS_HOOK(if (shm_obs) {
-        auto& reg = shm_obs.obs->counters();
-        reg.add(shm_obs.wires_routed);
-        reg.add(shm_obs.cells_committed, slot.cells.size());
-        if (ripped) reg.add(shm_obs.ripups);
-        if (obs::TraceSink* t = shm_obs.obs->trace()) {
-          t->complete(next, shm_obs.cat_route, shm_obs.n_route, ps.clock, duration,
-                      shm_obs.a_wire, wire_id, shm_obs.a_iteration, iter);
-        }
-      });
+      if (route_spans) route_spans.span(next, ps.clock, duration, wire_id, iter);
       ps.clock += duration;
       pending_commits.push(
           PendingCommit{ps.clock, commit_seq++, view.take_deferred(), +1});
@@ -314,9 +314,7 @@ ShmRunResult run_shared_memory(const Circuit& circuit, const ShmConfig& config) 
   LOCUS_ASSERT(result.cost ==
                rebuild_cost(circuit.channels(), circuit.grids(), result.routes));
   result.trace = view.take_trace();
-  LOCUS_OBS_HOOK(if (shm_obs) {
-    shm_obs.obs->counters().add(shm_obs.trace_refs, result.trace.size());
-  });
+  if (config.obs != nullptr) publish_obs(*config.obs, result);
   return result;
 }
 

@@ -50,9 +50,9 @@ struct ShmConfig {
   /// traces in memory-constrained runs.
   bool trace_dedup_reads = false;
   /// Optional observability sink: per-wire route spans on "proc N" tracks
-  /// (in simulated time), shm.* work counters, and the captured
-  /// shared-reference count. The executor is sequential, so all logical
-  /// processors count into the one registry. Not owned.
+  /// (in simulated time) while the run executes, then the route.* and shm.*
+  /// counters published from the finished ShmRunResult (work totals and
+  /// the captured shared-reference count). Not owned.
   obs::Obs* obs = nullptr;
   /// Route against a sparse tiled cost array instead of the dense one. An
   /// absent tile reads as zero — the initial value of every cell — so the

@@ -31,11 +31,7 @@ std::size_t EventQueue::run_loop(std::size_t limit) {
   while (!heap_.empty() && count < limit) {
     const Event ev = heap_.top();  // trivially copyable: plain copy, no cast
     heap_.pop();
-    LOCUS_OBS_HOOK(if (obs_) {
-      auto& reg = obs_.obs->counters();
-      reg.add(obs_.events);
-      reg.observe(obs_.depth, heap_.size());
-    });
+    if (obs_) obs_.obs->counters().observe(obs_.depth, heap_.size());
     now_ = ev.time;
     ++executed_;
     dispatch(ev);

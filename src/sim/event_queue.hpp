@@ -66,8 +66,9 @@ class EventQueue {
   /// High-water mark of pending events (queue depth) over the run so far.
   std::size_t peak_pending() const { return peak_pending_; }
 
-  /// Attach observability (null to detach): bumps `sim.events` and samples
-  /// the `sim.queue_depth` histogram at every dispatch.
+  /// Attach observability (null to detach): samples the `sim.queue_depth`
+  /// histogram at every dispatch. The dispatch count itself is executed(),
+  /// published as `sim.events` from MachineStats at the end of an MP run.
   void set_obs(obs::Obs* o) { obs_.bind(o); }
 
  private:

@@ -27,9 +27,8 @@ SimTime md1_wait_ns(SimTime service_ns, double rho, double rho_max) {
   return static_cast<SimTime>(wait);
 }
 
-double LinkCostModel::utilization(std::int32_t link, SimTime now) const {
+double LinkCostModel::utilization_of(SimTime busy, SimTime now) {
   if (now <= 0) return 0.0;
-  const SimTime busy = busy_ns_[static_cast<std::size_t>(link)];
   return std::min(1.0, static_cast<double>(busy) / static_cast<double>(now));
 }
 

@@ -102,8 +102,15 @@ class LinkCostModel {
   /// serialization, credit exhaustion under kVc).
   const std::vector<std::uint64_t>& link_stalls() const { return stalls_; }
 
+  /// Busy time of each directed link so far.
+  const std::vector<SimTime>& link_busy_ns() const { return busy_ns_; }
+
   /// Busy time of `link` over the elapsed simulated time [0, now].
-  double utilization(std::int32_t link, SimTime now) const;
+  double utilization(std::int32_t link, SimTime now) const {
+    return utilization_of(busy_ns_[static_cast<std::size_t>(link)], now);
+  }
+  /// `busy` over [0, now], clamped to 1; 0 before any time has elapsed.
+  static double utilization_of(SimTime busy, SimTime now);
   LinkUsageSummary summary(SimTime now) const;
 
  protected:

@@ -76,21 +76,13 @@ FaultStats Machine::fault_stats() const {
 void Machine::set_obs(obs::Obs* o) {
   queue_.set_obs(o);
   network_->set_obs(o);
-  obs_ = o;
-#if LOCUS_OBS_ENABLED
-  if (obs_ == nullptr) return;
-  auto& reg = obs_->counters();
-  obs_steps_ = reg.counter("node.steps");
-  obs_delivered_ = reg.counter("node.packets_delivered");
-  obs_busy_ns_ = reg.counter("node.busy_ns");
-  if (obs::TraceSink* t = obs_->trace()) {
-    obs_cat_node_ = t->intern("node");
-    obs_n_compute_ = t->intern("compute");
-    for (std::int32_t p = 0; p < topology_.num_nodes(); ++p) {
-      t->set_track_name(p, "proc " + std::to_string(p));
-    }
+  trace_ = o != nullptr ? o->trace() : nullptr;
+  if (trace_ == nullptr) return;
+  trace_cat_node_ = trace_->intern("node");
+  trace_n_compute_ = trace_->intern("compute");
+  for (std::int32_t p = 0; p < topology_.num_nodes(); ++p) {
+    trace_->set_track_name(p, "proc " + std::to_string(p));
   }
-#endif
 }
 
 void Machine::deliver(const Packet& packet, SimTime arrival) {
@@ -134,33 +126,21 @@ void Machine::resume(ProcId proc) {
   NodeApi api(*this, proc);
   running_ = proc;
   const SimTime round_start = st.clock;
-  static_cast<void>(round_start);
-  auto finish_obs = [&](std::uint64_t delivered, bool stepped) {
-    static_cast<void>(delivered);
-    static_cast<void>(stepped);
-    LOCUS_OBS_HOOK(if (obs_ != nullptr) {
-      auto& reg = obs_->counters();
-      if (delivered > 0) reg.add(obs_delivered_, delivered);
-      if (stepped) reg.add(obs_steps_);
-      const SimTime busy = st.clock - round_start;
-      if (busy > 0) {
-        reg.add(obs_busy_ns_, static_cast<std::uint64_t>(busy));
-        if (obs::TraceSink* t = obs_->trace()) {
-          t->complete(proc, obs_cat_node_, obs_n_compute_, round_start, busy);
-        }
-      }
-    });
+  // One compute span per scheduling round that advanced the node's clock.
+  auto trace_round = [&] {
+    if (trace_ != nullptr && st.clock > round_start) {
+      trace_->complete(proc, trace_cat_node_, trace_n_compute_, round_start,
+                       st.clock - round_start);
+    }
   };
 
   // Deliver everything that has arrived by the node's current local time;
   // reception handlers advance the clock, which can make further arrivals
   // due, so re-check.
-  std::uint64_t delivered = 0;
   while (!st.inbox.empty() && st.inbox.front().time <= st.clock) {
     Packet packet = st.inbox.front().packet;
     st.inbox.pop_front();
     st.program->on_packet(api, packet);
-    ++delivered;
   }
 
   if (st.program->blocked()) {
@@ -168,13 +148,13 @@ void Machine::resume(ProcId proc) {
     if (!st.inbox.empty()) {
       schedule_resume(proc, st.inbox.front().time);
     }
-    finish_obs(delivered, /*stepped=*/false);
+    trace_round();
     running_ = -1;
     return;
   }
 
   const bool did_work = st.program->on_step(api);
-  finish_obs(delivered, /*stepped=*/true);
+  trace_round();
   if (did_work) {
     // A node can find new work after having reported none (e.g. a dynamic
     // wire-queue owner unblocked by an arriving request).

@@ -82,7 +82,7 @@ struct MachineStats {
   SimTime completion_time = 0;
   /// Time the last event (including trailing deliveries) executed.
   SimTime drain_time = 0;
-  std::uint64_t events = 0;
+  std::uint64_t events = 0;  ///< events dispatched (published as sim.events)
 };
 
 class Machine {
@@ -110,8 +110,8 @@ class Machine {
   /// Attach observability (null to detach) to the whole machine: the event
   /// queue, the network, and per-node compute spans (one 'X' span per
   /// scheduling round that advanced the node's clock, on a track named
-  /// "proc N") plus `node.steps` / `node.packets_delivered` /
-  /// `node.busy_ns` counters. Call before run().
+  /// "proc N"). Counters are not bumped here: the run's MachineStats and
+  /// NetworkStats are published once at its end. Call before run().
   void set_obs(obs::Obs* o);
 
   const Network& network() const { return *network_; }
@@ -210,12 +210,9 @@ class Machine {
   std::uint64_t arrival_seq_ = 0;
   ProcId running_ = -1;  ///< node currently executing (api target)
 
-  obs::Obs* obs_ = nullptr;
-  obs::MetricId obs_steps_ = 0;
-  obs::MetricId obs_delivered_ = 0;
-  obs::MetricId obs_busy_ns_ = 0;
-  obs::TraceSink::StrId obs_cat_node_ = 0;
-  obs::TraceSink::StrId obs_n_compute_ = 0;
+  obs::TraceSink* trace_ = nullptr;  ///< compute spans; null when not tracing
+  obs::TraceSink::StrId trace_cat_node_ = 0;
+  obs::TraceSink::StrId trace_n_compute_ = 0;
 };
 
 }  // namespace locus

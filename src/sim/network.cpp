@@ -47,15 +47,11 @@ SimTime Network::charge_control(ProcId src, ProcId dst, std::int32_t type,
     cost_->account(topology_.link_index(link), L);
   }
 
-  LOCUS_OBS_HOOK(if (obs_) {
+  if (obs_) {
     auto& reg = obs_.obs->counters();
-    reg.add(obs_.packets);
-    reg.add(obs_.bytes, static_cast<std::uint64_t>(L));
-    reg.add(obs_.byte_hops, static_cast<std::uint64_t>(L) * path.size());
-    reg.add(obs_.hops, path.size());
     reg.observe(obs_.latency_ns, static_cast<std::uint64_t>(latency));
     reg.observe(obs_.packet_bytes, static_cast<std::uint64_t>(L));
-  });
+  }
   return now + latency;
 }
 
@@ -159,13 +155,13 @@ SimTime Network::inject(Packet packet, SimTime ready) {
   SimTime waited = 0;
   for (const LinkId& link : path) {
     head = cost_->cross(topology_.link_index(link), head, L, waited);
-    LOCUS_OBS_HOOK(if (obs_) {
+    if (obs_) {
       if (obs::TraceSink* t = obs_.obs->trace(); t != nullptr && t->hop_detail()) {
         t->instant(packet.src, obs_.cat_net, obs_.n_hop,
                    head - params_.hop_time_ns, obs_.a_link,
                    topology_.link_index(link), obs_.a_bytes, L);
       }
-    });
+    }
   }
 
   // Tail drains into the destination, then the receive-side copy runs. With
@@ -188,20 +184,10 @@ SimTime Network::inject(Packet packet, SimTime ready) {
   // already charged (the bytes crossed the network before the fault).
   FaultInjector::Action action = FaultInjector::Action::kDeliver;
   if (injector_ != nullptr) action = injector_->packet_action(packet.type);
-  if (action == FaultInjector::Action::kDuplicate) {
-    ++stats_.duplicate_deliveries;
-    LOCUS_OBS_HOOK(if (obs_) {
-      obs_.obs->counters().add(obs_.dup_deliveries);
-    });
-  }
+  if (action == FaultInjector::Action::kDuplicate) ++stats_.duplicate_deliveries;
 
-  LOCUS_OBS_HOOK(if (obs_) {
+  if (obs_) {
     auto& reg = obs_.obs->counters();
-    reg.add(obs_.packets);
-    reg.add(obs_.bytes, static_cast<std::uint64_t>(L));
-    reg.add(obs_.byte_hops, static_cast<std::uint64_t>(L) * path.size());
-    reg.add(obs_.hops, path.size());
-    reg.add(obs_.link_wait_ns, static_cast<std::uint64_t>(waited));
     reg.observe(obs_.latency_ns, static_cast<std::uint64_t>(delivered - ready));
     reg.observe(obs_.packet_bytes, static_cast<std::uint64_t>(L));
     if (obs::TraceSink* t = obs_.obs->trace()) {
@@ -219,7 +205,7 @@ SimTime Network::inject(Packet packet, SimTime ready) {
                    obs_.a_type, packet.type, obs_.a_bytes, L);
       }
     }
-  });
+  }
 
   const ProcId dst = packet.dst;
   if (transport_ != nullptr) {

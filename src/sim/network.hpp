@@ -118,8 +118,8 @@ class Network {
 
   const FaultInjector* fault_injector() const { return injector_; }
 
-  /// Attach observability (null to detach): traffic counters mirroring
-  /// NetworkStats, latency/size histograms, and — when tracing — an inject
+  /// Attach observability (null to detach): per-packet latency/size
+  /// histograms and — when tracing — an inject
   /// instant on the source track, a deliver instant on the destination
   /// track, and a flow arrow connecting them (plus per-link hop instants
   /// under hop_detail). Deliver instants are stamped at the *nominal*

@@ -1,6 +1,9 @@
 // Tests for the circuit model and the synthetic generators.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "circuit/circuit.hpp"
 #include "circuit/generator.hpp"
 #include "circuit/stats.hpp"
@@ -101,6 +104,27 @@ TEST(Generator, IndustrialLikeDimensions) {
   EXPECT_EQ(c.channels(), 18);
   EXPECT_EQ(c.grids(), 900);
   EXPECT_EQ(c.num_wires(), 2000);
+}
+
+TEST(Generator, NamedCircuitBuildsEachKnownName) {
+  EXPECT_EQ(make_named_circuit("bnre").num_wires(), make_bnre_like().num_wires());
+  EXPECT_EQ(make_named_circuit("mdc").num_wires(), make_mdc_like().num_wires());
+  const Circuit tiny = make_named_circuit("tiny");
+  EXPECT_EQ(tiny.num_wires(), make_tiny_test_circuit().num_wires());
+  EXPECT_EQ(tiny.grids(), make_tiny_test_circuit().grids());
+}
+
+TEST(Generator, NamedCircuitRejectsUnknownName) {
+  EXPECT_THROW(make_named_circuit("bogus"), std::invalid_argument);
+  EXPECT_THROW(make_named_circuit(""), std::invalid_argument);
+  EXPECT_THROW(make_named_circuit("BNRE"), std::invalid_argument);
+  try {
+    make_named_circuit("bogus");
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("bogus"), std::string::npos);
+    EXPECT_NE(what.find("bnre | mdc | tiny"), std::string::npos);
+  }
 }
 
 TEST(Generator, EveryWireHasAtLeastTwoDistinctPinSites) {

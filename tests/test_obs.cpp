@@ -1,7 +1,8 @@
 // Tests for the observability layer: registry semantics, histogram
-// bucketing, CSV/trace export determinism, and the cross-checks that tie obs
-// counters to the statistics the engines (and the src/check packet ledger)
-// already keep.
+// bucketing, CSV/trace export determinism, that each published counter
+// names the engine statistic it is copied from, and the cross-source laws
+// (per-kind sends vs receives vs the network, sends vs the src/check packet
+// ledger) that hold between independently kept statistics.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -10,6 +11,7 @@
 #include "circuit/generator.hpp"
 #include "coherence/simulator.hpp"
 #include "msg/driver.hpp"
+#include "msg/observer.hpp"
 #include "obs/obs.hpp"
 #include "shm/shm_router.hpp"
 
@@ -92,8 +94,6 @@ TEST(Trace, JsonShape) {
   EXPECT_EQ(json.back(), '\n');
 }
 
-#if LOCUS_OBS_ENABLED
-
 /// One standard instrumented MP run used by several tests below.
 MpRunResult run_mp_with_obs(obs::Obs& obs, const UpdateSchedule& schedule) {
   MpConfig config;
@@ -155,6 +155,57 @@ TEST(ObsIntegration, MpCountersMatchEngineStats) {
     EXPECT_EQ(recv_bytes, r.network.bytes);
     EXPECT_EQ(by_type, r.network.bytes);
   }
+}
+
+TEST(ObsIntegration, MpPublishesWorkAndEventTotals) {
+  // Two iterations re-route every wire once, so the run rips up.
+  obs::Obs obs;
+  const MpRunResult r = run_mp_with_obs(obs, UpdateSchedule::sender(2, 5));
+  const obs::CounterRegistry& reg = obs.counters();
+  ASSERT_GT(r.work.ripups, 0);
+  EXPECT_EQ(r.work.ripups, r.work.wires_routed / 2);
+  EXPECT_EQ(reg.total("mp.ripups"), static_cast<std::uint64_t>(r.work.ripups));
+  EXPECT_EQ(reg.total("route.probes"), static_cast<std::uint64_t>(r.work.probes));
+  EXPECT_EQ(reg.total("route.routes_evaluated"),
+            static_cast<std::uint64_t>(r.work.routes_evaluated));
+  EXPECT_EQ(reg.total("mp.cells_committed"),
+            static_cast<std::uint64_t>(r.work.cells_committed));
+  EXPECT_EQ(reg.total("sim.events"), r.machine.events);
+  EXPECT_EQ(reg.histogram_total("sim.queue_depth").count, r.machine.events);
+  EXPECT_EQ(reg.total("grid.view_resident_bytes"),
+            static_cast<std::uint64_t>(r.view_resident_bytes));
+  // Counters with no engine value are gone.
+  const std::string csv = reg.metrics_csv();
+  EXPECT_EQ(csv.find("node."), std::string::npos);
+  EXPECT_EQ(csv.find("route.connections"), std::string::npos);
+  EXPECT_EQ(csv.find("route.cells_probed"), std::string::npos);
+  EXPECT_EQ(csv.find("mp.batch."), std::string::npos);
+}
+
+TEST(ObsIntegration, CountersArePublishedOnlyAtRunEnd) {
+  // Per-event sites sample histograms only: while the simulation runs, no
+  // counter exists yet; the end-of-run publish creates all of them.
+  struct Probe : MpObserver {
+    const obs::Obs* obs = nullptr;
+    std::size_t counters_while_running = 1;
+    std::uint64_t depth_samples = 0;
+    void on_run_end(const MpRunView&) override {
+      counters_while_running = obs->counters().merged_counters().size();
+      depth_samples = obs->counters().histogram_total("sim.queue_depth").count;
+    }
+  };
+  obs::Obs obs;
+  Probe probe;
+  probe.obs = &obs;
+  MpConfig config;
+  config.schedule = UpdateSchedule::sender(2, 5);
+  config.iterations = 2;
+  config.obs = &obs;
+  config.observer = &probe;
+  const MpRunResult r = run_message_passing(make_tiny_test_circuit(), 4, config);
+  EXPECT_EQ(probe.counters_while_running, 0u);
+  EXPECT_EQ(probe.depth_samples, r.machine.events);
+  EXPECT_GT(obs.counters().merged_counters().size(), 0u);
 }
 
 TEST(ObsIntegration, MpSendRecvMatchCheckLedger) {
@@ -219,6 +270,13 @@ TEST(ObsIntegration, ShmCountersAndCoherencePublish) {
   EXPECT_EQ(obs.counters().total("shm.wires_routed"),
             static_cast<std::uint64_t>(r.work.wires_routed));
   EXPECT_EQ(obs.counters().total("shm.trace_refs"), r.trace.size());
+  ASSERT_GT(r.work.ripups, 0);
+  EXPECT_EQ(obs.counters().total("shm.ripups"), static_cast<std::uint64_t>(r.work.ripups));
+  EXPECT_EQ(obs.counters().total("shm.cells_committed"),
+            static_cast<std::uint64_t>(r.work.cells_committed));
+  EXPECT_EQ(obs.counters().total("route.probes"), static_cast<std::uint64_t>(r.work.probes));
+  EXPECT_EQ(obs.counters().total("route.routes_evaluated"),
+            static_cast<std::uint64_t>(r.work.routes_evaluated));
 
   CoherenceSim sim(4, CoherenceParams{});
   sim.replay(r.trace);
@@ -245,8 +303,6 @@ TEST(ObsIntegration, NullObsLeavesRunIdentical) {
   EXPECT_EQ(plain.network.packets, observed.network.packets);
   EXPECT_EQ(plain.network.bytes, observed.network.bytes);
 }
-
-#endif  // LOCUS_OBS_ENABLED
 
 }  // namespace
 }  // namespace locus

@@ -310,12 +310,8 @@ TEST(TransportIntegration, DupDeliveriesVisibleWithoutTransport) {
   const MpRunResult run = run_message_passing(circuit, 4, mp);
   ASSERT_GT(run.faults.duplicated, 0u);
   EXPECT_EQ(run.network.duplicate_deliveries, run.faults.duplicated);
-#if LOCUS_OBS_ENABLED
   EXPECT_EQ(obs.counters().total("net.dup_deliveries"), run.faults.duplicated);
-#endif
 }
-
-#if LOCUS_OBS_ENABLED
 
 TEST(TransportIntegration, ObsCountersMirrorTransportStats) {
   const Circuit circuit = test::make_seeded_circuit(7);
@@ -333,7 +329,6 @@ TEST(TransportIntegration, ObsCountersMirrorTransportStats) {
   EXPECT_EQ(reg.total("mp.ack_bytes"), run.transport.ack_bytes);
   EXPECT_EQ(reg.total("mp.acks_sent"), run.transport.acks_sent);
 }
-#endif  // LOCUS_OBS_ENABLED
 
 // --- E2E property: seeds x drop rates ------------------------------------
 
