@@ -2,8 +2,8 @@
 // delta-array maintenance, region extraction, and update application.
 #include <benchmark/benchmark.h>
 
-#include "grid/cost_array.hpp"
 #include "grid/delta_array.hpp"
+#include "grid/tiled_cost_array.hpp"
 #include "msg/packets.hpp"
 #include "support/rng.hpp"
 
@@ -13,7 +13,7 @@ using namespace locus;
 
 void BM_DeltaAdd(benchmark::State& state) {
   Partition part(10, 341, MeshShape::for_procs(16));
-  DeltaArray delta(part);
+  DeltaArray delta(part, TileDims{});
   Rng rng(1);
   for (auto _ : state) {
     GridPoint p{static_cast<std::int32_t>(rng.bounded(10)),
@@ -27,7 +27,7 @@ BENCHMARK(BM_DeltaAdd);
 
 void BM_DeltaExtract(benchmark::State& state) {
   Partition part(10, 341, MeshShape::for_procs(16));
-  DeltaArray delta(part);
+  DeltaArray delta(part, TileDims{});
   Rng rng(2);
   const std::int64_t touches = state.range(0);
   for (auto _ : state) {
@@ -45,7 +45,7 @@ void BM_DeltaExtract(benchmark::State& state) {
 BENCHMARK(BM_DeltaExtract)->Arg(8)->Arg(64)->Arg(256);
 
 void BM_ApplyAbsoluteUpdate(benchmark::State& state) {
-  CostArray view(10, 341);
+  TiledCostArray view(10, 341);
   Rect box = Rect::of(0, 2, 0, 84);
   std::vector<std::int32_t> values(static_cast<std::size_t>(box.area()), 3);
   for (auto _ : state) {
@@ -57,7 +57,7 @@ void BM_ApplyAbsoluteUpdate(benchmark::State& state) {
 BENCHMARK(BM_ApplyAbsoluteUpdate);
 
 void BM_ApplyDeltaUpdate(benchmark::State& state) {
-  CostArray view(10, 341);
+  TiledCostArray view(10, 341);
   Rect box = Rect::of(0, 2, 0, 84);
   std::vector<std::int32_t> values(static_cast<std::size_t>(box.area()), 1);
   for (auto _ : state) {

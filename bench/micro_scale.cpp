@@ -1,6 +1,6 @@
 // Scale-tier microbenchmark (ISSUE 8): the Table 6 sweep extended to
 // hierarchical 10k-wire circuits at 16 and 64 virtual processors with
-// sharded per-processor views and region-batched update packets.
+// tiled per-processor views and region-batched update packets.
 //
 // Counters (see bench_main.hpp conventions):
 //   * route_rps            -- wall-clock wire routes per second across the
@@ -8,7 +8,6 @@
 //   * traffic_bytes, view_resident_bytes, ckt_height -- deterministic run
 //     products, exact-match gated: any drift means the routing or packet
 //     byte model changed and the baseline must be re-recorded knowingly;
-//   * identity_mismatches  -- sharded vs monolithic route differences (0);
 //   * unbatched_bytes / batched_bytes / batch_saving_x -- what region
 //     batching buys on the same circuit;
 //   * geo_sim_rps / dynlocal_sim_rps / *_view_bytes -- the ISSUE 9
@@ -47,40 +46,20 @@ Table scale_sweep_section() {
   return std::move(result.table);
 }
 
-MpRunResult run_once(const Circuit& circuit, std::int32_t procs, bool sharded,
-                     bool batched) {
+MpRunResult run_once(const Circuit& circuit, std::int32_t procs, bool batched) {
   MpConfig config;
   config.schedule = UpdateSchedule::sender(2, 10);
-  config.shard.enabled = sharded;
   config.shard.batch_updates = batched;
+  // Batched blocks are cut per tile, so the tile shape sets batched_bytes;
+  // 4x512 is the shape this section's baseline was recorded with.
+  config.shard.tile = TileDims{4, 512};
   return run_message_passing(circuit, procs, config);
-}
-
-Table shard_identity_section() {
-  const Circuit circuit = make_scale_circuit(1'000, /*seed=*/0x51DE5ULL);
-  const MpRunResult dense = run_once(circuit, 16, /*sharded=*/false, false);
-  const MpRunResult tiled = run_once(circuit, 16, /*sharded=*/true, false);
-  const bool identical = routes_identical(dense.routes, tiled.routes) &&
-                         dense.completion_ns == tiled.completion_ns &&
-                         dense.bytes_transferred == tiled.bytes_transferred;
-  benchmain::record("identity_mismatches", identical ? 0.0 : 1.0);
-  Table t;
-  t.column("view", Align::kLeft).column("CktHt").column("MBytes")
-      .column("Time(s)").column("view MB");
-  const std::pair<const char*, const MpRunResult*> rows[] = {{"dense", &dense},
-                                                             {"tiled", &tiled}};
-  for (const auto& [name, r] : rows) {
-    t.row().cell(name).cell(static_cast<long long>(r->circuit_height))
-        .cell(r->mbytes(), 3).cell(r->seconds(), 3)
-        .cell(static_cast<double>(r->view_resident_bytes) / 1e6, 2);
-  }
-  return t;
 }
 
 Table batch_traffic_section() {
   const Circuit circuit = make_scale_circuit(10'000, /*seed=*/0x5CA1EULL);
-  const MpRunResult plain = run_once(circuit, 16, /*sharded=*/true, false);
-  const MpRunResult batched = run_once(circuit, 16, /*sharded=*/true, true);
+  const MpRunResult plain = run_once(circuit, 16, /*batched=*/false);
+  const MpRunResult batched = run_once(circuit, 16, /*batched=*/true);
   benchmain::record("unbatched_bytes",
                     static_cast<double>(plain.bytes_transferred));
   benchmain::record("batched_bytes",
@@ -141,7 +120,6 @@ int main(int argc, char** argv) {
       argc, argv, "Scale tier: sharded views, 10k-wire hierarchical circuits",
       {{"scale sweep (10k wires, 16/64 procs, sharded+batched)",
         scale_sweep_section},
-       {"shard identity (1k wires, 16 procs)", shard_identity_section},
        {"region batching traffic (10k wires, 16 procs)",
         batch_traffic_section},
        {"dynamic scheduling (100k wires, 256 procs, geo vs dyn-local)",

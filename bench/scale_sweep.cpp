@@ -8,7 +8,7 @@
 //                      geo,dyn-fifo,dyn-local (default "geo")
 //   LOCUS_SCALE_COST_MODEL  per-link timing discipline out of
 //                      fixed,md1,vc (default "fixed")
-// Runs with sharded views and region-batched updates (the configuration
+// Runs with tiled views and region-batched updates (the configuration
 // the scale tier exists to exercise). The headline sim_route_rps counter
 // reports the first listed mode, so existing baselines are unchanged when
 // LOCUS_SCALE_MODES is unset.

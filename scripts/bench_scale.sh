@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Scale-tier bench run: build the Release + LTO preset and run the scale
-# microbenchmark (10k-wire hierarchical sweep, shard identity, region
-# batching), writing BENCH_scale.json. Diff against the checked-in baseline:
+# microbenchmark (10k-wire hierarchical sweep, region batching traffic,
+# 100k-wire dynamic scheduling), writing BENCH_scale.json. Diff against the
+# checked-in baseline:
 #   scripts/bench_compare.py BENCH_scale.json /tmp/BENCH_scale.json
 #
 # The full-size sweep (100k wires by default; LOCUS_SCALE_WIRES /

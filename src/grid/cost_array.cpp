@@ -8,9 +8,11 @@
 namespace locus {
 
 CostArray::CostArray(std::int32_t channels, std::int32_t grids, std::int32_t initial)
-    : GridBacking(channels, grids),
+    : channels_(channels), grids_(grids),
       cells_(static_cast<std::size_t>(channels) * static_cast<std::size_t>(grids),
-             initial) {}
+             initial) {
+  LOCUS_ASSERT(channels >= 1 && grids >= 1);
+}
 
 std::size_t CostArray::checked_index(GridPoint p) const {
   LOCUS_ASSERT_MSG(p.channel >= 0 && p.channel < channels_, "channel out of range");

@@ -11,9 +11,10 @@
 // rip-up). `read()` therefore clamps at zero for routing decisions while
 // `at()` exposes raw storage for bookkeeping and tests.
 //
-// This is the dense GridBacking: one row-major allocation covering the whole
-// grid. grid/tiled_cost_array.hpp provides the sparse alternative behind the
-// same interface.
+// Storage is one dense row-major allocation covering the whole grid. It backs
+// the shared memory router's single shared array, the sequential router, the
+// truth oracle and every final result; the message passing processors' views
+// are sparse TiledCostArrays (grid/tiled_cost_array.hpp) instead.
 #pragma once
 
 #include <cstdint>
@@ -22,18 +23,30 @@
 
 #include "geom/point.hpp"
 #include "geom/rect.hpp"
-#include "grid/backing.hpp"
+#include "route/cost_view.hpp"
 
 namespace locus {
 
-class CostArray final : public GridBacking {
+class CostArray final : public CostView {
  public:
   CostArray(std::int32_t channels, std::int32_t grids, std::int32_t initial = 0);
 
-  std::int32_t at(GridPoint p) const override { return cells_[checked_index(p)]; }
-  void set(GridPoint p, std::int32_t value) override {
-    cells_[checked_index(p)] = value;
+  std::int32_t channels() const { return channels_; }
+  std::int32_t grids() const { return grids_; }
+  std::int64_t size() const {
+    return static_cast<std::int64_t>(channels_) * grids_;
   }
+  Rect bounds() const { return Rect::of(0, channels_ - 1, 0, grids_ - 1); }
+
+  /// Flat row-major index; this is also the "address" unit used when the
+  /// shared memory tracer turns accesses into byte addresses.
+  std::int64_t index(GridPoint p) const {
+    return static_cast<std::int64_t>(p.channel) * grids_ + p.x;
+  }
+
+  /// Raw cell value, unclamped.
+  std::int32_t at(GridPoint p) const { return cells_[checked_index(p)]; }
+  void set(GridPoint p, std::int32_t value) { cells_[checked_index(p)] = value; }
 
   // CostView: routing-decision read (clamped at zero) and read-modify-write.
   std::int32_t read(GridPoint p) override {
@@ -53,20 +66,18 @@ class CostArray final : public GridBacking {
                  std::int32_t x_hi, std::span<std::int32_t> span_out) override;
   bool supports_bulk_read() const override { return true; }
 
-  void read_rect(const Rect& box, std::vector<std::int32_t>& out) const override;
-  void write_rect(const Rect& box, std::span<const std::int32_t> values) override;
-  void add_rect(const Rect& box, std::span<const std::int32_t> values) override;
+  /// Copies the raw values inside `box` (row-major) into `out`.
+  void read_rect(const Rect& box, std::vector<std::int32_t>& out) const;
+  /// Overwrites the cells inside `box` with `values` (row-major, size must
+  /// equal box.area()).
+  void write_rect(const Rect& box, std::span<const std::int32_t> values);
+  /// Adds `values` (row-major) into the cells inside `box`.
+  void add_rect(const Rect& box, std::span<const std::int32_t> values);
 
-  void fill(std::int32_t value) override;
+  void fill(std::int32_t value);
 
-  std::int32_t max_in_channel(std::int32_t channel) const override;
-
-  /// Dense storage: every cell is resident.
-  std::int64_t resident_cells() const override { return size(); }
-  std::int64_t resident_bytes() const override {
-    return size() * static_cast<std::int64_t>(sizeof(std::int32_t));
-  }
-  bool any_resident_in(const Rect& box) const override { return !box.is_empty(); }
+  /// Maximum raw value in one channel row — the track count of that channel.
+  std::int32_t max_in_channel(std::int32_t channel) const;
 
   std::span<const std::int32_t> cells() const { return cells_; }
 
@@ -77,6 +88,8 @@ class CostArray final : public GridBacking {
  private:
   std::size_t checked_index(GridPoint p) const;
 
+  std::int32_t channels_;
+  std::int32_t grids_;
   std::vector<std::int32_t> cells_;
 };
 

@@ -8,39 +8,15 @@
 
 namespace locus {
 
-DeltaArray::DeltaArray(const Partition& partition)
-    : partition_(&partition),
-      cells_(static_cast<std::size_t>(partition.channels()) *
-                 static_cast<std::size_t>(partition.grids()),
-             0),
-      dirty_bbox_(static_cast<std::size_t>(partition.num_regions())),
-      nonzero_count_(static_cast<std::size_t>(partition.num_regions()), 0) {}
-
 DeltaArray::DeltaArray(const Partition& partition, TileDims dims)
     : partition_(&partition),
-      tiles_(std::in_place, partition.channels(), partition.grids(), dims),
+      tiles_(partition.channels(), partition.grids(), dims),
       dirty_bbox_(static_cast<std::size_t>(partition.num_regions())),
       nonzero_count_(static_cast<std::size_t>(partition.num_regions()), 0) {}
-
-std::size_t DeltaArray::cell_index(GridPoint p) const {
-  LOCUS_ASSERT(p.channel >= 0 && p.channel < partition_->channels());
-  LOCUS_ASSERT(p.x >= 0 && p.x < partition_->grids());
-  return static_cast<std::size_t>(p.channel) *
-             static_cast<std::size_t>(partition_->grids()) +
-         static_cast<std::size_t>(p.x);
-}
-
-std::int32_t DeltaArray::cell_get(GridPoint p) const {
-  return tiles_.has_value() ? tiles_->get(p) : cells_[cell_index(p)];
-}
-
-std::int32_t& DeltaArray::cell_ref(GridPoint p) {
-  return tiles_.has_value() ? tiles_->slot(p) : cells_[cell_index(p)];
-}
 
 void DeltaArray::add(GridPoint p, std::int32_t delta) {
   if (delta == 0) return;
-  std::int32_t& cell = cell_ref(p);
+  std::int32_t& cell = tiles_.slot(p);
   const bool was_zero = (cell == 0);
   cell += delta;
   const ProcId region = partition_->owner(p);
@@ -56,25 +32,16 @@ void DeltaArray::add(GridPoint p, std::int32_t delta) {
   }
 }
 
-std::int32_t DeltaArray::at(GridPoint p) const { return cell_get(p); }
-
 void DeltaArray::accumulate(const Rect& box, std::span<std::int64_t> out) const {
   LOCUS_ASSERT(static_cast<std::int64_t>(out.size()) == box.area());
   if (box.is_empty()) return;
   LOCUS_ASSERT(box.channel_lo >= 0 && box.channel_hi < partition_->channels());
   LOCUS_ASSERT(box.x_lo >= 0 && box.x_hi < partition_->grids());
-  const std::int64_t width = box.width();
   std::int64_t* dst = out.data();
   for (std::int32_t c = box.channel_lo; c <= box.channel_hi; ++c) {
-    if (!tiles_.has_value()) {
-      const std::int32_t* row = cells_.data() + cell_index(GridPoint{c, box.x_lo});
-      for (std::int64_t i = 0; i < width; ++i) dst[i] += row[i];
-      dst += width;
-      continue;
-    }
     for (std::int32_t x = box.x_lo; x <= box.x_hi;) {
       std::int32_t run = 0;
-      const std::int32_t* chunk = tiles_->row_chunk(c, x, &run);
+      const std::int32_t* chunk = tiles_.row_chunk(c, x, &run);
       run = std::min(run, box.x_hi - x + 1);
       if (chunk != nullptr) {
         for (std::int32_t i = 0; i < run; ++i) dst[i] += chunk[i];
@@ -97,11 +64,6 @@ std::int64_t DeltaArray::nonzero_count(ProcId region) const {
   return nonzero_count_[static_cast<std::size_t>(region)];
 }
 
-std::int64_t DeltaArray::resident_cells() const {
-  if (tiles_.has_value()) return tiles_->tiles_resident() * tiles_->tile_cells();
-  return static_cast<std::int64_t>(cells_.size());
-}
-
 void DeltaArray::clear_region_bookkeeping(ProcId region) {
   auto r = static_cast<std::size_t>(region);
   nonzero_count_[r] = 0;
@@ -119,7 +81,7 @@ std::optional<DeltaArray::Extract> DeltaArray::extract_region(ProcId region) {
   for (std::int32_t c = scan.channel_lo; c <= scan.channel_hi; ++c) {
     for (std::int32_t x = scan.x_lo; x <= scan.x_hi; ++x) {
       ++last_scan_cells_;
-      if (cell_get(GridPoint{c, x}) != 0) {
+      if (tiles_.get(GridPoint{c, x}) != 0) {
         tight.expand(GridPoint{c, x});
       }
     }
@@ -131,7 +93,7 @@ std::optional<DeltaArray::Extract> DeltaArray::extract_region(ProcId region) {
   out.values.reserve(static_cast<std::size_t>(tight.area()));
   for (std::int32_t c = tight.channel_lo; c <= tight.channel_hi; ++c) {
     for (std::int32_t x = tight.x_lo; x <= tight.x_hi; ++x) {
-      std::int32_t& cell = cell_ref(GridPoint{c, x});
+      std::int32_t& cell = tiles_.slot(GridPoint{c, x});
       out.values.push_back(cell);
       cell = 0;
     }
@@ -156,7 +118,7 @@ std::optional<std::vector<DeltaArray::Extract>> DeltaArray::extract_region_block
   for (std::int32_t c = scan.channel_lo; c <= scan.channel_hi; ++c) {
     for (std::int32_t x = scan.x_lo; x <= scan.x_hi; ++x) {
       ++last_scan_cells_;
-      if (cell_get(GridPoint{c, x}) != 0) {
+      if (tiles_.get(GridPoint{c, x}) != 0) {
         tight_by_tile[{c / dims.channels, x / dims.cols}].expand(GridPoint{c, x});
       }
     }
@@ -172,7 +134,7 @@ std::optional<std::vector<DeltaArray::Extract>> DeltaArray::extract_region_block
     out.values.reserve(static_cast<std::size_t>(tight.area()));
     for (std::int32_t c = tight.channel_lo; c <= tight.channel_hi; ++c) {
       for (std::int32_t x = tight.x_lo; x <= tight.x_hi; ++x) {
-        std::int32_t& cell = cell_ref(GridPoint{c, x});
+        std::int32_t& cell = tiles_.slot(GridPoint{c, x});
         out.values.push_back(cell);
         cell = 0;
       }

@@ -13,11 +13,11 @@
 // and tightened by the scan that builds a packet (paper §4.3.1: "the sending
 // processor scans the delta array for changes").
 //
-// Storage is either one dense grid-sized vector (the default) or a sparse
-// TileGrid (sharded runs): the bookkeeping, scan order, and — critically —
-// last_scan_cells() are identical in both modes, so the simulated time model
-// and every extracted packet stay bit-identical whichever backing holds the
-// deltas.
+// Storage is a sparse TileGrid: a tile materializes where a delta first lands
+// and stays resident for the array's lifetime (an absent tile holds only
+// zeros). The scan that builds a packet visits the same cells whatever tiles
+// are resident, so last_scan_cells() — and with it the simulated time model —
+// depends only on the deltas themselves.
 #pragma once
 
 #include <cstdint>
@@ -34,21 +34,18 @@ namespace locus {
 
 class DeltaArray {
  public:
-  /// Dense storage covering the whole grid.
-  explicit DeltaArray(const Partition& partition);
-  /// Sparse storage: tiles materialize where deltas land and are dropped
-  /// whenever a region extraction leaves them fully cancelled.
+  /// Tiles of shape `dims` materialize where deltas land; none is released.
   DeltaArray(const Partition& partition, TileDims dims);
 
   /// Records a change of `delta` at cell `p`.
   void add(GridPoint p, std::int32_t delta);
 
-  std::int32_t at(GridPoint p) const;
+  std::int32_t at(GridPoint p) const { return tiles_.get(p); }
 
   /// Adds the deltas inside `box` into `out` (row-major over `box`, size
-  /// must equal box.area()). Dense storage runs one contiguous loop per row;
-  /// tiled storage walks the row chunks and skips absent tiles, which hold
-  /// only zeros. Reads every cell of `box`, whatever the dirty boxes say.
+  /// must equal box.area()). Walks the row chunks and skips absent tiles,
+  /// which hold only zeros. Reads every cell of `box`, whatever the dirty
+  /// boxes say.
   void accumulate(const Rect& box, std::span<std::int64_t> out) const;
 
   /// True if the region owned by `proc` has any un-propagated change.
@@ -88,18 +85,16 @@ class DeltaArray {
 
   const Partition& partition() const { return *partition_; }
 
-  /// Cells with delta storage allocated (grid size when dense).
-  std::int64_t resident_cells() const;
+  /// Cells with delta storage allocated (whole tiles).
+  std::int64_t resident_cells() const {
+    return tiles_.tiles_resident() * tiles_.tile_cells();
+  }
 
  private:
-  std::size_t cell_index(GridPoint p) const;
-  std::int32_t cell_get(GridPoint p) const;
-  std::int32_t& cell_ref(GridPoint p);
   void clear_region_bookkeeping(ProcId region);
 
   const Partition* partition_;
-  std::vector<std::int32_t> cells_;          // dense mode (empty when tiled)
-  std::optional<TileGrid> tiles_;            // sparse mode
+  TileGrid tiles_;
   std::vector<Rect> dirty_bbox_;             // per region, conservative
   std::vector<std::int64_t> nonzero_count_;  // per region, exact
   std::int64_t last_scan_cells_ = 0;

@@ -27,12 +27,14 @@
 
 namespace locus {
 
-/// Tile shape knobs shared by TiledCostArray and the tiled DeltaArray.
-/// Defaults: 4 channels x 512 columns = 8 KiB per tile — a few tiles per
-/// paper-scale region, row chunks long enough for the SIMD clamp to win.
+/// Tile shape knobs shared by TiledCostArray and DeltaArray. Defaults:
+/// 2 channels x 128 columns = 1 KiB per tile. Committed routes are thin
+/// strips and every node routes a few chip-spanning wires, so coarser tiles
+/// would round each view up to nearly the whole grid; 128-cell row chunks
+/// stay long enough for the SIMD clamp to win.
 struct TileDims {
-  std::int32_t channels = 4;
-  std::int32_t cols = 512;
+  std::int32_t channels = 2;
+  std::int32_t cols = 128;
 };
 
 class TileGrid {

@@ -10,12 +10,12 @@ namespace locus {
 
 TiledCostArray::TiledCostArray(std::int32_t channels, std::int32_t grids,
                                TileDims dims)
-    : GridBacking(channels, grids), tiles_(channels, grids, dims) {}
+    : tiles_(channels, grids, dims) {}
 
 void TiledCostArray::read_row(std::int32_t channel, std::int32_t x_lo,
                               std::int32_t x_hi, std::span<std::int32_t> span_out) {
-  LOCUS_ASSERT_MSG(channel >= 0 && channel < channels_, "channel out of range");
-  LOCUS_ASSERT_MSG(x_lo >= 0 && x_lo <= x_hi && x_hi < grids_, "span out of range");
+  LOCUS_ASSERT_MSG(channel >= 0 && channel < channels(), "channel out of range");
+  LOCUS_ASSERT_MSG(x_lo >= 0 && x_lo <= x_hi && x_hi < grids(), "span out of range");
   const auto count = static_cast<std::size_t>(x_hi - x_lo + 1);
   LOCUS_ASSERT(span_out.size() >= count);
   std::int32_t* out = span_out.data();
@@ -36,9 +36,9 @@ void TiledCostArray::read_row(std::int32_t channel, std::int32_t x_lo,
 void TiledCostArray::read_rows(std::int32_t c_lo, std::int32_t c_hi,
                                std::int32_t x_lo, std::int32_t x_hi,
                                std::span<std::int32_t> span_out) {
-  LOCUS_ASSERT_MSG(c_lo >= 0 && c_lo <= c_hi && c_hi < channels_,
+  LOCUS_ASSERT_MSG(c_lo >= 0 && c_lo <= c_hi && c_hi < channels(),
                    "channel range out of range");
-  LOCUS_ASSERT_MSG(x_lo >= 0 && x_lo <= x_hi && x_hi < grids_, "span out of range");
+  LOCUS_ASSERT_MSG(x_lo >= 0 && x_lo <= x_hi && x_hi < grids(), "span out of range");
   const auto width = static_cast<std::size_t>(x_hi - x_lo + 1);
   LOCUS_ASSERT(span_out.size() >= width * static_cast<std::size_t>(c_hi - c_lo + 1));
   for (std::int32_t c = c_lo; c <= c_hi; ++c) {
@@ -107,10 +107,10 @@ void TiledCostArray::fill(std::int32_t value) {
 }
 
 std::int32_t TiledCostArray::max_in_channel(std::int32_t channel) const {
-  LOCUS_ASSERT(channel >= 0 && channel < channels_);
+  LOCUS_ASSERT(channel >= 0 && channel < channels());
   std::int32_t best = std::numeric_limits<std::int32_t>::min();
   bool any_absent = false;
-  for (std::int32_t x = 0; x < grids_;) {
+  for (std::int32_t x = 0; x < grids();) {
     std::int32_t run = 0;
     const std::int32_t* chunk = tiles_.row_chunk(channel, x, &run);
     if (chunk != nullptr) {

@@ -903,9 +903,7 @@ ScaleSweepResult run_scale_sweep(const ScaleSweepOptions& options) {
     MpConfig config;
     config.schedule = schedule;
     config.iterations = options.iterations;
-    config.shard.enabled = options.sharded;
     config.shard.batch_updates = options.batch_updates;
-    config.shard.tile = options.tile;
     config.link_cost.kind = options.cost_model;
     switch (job.mode) {
       case ScaleAssignMode::kGeographic:

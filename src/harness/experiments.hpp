@@ -114,16 +114,8 @@ struct ScaleSweepOptions {
   /// distinct thieves replicate any donor region's tiles, which is what
   /// keeps dynamic resident memory near the geographic baseline.
   std::int32_t locality_radius = 2;
-  /// Tiled per-processor views (memory bounded by what each node touches).
-  bool sharded = true;
   /// Region-batched update packets (requires bounding-box structure).
   bool batch_updates = true;
-  /// Finer than the 4x512 ShardConfig default: committed routes are thin
-  /// strips, and at scale every node routes a few chip-spanning wires, so
-  /// 8 KiB tiles would round each view up to nearly the whole grid. 2x128
-  /// tiles (1 KiB) keep resident memory tracking the cells actually
-  /// touched while leaving row chunks long enough for the SIMD reads.
-  TileDims tile{2, 128};
   /// Per-link interconnect timing for every run of the sweep
   /// (sim/link_cost.hpp); the default keeps the tables byte-identical to
   /// the pre-seam sweep.
@@ -169,7 +161,7 @@ struct ScaleSweepResult {
 ScaleSweepResult run_scale_sweep(const ScaleSweepOptions& options);
 
 /// True when two route sets are bit-identical (wire id, path cost, cells,
-/// connections) — the sharded-vs-monolithic and fault-recovery invariant.
+/// connections) — the fault-recovery invariant.
 bool routes_identical(const std::vector<WireRoute>& a,
                       const std::vector<WireRoute>& b);
 

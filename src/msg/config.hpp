@@ -124,18 +124,22 @@ struct UpdateSchedule {
   }
 };
 
-/// Sharded-view storage for scale runs (grid/tiled_cost_array.hpp).
+/// Tile storage of every node's view and delta array, and region-batched
+/// update packets (grid/tiled_cost_array.hpp).
 ///
-/// `enabled` swaps every node's dense view + delta storage for lazily
-/// allocated tiles; because absent tiles read as the initial zero and the
-/// delta scan visits exactly the same cells, a sharded run routes
-/// bit-identically to a monolithic one — only resident memory changes.
+/// Views and delta arrays are always tiled; `tile` sets the tile shape (each
+/// side a positive power of two). Only resident memory depends on it: an
+/// absent tile reads as the initial zero and the delta scan visits the same
+/// cells whatever is resident, so routes, bytes and timing do not.
 /// `batch_updates` additionally packs each destination's update into tight
-/// per-tile blocks instead of one conservative bounding box (fewer bytes
+/// per-`tile` blocks instead of one conservative bounding box (fewer bytes
 /// for scattered changes, one packet either way). Batching changes packet
 /// byte counts and therefore simulated timing and routes, so it defaults
 /// off and is compared against unbatched runs by the scale harness.
 struct ShardConfig {
+  /// Read by nothing. perfbench/workloads.cpp still assigns it, and that
+  /// file changes only together with the benchmark; the next benchmark
+  /// change deletes the assignment and this field.
   bool enabled = false;
   TileDims tile;
   /// Region-batched per-tile update blocks (requires kBoundingBox packets).
@@ -148,7 +152,7 @@ struct MpConfig {
   TimeModel time;
   std::int32_t iterations = 2;
   PacketStructure packet_structure = PacketStructure::kBoundingBox;
-  /// Tiled per-node views + optional region-batched update packets.
+  /// Tile shape of the per-node views + optional region-batched updates.
   ShardConfig shard;
   Topology::Edges edges = Topology::Edges::kMesh;
   /// Switch arity when `edges == kFatTree` (processors at the leaves,

@@ -4,8 +4,8 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
-#include "grid/tiled_cost_array.hpp"
 #include "msg/node.hpp"
 #include "msg/observer.hpp"
 #include "route/quality.hpp"
@@ -33,6 +33,15 @@ void MpConfig::validate(std::int32_t procs) const {
   if (shard.batch_updates && packet_structure != PacketStructure::kBoundingBox) {
     reject("shard.batch_updates requires the bounding-box packet_structure, got " +
            std::to_string(static_cast<int>(packet_structure)));
+  }
+  // Every view and delta array is tiled, and TileGrid's index math needs
+  // power-of-two sides.
+  for (const auto& [field, v] : {std::pair{"shard.tile.channels", shard.tile.channels},
+                                 std::pair{"shard.tile.cols", shard.tile.cols}}) {
+    if (v < 1 || (v & (v - 1)) != 0) {
+      reject(std::string(field) + " must be a positive power of two, got " +
+             std::to_string(v));
+    }
   }
   if (edges != Topology::Edges::kFatTree && !topology_dims.empty()) {
     std::int64_t product = 1;
@@ -226,7 +235,7 @@ MpRunResult run_message_passing(const Circuit& circuit, const Partition& partiti
   std::int64_t own_cells = 0;
   const std::int64_t cells = shared.truth.size();
   // An absent tile reads as zero, so its error is |truth| cell for cell;
-  // summing |truth| once lets the tiled path visit resident tiles only.
+  // summing |truth| once lets the scan visit resident tiles only.
   std::int64_t truth_abs_total = 0;
   for (std::int32_t v : shared.truth.cells()) truth_abs_total += std::abs(v);
   std::int64_t view_resident_cells = 0;
@@ -234,48 +243,33 @@ MpRunResult run_message_passing(const Circuit& circuit, const Partition& partiti
   for (ProcId p = 0; p < partition.num_regions(); ++p) {
     const auto* node = dynamic_cast<const RouterNode*>(machine.node(p));
     LOCUS_ASSERT(node != nullptr);
-    const GridBacking& view = node->view();
+    const TiledCostArray& view = node->view();
     view_resident_cells += view.resident_cells();
     view_resident_bytes += view.resident_bytes();
-    if (const auto* tiled = dynamic_cast<const TiledCostArray*>(&view)) {
-      const std::int32_t stride = tiled->tiles().tile_cols();
-      std::int64_t resident_err = 0;
-      std::int64_t resident_truth_abs = 0;
-      tiled->tiles().for_each_resident_tile(
-          [&](const Rect& b, const std::int32_t* tile) {
-            for (std::int32_t c = b.channel_lo; c <= b.channel_hi; ++c) {
-              const std::int32_t* row =
-                  tile + static_cast<std::size_t>(c - b.channel_lo) * stride;
-              const std::int32_t* truth_row =
-                  shared.truth.cells().data() +
-                  static_cast<std::size_t>(c) * circuit.grids() + b.x_lo;
-              for (std::int32_t i = 0; i <= b.x_hi - b.x_lo; ++i) {
-                resident_err += std::abs(row[i] - truth_row[i]);
-                resident_truth_abs += std::abs(truth_row[i]);
-              }
-            }
-          });
-      total_error += resident_err + (truth_abs_total - resident_truth_abs);
-      // The own region is pinned resident, so per-cell reads stay cheap.
-      const Rect own = partition.region(p);
-      for (std::int32_t c = own.channel_lo; c <= own.channel_hi; ++c) {
-        for (std::int32_t x = own.x_lo; x <= own.x_hi; ++x) {
-          const GridPoint cell{c, x};
-          own_error += std::abs(tiled->at(cell) - shared.truth.at(cell));
-          ++own_cells;
+    const std::int32_t stride = view.tiles().tile_cols();
+    std::int64_t resident_err = 0;
+    std::int64_t resident_truth_abs = 0;
+    view.tiles().for_each_resident_tile([&](const Rect& b, const std::int32_t* tile) {
+      for (std::int32_t c = b.channel_lo; c <= b.channel_hi; ++c) {
+        const std::int32_t* row =
+            tile + static_cast<std::size_t>(c - b.channel_lo) * stride;
+        const std::int32_t* truth_row =
+            shared.truth.cells().data() +
+            static_cast<std::size_t>(c) * circuit.grids() + b.x_lo;
+        for (std::int32_t i = 0; i <= b.x_hi - b.x_lo; ++i) {
+          resident_err += std::abs(row[i] - truth_row[i]);
+          resident_truth_abs += std::abs(truth_row[i]);
         }
       }
-      continue;
-    }
-    for (std::int32_t c = 0; c < circuit.channels(); ++c) {
-      for (std::int32_t x = 0; x < circuit.grids(); ++x) {
+    });
+    total_error += resident_err + (truth_abs_total - resident_truth_abs);
+    // The own region is pinned resident, so per-cell reads stay cheap.
+    const Rect own = partition.region(p);
+    for (std::int32_t c = own.channel_lo; c <= own.channel_hi; ++c) {
+      for (std::int32_t x = own.x_lo; x <= own.x_hi; ++x) {
         const GridPoint cell{c, x};
-        const std::int64_t err = std::abs(view.at(cell) - shared.truth.at(cell));
-        total_error += err;
-        if (partition.owner(cell) == p) {
-          own_error += err;
-          ++own_cells;
-        }
+        own_error += std::abs(view.at(cell) - shared.truth.at(cell));
+        ++own_cells;
       }
     }
   }

@@ -70,8 +70,8 @@ struct MpRunResult {
   double own_region_staleness = 0.0;
 
   /// Cell storage actually allocated across all processor views at the end
-  /// of the run (== procs x grid size for dense views; the point of the
-  /// sharded configuration is that this stays far below that at scale).
+  /// of the run: whole tiles, so it can exceed procs x grid size on a small
+  /// chip, and stays far below it at scale.
   std::int64_t view_resident_cells = 0;
   std::int64_t view_resident_bytes = 0;
 };

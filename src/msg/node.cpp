@@ -4,7 +4,6 @@
 #include <memory>
 #include <utility>
 
-#include "grid/tiled_cost_array.hpp"
 #include "msg/observer.hpp"
 #include "support/assert.hpp"
 
@@ -14,26 +13,6 @@ namespace {
 
 /// Cap on resident-region ids carried by one extended wire request.
 constexpr std::size_t kResidentSummaryCap = 32;
-
-/// Dense view at paper scale; sparse tiles when sharding is on. The node's
-/// own region is pinned resident up front — it receives every remote delta
-/// and must answer absolute requests from wire 0.
-std::unique_ptr<GridBacking> make_view(const Circuit& circuit,
-                                       const Partition& partition,
-                                       const MpConfig& config, ProcId self) {
-  if (!config.shard.enabled) {
-    return std::make_unique<CostArray>(circuit.channels(), circuit.grids());
-  }
-  auto tiled = std::make_unique<TiledCostArray>(circuit.channels(),
-                                                circuit.grids(), config.shard.tile);
-  tiled->ensure_rect(partition.region(self));
-  return tiled;
-}
-
-DeltaArray make_delta(const Partition& partition, const MpConfig& config) {
-  if (!config.shard.enabled) return DeltaArray(partition);
-  return DeltaArray(partition, config.shard.tile);
-}
 
 /// Converts extracted delta blocks into wire-format update blocks.
 std::vector<UpdateBlock> to_update_blocks(std::vector<DeltaArray::Extract> extracts) {
@@ -52,15 +31,18 @@ RouterNode::RouterNode(const Circuit& circuit, const Partition& partition,
                        ProcId self, MpShared& shared)
     : circuit_(circuit), partition_(partition), config_(config),
       my_wires_(std::move(my_wires)), self_(self), shared_(shared),
-      view_(make_view(circuit, partition, config, self)),
-      delta_(make_delta(partition, config)),
-      view_with_delta_(*view_, delta_),
+      view_(circuit.channels(), circuit.grids(), config.shard.tile),
+      delta_(partition, config.shard.tile),
+      view_with_delta_(view_, delta_),
       router_(circuit.channels(), config.router),
       touch_count_(static_cast<std::size_t>(partition.num_regions()), 0),
       interest_bbox_(static_cast<std::size_t>(partition.num_regions())),
       req_rmt_received_(static_cast<std::size_t>(partition.num_regions()), 0),
       segments_changed_(static_cast<std::size_t>(partition.num_regions()), 0),
       granted_to_(static_cast<std::size_t>(partition.num_regions()), false) {
+  // The own region is pinned resident up front: it receives every remote
+  // delta and must answer absolute requests from wire 0.
+  view_.ensure_rect(partition.region(self));
   if (config.assignment_mode != WireAssignmentMode::kStatic &&
       config.dynamic.extended_protocol() && self == 0 &&
       config.dynamic.policy == GrantPolicy::kLocality) {
@@ -109,10 +91,10 @@ void RouterNode::on_packet(NodeApi& api, const Packet& packet) {
       // batched packet replaces each tight block instead of the whole box.
       if (!update.blocks.empty()) {
         for (const UpdateBlock& block : update.blocks) {
-          view_->write_rect(block.bbox, block.values);
+          view_.write_rect(block.bbox, block.values);
         }
       } else {
-        view_->write_rect(update.bbox, update.values);
+        view_.write_rect(update.bbox, update.values);
       }
       if (packet.type == kMsgRspRmtData) {
         // A duplicated response (fault injection) must not drive the count
@@ -163,7 +145,7 @@ void RouterNode::on_packet(NodeApi& api, const Packet& packet) {
           partition_.region(self_));
       LOCUS_ASSERT(!window.is_empty());
       std::vector<std::int32_t> values;
-      view_->read_rect(window, values);
+      view_.read_rect(window, values);
       send_data_update(api, packet.src, kMsgRspRmtData, self_, window,
                        /*absolute=*/true, std::move(values));
       break;
@@ -473,12 +455,12 @@ std::span<const ProcId> RouterNode::resident_summary() {
   if (config_.dynamic.policy != GrantPolicy::kLocality) return {};
   // Tiles are never released mid-run, so the resident cell count is a
   // monotone key: unchanged count means an unchanged tile set.
-  const std::int64_t cells = view_->resident_cells();
+  const std::int64_t cells = view_.resident_cells();
   if (cells == resident_snapshot_cells_) return resident_summary_;
   resident_snapshot_cells_ = cells;
   resident_summary_.clear();
   for (ProcId r = 0; r < partition_.num_regions(); ++r) {
-    if (view_->any_resident_in(partition_.region(r))) {
+    if (view_.any_resident_in(partition_.region(r))) {
       resident_summary_.push_back(r);
     }
   }
@@ -726,7 +708,7 @@ void RouterNode::fire_sender_updates(NodeApi& api) {
         // absolute data from the view.
         std::vector<UpdateBlock> update_blocks = to_update_blocks(std::move(*blocks));
         for (UpdateBlock& block : update_blocks) {
-          view_->read_rect(block.bbox, block.values);
+          view_.read_rect(block.bbox, block.values);
         }
         for (ProcId neighbor : partition_.neighbors(self_)) {
           send_batched_update(api, neighbor, kMsgSendLocData, self_,
@@ -744,7 +726,7 @@ void RouterNode::fire_sender_updates(NodeApi& api) {
       // Absolute data comes from the view; the extracted delta values only
       // located the changes.
       std::vector<std::int32_t> values;
-      view_->read_rect(extract->bbox, values);
+      view_.read_rect(extract->bbox, values);
       // Optimization from §4.3.2: absolute broadcasts go to the four mesh
       // neighbors only.
       for (ProcId neighbor : partition_.neighbors(self_)) {
@@ -819,7 +801,7 @@ void RouterNode::send_batched_update(NodeApi& api, ProcId dst, std::int32_t type
 
 void RouterNode::apply_delta_block(const Rect& bbox,
                                    std::span<const std::int32_t> values) {
-  view_->add_rect(bbox, values);
+  view_.add_rect(bbox, values);
   if (config_.observer != nullptr) {
     config_.observer->on_delta_applied(self_, bbox, values);
   }

@@ -2,7 +2,9 @@
 //
 // Each node owns one region of the cost array, holds a private view of the
 // whole array plus a delta array of unpropagated changes, and routes its
-// statically assigned wires. Between wires it:
+// statically assigned wires. Both are tiled (grid/tile_grid.hpp): only the
+// tiles the node touches are allocated, and an absent tile reads as the
+// initial zero. Between wires it:
 //   * applies arrived updates (absolute region replacements or delta adds),
 //   * answers ReqRmtData with absolute data and ReqLocData with deltas,
 //   * fires sender-initiated SendLocData / SendRmtData on their wire
@@ -21,9 +23,9 @@
 #include "assign/assignment.hpp"
 #include "circuit/circuit.hpp"
 #include "geom/partition.hpp"
-#include "grid/backing.hpp"
 #include "grid/cost_array.hpp"
 #include "grid/delta_array.hpp"
+#include "grid/tiled_cost_array.hpp"
 #include "msg/config.hpp"
 #include "msg/packets.hpp"
 #include "msg/view.hpp"
@@ -101,9 +103,8 @@ class RouterNode final : public Node {
   bool on_step(NodeApi& api) override;
   bool blocked() const override;
 
-  /// Test hooks. The view is a CostArray in monolithic runs and a
-  /// TiledCostArray when ShardConfig::enabled — content-identical either way.
-  const GridBacking& view() const { return *view_; }
+  /// Test hooks.
+  const TiledCostArray& view() const { return view_; }
   const DeltaArray& delta() const { return delta_; }
   std::int32_t pending_responses() const { return pending_responses_; }
 
@@ -178,7 +179,7 @@ class RouterNode final : public Node {
   ProcId self_;
   MpShared& shared_;
 
-  std::unique_ptr<GridBacking> view_;  ///< dense or tiled per config_.shard
+  TiledCostArray view_;  ///< own region pinned resident from the start
   DeltaArray delta_;
   ViewWithDelta view_with_delta_;
   WireRouter router_;

@@ -1,6 +1,6 @@
 // The message passing processors' cost view: reads go straight to the
-// node's (possibly drifted) private CostArray, writes are mirrored into the
-// delta array that feeds SendRmtData / ReqLocData updates. Used by the
+// node's (possibly drifted) private TiledCostArray, writes are mirrored into
+// the delta array that feeds SendRmtData / ReqLocData updates. Used by the
 // simulated node program (msg/node.hpp); tested directly by the explorer
 // property matrix.
 #pragma once
@@ -8,20 +8,19 @@
 #include <cstdint>
 #include <span>
 
-#include "grid/backing.hpp"
 #include "grid/delta_array.hpp"
+#include "grid/tiled_cost_array.hpp"
 #include "route/cost_view.hpp"
 
 namespace locus {
 
 /// CostView that mirrors every write into the delta array. Reads go
 /// straight to the (possibly drifted) private view, so both bulk span
-/// reads forward to the backing's fast path — clamping included. The view
-/// is any GridBacking: dense CostArray (paper scale) or TiledCostArray
-/// (sharded scale runs), chosen by ShardConfig.
+/// reads forward to the tiled array's fast path — clamping included. The
+/// view is held by its concrete type, so these forwards are direct calls.
 class ViewWithDelta final : public CostView {
  public:
-  ViewWithDelta(GridBacking& view, DeltaArray& delta) : view_(view), delta_(delta) {}
+  ViewWithDelta(TiledCostArray& view, DeltaArray& delta) : view_(view), delta_(delta) {}
   std::int32_t read(GridPoint p) override { return view_.read(p); }
   void add(GridPoint p, std::int32_t d) override {
     view_.add(p, d);
@@ -38,7 +37,7 @@ class ViewWithDelta final : public CostView {
   bool supports_bulk_read() const override { return true; }
 
  private:
-  GridBacking& view_;
+  TiledCostArray& view_;
   DeltaArray& delta_;
 };
 

@@ -3,11 +3,9 @@
 #include <algorithm>
 #include <cstdint>
 #include <limits>
-#include <optional>
 #include <queue>
 
-#include "grid/backing.hpp"
-#include "grid/tiled_cost_array.hpp"
+#include "grid/cost_array.hpp"
 #include "support/assert.hpp"
 
 namespace locus {
@@ -20,7 +18,7 @@ namespace {
 /// processor's stream in the RefTrace.
 class TracingView final : public CostView {
  public:
-  TracingView(GridBacking& shared, bool capture, bool dedup_reads)
+  TracingView(CostArray& shared, bool capture, bool dedup_reads)
       : shared_(shared), capture_(capture), dedup_reads_(dedup_reads),
         read_stamp_(static_cast<std::size_t>(shared.size()), 0) {}
 
@@ -100,7 +98,7 @@ class TracingView final : public CostView {
     pending_.push_back({cost_cell_addr(p.channel, p.x, shared_.channels()), MemOp::kRead});
   }
 
-  GridBacking& shared_;
+  CostArray& shared_;
   bool capture_;
   bool dedup_reads_;
   bool defer_ = false;
@@ -171,16 +169,8 @@ ShmRunResult run_shared_memory(const Circuit& circuit, const ShmConfig& config) 
   result.routes.resize(static_cast<std::size_t>(circuit.num_wires()));
   result.proc_finish_ns.assign(static_cast<std::size_t>(config.procs), 0);
 
-  // The one shared array everyone routes against: dense (the result slot
-  // itself) or a tiled backing whose content is copied out at the end.
-  std::optional<TiledCostArray> tiled;
-  if (config.sharded_cost) {
-    tiled.emplace(circuit.channels(), circuit.grids(), config.tile_dims);
-  }
-  GridBacking& shared_cost =
-      config.sharded_cost ? static_cast<GridBacking&>(*tiled) : result.cost;
-
-  TracingView view(shared_cost, config.capture_trace, config.trace_dedup_reads);
+  // The one shared array everyone routes against is the result slot itself.
+  TracingView view(result.cost, config.capture_trace, config.trace_dedup_reads);
   const TimeModel& tm = config.time;
 
   obs::RouteSpanObs route_spans;
@@ -206,7 +196,7 @@ ShmRunResult run_shared_memory(const Circuit& circuit, const ShmConfig& config) 
   auto apply_pending_until = [&](SimTime t) {
     while (!pending_commits.empty() && pending_commits.top().time <= t) {
       const PendingCommit& pc = pending_commits.top();
-      for (const GridPoint& p : pc.cells) shared_cost.add(p, pc.delta);
+      for (const GridPoint& p : pc.cells) result.cost.add(p, pc.delta);
       pending_commits.pop();
     }
   };
@@ -303,13 +293,6 @@ ShmRunResult run_shared_memory(const Circuit& circuit, const ShmConfig& config) 
   }
 
   result.completion_ns = barrier_time;
-  if (tiled.has_value()) {
-    // Materialize the dense result array from the tiles (raw copy; absent
-    // tiles contribute their zeros).
-    std::vector<std::int32_t> values;
-    tiled->read_rect(tiled->bounds(), values);
-    result.cost.write_rect(result.cost.bounds(), values);
-  }
   result.circuit_height = circuit_height(result.cost);
   LOCUS_ASSERT(result.cost ==
                rebuild_cost(circuit.channels(), circuit.grids(), result.routes));

@@ -24,7 +24,6 @@
 #include "assign/assignment.hpp"
 #include "circuit/circuit.hpp"
 #include "grid/cost_array.hpp"
-#include "grid/tile_grid.hpp"
 #include "obs/obs.hpp"
 #include "route/cost_model.hpp"
 #include "route/quality.hpp"
@@ -54,12 +53,6 @@ struct ShmConfig {
   /// counters published from the finished ShmRunResult (work totals and
   /// the captured shared-reference count). Not owned.
   obs::Obs* obs = nullptr;
-  /// Route against a sparse tiled cost array instead of the dense one. An
-  /// absent tile reads as zero — the initial value of every cell — so the
-  /// tiled array is content-identical and routes are bit-identical;
-  /// ShmRunResult::cost is the dense final array either way.
-  bool sharded_cost = false;
-  TileDims tile_dims;
 };
 
 struct ShmRunResult {

@@ -147,7 +147,7 @@ class ReferenceConsistencyChecker final : public MpObserver {
     const CostArray& truth = *run_.truth;
     for (ProcId owner = 0; owner < partition.num_regions(); ++owner) {
       const Rect& region = partition.region(owner);
-      const GridBacking& view = run_.nodes[static_cast<std::size_t>(owner)]->view();
+      const TiledCostArray& view = run_.nodes[static_cast<std::size_t>(owner)]->view();
       for (std::int32_t c = region.channel_lo; c <= region.channel_hi; ++c) {
         for (std::int32_t x = region.x_lo; x <= region.x_hi; ++x) {
           const GridPoint q{c, x};
@@ -258,7 +258,7 @@ class TeeObserver final : public MpObserver {
       const_cast<DeltaArray&>(run_.nodes[remote]->delta())
           .add(corrupted_cell, kCorruptBy);
     } else {
-      auto& view = const_cast<GridBacking&>(run_.nodes[owner]->view());
+      auto& view = const_cast<TiledCostArray&>(run_.nodes[owner]->view());
       view.set(corrupted_cell, view.at(corrupted_cell) + kCorruptBy);
     }
     corrupted = true;
@@ -380,7 +380,6 @@ TEST(ConsistencyDifferential, DuplicatedDeltas) {
 TEST(ConsistencyDifferential, ShardedBatched16p) {
   MpConfig config;
   config.schedule = UpdateSchedule::sender(2, 10);
-  config.shard.enabled = true;
   config.shard.batch_updates = true;
   config.shard.tile = TileDims{2, 64};
   const Circuit bnre = make_bnre_like();

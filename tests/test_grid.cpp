@@ -2,6 +2,10 @@
 // boxes, extraction, and the rip-up/re-route cancellation property).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <vector>
+
 #include "grid/cost_array.hpp"
 #include "grid/delta_array.hpp"
 #include "support/rng.hpp"
@@ -82,9 +86,13 @@ TEST(CostArray, EqualityComparesCells) {
   EXPECT_FALSE(a == b);
 }
 
+/// Tiles of 2x8 cells, so the cancellation and extraction cases below
+/// cross tile edges in both dimensions.
+constexpr TileDims kSmallTiles{2, 8};
+
 class DeltaArrayTest : public ::testing::Test {
  protected:
-  DeltaArrayTest() : part_(6, 40, MeshShape{2, 2}), delta_(part_) {}
+  DeltaArrayTest() : part_(6, 40, MeshShape{2, 2}), delta_(part_, kSmallTiles) {}
   Partition part_;
   DeltaArray delta_;
 };
@@ -163,48 +171,75 @@ TEST_F(DeltaArrayTest, RegionsAreIndependent) {
   EXPECT_TRUE(delta_.region_dirty(2));
 }
 
-/// Property: against a naive mirror model, dirty flags, counts and extracted
-/// values always agree, for random operation sequences.
+/// Property: against a naive mirror model, dirty flags, counts, whole-grid
+/// sums, extracted boxes and values, and the scan cost the packet time model
+/// reads (the conservative box: it grows when a cell turns nonzero and
+/// resets when its region goes clean) always agree, for random sequences
+/// of adds of either sign.
 class DeltaArrayProperty : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(DeltaArrayProperty, AgreesWithMirrorModel) {
-  Partition part(8, 32, MeshShape{2, 2});
-  DeltaArray delta(part);
-  std::vector<std::int32_t> mirror(8 * 32, 0);
+  constexpr std::int32_t kChannels = 8;
+  constexpr std::int32_t kGrids = 32;
+  Partition part(kChannels, kGrids, MeshShape{2, 2});
+  DeltaArray delta(part, kSmallTiles);
+  std::vector<std::int32_t> mirror(kChannels * kGrids, 0);
+  std::vector<std::int64_t> region_nonzero(4, 0);
+  std::vector<Rect> scan_box(4);
+  auto cell = [&](std::int32_t c, std::int32_t x) -> std::int32_t& {
+    return mirror[static_cast<std::size_t>(c) * kGrids + x];
+  };
   Rng rng(GetParam());
 
   for (int step = 0; step < 2000; ++step) {
-    GridPoint p{static_cast<std::int32_t>(rng.bounded(8)),
-                static_cast<std::int32_t>(rng.bounded(32))};
-    std::int32_t d = rng.chance(0.5) ? 1 : -1;
+    const GridPoint p{static_cast<std::int32_t>(rng.bounded(kChannels)),
+                      static_cast<std::int32_t>(rng.bounded(kGrids))};
+    const auto d = static_cast<std::int32_t>(rng.bounded(5)) - 2;
     delta.add(p, d);
-    mirror[static_cast<std::size_t>(p.channel) * 32 + p.x] += d;
+    const bool was_zero = cell(p.channel, p.x) == 0;
+    cell(p.channel, p.x) += d;
+    const bool is_zero = cell(p.channel, p.x) == 0;
+    const auto owner = static_cast<std::size_t>(part.owner(p));
+    if (was_zero && !is_zero) {
+      ++region_nonzero[owner];
+      scan_box[owner].expand(p);
+    } else if (!was_zero && is_zero && --region_nonzero[owner] == 0) {
+      scan_box[owner] = Rect::empty();
+    }
 
-    if (step % 97 == 0) {
-      ProcId region = static_cast<ProcId>(rng.bounded(4));
-      std::int64_t nonzero = 0;
-      const Rect& r = part.region(region);
-      for (std::int32_t c = r.channel_lo; c <= r.channel_hi; ++c) {
-        for (std::int32_t x = r.x_lo; x <= r.x_hi; ++x) {
-          if (mirror[static_cast<std::size_t>(c) * 32 + x] != 0) ++nonzero;
-        }
+    if (step % 97 != 0) continue;
+    std::vector<std::int64_t> sums(mirror.size(), 0);
+    delta.accumulate(Rect::of(0, kChannels - 1, 0, kGrids - 1), sums);
+    ASSERT_TRUE(std::equal(sums.begin(), sums.end(), mirror.begin()));
+
+    const auto region = static_cast<ProcId>(rng.bounded(4));
+    const Rect& r = part.region(region);
+    std::int64_t nonzero = 0;
+    Rect tight;
+    for (std::int32_t c = r.channel_lo; c <= r.channel_hi; ++c) {
+      for (std::int32_t x = r.x_lo; x <= r.x_hi; ++x) {
+        if (cell(c, x) == 0) continue;
+        ++nonzero;
+        tight.expand(GridPoint{c, x});
       }
-      ASSERT_EQ(delta.nonzero_count(region), nonzero);
-      ASSERT_EQ(delta.region_dirty(region), nonzero > 0);
-      auto extract = delta.extract_region(region);
-      ASSERT_EQ(extract.has_value(), nonzero > 0);
-      if (extract) {
-        // Apply extraction to the mirror: those deltas are now propagated.
-        std::size_t i = 0;
-        for (std::int32_t c = extract->bbox.channel_lo; c <= extract->bbox.channel_hi;
-             ++c) {
-          for (std::int32_t x = extract->bbox.x_lo; x <= extract->bbox.x_hi;
-               ++x, ++i) {
-            ASSERT_EQ(extract->values[i],
-                      mirror[static_cast<std::size_t>(c) * 32 + x]);
-            mirror[static_cast<std::size_t>(c) * 32 + x] = 0;
-          }
-        }
+    }
+    ASSERT_EQ(delta.nonzero_count(region), nonzero);
+    ASSERT_EQ(delta.region_dirty(region), nonzero > 0);
+    const Rect scanned = scan_box[static_cast<std::size_t>(region)];
+    scan_box[static_cast<std::size_t>(region)] = Rect::empty();
+    region_nonzero[static_cast<std::size_t>(region)] = 0;
+    auto extract = delta.extract_region(region);
+    ASSERT_EQ(extract.has_value(), nonzero > 0);
+    ASSERT_EQ(delta.last_scan_cells(), scanned.area());
+    ASSERT_FALSE(delta.region_dirty(region));
+    if (!extract) continue;
+    ASSERT_EQ(extract->bbox, tight);
+    // Apply extraction to the mirror: those deltas are now propagated.
+    std::size_t i = 0;
+    for (std::int32_t c = tight.channel_lo; c <= tight.channel_hi; ++c) {
+      for (std::int32_t x = tight.x_lo; x <= tight.x_hi; ++x, ++i) {
+        ASSERT_EQ(extract->values[i], cell(c, x));
+        cell(c, x) = 0;
       }
     }
   }

@@ -124,14 +124,12 @@ TEST_F(DynamicAssignment, ReceiverScheduleRejected) {
 
 MpRunResult run_ext(const Circuit& circuit, const DynamicScheduleConfig& dyn,
                     std::int32_t procs = 4, std::int32_t iterations = 2,
-                    bool sharded = false,
                     UpdateSchedule schedule = UpdateSchedule::sender(2, 5)) {
   MpConfig config;
   config.schedule = schedule;
   config.iterations = iterations;
   config.assignment_mode = WireAssignmentMode::kDynamicInterrupt;
   config.dynamic = dyn;
-  config.shard.enabled = sharded;
   return run_message_passing(circuit, procs, config);
 }
 
@@ -189,7 +187,7 @@ TEST_F(DynamicAssignment, ShardedLocalityProducesAffinityGrants) {
   DynamicScheduleConfig dyn;
   dyn.policy = GrantPolicy::kLocality;
   dyn.grant_batch = 4;
-  MpRunResult r = run_ext(bnre, dyn, 16, 2, /*sharded=*/true);
+  MpRunResult r = run_ext(bnre, dyn, 16);
   EXPECT_EQ(r.work.wires_routed, bnre.num_wires() * 2);
   // With tiled views the resident summaries are sparse and meaningful, and
   // some grants must come from a requester-resident bucket.
@@ -205,11 +203,11 @@ TEST_F(DynamicAssignment, LocalityRadiusRoutesEveryWire) {
   dyn.policy = GrantPolicy::kLocality;
   dyn.grant_batch = 4;
   dyn.locality_radius = 1;
-  MpRunResult a = run_ext(bnre, dyn, 16, 2, /*sharded=*/true);
+  MpRunResult a = run_ext(bnre, dyn, 16);
   EXPECT_EQ(a.work.wires_routed, bnre.num_wires() * 2);
   EXPECT_EQ(a.circuit_height,
             circuit_height(bnre.channels(), bnre.grids(), a.routes));
-  MpRunResult b = run_ext(bnre, dyn, 16, 2, /*sharded=*/true);
+  MpRunResult b = run_ext(bnre, dyn, 16);
   EXPECT_EQ(a.completion_ns, b.completion_ns);
   EXPECT_EQ(a.routed_per_proc, b.routed_per_proc);
 }
@@ -219,8 +217,8 @@ TEST_F(DynamicAssignment, ExtendedProtocolDeterministic) {
   DynamicScheduleConfig dyn;
   dyn.policy = GrantPolicy::kLocality;
   dyn.grant_batch = 8;
-  MpRunResult a = run_ext(bnre, dyn, 16, 2, /*sharded=*/true);
-  MpRunResult b = run_ext(bnre, dyn, 16, 2, /*sharded=*/true);
+  MpRunResult a = run_ext(bnre, dyn, 16);
+  MpRunResult b = run_ext(bnre, dyn, 16);
   EXPECT_EQ(a.completion_ns, b.completion_ns);
   EXPECT_EQ(a.bytes_transferred, b.bytes_transferred);
   EXPECT_EQ(a.circuit_height, b.circuit_height);

@@ -9,6 +9,7 @@
 #include "geom/partition.hpp"
 #include "grid/cost_array.hpp"
 #include "grid/delta_array.hpp"
+#include "grid/tiled_cost_array.hpp"
 #include "msg/view.hpp"
 #include "route/explorer.hpp"
 #include "route/quality.hpp"
@@ -137,9 +138,16 @@ TEST_P(BulkVsReferenceMatrix, BulkPricingMatchesReferenceBitForBit) {
         cost.set(p, -static_cast<std::int32_t>(1 + rng.bounded(3)));
       }
     }
+    // The node view holds the same cells in small tiles, so bulk reads
+    // cross tile edges.
+    constexpr TileDims kTiles{2, 16};
+    TiledCostArray tiled(channels, grids, kTiles);
+    std::vector<std::int32_t> cells;
+    cost.read_rect(cost.bounds(), cells);
+    tiled.write_rect(tiled.bounds(), cells);
     Partition part(channels, grids, MeshShape{1, 1});
-    DeltaArray delta(part);
-    ViewWithDelta node_view(cost, delta);
+    DeltaArray delta(part, kTiles);
+    ViewWithDelta node_view(tiled, delta);
     NonBulkView fallback(cost);
     ExplorerParams params;
     params.channel_slack = static_cast<std::int32_t>(rng.bounded(3));

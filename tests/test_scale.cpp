@@ -22,12 +22,7 @@ TEST(ScaleSmoke, TenKWiresAt64ProcsRoutesToCompletion) {
   const Circuit circuit = make_scale_circuit(10'000, /*seed=*/0x5CA1EULL);
   MpConfig config;
   config.schedule = UpdateSchedule::sender(2, 10);
-  config.shard.enabled = true;
   config.shard.batch_updates = true;
-  // Finer tiles than the default 4x512: a 10k-wire chip is only ~80k cells,
-  // so coarse tiles would round most views up to the whole grid and the
-  // memory-boundedness assertion below would measure rounding, not reach.
-  config.shard.tile = TileDims{2, 128};
   const MpRunResult r = run_message_passing(circuit, /*procs=*/64, config);
   EXPECT_EQ(static_cast<std::int32_t>(r.routes.size()), circuit.num_wires());
   for (const WireRoute& route : r.routes) {
@@ -36,7 +31,7 @@ TEST(ScaleSmoke, TenKWiresAt64ProcsRoutesToCompletion) {
   EXPECT_GT(r.circuit_height, 0);
   EXPECT_GT(r.completion_ns, 0);
   EXPECT_GT(r.bytes_transferred, 0u);
-  // The sharded views must actually be sparse: total resident cells stay
+  // The tiled views must actually be sparse: total resident cells stay
   // below what 64 dense views would allocate.
   const std::int64_t dense_cells = std::int64_t{64} * circuit.channels() *
                                    circuit.grids();

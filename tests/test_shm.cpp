@@ -192,7 +192,7 @@ Circuit make_bnre60() {
   return generate_circuit(p);
 }
 
-enum class DigestMode { kDynamic, kThreshold, kDedup, kSharded };
+enum class DigestMode { kDynamic, kThreshold, kDedup };
 
 struct DigestCase {
   const char* name;
@@ -212,16 +212,12 @@ const DigestCase kDigestCases[] = {
      28557, 0x6c7a5b4d09fe6407ULL},
     {"TinyDedup", false, DigestMode::kDedup,
      2088, 0x96c1f75ad71c39ddULL},
-    {"TinySharded", false, DigestMode::kSharded,
-     28727, 0x8b6c9dec17ea7d03ULL},
     {"Bnre60Dynamic", true, DigestMode::kDynamic,
      1673321, 0x4d88c54de163aa32ULL},
     {"Bnre60Threshold", true, DigestMode::kThreshold,
      1672897, 0xbccb8ab2e86daeceULL},
     {"Bnre60Dedup", true, DigestMode::kDedup,
      37726, 0x963be9b4e350d7e5ULL},
-    {"Bnre60Sharded", true, DigestMode::kSharded,
-     1673321, 0x4d88c54de163aa32ULL},
 };
 
 void PrintTo(const DigestCase& c, std::ostream* os) { *os << c.name; }
@@ -244,10 +240,6 @@ TEST_P(ShmTraceDigest, MatchesRecordedTrace) {
     }
     case DigestMode::kDedup:
       config.trace_dedup_reads = true;
-      break;
-    case DigestMode::kSharded:
-      config.sharded_cost = true;
-      config.tile_dims = TileDims{2, 16};
       break;
   }
   const RefTrace trace = run_shared_memory(circuit, config).trace;

@@ -155,6 +155,22 @@ TEST(MpConfigValidate, BatchingNeedsBoundingBoxPackets) {
   EXPECT_EQ(validate_error(config, 4), "");
 }
 
+TEST(MpConfigValidate, TileSidesMustBePositivePowersOfTwo) {
+  MpConfig config;
+  config.shard.tile = TileDims{3, 128};
+  EXPECT_THROW(run_message_passing(make_tiny_test_circuit(), 4, config),
+               std::invalid_argument);
+  EXPECT_NE(validate_error(config, 4).find("shard.tile.channels must be a positive "
+                                           "power of two, got 3"),
+            std::string::npos);
+  config.shard.tile = TileDims{2, 0};
+  EXPECT_NE(validate_error(config, 4).find("shard.tile.cols must be a positive "
+                                           "power of two, got 0"),
+            std::string::npos);
+  config.shard.tile = TileDims{1, 1};
+  EXPECT_EQ(validate_error(config, 4), "");
+}
+
 TEST(NetworkInvariants, ByteHopsAtLeastBytes) {
   Circuit c = make_tiny_test_circuit();
   MpConfig config;
