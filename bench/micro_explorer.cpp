@@ -15,7 +15,6 @@
 #include "route/explorer.hpp"
 #include "route/router.hpp"
 #include "support/assert.hpp"
-#include "support/simd.hpp"
 #include "support/stopwatch.hpp"
 
 namespace {
@@ -146,52 +145,6 @@ Table run_pricing(const Circuit& circuit, const ExplorerParams& params,
   return t;
 }
 
-/// SIMD kernels versus the forced-scalar fallback, same bulk engine: flips
-/// the global force-scalar switch (support/simd.hpp) around two identical
-/// sweeps. The kernels are integer-exact, so everything except the time must
-/// match bit for bit — asserted here, head-to-head in one process.
-Table run_simd_vs_scalar(const Circuit& circuit) {
-  const std::vector<std::pair<Pin, Pin>> pairs = connection_list(circuit);
-  CostArray cost = make_landscape(circuit);
-  const std::int32_t channels = circuit.channels();
-  const ExplorerParams params = ExplorerParams::thorough();
-  const auto engine = [&](const Pin& a, const Pin& b) {
-    return explore_connection(a, b, channels, cost, params);
-  };
-
-  simd::set_force_scalar(false);
-  const SweepResult vec = time_sweeps(pairs, engine, 0.4);
-  simd::set_force_scalar(true);
-  const SweepResult sca = time_sweeps(pairs, engine, 0.4);
-  simd::set_force_scalar(false);
-  LOCUS_ASSERT_MSG(vec.total_cost == sca.total_cost &&
-                       vec.stats.cells_probed == sca.stats.cells_probed &&
-                       vec.stats.routes_evaluated == sca.stats.routes_evaluated,
-                   "SIMD and scalar kernels diverged");
-
-  benchmain::record("simd_bulk_s", vec.seconds_per_sweep);
-  benchmain::record("scalar_bulk_s", sca.seconds_per_sweep);
-  benchmain::record("simd_speedup_x",
-                    sca.seconds_per_sweep / vec.seconds_per_sweep);
-
-  Table t;
-  t.column("kernels", Align::kLeft)
-      .column("ms / sweep")
-      .column("identical")
-      .column("speedup");
-  t.row()
-      .cell(simd::active_vector() ? simd::active_isa() : "scalar (no vector ISA)")
-      .cell(vec.seconds_per_sweep * 1e3, 2)
-      .cell("yes")
-      .cell(sca.seconds_per_sweep / vec.seconds_per_sweep, 2);
-  t.row()
-      .cell("scalar (forced)")
-      .cell(sca.seconds_per_sweep * 1e3, 2)
-      .cell("yes")
-      .cell(1.0, 2);
-  return t;
-}
-
 /// Whole-router comparison: route the full circuit through WireRouter with
 /// each engine and assert the committed arrays agree cell for cell.
 Table run_full_route(const Circuit& circuit) {
@@ -257,6 +210,5 @@ int main(int argc, char** argv) {
         [&] { return run_pricing(bnre, {}, "default"); }},
        {"pricing sweep, thorough params",
         [&] { return run_pricing(bnre, locus::ExplorerParams::thorough(), "thorough"); }},
-       {"simd vs scalar kernels", [&] { return run_simd_vs_scalar(bnre); }},
        {"full circuit route", [&] { return run_full_route(bnre); }}});
 }

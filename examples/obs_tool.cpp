@@ -33,17 +33,6 @@ locus::UpdateSchedule pick_schedule(const std::string& name) {
                               "' (valid: receiver | sender)");
 }
 
-/// Value of an integer flag that must lie in [lo, hi].
-std::int32_t bounded_flag(const locus::Cli& cli, const std::string& name,
-                          std::int64_t lo, std::int64_t hi) {
-  const std::int64_t v = cli.get_int(name);
-  if (v < lo || v > hi) {
-    throw std::invalid_argument("--" + name + "=" + cli.get(name) + " out of range " +
-                                std::to_string(lo) + ".." + std::to_string(hi));
-  }
-  return static_cast<std::int32_t>(v);
-}
-
 /// Writes the CSV/JSON outputs requested on the command line and prints the
 /// merged counters to stdout. Returns 0, or 1 on I/O failure.
 int emit(const locus::obs::Obs& obs, const std::string& metrics_path,
@@ -74,8 +63,9 @@ int run(const locus::Cli& cli) {
   }
   const locus::UpdateSchedule schedule = pick_schedule(cli.get("schedule"));
   // The shm replay's coherence model tracks at most 32 caches.
-  const std::int32_t procs = bounded_flag(cli, "procs", 1, mode == "shm" ? 32 : 1 << 20);
-  const std::int32_t iterations = bounded_flag(cli, "iterations", 1, 1 << 20);
+  const std::int32_t procs =
+      cli.get_bounded_int("procs", 1, mode == "shm" ? 32 : 1 << 20);
+  const std::int32_t iterations = cli.get_bounded_int("iterations", 1, 1 << 20);
   const locus::Circuit circuit = locus::make_named_circuit(cli.get("circuit"));
   const std::string trace_path = cli.get("trace");
   const std::string metrics_path = cli.get("metrics");

@@ -5,6 +5,10 @@
 //   $ ./examples/strategy_explorer --paradigm=mp --procs=16 --send-rmt=2
 //         (--send-loc=10 --assign=tc1000 --circuit=bnre ...)
 //   $ ./examples/strategy_explorer --paradigm=shm --procs=16 --line-size=8
+//
+// An unknown paradigm or assignment, an unreadable circuit, or a count or
+// line size out of range exits 1 with a message before anything runs.
+#include <cstdint>
 #include <cstdio>
 #include <stdexcept>
 #include <string>
@@ -24,7 +28,13 @@ locus::Circuit pick_circuit(const std::string& name) {
   try {
     return locus::make_named_circuit(name);
   } catch (const std::invalid_argument&) {
-    return locus::read_circuit_file(name);  // treat as a .ckt path
+    // Not a named circuit: treat it as a .ckt path.
+  }
+  try {
+    return locus::read_circuit_file(name);
+  } catch (const std::runtime_error& e) {
+    throw std::invalid_argument("--circuit=" + name + " is neither bnre | mdc | tiny nor a "
+                                "readable .ckt file (" + e.what() + ")");
   }
 }
 
@@ -33,33 +43,45 @@ locus::AssignMethod pick_method(const std::string& name) {
   if (name == "tc30") return locus::AssignMethod::kThreshold30;
   if (name == "tc1000") return locus::AssignMethod::kThreshold1000;
   if (name == "inf") return locus::AssignMethod::kThresholdInf;
-  std::fprintf(stderr, "unknown assignment '%s', using tc1000\n", name.c_str());
-  return locus::AssignMethod::kThreshold1000;
+  throw std::invalid_argument("unknown assignment '" + name +
+                              "' (valid: rr | tc30 | tc1000 | inf)");
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  locus::Cli cli;
-  cli.flag("paradigm", "mp (message passing) or shm (shared memory)", "mp");
-  cli.flag("circuit", "bnre | mdc | tiny | path to .ckt", "bnre");
-  cli.flag("procs", "number of processors", "16");
-  cli.flag("iterations", "routing iterations", "2");
-  cli.flag("assign", "rr | tc30 | tc1000 | inf", "tc1000");
-  cli.flag("send-rmt", "SendRmtData period in wires (0 = off)", "0");
-  cli.flag("send-loc", "SendLocData period in wires (0 = off)", "0");
-  cli.flag("req-loc", "ReqLocData request threshold (0 = off)", "0");
-  cli.flag("req-rmt", "ReqRmtData touch threshold (0 = off)", "0");
-  cli.flag("blocking", "block until requested updates arrive", false);
-  cli.flag("line-size", "cache line size in bytes (shm only)", "8");
-  if (!cli.parse(argc, argv)) return 1;
-
+int run(const locus::Cli& cli) {
+  const std::string paradigm = cli.get("paradigm");
+  if (paradigm != "mp" && paradigm != "shm") {
+    throw std::invalid_argument("unknown paradigm '" + paradigm + "' (valid: mp | shm)");
+  }
+  // The shm replay's coherence model tracks at most 32 caches.
+  const std::int32_t procs =
+      cli.get_bounded_int("procs", 1, paradigm == "shm" ? 32 : 1 << 20);
+  const std::int32_t iterations = cli.get_bounded_int("iterations", 1, 1 << 20);
+  const std::int32_t line_size =
+      cli.get_bounded_int("line-size", locus::CoherenceParams{}.word_size, 1 << 30);
+  if ((line_size & (line_size - 1)) != 0) {
+    throw std::invalid_argument("--line-size=" + cli.get("line-size") +
+                                " is not a power of two");
+  }
+  locus::UpdateSchedule schedule;
+  schedule.send_rmt_period = cli.get_bounded_int("send-rmt", 0, 1 << 20);
+  schedule.send_loc_period = cli.get_bounded_int("send-loc", 0, 1 << 20);
+  schedule.req_loc_requests = cli.get_bounded_int("req-loc", 0, 1 << 20);
+  schedule.req_rmt_touches = cli.get_bounded_int("req-rmt", 0, 1 << 20);
+  schedule.blocking_receiver = cli.get_bool("blocking");
+  const locus::AssignMethod method = pick_method(cli.get("assign"));
   locus::Circuit circuit = pick_circuit(cli.get("circuit"));
-  const auto procs = static_cast<std::int32_t>(cli.get_int("procs"));
-  const locus::Partition partition(circuit.channels(), circuit.grids(),
-                                   locus::MeshShape::for_procs(procs));
-  const locus::Assignment assignment =
-      make_assignment(circuit, partition, pick_method(cli.get("assign")));
+  // The partition needs at least one channel per mesh row and one grid per
+  // mesh column.
+  const locus::MeshShape mesh = locus::MeshShape::for_procs(procs);
+  if (mesh.rows > circuit.channels() || mesh.cols > circuit.grids()) {
+    throw std::invalid_argument(
+        "--procs=" + std::to_string(procs) + " needs a " + std::to_string(mesh.rows) +
+        "x" + std::to_string(mesh.cols) + " mesh, more than " + circuit.name() + "'s " +
+        std::to_string(circuit.channels()) + " channels x " +
+        std::to_string(circuit.grids()) + " grids");
+  }
+  const locus::Partition partition(circuit.channels(), circuit.grids(), mesh);
+  const locus::Assignment assignment = make_assignment(circuit, partition, method);
 
   std::printf("circuit %s, %d procs (%dx%d mesh), assignment %s\n",
               circuit.name().c_str(), procs, partition.mesh().rows,
@@ -69,18 +91,10 @@ int main(int argc, char** argv) {
               assignment.count_imbalance(), assignment.cost_imbalance(circuit),
               locus::locality_estimate(circuit, assignment, partition));
 
-  if (cli.get("paradigm") == "mp") {
+  if (paradigm == "mp") {
     locus::MpConfig config;
-    config.iterations = static_cast<std::int32_t>(cli.get_int("iterations"));
-    config.schedule.send_rmt_period =
-        static_cast<std::int32_t>(cli.get_int("send-rmt"));
-    config.schedule.send_loc_period =
-        static_cast<std::int32_t>(cli.get_int("send-loc"));
-    config.schedule.req_loc_requests =
-        static_cast<std::int32_t>(cli.get_int("req-loc"));
-    config.schedule.req_rmt_touches =
-        static_cast<std::int32_t>(cli.get_int("req-rmt"));
-    config.schedule.blocking_receiver = cli.get_bool("blocking");
+    config.iterations = iterations;
+    config.schedule = schedule;
 
     locus::MpRunResult r =
         run_message_passing(circuit, partition, assignment, config);
@@ -100,12 +114,12 @@ int main(int argc, char** argv) {
   } else {
     locus::ShmConfig config;
     config.procs = procs;
-    config.iterations = static_cast<std::int32_t>(cli.get_int("iterations"));
+    config.iterations = iterations;
     config.assignment = assignment;
     locus::ShmRunResult r = run_shared_memory(circuit, config);
 
     locus::CoherenceParams params;
-    params.line_size = static_cast<std::int32_t>(cli.get_int("line-size"));
+    params.line_size = line_size;
     locus::CoherenceSim sim(procs, params);
     sim.replay(r.trace);
 
@@ -122,4 +136,28 @@ int main(int argc, char** argv) {
                 params.line_size, sim.traffic().write_fraction() * 100.0);
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  locus::Cli cli;
+  cli.flag("paradigm", "mp (message passing) or shm (shared memory)", "mp");
+  cli.flag("circuit", "bnre | mdc | tiny | path to .ckt", "bnre");
+  cli.flag("procs", "number of processors", "16");
+  cli.flag("iterations", "routing iterations", "2");
+  cli.flag("assign", "rr | tc30 | tc1000 | inf", "tc1000");
+  cli.flag("send-rmt", "SendRmtData period in wires (0 = off)", "0");
+  cli.flag("send-loc", "SendLocData period in wires (0 = off)", "0");
+  cli.flag("req-loc", "ReqLocData request threshold (0 = off)", "0");
+  cli.flag("req-rmt", "ReqRmtData touch threshold (0 = off)", "0");
+  cli.flag("blocking", "block until requested updates arrive", false);
+  cli.flag("line-size", "cache line size in bytes (shm only)", "8");
+  if (!cli.parse(argc, argv)) return 1;
+  try {
+    return run(cli);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "strategy_explorer: %s\n", e.what());
+    return 1;
+  }
 }

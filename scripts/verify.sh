@@ -128,12 +128,6 @@ if [[ "$RUN_BENCH" == 1 ]]; then
   scripts/bench_compare.py BENCH_explorer.json /tmp/locus-bench/BENCH_explorer.json
   scripts/bench_compare.py BENCH_network.json /tmp/locus-bench/BENCH_network.json
   scripts/bench_compare.py BENCH_sim.json /tmp/locus-bench/BENCH_sim.json
-  # SIMD-vs-scalar identity gate: the section flips the runtime force-scalar
-  # switch around two identical pricing sweeps and LOCUS_ASSERTs bit-equal
-  # costs and work counters; a nonzero exit here means the vector kernels
-  # and the scalar fallback disagree (the timing ratio is informational).
-  ./build-release/bench/micro_explorer --only="simd vs scalar"
-  echo "simd identity: vector and forced-scalar sweeps bit-identical"
 fi
 
 # Optional checking-subsystem smoke: the differential oracle, the

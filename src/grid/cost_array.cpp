@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "support/assert.hpp"
-#include "support/simd.hpp"
 
 namespace locus {
 
@@ -28,7 +27,8 @@ void CostArray::read_row(std::int32_t channel, std::int32_t x_lo, std::int32_t x
   LOCUS_ASSERT(span_out.size() >= count);
   const std::int32_t* row = cells_.data() +
                             static_cast<std::size_t>(channel) * grids_ + x_lo;
-  simd::clamp_nonneg(row, span_out.data(), count);
+  std::transform(row, row + count, span_out.data(),
+                 [](std::int32_t v) { return std::max(v, 0); });
 }
 
 void CostArray::read_rows(std::int32_t c_lo, std::int32_t c_hi, std::int32_t x_lo,
@@ -40,8 +40,8 @@ void CostArray::read_rows(std::int32_t c_lo, std::int32_t c_hi, std::int32_t x_l
   LOCUS_ASSERT(span_out.size() >= width * static_cast<std::size_t>(c_hi - c_lo + 1));
   std::int32_t* out = span_out.data();
   for (std::int32_t c = c_lo; c <= c_hi; ++c, out += width) {
-    simd::clamp_nonneg(cells_.data() + static_cast<std::size_t>(c) * grids_ + x_lo,
-                       out, width);
+    const std::int32_t* row = cells_.data() + static_cast<std::size_t>(c) * grids_ + x_lo;
+    std::transform(row, row + width, out, [](std::int32_t v) { return std::max(v, 0); });
   }
 }
 

@@ -57,11 +57,11 @@ class CostArray final : public CostView {
     cells_[checked_index(p)] += delta;
   }
 
-  /// Devirtualized span read: one bounds check and a SIMD clamp loop over
+  /// Devirtualized span read: one bounds check and a clamp loop over
   /// contiguous storage (the row-major layout makes a row a single slice).
   void read_row(std::int32_t channel, std::int32_t x_lo, std::int32_t x_hi,
                 std::span<std::int32_t> span_out) override;
-  /// Whole-window read: one bounds check, then the SIMD clamp row by row.
+  /// Whole-window read: one bounds check, then the clamp row by row.
   void read_rows(std::int32_t c_lo, std::int32_t c_hi, std::int32_t x_lo,
                  std::int32_t x_hi, std::span<std::int32_t> span_out) override;
   bool supports_bulk_read() const override { return true; }

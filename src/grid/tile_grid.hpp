@@ -11,7 +11,7 @@
 //
 // Tile dimensions are powers of two so the (channel, x) -> (tile, offset)
 // split is two shifts and two masks; rows within a tile are contiguous, so
-// bulk row reads run SIMD clamp loops per resident chunk. Edge tiles are
+// bulk row reads run one clamp loop per resident chunk. Edge tiles are
 // allocated at full tile size (the slack cells are simply never addressed),
 // keeping the index math branch-free.
 #pragma once
@@ -31,7 +31,7 @@ namespace locus {
 /// 2 channels x 128 columns = 1 KiB per tile. Committed routes are thin
 /// strips and every node routes a few chip-spanning wires, so coarser tiles
 /// would round each view up to nearly the whole grid; 128-cell row chunks
-/// stay long enough for the SIMD clamp to win.
+/// keep bulk row reads to a few chunks each.
 struct TileDims {
   std::int32_t channels = 2;
   std::int32_t cols = 128;

@@ -4,7 +4,6 @@
 #include <limits>
 
 #include "support/assert.hpp"
-#include "support/simd.hpp"
 
 namespace locus {
 
@@ -24,7 +23,8 @@ void TiledCostArray::read_row(std::int32_t channel, std::int32_t x_lo,
     const std::int32_t* chunk = tiles_.row_chunk(channel, x, &run);
     run = std::min(run, x_hi - x + 1);
     if (chunk != nullptr) {
-      simd::clamp_nonneg(chunk, out, static_cast<std::size_t>(run));
+      std::transform(chunk, chunk + run, out,
+                     [](std::int32_t v) { return std::max(v, 0); });
     } else {
       std::fill(out, out + run, 0);  // absent tile: all zeros, clamp is identity
     }

@@ -4,8 +4,8 @@
 // as zero, writes materialize their tiles — but only the tiles a processor
 // actually touches are allocated, so per-view memory is bounded by the
 // touched working set (own region + neighbor regions + assigned-wire
-// bounding boxes) instead of the whole grid. The SIMD bulk
-// read paths work per resident row chunk and zero-fill across absent tiles,
+// bounding boxes) instead of the whole grid. The bulk read paths
+// clamp per resident row chunk and zero-fill across absent tiles,
 // keeping bulk reads observationally equivalent to per-cell probing (the
 // contract supports_bulk_read() promises, and the bulk-vs-reference test
 // matrix enforces).

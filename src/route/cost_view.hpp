@@ -14,9 +14,9 @@
 // implementations fall back to per-cell read(); backings with
 // side-effecting reads (the shared memory tracer while capturing) keep that
 // fallback and report supports_bulk_read() == false so the router stays on
-// the exact per-cell pricing path. CostArray devirtualizes both into SIMD
-// clamp loops (support/simd.hpp); the message passing ViewWithDelta
-// forwards them to its private view.
+// the exact per-cell pricing path. CostArray devirtualizes both into plain
+// clamp loops over its rows; the message passing ViewWithDelta forwards
+// them to its private view.
 #pragma once
 
 #include <cstdint>

@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <limits>
 #include <span>
 #include <vector>
 
 #include "support/assert.hpp"
-#include "support/simd.hpp"
 
 namespace locus {
 
@@ -93,8 +93,8 @@ std::int64_t price(const Route& route, CostView& view, std::int32_t bend_penalty
 /// Reusable buffers for the prefix-sum engine. One instance per thread: the
 /// SimPool workers price concurrently, and capacity persists across calls
 /// so steady-state pricing allocates nothing. Everything after `win` is
-/// structure-of-arrays: per-channel rows of contiguous lanes the SIMD
-/// kernels (support/simd.hpp) stream over.
+/// structure-of-arrays: per-channel rows of contiguous lanes the pricing
+/// loops stream over.
 struct PricingScratch {
   std::vector<std::int32_t> win;   ///< clamped window values (C x W)
   std::vector<std::int64_t> rowp;  ///< per-channel prefix sums (C x (W+1))
@@ -105,8 +105,7 @@ struct PricingScratch {
   std::vector<std::int64_t> hconst, tconst;
   std::vector<std::int32_t> hcells, tcells;  ///< entry-drop lengths, for stats
   // Jog-sample tables, gathered once per window at the stride-sampled
-  // columns (m samples in enumeration order; rows padded to the BatchMin
-  // lane multiple so masked vector loads stay inside the allocation):
+  // columns (m samples per row, in enumeration order):
   std::vector<std::int64_t> fwd;  ///< C rows: rowp[c][sample]
   std::vector<std::int64_t> rev;  ///< C rows: -rowp[c][sample+1]
   std::vector<std::int64_t> jog;  ///< C+1 rows: colt[ci][sample]
@@ -123,10 +122,10 @@ thread_local PricingScratch g_scratch;
 /// columns sampled at a fixed stride, a candidate's cost decomposes into a
 /// pair constant plus four SoA lanes indexed by the sample —
 ///   head(c1)[k] + tail(c2)[k] + colt[hi+1][k] - colt[lo][k]
-/// — which simd::batch_argmin folds and minimizes in vector lanes while
-/// preserving the scalar tie-break (first candidate in enumeration order).
-/// All math is int64 addition, so SIMD/scalar and batch/per-candidate
-/// orders are bit-identical; only *independent* candidates are reordered.
+/// — which one running (min, flat index) scan minimizes, keeping the first
+/// candidate in enumeration order on ties. All math is int64 addition, so
+/// batch and per-candidate orders are bit-identical; only *independent*
+/// candidates are reordered.
 ExploreResult explore_bulk(const Pin& a, const Pin& b, CostView& view,
                            const ExplorerParams& params, const CandidateWindow& w) {
   const std::int32_t C = w.c_hi - w.c_lo + 1;
@@ -139,7 +138,7 @@ ExploreResult explore_bulk(const Pin& a, const Pin& b, CostView& view,
   s.rowp.resize(static_cast<std::size_t>(C) * (Wz + 1));
   s.colt.resize(static_cast<std::size_t>(C + 1) * Wz);
 
-  // Window load: one virtual call for the whole window, then one fused SIMD
+  // Window load: one virtual call for the whole window, then one fused
   // pass per row producing the row prefix sums and the next transposed
   // column-prefix row (colt[ci][xi] = sum of priced rows 0..ci-1 at xi, row 0
   // zero — W independent lanes per step). The priced values are never stored:
@@ -147,10 +146,19 @@ ExploreResult explore_bulk(const Pin& a, const Pin& b, CostView& view,
   view.read_rows(w.c_lo, w.c_hi, w.x_lo, w.x_hi, s.win);
   std::fill(s.colt.begin(), s.colt.begin() + static_cast<std::ptrdiff_t>(Wz), 0);
   for (std::int32_t ci = 0; ci < C; ++ci) {
-    simd::price_scan_add(s.win.data() + static_cast<std::size_t>(ci) * Wz, squared,
-                         s.rowp.data() + static_cast<std::size_t>(ci) * (Wz + 1),
-                         s.colt.data() + static_cast<std::size_t>(ci) * Wz,
-                         s.colt.data() + static_cast<std::size_t>(ci + 1) * Wz, Wz);
+    const std::int32_t* in = s.win.data() + static_cast<std::size_t>(ci) * Wz;
+    std::int64_t* rp = s.rowp.data() + static_cast<std::size_t>(ci) * (Wz + 1);
+    const std::int64_t* colt_in = s.colt.data() + static_cast<std::size_t>(ci) * Wz;
+    std::int64_t* colt_out = s.colt.data() + static_cast<std::size_t>(ci + 1) * Wz;
+    std::int64_t acc = 0;
+    rp[0] = 0;
+    for (std::size_t xi = 0; xi < Wz; ++xi) {
+      const std::int64_t v = in[xi];
+      const std::int64_t p = squared ? v * v : v;
+      colt_out[xi] = colt_in[xi] + p;
+      acc += p;
+      rp[xi + 1] = acc;
+    }
   }
 
   // O(1) lookups over the window (coordinates in grid space, inclusive).
@@ -220,16 +228,14 @@ ExploreResult explore_bulk(const Pin& a, const Pin& b, CostView& view,
   // Z candidates, batched per channel pair. The sampled jog columns are
   // xj = x_lo + (k+1)*stride for k in [0, m): all strictly inside
   // (x_lo, x_hi), so they never collide with the pin columns (which sit at
-  // the window edges) and the scalar engine's duplicate-skip never fires.
+  // the window edges) and the reference engine's duplicate-skip never fires.
   const std::int32_t span = w.x_hi - w.x_lo;
   const std::int32_t m = w.stride > 0 ? (span - 1) / w.stride : 0;
   if (m > 0 && C >= 2) {
     const auto mz = static_cast<std::size_t>(m);
-    const std::size_t mzp =
-        (mz + simd::BatchMin::kPad - 1) / simd::BatchMin::kPad * simd::BatchMin::kPad;
-    s.fwd.resize(static_cast<std::size_t>(C) * mzp);
-    s.rev.resize(static_cast<std::size_t>(C) * mzp);
-    s.jog.resize(static_cast<std::size_t>(C + 1) * mzp);
+    s.fwd.resize(static_cast<std::size_t>(C) * mz);
+    s.rev.resize(static_cast<std::size_t>(C) * mz);
+    s.jog.resize(static_cast<std::size_t>(C + 1) * mz);
 
     // Gather the strided samples into dense SoA lanes. For a channel c with
     // window row rp = rowp[c] and sample column xi, the junction-corrected
@@ -241,8 +247,8 @@ ExploreResult explore_bulk(const Pin& a, const Pin& b, CostView& view,
     //                                              pair constant)
     for (std::int32_t ci = 0; ci < C; ++ci) {
       const std::int64_t* rp = s.rowp.data() + static_cast<std::size_t>(ci) * (Wz + 1);
-      std::int64_t* f = s.fwd.data() + static_cast<std::size_t>(ci) * mzp;
-      std::int64_t* r = s.rev.data() + static_cast<std::size_t>(ci) * mzp;
+      std::int64_t* f = s.fwd.data() + static_cast<std::size_t>(ci) * mz;
+      std::int64_t* r = s.rev.data() + static_cast<std::size_t>(ci) * mz;
       for (std::int32_t k = 0; k < m; ++k) {
         const std::int32_t xi = (k + 1) * w.stride;
         f[k] = rp[xi];
@@ -251,31 +257,40 @@ ExploreResult explore_bulk(const Pin& a, const Pin& b, CostView& view,
     }
     for (std::int32_t ci = 0; ci <= C; ++ci) {
       const std::int64_t* ct = s.colt.data() + static_cast<std::size_t>(ci) * Wz;
-      std::int64_t* j = s.jog.data() + static_cast<std::size_t>(ci) * mzp;
+      std::int64_t* j = s.jog.data() + static_cast<std::size_t>(ci) * mz;
       for (std::int32_t k = 0; k < m; ++k) {
         j[k] = ct[(k + 1) * w.stride];
       }
     }
 
-    // One fused pass: every pair's whole batch folds into running vector
-    // (min, index) lanes; flat candidate indices follow enumeration order
-    // (c1 asc, c2 asc, xj asc), so BatchMin's first-index tie-break is the
-    // scalar engine's tie-break.
+    // One fused pass: every pair's whole batch folds into one running
+    // (min, flat index); flat candidate indices follow enumeration order
+    // (c1 asc, c2 asc, xj asc), so the strict compare keeps the reference
+    // engine's tie-break (first candidate in enumeration order).
     const std::int64_t* hbase = a_is_left ? s.fwd.data() : s.rev.data();
     const std::int64_t* tbase = a_is_left ? s.rev.data() : s.fwd.data();
-    simd::BatchMin bm;
+    std::int64_t zmin = std::numeric_limits<std::int64_t>::max();
+    std::int64_t zidx = 0;
     std::int64_t flat = 0;
     std::int64_t probe_cells = 0;  // sum over pairs of the per-sample cells
     for (std::int32_t ci1 = 0; ci1 < C; ++ci1) {
-      const std::int64_t* hvec = hbase + static_cast<std::size_t>(ci1) * mzp;
+      const std::int64_t* hvec = hbase + static_cast<std::size_t>(ci1) * mz;
       const std::int64_t h = s.hconst[static_cast<std::size_t>(ci1)];
       for (std::int32_t ci2 = 0; ci2 < C; ++ci2) {
         if (ci1 == ci2) continue;  // equals the single-channel shape
-        const auto jlo = static_cast<std::size_t>(std::min(ci1, ci2));
-        const auto jhi = static_cast<std::size_t>(std::max(ci1, ci2)) + 1;
-        bm.fold(h + s.tconst[static_cast<std::size_t>(ci2)],
-                hvec, tbase + static_cast<std::size_t>(ci2) * mzp,
-                s.jog.data() + jhi * mzp, s.jog.data() + jlo * mzp, mz, flat);
+        const std::int64_t base = h + s.tconst[static_cast<std::size_t>(ci2)];
+        const std::int64_t* tvec = tbase + static_cast<std::size_t>(ci2) * mz;
+        const std::int64_t* jhi =
+            s.jog.data() + (static_cast<std::size_t>(std::max(ci1, ci2)) + 1) * mz;
+        const std::int64_t* jlo =
+            s.jog.data() + static_cast<std::size_t>(std::min(ci1, ci2)) * mz;
+        for (std::size_t k = 0; k < mz; ++k) {
+          const std::int64_t cost = base + hvec[k] + tvec[k] + jhi[k] - jlo[k];
+          if (cost < zmin) {
+            zmin = cost;
+            zidx = flat + static_cast<std::int64_t>(k);
+          }
+        }
         flat += m;
         probe_cells += s.hcells[static_cast<std::size_t>(ci1)] +
                        s.tcells[static_cast<std::size_t>(ci2)] + vdist(ci1, ci2);
@@ -285,9 +300,6 @@ ExploreResult explore_bulk(const Pin& a, const Pin& b, CostView& view,
     best.stats.cells_probed +=
         static_cast<std::int64_t>(m) * probe_cells + flat * (span + 1);
 
-    std::int64_t zmin = 0;
-    std::int64_t zidx = 0;
-    bm.resolve(&zmin, &zidx);
     if (!have_best || zmin < best_cost) {
       const std::int64_t pair_seq = zidx / m;
       const auto k = static_cast<std::int32_t>(zidx % m);
@@ -349,13 +361,6 @@ ExploreResult explore_reference(const Pin& a, const Pin& b, CostView& view,
 }
 
 }  // namespace
-
-ExploreResult explore_connection_reference(const Pin& a, const Pin& b,
-                                           std::int32_t channels, CostView& view,
-                                           const ExplorerParams& params) {
-  LOCUS_ASSERT(channels >= 2);
-  return explore_reference(a, b, view, params, candidate_window(a, b, channels, params));
-}
 
 ExploreResult explore_connection(const Pin& a, const Pin& b, std::int32_t channels,
                                  CostView& view, const ExplorerParams& params) {

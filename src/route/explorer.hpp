@@ -72,11 +72,4 @@ struct ExploreResult {
 ExploreResult explore_connection(const Pin& a, const Pin& b, std::int32_t channels,
                                  CostView& view, const ExplorerParams& params);
 
-/// The per-cell reference engine, always: prices every candidate cell with
-/// one view.read(). Exposed for equivalence tests and the microbenchmark
-/// baseline; production callers use explore_connection().
-ExploreResult explore_connection_reference(const Pin& a, const Pin& b,
-                                           std::int32_t channels, CostView& view,
-                                           const ExplorerParams& params);
-
 }  // namespace locus

@@ -1,8 +1,11 @@
 #include "support/cli.hpp"
 
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <sstream>
+#include <stdexcept>
 
 #include "support/assert.hpp"
 
@@ -76,6 +79,19 @@ bool Cli::get_bool(const std::string& name) const {
 
 std::int64_t Cli::get_int(const std::string& name) const {
   return std::strtoll(get(name).c_str(), nullptr, 10);
+}
+
+std::int32_t Cli::get_bounded_int(const std::string& name, std::int64_t lo,
+                                  std::int64_t hi) const {
+  LOCUS_ASSERT(lo <= hi && hi <= std::numeric_limits<std::int32_t>::max());
+  const std::string text = get(name);
+  std::int64_t v = 0;
+  const auto [end, ec] = std::from_chars(text.data(), text.data() + text.size(), v);
+  if (ec != std::errc() || end != text.data() + text.size() || v < lo || v > hi) {
+    throw std::invalid_argument("--" + name + "=" + text + " is not an integer in " +
+                                std::to_string(lo) + ".." + std::to_string(hi));
+  }
+  return static_cast<std::int32_t>(v);
 }
 
 double Cli::get_double(const std::string& name) const {

@@ -28,6 +28,11 @@ class Cli {
   std::string get(const std::string& name) const;
   bool get_bool(const std::string& name) const;
   std::int64_t get_int(const std::string& name) const;
+  /// Value of an integer flag that must be a whole decimal number in
+  /// [lo, hi] (hi <= INT32_MAX); throws std::invalid_argument naming the
+  /// flag otherwise. For counts and sizes read at a tool's boundary.
+  std::int32_t get_bounded_int(const std::string& name, std::int64_t lo,
+                               std::int64_t hi) const;
   double get_double(const std::string& name) const;
 
   /// Positional (non-flag) arguments in order.

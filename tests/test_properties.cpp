@@ -18,7 +18,6 @@
 #include "sim/network.hpp"
 #include "sim/topology.hpp"
 #include "support/rng.hpp"
-#include "support/simd.hpp"
 #include "test_util.hpp"
 
 namespace locus {
@@ -90,46 +89,87 @@ TEST(ExplorerProperty, NeverWorseThanDirectRoute) {
   }
 }
 
-/// Read-only CostView wrapper without bulk-read support: forces
-/// explore_connection onto the per-cell reference fallback, like the SHM
-/// router's tracing view does while capturing (shm/shm_router.cpp).
+/// CostView wrapper without bulk-read support: forces explore_connection
+/// onto the per-cell reference fallback, like the SHM router's tracing view
+/// does while capturing (shm/shm_router.cpp).
 class NonBulkView final : public CostView {
  public:
-  explicit NonBulkView(CostArray& a) : array_(a) {}
-  std::int32_t read(GridPoint p) override { return array_.read(p); }
-  void add(GridPoint p, std::int32_t d) override { array_.add(p, d); }
+  explicit NonBulkView(CostView& v) : view_(v) {}
+  std::int32_t read(GridPoint p) override { return view_.read(p); }
+  void add(GridPoint p, std::int32_t d) override { view_.add(p, d); }
 
  private:
-  CostArray& array_;
+  CostView& view_;
 };
 
-/// The pricing engines are interchangeable across the full deployment
-/// matrix: {vector kernels, forced-scalar kernels} x {plain CostArray,
-/// drifted ViewWithDelta (the message passing node view, holding negative
-/// raw values that read() clamps at zero), non-bulk fallback view}. Every
-/// combination must return the same cost, the same route, and the same work
-/// counters as the per-cell reference engine, bit for bit.
-class BulkVsReferenceMatrix : public ::testing::TestWithParam<bool> {
- public:
-  BulkVsReferenceMatrix() : prev_(simd::force_scalar()) {
-    simd::set_force_scalar(GetParam());
+/// Every read path must match the per-cell reference engine, reached
+/// through explore_connection over a NonBulkView of the plain CostArray.
+/// The node view is the message passing one: a tiled ViewWithDelta holding
+/// the same cells, small tiles so window reads cross tile edges. Negative
+/// raw cells model a drifted node view; every read clamps them at zero.
+/// With `forced_scalar` false the bulk engine, reading whole rows, runs on
+/// the CostArray and on the node view; with it true the per-cell engine is
+/// forced onto the node view, so its per-cell reads must clamp exactly as
+/// CostArray's do. Same cost, same route and same work counters, bit for
+/// bit.
+void expect_bulk_matches_reference(CostArray& cost, const Pin& a, const Pin& b,
+                                   const ExplorerParams& params, bool forced_scalar,
+                                   const char* what) {
+  const std::int32_t channels = cost.channels();
+  constexpr TileDims kTiles{2, 16};
+  TiledCostArray tiled(channels, cost.grids(), kTiles);
+  std::vector<std::int32_t> cells;
+  cost.read_rect(cost.bounds(), cells);
+  tiled.write_rect(tiled.bounds(), cells);
+  Partition part(channels, cost.grids(), MeshShape{1, 1});
+  DeltaArray delta(part, kTiles);
+  ViewWithDelta node_view(tiled, delta);
+  NonBulkView per_cell(cost);
+
+  const ExploreResult ref = explore_connection(a, b, channels, per_cell, params);
+  const auto expect_same = [&](const ExploreResult& got, const char* via) {
+    ASSERT_EQ(got.cost, ref.cost) << what << " via " << via << " a=(" << a.x << ","
+                                  << a.row << ") b=(" << b.x << "," << b.row << ")";
+    ASSERT_TRUE(got.route == ref.route) << what << " via " << via;
+    ASSERT_EQ(got.stats.cells_probed, ref.stats.cells_probed) << what << " via " << via;
+    ASSERT_EQ(got.stats.routes_evaluated, ref.stats.routes_evaluated)
+        << what << " via " << via;
+  };
+  if (forced_scalar) {
+    NonBulkView node_per_cell(node_view);
+    expect_same(explore_connection(a, b, channels, node_per_cell, params),
+                "per-cell ViewWithDelta");
+    return;
   }
-  ~BulkVsReferenceMatrix() override { simd::set_force_scalar(prev_); }
+  expect_same(explore_connection(a, b, channels, cost, params), "CostArray");
+  expect_same(explore_connection(a, b, channels, node_view, params), "ViewWithDelta");
+}
 
- private:
-  bool prev_;
-};
+/// The parameter is expect_bulk_matches_reference's `forced_scalar`.
+class BulkVsReferenceMatrix : public ::testing::TestWithParam<bool> {};
 
+/// Random landscapes (odd trials drifted negative), then flat ones: all
+/// cells 0 (drifted, so raw values differ but every read is 0) and all
+/// cells one positive constant. On a flat landscape every Z candidate of a
+/// channel pair ties, and so do the cheapest single-channel and Z shapes,
+/// so those trials pin the first-in-enumeration rule.
 TEST_P(BulkVsReferenceMatrix, BulkPricingMatchesReferenceBitForBit) {
+  constexpr int kRandomTrials = 60;
+  constexpr int kFlatTrials = 16;
   Rng rng(20'260'806);
   int tuples = 0;
-  for (int trial = 0; trial < 60; ++trial) {
+  for (int trial = 0; trial < kRandomTrials + kFlatTrials; ++trial) {
     const std::int32_t channels = 3 + static_cast<std::int32_t>(rng.bounded(10));
     const std::int32_t grids = 8 + static_cast<std::int32_t>(rng.bounded(120));
-    CostArray cost = test::make_random_landscape(
-        channels, grids, 50'000 + static_cast<std::uint64_t>(trial),
-        1 + rng.bounded(9));
-    if (trial % 2 == 1) {
+    const bool flat = trial >= kRandomTrials;
+    const bool flat_zero = flat && trial % 2 == 0;
+    CostArray cost =
+        flat ? CostArray(channels, grids,
+                         flat_zero ? 0 : 1 + static_cast<std::int32_t>(rng.bounded(9)))
+             : test::make_random_landscape(
+                   channels, grids, 50'000 + static_cast<std::uint64_t>(trial),
+                   1 + rng.bounded(9));
+    if ((!flat && trial % 2 == 1) || flat_zero) {
       // Drift some cells negative, as a message passing view does when an
       // absolute region update lands over a local rip-up.
       for (std::int32_t k = 0; k < grids; ++k) {
@@ -138,17 +178,6 @@ TEST_P(BulkVsReferenceMatrix, BulkPricingMatchesReferenceBitForBit) {
         cost.set(p, -static_cast<std::int32_t>(1 + rng.bounded(3)));
       }
     }
-    // The node view holds the same cells in small tiles, so bulk reads
-    // cross tile edges.
-    constexpr TileDims kTiles{2, 16};
-    TiledCostArray tiled(channels, grids, kTiles);
-    std::vector<std::int32_t> cells;
-    cost.read_rect(cost.bounds(), cells);
-    tiled.write_rect(tiled.bounds(), cells);
-    Partition part(channels, grids, MeshShape{1, 1});
-    DeltaArray delta(part, kTiles);
-    ViewWithDelta node_view(tiled, delta);
-    NonBulkView fallback(cost);
     ExplorerParams params;
     params.channel_slack = static_cast<std::int32_t>(rng.bounded(3));
     params.jog_samples = 1 + static_cast<std::int32_t>(rng.bounded(16));
@@ -159,32 +188,58 @@ TEST_P(BulkVsReferenceMatrix, BulkPricingMatchesReferenceBitForBit) {
             static_cast<std::int32_t>(rng.bounded(channels - 1))};
       Pin b{static_cast<std::int32_t>(rng.bounded(grids)),
             static_cast<std::int32_t>(rng.bounded(channels - 1))};
-      const ExploreResult ref =
-          explore_connection_reference(a, b, channels, cost, params);
-      const auto expect_same = [&](const ExploreResult& got, const char* via) {
-        ASSERT_EQ(got.cost, ref.cost)
-            << via << " trial " << trial << " a=(" << a.x << "," << a.row
-            << ") b=(" << b.x << "," << b.row << ")";
-        ASSERT_TRUE(got.route == ref.route) << via << " trial " << trial;
-        ASSERT_EQ(got.stats.cells_probed, ref.stats.cells_probed) << via;
-        ASSERT_EQ(got.stats.routes_evaluated, ref.stats.routes_evaluated) << via;
-      };
-      expect_same(explore_connection(a, b, channels, cost, params),
-                  "bulk/CostArray");
-      expect_same(explore_connection(a, b, channels, node_view, params),
-                  "bulk/ViewWithDelta");
-      expect_same(explore_connection(a, b, channels, fallback, params),
-                  "fallback/NonBulkView");
+      SCOPED_TRACE(::testing::Message() << "trial " << trial);
+      expect_bulk_matches_reference(cost, a, b, params, GetParam(),
+                                    flat ? (flat_zero ? "flat 0" : "flat k") : "random");
+      if (::testing::Test::HasFatalFailure()) return;
     }
   }
-  ASSERT_GE(tuples, 200);  // the tuple floor the PR promises
+  ASSERT_GE(tuples, 300);
 }
 
-INSTANTIATE_TEST_SUITE_P(VectorAndScalar, BulkVsReferenceMatrix,
-                         ::testing::Bool(),
+INSTANTIATE_TEST_SUITE_P(VectorAndScalar, BulkVsReferenceMatrix, ::testing::Bool(),
                          [](const ::testing::TestParamInfo<bool>& pi) {
                            return pi.param ? "ForcedScalar" : "Vector";
                          });
+
+/// On a flat landscape the single-channel candidates, enumerated first,
+/// always win, so the tie among Z candidates never shows in the result.
+/// Here a zero-cost plateau makes the Z pair (1, 4) beat every
+/// single-channel route, and three of its sampled jog columns (14, 18, 22)
+/// tie at cost 0: both engines must keep the first, xj = 14. The plateau is
+/// written once as 0 and once drifted negative (read as 0).
+TEST(BulkVsReferenceMatrixTies, TiedZCandidatesKeepFirstJog) {
+  constexpr std::int32_t kChannels = 6, kGrids = 40, kHigh = 9;
+  const Pin a{2, 1};   // enters channel 1 directly
+  const Pin b{37, 3};  // enters channel 4 directly
+  // Default params: stride 35 / 8 = 4, jog samples xj = 6, 10, ..., 34.
+  const ExplorerParams params;
+  for (const bool drifted : {false, true}) {
+    CostArray cost(kChannels, kGrids, kHigh);
+    for (std::int32_t c = 0; c < kChannels; ++c) {
+      for (std::int32_t x = 0; x < kGrids; ++x) {
+        const bool plateau = (c == 1 && x <= 25) || (c == 4 && x >= 14) ||
+                             (x >= 14 && x <= 25);
+        if (plateau) cost.set({c, x}, drifted ? -(1 + (c + x) % 3) : 0);
+      }
+    }
+    for (const bool forced_scalar : {false, true}) {
+      expect_bulk_matches_reference(cost, a, b, params, forced_scalar,
+                                    drifted ? "drifted" : "plateau");
+      ASSERT_FALSE(::testing::Test::HasFatalFailure());
+    }
+
+    Route want;
+    want.append(Segment{GridPoint{1, 2}, GridPoint{1, 2}});
+    want.append(Segment{GridPoint{1, 2}, GridPoint{1, 14}});
+    want.append(Segment{GridPoint{1, 14}, GridPoint{4, 14}});
+    want.append(Segment{GridPoint{4, 14}, GridPoint{4, 37}});
+    want.append(Segment{GridPoint{4, 37}, GridPoint{4, 37}});
+    const ExploreResult got = explore_connection(a, b, kChannels, cost, params);
+    EXPECT_EQ(got.cost, 0);
+    EXPECT_TRUE(got.route == want) << (drifted ? "drifted" : "plateau");
+  }
+}
 
 /// collect_unique_cells' interval-union sweep against the brute-force
 /// specification: materialize every covered cell, sort, dedupe.

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <stdexcept>
 
 #include "support/cli.hpp"
 #include "support/rng.hpp"
@@ -148,6 +149,22 @@ TEST(Cli, RejectsUnknownFlag) {
   cli.flag("n", "count", "1");
   const char* argv[] = {"prog", "--bogus=1"};
   EXPECT_FALSE(cli.parse(2, const_cast<char**>(argv)));
+}
+
+TEST(Cli, BoundedIntRejectsMalformedAndOutOfRange) {
+  Cli cli;
+  cli.flag("n", "count", "1");
+  cli.flag("lo", "too small", "0");
+  cli.flag("hi", "too big", "9");
+  cli.flag("word", "not a number", "abc");
+  cli.flag("tail", "trailing junk", "3x");
+  cli.flag("empty", "empty", "");
+  const char* argv[] = {"prog", "--n=8"};
+  ASSERT_TRUE(cli.parse(2, const_cast<char**>(argv)));
+  EXPECT_EQ(cli.get_bounded_int("n", 1, 8), 8);
+  for (const char* name : {"lo", "hi", "word", "tail", "empty"}) {
+    EXPECT_THROW(cli.get_bounded_int(name, 1, 8), std::invalid_argument) << name;
+  }
 }
 
 TEST(Cli, DefaultsSurviveNoArgs) {
