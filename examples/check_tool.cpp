@@ -27,13 +27,12 @@ int run(const locus::Cli& cli) {
     std::fprintf(stderr, "unknown mode '%s'\n", mode.c_str());
     return 1;
   }
-  if (cli.get_int("procs") < 1 || cli.get_int("iterations") < 1) {
-    throw std::invalid_argument("--procs and --iterations must be at least 1");
-  }
   const locus::Circuit circuit = locus::make_named_circuit(cli.get("circuit"));
   locus::ExperimentConfig config;
-  config.procs = static_cast<std::int32_t>(cli.get_int("procs"));
-  config.iterations = static_cast<std::int32_t>(cli.get_int("iterations"));
+  config.procs = cli.get_bounded_int("procs", 1, 1 << 20);
+  config.iterations = cli.get_bounded_int("iterations", 1, 1 << 20);
+  // Every mode partitions the circuit over a config.procs mesh.
+  static_cast<void>(locus::fitted_mesh(circuit, config.procs));
 
   std::optional<locus::FaultPlan> faults;
   if (!cli.get("faults").empty()) {

@@ -81,7 +81,7 @@ int run(const locus::Cli& cli) {
 
   if (mode == "mp") {
     const locus::Partition partition(circuit.channels(), circuit.grids(),
-                                     locus::MeshShape::for_procs(procs));
+                                     locus::fitted_mesh(circuit, procs));
     const locus::Assignment assignment = make_assignment(
         circuit, partition, locus::AssignMethod::kThreshold1000);
     locus::MpConfig mp_config = config.mp(schedule);

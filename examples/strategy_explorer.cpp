@@ -70,16 +70,7 @@ int run(const locus::Cli& cli) {
   schedule.blocking_receiver = cli.get_bool("blocking");
   const locus::AssignMethod method = pick_method(cli.get("assign"));
   locus::Circuit circuit = pick_circuit(cli.get("circuit"));
-  // The partition needs at least one channel per mesh row and one grid per
-  // mesh column.
-  const locus::MeshShape mesh = locus::MeshShape::for_procs(procs);
-  if (mesh.rows > circuit.channels() || mesh.cols > circuit.grids()) {
-    throw std::invalid_argument(
-        "--procs=" + std::to_string(procs) + " needs a " + std::to_string(mesh.rows) +
-        "x" + std::to_string(mesh.cols) + " mesh, more than " + circuit.name() + "'s " +
-        std::to_string(circuit.channels()) + " channels x " +
-        std::to_string(circuit.grids()) + " grids");
-  }
+  const locus::MeshShape mesh = locus::fitted_mesh(circuit, procs);
   const locus::Partition partition(circuit.channels(), circuit.grids(), mesh);
   const locus::Assignment assignment = make_assignment(circuit, partition, method);
 

@@ -5,6 +5,7 @@
 //   $ ./examples/trace_tool collect --circuit=bnre --procs=16 --out=run.trc
 //   $ ./examples/trace_tool analyze run.trc --line-size=16 --protocol=dragon
 #include <cstdio>
+#include <limits>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -30,12 +31,11 @@ std::optional<locus::ProtocolKind> parse_protocol(const std::string& name) {
 /// Routes the named circuit on the shm executor and writes its trace.
 int collect(const std::string& circuit_name, std::int32_t procs,
             const std::string& out) {
-  if (procs < 1) throw std::invalid_argument("--procs must be at least 1");
   const locus::Circuit circuit = locus::make_named_circuit(circuit_name);
   locus::ShmConfig config;
   config.procs = procs;
   const locus::Partition partition(circuit.channels(), circuit.grids(),
-                                   locus::MeshShape::for_procs(procs));
+                                   locus::fitted_mesh(circuit, procs));
   config.assignment = assign_threshold_cost(circuit, partition, 1000);
   locus::ShmRunResult r = run_shared_memory(circuit, config);
   locus::write_trace_file(out, r.trace);
@@ -59,11 +59,13 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  const auto procs = static_cast<std::int32_t>(cli.get_int("procs"));
   const std::string mode = cli.positional()[0];
 
   if (mode == "collect") {
     try {
+      // A trace stores each reference's processor in 16 bits.
+      const std::int32_t procs =
+          cli.get_bounded_int("procs", 1, std::numeric_limits<std::int16_t>::max());
       return collect(cli.get("circuit"), procs, cli.get("out"));
     } catch (const std::invalid_argument& e) {
       std::fprintf(stderr, "collect: %s\n", e.what());
@@ -82,6 +84,7 @@ int main(int argc, char** argv) {
                            "tracks 1..32 caches)\n", static_cast<long long>(procs_flag));
       return 1;
     }
+    const auto procs = static_cast<std::int32_t>(procs_flag);
     locus::CoherenceParams params;
     const std::int64_t line_flag = cli.get_int("line-size");
     if (line_flag < params.word_size || line_flag > (1 << 30) ||

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <stdexcept>
 
 #include "support/assert.hpp"
 
@@ -49,6 +50,18 @@ Circuit::Circuit(std::string name, std::int32_t channels, std::int32_t grids,
 const Wire& Circuit::wire(WireId id) const {
   LOCUS_ASSERT(id >= 0 && id < num_wires());
   return wires_[static_cast<std::size_t>(id)];
+}
+
+MeshShape fitted_mesh(const Circuit& circuit, std::int32_t procs) {
+  const MeshShape mesh = MeshShape::for_procs(procs);
+  if (mesh.rows > circuit.channels() || mesh.cols > circuit.grids()) {
+    throw std::invalid_argument(
+        "--procs=" + std::to_string(procs) + " needs a " + std::to_string(mesh.rows) +
+        "x" + std::to_string(mesh.cols) + " mesh, more than " + circuit.name() + "'s " +
+        std::to_string(circuit.channels()) + " channels x " +
+        std::to_string(circuit.grids()) + " grids");
+  }
+  return mesh;
 }
 
 }  // namespace locus

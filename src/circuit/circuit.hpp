@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "geom/partition.hpp"
 #include "geom/point.hpp"
 #include "geom/rect.hpp"
 
@@ -79,5 +80,11 @@ class Circuit {
   std::int32_t grids_;
   std::vector<Wire> wires_;
 };
+
+/// The processor mesh for `procs` processors over `circuit`'s cost array.
+/// Throws std::invalid_argument when it does not fit: a partition needs at
+/// least one channel per mesh row and one grid per mesh column. Tools call
+/// it on a user's --procs before building a Partition, which would abort.
+MeshShape fitted_mesh(const Circuit& circuit, std::int32_t procs);
 
 }  // namespace locus

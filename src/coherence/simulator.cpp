@@ -21,14 +21,12 @@ CoherenceSim::CoherenceSim(std::int32_t procs, CoherenceParams params)
   }
 }
 
-CoherenceSim::LineState& CoherenceSim::line_state(std::uint32_t line_addr) {
-  if (line_addr < dense_.size()) return dense_[line_addr];
-  if (line_addr < dense_lines_) {
-    dense_.resize(std::min<std::size_t>(
-        dense_lines_, std::max<std::size_t>(line_addr + 1, 2 * dense_.size())));
-    return dense_[line_addr];
-  }
-  return sparse_[line_addr];
+void CoherenceSim::cover(std::uint32_t addr) {
+  if (addr >= kDenseAddrBound) return;
+  const std::uint32_t line_addr = addr >> line_shift_;
+  if (line_addr < dense_.size()) return;
+  dense_.resize(std::min<std::size_t>(
+      dense_lines_, std::max<std::size_t>(line_addr + 1, 2 * dense_.size())));
 }
 
 std::size_t CoherenceSim::lines_touched() const {
@@ -62,33 +60,90 @@ void CoherenceSim::lru_touch(std::int32_t proc, std::uint32_t line_addr) {
   }
 }
 
-void CoherenceSim::access(std::int32_t proc, std::uint32_t addr, MemOp op) {
-  LOCUS_ASSERT(proc >= 0 && proc < procs_);
-  ++traffic_.accesses;
+namespace {
+
+/// Calls fn.template operator()<P, kFinite>() for the protocol and cache
+/// kind of `params`: the one runtime choice a replay makes.
+template <class Fn>
+void dispatch(const CoherenceParams& params, Fn&& fn) {
+  const bool finite = params.capacity_lines > 0;
+  const auto with = [&]<ProtocolKind P>() {
+    if (finite) {
+      fn.template operator()<P, true>();
+    } else {
+      fn.template operator()<P, false>();
+    }
+  };
+  switch (params.protocol) {
+    case ProtocolKind::kWriteBackInvalidate:
+      return with.template operator()<ProtocolKind::kWriteBackInvalidate>();
+    case ProtocolKind::kWriteThrough:
+      return with.template operator()<ProtocolKind::kWriteThrough>();
+    case ProtocolKind::kMesi:
+      return with.template operator()<ProtocolKind::kMesi>();
+    case ProtocolKind::kDragon:
+      return with.template operator()<ProtocolKind::kDragon>();
+  }
+}
+
+/// The highest byte address below CoherenceSim::kDenseAddrBound that `trace`
+/// references (0 when there is none): what the line tables must cover.
+std::uint32_t max_dense_addr(const RefTrace& trace) {
+  std::uint32_t hi = 0;
+  for (std::size_t p = 0; p < trace.streams(); ++p) {
+    trace.for_each_entry(p, [&hi](const RefTrace::Entry& e) {
+      if (e.addr < CoherenceSim::kDenseAddrBound) hi = std::max(hi, e.addr);
+    });
+  }
+  return hi;
+}
+
+}  // namespace
+
+template <ProtocolKind P, bool kFinite>
+void CoherenceSim::step(std::int32_t proc, std::uint32_t addr, MemOp op) {
   const std::uint32_t line_addr = addr >> line_shift_;
   const std::uint32_t bit = 1u << proc;
   // Finite caches: the accessed line becomes MRU; an overflowing victim is
   // evicted before the protocol handler can be confused by it. (Note the
   // handler below may invalidate other procs' copies; stale LRU entries of
   // invalidated lines are harmless — re-access refreshes them.)
-  if (params_.capacity_lines > 0) {
-    lru_touch(proc, line_addr);
-  }
+  if constexpr (kFinite) lru_touch(proc, line_addr);
   LineState& line = line_state(line_addr);
-  switch (params_.protocol) {
-    case ProtocolKind::kWriteBackInvalidate:
-      access_wbi(line, bit, proc, op);
-      break;
-    case ProtocolKind::kWriteThrough:
-      access_write_through(line, bit, proc, op);
-      break;
-    case ProtocolKind::kMesi:
-      access_mesi(line, bit, proc, op);
-      break;
-    case ProtocolKind::kDragon:
-      access_dragon(line, bit, proc, op);
-      break;
+  if constexpr (P == ProtocolKind::kWriteBackInvalidate) {
+    access_wbi(line, bit, proc, op);
+  } else if constexpr (P == ProtocolKind::kWriteThrough) {
+    access_write_through(line, bit, proc, op);
+  } else if constexpr (P == ProtocolKind::kMesi) {
+    access_mesi(line, bit, proc, op);
+  } else {
+    access_dragon(line, bit, proc, op);
   }
+}
+
+void CoherenceSim::access(std::int32_t proc, std::uint32_t addr, MemOp op) {
+  LOCUS_ASSERT(proc >= 0 && proc < procs_);
+  ++traffic_.accesses;
+  cover(addr);
+  dispatch(params_, [&]<ProtocolKind P, bool kFinite>() { step<P, kFinite>(proc, addr, op); });
+}
+
+void CoherenceSim::replay_all(std::span<CoherenceSim> sims, const RefTrace& trace) {
+  if (sims.empty()) return;
+  const std::uint32_t hi = max_dense_addr(trace);
+  for (CoherenceSim& sim : sims) {
+    LOCUS_ASSERT(sim.params_.protocol == sims[0].params_.protocol &&
+                 sim.params_.capacity_lines == sims[0].params_.capacity_lines);
+    // Every stream's processor is in range, so no reference needs a check.
+    LOCUS_ASSERT(trace.streams() <= static_cast<std::size_t>(sim.procs_));
+    sim.cover(hi);
+  }
+  dispatch(sims[0].params_, [&]<ProtocolKind P, bool kFinite>() {
+    trace.for_each([&](const MemRef& ref) {
+      for (CoherenceSim& sim : sims) sim.step<P, kFinite>(ref.proc, ref.addr, ref.op);
+    });
+  });
+  for (CoherenceSim& sim : sims) sim.traffic_.accesses += trace.size();
 }
 
 void CoherenceSim::access_wbi(LineState& line, std::uint32_t bit, std::int32_t proc,
@@ -254,7 +309,7 @@ void CoherenceSim::access_dragon(LineState& line, std::uint32_t bit,
 }
 
 void CoherenceSim::replay(const RefTrace& trace) {
-  trace.for_each([&](const MemRef& ref) { access(ref.proc, ref.addr, ref.op); });
+  replay_all(std::span<CoherenceSim>(this, 1), trace);
 }
 
 void CoherenceSim::publish_obs(obs::Obs& o) const {
@@ -290,9 +345,7 @@ std::vector<CoherenceTraffic> sweep_line_sizes(const RefTrace& trace,
     params.capacity_lines = capacity_lines;
     sims.emplace_back(procs, params);
   }
-  trace.for_each([&](const MemRef& ref) {
-    for (CoherenceSim& sim : sims) sim.access(ref.proc, ref.addr, ref.op);
-  });
+  CoherenceSim::replay_all(sims, trace);
   std::vector<CoherenceTraffic> out;
   out.reserve(sims.size());
   for (const CoherenceSim& sim : sims) out.push_back(sim.traffic());

@@ -803,9 +803,7 @@ Table run_seed_robustness(const ExperimentConfig& config) {
         run_mp(circuit, config, UpdateSchedule::sender(2, 10));
     MpRunResult receiver =
         run_mp(circuit, config, UpdateSchedule::receiver(1, 5));
-    ExperimentConfig shm_cfg = config;
-    shm_cfg.shm_base.trace_dedup_reads = true;  // classification-scale runs
-    ShmConfig sc = shm_cfg.shm();
+    ShmConfig sc = config.shm();
     const Partition partition(circuit.channels(), circuit.grids(),
                               MeshShape::for_procs(config.procs));
     sc.assignment = assign_threshold_cost(circuit, partition, 1000);

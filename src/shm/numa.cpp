@@ -66,7 +66,7 @@ NumaEstimate estimate_numa(const RefTrace& trace, const Partition& partition,
   const std::int32_t channels = partition.channels();
   for (std::size_t p = 0; p < trace.streams(); ++p) {
     const auto proc = static_cast<std::int32_t>(p);
-    for (const RefTrace::Entry& e : trace.entries(p)) {
+    trace.for_each_entry(p, [&](const RefTrace::Entry& e) {
       bool local;
       if (e.addr == kLoopCounterAddr) {
         local = (proc == 0);
@@ -85,7 +85,7 @@ NumaEstimate estimate_numa(const RefTrace& trace, const Partition& partition,
         ++out.remote_refs;
         out.memory_ns += params.remote_ns;
       }
-    }
+    });
   }
   return out;
 }

@@ -13,30 +13,27 @@ namespace locus {
 namespace {
 
 /// CostView over the single shared array that records shared references.
-/// Reads are deduplicated per wire (see trace.hpp); every add() logs the
-/// read-modify-write pair. Each flushed wire becomes one block of its
-/// processor's stream in the RefTrace.
+/// Every read is logged, and every add() logs the read-modify-write pair,
+/// straight into the routing processor's stream of the RefTrace; each wire
+/// becomes one block of that stream.
 class TracingView final : public CostView {
  public:
-  TracingView(CostArray& shared, bool capture, bool dedup_reads)
-      : shared_(shared), capture_(capture), dedup_reads_(dedup_reads),
-        read_stamp_(static_cast<std::size_t>(shared.size()), 0) {}
+  TracingView(CostArray& shared, bool capture) : shared_(shared), capture_(capture) {}
 
-  void begin_wire() {
-    ++epoch_;
-    pending_.clear();
+  /// Opens `proc`'s block for the wire it is about to route.
+  void begin_wire(std::int16_t proc) {
+    if (capture_) trace_.open_block(proc);
   }
 
-  /// Moves the pending refs into `proc`'s stream as one block, stamped
-  /// across [t0, t0 + duration].
-  void flush_wire(std::int16_t proc, SimTime t0, SimTime duration) {
-    if (capture_) trace_.append_block(proc, t0, duration, pending_);
+  /// Closes the wire's block, stamped across [t0, t0 + duration].
+  void flush_wire(SimTime t0, SimTime duration) {
+    if (capture_) trace_.close_block(t0, duration);
   }
 
   RefTrace take_trace() { return std::move(trace_); }
 
   std::int32_t read(GridPoint p) override {
-    note_read(p);
+    note_cell(p, MemOp::kRead);
     return shared_.read(p);
   }
 
@@ -63,10 +60,8 @@ class TracingView final : public CostView {
   bool supports_bulk_read() const override { return !capture_; }
 
   void add(GridPoint p, std::int32_t d) override {
-    note_read(p);  // increment = load + store
-    if (capture_) {
-      pending_.push_back({cost_cell_addr(p.channel, p.x, shared_.channels()), MemOp::kWrite});
-    }
+    note_cell(p, MemOp::kRead);  // increment = load + store
+    note_cell(p, MemOp::kWrite);
     if (defer_) {
       LOCUS_ASSERT_MSG(d == 1, "only route commits are deferred");
       deferred_cells_.push_back(p);
@@ -84,27 +79,17 @@ class TracingView final : public CostView {
 
   /// Logs a non-cost-array shared access (the distributed loop counter).
   void note_other(std::uint32_t addr, MemOp op) {
-    if (capture_) pending_.push_back({addr, op});
+    if (capture_) trace_.push(addr, op);
   }
 
  private:
-  void note_read(GridPoint p) {
-    if (!capture_) return;
-    if (dedup_reads_) {
-      auto idx = static_cast<std::size_t>(shared_.index(p));
-      if (read_stamp_[idx] == epoch_) return;
-      read_stamp_[idx] = epoch_;
-    }
-    pending_.push_back({cost_cell_addr(p.channel, p.x, shared_.channels()), MemOp::kRead});
+  void note_cell(GridPoint p, MemOp op) {
+    if (capture_) trace_.push(cost_cell_addr(p.channel, p.x, shared_.channels()), op);
   }
 
   CostArray& shared_;
   bool capture_;
-  bool dedup_reads_;
   bool defer_ = false;
-  std::vector<std::uint32_t> read_stamp_;
-  std::uint32_t epoch_ = 0;
-  std::vector<RefTrace::Entry> pending_;
   std::vector<GridPoint> deferred_cells_;
   RefTrace trace_;
 };
@@ -151,6 +136,8 @@ void publish_obs(obs::Obs& o, const ShmRunResult& r) {
 
 ShmRunResult run_shared_memory(const Circuit& circuit, const ShmConfig& config) {
   LOCUS_ASSERT(config.procs >= 1);
+  // The trace stores each reference's processor in 16 bits.
+  LOCUS_ASSERT(config.procs <= std::numeric_limits<std::int16_t>::max());
   LOCUS_ASSERT(config.iterations >= 1);
   const bool dynamic = !config.assignment.has_value();
   if (!dynamic) {
@@ -170,7 +157,7 @@ ShmRunResult run_shared_memory(const Circuit& circuit, const ShmConfig& config) 
   result.proc_finish_ns.assign(static_cast<std::size_t>(config.procs), 0);
 
   // The one shared array everyone routes against is the result slot itself.
-  TracingView view(result.cost, config.capture_trace, config.trace_dedup_reads);
+  TracingView view(result.cost, config.capture_trace);
   const TimeModel& tm = config.time;
 
   obs::RouteSpanObs route_spans;
@@ -226,7 +213,7 @@ ShmRunResult run_shared_memory(const Circuit& circuit, const ShmConfig& config) 
       ProcState& ps = procs[static_cast<std::size_t>(next)];
 
       // Obtain a wire subscript.
-      view.begin_wire();
+      view.begin_wire(static_cast<std::int16_t>(next));
       WireId wire_id = -1;
       SimTime fetch_cost = 0;
       if (dynamic) {
@@ -236,7 +223,7 @@ ShmRunResult run_shared_memory(const Circuit& circuit, const ShmConfig& config) 
         fetch_cost = tm.shm_read_ns + tm.shm_write_ns;
         if (loop_counter >= circuit.num_wires()) {
           ps.done = true;
-          view.flush_wire(static_cast<std::int16_t>(next), ps.clock, fetch_cost);
+          view.flush_wire(ps.clock, fetch_cost);
           ps.clock += fetch_cost;
           result.proc_finish_ns[static_cast<std::size_t>(next)] = ps.clock;
           continue;
@@ -273,7 +260,7 @@ ShmRunResult run_shared_memory(const Circuit& circuit, const ShmConfig& config) 
           fetch_cost + rip_cost +
           tm.routing_time_ns(result.work.probes - before.probes,
                              result.work.cells_committed - before.cells_committed, 1);
-      view.flush_wire(static_cast<std::int16_t>(next), ps.clock, duration);
+      view.flush_wire(ps.clock, duration);
       if (route_spans) route_spans.span(next, ps.clock, duration, wire_id, iter);
       ps.clock += duration;
       pending_commits.push(

@@ -41,13 +41,6 @@ struct ShmConfig {
   std::optional<Assignment> assignment;
   /// Record the shared-reference trace (disable for quality-only runs).
   bool capture_trace = true;
-  /// Emit only the first read of each cell per wire. An infinite cache
-  /// makes repeat reads free *unless a concurrent write invalidates the
-  /// line between them* — and those re-misses are precisely what makes
-  /// Table 3's traffic grow with line size, so full traces (false) are the
-  /// faithful default; dedup (true) trades that fidelity for ~40x smaller
-  /// traces in memory-constrained runs.
-  bool trace_dedup_reads = false;
   /// Optional observability sink: per-wire route spans on "proc N" tracks
   /// (in simulated time) while the run executes, then the route.* and shm.*
   /// counters published from the finished ShmRunResult (work totals and

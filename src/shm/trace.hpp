@@ -6,30 +6,29 @@
 // simulator (src/coherence) then replays the trace against a cache protocol
 // to produce the Table 3/5 traffic numbers.
 //
-// Volume control (ShmConfig::trace_dedup_reads, off by default): within one
-// wire's routing no remote write can interleave (the executor interleaves at
-// wire granularity), so the tracer can emit each cell's first read once per
-// wire and shrink traces ~40x. That is not exact for the replay: a cache copy
-// invalidated by a concurrent write between two reads of the same wire misses
-// again on the second read, and those re-misses are the traffic that makes
-// Table 3 grow with line size. Full traces are therefore the default.
+// Storage: a RefTrace keeps one stream per processor, grouped into blocks
+// (one per routed wire) whose references are stamped evenly across the
+// block's time interval. A stream stores two columns — a 32-bit address per
+// reference and one op bit per reference — in fixed-size chunks, so a
+// growing stream never copies (or faults in again) what it already wrote.
+// The tracer writes each reference straight into its processor's stream and
+// closing a block only records {t0, duration, n, seq}.
 //
-// Storage and order: a RefTrace keeps one compact stream per processor — an
-// {addr, op} entry per reference, grouped into blocks (one per routed wire)
-// whose references are stamped evenly across the block's time interval. No
-// time-ordered copy is ever built: for_each() heap-merges the stream heads on
-// (time, block emission seq), which visits the references in global time
-// order with equal times in emission order — the order a stable sort by time
-// of the emission-ordered trace gives (DESIGN.md §7.6).
+// Order: no time-ordered copy is ever built. for_each() heap-merges the
+// stream heads on (time, block emission seq), which visits the references
+// in global time order with equal times in emission order — the order a
+// stable sort by time of the emission-ordered trace gives (DESIGN.md §7.6).
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <span>
 #include <vector>
 
 #include "sim/event_queue.hpp"
+#include "support/assert.hpp"
 
 namespace locus {
 
@@ -68,11 +67,28 @@ class RefTrace {
     MemOp op;
   };
 
-  /// Appends `entries` to `proc`'s stream as one block: entry i of n is
-  /// stamped t0 + duration·(i+1)/(n+1), so times rise within the block.
-  /// The first stamp must not precede the stream's last one — the shm
-  /// executor (least clock runs next) starts a processor's next wire no
-  /// earlier than its previous one ended. An empty block adds nothing.
+  /// References per storage chunk of a stream.
+  static constexpr std::size_t kChunkRefs = std::size_t{1} << 16;
+
+  /// Opens a block on `proc`'s stream: push() appends references to it
+  /// until close_block(). The previous block must have been closed unless
+  /// nothing was pushed to it.
+  void open_block(std::int16_t proc);
+
+  /// Appends one reference to the open block.
+  void push(std::uint32_t addr, MemOp op) {
+    LOCUS_ASSERT_MSG(open_ != kNoBlock, "trace push without an open block");
+    streams_[open_].push(addr, op);
+  }
+
+  /// Closes the open block: reference i of its n is stamped
+  /// t0 + duration·(i+1)/(n+1), so times rise within the block. The first
+  /// stamp must not precede the stream's last one — the shm executor (least
+  /// clock runs next) starts a processor's next wire no earlier than its
+  /// previous one ended. An empty block adds nothing.
+  void close_block(SimTime t0, SimTime duration);
+
+  /// open_block(proc), push() of every entry, close_block(t0, duration).
   void append_block(std::int16_t proc, SimTime t0, SimTime duration,
                     std::span<const Entry> entries);
 
@@ -86,18 +102,30 @@ class RefTrace {
   template <class Fn>
   void for_each(Fn&& fn) const;
 
+  /// Calls fn(const Entry&) for every reference of `proc`'s stream in its
+  /// own (time) order. Streams are visited independently, so this is the
+  /// cheap walk for consumers that need no global order.
+  template <class Fn>
+  void for_each_entry(std::size_t proc, Fn&& fn) const;
+
   std::size_t size() const { return size_; }
   std::uint64_t count(MemOp op) const;
 
   /// One more than the highest processor with a reference (0 when empty).
-  std::size_t streams() const { return streams_.size(); }
-  /// `proc`'s references in its own (time) order.
-  std::span<const Entry> entries(std::size_t proc) const {
-    return streams_[proc].entries;
-  }
+  std::size_t streams() const { return used_; }
 
  private:
-  /// `n` consecutive entries of a stream, stamped across [t0, t0+duration].
+  /// kChunkRefs consecutive references of a stream, left uninitialised
+  /// until written.
+  struct Chunk {
+    std::uint32_t addr[kChunkRefs];
+    std::uint64_t ops[kChunkRefs / 64];  ///< bit i % 64 of word i / 64: op of i
+
+    MemOp op(std::size_t i) const {
+      return static_cast<MemOp>((ops[i / 64] >> (i % 64)) & 1u);
+    }
+  };
+  /// `n` consecutive references of a stream, stamped across [t0, t0+duration].
   struct Block {
     SimTime t0;
     SimTime duration;
@@ -105,9 +133,25 @@ class RefTrace {
     std::uint64_t seq;  ///< emission order across all streams
   };
   struct Stream {
-    std::vector<Entry> entries;
+    std::vector<std::unique_ptr<Chunk>> chunks;
+    std::size_t pushed = 0;  ///< references written, the open block's included
+    std::size_t closed = 0;  ///< references in closed blocks
     std::vector<Block> blocks;
     SimTime last = std::numeric_limits<SimTime>::min();  ///< latest stamp
+
+    void push(std::uint32_t addr, MemOp op) {
+      const std::size_t i = pushed++ % kChunkRefs;
+      if (i == 0) chunks.push_back(std::make_unique_for_overwrite<Chunk>());
+      Chunk& c = *chunks.back();
+      c.addr[i] = addr;
+      const std::uint64_t bit = static_cast<std::uint64_t>(op) << (i % 64);
+      std::uint64_t& word = c.ops[i / 64];
+      word = i % 64 == 0 ? bit : word | bit;
+    }
+    Entry entry(std::size_t k) const {
+      const Chunk& c = *chunks[k / kChunkRefs];
+      return Entry{c.addr[k % kChunkRefs], c.op(k % kChunkRefs)};
+    }
   };
 
   static SimTime stamp(const Block& b, std::uint32_t i) {
@@ -115,7 +159,11 @@ class RefTrace {
                       (static_cast<SimTime>(b.n) + 1);
   }
 
+  static constexpr std::size_t kNoBlock = std::numeric_limits<std::size_t>::max();
+
   std::vector<Stream> streams_;
+  std::size_t open_ = kNoBlock;  ///< stream of the open block
+  std::size_t used_ = 0;         ///< streams(): highest referenced proc + 1
   std::size_t size_ = 0;
   std::uint64_t next_seq_ = 0;
   SimTime last_ = std::numeric_limits<SimTime>::min();  ///< latest stamp overall
@@ -154,7 +202,7 @@ void RefTrace::for_each(Fn&& fn) const {
     Head top = heap.front();
     const Stream& s = streams_[top.proc];
     Cursor& c = cursors[top.proc];
-    const Entry& e = s.entries[c.entry++];
+    const Entry e = s.entry(c.entry++);
     fn(MemRef{top.time, e.addr, static_cast<std::int16_t>(top.proc), e.op});
     if (++c.i == s.blocks[c.block].n) {
       c.i = 0;
@@ -177,6 +225,16 @@ void RefTrace::for_each(Fn&& fn) const {
       hole = child;
     }
     heap[hole] = top;
+  }
+}
+
+template <class Fn>
+void RefTrace::for_each_entry(std::size_t proc, Fn&& fn) const {
+  const Stream& s = streams_[proc];
+  for (std::size_t base = 0; base < s.closed; base += kChunkRefs) {
+    const Chunk& c = *s.chunks[base / kChunkRefs];
+    const std::size_t n = std::min(kChunkRefs, s.closed - base);
+    for (std::size_t i = 0; i < n; ++i) fn(Entry{c.addr[i], c.op(i)});
   }
 }
 

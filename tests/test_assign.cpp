@@ -164,7 +164,9 @@ TEST(WireAffinity, BucketsUnderLeftmostPinOwner) {
     const std::int32_t taken = index.take_batch(
         p, resident, want, /*cost_budget=*/0, /*max_hops=*/0, &got, &tier);
     EXPECT_EQ(taken, want);
-    if (want > 0) EXPECT_EQ(tier, WireAffinityIndex::Tier::kResident);
+    if (want > 0) {
+      EXPECT_EQ(tier, WireAffinityIndex::Tier::kResident);
+    }
     std::sort(got.begin(), got.end());
     std::vector<WireId> expect = inf.wires_per_proc[p];
     std::sort(expect.begin(), expect.end());

@@ -34,6 +34,25 @@ TEST(Circuit, AssignsSequentialIds) {
   EXPECT_EQ(c.num_cell_rows(), 3);
 }
 
+/// The tiny circuit has 4 channels x 32 grids: a 2x2 or 4x8 mesh fits, an
+/// 8x8 one (64 processors) needs more channels than it has, and a 1x37
+/// line (37 processors, a prime) more grids.
+TEST(Circuit, FittedMeshRejectsMeshLargerThanCircuit) {
+  const Circuit tiny = make_tiny_test_circuit();
+  ASSERT_EQ(tiny.channels(), 4);
+  ASSERT_EQ(tiny.grids(), 32);
+  EXPECT_EQ(fitted_mesh(tiny, 4).procs(), 4);
+  EXPECT_EQ(fitted_mesh(tiny, 32).rows, 4);
+  EXPECT_THROW(fitted_mesh(tiny, 37), std::invalid_argument);
+  try {
+    fitted_mesh(tiny, 64);
+    ADD_FAILURE() << "an 8x8 mesh over 4 channels was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(),
+                 "--procs=64 needs a 8x8 mesh, more than tiny's 4 channels x 32 grids");
+  }
+}
+
 TEST(Wire, PinChannels) {
   Pin p{10, 2};
   EXPECT_EQ(p.channel_above(), 2);

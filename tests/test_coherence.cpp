@@ -2,11 +2,15 @@
 // scenarios, traffic attribution, and line-size behaviour.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
 #include "coherence/simulator.hpp"
+#include "reference_coherence_sim.hpp"
+#include "shm/shm_router.hpp"
 #include "shm/trace.hpp"
 #include "support/rng.hpp"
+#include "test_util.hpp"
 
 namespace locus {
 namespace {
@@ -314,6 +318,10 @@ TEST_P(LineSizeProperty, FalseSharingGrowsWithLineSize) {
 INSTANTIATE_TEST_SUITE_P(Seeds, LineSizeProperty, ::testing::Values(0, 1, 2, 3));
 
 
+constexpr ProtocolKind kAllProtocols[] = {
+    ProtocolKind::kWriteBackInvalidate, ProtocolKind::kWriteThrough,
+    ProtocolKind::kMesi, ProtocolKind::kDragon};
+
 /// Property: the single-pass sweep equals one CoherenceSim::replay per line
 /// size — every traffic field, for every protocol, with infinite and finite
 /// caches — on seeded traces that mix cost-array addresses with the loop
@@ -344,9 +352,7 @@ TEST_P(FusedSweepProperty, EqualsSeparateReplayPerSize) {
     trace.append({t, addr, proc, rng.chance(0.3) ? MemOp::kWrite : MemOp::kRead});
   }
   const std::vector<std::int32_t> sizes = {4, 8, 16, 32};
-  for (ProtocolKind protocol :
-       {ProtocolKind::kWriteBackInvalidate, ProtocolKind::kWriteThrough,
-        ProtocolKind::kMesi, ProtocolKind::kDragon}) {
+  for (ProtocolKind protocol : kAllProtocols) {
     for (std::int32_t capacity : {0, 3}) {
       const std::vector<CoherenceTraffic> fused =
           sweep_line_sizes(trace, procs, sizes, protocol, capacity);
@@ -375,6 +381,88 @@ TEST_P(FusedSweepProperty, EqualsSeparateReplayPerSize) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FusedSweepProperty,
                          ::testing::Range<std::uint64_t>(0, 8));
+
+/// Checks sweep_line_sizes() at every size of `sizes`, and replay() at each
+/// size of `replay_sizes`, against the switch-per-access ReferenceCoherenceSim, field by
+/// field, for every protocol with infinite caches and with 3-line caches.
+void expect_matches_reference(const RefTrace& trace, std::int32_t procs,
+                              const std::vector<std::int32_t>& sizes,
+                              const std::vector<std::int32_t>& replay_sizes) {
+  for (ProtocolKind protocol : kAllProtocols) {
+    for (std::int32_t capacity : {0, 3}) {
+      const std::vector<CoherenceTraffic> swept =
+          sweep_line_sizes(trace, procs, sizes, protocol, capacity);
+      ASSERT_EQ(swept.size(), sizes.size());
+      for (std::size_t k = 0; k < sizes.size(); ++k) {
+        CoherenceParams params;
+        params.line_size = sizes[k];
+        params.protocol = protocol;
+        params.capacity_lines = capacity;
+        test::ReferenceCoherenceSim reference(procs, params);
+        reference.replay(trace);
+        SCOPED_TRACE(::testing::Message() << "protocol " << static_cast<int>(protocol)
+                                          << " capacity " << capacity << " line "
+                                          << sizes[k]);
+        EXPECT_TRUE(swept[k] == reference.traffic());
+        EXPECT_EQ(swept[k].total_bytes(), reference.traffic().total_bytes());
+        if (std::find(replay_sizes.begin(), replay_sizes.end(), sizes[k]) !=
+            replay_sizes.end()) {
+          CoherenceSim sim(procs, params);
+          sim.replay(trace);
+          EXPECT_TRUE(sim.traffic() == reference.traffic());
+        }
+      }
+    }
+  }
+}
+
+/// Seeded traces over cost-array words, odd byte addresses, the loop
+/// counter and addresses above the dense table's bound, from up to 32
+/// processors.
+class ReferenceCoherenceSimSeeded : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(ReferenceCoherenceSimSeeded, ReplayAndSweepMatchReference) {
+  Rng rng(GetParam() ^ 0xC0DEu);
+  const auto procs = static_cast<std::int32_t>(1 + rng.bounded(32));
+  RefTrace trace;
+  for (SimTime t = 0; t < 4000; ++t) {
+    std::uint32_t addr = 0;
+    switch (rng.bounded(10)) {
+      case 0:
+        addr = kLoopCounterAddr;
+        break;
+      case 1:
+        addr = CoherenceSim::kDenseAddrBound +
+               static_cast<std::uint32_t>(rng.bounded(64)) * 4;
+        break;
+      case 2:
+        addr = static_cast<std::uint32_t>(rng.bounded(2400));  // any byte
+        break;
+      default:
+        addr = static_cast<std::uint32_t>(rng.bounded(600)) * 4;
+        break;
+    }
+    const auto proc =
+        static_cast<std::int16_t>(rng.bounded(static_cast<std::uint64_t>(procs)));
+    trace.append({t, addr, proc, rng.chance(0.3) ? MemOp::kWrite : MemOp::kRead});
+  }
+  expect_matches_reference(trace, procs, {4, 8, 16, 32}, {4, 8, 16, 32});
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ReferenceCoherenceSimSeeded,
+                         ::testing::Range<std::uint64_t>(0, 6));
+
+/// The 60-wire bnrE shm trace (16 processors, dynamic loop; the trace
+/// Bnre60Dynamic pins): a two-size sweep and an 8-byte replay match the
+/// reference on real routing traffic. Two sizes keep the sanitizer run
+/// short; the seeded traces cover all four.
+TEST(ReferenceCoherenceSim, MatchesOnBnre60ShmTrace) {
+  ShmConfig config;
+  config.procs = 16;
+  const RefTrace trace = run_shared_memory(test::make_bnre60(), config).trace;
+  ASSERT_GT(trace.size(), 1'000'000u);
+  expect_matches_reference(trace, config.procs, {8, 32}, {8});
+}
 
 }  // namespace
 }  // namespace locus

@@ -154,7 +154,6 @@ TEST(Numa, LocalityAssignmentLowersRemoteFraction) {
   ShmConfig rr_config;
   rr_config.procs = 16;
   rr_config.assignment = assign_round_robin(circuit, 16);
-  rr_config.trace_dedup_reads = true;  // smaller traces; classification only
   ShmConfig local_config = rr_config;
   local_config.assignment =
       assign_threshold_cost(circuit, partition, kThresholdInfinity);

@@ -11,6 +11,7 @@
 #include "route/quality.hpp"
 #include "route/sequential.hpp"
 #include "shm/shm_router.hpp"
+#include "test_util.hpp"
 
 namespace locus {
 namespace {
@@ -81,11 +82,11 @@ TEST_F(ShmRunTest, TraceWritesMatchCommitVolume) {
   std::uint64_t cost_writes = 0;
   std::uint64_t counter_writes = 0;
   for (std::size_t p = 0; p < r.trace.streams(); ++p) {
-    for (const RefTrace::Entry& e : r.trace.entries(p)) {
-      if (e.op != MemOp::kWrite) continue;
+    r.trace.for_each_entry(p, [&](const RefTrace::Entry& e) {
+      if (e.op != MemOp::kWrite) return;
       if (e.addr == kLoopCounterAddr) ++counter_writes;
       else ++cost_writes;
-    }
+    });
   }
   std::uint64_t committed = 0;
   for (const WireRoute& route : r.routes) committed += route.cells.size();
@@ -93,18 +94,6 @@ TEST_F(ShmRunTest, TraceWritesMatchCommitVolume) {
   // rip-ups (unknown split) => at least 2x committed writes.
   EXPECT_GE(cost_writes, 2 * committed);
   EXPECT_GT(counter_writes, 0u);
-}
-
-TEST_F(ShmRunTest, DedupShrinksTrace) {
-  ShmConfig full;
-  full.procs = 4;
-  ShmConfig dedup = full;
-  dedup.trace_dedup_reads = true;
-  ShmRunResult rf = run_shared_memory(circuit_, full);
-  ShmRunResult rd = run_shared_memory(circuit_, dedup);
-  EXPECT_LT(rd.trace.size(), rf.trace.size() / 2);
-  // Identical routing outcome: the trace mode must not affect decisions.
-  EXPECT_EQ(rf.circuit_height, rd.circuit_height);
 }
 
 TEST_F(ShmRunTest, CaptureOffYieldsEmptyTrace) {
@@ -184,15 +173,7 @@ std::uint64_t trace_digest(const RefTrace& trace) {
   return h;
 }
 
-/// make_bnre_like()'s geometry cut down to 60 wires.
-Circuit make_bnre60() {
-  GeneratorParams p;
-  p.name = "bnrE-like-60";
-  p.num_wires = 60;
-  return generate_circuit(p);
-}
-
-enum class DigestMode { kDynamic, kThreshold, kDedup };
+enum class DigestMode { kDynamic, kThreshold };
 
 struct DigestCase {
   const char* name;
@@ -210,14 +191,10 @@ const DigestCase kDigestCases[] = {
      28727, 0x8b6c9dec17ea7d03ULL},
     {"TinyThreshold", false, DigestMode::kThreshold,
      28557, 0x6c7a5b4d09fe6407ULL},
-    {"TinyDedup", false, DigestMode::kDedup,
-     2088, 0x96c1f75ad71c39ddULL},
     {"Bnre60Dynamic", true, DigestMode::kDynamic,
      1673321, 0x4d88c54de163aa32ULL},
     {"Bnre60Threshold", true, DigestMode::kThreshold,
      1672897, 0xbccb8ab2e86daeceULL},
-    {"Bnre60Dedup", true, DigestMode::kDedup,
-     37726, 0x963be9b4e350d7e5ULL},
 };
 
 void PrintTo(const DigestCase& c, std::ostream* os) { *os << c.name; }
@@ -226,7 +203,7 @@ class ShmTraceDigest : public ::testing::TestWithParam<DigestCase> {};
 
 TEST_P(ShmTraceDigest, MatchesRecordedTrace) {
   const DigestCase& c = GetParam();
-  const Circuit circuit = c.bnre60 ? make_bnre60() : make_tiny_test_circuit();
+  const Circuit circuit = c.bnre60 ? test::make_bnre60() : make_tiny_test_circuit();
   ShmConfig config;
   config.procs = c.bnre60 ? 16 : 4;
   switch (c.mode) {
@@ -238,9 +215,6 @@ TEST_P(ShmTraceDigest, MatchesRecordedTrace) {
       config.assignment = assign_threshold_cost(circuit, partition, 1000);
       break;
     }
-    case DigestMode::kDedup:
-      config.trace_dedup_reads = true;
-      break;
   }
   const RefTrace trace = run_shared_memory(circuit, config).trace;
   EXPECT_EQ(trace.size(), c.refs);

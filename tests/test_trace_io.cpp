@@ -241,9 +241,90 @@ TEST(RefTrace, VisitationEqualsStableSortOfEmissionOrder) {
     }
     EXPECT_EQ(trace.count(MemOp::kWrite), writes) << "trial " << trial;
     std::size_t per_stream = 0;
-    for (std::size_t p = 0; p < trace.streams(); ++p) per_stream += trace.entries(p).size();
+    for (std::size_t p = 0; p < trace.streams(); ++p) {
+      trace.for_each_entry(p, [&](const RefTrace::Entry&) { ++per_stream; });
+    }
     EXPECT_EQ(per_stream, emitted.size()) << "trial " << trial;
   }
+}
+
+/// Streams several chunks long, with blocks that straddle chunk boundaries
+/// (one block alone is longer than a chunk): every 32-bit address — odd ones
+/// and 0xFFFFFFFF included — and both ops must come back exactly, ordered
+/// visitation must equal a stable sort of the emission order, per-stream
+/// visitation must equal each processor's emission order, and count() and
+/// the .trc round trip must agree.
+TEST(RefTraceChunks, StreamsSpanningChunksStayExact) {
+  constexpr std::size_t kChunk = RefTrace::kChunkRefs;
+  Rng rng(0xC4u);
+  constexpr std::int16_t kProcs = 3;
+  std::vector<SimTime> clock(kProcs, 0);
+  RefTrace trace;
+  std::vector<MemRef> emitted;
+  std::vector<std::vector<RefTrace::Entry>> per_proc(kProcs);
+  std::uint64_t writes = 0;
+  const std::uint32_t specials[] = {0xFFFFFFFFu, 0xFFFFFFFEu, 0u, 1u, 3u,
+                                    kLoopCounterAddr, 0x7FFFFFFFu};
+  // Block lengths: one longer than a chunk, then a mix of lengths that
+  // lands block edges on both sides of every chunk boundary.
+  std::vector<std::size_t> lengths = {kChunk + 5};
+  for (int i = 0; i < 40; ++i) lengths.push_back(1 + rng.bounded(2 * kChunk / 5));
+  lengths.push_back(1);
+  for (std::size_t n : lengths) {
+    const auto proc = static_cast<std::int16_t>(
+        std::min_element(clock.begin(), clock.end()) - clock.begin());
+    const SimTime t0 = clock[static_cast<std::size_t>(proc)];
+    const auto duration = static_cast<SimTime>(rng.bounded(3 * n));
+    trace.open_block(proc);
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::uint32_t addr =
+          rng.chance(0.01) ? specials[rng.bounded(std::size(specials))]
+                           : static_cast<std::uint32_t>(rng.next());
+      const MemOp op = rng.chance(0.4) ? MemOp::kWrite : MemOp::kRead;
+      trace.push(addr, op);
+      const SimTime t = t0 + duration * static_cast<SimTime>(i + 1) /
+                                 (static_cast<SimTime>(n) + 1);
+      emitted.push_back(MemRef{t, addr, proc, op});
+      per_proc[static_cast<std::size_t>(proc)].push_back(RefTrace::Entry{addr, op});
+      if (op == MemOp::kWrite) ++writes;
+    }
+    trace.close_block(t0, duration);
+    clock[static_cast<std::size_t>(proc)] = t0 + duration + static_cast<SimTime>(rng.bounded(2));
+  }
+  for (const auto& entries : per_proc) ASSERT_GT(entries.size(), 2 * kChunk);
+  std::stable_sort(emitted.begin(), emitted.end(),
+                   [](const MemRef& a, const MemRef& b) { return a.time < b.time; });
+
+  const std::vector<MemRef> visited = test::trace_refs(trace);
+  ASSERT_EQ(trace.size(), emitted.size());
+  ASSERT_EQ(visited.size(), emitted.size());
+  for (std::size_t i = 0; i < emitted.size(); ++i) {
+    ASSERT_EQ(visited[i].time, emitted[i].time) << "i=" << i;
+    ASSERT_EQ(visited[i].addr, emitted[i].addr) << "i=" << i;
+    ASSERT_EQ(visited[i].proc, emitted[i].proc) << "i=" << i;
+    ASSERT_EQ(visited[i].op, emitted[i].op) << "i=" << i;
+  }
+  EXPECT_EQ(trace.count(MemOp::kWrite), writes);
+  EXPECT_EQ(trace.count(MemOp::kRead), emitted.size() - writes);
+
+  ASSERT_EQ(trace.streams(), static_cast<std::size_t>(kProcs));
+  for (std::size_t p = 0; p < trace.streams(); ++p) {
+    std::size_t k = 0;
+    trace.for_each_entry(p, [&](const RefTrace::Entry& e) {
+      ASSERT_LT(k, per_proc[p].size());
+      EXPECT_EQ(e.addr, per_proc[p][k].addr) << "proc " << p << " k=" << k;
+      EXPECT_EQ(e.op, per_proc[p][k].op) << "proc " << p << " k=" << k;
+      ++k;
+    });
+    EXPECT_EQ(k, per_proc[p].size());
+  }
+
+  const std::string bytes = serialized(trace);
+  std::stringstream in(bytes);
+  const RefTrace back = read_trace(in);
+  EXPECT_EQ(back.size(), trace.size());
+  EXPECT_EQ(back.count(MemOp::kWrite), writes);
+  EXPECT_EQ(serialized(back), bytes);
 }
 
 TEST(RefTrace, AppendVisitsInAppendOrder) {

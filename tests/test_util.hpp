@@ -35,6 +35,14 @@ inline Circuit make_seeded_circuit(std::uint64_t seed = 7) {
   return make_tiny_test_circuit(seed);
 }
 
+/// make_bnre_like()'s geometry cut down to 60 wires.
+inline Circuit make_bnre60() {
+  GeneratorParams p;
+  p.name = "bnrE-like-60";
+  p.num_wires = 60;
+  return generate_circuit(p);
+}
+
 /// The references of `trace` in visitation order, copied out so a test can
 /// index them.
 inline std::vector<MemRef> trace_refs(const RefTrace& trace) {
