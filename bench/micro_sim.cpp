@@ -1,12 +1,9 @@
 // Microbenchmarks for the DES hot path and the SimPool runner:
 //   * event heap: dispatch through the EventQueue's indexed 4-ary heap;
-//   * inbox: the sorted-ring arrival buffer pattern the Machine uses;
-//   * payload: intrusive PayloadRef handoffs;
-//   * pool_profile: isolates the two contended resources a pooled run
-//     leans on — the payload allocator (arena vs global new) and the pool's
-//     dispatch/steal machinery (trivial jobs) — so a future scaling
-//     regression is attributable to one of them (run alone:
-//     --only=pool_profile).
+//   * payload: PayloadRef handoffs, allocation included;
+//   * pool_profile: the pool's dispatch/steal machinery on trivial jobs, so
+//     a future scaling regression can be told apart from the jobs' own
+//     cost (run alone: --only=pool_profile).
 // Run via scripts/bench_smoke.sh, which records BENCH_sim.json for
 // scripts/bench_compare.py to diff against future PRs.
 #include <algorithm>
@@ -16,11 +13,8 @@
 #include <vector>
 
 #include "bench_main.hpp"
-#include "harness/experiments.hpp"
 #include "harness/sim_pool.hpp"
-#include "sim/arena.hpp"
 #include "sim/event_queue.hpp"
-#include "sim/machine.hpp"
 #include "sim/packet.hpp"
 #include "support/assert.hpp"
 #include "support/stopwatch.hpp"
@@ -82,57 +76,6 @@ Table run_event_heap() {
 }
 
 // ---------------------------------------------------------------------------
-// Inbox: the sorted-ring arrival buffer.
-
-struct MicroArrival {
-  SimTime time;
-  std::uint64_t seq;
-};
-
-/// The arrival pattern a node inbox sees: pushes arrive already sorted
-/// (deliveries happen in global event order), drained in bursts.
-Table run_inbox() {
-  constexpr std::int64_t kBurst = 16;
-
-  SimTime ring_sum = 0;
-  const double ring_s = best_of(
-      [&] {
-        // FIFO ring: arrivals are pre-sorted, so push is an append and pop
-        // advances the head — the flattened representation the Machine's
-        // ArrivalRing uses.
-        std::vector<MicroArrival> ring(64);
-        std::size_t head = 0, count = 0;
-        ring_sum = 0;
-        std::uint64_t seq = 0;
-        for (std::int64_t b = 0; b < kBatch / kBurst; ++b) {
-          for (std::int64_t i = 0; i < kBurst; ++i) {
-            if (count == ring.size()) LOCUS_ASSERT(false);
-            ring[(head + count) % ring.size()] =
-                MicroArrival{b, seq++};
-            ++count;
-          }
-          while (count != 0) {
-            ring_sum += ring[head].time;
-            head = (head + 1) % ring.size();
-            --count;
-          }
-        }
-      },
-      0.25);
-  // Burst b carries kBurst arrivals stamped b.
-  constexpr std::int64_t kBursts = kBatch / kBurst;
-  LOCUS_ASSERT(ring_sum == kBurst * kBursts * (kBursts - 1) / 2);
-
-  benchmain::record("inbox_ring_s", ring_s);
-
-  Table t;
-  t.column("inbox", Align::kLeft).column("ms / batch").column("Marrivals/s");
-  t.row().cell("sorted ring (Machine)").cell(ring_s * 1e3, 3)
-      .cell(static_cast<double>(kBatch) / ring_s / 1e6, 2);
-  return t;
-}
-
-// ---------------------------------------------------------------------------
 // Payload: intrusive PayloadRef handoffs.
 
 struct MicroPayload final : PacketPayload {
@@ -168,7 +111,7 @@ Table run_payload() {
 }
 
 // ---------------------------------------------------------------------------
-// pool_profile: allocator vs dispatch contention, isolated.
+// pool_profile: the pool's dispatch cost, isolated.
 
 /// RAII toggle for LOCUS_POOL_IGNORE_AFFINITY so the dispatch probe can
 /// force real worker threads even on hosts whose affinity mask would clamp
@@ -193,67 +136,10 @@ struct ForceThreadsScope {
   }
 };
 
-Table run_pool_profile(const Circuit& circuit) {
+Table run_pool_profile() {
   Table t;
   t.column("probe", Align::kLeft).column("ms / batch").column("note",
                                                              Align::kLeft);
-
-  // --- Allocator: per-thread arena vs global operator new on the payload
-  // churn pattern (a sliding window of live blocks, FIFO frees). Serial on
-  // purpose: the arena's fast path must win, or at worst tie, *before* any
-  // contention enters the picture — its scaling benefit is on top of this.
-  constexpr std::int64_t kAllocs = 20000;
-  constexpr std::size_t kWindow = 256;
-  constexpr std::size_t kBytes = 96;  // RegionUpdatePayload territory
-  std::vector<void*> window;
-  window.reserve(kWindow);
-  const double arena_s = best_of(
-      [&] {
-        for (std::int64_t i = 0; i < kAllocs; ++i) {
-          window.push_back(PayloadArena::allocate(kBytes));
-          if (window.size() == kWindow) {
-            for (void* p : window) PayloadArena::deallocate(p);
-            window.clear();
-          }
-        }
-        for (void* p : window) PayloadArena::deallocate(p);
-        window.clear();
-      },
-      0.25);
-  const double malloc_s = best_of(
-      [&] {
-        for (std::int64_t i = 0; i < kAllocs; ++i) {
-          window.push_back(::operator new(kBytes));
-          if (window.size() == kWindow) {
-            for (void* p : window) ::operator delete(p);
-            window.clear();
-          }
-        }
-        for (void* p : window) ::operator delete(p);
-        window.clear();
-      },
-      0.25);
-  benchmain::record("arena_alloc_s", arena_s);
-  benchmain::record("malloc_alloc_s", malloc_s);
-  t.row().cell("alloc: global new").cell(malloc_s * 1e3, 3)
-      .cell("20k alloc/free, 256 live");
-  t.row().cell("alloc: payload arena").cell(arena_s * 1e3, 3)
-      .cell("same churn, thread-local");
-
-  // Deterministic attribution counter: payload blocks one fixed serial MP
-  // run draws from the arena. Exact-match gated, so a routing change that
-  // silently alters allocator pressure shows up here even if timings hide
-  // it in noise.
-  ExperimentConfig config;
-  {
-    const ArenaStats before = PayloadArena::current().stats();
-    const MpRunResult r = run_message_passing(
-        circuit, config.procs, config.mp(UpdateSchedule::sender(2, 5)));
-    LOCUS_ASSERT(r.work.wires_routed > 0);
-    const ArenaStats after = PayloadArena::current().stats();
-    benchmain::record("arena_payload_allocs",
-                      static_cast<double>(after.allocs - before.allocs));
-  }
 
   // --- Dispatch: what the pool machinery itself costs. Trivial jobs make
   // queue push/pop, the remaining-counter, and steals the whole bill.
@@ -297,12 +183,12 @@ Table run_pool_profile(const Circuit& circuit) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  Circuit bnre = make_bnre_like();
   return benchmain::run(
       argc, argv, "DES hot path + SimPool microbenchmarks",
+      // bench_compare.py keys counters by section title, so the pool
+      // section keeps the title BENCH_sim.json recorded it under.
       {{"event heap (4-ary)", [] { return run_event_heap(); }},
-       {"node inbox (sorted ring)", [] { return run_inbox(); }},
        {"payload handle (PayloadRef)", [] { return run_payload(); }},
        {"pool_profile (allocator / dispatch)",
-        [&] { return run_pool_profile(bnre); }}});
+        [] { return run_pool_profile(); }}});
 }

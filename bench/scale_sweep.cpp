@@ -7,7 +7,7 @@
 //   LOCUS_SCALE_MODES  comma-separated assignment policies out of
 //                      geo,dyn-fifo,dyn-local (default "geo")
 //   LOCUS_SCALE_COST_MODEL  per-link timing discipline out of
-//                      fixed,md1,vc (default "fixed")
+//                      fixed,md1 (default "fixed")
 // Runs with tiled views and region-batched updates (the configuration
 // the scale tier exists to exercise). The headline sim_route_rps counter
 // reports the first listed mode, so existing baselines are unchanged when
@@ -68,7 +68,6 @@ locus::LinkCostModelKind parse_cost_model(const char* env) {
   const std::string name = raw != nullptr && raw[0] != '\0' ? raw : "fixed";
   if (name == "fixed") return locus::LinkCostModelKind::kFixed;
   if (name == "md1") return locus::LinkCostModelKind::kMd1;
-  if (name == "vc") return locus::LinkCostModelKind::kVc;
   std::fprintf(stderr, "unknown LOCUS_SCALE_COST_MODEL: %s\n", name.c_str());
   std::exit(2);
 }

@@ -1,5 +1,5 @@
 // E15: the four MP update protocols priced on {mesh, torus, fat-tree} x
-// {fixed, md1, vc} per-link cost models, with the view-consistency checker
+// {fixed, md1} per-link cost models, with the view-consistency checker
 // and transport ledger asserted on every cell (ISSUE 10). The table bytes
 // are pool-width independent, which scripts/verify.sh --bench diffs at
 // --threads=1 vs 4.

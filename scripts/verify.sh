@@ -94,7 +94,7 @@ if [[ "$RUN_BENCH" == 1 ]]; then
   fi
   echo "dynamic-sweep determinism: dyn-local identical at --threads=1 and =4"
   # Interconnect determinism gates. First the full topology sweep — four MP
-  # schedules x {mesh, torus, fat-tree} x {fixed, md1, vc} with per-link
+  # schedules x {mesh, torus, fat-tree} x {fixed, md1} with per-link
   # utilization columns — must emit byte-identical rows at any pool width.
   # Then the scale sweep is re-priced under the fixed and the M/D/1 link
   # cost models: each must match itself across widths 1 and 4 (queueing

@@ -1362,7 +1362,6 @@ TopologySweepResult run_topology_sweep(const Circuit& circuit,
   const LinkCostModelKind models[] = {
       LinkCostModelKind::kFixed,
       LinkCostModelKind::kMd1,
-      LinkCostModelKind::kVc,
   };
 
   struct Job {

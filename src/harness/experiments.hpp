@@ -166,7 +166,7 @@ bool routes_identical(const std::vector<WireRoute>& a,
                       const std::vector<WireRoute>& b);
 
 // --- E15: interconnect cost models (ISSUE 10) — the four MP update
-//     protocols priced on {mesh, torus, fat-tree} x {fixed, md1, vc} ---
+//     protocols priced on {mesh, torus, fat-tree} x {fixed, md1} ---
 struct TopologySweepOptions {
   std::vector<std::int32_t> proc_counts{16};
   std::int32_t iterations = 2;

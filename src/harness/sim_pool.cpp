@@ -9,7 +9,10 @@
 #include <mutex>
 #include <thread>
 
-#include "shm/numa.hpp"
+#if defined(__linux__)
+#include <sched.h>
+#endif
+
 #include "support/assert.hpp"
 
 namespace locus {
@@ -38,6 +41,23 @@ int sim_threads() {
   return g_default_threads > 0 ? g_default_threads : resolve_env_threads();
 }
 
+int available_cpus() {
+  // Captured on first query: the pool asks once per run.
+  static const int cpus = [] {
+#if defined(__linux__)
+    cpu_set_t mask;
+    CPU_ZERO(&mask);
+    if (sched_getaffinity(0, sizeof(mask), &mask) == 0) {
+      const int n = CPU_COUNT(&mask);
+      if (n > 0) return n;
+    }
+#endif
+    const unsigned hw = std::thread::hardware_concurrency();
+    return hw > 0 ? static_cast<int>(hw) : 1;
+  }();
+  return cpus;
+}
+
 SimPool::SimPool(int threads)
     : threads_(threads > 0 ? threads : sim_threads()) {
   LOCUS_ASSERT(threads_ >= 1);
@@ -51,7 +71,7 @@ int SimPool::effective_workers(std::size_t jobs) const {
     // parallelism and pays spawn + context-switch + steal overhead; on a
     // 1-cpu host this turns every pooled run back into the inline path.
     workers = std::min<std::size_t>(
-        workers, static_cast<std::size_t>(numa::available_cpus()));
+        workers, static_cast<std::size_t>(available_cpus()));
   }
   return static_cast<int>(std::max<std::size_t>(workers, 1));
 }

@@ -26,17 +26,15 @@
 //      spawning nothing, which is the mode every existing test runs in).
 //
 // Hardware awareness: a run never spawns more workers than the process
-// affinity mask can actually execute in parallel (numa::available_cpus) —
+// affinity mask can actually execute in parallel (available_cpus) —
 // on a 1-cpu host a width-8 pool runs inline rather than paying spawn,
 // context-switch and steal traffic for zero parallelism, and results are
 // identical either way by the determinism contract. Set
 // LOCUS_POOL_IGNORE_AFFINITY=1 to force real threads anyway (the TSan
 // preset does, so cross-thread edges are exercised even on small hosts).
 //
-// Memory: each worker thread owns a private PayloadArena (sim/arena.hpp,
-// installed thread-locally on first payload allocation), so per-job
-// payload churn never touches a shared allocator; per-worker deques are
-// cache-line aligned so queue state and steal traffic don't false-share.
+// Memory: per-worker deques are cache-line aligned so queue state and
+// steal traffic don't false-share.
 //
 // Per-job observability: give each job its own obs::Obs and merge after
 // run_all returns via CounterRegistry::merge_from (a registry has a single
@@ -57,6 +55,12 @@ namespace locus {
 void set_sim_threads(int n);
 /// The resolved process-wide default (>= 1).
 int sim_threads();
+
+/// CPUs the calling process may run on (the affinity mask size when the OS
+/// exposes one, else hardware_concurrency), >= 1. The pool clamps its
+/// width to this so it never spawns workers the kernel cannot run in
+/// parallel.
+int available_cpus();
 
 /// One unit of work: an independent, self-contained simulation. The
 /// callable must not touch state shared with any other job in the same

@@ -159,7 +159,7 @@ struct MpConfig {
   /// up/down routing; ignored otherwise).
   std::int32_t fat_tree_arity = 2;
   /// Per-link interconnect timing discipline (sim/link_cost.hpp): the
-  /// paper's fixed charge, M/D/1 queueing, or credit-based VCs. The default
+  /// paper's fixed charge or M/D/1 queueing. The default
   /// keeps runs bit-identical to the pre-seam network.
   LinkCostParams link_cost;
   WireAssignmentMode assignment_mode = WireAssignmentMode::kStatic;

@@ -11,47 +11,12 @@
 // the remote fraction — the mechanism behind the paper's prediction.
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
-#include <vector>
 
 #include "geom/partition.hpp"
 #include "shm/trace.hpp"
-#include "support/mem.hpp"
 
 namespace locus {
-
-// ---------------------------------------------------------------------------
-// Host-machine placement helpers.
-//
-// The model above argues locality matters; these helpers act on it for our
-// own host-side parallelism (SimPool workers): the process affinity mask
-// that bounds the pool width, and first-touch page placement for
-// per-worker arenas. Everything degrades gracefully on machines without
-// affinity control (CI runners, non-Linux): the cpu list comes back empty,
-// the count falls back to hardware_concurrency, and first_touch remains a
-// plain page warm-up — callers never need a platform #ifdef of their own.
-
-namespace numa {
-
-/// CPUs the calling process may run on (the affinity mask size when the OS
-/// exposes one, else hardware_concurrency), clamped to >= 1. The pool uses
-/// this to stop spawning workers the kernel cannot actually run in
-/// parallel.
-int available_cpus();
-
-/// Concrete cpu ids in the process affinity mask, ascending. Empty when
-/// the platform exposes no mask.
-std::vector<int> allowed_cpus();
-
-/// Page size / first-touch placement, re-exported from support/mem.hpp so
-/// NUMA-aware callers find the whole placement toolkit in one header.
-inline std::size_t page_size() { return mem::page_size(); }
-inline void first_touch(void* p, std::size_t bytes) {
-  mem::first_touch(p, bytes);
-}
-
-}  // namespace numa
 
 struct NumaParams {
   SimTime local_ns = 400;    ///< reference into the local memory module

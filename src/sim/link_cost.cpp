@@ -11,7 +11,6 @@ const char* link_cost_model_name(LinkCostModelKind kind) {
   switch (kind) {
     case LinkCostModelKind::kFixed: return "fixed";
     case LinkCostModelKind::kMd1: return "md1";
-    case LinkCostModelKind::kVc: return "vc";
   }
   return "?";
 }
@@ -71,16 +70,18 @@ class FixedLinkCost final : public LinkCostModel {
   }
 };
 
-/// Shared shape of the bandwidth-aware models: a per-link service time of
+/// Bandwidth-limited M/D/1 queueing. A link's service time is
 /// bytes·HopTime / capacity_scale (fat links drain faster), never below one
 /// HopTime so a head always occupies the link it crosses.
-class ScaledLinkCost : public LinkCostModel {
- protected:
-  ScaledLinkCost(LinkCostModelKind kind, const Topology& topology,
-                 std::int64_t hop_time_ns)
-      : LinkCostModel(kind, static_cast<std::size_t>(topology.num_links()),
+class Md1LinkCost final : public LinkCostModel {
+ public:
+  Md1LinkCost(const Topology& topology, std::int64_t hop_time_ns,
+              double rho_max)
+      : LinkCostModel(LinkCostModelKind::kMd1,
+                      static_cast<std::size_t>(topology.num_links()),
                       hop_time_ns),
-        scale_(static_cast<std::size_t>(topology.num_links())) {
+        scale_(static_cast<std::size_t>(topology.num_links())),
+        rho_max_(rho_max) {
     for (std::size_t link = 0; link < scale_.size(); ++link) {
       scale_[link] =
           topology.link_capacity_scale(static_cast<std::int32_t>(link));
@@ -88,25 +89,11 @@ class ScaledLinkCost : public LinkCostModel {
     }
   }
 
-  SimTime service_ns(std::size_t link, std::int64_t bytes) const {
-    return std::max<SimTime>(hop_time_ns_,
-                             bytes * hop_time_ns_ / scale_[link]);
-  }
-
-  std::vector<std::int32_t> scale_;
-};
-
-class Md1LinkCost final : public ScaledLinkCost {
- public:
-  Md1LinkCost(const Topology& topology, std::int64_t hop_time_ns,
-              double rho_max)
-      : ScaledLinkCost(LinkCostModelKind::kMd1, topology, hop_time_ns),
-        rho_max_(rho_max) {}
-
   SimTime cross(std::int32_t link_in, SimTime head_in, std::int64_t bytes,
                 SimTime& waited) override {
     const auto link = static_cast<std::size_t>(link_in);
-    const SimTime service = service_ns(link, bytes);
+    const SimTime service = std::max<SimTime>(
+        hop_time_ns_, bytes * hop_time_ns_ / scale_[link]);
     // Utilization this head observes: the link's cumulative busy time over
     // elapsed simulated time. Deterministic — it depends only on the
     // simulated schedule, never on wall clock.
@@ -125,46 +112,8 @@ class Md1LinkCost final : public ScaledLinkCost {
   }
 
  private:
+  std::vector<std::int32_t> scale_;
   double rho_max_;
-};
-
-class VcLinkCost final : public ScaledLinkCost {
- public:
-  VcLinkCost(const Topology& topology, std::int64_t hop_time_ns,
-             std::int64_t buffer_bytes)
-      : ScaledLinkCost(LinkCostModelKind::kVc, topology, hop_time_ns),
-        buffer_bytes_(std::max<std::int64_t>(1, buffer_bytes)),
-        drained_(static_cast<std::size_t>(topology.num_links()), 0) {}
-
-  SimTime cross(std::int32_t link_in, SimTime head_in, std::int64_t bytes,
-                SimTime& waited) override {
-    const auto link = static_cast<std::size_t>(link_in);
-    const SimTime service = service_ns(link, bytes);
-    // Credits are measured in drain time: a full buffer takes capacity_ns to
-    // empty at link rate, and this packet consumes service worth of it. The
-    // buffer must fit any single packet, so capacity never falls below one
-    // packet's service time (a whole-packet credit grant).
-    const SimTime capacity_ns =
-        std::max(service, service_ns(link, buffer_bytes_));
-    SimTime& drained = drained_[link];
-    SimTime start = std::max(head_in, free_[link]);
-    const SimTime occupied_ns = std::max<SimTime>(0, drained - start);
-    if (occupied_ns + service > capacity_ns) {
-      // Backpressure: stall the head until enough credits return.
-      start = drained + service - capacity_ns;
-    }
-    waited += start - head_in;
-    stall(link, start - head_in);
-    free_[link] = start + service;
-    drained = std::max(drained, start) + service;
-    charge(link, bytes, service);
-    return start + hop_time_ns_;
-  }
-
- private:
-  std::int64_t buffer_bytes_;
-  /// Per link: when its downstream buffer has fully drained.
-  std::vector<SimTime> drained_;
 };
 
 }  // namespace
@@ -179,9 +128,6 @@ std::unique_ptr<LinkCostModel> LinkCostModel::make(const Topology& topology,
     case LinkCostModelKind::kMd1:
       return std::make_unique<Md1LinkCost>(topology, hop_time_ns,
                                            params.md1_rho_max);
-    case LinkCostModelKind::kVc:
-      return std::make_unique<VcLinkCost>(topology, hop_time_ns,
-                                          params.vc_buffer_bytes);
   }
   LOCUS_UNREACHABLE("bad LinkCostModelKind");
 }

@@ -16,17 +16,12 @@
 //           cumulative busy time over elapsed simulated time, clamped at
 //           rho_max so delay stays finite and monotone as rho -> 1 (the
 //           zsim MD1MemRouter discipline).
-//   kVc     credit-based virtual channels: each link's downstream buffer
-//           holds vc_buffer_bytes of flits and drains at link rate; a head
-//           whose L bytes do not fit in the remaining credits stalls until
-//           the buffer drains enough (bounded per-link buffering with
-//           backpressure, counted per link as stalls).
 //
-// All three models keep the per-link accounting the contention experiments
+// Both models keep the per-link accounting the contention experiments
 // tabulate: bytes crossed, busy time (-> utilization), and stall events.
 // Fat-tree links can be "fat": Topology::link_capacity_scale() multiplies a
 // link's drain rate, so a level-l tree link serves bytes scale× faster than
-// a mesh hop (the md1/vc service time shrinks; kFixed ignores capacity to
+// a mesh hop (the md1 service time shrinks; kFixed ignores capacity to
 // stay bit-identical to the paper's charge).
 #pragma once
 
@@ -39,7 +34,7 @@
 
 namespace locus {
 
-enum class LinkCostModelKind : std::int8_t { kFixed, kMd1, kVc };
+enum class LinkCostModelKind : std::int8_t { kFixed, kMd1 };
 
 const char* link_cost_model_name(LinkCostModelKind kind);
 
@@ -48,8 +43,6 @@ struct LinkCostParams {
   /// kMd1: utilization clamp. The closed form diverges at rho = 1; clamping
   /// keeps the delay finite, monotone, and overflow-free in saturation.
   double md1_rho_max = 0.95;
-  /// kVc: per-link downstream buffer (credits), in bytes.
-  std::int64_t vc_buffer_bytes = 4096;
 };
 
 /// M/D/1 mean queueing delay for a packet whose deterministic service time
@@ -98,8 +91,8 @@ class LinkCostModel {
   /// links this equals NetworkStats::byte_hops exactly — the conservation
   /// law the network test battery asserts for every model × topology.
   const std::vector<std::uint64_t>& link_bytes() const { return bytes_; }
-  /// Stall events per directed link (head waits under kFixed/kMd1 service
-  /// serialization, credit exhaustion under kVc).
+  /// Stall events per directed link: crossings whose head waited, for the
+  /// link to free or (under kMd1) in the M/D/1 queue.
   const std::vector<std::uint64_t>& link_stalls() const { return stalls_; }
 
   /// Busy time of each directed link so far.

@@ -11,8 +11,8 @@
 // workloads generate (flit-level backpressure of upstream links is not
 // modeled; DESIGN.md records this simplification). The per-link timing
 // discipline itself is pluggable (NetworkParams::cost selects a
-// LinkCostModel — fixed, M/D/1 queueing, or credit-based virtual channels;
-// sim/link_cost.hpp); the packet plane above it is unchanged.
+// LinkCostModel — fixed or M/D/1 queueing; sim/link_cost.hpp); the packet
+// plane above it is unchanged.
 //
 // In-flight packets live in a free-listed arena; events on the queue carry
 // only the POD slot id, so scheduling a delivery allocates nothing and the

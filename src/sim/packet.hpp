@@ -26,17 +26,11 @@
 namespace locus {
 
 /// Base class for application payloads attached to packets. Carries the
-/// intrusive reference count PayloadRef manipulates. Heap storage comes
-/// from the calling thread's PayloadArena (sim/arena.hpp): allocation and
-/// same-thread free are lock-free per-worker free-list operations, and a
-/// payload released on another thread goes through the owning arena's
-/// deferred reclamation list instead of a shared allocator.
+/// intrusive reference count PayloadRef manipulates. Payloads live on the
+/// global heap: where the host keeps them changes no route, byte or
+/// simulated nanosecond.
 struct PacketPayload {
   virtual ~PacketPayload() = default;
-
-  static void* operator new(std::size_t bytes);
-  static void operator delete(void* p) noexcept;
-  static void operator delete(void* p, std::size_t bytes) noexcept;
 
   mutable std::uint32_t payload_refs_ = 0;
 };

@@ -1,9 +1,9 @@
-// Network test battery (ISSUE 10): topology route/index properties across
-// mesh, torus, and fat tree; the M/D/1 waiting-time closed form and its
+// Network test battery: topology route/index properties across mesh,
+// torus, and fat tree; the M/D/1 waiting-time closed form and its
 // saturation clamp; the per-link byte conservation law under every cost
-// model x topology; transport recovery bit-identity with the VC model on;
-// and the full differential-oracle matrix (four MP schedules x three
-// topologies x three cost models) with the consistency checker and
+// model x topology; transport recovery bit-identity with the M/D/1 model
+// on; and the full differential-oracle matrix (four MP schedules x three
+// topologies x two cost models) with the consistency checker and
 // transport ledger asserted everywhere.
 #include <algorithm>
 #include <cstdint>
@@ -251,8 +251,7 @@ std::vector<MatrixCase> full_matrix() {
   for (Topology::Edges edges : {Topology::Edges::kMesh, Topology::Edges::kTorus,
                                 Topology::Edges::kFatTree}) {
     for (LinkCostModelKind kind :
-         {LinkCostModelKind::kFixed, LinkCostModelKind::kMd1,
-          LinkCostModelKind::kVc}) {
+         {LinkCostModelKind::kFixed, LinkCostModelKind::kMd1}) {
       cases.push_back({edges, kind});
     }
   }
@@ -309,9 +308,9 @@ TEST(LinkConservation, FixedModelIsByteIdenticalToDefaultRun) {
   EXPECT_TRUE(routes_identical(a.routes, b.routes));
 }
 
-// --- Transport recovery bit-identity with the VC model on ---
+// --- Transport recovery bit-identity with the M/D/1 model on ---
 
-TEST(VcTransportRecovery, FaultedRunIsBitIdenticalToFaultFree) {
+TEST(Md1TransportRecovery, FaultedRunIsBitIdenticalToFaultFree) {
   const Circuit circuit = test::make_seeded_circuit(7);
   FaultPlan plan;
   plan.drop_rate = 0.02;
@@ -323,7 +322,7 @@ TEST(VcTransportRecovery, FaultedRunIsBitIdenticalToFaultFree) {
     clean.schedule = UpdateSchedule::sender(2, 5);
     clean.iterations = 2;
     clean.edges = edges;
-    clean.link_cost.kind = LinkCostModelKind::kVc;
+    clean.link_cost.kind = LinkCostModelKind::kMd1;
     clean.transport.enabled = true;
     MpConfig faulted = clean;
     faulted.faults = &plan;
@@ -343,7 +342,7 @@ TEST(VcTransportRecovery, FaultedRunIsBitIdenticalToFaultFree) {
   }
 }
 
-// --- The full oracle matrix: 4 schedules x 3 topologies x 3 models ---
+// --- The full oracle matrix: 4 schedules x 3 topologies x 2 models ---
 
 TEST(NetworkOracleMatrix, AllSchedulesPassUnderEveryModelAndTopology) {
   const Circuit circuit = test::make_seeded_circuit(7);
@@ -367,11 +366,11 @@ TEST(TopologySweep, EmitsFullMatrixAndPassesChecks) {
   TopologySweepOptions options;
   options.proc_counts = {4};
   const TopologySweepResult result = run_topology_sweep(circuit, options);
-  // 4 schedules x 3 topologies x 3 cost models.
-  EXPECT_EQ(result.runs, 36);
+  // 4 schedules x 3 topologies x 2 cost models.
+  EXPECT_EQ(result.runs, 24);
   EXPECT_TRUE(result.all_ok);
   const std::string rendered = result.table.render();
-  for (const char* needle : {"fat-tree", "torus", "mesh", "fixed", "md1", "vc",
+  for (const char* needle : {"fat-tree", "torus", "mesh", "fixed", "md1",
                              "max util", "stalls"}) {
     EXPECT_NE(rendered.find(needle), std::string::npos) << needle;
   }

@@ -1,12 +1,6 @@
 // Tests for the extension models: Dragon write-update coherence, the bus
-// occupancy estimate, and the NUMA reference-cost model — plus the numa::
-// machine helpers (affinity introspection, pinning, first-touch) the
-// SimPool's placement logic builds on.
+// occupancy estimate, and the NUMA reference-cost model.
 #include <gtest/gtest.h>
-
-#include <algorithm>
-#include <cstring>
-#include <vector>
 
 #include "assign/assignment.hpp"
 #include "circuit/generator.hpp"
@@ -165,41 +159,6 @@ TEST(Numa, LocalityAssignmentLowersRemoteFraction) {
   EXPECT_LT(local.remote_fraction(), rr.remote_fraction());
   // Round robin over 16 regions is ~15/16 remote by construction.
   EXPECT_NEAR(rr.remote_fraction(), 0.9375, 0.03);
-}
-
-// ---------------------------------------------------------------------------
-// numa:: machine helpers. These must degrade, never fail: on hosts without
-// affinity syscalls (and on CI runners whose masks are restricted) every
-// helper still answers coherently.
-
-TEST(NumaMachine, AvailableCpusIsCoherentWithAllowedList) {
-  const int cpus = numa::available_cpus();
-  EXPECT_GE(cpus, 1);
-  const std::vector<int> allowed = numa::allowed_cpus();
-  if (!allowed.empty()) {
-    // The count and the enumeration come from the same affinity mask.
-    EXPECT_EQ(static_cast<int>(allowed.size()), cpus);
-    for (int cpu : allowed) EXPECT_GE(cpu, 0);
-    EXPECT_TRUE(std::is_sorted(allowed.begin(), allowed.end()));
-  }
-  // Without an enumeration (no readable mask) the count still answers.
-}
-
-TEST(NumaMachine, FirstTouchWarmsWithoutResizingPages) {
-  EXPECT_GE(mem::page_size(), 512u);
-  // Power of two (sysconf guarantees it; the fallback constant is too).
-  EXPECT_EQ(mem::page_size() & (mem::page_size() - 1), 0u);
-
-  // Touch a multi-page buffer, then verify it is fully writable and
-  // zero-initialized where touched (the arena carves slabs from
-  // freshly-reserved memory, so the zero store is safe by contract).
-  const std::size_t bytes = 3 * mem::page_size() + 17;
-  std::vector<unsigned char> slab(bytes, 0);
-  numa::first_touch(slab.data(), slab.size());
-  EXPECT_TRUE(std::all_of(slab.begin(), slab.end(),
-                          [](unsigned char b) { return b == 0; }));
-  numa::first_touch(nullptr, 0);  // degenerate inputs are no-ops
-  numa::first_touch(slab.data(), 0);
 }
 
 }  // namespace

@@ -13,7 +13,6 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "circuit/generator.hpp"
@@ -21,8 +20,6 @@
 #include "harness/sim_pool.hpp"
 #include "msg/driver.hpp"
 #include "obs/counters.hpp"
-#include "shm/numa.hpp"
-#include "sim/arena.hpp"
 #include "sim/event_queue.hpp"
 #include "support/stopwatch.hpp"
 
@@ -95,6 +92,12 @@ TEST(SimPool, ThreadResolutionPrecedence) {
   EXPECT_EQ(sim_threads(), 1);   // garbage degrades to serial
   ::unsetenv("LOCUS_THREADS");
   EXPECT_EQ(sim_threads(), 1);   // nothing configured: serial
+}
+
+TEST(SimPool, AvailableCpusIsAtLeastOne) {
+  // Hosts without a readable affinity mask still answer, so the width
+  // clamp never reaches zero workers.
+  EXPECT_GE(available_cpus(), 1);
 }
 
 TEST(SimPool, RunAllExecutesNamedJobs) {
@@ -221,100 +224,6 @@ TEST(PoolDeterminism, MergedObsCsvIsBitIdenticalAtAnyWidth) {
 }
 
 // ---------------------------------------------------------------------------
-// Per-worker payload arenas: ownership, reclamation, reuse.
-
-TEST(PayloadArena, LocalAllocFreeBalancesAndStaysLockFree) {
-  PayloadArena& arena = PayloadArena::current();
-  const ArenaStats before = arena.stats();
-  std::vector<void*> blocks;
-  for (int i = 0; i < 64; ++i) blocks.push_back(PayloadArena::allocate(96));
-  for (void* p : blocks) {
-    EXPECT_EQ(PayloadArena::owner_of(p), &arena);
-    PayloadArena::deallocate(p);
-  }
-  const ArenaStats after = arena.stats();
-  EXPECT_EQ(after.allocs, before.allocs + 64);
-  EXPECT_EQ(after.local_frees, before.local_frees + 64);
-  EXPECT_EQ(after.remote_frees, before.remote_frees);  // never crossed
-  EXPECT_EQ(after.live(), before.live());
-}
-
-TEST(PayloadArena, CrossOwnerFreeOnlyEverUsesReclamationList) {
-  // The regression the arena design hinges on: a block allocated under
-  // arena A and freed while arena B is current must land on A's
-  // reclamation list — never on B's free lists (whence B would hand
-  // A-owned memory to its own callers) and never directly on A's free
-  // lists (a data race with A's owner).
-  PayloadArena* a = PayloadArena::acquire();
-  PayloadArena* b = PayloadArena::acquire();
-  ASSERT_NE(a, b);
-
-  void* p = nullptr;
-  {
-    PayloadArena::Scope scope(a);
-    p = PayloadArena::allocate(96);
-  }
-  ASSERT_EQ(PayloadArena::owner_of(p), a);
-
-  const ArenaStats a_before = a->stats();
-  const ArenaStats b_before = b->stats();
-  {
-    PayloadArena::Scope scope(b);
-    PayloadArena::deallocate(p);  // B is current, A owns the block
-  }
-  const ArenaStats a_after = a->stats();
-  const ArenaStats b_after = b->stats();
-  EXPECT_EQ(a_after.remote_frees, a_before.remote_frees + 1);
-  EXPECT_EQ(a_after.local_frees, a_before.local_frees);
-  EXPECT_EQ(a_after.reclaimed, a_before.reclaimed);  // not drained yet
-  EXPECT_EQ(b_after.local_frees, b_before.local_frees);
-  EXPECT_EQ(b_after.remote_frees, b_before.remote_frees);
-
-  // Only the owner drains the list back onto its free lists.
-  {
-    PayloadArena::Scope scope(a);
-    EXPECT_EQ(a->reclaim(), 1u);
-  }
-  EXPECT_EQ(a->stats().reclaimed, a_before.reclaimed + 1);
-
-  PayloadArena::release(b);
-  PayloadArena::release(a);
-}
-
-TEST(PayloadArena, ThreadExitReleasesArenaForReuse) {
-  // A worker's lazily acquired arena returns to the registry at thread
-  // exit, so pool runs recycle warm arenas instead of growing the registry
-  // per run. The block itself stays valid after the owner thread is gone;
-  // freeing it from here goes through the (immortal) owner's reclamation
-  // list.
-  PayloadArena& mine = PayloadArena::current();  // claim ours before the
-                                                 // worker's hits the registry
-  void* p = nullptr;
-  std::thread worker([&] { p = PayloadArena::allocate(96); });
-  worker.join();
-  const std::size_t registry = PayloadArena::registry_size();
-
-  PayloadArena* owner = PayloadArena::owner_of(p);
-  ASSERT_NE(owner, nullptr);
-  EXPECT_NE(owner, &mine);
-  const ArenaStats before = owner->stats();
-  PayloadArena::deallocate(p);
-  EXPECT_EQ(owner->stats().remote_frees, before.remote_frees + 1);
-
-  // A second worker reuses an idle arena: the registry does not grow.
-  std::thread next([] { PayloadArena::deallocate(PayloadArena::allocate(96)); });
-  next.join();
-  EXPECT_EQ(PayloadArena::registry_size(), registry);
-}
-
-TEST(PayloadArena, OversizeBlocksPassThroughTheGlobalAllocator) {
-  void* p = PayloadArena::allocate(4096);  // above the largest class
-  ASSERT_NE(p, nullptr);
-  EXPECT_EQ(PayloadArena::owner_of(p), nullptr);
-  PayloadArena::deallocate(p);
-}
-
-// ---------------------------------------------------------------------------
 // Scaling smoke: the pool must actually go faster where the hardware can
 // serve it. Release-only (Debug wall times measure the allocator's
 // bookkeeping, not the pool) and guarded on the affinity mask — on 1-cpu
@@ -325,7 +234,7 @@ TEST(PoolScaling, FourWorkersBeatSerialOnMultiCoreHosts) {
 #ifndef NDEBUG
   GTEST_SKIP() << "Release-only: Debug timings do not reflect the pool";
 #endif
-  const int cpus = numa::available_cpus();
+  const int cpus = available_cpus();
   if (cpus < 4) {
     GTEST_SKIP() << "needs >= 4 available cpus, have " << cpus;
   }
@@ -349,15 +258,25 @@ TEST(PoolScaling, FourWorkersBeatSerialOnMultiCoreHosts) {
     });
     return heights;
   };
-  // Steady state: warm arenas/caches once per width, then median of 3.
+  // One batch lasts only ~30-90 ms, short enough for a scheduler hiccup to
+  // swing the ratio, so each sample repeats the batch for >= 0.5 s and
+  // reports seconds per batch. Steady state: warm caches once per width,
+  // then median of 3 samples.
+  const auto sample = [&](int threads) {
+    Stopwatch sw;
+    int reps = 0;
+    double elapsed = 0.0;
+    do {
+      batch(threads);
+      ++reps;
+      elapsed = sw.seconds();
+    } while (elapsed < 0.5);
+    return elapsed / reps;
+  };
   const auto median3 = [&](int threads) {
     batch(threads);  // warm-up, not timed
     std::vector<double> times(3);
-    for (double& t : times) {
-      Stopwatch sw;
-      batch(threads);
-      t = sw.seconds();
-    }
+    for (double& t : times) t = sample(threads);
     std::sort(times.begin(), times.end());
     return times[1];
   };
