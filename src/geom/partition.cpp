@@ -1,6 +1,5 @@
 #include "geom/partition.hpp"
 
-#include <algorithm>
 #include <cmath>
 
 #include "support/assert.hpp"
@@ -39,30 +38,20 @@ std::vector<std::int32_t> make_bands(std::int32_t total, std::int32_t bands) {
 
 Partition::Partition(std::int32_t channels, std::int32_t grids, MeshShape mesh)
     : channels_(channels), grids_(grids), mesh_(mesh) {
-  row_start_ = make_bands(channels, mesh.rows);
-  col_start_ = make_bands(grids, mesh.cols);
+  // Band r spans [row_start[r], row_start[r + 1]).
+  const std::vector<std::int32_t> row_start = make_bands(channels, mesh.rows);
+  const std::vector<std::int32_t> col_start = make_bands(grids, mesh.cols);
+  row_split_ = BandSplit{channels / mesh.rows, channels % mesh.rows};
+  col_split_ = BandSplit{grids / mesh.cols, grids % mesh.cols};
   regions_.reserve(static_cast<std::size_t>(mesh.procs()));
   for (std::int32_t r = 0; r < mesh.rows; ++r) {
     for (std::int32_t c = 0; c < mesh.cols; ++c) {
-      regions_.push_back(Rect::of(row_start_[static_cast<std::size_t>(r)],
-                                  row_start_[static_cast<std::size_t>(r) + 1] - 1,
-                                  col_start_[static_cast<std::size_t>(c)],
-                                  col_start_[static_cast<std::size_t>(c) + 1] - 1));
+      regions_.push_back(Rect::of(row_start[static_cast<std::size_t>(r)],
+                                  row_start[static_cast<std::size_t>(r) + 1] - 1,
+                                  col_start[static_cast<std::size_t>(c)],
+                                  col_start[static_cast<std::size_t>(c) + 1] - 1));
     }
   }
-}
-
-std::int32_t Partition::band_of(const std::vector<std::int32_t>& starts,
-                                std::int32_t v) const {
-  auto it = std::upper_bound(starts.begin(), starts.end(), v);
-  LOCUS_ASSERT(it != starts.begin());
-  return static_cast<std::int32_t>(it - starts.begin()) - 1;
-}
-
-ProcId Partition::owner(GridPoint p) const {
-  LOCUS_ASSERT(p.channel >= 0 && p.channel < channels_);
-  LOCUS_ASSERT(p.x >= 0 && p.x < grids_);
-  return proc_at(band_of(row_start_, p.channel), band_of(col_start_, p.x));
 }
 
 const Rect& Partition::region(ProcId proc) const {
@@ -91,10 +80,10 @@ std::vector<ProcId> Partition::regions_overlapping(const Rect& r) const {
   Rect clipped = Rect::intersection(
       r, Rect::of(0, channels_ - 1, 0, grids_ - 1));
   if (clipped.is_empty()) return out;
-  std::int32_t row_lo = band_of(row_start_, clipped.channel_lo);
-  std::int32_t row_hi = band_of(row_start_, clipped.channel_hi);
-  std::int32_t col_lo = band_of(col_start_, clipped.x_lo);
-  std::int32_t col_hi = band_of(col_start_, clipped.x_hi);
+  std::int32_t row_lo = row_split_.band_of(clipped.channel_lo);
+  std::int32_t row_hi = row_split_.band_of(clipped.channel_hi);
+  std::int32_t col_lo = col_split_.band_of(clipped.x_lo);
+  std::int32_t col_hi = col_split_.band_of(clipped.x_hi);
   for (std::int32_t row = row_lo; row <= row_hi; ++row) {
     for (std::int32_t col = col_lo; col <= col_hi; ++col) {
       out.push_back(proc_at(row, col));

@@ -12,6 +12,7 @@
 
 #include "geom/point.hpp"
 #include "geom/rect.hpp"
+#include "support/assert.hpp"
 
 namespace locus {
 
@@ -32,7 +33,8 @@ struct MeshShape {
 ///
 /// Region boundaries split `channels` rows into `rows` nearly-equal bands and
 /// `grids` columns into `cols` nearly-equal bands; earlier bands get the
-/// remainder cells, so every cell belongs to exactly one region.
+/// remainder cells, so every cell belongs to exactly one region. That split
+/// makes owner() two divisions: no search over the band starts.
 class Partition {
  public:
   Partition(std::int32_t channels, std::int32_t grids, MeshShape mesh);
@@ -42,8 +44,12 @@ class Partition {
   MeshShape mesh() const { return mesh_; }
   std::int32_t num_regions() const { return mesh_.procs(); }
 
-  /// Owning processor of a cell.
-  ProcId owner(GridPoint p) const;
+  /// Owning processor of a cell. O(1).
+  ProcId owner(GridPoint p) const {
+    LOCUS_ASSERT(p.channel >= 0 && p.channel < channels_);
+    LOCUS_ASSERT(p.x >= 0 && p.x < grids_);
+    return proc_at(row_split_.band_of(p.channel), col_split_.band_of(p.x));
+  }
 
   /// Owned region rectangle of a processor.
   const Rect& region(ProcId proc) const;
@@ -68,11 +74,20 @@ class Partition {
   std::int32_t channels_;
   std::int32_t grids_;
   MeshShape mesh_;
-  std::vector<std::int32_t> row_start_;  // size rows+1; band r = [row_start_[r], row_start_[r+1])
-  std::vector<std::int32_t> col_start_;  // size cols+1
-  std::vector<Rect> regions_;            // indexed by ProcId
+  /// `total` cells in `bands` bands: the first `extra` bands hold base + 1
+  /// cells, the rest `base` (base >= 1).
+  struct BandSplit {
+    std::int32_t base = 1;
+    std::int32_t extra = 0;
+    std::int32_t band_of(std::int32_t v) const {
+      const std::int32_t long_cells = extra * (base + 1);
+      return v < long_cells ? v / (base + 1) : extra + (v - long_cells) / base;
+    }
+  };
 
-  std::int32_t band_of(const std::vector<std::int32_t>& starts, std::int32_t v) const;
+  BandSplit row_split_;
+  BandSplit col_split_;
+  std::vector<Rect> regions_;  // indexed by ProcId
 };
 
 }  // namespace locus

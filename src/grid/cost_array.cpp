@@ -19,6 +19,14 @@ std::size_t CostArray::checked_index(GridPoint p) const {
   return static_cast<std::size_t>(index(p));
 }
 
+void CostArray::add_row(std::int32_t channel, std::int32_t x_lo, std::int32_t x_hi,
+                        std::int32_t delta) {
+  LOCUS_ASSERT_MSG(channel >= 0 && channel < channels_, "channel out of range");
+  LOCUS_ASSERT_MSG(x_lo >= 0 && x_lo <= x_hi && x_hi < grids_, "span out of range");
+  std::int32_t* row = cells_.data() + static_cast<std::size_t>(channel) * grids_;
+  for (std::int32_t x = x_lo; x <= x_hi; ++x) row[x] += delta;
+}
+
 void CostArray::read_row(std::int32_t channel, std::int32_t x_lo, std::int32_t x_hi,
                          std::span<std::int32_t> span_out) {
   LOCUS_ASSERT_MSG(channel >= 0 && channel < channels_, "channel out of range");

@@ -56,6 +56,9 @@ class CostArray final : public CostView {
   void add(GridPoint p, std::int32_t delta) override {
     cells_[checked_index(p)] += delta;
   }
+  /// Span write: one bounds check, then a plain loop over the row slice.
+  void add_row(std::int32_t channel, std::int32_t x_lo, std::int32_t x_hi,
+               std::int32_t delta) override;
 
   /// Devirtualized span read: one bounds check and a clamp loop over
   /// contiguous storage (the row-major layout makes a row a single slice).

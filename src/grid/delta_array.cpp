@@ -1,7 +1,7 @@
 #include "grid/delta_array.hpp"
 
 #include <algorithm>
-#include <map>
+#include <limits>
 #include <utility>
 
 #include "support/assert.hpp"
@@ -14,22 +14,74 @@ DeltaArray::DeltaArray(const Partition& partition, TileDims dims)
       dirty_bbox_(static_cast<std::size_t>(partition.num_regions())),
       nonzero_count_(static_cast<std::size_t>(partition.num_regions()), 0) {}
 
-void DeltaArray::add(GridPoint p, std::int32_t delta) {
-  if (delta == 0) return;
-  std::int32_t& cell = tiles_.slot(p);
-  const bool was_zero = (cell == 0);
-  cell += delta;
-  const ProcId region = partition_->owner(p);
-  auto r = static_cast<std::size_t>(region);
-  if (was_zero && cell != 0) {
-    ++nonzero_count_[r];
-    dirty_bbox_[r].expand(p);
-  } else if (!was_zero && cell == 0) {
-    --nonzero_count_[r];
-    if (nonzero_count_[r] == 0) dirty_bbox_[r] = Rect::empty();
-    // Bounding box is left conservative when some cells remain nonzero;
-    // extract_region() tightens it.
+template <typename ValueAt>
+void DeltaArray::add_run(std::int32_t channel, std::int32_t x_lo, std::int32_t x_hi,
+                         ValueAt value_at) {
+  for (std::int32_t x = x_lo; x <= x_hi;) {
+    // One owner lookup per region band: [x, band_hi] lies in one region.
+    const ProcId region = partition_->owner(GridPoint{channel, x});
+    const Rect& owned = partition_->region(region);
+    LOCUS_ASSERT(owned.x_lo <= x && x <= owned.x_hi);
+    const std::int32_t band_hi = std::min(x_hi, owned.x_hi);
+    std::int64_t& count = nonzero_count_[static_cast<std::size_t>(region)];
+    Rect& bbox = dirty_bbox_[static_cast<std::size_t>(region)];
+    // Columns of the cells that turned nonzero; the box grows by them once,
+    // when the band is done. Each cell is visited once, so once one turns
+    // nonzero the region cannot go clean again within this band: the
+    // per-cell loop's box would hold these cells too.
+    std::int32_t grown_lo = std::numeric_limits<std::int32_t>::max();
+    std::int32_t grown_hi = std::numeric_limits<std::int32_t>::min();
+    while (x <= band_hi) {
+      std::int32_t run = 0;
+      std::int32_t* chunk = tiles_.resident_row_chunk(channel, x, &run);
+      run = std::min(run, band_hi - x + 1);
+      const std::int32_t first = x - x_lo;  // value index of chunk[0]
+      if (chunk == nullptr) {
+        bool any = false;
+        for (std::int32_t i = 0; i < run && !any; ++i) any = value_at(first + i) != 0;
+        if (!any) {  // zeros change nothing and materialize nothing
+          x += run;
+          continue;
+        }
+        std::int32_t unused = 0;
+        chunk = tiles_.mutable_row_chunk(channel, x, &unused);
+      }
+      for (std::int32_t i = 0; i < run; ++i) {
+        const std::int32_t d = value_at(first + i);
+        if (d == 0) continue;
+        const bool was_zero = chunk[i] == 0;
+        chunk[i] += d;
+        if (was_zero) {
+          ++count;
+          grown_lo = std::min(grown_lo, x + i);
+          grown_hi = std::max(grown_hi, x + i);
+        } else if (chunk[i] == 0 && --count == 0) {
+          // The region went clean: drop its box. While some cells stay
+          // nonzero the box stays conservative; the packet scan tightens it.
+          bbox = Rect::empty();
+        }
+      }
+      x += run;
+    }
+    if (grown_lo <= grown_hi) {
+      bbox.expand(GridPoint{channel, grown_lo});
+      bbox.expand(GridPoint{channel, grown_hi});
+    }
   }
+}
+
+void DeltaArray::add_row(std::int32_t channel, std::int32_t x_lo, std::int32_t x_hi,
+                         std::int32_t delta) {
+  LOCUS_ASSERT(x_lo <= x_hi);
+  if (delta == 0) return;
+  add_run(channel, x_lo, x_hi, [delta](std::int32_t) { return delta; });
+}
+
+void DeltaArray::add_row(std::int32_t channel, std::int32_t x_lo,
+                         std::span<const std::int32_t> values) {
+  if (values.empty()) return;
+  add_run(channel, x_lo, x_lo + static_cast<std::int32_t>(values.size()) - 1,
+          [values](std::int32_t i) { return values[static_cast<std::size_t>(i)]; });
 }
 
 void DeltaArray::accumulate(const Rect& box, std::span<std::int64_t> out) const {
@@ -64,85 +116,95 @@ std::int64_t DeltaArray::nonzero_count(ProcId region) const {
   return nonzero_count_[static_cast<std::size_t>(region)];
 }
 
-void DeltaArray::clear_region_bookkeeping(ProcId region) {
-  auto r = static_cast<std::size_t>(region);
-  nonzero_count_[r] = 0;
-  dirty_bbox_[r] = Rect::empty();
-}
-
 std::optional<DeltaArray::Extract> DeltaArray::extract_region(ProcId region) {
-  auto r = static_cast<std::size_t>(region);
   last_scan_cells_ = 0;
-  if (nonzero_count_[r] == 0) return std::nullopt;
-
-  // Scan the conservative box to find the tight bounding box of changes.
-  const Rect scan = dirty_bbox_[r];
-  Rect tight;
-  for (std::int32_t c = scan.channel_lo; c <= scan.channel_hi; ++c) {
-    for (std::int32_t x = scan.x_lo; x <= scan.x_hi; ++x) {
-      ++last_scan_cells_;
-      if (tiles_.get(GridPoint{c, x}) != 0) {
-        tight.expand(GridPoint{c, x});
-      }
-    }
-  }
-  LOCUS_ASSERT_MSG(!tight.is_empty(), "nonzero count said dirty but scan found nothing");
-
-  Extract out;
-  out.bbox = tight;
-  out.values.reserve(static_cast<std::size_t>(tight.area()));
-  for (std::int32_t c = tight.channel_lo; c <= tight.channel_hi; ++c) {
-    for (std::int32_t x = tight.x_lo; x <= tight.x_hi; ++x) {
-      std::int32_t& cell = tiles_.slot(GridPoint{c, x});
-      out.values.push_back(cell);
-      cell = 0;
-    }
-  }
-  clear_region_bookkeeping(region);
-  return out;
+  if (nonzero_count_[static_cast<std::size_t>(region)] == 0) return std::nullopt;
+  // One tile spanning the whole grid: a single tight bounding box.
+  std::vector<Extract> blocks =
+      take_blocks(region, TileDims{partition_->channels(), partition_->grids()});
+  LOCUS_ASSERT(blocks.size() == 1);
+  return std::move(blocks.front());
 }
 
 std::optional<std::vector<DeltaArray::Extract>> DeltaArray::extract_region_blocks(
     ProcId region, TileDims dims) {
-  auto r = static_cast<std::size_t>(region);
   last_scan_cells_ = 0;
-  if (nonzero_count_[r] == 0) return std::nullopt;
+  if (nonzero_count_[static_cast<std::size_t>(region)] == 0) return std::nullopt;
   LOCUS_ASSERT(dims.channels >= 1 && dims.cols >= 1);
+  return take_blocks(region, dims);
+}
 
-  // One scan of the conservative box (identical cell visits — and therefore
-  // identical simulated scan cost — to extract_region), bucketing each
-  // nonzero cell's tight rectangle by the tile it falls in. The ordered map
-  // key (tile row, tile col) makes block order row-major and deterministic.
+std::vector<DeltaArray::Extract> DeltaArray::take_blocks(ProcId region, TileDims dims) {
+  const auto r = static_cast<std::size_t>(region);
+  // The scan covers the conservative box, and its area is the simulated
+  // scan cost whatever tiles are resident. It reads only resident row
+  // chunks (an absent tile holds only zeros) and grows each `dims` tile's
+  // tight rectangle by the first and last nonzero cell of each piece of a
+  // chunk row inside that tile. The flat table is row-major over the tiles
+  // the box overlaps, so blocks come out in row-major tile order.
   const Rect scan = dirty_bbox_[r];
-  std::map<std::pair<std::int32_t, std::int32_t>, Rect> tight_by_tile;
+  last_scan_cells_ = scan.area();
+  const std::int32_t ty_lo = scan.channel_lo / dims.channels;
+  const std::int32_t tx_lo = scan.x_lo / dims.cols;
+  const auto tiles_x = static_cast<std::size_t>(scan.x_hi / dims.cols - tx_lo + 1);
+  const auto tiles_y = static_cast<std::size_t>(scan.channel_hi / dims.channels - ty_lo + 1);
+  block_table_.assign(tiles_y * tiles_x, Rect::empty());
   for (std::int32_t c = scan.channel_lo; c <= scan.channel_hi; ++c) {
-    for (std::int32_t x = scan.x_lo; x <= scan.x_hi; ++x) {
-      ++last_scan_cells_;
-      if (tiles_.get(GridPoint{c, x}) != 0) {
-        tight_by_tile[{c / dims.channels, x / dims.cols}].expand(GridPoint{c, x});
+    Rect* table_row =
+        block_table_.data() + static_cast<std::size_t>(c / dims.channels - ty_lo) * tiles_x;
+    for (std::int32_t x = scan.x_lo; x <= scan.x_hi;) {
+      std::int32_t run = 0;
+      const std::int32_t* chunk = tiles_.row_chunk(c, x, &run);
+      run = std::min(run, scan.x_hi - x + 1);
+      for (std::int32_t a = x; chunk != nullptr && a < x + run;) {
+        const std::int32_t tx = a / dims.cols;
+        const std::int32_t b = std::min(x + run, (tx + 1) * dims.cols);  // exclusive
+        const std::int32_t* lo = chunk + (a - x);
+        const std::int32_t* hi = chunk + (b - x);
+        const std::int32_t* first =
+            std::find_if(lo, hi, [](std::int32_t v) { return v != 0; });
+        if (first != hi) {
+          const std::int32_t* last = hi - 1;
+          while (*last == 0) --last;
+          Rect& tight = table_row[tx - tx_lo];
+          tight.expand(GridPoint{c, x + static_cast<std::int32_t>(first - chunk)});
+          tight.expand(GridPoint{c, x + static_cast<std::int32_t>(last - chunk)});
+        }
+        a = b;
       }
+      x += run;
     }
   }
-  LOCUS_ASSERT_MSG(!tight_by_tile.empty(),
-                   "nonzero count said dirty but scan found nothing");
 
   std::vector<Extract> blocks;
-  blocks.reserve(tight_by_tile.size());
-  for (const auto& [tile, tight] : tight_by_tile) {
-    Extract out;
-    out.bbox = tight;
-    out.values.reserve(static_cast<std::size_t>(tight.area()));
-    for (std::int32_t c = tight.channel_lo; c <= tight.channel_hi; ++c) {
-      for (std::int32_t x = tight.x_lo; x <= tight.x_hi; ++x) {
-        std::int32_t& cell = tiles_.slot(GridPoint{c, x});
-        out.values.push_back(cell);
-        cell = 0;
-      }
-    }
-    blocks.push_back(std::move(out));
+  for (const Rect& tight : block_table_) {
+    if (!tight.is_empty()) blocks.push_back(take_rect(tight));
   }
-  clear_region_bookkeeping(region);
+  LOCUS_ASSERT_MSG(!blocks.empty(), "nonzero count said dirty but scan found nothing");
+  nonzero_count_[r] = 0;
+  dirty_bbox_[r] = Rect::empty();
   return blocks;
+}
+
+DeltaArray::Extract DeltaArray::take_rect(const Rect& box) {
+  Extract out;
+  out.bbox = box;
+  out.values.reserve(static_cast<std::size_t>(box.area()));
+  for (std::int32_t c = box.channel_lo; c <= box.channel_hi; ++c) {
+    for (std::int32_t x = box.x_lo; x <= box.x_hi;) {
+      std::int32_t run = 0;
+      std::int32_t* chunk = tiles_.resident_row_chunk(c, x, &run);
+      run = std::min(run, box.x_hi - x + 1);
+      if (chunk != nullptr) {
+        out.values.insert(out.values.end(), chunk, chunk + run);
+        std::fill(chunk, chunk + run, 0);
+      } else {
+        out.values.insert(out.values.end(), static_cast<std::size_t>(run), 0);
+      }
+      x += run;
+    }
+  }
+  return out;
 }
 
 }  // namespace locus

@@ -13,11 +13,13 @@
 // and tightened by the scan that builds a packet (paper §4.3.1: "the sending
 // processor scans the delta array for changes").
 //
-// Storage is a sparse TileGrid: a tile materializes where a delta first lands
-// and stays resident for the array's lifetime (an absent tile holds only
-// zeros). The scan that builds a packet visits the same cells whatever tiles
-// are resident, so last_scan_cells() — and with it the simulated time model —
-// depends only on the deltas themselves.
+// Storage is a sparse TileGrid: a tile materializes where a nonzero delta
+// first lands and stays resident for the array's lifetime (an absent tile
+// holds only zeros). Writes and scans go by row span: add_row() does one
+// owner lookup per region band it crosses, and the packet scan walks row
+// chunks and skips absent tiles. last_scan_cells() still counts every cell
+// of the scanned box, so it — and with it the simulated time model —
+// depends only on the deltas themselves, not on which tiles are resident.
 #pragma once
 
 #include <cstdint>
@@ -38,7 +40,18 @@ class DeltaArray {
   DeltaArray(const Partition& partition, TileDims dims);
 
   /// Records a change of `delta` at cell `p`.
-  void add(GridPoint p, std::int32_t delta);
+  void add(GridPoint p, std::int32_t delta) { add_row(p.channel, p.x, p.x, delta); }
+
+  /// Records a change of `delta` at every cell of row `channel`, columns
+  /// [x_lo, x_hi] inclusive. Counts and dirty boxes end exactly as the
+  /// per-cell add() loop, left to right, would leave them.
+  void add_row(std::int32_t channel, std::int32_t x_lo, std::int32_t x_hi,
+               std::int32_t delta);
+
+  /// Records `values[i]` at cell (channel, x_lo + i), skipping zeros (a
+  /// received update row). Same bookkeeping as add_row().
+  void add_row(std::int32_t channel, std::int32_t x_lo,
+               std::span<const std::int32_t> values);
 
   std::int32_t at(GridPoint p) const { return tiles_.get(p); }
 
@@ -76,10 +89,11 @@ class DeltaArray {
   /// Like extract_region(), but splits the changes into one tight rectangle
   /// per `dims`-shaped tile (row-major tile order) instead of one bounding
   /// box over them all — the per-destination batched packet format. The scan
-  /// visits exactly the cells extract_region() would (same last_scan_cells),
+  /// covers exactly the box extract_region() would (same last_scan_cells),
   /// and concatenating the blocks covers exactly the nonzero deltas, so a
   /// receiver applying every block reaches the same state as one applying
-  /// the single-bbox extract; only packet byte counts differ.
+  /// the single-bbox extract; only packet byte counts differ. `dims` need
+  /// not match the storage tiles.
   std::optional<std::vector<Extract>> extract_region_blocks(ProcId region,
                                                             TileDims dims);
 
@@ -91,13 +105,20 @@ class DeltaArray {
   }
 
  private:
-  void clear_region_bookkeeping(ProcId region);
+  template <typename ValueAt>
+  void add_run(std::int32_t channel, std::int32_t x_lo, std::int32_t x_hi,
+               ValueAt value_at);
+  /// Scans `region`'s dirty box and takes one tight block per `dims` tile.
+  std::vector<Extract> take_blocks(ProcId region, TileDims dims);
+  /// Copies out the deltas inside `box` (row-major) and zeroes them.
+  Extract take_rect(const Rect& box);
 
   const Partition* partition_;
   TileGrid tiles_;
   std::vector<Rect> dirty_bbox_;             // per region, conservative
   std::vector<std::int64_t> nonzero_count_;  // per region, exact
   std::int64_t last_scan_cells_ = 0;
+  std::vector<Rect> block_table_;  // take_blocks scratch: one tight rect per tile
 };
 
 }  // namespace locus

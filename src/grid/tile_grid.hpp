@@ -76,6 +76,15 @@ class TileGrid {
     return tile == nullptr ? nullptr : tile + cell_offset(GridPoint{channel, x});
   }
 
+  /// Writable pointer to the same run, or nullptr when the tile is absent;
+  /// allocates nothing.
+  std::int32_t* resident_row_chunk(std::int32_t channel, std::int32_t x,
+                                   std::int32_t* run) {
+    *run = chunk_run(x);
+    std::int32_t* tile = tiles_[tile_index(GridPoint{channel, x})].get();
+    return tile == nullptr ? nullptr : tile + cell_offset(GridPoint{channel, x});
+  }
+
   /// Mutable variant; allocates the tile on demand.
   std::int32_t* mutable_row_chunk(std::int32_t channel, std::int32_t x,
                                   std::int32_t* run) {

@@ -11,6 +11,19 @@ TiledCostArray::TiledCostArray(std::int32_t channels, std::int32_t grids,
                                TileDims dims)
     : tiles_(channels, grids, dims) {}
 
+void TiledCostArray::add_row(std::int32_t channel, std::int32_t x_lo,
+                             std::int32_t x_hi, std::int32_t delta) {
+  LOCUS_ASSERT_MSG(channel >= 0 && channel < channels(), "channel out of range");
+  LOCUS_ASSERT_MSG(x_lo >= 0 && x_lo <= x_hi && x_hi < grids(), "span out of range");
+  for (std::int32_t x = x_lo; x <= x_hi;) {
+    std::int32_t run = 0;
+    std::int32_t* chunk = tiles_.mutable_row_chunk(channel, x, &run);
+    run = std::min(run, x_hi - x + 1);
+    for (std::int32_t i = 0; i < run; ++i) chunk[i] += delta;
+    x += run;
+  }
+}
+
 void TiledCostArray::read_row(std::int32_t channel, std::int32_t x_lo,
                               std::int32_t x_hi, std::span<std::int32_t> span_out) {
   LOCUS_ASSERT_MSG(channel >= 0 && channel < channels(), "channel out of range");

@@ -42,6 +42,9 @@ class TiledCostArray final : public CostView {
     return v < 0 ? 0 : v;
   }
   void add(GridPoint p, std::int32_t delta) override { tiles_.slot(p) += delta; }
+  /// Span write: one loop per row chunk, materializing absent tiles.
+  void add_row(std::int32_t channel, std::int32_t x_lo, std::int32_t x_hi,
+               std::int32_t delta) override;
 
   void read_row(std::int32_t channel, std::int32_t x_lo, std::int32_t x_hi,
                 std::span<std::int32_t> span_out) override;

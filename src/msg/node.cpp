@@ -321,7 +321,7 @@ SimTime RouterNode::route_wire_id(NodeApi& api, WireId wire_id,
     for (const GridPoint& p : slot.cells) true_cost += shared_.truth.read(p);
     shared_.occupancy[static_cast<std::size_t>(self_)] += true_cost;
   }
-  for (const GridPoint& p : slot.cells) shared_.truth.add(p, +1);
+  add_cells(shared_.truth, slot.cells, +1);
   if (config_.observer != nullptr) {
     config_.observer->on_wire_routed(self_, wire_id, iteration);
   }
@@ -808,11 +808,10 @@ void RouterNode::apply_delta_block(const Rect& bbox,
   // These changes are now part of our own region's state and must reach
   // the neighbors in the next SendLocData: mark the own-region delta
   // bounding box (values there are never sent; absolute data is).
-  std::size_t i = 0;
+  const auto width = static_cast<std::size_t>(bbox.width());
   for (std::int32_t c = bbox.channel_lo; c <= bbox.channel_hi; ++c) {
-    for (std::int32_t x = bbox.x_lo; x <= bbox.x_hi; ++x, ++i) {
-      if (values[i] != 0) delta_.add(GridPoint{c, x}, values[i]);
-    }
+    const auto row = static_cast<std::size_t>(c - bbox.channel_lo);
+    delta_.add_row(c, bbox.x_lo, values.subspan(row * width, width));
   }
 }
 

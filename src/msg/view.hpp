@@ -14,10 +14,11 @@
 
 namespace locus {
 
-/// CostView that mirrors every write into the delta array. Reads go
-/// straight to the (possibly drifted) private view, so both bulk span
-/// reads forward to the tiled array's fast path — clamping included. The
-/// view is held by its concrete type, so these forwards are direct calls.
+/// CostView that mirrors every write, span writes included, into the delta
+/// array. Reads go straight to the (possibly drifted) private view, so both
+/// bulk span reads forward to the tiled array's fast path — clamping
+/// included. The view is held by its concrete type, so these forwards are
+/// direct calls.
 class ViewWithDelta final : public CostView {
  public:
   ViewWithDelta(TiledCostArray& view, DeltaArray& delta) : view_(view), delta_(delta) {}
@@ -25,6 +26,11 @@ class ViewWithDelta final : public CostView {
   void add(GridPoint p, std::int32_t d) override {
     view_.add(p, d);
     delta_.add(p, d);
+  }
+  void add_row(std::int32_t channel, std::int32_t x_lo, std::int32_t x_hi,
+               std::int32_t d) override {
+    view_.add_row(channel, x_lo, x_hi, d);
+    delta_.add_row(channel, x_lo, x_hi, d);
   }
   void read_row(std::int32_t channel, std::int32_t x_lo, std::int32_t x_hi,
                 std::span<std::int32_t> span_out) override {

@@ -17,6 +17,12 @@
 // the exact per-cell pricing path. CostArray devirtualizes both into plain
 // clamp loops over its rows; the message passing ViewWithDelta forwards
 // them to its private view.
+//
+// Span write: add_row() applies one commit or rip-up run of a channel row
+// in one call. for_each_row_run() splits a sorted cell list (a
+// WireRoute's cells) into those runs, and add_cells() commits it run by
+// run. The default add_row() is the per-cell add() loop in x order, so a
+// tracing view notes exactly the references a per-cell commit would.
 #pragma once
 
 #include <cstdint>
@@ -35,6 +41,13 @@ class CostView {
 
   /// Applies a commit (+1 per cell of a chosen path) or rip-up (-1).
   virtual void add(GridPoint p, std::int32_t delta) = 0;
+
+  /// Adds `delta` to row `channel`, columns [x_lo, x_hi] inclusive.
+  /// Default: per-cell add() loop, left to right.
+  virtual void add_row(std::int32_t channel, std::int32_t x_lo, std::int32_t x_hi,
+                       std::int32_t delta) {
+    for (std::int32_t x = x_lo; x <= x_hi; ++x) add(GridPoint{channel, x}, delta);
+  }
 
   /// Bulk read of row `channel`, columns [x_lo, x_hi] inclusive, clamped
   /// like read(). Writes (x_hi - x_lo + 1) values into `span_out` (which
@@ -67,5 +80,30 @@ class CostView {
   /// otherwise account individual reads must return false.
   virtual bool supports_bulk_read() const { return false; }
 };
+
+/// Calls fn(channel, x_lo, x_hi) once per maximal run of `cells` that stays
+/// in one channel with consecutive x, in list order. Sorted cells (channel,
+/// then x) give one run per channel stretch of a path.
+template <typename Fn>
+void for_each_row_run(std::span<const GridPoint> cells, Fn&& fn) {
+  std::size_t i = 0;
+  while (i < cells.size()) {
+    std::size_t j = i + 1;
+    while (j < cells.size() && cells[j].channel == cells[i].channel &&
+           cells[j].x == cells[j - 1].x + 1) {
+      ++j;
+    }
+    fn(cells[i].channel, cells[i].x, cells[j - 1].x);
+    i = j;
+  }
+}
+
+/// Adds `delta` to every cell of `cells`: one add_row() per run.
+inline void add_cells(CostView& view, std::span<const GridPoint> cells,
+                      std::int32_t delta) {
+  for_each_row_run(cells, [&](std::int32_t channel, std::int32_t x_lo, std::int32_t x_hi) {
+    view.add_row(channel, x_lo, x_hi, delta);
+  });
+}
 
 }  // namespace locus

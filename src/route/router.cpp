@@ -85,19 +85,12 @@ WireRoute WireRouter::route_wire(const Wire& wire, CostView& view,
   // keep the exact per-cell path.
   if (view.supports_bulk_read()) {
     thread_local std::vector<std::int32_t> run;
-    std::size_t i = 0;
-    while (i < out.cells.size()) {
-      std::size_t j = i + 1;
-      while (j < out.cells.size() &&
-             out.cells[j].channel == out.cells[i].channel &&
-             out.cells[j].x == out.cells[j - 1].x + 1) {
-        ++j;
-      }
-      run.resize(j - i);
-      view.read_row(out.cells[i].channel, out.cells[i].x, out.cells[j - 1].x, run);
-      for (std::size_t k = 0; k < run.size(); ++k) out.path_cost += run[k];
-      i = j;
-    }
+    for_each_row_run(out.cells, [&](std::int32_t channel, std::int32_t x_lo,
+                                    std::int32_t x_hi) {
+      run.resize(static_cast<std::size_t>(x_hi - x_lo + 1));
+      view.read_row(channel, x_lo, x_hi, run);
+      for (const std::int32_t v : run) out.path_cost += v;
+    });
   } else {
     for (const GridPoint& p : out.cells) {
       out.path_cost += view.read(p);
@@ -105,19 +98,15 @@ WireRoute WireRouter::route_wire(const Wire& wire, CostView& view,
   }
   stats.probes += static_cast<std::int64_t>(out.cells.size());
 
-  // Commit.
-  for (const GridPoint& p : out.cells) {
-    view.add(p, +1);
-  }
+  // Commit, one span write per run.
+  add_cells(view, out.cells, +1);
   stats.cells_committed += static_cast<std::int64_t>(out.cells.size());
   stats.wires_routed += 1;
   return out;
 }
 
 void WireRouter::rip_up(const WireRoute& route, CostView& view) {
-  for (const GridPoint& p : route.cells) {
-    view.add(p, -1);
-  }
+  add_cells(view, route.cells, -1);
 }
 
 }  // namespace locus

@@ -183,7 +183,7 @@ ShmRunResult run_shared_memory(const Circuit& circuit, const ShmConfig& config) 
   auto apply_pending_until = [&](SimTime t) {
     while (!pending_commits.empty() && pending_commits.top().time <= t) {
       const PendingCommit& pc = pending_commits.top();
-      for (const GridPoint& p : pc.cells) result.cost.add(p, pc.delta);
+      add_cells(result.cost, pc.cells, pc.delta);
       pending_commits.pop();
     }
   };

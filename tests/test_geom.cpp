@@ -117,6 +117,39 @@ TEST(Partition, OwnerMatchesRegion) {
   }
 }
 
+/// owner() is arithmetic on the band split (the first total % bands bands
+/// hold one extra cell); on uneven splits it must still name the region
+/// that contains each cell.
+TEST(Partition, OwnerMatchesContainingRegionOnUnevenSplits) {
+  const struct {
+    std::int32_t channels, grids;
+    MeshShape mesh;
+  } shapes[] = {
+      {7, 341, MeshShape{3, 4}},   // 7 = 3+2+2 rows, 341 = 86+85+85+85 cols
+      {7, 341, MeshShape{1, 1}},
+      {5, 9, MeshShape{5, 9}},     // one cell per region
+      {11, 23, MeshShape{4, 6}},
+      {10, 341, MeshShape{2, 8}},
+  };
+  for (const auto& shape : shapes) {
+    Partition part(shape.channels, shape.grids, shape.mesh);
+    for (std::int32_t c = 0; c < shape.channels; ++c) {
+      for (std::int32_t x = 0; x < shape.grids; ++x) {
+        const GridPoint p{c, x};
+        ProcId containing = -1;
+        for (ProcId r = 0; r < part.num_regions(); ++r) {
+          if (part.region(r).contains(p)) {
+            ASSERT_EQ(containing, -1) << "regions overlap at " << c << "," << x;
+            containing = r;
+          }
+        }
+        ASSERT_EQ(part.owner(p), containing)
+            << shape.channels << "x" << shape.grids << " cell " << c << "," << x;
+      }
+    }
+  }
+}
+
 TEST(Partition, MeshCoordinatesRoundTrip) {
   Partition part(12, 386, MeshShape{3, 4});
   for (ProcId p = 0; p < 12; ++p) {

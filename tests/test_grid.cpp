@@ -1,9 +1,13 @@
 // Tests for the cost array and the delta array (dirty tracking, bounding
-// boxes, extraction, and the rip-up/re-route cancellation property).
+// boxes, span writes, extraction, and the rip-up/re-route cancellation
+// property).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <map>
+#include <optional>
+#include <utility>
 #include <vector>
 
 #include "grid/cost_array.hpp"
@@ -171,11 +175,51 @@ TEST_F(DeltaArrayTest, RegionsAreIndependent) {
   EXPECT_TRUE(delta_.region_dirty(2));
 }
 
-/// Property: against a naive mirror model, dirty flags, counts, whole-grid
-/// sums, extracted boxes and values, and the scan cost the packet time model
-/// reads (the conservative box: it grows when a cell turns nonzero and
-/// resets when its region goes clean) always agree, for random sequences
-/// of adds of either sign.
+/// A random row span of the 8 x 32 property grids: any length, so spans
+/// cross the region band at column 16 and the tile edges every 8 columns.
+struct Span {
+  std::int32_t channel;
+  std::int32_t x_lo;
+  std::vector<std::int32_t> values;  // one per column from x_lo
+};
+
+Span random_span(Rng& rng, std::int32_t channels, std::int32_t grids) {
+  Span span;
+  span.channel = static_cast<std::int32_t>(rng.bounded(channels));
+  span.x_lo = static_cast<std::int32_t>(rng.bounded(grids));
+  const auto len = 1 + rng.bounded(static_cast<std::uint64_t>(grids - span.x_lo));
+  span.values.resize(len);
+  if (rng.chance(0.5)) {  // constant delta, as a route commit or rip-up
+    const auto d = static_cast<std::int32_t>(rng.bounded(5)) - 2;
+    std::fill(span.values.begin(), span.values.end(), d);
+  } else {  // arbitrary values with zeros, as a received update row
+    for (std::int32_t& v : span.values) v = static_cast<std::int32_t>(rng.bounded(5)) - 2;
+  }
+  return span;
+}
+
+/// Writes `span` (negated if `sign` is -1) through the delta array's span
+/// entry points: the constant-delta add_row for a constant span, the
+/// values add_row otherwise.
+void add_span(DeltaArray& delta, const Span& span, std::int32_t sign) {
+  const auto x_hi = span.x_lo + static_cast<std::int32_t>(span.values.size()) - 1;
+  if (std::all_of(span.values.begin(), span.values.end(),
+                  [&](std::int32_t v) { return v == span.values.front(); })) {
+    delta.add_row(span.channel, span.x_lo, x_hi, sign * span.values.front());
+    return;
+  }
+  std::vector<std::int32_t> values = span.values;
+  for (std::int32_t& v : values) v *= sign;
+  delta.add_row(span.channel, span.x_lo, values);
+}
+
+/// Property: against a naive mirror model, dirty flags, counts, dirty
+/// boxes, whole-grid sums, extracted boxes and values, and the scan cost
+/// the packet time model reads (the conservative box: it grows when a cell
+/// turns nonzero and resets when its region goes clean) always agree, for
+/// random sequences of single-cell adds and row spans of either sign —
+/// spans crossing region bands and tile edges, and span pairs that cancel
+/// exactly. The mirror applies a span cell by cell, left to right.
 class DeltaArrayProperty : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(DeltaArrayProperty, AgreesWithMirrorModel) {
@@ -189,13 +233,7 @@ TEST_P(DeltaArrayProperty, AgreesWithMirrorModel) {
   auto cell = [&](std::int32_t c, std::int32_t x) -> std::int32_t& {
     return mirror[static_cast<std::size_t>(c) * kGrids + x];
   };
-  Rng rng(GetParam());
-
-  for (int step = 0; step < 2000; ++step) {
-    const GridPoint p{static_cast<std::int32_t>(rng.bounded(kChannels)),
-                      static_cast<std::int32_t>(rng.bounded(kGrids))};
-    const auto d = static_cast<std::int32_t>(rng.bounded(5)) - 2;
-    delta.add(p, d);
+  auto mirror_add = [&](GridPoint p, std::int32_t d) {
     const bool was_zero = cell(p.channel, p.x) == 0;
     cell(p.channel, p.x) += d;
     const bool is_zero = cell(p.channel, p.x) == 0;
@@ -206,11 +244,41 @@ TEST_P(DeltaArrayProperty, AgreesWithMirrorModel) {
     } else if (!was_zero && is_zero && --region_nonzero[owner] == 0) {
       scan_box[owner] = Rect::empty();
     }
+  };
+  auto mirror_span = [&](const Span& span, std::int32_t sign) {
+    for (std::size_t i = 0; i < span.values.size(); ++i) {
+      mirror_add(GridPoint{span.channel, span.x_lo + static_cast<std::int32_t>(i)},
+                 sign * span.values[i]);
+    }
+  };
+  Rng rng(GetParam());
+
+  for (int step = 0; step < 2000; ++step) {
+    const std::uint64_t op = rng.bounded(4);
+    if (op == 0) {
+      const GridPoint p{static_cast<std::int32_t>(rng.bounded(kChannels)),
+                        static_cast<std::int32_t>(rng.bounded(kGrids))};
+      const auto d = static_cast<std::int32_t>(rng.bounded(5)) - 2;
+      delta.add(p, d);
+      mirror_add(p, d);
+    } else {
+      const Span span = random_span(rng, kChannels, kGrids);
+      add_span(delta, span, +1);
+      mirror_span(span, +1);
+      if (op == 3) {  // the rip-up of that commit: every cell cancels
+        add_span(delta, span, -1);
+        mirror_span(span, -1);
+      }
+    }
 
     if (step % 97 != 0) continue;
     std::vector<std::int64_t> sums(mirror.size(), 0);
     delta.accumulate(Rect::of(0, kChannels - 1, 0, kGrids - 1), sums);
     ASSERT_TRUE(std::equal(sums.begin(), sums.end(), mirror.begin()));
+    for (ProcId r = 0; r < 4; ++r) {
+      ASSERT_EQ(delta.dirty_bbox(r), scan_box[static_cast<std::size_t>(r)]) << r;
+      ASSERT_EQ(delta.nonzero_count(r), region_nonzero[static_cast<std::size_t>(r)]);
+    }
 
     const auto region = static_cast<ProcId>(rng.bounded(4));
     const Rect& r = part.region(region);
@@ -242,6 +310,94 @@ TEST_P(DeltaArrayProperty, AgreesWithMirrorModel) {
         cell(c, x) = 0;
       }
     }
+  }
+}
+
+/// The block extraction as it was written before it scanned by row chunk,
+/// kept as the reference: one per-cell pass over the conservative box that
+/// buckets each nonzero cell's tight rectangle in a std::map keyed by
+/// (tile row, tile col), then a per-cell copy-out. It clears the taken
+/// deltas with add() of their negation, which leaves the same counts and
+/// boxes as the extraction's bookkeeping reset.
+std::optional<std::vector<DeltaArray::Extract>> map_reference_blocks(
+    DeltaArray& delta, ProcId region, TileDims dims, std::int64_t* scan_cells) {
+  *scan_cells = 0;
+  if (!delta.region_dirty(region)) return std::nullopt;
+  const Rect scan = delta.dirty_bbox(region);
+  std::map<std::pair<std::int32_t, std::int32_t>, Rect> tight_by_tile;
+  for (std::int32_t c = scan.channel_lo; c <= scan.channel_hi; ++c) {
+    for (std::int32_t x = scan.x_lo; x <= scan.x_hi; ++x) {
+      ++*scan_cells;
+      if (delta.at(GridPoint{c, x}) != 0) {
+        tight_by_tile[{c / dims.channels, x / dims.cols}].expand(GridPoint{c, x});
+      }
+    }
+  }
+  std::vector<DeltaArray::Extract> blocks;
+  for (const auto& [tile, tight] : tight_by_tile) {
+    DeltaArray::Extract out;
+    out.bbox = tight;
+    for (std::int32_t c = tight.channel_lo; c <= tight.channel_hi; ++c) {
+      for (std::int32_t x = tight.x_lo; x <= tight.x_hi; ++x) {
+        out.values.push_back(delta.at(GridPoint{c, x}));
+      }
+    }
+    blocks.push_back(std::move(out));
+  }
+  for (const DeltaArray::Extract& block : blocks) {
+    std::size_t i = 0;
+    for (std::int32_t c = block.bbox.channel_lo; c <= block.bbox.channel_hi; ++c) {
+      for (std::int32_t x = block.bbox.x_lo; x <= block.bbox.x_hi; ++x, ++i) {
+        delta.add(GridPoint{c, x}, -block.values[i]);
+      }
+    }
+  }
+  return blocks;
+}
+
+/// Property: on identical random span workloads, extract_region_blocks
+/// returns the map reference's blocks block for block — same order, boxes
+/// and values — at the same scan cost, for block shapes equal to, finer
+/// than, coarser than and unaligned with the storage tiles, and leaves the
+/// same counts, boxes and cells behind.
+TEST_P(DeltaArrayProperty, BlocksMatchMapReference) {
+  constexpr std::int32_t kChannels = 8;
+  constexpr std::int32_t kGrids = 32;
+  const TileDims block_dims[] = {kSmallTiles, {1, 4}, {4, 16}, {3, 5}};
+  Partition part(kChannels, kGrids, MeshShape{2, 2});
+  DeltaArray fast(part, kSmallTiles);
+  DeltaArray reference(part, kSmallTiles);
+  Rng rng(GetParam());
+
+  for (int step = 0; step < 1500; ++step) {
+    const Span span = random_span(rng, kChannels, kGrids);
+    add_span(fast, span, +1);
+    add_span(reference, span, +1);
+    if (step % 13 != 0) continue;
+
+    const auto region = static_cast<ProcId>(rng.bounded(4));
+    const TileDims dims = block_dims[rng.bounded(4)];
+    std::int64_t reference_scan = 0;
+    const auto want = map_reference_blocks(reference, region, dims, &reference_scan);
+    const auto got = fast.extract_region_blocks(region, dims);
+    ASSERT_EQ(got.has_value(), want.has_value());
+    ASSERT_EQ(fast.last_scan_cells(), reference_scan);
+    if (got.has_value()) {
+      ASSERT_EQ(got->size(), want->size());
+      for (std::size_t b = 0; b < got->size(); ++b) {
+        ASSERT_EQ((*got)[b].bbox, (*want)[b].bbox) << "block " << b;
+        ASSERT_EQ((*got)[b].values, (*want)[b].values) << "block " << b;
+      }
+    }
+    for (ProcId r = 0; r < 4; ++r) {
+      ASSERT_EQ(fast.dirty_bbox(r), reference.dirty_bbox(r)) << r;
+      ASSERT_EQ(fast.nonzero_count(r), reference.nonzero_count(r)) << r;
+    }
+    std::vector<std::int64_t> fast_sums(kChannels * kGrids, 0);
+    std::vector<std::int64_t> reference_sums(kChannels * kGrids, 0);
+    fast.accumulate(Rect::of(0, kChannels - 1, 0, kGrids - 1), fast_sums);
+    reference.accumulate(Rect::of(0, kChannels - 1, 0, kGrids - 1), reference_sums);
+    ASSERT_EQ(fast_sums, reference_sums);
   }
 }
 

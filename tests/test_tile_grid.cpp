@@ -133,6 +133,51 @@ TEST(TiledCostArray, RandomOpsMatchDenseReference) {
   }
 }
 
+/// Span writes against per-cell add() on a drifted state (random negative
+/// and positive cells, absent tiles left between them): add_row on the
+/// dense and the tiled array lands exactly where the per-cell loop does,
+/// for spans of either sign that cross tile edges and reach the grid edge,
+/// and materializes the same tiles.
+TEST(TiledCostArray, AddRowMatchesPerCellAdd) {
+  constexpr std::int32_t kChannels = 7;
+  constexpr std::int32_t kGrids = 53;
+  CostArray dense_span(kChannels, kGrids);
+  CostArray dense_cell(kChannels, kGrids);
+  TiledCostArray tiled_span(kChannels, kGrids, kSmallTiles);
+  TiledCostArray tiled_cell(kChannels, kGrids, kSmallTiles);
+  Rng rng(77);
+  for (int i = 0; i < 60; ++i) {
+    const GridPoint p{static_cast<std::int32_t>(rng.bounded(kChannels)),
+                      static_cast<std::int32_t>(rng.bounded(kGrids))};
+    const auto v = static_cast<std::int32_t>(rng.bounded(11)) - 7;  // mostly < 0
+    dense_span.set(p, v);
+    dense_cell.set(p, v);
+    tiled_span.set(p, v);
+    tiled_cell.set(p, v);
+  }
+  for (int op = 0; op < 400; ++op) {
+    const auto c = static_cast<std::int32_t>(rng.bounded(kChannels));
+    const auto x_lo = static_cast<std::int32_t>(rng.bounded(kGrids));
+    const auto x_hi = x_lo + static_cast<std::int32_t>(rng.bounded(kGrids - x_lo));
+    const auto delta = static_cast<std::int32_t>(rng.bounded(7)) - 3;
+    dense_span.add_row(c, x_lo, x_hi, delta);
+    tiled_span.add_row(c, x_lo, x_hi, delta);
+    for (std::int32_t x = x_lo; x <= x_hi; ++x) {
+      dense_cell.add({c, x}, delta);
+      tiled_cell.add({c, x}, delta);
+    }
+  }
+  EXPECT_TRUE(dense_span == dense_cell);
+  std::vector<std::int32_t> want;
+  std::vector<std::int32_t> got;
+  dense_cell.read_rect(dense_cell.bounds(), want);
+  tiled_span.read_rect(tiled_span.bounds(), got);
+  EXPECT_EQ(got, want);
+  tiled_cell.read_rect(tiled_cell.bounds(), got);
+  EXPECT_EQ(got, want);
+  EXPECT_EQ(tiled_span.resident_cells(), tiled_cell.resident_cells());
+}
+
 TEST(TiledCostArray, MaxInChannelAllNegativeOrAbsent) {
   TiledCostArray tiled(3, 24, kSmallTiles);
   CostArray dense(3, 24);
