@@ -1,6 +1,5 @@
 // Microbenchmarks for the DES hot path and the SimPool runner:
 //   * event heap: dispatch through the EventQueue's indexed 4-ary heap;
-//   * payload: PayloadRef handoffs, allocation included;
 //   * pool_profile: the pool's dispatch/steal machinery on trivial jobs, so
 //     a future scaling regression can be told apart from the jobs' own
 //     cost (run alone: --only=pool_profile).
@@ -15,7 +14,6 @@
 #include "bench_main.hpp"
 #include "harness/sim_pool.hpp"
 #include "sim/event_queue.hpp"
-#include "sim/packet.hpp"
 #include "support/assert.hpp"
 #include "support/stopwatch.hpp"
 
@@ -72,41 +70,6 @@ Table run_event_heap() {
   t.column("heap", Align::kLeft).column("ms / batch").column("Mevents/s");
   t.row().cell("4-ary indexed (EventQueue)").cell(quad_s * 1e3, 3)
       .cell(static_cast<double>(kBatch) / quad_s / 1e6, 2);
-  return t;
-}
-
-// ---------------------------------------------------------------------------
-// Payload: intrusive PayloadRef handoffs.
-
-struct MicroPayload final : PacketPayload {
-  std::int64_t value = 0;
-};
-
-Table run_payload() {
-  constexpr std::int64_t kAllocs = 20000;
-
-  std::int64_t ref_sum = 0;
-  const double ref_s = best_of(
-      [&] {
-        ref_sum = 0;
-        for (std::int64_t i = 0; i < kAllocs; ++i) {
-          auto [ref, data] = make_payload<MicroPayload>();
-          data->value = i;
-          PayloadRef copy = ref;   // send-path handoff: refcount bump
-          PayloadRef moved = std::move(copy);  // deliver: free transfer
-          ref_sum += static_cast<const MicroPayload*>(moved.get())->value;
-        }
-      },
-      0.25);
-  LOCUS_ASSERT(ref_sum == kAllocs * (kAllocs - 1) / 2);
-
-  benchmain::record("payload_ref_s", ref_s);
-
-  Table t;
-  t.column("payload handle", Align::kLeft).column("ms / batch")
-      .column("Mhandoffs/s");
-  t.row().cell("PayloadRef (intrusive)").cell(ref_s * 1e3, 3)
-      .cell(static_cast<double>(kAllocs) / ref_s / 1e6, 2);
   return t;
 }
 
@@ -188,7 +151,6 @@ int main(int argc, char** argv) {
       // bench_compare.py keys counters by section title, so the pool
       // section keeps the title BENCH_sim.json recorded it under.
       {{"event heap (4-ary)", [] { return run_event_heap(); }},
-       {"payload handle (PayloadRef)", [] { return run_payload(); }},
        {"pool_profile (allocator / dispatch)",
         [] { return run_pool_profile(); }}});
 }

@@ -2,11 +2,12 @@
 
 #include <algorithm>
 #include <cstring>
+#include <iterator>
+#include <limits>
 #include <stdexcept>
 
 #include "grid/cost_array.hpp"
 #include "msg/node.hpp"
-#include "msg/packets.hpp"
 #include "support/assert.hpp"
 
 namespace locus {
@@ -25,6 +26,23 @@ std::string packet_key(ProcId region, const Rect& bbox,
     std::memcpy(key.data() + sizeof(header), values.data(), values.size_bytes());
   }
   return key;
+}
+
+template <typename Narrow>
+bool fits(std::int32_t v) {
+  return v >= std::numeric_limits<Narrow>::min() &&
+         v <= std::numeric_limits<Narrow>::max();
+}
+
+/// Whether the §4.3.1 delta packet can carry these fields: the header holds
+/// the region id and the four bbox coordinates as int16, and each delta cell
+/// is one signed byte.
+bool fits_byte_model(ProcId region, const Rect& bbox,
+                     std::span<const std::int32_t> values) {
+  const std::int32_t header[] = {region, bbox.channel_lo, bbox.channel_hi,
+                                 bbox.x_lo, bbox.x_hi};
+  return std::all_of(std::begin(header), std::end(header), fits<std::int16_t>) &&
+         std::all_of(values.begin(), values.end(), fits<std::int8_t>);
 }
 
 /// Adds `sign` x `values` (row-major over `bbox`) into the per-cell
@@ -73,19 +91,7 @@ void ViewConsistencyChecker::on_delta_sent(ProcId from, ProcId region,
   ++report_.deltas_sent;
   add_to_ledger(inflight_, *run_.truth, bbox, values, +1);
   ++outstanding_[packet_key(region, bbox, values)];
-  if (options_.roundtrip_codec) {
-    WirePacket packet;
-    packet.type = kMsgSendRmtData;
-    packet.region = region;
-    packet.bbox = bbox;
-    packet.absolute = false;
-    packet.values.assign(values.begin(), values.end());
-    ++report_.codec_roundtrips;
-    const auto bytes = encode_packet(packet);
-    std::optional<WirePacket> back;
-    if (bytes.has_value()) back = decode_packet(*bytes);
-    if (!back.has_value() || *back != packet) ++report_.codec_mismatches;
-  }
+  if (!fits_byte_model(region, bbox, values)) ++report_.unencodable_deltas;
   static_cast<void>(from);
 }
 

@@ -24,8 +24,10 @@
 //     increment and the extra inflight decrement cancel);
 //   * delayed / reordered packets -> no violation: the law is closed under
 //     any delivery schedule, which is itself a useful meta-check.
-// Every observed delta is additionally round-tripped through the byte-level
-// wire codec (msg/packets.hpp) so the on-wire format stays honest.
+// Every sent delta must also fit the §4.3.1 byte model the traffic is
+// priced with (msg/packets.hpp): a 16-bit region id and bbox coordinates in
+// the header and one signed byte per cell. A delta that does not is counted
+// as unencodable, and the run is then not consistent.
 //
 // Each check recomputes the whole law from engine state — never from
 // residuals the hooks maintain, which would check the hooks rather than the
@@ -52,8 +54,6 @@ struct ConsistencyOptions {
   /// end; negative is rejected). Each check costs a pass over every
   /// processor's delta array, so its price grows with grid size x procs.
   std::int32_t checkpoint_period = 1;
-  /// Encode + decode every observed delta through the wire codec and compare.
-  bool roundtrip_codec = true;
   /// Cap on recorded violation samples (counters keep exact totals).
   std::size_t max_samples = 16;
 };
@@ -80,14 +80,16 @@ struct ConsistencyReport {
   std::int64_t final_inflight_sum = 0;    ///< sum of |inflight| at end
   std::int64_t final_outstanding_packets = 0;  ///< sent but never applied
 
-  std::int64_t codec_roundtrips = 0;
-  std::int64_t codec_mismatches = 0;
+  /// Sent deltas the byte model cannot carry: a cell outside int8, or a
+  /// region id or bbox coordinate outside int16.
+  std::int64_t unencodable_deltas = 0;
 
   bool run_ended = false;
 
-  /// The conservation law held at every checkpoint and no duplicate was seen.
+  /// The conservation law held at every checkpoint, no duplicate was seen
+  /// and every sent delta fit the byte model.
   bool consistent() const {
-    return violations == 0 && unmatched_applies == 0 && codec_mismatches == 0;
+    return violations == 0 && unmatched_applies == 0 && unencodable_deltas == 0;
   }
   /// The run drained with every sent delta accounted for at its owner.
   bool converged() const {

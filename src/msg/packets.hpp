@@ -18,7 +18,6 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -64,8 +63,6 @@ struct KindTraffic {
 using KindTally = std::array<KindTraffic, kMsgKinds>;
 
 /// kMsgWireGrant sentinel: the queue owner has no more wires this run.
-/// Wire ids below this value are invalid on the wire and rejected by the
-/// codec in both directions.
 inline constexpr WireId kNoMoreWires = -1;
 
 inline constexpr std::int32_t kUpdateHeaderBytes = 16;
@@ -73,19 +70,16 @@ inline constexpr std::int32_t kAbsoluteBytesPerCell = 2;
 inline constexpr std::int32_t kDeltaBytesPerCell = 1;
 inline constexpr std::int32_t kWireSegmentBytes = 6;
 /// Reliable-transport frame (u32 sequence number + u32 piggybacked
-/// cumulative ack), present when header flag bit 1 is set. It follows the
-/// 16-byte header and precedes the payload; the header's payload byte count
-/// covers the payload only.
+/// cumulative ack) added to every packet of a transport-enabled run. It
+/// follows the 16-byte header and precedes the payload.
 inline constexpr std::int32_t kTransportFrameBytes = 8;
 
-/// One tight rectangle of a region-batched update (flag bit 2). Blocks are
+/// One tight rectangle of a region-batched update. Blocks are
 /// disjoint, ordered row-major by tile, and each lies inside the packet's
 /// header bounding box (their union).
 struct UpdateBlock {
   Rect bbox;
   std::vector<std::int32_t> values;  ///< row-major over bbox
-
-  friend bool operator==(const UpdateBlock&, const UpdateBlock&) = default;
 };
 
 /// Payload of every data-carrying update. Exactly one of `values` (legacy
@@ -157,81 +151,5 @@ std::int32_t batch_grant_packet_bytes(std::int32_t wires);
 /// On-wire size of a standalone transport ack (header + transport frame; the
 /// cumulative ack value rides in the frame, so there is no payload).
 std::int32_t ack_packet_bytes();
-
-// --- byte-level wire codec ---
-//
-// The DES transports payloads by shared pointer (sim/packet.hpp) so routing
-// runs never pay serialization; this codec defines the *actual* wire format
-// behind the byte counts above and is exercised by the view-consistency
-// checker (every observed delta packet is round-tripped) and the fuzz
-// tests. Layout, little-endian:
-//   [0]      u8  packet type (MsgType)
-//   [1]      u8  flags (bit 0: absolute payload; bit 1: transport frame)
-//   [2..3]   i16 region id
-//   [4..11]  4 x i16 bounding box (channel_lo, channel_hi, x_lo, x_hi)
-//   [12..15] u32 payload byte count
-// then, when flag bit 1 is set, the 8-byte reliable-transport frame
-// (u32 per-channel sequence number, u32 piggybacked cumulative ack), and
-// finally the payload: i16 per cell for absolute data, i8 per cell for
-// deltas (row-major over the bbox), 8 bytes (i32 wire, i32 iteration) for a
-// grant, nothing for requests or standalone acks (kMsgAck requires the
-// frame — the frame IS the ack). Flag bit 2 marks a *region-batched* update
-// (data-carrying types only): the header bbox is the union of the blocks
-// and the payload is a u16 block count followed by, per block, a 4 x i16
-// rectangle and its row-major cells (i16 or i8 per flag bit 0). Every block
-// must be non-empty, lie inside the header bbox, and carry exactly its area
-// in cells. decode_packet() validates everything and returns nullopt on
-// malformed input — truncated or corrupted buffers must fail cleanly, never
-// invoke UB. A buffer with flag bits 1 and 2 clear is exactly the
-// pre-transport format, so transport-off unbatched runs stay byte-identical.
-//
-// Dynamic-scheduling payloads (DESIGN.md §11), all little-endian:
-//   * extended kMsgWireRequest: i32 completed + u16 region count +
-//     count x u16 region ids (legacy requests carry no payload; the two
-//     forms are distinguished by payload length);
-//   * batched kMsgWireGrant: u16 wire count (>= 2) + i32 iteration +
-//     count x i32 wire ids — an 8-byte payload stays the legacy single-wire
-//     (i32 wire, i32 iteration) form, and the two length sets are disjoint.
-// Grant wire ids must be >= kNoMoreWires (batch entries >= 0); the
-// codec rejects anything below the sentinel in both directions.
-
-/// Sanity ceiling on cells per update packet (larger than any real region).
-inline constexpr std::int64_t kMaxUpdateCells = 1 << 22;
-
-/// A decoded (or to-be-encoded) packet in wire terms.
-struct WirePacket {
-  std::int32_t type = 0;
-  ProcId region = -1;
-  Rect bbox;
-  bool absolute = false;
-  std::vector<std::int32_t> values;  ///< update payload, row-major over bbox
-  std::vector<UpdateBlock> blocks;   ///< batched update (flag bit 2); values empty
-  WireId wire = kNoMoreWires;        ///< single-wire grant only
-  std::int32_t iteration = 0;        ///< grant only
-  /// Extended wire request (resident-region summary). `extended` must be
-  /// set for the form to be encoded even when both fields are defaulted.
-  bool extended = false;
-  std::int32_t completed = 0;             ///< wires finished since last report
-  std::vector<std::int32_t> regions;      ///< requester-resident region ids
-  /// Batched grant wire list (>= 2 entries).
-  std::vector<WireId> wires;
-  /// Reliable-transport frame (flag bit 1). kMsgAck packets must carry it;
-  /// any other kind may.
-  bool has_transport = false;
-  std::uint32_t seq = 0;  ///< per-(src,dst) sequence number
-  std::uint32_t ack = 0;  ///< cumulative ack: all seqs <= ack received
-
-  friend bool operator==(const WirePacket&, const WirePacket&) = default;
-};
-
-/// Serializes `packet`. Returns nullopt when the packet cannot be
-/// represented on the wire (unknown type, value outside the per-cell range,
-/// payload size not matching the bbox) rather than emitting garbage.
-std::optional<std::vector<std::uint8_t>> encode_packet(const WirePacket& packet);
-
-/// Parses a wire buffer. Returns nullopt on any malformed input: short
-/// header, unknown type, inconsistent flags, bbox/payload size mismatch, or
-/// trailing bytes. Never reads out of bounds.
-std::optional<WirePacket> decode_packet(std::span<const std::uint8_t> buffer);
 
 }  // namespace locus

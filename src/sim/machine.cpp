@@ -30,7 +30,7 @@ void Machine::ArrivalRing::grow() {
 }
 
 void NodeApi::send(ProcId dst, std::int32_t type, std::int32_t bytes,
-                   PayloadRef payload) {
+                   std::shared_ptr<const PacketPayload> payload) {
   // Send-side ProcessTime: the processor is busy copying the message to the
   // network interface (paper §2.1).
   advance(machine_->network_->params().process_time_ns);
@@ -138,7 +138,7 @@ void Machine::resume(ProcId proc) {
   // reception handlers advance the clock, which can make further arrivals
   // due, so re-check.
   while (!st.inbox.empty() && st.inbox.front().time <= st.clock) {
-    Packet packet = st.inbox.front().packet;
+    Packet packet = std::move(st.inbox.front().packet);
     st.inbox.pop_front();
     st.program->on_packet(api, packet);
   }

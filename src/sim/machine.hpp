@@ -47,7 +47,7 @@ class NodeApi {
   /// plus per-byte packing cost supplied by the caller beforehand via
   /// advance(). Returns immediately (asynchronous send).
   void send(ProcId dst, std::int32_t type, std::int32_t bytes,
-            PayloadRef payload);
+            std::shared_ptr<const PacketPayload> payload);
 
  private:
   friend class Machine;

@@ -41,7 +41,7 @@ TEST(CheckOracle, ZeroFaultAllVariantsPass) {
       EXPECT_GT(v.consistency.checkpoints, 0) << v.name;
       EXPECT_EQ(v.consistency.violations, 0) << v.name;
       EXPECT_EQ(v.consistency.unmatched_applies, 0) << v.name;
-      EXPECT_EQ(v.consistency.codec_mismatches, 0) << v.name;
+      EXPECT_EQ(v.consistency.unencodable_deltas, 0) << v.name;
       EXPECT_TRUE(v.consistency.converged()) << v.name;
     }
   }

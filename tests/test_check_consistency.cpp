@@ -11,7 +11,6 @@
 #include <gtest/gtest.h>
 
 #include <functional>
-#include <optional>
 #include <stdexcept>
 #include <string>
 #include <unordered_map>
@@ -52,19 +51,16 @@ class ReferenceConsistencyChecker final : public MpObserver {
     ++report_.deltas_sent;
     add_inflight(bbox, values, +1);
     ++outstanding_[packet_key(region, bbox, values)];
-    if (options_.roundtrip_codec) {
-      WirePacket packet;
-      packet.type = kMsgSendRmtData;
-      packet.region = region;
-      packet.bbox = bbox;
-      packet.absolute = false;
-      packet.values.assign(values.begin(), values.end());
-      ++report_.codec_roundtrips;
-      const auto bytes = encode_packet(packet);
-      std::optional<WirePacket> back;
-      if (bytes.has_value()) back = decode_packet(*bytes);
-      if (!back.has_value() || *back != packet) ++report_.codec_mismatches;
+    // One signed byte per delta cell; region id and bbox as int16 (§4.3.1).
+    std::int64_t out_of_range = 0;
+    for (const std::int32_t id :
+         {region, bbox.channel_lo, bbox.channel_hi, bbox.x_lo, bbox.x_hi}) {
+      if (id < -32768 || id > 32767) ++out_of_range;
     }
+    for (const std::int32_t v : values) {
+      if (v < -128 || v > 127) ++out_of_range;
+    }
+    if (out_of_range > 0) ++report_.unencodable_deltas;
   }
 
   void on_delta_applied(ProcId owner, const Rect& bbox,
@@ -291,8 +287,7 @@ void expect_same_report(const ConsistencyReport& got, const ConsistencyReport& w
   EXPECT_EQ(got.final_inflight_cells, want.final_inflight_cells);
   EXPECT_EQ(got.final_inflight_sum, want.final_inflight_sum);
   EXPECT_EQ(got.final_outstanding_packets, want.final_outstanding_packets);
-  EXPECT_EQ(got.codec_roundtrips, want.codec_roundtrips);
-  EXPECT_EQ(got.codec_mismatches, want.codec_mismatches);
+  EXPECT_EQ(got.unencodable_deltas, want.unencodable_deltas);
   EXPECT_EQ(got.run_ended, want.run_ended);
   ASSERT_EQ(got.samples.size(), want.samples.size());
   for (std::size_t i = 0; i < got.samples.size(); ++i) {
@@ -471,6 +466,42 @@ TEST(ConsistencyMutation, RemoteDeltaCell) {
     SCOPED_TRACE(period);
     expect_caught(Corruption::kRemoteDelta, period);
   }
+}
+
+/// Deltas the §4.3.1 byte model cannot carry are counted once each and make
+/// the run inconsistent; values at the int8 limits are fine. The run view is
+/// one region over a single channel wide enough for an x of 32768.
+TEST(ConsistencyRanges, UnencodableDeltasCounted) {
+  constexpr std::int32_t kGrids = 32769;
+  const Partition partition(1, kGrids, MeshShape::for_procs(1));
+  const CostArray truth(1, kGrids);
+  MpRunView run;
+  run.partition = &partition;
+  run.truth = &truth;
+  run.nodes = {nullptr};
+  ViewConsistencyChecker checker;
+  checker.on_run_start(run);
+
+  const Rect cell = Rect::of(0, 0, 5, 5);
+  const std::int32_t in_range[] = {127, -128};
+  for (const std::int32_t v : in_range) {
+    checker.on_delta_sent(0, 0, cell, std::span(&v, 1));
+  }
+  EXPECT_EQ(checker.report().unencodable_deltas, 0);
+  EXPECT_TRUE(checker.report().consistent());
+
+  const std::int32_t out_of_range[] = {128, -129};
+  for (const std::int32_t v : out_of_range) {
+    checker.on_delta_sent(0, 0, cell, std::span(&v, 1));
+  }
+  EXPECT_EQ(checker.report().unencodable_deltas, 2);
+  const std::int32_t one = 1;
+  checker.on_delta_sent(0, 0, Rect::of(0, 0, 32768, 32768), std::span(&one, 1));
+  EXPECT_EQ(checker.report().unencodable_deltas, 3);
+  EXPECT_EQ(checker.report().deltas_sent, 5);
+  EXPECT_EQ(checker.report().violations, 0);
+  EXPECT_EQ(checker.report().unmatched_applies, 0);
+  EXPECT_FALSE(checker.report().consistent());
 }
 
 TEST(ConsistencyOptions, NegativeCheckpointPeriodRejected) {

@@ -42,6 +42,36 @@ TEST(Packets, EmptyBboxCostsHeaderOnly) {
             kUpdateHeaderBytes);
 }
 
+// The extended forms pinned to literal byte counts: header 16, transport
+// frame 8, block rectangle 8, block count 2, cells 2 B absolute / 1 B delta.
+TEST(Packets, BatchedUpdateBytes) {
+  UpdateBlock a;
+  a.bbox = Rect::of(0, 1, 0, 2);  // 6 cells
+  UpdateBlock b;
+  b.bbox = Rect::of(3, 3, 10, 13);  // 4 cells
+  const UpdateBlock blocks[] = {a, b};
+  EXPECT_EQ(batched_update_packet_bytes(blocks, true), 16 + 2 + 8 + 12 + 8 + 8);
+  EXPECT_EQ(batched_update_packet_bytes(blocks, false), 16 + 2 + 8 + 6 + 8 + 4);
+}
+
+TEST(Packets, WireRequestBytes) {
+  // Header + i32 completed + u16 region count + 2 B per region id.
+  EXPECT_EQ(wire_request_packet_bytes(0), 22);
+  EXPECT_EQ(wire_request_packet_bytes(3), 28);
+}
+
+TEST(Packets, GrantBytes) {
+  // Single grant: header + i32 wire + i32 iteration.
+  EXPECT_EQ(grant_packet_bytes(), 24);
+  // Batched grant: header + u16 wire count + i32 iteration + 4 B per wire.
+  EXPECT_EQ(batch_grant_packet_bytes(2), 30);
+  EXPECT_EQ(batch_grant_packet_bytes(3), 34);
+}
+
+TEST(Packets, AckIsHeaderPlusTransportFrame) {
+  EXPECT_EQ(ack_packet_bytes(), 24);
+}
+
 class MpRunTest : public ::testing::Test {
  protected:
   MpRunTest() : circuit_(make_tiny_test_circuit()) {}

@@ -1,6 +1,5 @@
-// Tests for the discrete event core, topology/routing, the wormhole
-// network model (latency formula, contention, statistics), and the
-// PayloadRef handle's payload lifetime.
+// Tests for the discrete event core, topology/routing, and the wormhole
+// network model (latency formula, contention, statistics).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -286,79 +285,6 @@ TEST_F(NetworkTest, StatsCountBytesOncePerPacket) {
 
 TEST_F(NetworkTest, SelfSendIsRejected) {
   EXPECT_DEATH(net_.inject(make_packet(3, 3, 8), 0), "self-send");
-}
-
-// --- PayloadRef: each handle operation destroys its payload exactly once.
-
-/// Payload whose destructor counts into a caller-owned tally.
-struct CountedPayload final : PacketPayload {
-  explicit CountedPayload(int* tally) : destroyed(tally) {}
-  ~CountedPayload() override { ++*destroyed; }
-  int* destroyed;
-};
-
-TEST(PayloadRef, EachHandleOperationDestroysExactlyOnce) {
-  int destroyed = 0;
-  const auto make = [&destroyed] {
-    return make_payload<CountedPayload>(&destroyed).first;
-  };
-  {  // copy: both handles share one payload
-    PayloadRef a = make();
-    PayloadRef b = a;
-    EXPECT_EQ(a.get(), b.get());
-  }
-  EXPECT_EQ(destroyed, 1);
-
-  destroyed = 0;
-  {  // move: the source lets go without destroying
-    PayloadRef a = make();
-    PayloadRef b = std::move(a);
-    EXPECT_FALSE(a);  // NOLINT(bugprone-use-after-move)
-    EXPECT_EQ(destroyed, 0);
-  }
-  EXPECT_EQ(destroyed, 1);
-
-  destroyed = 0;
-  {  // copy-assign: the displaced payload goes, the shared one stays
-    PayloadRef a = make();
-    PayloadRef b = make();
-    b = a;
-    EXPECT_EQ(destroyed, 1);
-    EXPECT_EQ(a.get(), b.get());
-  }
-  EXPECT_EQ(destroyed, 2);
-
-  destroyed = 0;
-  {  // self-assign, copy and move: no-ops
-    PayloadRef a = make();
-    PayloadRef& alias = a;
-    a = alias;
-    a = std::move(alias);
-    EXPECT_TRUE(a);
-    EXPECT_EQ(destroyed, 0);
-  }
-  EXPECT_EQ(destroyed, 1);
-
-  destroyed = 0;
-  {  // reset: destroys once, and a second reset is a no-op
-    PayloadRef a = make();
-    a.reset();
-    EXPECT_FALSE(a);
-    EXPECT_EQ(destroyed, 1);
-    a.reset();
-  }
-  EXPECT_EQ(destroyed, 1);
-
-  destroyed = 0;
-  {  // drop-last: only the final handle's release destroys
-    PayloadRef a = make();
-    {
-      PayloadRef b = a;
-      PayloadRef c = b;
-    }
-    EXPECT_EQ(destroyed, 0);
-  }
-  EXPECT_EQ(destroyed, 1);
 }
 
 }  // namespace
