@@ -1,10 +1,14 @@
-// Microbenchmark for the candidate-pricing hot loop: prefix-sum (bulk span)
-// pricing versus the per-cell reference engine, on the Table-6-scale bnrE
-// circuit. This is the repo's benchmark baseline for the routing kernel —
-// run via scripts/bench_smoke.sh, which records BENCH_explorer.json for
+// Microbenchmark for the candidate-pricing hot loop on the Table-6-scale
+// bnrE circuit: prefix-sum pricing alone, pricing that also writes every
+// candidate's cells as runs into a read tracer (what the shared memory
+// build does while it captures its reference trace), and the whole router.
+// This is the repo's benchmark baseline for the routing kernel — run via
+// scripts/bench_smoke.sh, which records BENCH_explorer.json for
 // scripts/bench_compare.py to diff against future PRs.
 #include <algorithm>
 #include <cstdint>
+#include <span>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -21,15 +25,32 @@ namespace {
 
 using namespace locus;
 
-/// Forces the per-cell engine at route_wire granularity: a CostArray wrapper
-/// without bulk-read support (the pre-PR pricing path).
-class PerCellView final : public CostView {
+/// A CostArray whose read tracer only counts what is written through it:
+/// the shared memory build's traced pricing without the trace storage.
+class CountingView final : public CostView, private ReadTracer {
  public:
-  explicit PerCellView(CostArray& a) : array_(a) {}
+  explicit CountingView(CostArray& a) : array_(a) {}
   std::int32_t read(GridPoint p) override { return array_.read(p); }
   void add(GridPoint p, std::int32_t d) override { array_.add(p, d); }
+  void read_row(std::int32_t channel, std::int32_t x_lo, std::int32_t x_hi,
+                std::span<std::int32_t> span_out) override {
+    array_.read_row(channel, x_lo, x_hi, span_out);
+  }
+  void read_rows(std::int32_t c_lo, std::int32_t c_hi, std::int32_t x_lo,
+                 std::int32_t x_hi, std::span<std::int32_t> span_out) override {
+    array_.read_rows(c_lo, c_hi, x_lo, x_hi, span_out);
+  }
+  ReadTracer* read_tracer() override { return this; }
+
+  std::int64_t runs = 0;
+  std::int64_t cells = 0;
 
  private:
+  void read_run(GridPoint from, GridPoint to) override {
+    ++runs;
+    cells += manhattan(from, to) + 1;
+  }
+
   CostArray& array_;
 };
 
@@ -93,7 +114,6 @@ Table run_pricing(const Circuit& circuit, const ExplorerParams& params,
   const std::vector<std::pair<Pin, Pin>> pairs = connection_list(circuit);
   CostArray cost = make_landscape(circuit);
   const std::int32_t channels = circuit.channels();
-  PerCellView per_cell(cost);
 
   const SweepResult bulk = time_sweeps(
       pairs,
@@ -101,102 +121,86 @@ Table run_pricing(const Circuit& circuit, const ExplorerParams& params,
         return explore_connection(a, b, channels, cost, params);
       },
       0.4);
-  const SweepResult ref = time_sweeps(
-      pairs,
-      [&](const Pin& a, const Pin& b) {
-        return explore_connection(a, b, channels, per_cell, params);
-      },
-      0.4);
-  LOCUS_ASSERT_MSG(bulk.total_cost == ref.total_cost &&
-                       bulk.stats.cells_probed == ref.stats.cells_probed &&
-                       bulk.stats.routes_evaluated == ref.stats.routes_evaluated,
-                   "pricing engines diverged");
 
-  const double speedup = ref.seconds_per_sweep / bulk.seconds_per_sweep;
   std::string prefix = tag;
-  benchmain::record(prefix + "_percell_s", ref.seconds_per_sweep);
   benchmain::record(prefix + "_bulk_s", bulk.seconds_per_sweep);
-  benchmain::record(prefix + "_speedup_x", speedup);
   benchmain::record("cells_probed", static_cast<double>(bulk.stats.cells_probed));
   benchmain::record("routes_evaluated",
                     static_cast<double>(bulk.stats.routes_evaluated));
 
   Table t;
-  t.column("engine", Align::kLeft)
-      .column("ms / sweep")
+  t.column("ms / sweep")
       .column("connections")
       .column("cells probed")
-      .column("routes evaluated")
-      .column("speedup");
+      .column("routes evaluated");
   t.row()
-      .cell("per-cell reference")
-      .cell(ref.seconds_per_sweep * 1e3, 2)
-      .cell(static_cast<long long>(pairs.size()))
-      .cell(static_cast<long long>(ref.stats.cells_probed))
-      .cell(static_cast<long long>(ref.stats.routes_evaluated))
-      .cell(1.0, 2);
-  t.row()
-      .cell("prefix-sum bulk")
       .cell(bulk.seconds_per_sweep * 1e3, 2)
       .cell(static_cast<long long>(pairs.size()))
       .cell(static_cast<long long>(bulk.stats.cells_probed))
-      .cell(static_cast<long long>(bulk.stats.routes_evaluated))
-      .cell(speedup, 2);
+      .cell(static_cast<long long>(bulk.stats.routes_evaluated));
   return t;
 }
 
-/// Whole-router comparison: route the full circuit through WireRouter with
-/// each engine and assert the committed arrays agree cell for cell.
-Table run_full_route(const Circuit& circuit) {
-  WireRouter router(circuit.channels(), {});
-  constexpr int kReps = 5;  // best-of, like the pricing sweeps
+/// Pricing with a read tracer: every candidate's cells are written as runs
+/// into a counting tracer. The runs must cover exactly the cells probed.
+Table run_traced_pricing(const Circuit& circuit) {
+  const std::vector<std::pair<Pin, Pin>> pairs = connection_list(circuit);
+  CostArray cost = make_landscape(circuit);
+  const std::int32_t channels = circuit.channels();
+  const ExplorerParams params;
 
-  CostArray bulk_cost(circuit.channels(), circuit.grids());
-  RouteWorkStats bulk_stats;
-  double bulk_s = 1e100;
-  for (int rep = 0; rep < kReps; ++rep) {
-    bulk_cost.fill(0);
-    bulk_stats = {};
-    Stopwatch sw;
-    for (WireId w = 0; w < circuit.num_wires(); ++w) {
-      router.route_wire(circuit.wire(w), bulk_cost, bulk_stats);
-    }
-    bulk_s = std::min(bulk_s, sw.seconds());
+  CountingView timed(cost);
+  const SweepResult traced = time_sweeps(
+      pairs,
+      [&](const Pin& a, const Pin& b) {
+        return explore_connection(a, b, channels, timed, params);
+      },
+      0.4);
+
+  CountingView once(cost);
+  std::int64_t total_cost = 0;
+  for (const auto& [a, b] : pairs) {
+    total_cost += explore_connection(a, b, channels, once, params).cost;
   }
+  LOCUS_ASSERT_MSG(once.cells == traced.stats.cells_probed &&
+                       total_cost == traced.total_cost,
+                   "traced runs do not cover the probed cells");
 
-  CostArray ref_cost(circuit.channels(), circuit.grids());
-  PerCellView per_cell(ref_cost);
-  RouteWorkStats ref_stats;
-  double ref_s = 1e100;
-  for (int rep = 0; rep < kReps; ++rep) {
-    ref_cost.fill(0);
-    ref_stats = {};
-    Stopwatch sw;
-    for (WireId w = 0; w < circuit.num_wires(); ++w) {
-      router.route_wire(circuit.wire(w), per_cell, ref_stats);
-    }
-    ref_s = std::min(ref_s, sw.seconds());
-  }
-
-  LOCUS_ASSERT_MSG(bulk_cost == ref_cost, "routed arrays diverged");
-  LOCUS_ASSERT(bulk_stats.probes == ref_stats.probes);
-
-  benchmain::record("route_percell_s", ref_s);
-  benchmain::record("route_bulk_s", bulk_s);
-  benchmain::record("route_speedup_x", ref_s / bulk_s);
+  benchmain::record("traced_s", traced.seconds_per_sweep);
+  benchmain::record("traced_runs", static_cast<double>(once.runs));
+  benchmain::record("traced_cells", static_cast<double>(once.cells));
 
   Table t;
-  t.column("engine", Align::kLeft).column("route ms").column("probes").column("identical");
+  t.column("ms / sweep").column("runs written").column("cells traced");
   t.row()
-      .cell("per-cell reference")
-      .cell(ref_s * 1e3, 2)
-      .cell(static_cast<long long>(ref_stats.probes))
-      .cell("yes");
-  t.row()
-      .cell("prefix-sum bulk")
-      .cell(bulk_s * 1e3, 2)
-      .cell(static_cast<long long>(bulk_stats.probes))
-      .cell("yes");
+      .cell(traced.seconds_per_sweep * 1e3, 2)
+      .cell(static_cast<long long>(once.runs))
+      .cell(static_cast<long long>(once.cells));
+  return t;
+}
+
+/// Whole-router timing: route the full circuit through WireRouter.
+Table run_full_route(const Circuit& circuit) {
+  WireRouter router(circuit.channels(), {});
+  CostArray cost(circuit.channels(), circuit.grids());
+  RouteWorkStats stats;
+  double route_s = 1e100;
+  Stopwatch total;
+  do {  // best-of over 0.4 s, like the pricing sweeps
+    cost.fill(0);
+    stats = {};
+    Stopwatch sw;
+    for (WireId w = 0; w < circuit.num_wires(); ++w) {
+      router.route_wire(circuit.wire(w), cost, stats);
+    }
+    route_s = std::min(route_s, sw.seconds());
+  } while (total.seconds() < 0.4);
+
+  benchmain::record("route_bulk_s", route_s);
+
+  Table t;
+  t.column("route ms").column("probes");
+  t.row().cell(route_s * 1e3, 2).cell(static_cast<long long>(stats.probes));
   return t;
 }
 
@@ -210,5 +214,7 @@ int main(int argc, char** argv) {
         [&] { return run_pricing(bnre, {}, "default"); }},
        {"pricing sweep, thorough params",
         [&] { return run_pricing(bnre, locus::ExplorerParams::thorough(), "thorough"); }},
+       {"traced pricing sweep, default params",
+        [&] { return run_traced_pricing(bnre); }},
        {"full circuit route", [&] { return run_full_route(bnre); }}});
 }

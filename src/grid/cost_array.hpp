@@ -67,7 +67,6 @@ class CostArray final : public CostView {
   /// Whole-window read: one bounds check, then the clamp row by row.
   void read_rows(std::int32_t c_lo, std::int32_t c_hi, std::int32_t x_lo,
                  std::int32_t x_hi, std::span<std::int32_t> span_out) override;
-  bool supports_bulk_read() const override { return true; }
 
   /// Copies the raw values inside `box` (row-major) into `out`.
   void read_rect(const Rect& box, std::vector<std::int32_t>& out) const;

@@ -7,8 +7,7 @@
 // bounding boxes) instead of the whole grid. The bulk read paths
 // clamp per resident row chunk and zero-fill across absent tiles,
 // keeping bulk reads observationally equivalent to per-cell probing (the
-// contract supports_bulk_read() promises, and the bulk-vs-reference test
-// matrix enforces).
+// bulk-vs-reference test matrix enforces it).
 #pragma once
 
 #include <cstdint>
@@ -50,7 +49,6 @@ class TiledCostArray final : public CostView {
                 std::span<std::int32_t> span_out) override;
   void read_rows(std::int32_t c_lo, std::int32_t c_hi, std::int32_t x_lo,
                  std::int32_t x_hi, std::span<std::int32_t> span_out) override;
-  bool supports_bulk_read() const override { return true; }
 
   /// Copies the raw values inside `box` (row-major) into `out`.
   void read_rect(const Rect& box, std::vector<std::int32_t>& out) const;

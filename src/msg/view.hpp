@@ -40,7 +40,6 @@ class ViewWithDelta final : public CostView {
                  std::int32_t x_hi, std::span<std::int32_t> span_out) override {
     view_.read_rows(c_lo, c_hi, x_lo, x_hi, span_out);
   }
-  bool supports_bulk_read() const override { return true; }
 
  private:
   TiledCostArray& view_;

@@ -11,12 +11,16 @@
 // clamped values in a single virtual call, and read_rows() loads a whole
 // row-major window in one call, so pricing kernels touch memory at span or
 // window granularity instead of paying one dispatch per cell. The default
-// implementations fall back to per-cell read(); backings with
-// side-effecting reads (the shared memory tracer while capturing) keep that
-// fallback and report supports_bulk_read() == false so the router stays on
-// the exact per-cell pricing path. CostArray devirtualizes both into plain
-// clamp loops over its rows; the message passing ViewWithDelta forwards
-// them to its private view.
+// implementations fall back to per-cell read(). No read has a side effect:
+// CostArray devirtualizes both into plain clamp loops over its rows, the
+// message passing ViewWithDelta forwards them to its private view, and the
+// shared memory tracer forwards them to the shared array.
+//
+// Read tracing: the shared memory build records the cells a per-cell pricer
+// would read (they are its reference trace), not the windows the router
+// actually loads. read_tracer() hands the router a ReadTracer for that; the
+// router writes each priced run of cells through it, as straight runs in
+// pricing order. Every view but a capturing tracer returns nullptr.
 //
 // Span write: add_row() applies one commit or rip-up run of a channel row
 // in one call. for_each_row_run() splits a sorted cell list (a
@@ -31,6 +35,17 @@
 #include "geom/point.hpp"
 
 namespace locus {
+
+/// Receives the cell reads a per-cell pricer would make, one straight run at
+/// a time.
+class ReadTracer {
+ public:
+  virtual ~ReadTracer() = default;
+
+  /// Notes reads of every cell from `from` to `to` inclusive, in that order.
+  /// The two share a channel or a column.
+  virtual void read_run(GridPoint from, GridPoint to) = 0;
+};
 
 class CostView {
  public:
@@ -62,8 +77,7 @@ class CostView {
   /// Bulk read of the window [c_lo, c_hi] x [x_lo, x_hi] (both inclusive),
   /// row-major into `span_out` (size >= (c_hi-c_lo+1) * (x_hi-x_lo+1)),
   /// clamped like read(). One virtual call loads a whole candidate window.
-  /// Default: one read_row() per row, preserving each backing's per-row
-  /// semantics (tracing views keep noting every cell).
+  /// Default: one read_row() per row.
   virtual void read_rows(std::int32_t c_lo, std::int32_t c_hi, std::int32_t x_lo,
                          std::int32_t x_hi, std::span<std::int32_t> span_out) {
     const auto width = static_cast<std::size_t>(x_hi - x_lo + 1);
@@ -73,12 +87,9 @@ class CostView {
     }
   }
 
-  /// True when reads carry no per-cell side effects and bulk window scans
-  /// are observationally equivalent to per-cell probing — the contract the
-  /// prefix-sum pricing kernel needs (it reads whole candidate windows once,
-  /// in row order, rather than each candidate's cells). Views that trace or
-  /// otherwise account individual reads must return false.
-  virtual bool supports_bulk_read() const { return false; }
+  /// Where the router writes the runs of cells it prices, or nullptr when
+  /// nobody records them (every view but a capturing shared memory tracer).
+  virtual ReadTracer* read_tracer() { return nullptr; }
 };
 
 /// Calls fn(channel, x_lo, x_hi) once per maximal run of `cells` that stays

@@ -21,25 +21,34 @@ std::int32_t entry_channel(const Pin& pin, std::int32_t target) {
 /// Shared shape construction for both candidate families: drop from pin `a`
 /// into channel c1, run horizontally (jogging into c2 at column xj when
 /// c1 != c2), and rise into pin `b`'s entry channel. c1 == c2 yields the
-/// single-channel shape (xj ignored). Builds into a caller-owned scratch
-/// route so the pricing loop performs no per-candidate heap allocation.
+/// single-channel shape (xj ignored). Calls fn(from, to) per segment, in
+/// path order.
+template <typename Fn>
+void for_each_segment(const Pin& a, const Pin& b, std::int32_t c1, std::int32_t c2,
+                      std::int32_t xj, Fn&& fn) {
+  const std::int32_t ea = entry_channel(a, c1);
+  const std::int32_t eb = entry_channel(b, c2);
+  fn(GridPoint{ea, a.x}, GridPoint{c1, a.x});
+  if (c1 == c2) {
+    fn(GridPoint{c1, a.x}, GridPoint{c1, b.x});
+  } else {
+    fn(GridPoint{c1, a.x}, GridPoint{c1, xj});
+    fn(GridPoint{c1, xj}, GridPoint{c2, xj});
+    fn(GridPoint{c2, xj}, GridPoint{c2, b.x});
+  }
+  fn(GridPoint{c2, b.x}, GridPoint{eb, b.x});
+}
+
+/// Builds the candidate into a caller-owned scratch route, so routing the
+/// winner performs no per-candidate heap allocation.
 void build_candidate(Route& route, const Pin& a, const Pin& b, std::int32_t c1,
                      std::int32_t c2, std::int32_t xj) {
   route.clear();
-  const std::int32_t ea = entry_channel(a, c1);
-  const std::int32_t eb = entry_channel(b, c2);
-  route.append(Segment{GridPoint{ea, a.x}, GridPoint{c1, a.x}});
-  if (c1 == c2) {
-    route.append(Segment{GridPoint{c1, a.x}, GridPoint{c1, b.x}});
-  } else {
-    route.append(Segment{GridPoint{c1, a.x}, GridPoint{c1, xj}});
-    route.append(Segment{GridPoint{c1, xj}, GridPoint{c2, xj}});
-    route.append(Segment{GridPoint{c2, xj}, GridPoint{c2, b.x}});
-  }
-  route.append(Segment{GridPoint{c2, b.x}, GridPoint{eb, b.x}});
+  for_each_segment(a, b, c1, c2, xj,
+                   [&](GridPoint from, GridPoint to) { route.append(Segment{from, to}); });
 }
 
-/// The candidate window both engines enumerate over. All candidate cells lie
+/// The candidate window the explorer enumerates over. All candidate cells lie
 /// inside [c_lo, c_hi] x [x_lo, x_hi]: entry channels sit between the pins'
 /// own channels (contained in the unclamped range), horizontal runs between
 /// the pin columns, jogs strictly inside them.
@@ -67,30 +76,7 @@ CandidateWindow candidate_window(const Pin& a, const Pin& b, std::int32_t channe
   return w;
 }
 
-std::int64_t price(const Route& route, CostView& view, std::int32_t bend_penalty,
-                   std::int32_t congestion_power, ExploreStats& stats) {
-  std::int64_t cost = 0;
-  route.for_each_cell([&](GridPoint p) {
-    std::int64_t v = view.read(p);
-    if (congestion_power == 2) {
-      cost += v * v;
-    } else {
-      cost += v;
-    }
-    ++stats.cells_probed;
-  });
-  if (bend_penalty != 0) {
-    std::int32_t turns = 0;
-    for (const Segment& seg : route.segments()) {
-      if (seg.from != seg.to) ++turns;
-    }
-    if (turns > 1) cost += static_cast<std::int64_t>(bend_penalty) * (turns - 1);
-  }
-  ++stats.routes_evaluated;
-  return cost;
-}
-
-/// Reusable buffers for the prefix-sum engine. One instance per thread: the
+/// Reusable buffers for the pricing loops. One instance per thread: the
 /// SimPool workers price concurrently, and capacity persists across calls
 /// so steady-state pricing allocates nothing. Everything after `win` is
 /// structure-of-arrays: per-channel rows of contiguous lanes the pricing
@@ -113,10 +99,10 @@ struct PricingScratch {
 
 thread_local PricingScratch g_scratch;
 
-/// Prefix-sum engine: load the window once, then price every candidate in
-/// O(1) as a sum of segment spans minus junction-cell corrections — the
-/// exact decomposition for_each_cell implies (each segment after the first
-/// skips its first cell, which is the previous segment's last).
+/// Loads the window once, then prices every candidate in O(1) as a sum of
+/// segment spans minus junction-cell corrections — the exact decomposition
+/// for_each_cell implies (each segment after the first skips its first
+/// cell, which is the previous segment's last).
 ///
 /// The Z tail is evaluated in whole batches per channel pair: with the jog
 /// columns sampled at a fixed stride, a candidate's cost decomposes into a
@@ -126,8 +112,8 @@ thread_local PricingScratch g_scratch;
 /// candidate in enumeration order on ties. All math is int64 addition, so
 /// batch and per-candidate orders are bit-identical; only *independent*
 /// candidates are reordered.
-ExploreResult explore_bulk(const Pin& a, const Pin& b, CostView& view,
-                           const ExplorerParams& params, const CandidateWindow& w) {
+ExploreResult explore_window(const Pin& a, const Pin& b, CostView& view,
+                             const ExplorerParams& params, const CandidateWindow& w) {
   const std::int32_t C = w.c_hi - w.c_lo + 1;
   const std::int32_t W = w.x_hi - w.x_lo + 1;
   const bool squared = params.congestion_power == 2;
@@ -228,7 +214,7 @@ ExploreResult explore_bulk(const Pin& a, const Pin& b, CostView& view,
   // Z candidates, batched per channel pair. The sampled jog columns are
   // xj = x_lo + (k+1)*stride for k in [0, m): all strictly inside
   // (x_lo, x_hi), so they never collide with the pin columns (which sit at
-  // the window edges) and the reference engine's duplicate-skip never fires.
+  // the window edges) and never duplicate a single-channel shape.
   const std::int32_t span = w.x_hi - w.x_lo;
   const std::int32_t m = w.stride > 0 ? (span - 1) / w.stride : 0;
   if (m > 0 && C >= 2) {
@@ -265,8 +251,8 @@ ExploreResult explore_bulk(const Pin& a, const Pin& b, CostView& view,
 
     // One fused pass: every pair's whole batch folds into one running
     // (min, flat index); flat candidate indices follow enumeration order
-    // (c1 asc, c2 asc, xj asc), so the strict compare keeps the reference
-    // engine's tie-break (first candidate in enumeration order).
+    // (c1 asc, c2 asc, xj asc), so the strict compare keeps the first
+    // candidate in enumeration order on ties.
     const std::int64_t* hbase = a_is_left ? s.fwd.data() : s.rev.data();
     const std::int64_t* tbase = a_is_left ? s.rev.data() : s.fwd.data();
     std::int64_t zmin = std::numeric_limits<std::int64_t>::max();
@@ -319,45 +305,46 @@ ExploreResult explore_bulk(const Pin& a, const Pin& b, CostView& view,
   return best;
 }
 
-/// Per-cell reference engine. A scratch route is rebuilt in place per
-/// candidate (clear() keeps capacity), so steady state allocates nothing.
-ExploreResult explore_reference(const Pin& a, const Pin& b, CostView& view,
-                                const ExplorerParams& params,
-                                const CandidateWindow& w) {
-  ExploreResult best;
-  bool have_best = false;
-  Route scratch;
-  const auto consider = [&](std::int32_t c1, std::int32_t c2, std::int32_t xj) {
-    build_candidate(scratch, a, b, c1, c2, xj);
-    const std::int64_t cost = price(scratch, view, params.bend_penalty,
-                                    params.congestion_power, best.stats);
-    if (!have_best || cost < best.cost) {
-      std::swap(best.route, scratch);  // scratch now holds the old best's storage
-      best.cost = cost;
-      have_best = true;
-    }
-  };
-
-  // Single-channel candidates.
-  for (std::int32_t c = w.c_lo; c <= w.c_hi; ++c) {
-    consider(c, c, 0);
+/// The cell after `from` on the straight run to `to` (from != to).
+GridPoint step_toward(GridPoint from, GridPoint to) {
+  if (from.channel != to.channel) {
+    from.channel += to.channel > from.channel ? 1 : -1;
+  } else {
+    from.x += to.x > from.x ? 1 : -1;
   }
+  return from;
+}
 
-  // Z candidates.
-  if (w.stride > 0) {
-    for (std::int32_t c1 = w.c_lo; c1 <= w.c_hi; ++c1) {
-      for (std::int32_t c2 = w.c_lo; c2 <= w.c_hi; ++c2) {
-        if (c1 == c2) continue;  // equals the single-channel shape
-        for (std::int32_t xj = w.x_lo + w.stride; xj < w.x_hi; xj += w.stride) {
-          if (xj == a.x || xj == b.x) continue;  // duplicates the single-channel shape
-          consider(c1, c2, xj);
-        }
+/// Writes the cells a per-cell pricer reads, candidate by candidate in
+/// enumeration order (single-channel for c ascending, then Z for
+/// (c1, c2, xj) ascending), as one run per segment in for_each_cell order:
+/// a segment after the first starts past its junction cell, the previous
+/// segment's last, and writes nothing when that was its only cell.
+void trace_candidates(ReadTracer& tracer, const Pin& a, const Pin& b,
+                      const CandidateWindow& w) {
+  const auto trace = [&](std::int32_t c1, std::int32_t c2, std::int32_t xj) {
+    bool first = true;
+    for_each_segment(a, b, c1, c2, xj, [&](GridPoint from, GridPoint to) {
+      if (first) {
+        first = false;
+      } else if (from == to) {
+        return;
+      } else {
+        from = step_toward(from, to);
+      }
+      tracer.read_run(from, to);
+    });
+  };
+  for (std::int32_t c = w.c_lo; c <= w.c_hi; ++c) trace(c, c, 0);
+  if (w.stride == 0) return;
+  for (std::int32_t c1 = w.c_lo; c1 <= w.c_hi; ++c1) {
+    for (std::int32_t c2 = w.c_lo; c2 <= w.c_hi; ++c2) {
+      if (c1 == c2) continue;
+      for (std::int32_t xj = w.x_lo + w.stride; xj < w.x_hi; xj += w.stride) {
+        trace(c1, c2, xj);
       }
     }
   }
-
-  LOCUS_ASSERT(have_best);
-  return best;
 }
 
 }  // namespace
@@ -366,8 +353,8 @@ ExploreResult explore_connection(const Pin& a, const Pin& b, std::int32_t channe
                                  CostView& view, const ExplorerParams& params) {
   LOCUS_ASSERT(channels >= 2);
   const CandidateWindow w = candidate_window(a, b, channels, params);
-  return view.supports_bulk_read() ? explore_bulk(a, b, view, params, w)
-                                   : explore_reference(a, b, view, params, w);
+  if (ReadTracer* const tracer = view.read_tracer()) trace_candidates(*tracer, a, b, w);
+  return explore_window(a, b, view, params, w);
 }
 
 }  // namespace locus

@@ -10,19 +10,18 @@
 //     channel c2 — candidates over (c1, c2, xj) with xj sampled at a stride
 //     so enumeration cost stays bounded on long connections.
 //
-// Pricing has two interchangeable engines:
-//   * the reference engine probes every cell of every candidate with one
-//     CostView::read() — O(candidates × span) reads;
-//   * the prefix-sum engine (used when the view supports bulk reads) loads
-//     the candidate window once via read_row(), builds per-channel and
-//     per-column prefix sums of the clamped cost (or cost², matching
-//     congestion_power), and prices each candidate in O(1) from sums plus
-//     junction corrections — O(c·span + c²·jog_samples) total.
-// Both produce bit-identical routes, costs and stats: `cells_probed` stays
-// defined as the number of cells a per-cell pricer would touch (it is the
-// router's unit of *simulated* compute time and, in the shared memory
-// build, the source of the reference trace), independent of which engine
-// ran on the host.
+// Pricing loads the candidate window once via read_rows(), builds
+// per-channel and per-column prefix sums of the clamped cost (or cost²,
+// matching congestion_power), and prices each candidate in O(1) from sums
+// plus junction corrections — O(c·span + c²·jog_samples) total. The result
+// is bit-identical to probing every cell of every candidate with
+// CostView::read() (the per-cell reference in tests/test_properties.cpp):
+// same route, cost and stats. `cells_probed` stays defined as the number of
+// cells such a per-cell pricer would touch: it is the router's unit of
+// *simulated* compute time. In the shared memory build those cells are the
+// reference trace, so when the view has a read_tracer() the explorer writes
+// every candidate's cells through it, in enumeration order, as straight
+// runs in Route::for_each_cell order.
 #pragma once
 
 #include <cstdint>
@@ -67,8 +66,8 @@ struct ExploreResult {
 
 /// Finds the cheapest route between two pins. `channels` is the circuit's
 /// channel count (bounds the search range). Deterministic: ties keep the
-/// first candidate in enumeration order. Picks the prefix-sum engine when
-/// `view.supports_bulk_read()`, the per-cell reference engine otherwise.
+/// first candidate in enumeration order. Writes the cells of every candidate
+/// through `view.read_tracer()` when it is not null.
 ExploreResult explore_connection(const Pin& a, const Pin& b, std::int32_t channels,
                                  CostView& view, const ExplorerParams& params);
 

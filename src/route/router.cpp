@@ -81,21 +81,17 @@ WireRoute WireRouter::route_wire(const Wire& wire, CostView& view,
   // Price the final (deduplicated) path at decision time: this is the
   // wire's occupancy-factor contribution, and each read is a probe. Cells
   // are sorted (channel, then x), so each channel's cells form contiguous
-  // runs priced with one bulk read per run; views with side-effecting reads
-  // keep the exact per-cell path.
-  if (view.supports_bulk_read()) {
-    thread_local std::vector<std::int32_t> run;
-    for_each_row_run(out.cells, [&](std::int32_t channel, std::int32_t x_lo,
-                                    std::int32_t x_hi) {
-      run.resize(static_cast<std::size_t>(x_hi - x_lo + 1));
-      view.read_row(channel, x_lo, x_hi, run);
-      for (const std::int32_t v : run) out.path_cost += v;
-    });
-  } else {
-    for (const GridPoint& p : out.cells) {
-      out.path_cost += view.read(p);
-    }
-  }
+  // runs priced with one bulk read per run, and each run goes to the view's
+  // read tracer, if any, as the per-cell reads it stands for.
+  ReadTracer* const tracer = view.read_tracer();
+  thread_local std::vector<std::int32_t> run;
+  for_each_row_run(out.cells, [&](std::int32_t channel, std::int32_t x_lo,
+                                  std::int32_t x_hi) {
+    run.resize(static_cast<std::size_t>(x_hi - x_lo + 1));
+    view.read_row(channel, x_lo, x_hi, run);
+    for (const std::int32_t v : run) out.path_cost += v;
+    if (tracer != nullptr) tracer->read_run(GridPoint{channel, x_lo}, GridPoint{channel, x_hi});
+  });
   stats.probes += static_cast<std::int64_t>(out.cells.size());
 
   // Commit, one span write per run.

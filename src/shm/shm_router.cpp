@@ -12,11 +12,12 @@ namespace locus {
 
 namespace {
 
-/// CostView over the single shared array that records shared references.
-/// Every read is logged, and every add() logs the read-modify-write pair,
+/// CostView over the single shared array that records shared references
 /// straight into the routing processor's stream of the RefTrace; each wire
-/// becomes one block of that stream.
-class TracingView final : public CostView {
+/// becomes one block of that stream. Reads record nothing: the router
+/// writes the cells a per-cell pricer would read through read_tracer(), as
+/// runs, and every add() logs its read-modify-write pair.
+class TracingView final : public CostView, private ReadTracer {
  public:
   TracingView(CostArray& shared, bool capture) : shared_(shared), capture_(capture) {}
 
@@ -32,32 +33,16 @@ class TracingView final : public CostView {
 
   RefTrace take_trace() { return std::move(trace_); }
 
-  std::int32_t read(GridPoint p) override {
-    note_cell(p, MemOp::kRead);
-    return shared_.read(p);
-  }
-
-  /// Bulk reads are only exact when no trace is captured: while capturing,
-  /// every individual read must be noted (the trace is the product), so the
-  /// router transparently stays on the per-cell pricing path. Without a
-  /// trace the span forwards to the shared array's fast path.
+  std::int32_t read(GridPoint p) override { return shared_.read(p); }
   void read_row(std::int32_t channel, std::int32_t x_lo, std::int32_t x_hi,
                 std::span<std::int32_t> span_out) override {
-    if (capture_) {
-      CostView::read_row(channel, x_lo, x_hi, span_out);  // notes each read
-    } else {
-      shared_.read_row(channel, x_lo, x_hi, span_out);
-    }
+    shared_.read_row(channel, x_lo, x_hi, span_out);
   }
   void read_rows(std::int32_t c_lo, std::int32_t c_hi, std::int32_t x_lo,
                  std::int32_t x_hi, std::span<std::int32_t> span_out) override {
-    if (capture_) {
-      CostView::read_rows(c_lo, c_hi, x_lo, x_hi, span_out);  // notes each read
-    } else {
-      shared_.read_rows(c_lo, c_hi, x_lo, x_hi, span_out);
-    }
+    shared_.read_rows(c_lo, c_hi, x_lo, x_hi, span_out);
   }
-  bool supports_bulk_read() const override { return !capture_; }
+  ReadTracer* read_tracer() override { return capture_ ? this : nullptr; }
 
   void add(GridPoint p, std::int32_t d) override {
     note_cell(p, MemOp::kRead);  // increment = load + store
@@ -85,6 +70,20 @@ class TracingView final : public CostView {
  private:
   void note_cell(GridPoint p, MemOp op) {
     if (capture_) trace_.push(cost_cell_addr(p.channel, p.x, shared_.channels()), op);
+  }
+
+  /// A straight run of cells is a progression in cost_cell_addr: 4 B per
+  /// channel step down a column, 4·channels B per column step along a row.
+  void read_run(GridPoint from, GridPoint to) override {
+    const std::int32_t channels = shared_.channels();
+    std::int32_t stride = 0;
+    if (from.channel != to.channel) {
+      stride = from.channel < to.channel ? 4 : -4;
+    } else if (from.x != to.x) {
+      stride = (from.x < to.x ? 4 : -4) * channels;
+    }
+    trace_.push_read_run(cost_cell_addr(from.channel, from.x, channels), stride,
+                         static_cast<std::size_t>(manhattan(from, to)) + 1);
   }
 
   CostArray& shared_;

@@ -12,7 +12,11 @@
 // reference and one op bit per reference — in fixed-size chunks, so a
 // growing stream never copies (or faults in again) what it already wrote.
 // The tracer writes each reference straight into its processor's stream and
-// closing a block only records {t0, duration, n, seq}.
+// closing a block only records {t0, duration, n, seq}. The router's probes
+// arrive as straight runs of cells, so a run of reads is appended in one
+// call: its addresses are an arithmetic progression written straight into
+// the address column, and its op bits (reads are 0) are cleared a whole
+// 64-bit word at a time.
 //
 // Order: no time-ordered copy is ever built. for_each() heap-merges the
 // stream heads on (time, block emission seq), which visits the references
@@ -81,6 +85,14 @@ class RefTrace {
     streams_[open_].push(addr, op);
   }
 
+  /// Appends the reads of addr, addr + stride, ..., n of them, to the open
+  /// block: the references n push(·, MemOp::kRead) calls would append. A
+  /// negative stride wraps like the unsigned address arithmetic.
+  void push_read_run(std::uint32_t addr, std::int32_t stride, std::size_t n) {
+    LOCUS_ASSERT_MSG(open_ != kNoBlock, "trace push without an open block");
+    streams_[open_].push_read_run(addr, static_cast<std::uint32_t>(stride), n);
+  }
+
   /// Closes the open block: reference i of its n is stamped
   /// t0 + duration·(i+1)/(n+1), so times rise within the block. The first
   /// stamp must not precede the stream's last one — the shm executor (least
@@ -147,6 +159,24 @@ class RefTrace {
       const std::uint64_t bit = static_cast<std::uint64_t>(op) << (i % 64);
       std::uint64_t& word = c.ops[i / 64];
       word = i % 64 == 0 ? bit : word | bit;
+    }
+    // Bits above a word's last written reference are clear (push() starts a
+    // word with its first bit), so a run of reads only zeroes the words that
+    // start inside it.
+    void push_read_run(std::uint32_t addr, std::uint32_t stride, std::size_t n) {
+      while (n > 0) {
+        const std::size_t i = pushed % kChunkRefs;
+        if (i == 0) chunks.push_back(std::make_unique_for_overwrite<Chunk>());
+        Chunk& c = *chunks.back();
+        const std::size_t k = std::min(n, kChunkRefs - i);
+        for (std::size_t j = 0; j < k; ++j) {
+          c.addr[i + j] = addr + static_cast<std::uint32_t>(j) * stride;
+        }
+        for (std::size_t w = (i + 63) / 64; w * 64 < i + k; ++w) c.ops[w] = 0;
+        addr += static_cast<std::uint32_t>(k) * stride;
+        pushed += k;
+        n -= k;
+      }
     }
     Entry entry(std::size_t k) const {
       const Chunk& c = *chunks[k / kChunkRefs];

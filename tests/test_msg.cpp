@@ -3,6 +3,9 @@
 // invariants on small circuits.
 #include <gtest/gtest.h>
 
+#include <ostream>
+#include <string>
+
 #include "circuit/generator.hpp"
 #include "msg/driver.hpp"
 #include "msg/packets.hpp"
@@ -211,6 +214,13 @@ struct ScheduleCase {
   bool blocking;
 };
 
+// Without this, gtest prints the param as raw bytes, padding included, so
+// the listed test names would change from build to build.
+void PrintTo(const ScheduleCase& sc, std::ostream* os) {
+  *os << "{" << sc.send_rmt << ", " << sc.send_loc << ", " << sc.req_loc << ", "
+      << sc.req_rmt << (sc.blocking ? ", blocking}" : "}");
+}
+
 class MpScheduleProperty : public ::testing::TestWithParam<ScheduleCase> {};
 
 TEST_P(MpScheduleProperty, RunInvariants) {
@@ -248,7 +258,13 @@ INSTANTIATE_TEST_SUITE_P(
                       ScheduleCase{0, 0, 1, 2, true},
                       ScheduleCase{0, 0, 10, 8, true},
                       ScheduleCase{2, 5, 1, 3, false},
-                      ScheduleCase{2, 5, 1, 3, true}));
+                      ScheduleCase{2, 5, 1, 3, true}),
+    [](const ::testing::TestParamInfo<ScheduleCase>& param_info) {
+      const ScheduleCase& sc = param_info.param;
+      return "rmt" + std::to_string(sc.send_rmt) + "_loc" + std::to_string(sc.send_loc) +
+             "_reqloc" + std::to_string(sc.req_loc) + "_reqrmt" +
+             std::to_string(sc.req_rmt) + (sc.blocking ? "_blocking" : "");
+    });
 
 }  // namespace
 }  // namespace locus

@@ -89,9 +89,83 @@ TEST(ExplorerProperty, NeverWorseThanDirectRoute) {
   }
 }
 
-/// CostView wrapper without bulk-read support: forces explore_connection
-/// onto the per-cell reference fallback, like the SHM router's tracing view
-/// does while capturing (shm/shm_router.cpp).
+/// The per-cell reference engine: builds every candidate in enumeration
+/// order (single-channel for c ascending, then Z for (c1, c2, xj) ascending)
+/// and prices it by probing each of its cells, in Route::for_each_cell
+/// order, with one CostView::read(). The explorer's prefix-sum pricing must
+/// match it bit for bit, and the cells it reads are the ones the explorer
+/// writes through a view's read tracer.
+ExploreResult explore_reference(const Pin& a, const Pin& b, std::int32_t channels,
+                                CostView& view, const ExplorerParams& params) {
+  const std::int32_t c_lo = std::max<std::int32_t>(
+      0, std::min(a.channel_above(), b.channel_above()) - params.channel_slack);
+  const std::int32_t c_hi = std::min<std::int32_t>(
+      channels - 1, std::max(a.channel_below(), b.channel_below()) + params.channel_slack);
+  const std::int32_t x_lo = std::min(a.x, b.x);
+  const std::int32_t x_hi = std::max(a.x, b.x);
+  const std::int32_t stride =
+      x_hi - x_lo >= 2 ? std::max<std::int32_t>(
+                             1, (x_hi - x_lo) / std::max<std::int32_t>(1, params.jog_samples))
+                       : 0;
+  const auto entry_channel = [](const Pin& pin, std::int32_t target) {
+    return target <= pin.row ? pin.channel_above() : pin.channel_below();
+  };
+
+  ExploreResult best;
+  bool have_best = false;
+  const auto consider = [&](std::int32_t c1, std::int32_t c2, std::int32_t xj) {
+    const std::int32_t ea = entry_channel(a, c1);
+    const std::int32_t eb = entry_channel(b, c2);
+    Route route;
+    route.append(Segment{GridPoint{ea, a.x}, GridPoint{c1, a.x}});
+    if (c1 == c2) {
+      route.append(Segment{GridPoint{c1, a.x}, GridPoint{c1, b.x}});
+    } else {
+      route.append(Segment{GridPoint{c1, a.x}, GridPoint{c1, xj}});
+      route.append(Segment{GridPoint{c1, xj}, GridPoint{c2, xj}});
+      route.append(Segment{GridPoint{c2, xj}, GridPoint{c2, b.x}});
+    }
+    route.append(Segment{GridPoint{c2, b.x}, GridPoint{eb, b.x}});
+
+    std::int64_t cost = 0;
+    route.for_each_cell([&](GridPoint p) {
+      const std::int64_t v = view.read(p);
+      cost += params.congestion_power == 2 ? v * v : v;
+      ++best.stats.cells_probed;
+    });
+    if (params.bend_penalty != 0) {
+      std::int32_t turns = 0;
+      for (const Segment& seg : route.segments()) {
+        if (seg.from != seg.to) ++turns;
+      }
+      if (turns > 1) cost += static_cast<std::int64_t>(params.bend_penalty) * (turns - 1);
+    }
+    ++best.stats.routes_evaluated;
+    if (!have_best || cost < best.cost) {
+      best.route = std::move(route);
+      best.cost = cost;
+      have_best = true;
+    }
+  };
+
+  for (std::int32_t c = c_lo; c <= c_hi; ++c) consider(c, c, 0);
+  if (stride > 0) {
+    for (std::int32_t c1 = c_lo; c1 <= c_hi; ++c1) {
+      for (std::int32_t c2 = c_lo; c2 <= c_hi; ++c2) {
+        if (c1 == c2) continue;  // equals the single-channel shape
+        for (std::int32_t xj = x_lo + stride; xj < x_hi; xj += stride) {
+          if (xj == a.x || xj == b.x) continue;  // duplicates the single-channel shape
+          consider(c1, c2, xj);
+        }
+      }
+    }
+  }
+  return best;
+}
+
+/// CostView wrapper that offers the reference engine only the wrapped
+/// view's per-cell read(): its bulk reads fall back to per-cell reads, and
+/// it has no read tracer.
 class NonBulkView final : public CostView {
  public:
   explicit NonBulkView(CostView& v) : view_(v) {}
@@ -102,14 +176,14 @@ class NonBulkView final : public CostView {
   CostView& view_;
 };
 
-/// Every read path must match the per-cell reference engine, reached
-/// through explore_connection over a NonBulkView of the plain CostArray.
+/// Every read path must match the per-cell reference engine run over a
+/// NonBulkView of the plain CostArray.
 /// The node view is the message passing one: a tiled ViewWithDelta holding
 /// the same cells, small tiles so window reads cross tile edges. Negative
 /// raw cells model a drifted node view; every read clamps them at zero.
-/// With `forced_scalar` false the bulk engine, reading whole rows, runs on
-/// the CostArray and on the node view; with it true the per-cell engine is
-/// forced onto the node view, so its per-cell reads must clamp exactly as
+/// With `forced_scalar` false the explorer, reading whole windows, runs on
+/// the CostArray and on the node view; with it true the reference engine
+/// runs on the node view, so its per-cell reads must clamp exactly as
 /// CostArray's do. Same cost, same route and same work counters, bit for
 /// bit.
 void expect_bulk_matches_reference(CostArray& cost, const Pin& a, const Pin& b,
@@ -126,7 +200,7 @@ void expect_bulk_matches_reference(CostArray& cost, const Pin& a, const Pin& b,
   ViewWithDelta node_view(tiled, delta);
   NonBulkView per_cell(cost);
 
-  const ExploreResult ref = explore_connection(a, b, channels, per_cell, params);
+  const ExploreResult ref = explore_reference(a, b, channels, per_cell, params);
   const auto expect_same = [&](const ExploreResult& got, const char* via) {
     ASSERT_EQ(got.cost, ref.cost) << what << " via " << via << " a=(" << a.x << ","
                                   << a.row << ") b=(" << b.x << "," << b.row << ")";
@@ -137,7 +211,7 @@ void expect_bulk_matches_reference(CostArray& cost, const Pin& a, const Pin& b,
   };
   if (forced_scalar) {
     NonBulkView node_per_cell(node_view);
-    expect_same(explore_connection(a, b, channels, node_per_cell, params),
+    expect_same(explore_reference(a, b, channels, node_per_cell, params),
                 "per-cell ViewWithDelta");
     return;
   }
@@ -238,6 +312,131 @@ TEST(BulkVsReferenceMatrixTies, TiedZCandidatesKeepFirstJog) {
     const ExploreResult got = explore_connection(a, b, kChannels, cost, params);
     EXPECT_EQ(got.cost, 0);
     EXPECT_TRUE(got.route == want) << (drifted ? "drifted" : "plateau");
+  }
+}
+
+/// Logs the cells a pricer reads: each per-cell read(), and each run written
+/// through read_tracer() expanded to its cells in run order. Window loads
+/// (read_row, read_rows) go to the array unlogged.
+class RecordingView final : public CostView, private ReadTracer {
+ public:
+  explicit RecordingView(CostArray& array) : array_(array) {}
+
+  std::int32_t read(GridPoint p) override {
+    cells.push_back(p);
+    return array_.read(p);
+  }
+  void add(GridPoint p, std::int32_t d) override { array_.add(p, d); }
+  void read_row(std::int32_t channel, std::int32_t x_lo, std::int32_t x_hi,
+                std::span<std::int32_t> span_out) override {
+    array_.read_row(channel, x_lo, x_hi, span_out);
+  }
+  void read_rows(std::int32_t c_lo, std::int32_t c_hi, std::int32_t x_lo,
+                 std::int32_t x_hi, std::span<std::int32_t> span_out) override {
+    array_.read_rows(c_lo, c_hi, x_lo, x_hi, span_out);
+  }
+  ReadTracer* read_tracer() override { return this; }
+
+  std::vector<GridPoint> cells;
+
+ private:
+  void read_run(GridPoint from, GridPoint to) override {
+    Route run;
+    run.append(Segment{from, to});  // asserts the run is straight
+    run.for_each_cell([&](GridPoint p) { cells.push_back(p); });
+  }
+
+  CostArray& array_;
+};
+
+/// The explorer writes through the read tracer exactly the cells the
+/// per-cell reference engine reads, in the same order, on random, drifted
+/// and flat landscapes. Every pin pair runs at channel_slack 0-2 and
+/// jog_samples 1 and 16; the pairs include pins in one column, pins in one
+/// channel, a.x > b.x, and pins in the first and last cell rows, whose
+/// windows clamp at channel 0 and at channels - 1.
+TEST(ExplorerTrace, RunsEqualReferenceReadsCellForCell) {
+  Rng rng(20'261'019);
+  int compared = 0;
+  for (int trial = 0; trial < 12; ++trial) {
+    const std::int32_t channels = 3 + static_cast<std::int32_t>(rng.bounded(8));
+    const std::int32_t grids = 24 + static_cast<std::int32_t>(rng.bounded(80));
+    const int kind = trial % 3;  // 0 random, 1 drifted, 2 flat
+    CostArray cost = kind == 2 ? CostArray(channels, grids, trial % 2 == 0 ? 0 : 3)
+                               : test::make_random_landscape(
+                                     channels, grids, 70'000 + static_cast<std::uint64_t>(trial), 8);
+    if (kind == 1) {
+      for (std::int32_t k = 0; k < grids; ++k) {
+        cost.set(GridPoint{static_cast<std::int32_t>(rng.bounded(channels)),
+                           static_cast<std::int32_t>(rng.bounded(grids))},
+                 -static_cast<std::int32_t>(1 + rng.bounded(3)));
+      }
+    }
+    const auto any_x = [&] { return static_cast<std::int32_t>(rng.bounded(grids)); };
+    const auto any_row = [&] { return static_cast<std::int32_t>(rng.bounded(channels - 1)); };
+    const std::int32_t last_row = channels - 2;
+    const std::int32_t x1 = static_cast<std::int32_t>(rng.bounded(grids / 3));
+    const std::int32_t x2 = grids - 1 - static_cast<std::int32_t>(rng.bounded(grids / 3));
+    const struct {
+      Pin a, b;
+      const char* what;
+    } pairs[] = {
+        {Pin{any_x(), any_row()}, Pin{any_x(), any_row()}, "random"},
+        {Pin{x1, 0}, Pin{x1, last_row}, "same column"},
+        {Pin{x1, any_row()}, Pin{x1, any_row()}, "same column, random rows"},
+        {Pin{x1, last_row}, Pin{x2, last_row}, "same channel"},
+        {Pin{x2, any_row()}, Pin{x1, any_row()}, "a.x > b.x"},
+        {Pin{x1, 0}, Pin{x2, last_row}, "clamped both ends"},
+        {Pin{x2, last_row}, Pin{x1, 0}, "clamped, a.x > b.x"},
+    };
+    for (const std::int32_t slack : {0, 1, 2}) {
+      for (const std::int32_t jogs : {1, 16}) {
+        ExplorerParams params;
+        params.channel_slack = slack;
+        params.jog_samples = jogs;
+        params.congestion_power = trial % 4 == 3 ? 2 : 1;
+        for (const auto& [a, b, what] : pairs) {
+          SCOPED_TRACE(::testing::Message()
+                       << "trial " << trial << " " << what << " slack " << slack
+                       << " jogs " << jogs << " a=(" << a.x << "," << a.row << ") b=("
+                       << b.x << "," << b.row << ")");
+          RecordingView ref_view(cost);
+          RecordingView got_view(cost);
+          const ExploreResult ref = explore_reference(a, b, channels, ref_view, params);
+          const ExploreResult got = explore_connection(a, b, channels, got_view, params);
+          ASSERT_EQ(got.cost, ref.cost);
+          ASSERT_TRUE(got.route == ref.route);
+          ASSERT_EQ(ref_view.cells.size(), static_cast<std::size_t>(ref.stats.cells_probed));
+          ASSERT_EQ(got_view.cells.size(), ref_view.cells.size());
+          for (std::size_t i = 0; i < ref_view.cells.size(); ++i) {
+            ASSERT_TRUE(got_view.cells[i] == ref_view.cells[i])
+                << "cell " << i << ": got (" << got_view.cells[i].channel << ","
+                << got_view.cells[i].x << ") want (" << ref_view.cells[i].channel << ","
+                << ref_view.cells[i].x << ")";
+          }
+          ++compared;
+        }
+      }
+    }
+  }
+  ASSERT_EQ(compared, 12 * 3 * 2 * 7);
+}
+
+/// route_wire writes every probe through the read tracer exactly once: the
+/// explorer's candidate cells, then the final path's cells in sorted order.
+TEST(ExplorerTrace, RouteWireTracesEveryProbe) {
+  const Circuit circuit = make_tiny_test_circuit();
+  CostArray cost(circuit.channels(), circuit.grids());
+  WireRouter router(circuit.channels(), {});
+  for (WireId w = 0; w < circuit.num_wires(); ++w) {
+    RecordingView view(cost);
+    RouteWorkStats stats;
+    const WireRoute route = router.route_wire(circuit.wire(w), view, stats);
+    ASSERT_EQ(view.cells.size(), static_cast<std::size_t>(stats.probes)) << "wire " << w;
+    ASSERT_GE(view.cells.size(), route.cells.size());
+    EXPECT_TRUE(std::equal(route.cells.begin(), route.cells.end(),
+                           view.cells.end() - static_cast<std::ptrdiff_t>(route.cells.size())))
+        << "wire " << w;
   }
 }
 

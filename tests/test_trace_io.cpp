@@ -327,6 +327,99 @@ TEST(RefTraceChunks, StreamsSpanningChunksStayExact) {
   EXPECT_EQ(serialized(back), bytes);
 }
 
+/// push_read_run against the same references pushed one at a time, on two
+/// traces built in lockstep. The runs start mid-word after writes and are
+/// followed by writes in the same 64-bit op word; start on a word boundary
+/// over a fresh chunk's uninitialised words; start at kChunkRefs - 3 and
+/// cross into a new chunk; step by negative strides, wrapping below address
+/// 0; and hold one reference or none. Addresses, ops, count(kWrite) and the
+/// for_each order must agree.
+TEST(RefTraceChunks, ReadRunsEqualPerReferencePushes) {
+  constexpr std::size_t kChunk = RefTrace::kChunkRefs;
+  RefTrace runs;
+  RefTrace pushes;
+  std::vector<std::size_t> pushed(2, 0);  // references per stream so far
+  std::int16_t proc = 0;
+  std::uint64_t writes = 0;
+  const auto write = [&](std::uint32_t addr) {
+    runs.push(addr, MemOp::kWrite);
+    pushes.push(addr, MemOp::kWrite);
+    ++pushed[static_cast<std::size_t>(proc)];
+    ++writes;
+  };
+  const auto run = [&](std::uint32_t addr, std::int32_t stride, std::size_t n) {
+    runs.push_read_run(addr, stride, n);
+    for (std::size_t j = 0; j < n; ++j) {
+      pushes.push(addr + static_cast<std::uint32_t>(j) * static_cast<std::uint32_t>(stride),
+                  MemOp::kRead);
+    }
+    pushed[static_cast<std::size_t>(proc)] += n;
+  };
+  const auto open = [&](std::int16_t p) {
+    proc = p;
+    runs.open_block(p);
+    pushes.open_block(p);
+  };
+  const auto close = [&](SimTime t0, SimTime duration) {
+    runs.close_block(t0, duration);
+    pushes.close_block(t0, duration);
+  };
+
+  open(0);
+  for (std::uint32_t i = 0; i < 5; ++i) write(0x100 + 4 * i);
+  run(100, 4, 10);     // mid-word, after writes
+  write(0x200);        // same word as the run
+  run(4000, -40, 70);  // crosses the word at 64
+  write(0x300);
+  run(7, 1, 128 - pushed[0]);  // ends on a word boundary
+  run(0x8000, 400, 200);       // starts on one
+  close(0, 1000);
+
+  open(1);
+  run(0, 0, 1);
+  write(0);
+  run(0xFFFFFFF0u, 8, 5);  // wraps above the top address
+  run(12, -4, 9);          // wraps below address 0
+  run(1, 1, 0);            // empty
+  close(10, 50);
+
+  open(0);
+  run(0x40000, 4, kChunk - 3 - pushed[0]);  // fills up to kChunkRefs - 3
+  ASSERT_EQ(pushed[0], kChunk - 3);
+  run(8, -4, 10);  // crosses into a new chunk, wrapping below 0
+  write(0x400);    // same word as the run's tail
+  run(44, -44, 1);
+  write(0x500);
+  close(1000, 5000);
+
+  ASSERT_EQ(runs.size(), pushes.size());
+  ASSERT_EQ(runs.size(), pushed[0] + pushed[1]);
+  EXPECT_EQ(runs.count(MemOp::kWrite), writes);
+  EXPECT_EQ(pushes.count(MemOp::kWrite), writes);
+  EXPECT_EQ(runs.count(MemOp::kRead), runs.size() - writes);
+
+  const std::vector<MemRef> got = test::trace_refs(runs);
+  const std::vector<MemRef> want = test::trace_refs(pushes);
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    ASSERT_EQ(got[i].time, want[i].time) << "i=" << i;
+    ASSERT_EQ(got[i].addr, want[i].addr) << "i=" << i;
+    ASSERT_EQ(got[i].proc, want[i].proc) << "i=" << i;
+    ASSERT_EQ(got[i].op, want[i].op) << "i=" << i;
+  }
+  for (std::size_t p = 0; p < 2; ++p) {
+    std::vector<RefTrace::Entry> a, b;
+    runs.for_each_entry(p, [&](const RefTrace::Entry& e) { a.push_back(e); });
+    pushes.for_each_entry(p, [&](const RefTrace::Entry& e) { b.push_back(e); });
+    ASSERT_EQ(a.size(), pushed[p]);
+    ASSERT_EQ(b.size(), pushed[p]);
+    for (std::size_t k = 0; k < a.size(); ++k) {
+      ASSERT_EQ(a[k].addr, b[k].addr) << "proc " << p << " k=" << k;
+      ASSERT_EQ(a[k].op, b[k].op) << "proc " << p << " k=" << k;
+    }
+  }
+}
+
 TEST(RefTrace, AppendVisitsInAppendOrder) {
   RefTrace trace;
   const std::vector<MemRef> refs = {{3, 8, 2, MemOp::kRead},
