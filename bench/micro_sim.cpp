@@ -23,16 +23,32 @@ using namespace locus;
 
 constexpr std::int64_t kBatch = 20000;
 
-/// Best-of-batches timer (minimum is far more stable than the mean, which
-/// the 15% regression gate in scripts/bench_compare.py needs).
+/// Shortest timed sample. A batch of a few µs timed alone is decided by the
+/// clock's resolution and by any one preemption, so each sample repeats the
+/// batch until it lasts at least this long.
+constexpr double kMinSampleSeconds = 0.05;
+
+/// Per-batch seconds of `fn`: the best sample over `min_seconds` divided by
+/// its repetitions (the minimum is far more stable than the mean, which the
+/// 15% regression gate in scripts/bench_compare.py needs). The repetitions
+/// double until one sample lasts kMinSampleSeconds.
 template <typename Fn>
-double best_of(Fn&& fn, double min_seconds) {
+double per_batch_seconds(Fn&& fn, double min_seconds) {
+  const auto sample = [&fn](std::int64_t reps) {
+    Stopwatch sw;
+    for (std::int64_t r = 0; r < reps; ++r) {
+      fn();
+      // Keeps the compiler from merging one repetition's stores into the next.
+      asm volatile("" ::: "memory");
+    }
+    return sw.seconds();
+  };
+  std::int64_t reps = 1;
+  while (sample(reps) < kMinSampleSeconds) reps *= 2;
   double best = 1e100;
   Stopwatch total;
   do {
-    Stopwatch sw;
-    fn();
-    best = std::min(best, sw.seconds());
+    best = std::min(best, sample(reps) / static_cast<double>(reps));
   } while (total.seconds() < min_seconds);
   return best;
 }
@@ -49,7 +65,7 @@ Table run_event_heap() {
   };
 
   std::int64_t quad_sink = 0;
-  const double quad_s = best_of(
+  const double quad_s = per_batch_seconds(
       [&] {
         EventQueue q;
         Sink sink;
@@ -60,7 +76,7 @@ Table run_event_heap() {
         q.run();
         quad_sink = sink.value;
       },
-      0.25);
+      0.5);
   LOCUS_ASSERT(quad_sink == kBatch);
 
   benchmain::record("heap4_dispatch_s", quad_s);
@@ -108,26 +124,26 @@ Table run_pool_profile() {
   // queue push/pop, the remaining-counter, and steals the whole bill.
   constexpr std::size_t kJobs = 4096;
   std::vector<std::uint64_t> slots(kJobs, 0);
-  const double loop_s = best_of(
+  const double loop_s = per_batch_seconds(
       [&] {
         for (std::size_t i = 0; i < kJobs; ++i) slots[i] += i;
       },
-      0.1);
-  const double pool1_s = best_of(
+      0.5);
+  const double pool1_s = per_batch_seconds(
       [&] {
         SimPool pool(1);
         pool.run_indexed(kJobs, [&](std::size_t i) { slots[i] += i; });
       },
-      0.1);
+      0.5);
   double forced2 = 0.0;
   {
     ForceThreadsScope force;
-    forced2 = best_of(
+    forced2 = per_batch_seconds(
         [&] {
           SimPool pool(2);
           pool.run_indexed(kJobs, [&](std::size_t i) { slots[i] += i; });
         },
-        0.1);
+        0.5);
   }
   benchmain::record("dispatch_loop_s", loop_s);
   benchmain::record("dispatch_pool1_s", pool1_s);

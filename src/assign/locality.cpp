@@ -13,9 +13,12 @@ double locality_measure(const std::vector<WireRoute>& routes,
     }
     ProcId router_proc = assignment.proc_of_wire[static_cast<std::size_t>(route.wire)];
     if (router_proc < 0) continue;
-    for (const GridPoint& p : route.cells) {
-      weighted += partition.hop_distance(router_proc, partition.owner(p));
-      ++cells;
+    for (const RowRun& r : route.runs) {
+      for (std::int32_t x = r.x_lo; x <= r.x_hi; ++x) {
+        weighted += partition.hop_distance(router_proc,
+                                           partition.owner(GridPoint{r.channel, x}));
+      }
+      cells += r.length();
     }
   }
   return cells == 0 ? 0.0 : static_cast<double>(weighted) / static_cast<double>(cells);

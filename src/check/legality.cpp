@@ -1,7 +1,5 @@
 #include "check/legality.hpp"
 
-#include <algorithm>
-
 #include "route/path.hpp"
 
 namespace locus {
@@ -15,10 +13,6 @@ bool in_bounds(const Circuit& circuit, GridPoint p) {
 
 bool axis_aligned(const Segment& seg) {
   return seg.from.channel == seg.to.channel || seg.from.x == seg.to.x;
-}
-
-bool covers(const std::vector<GridPoint>& sorted_cells, GridPoint p) {
-  return std::binary_search(sorted_cells.begin(), sorted_cells.end(), p);
 }
 
 }  // namespace
@@ -52,35 +46,40 @@ LegalityReport check_route_legality(const Circuit& circuit,
           report.issues.push_back({id, "segment chain is disconnected"});
           geometry_ok = false;
         }
+        // An axis-aligned segment lies in bounds iff both its ends do.
+        if (!in_bounds(circuit, segments[s].from) || !in_bounds(circuit, segments[s].to)) {
+          report.issues.push_back({id, "segment outside the cost array"});
+          geometry_ok = false;
+        }
       }
     }
     if (!geometry_ok) continue;
 
-    for (const GridPoint& p : route.cells) {
-      ++report.cells_checked;
-      if (!in_bounds(circuit, p)) {
-        report.issues.push_back({id, "committed cell outside the cost array"});
+    for (const RowRun& run : route.runs) {
+      if (run.x_lo > run.x_hi || !in_bounds(circuit, GridPoint{run.channel, run.x_lo}) ||
+          !in_bounds(circuit, GridPoint{run.channel, run.x_hi})) {
+        report.issues.push_back({id, "committed run inverted or outside the cost array"});
         geometry_ok = false;
         break;
       }
+      report.cells_checked += run.length();
     }
     if (!geometry_ok) continue;
 
-    // The committed cells must be exactly the union of the connections'
-    // covered cells (sorted, deduplicated) — anything else means commit and
-    // rip-up would not cancel.
-    const std::vector<GridPoint> expected = collect_unique_cells(route.connections);
-    if (expected != route.cells) {
-      report.issues.push_back({id, "cells differ from the connection union"});
+    // The committed runs must be exactly the connections' covered cells as
+    // sorted, maximal, disjoint runs — anything else means commit and
+    // rip-up would not cancel, or a cell would be counted twice.
+    if (route.runs != collect_row_runs(route.connections)) {
+      report.issues.push_back({id, "runs differ from the connection union"});
       continue;
     }
 
-    // Sorted cells (verified against collect_unique_cells above) allow a
-    // binary-search pin coverage test.
+    // Sorted disjoint runs (verified above) allow a binary-search pin
+    // coverage test.
     for (const Pin& pin : wire.pins) {
       const GridPoint above{pin.channel_above(), pin.x};
       const GridPoint below{pin.channel_below(), pin.x};
-      if (!covers(route.cells, above) && !covers(route.cells, below)) {
+      if (!covers(route.runs, above) && !covers(route.runs, below)) {
         report.issues.push_back({id, "pin not reached in either channel"});
         break;
       }

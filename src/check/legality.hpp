@@ -30,10 +30,14 @@ struct LegalityReport {
 
 /// Checks every wire's committed route:
 ///   * the route exists and its id matches its slot;
-///   * every covered cell lies inside the circuit's cost-array bounds;
-///   * each connection is a connected chain of axis-aligned segments;
-///   * every pin is reached in its channel above or below at the pin's x;
-///   * `cells` is exactly the sorted deduplicated union of the connections.
+///   * each connection is a connected chain of axis-aligned segments inside
+///     the circuit's cost-array bounds;
+///   * every committed run has x_lo <= x_hi and lies inside those bounds
+///     (`cells_checked` sums the run lengths);
+///   * `runs` is exactly collect_row_runs() of the connections: their union
+///     as sorted, maximal, disjoint row runs;
+///   * every pin is reached in its channel above or below at the pin's x.
+/// A malformed route is reported as an issue, never asserted on.
 LegalityReport check_route_legality(const Circuit& circuit,
                                     std::span<const WireRoute> routes);
 

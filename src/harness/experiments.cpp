@@ -1311,27 +1311,6 @@ Table run_check_trace_scan(const Circuit& circuit, const ExperimentConfig& confi
   return t;
 }
 
-namespace {
-
-bool routes_equal(const std::vector<WireRoute>& a,
-                  const std::vector<WireRoute>& b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (a[i].wire != b[i].wire || a[i].path_cost != b[i].path_cost ||
-        a[i].cells != b[i].cells || a[i].connections != b[i].connections) {
-      return false;
-    }
-  }
-  return true;
-}
-
-}  // namespace
-
-bool routes_identical(const std::vector<WireRoute>& a,
-                      const std::vector<WireRoute>& b) {
-  return routes_equal(a, b);
-}
-
 TopologySweepResult run_topology_sweep(const Circuit& circuit,
                                        const TopologySweepOptions& options) {
   LOCUS_ASSERT(!options.proc_counts.empty());
@@ -1511,7 +1490,7 @@ Table run_fault_recovery_sweep(const Circuit& circuit,
       const MpRunResult& run = *runs[s * kNumRates + r];
       // The convergence guarantee: a faulted run is bit-identical to the
       // same schedule's fault-free run in everything the router produced.
-      const bool identical = routes_equal(run.routes, base.routes) &&
+      const bool identical = run.routes == base.routes &&
                              run.completion_ns == base.completion_ns &&
                              run.view_staleness == base.view_staleness &&
                              run.circuit_height == base.circuit_height;

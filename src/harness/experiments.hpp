@@ -160,11 +160,6 @@ struct ScaleSweepResult {
 /// processors (the load-balance story next to the throughput story).
 ScaleSweepResult run_scale_sweep(const ScaleSweepOptions& options);
 
-/// True when two route sets are bit-identical (wire id, path cost, cells,
-/// connections) — the fault-recovery invariant.
-bool routes_identical(const std::vector<WireRoute>& a,
-                      const std::vector<WireRoute>& b);
-
 // --- E15: interconnect cost models (ISSUE 10) — the four MP update
 //     protocols priced on {mesh, torus, fat-tree} x {fixed, md1} ---
 struct TopologySweepOptions {

@@ -294,7 +294,7 @@ SimTime RouterNode::route_wire_id(NodeApi& api, WireId wire_id,
   if (slot.routed()) {
     WireRouter::rip_up(slot, view_with_delta_);
     WireRouter::rip_up(slot, shared_.truth);
-    cost += static_cast<SimTime>(slot.cells.size()) * tm.commit_ns;
+    cost += static_cast<SimTime>(slot.cell_count()) * tm.commit_ns;
     note_route_segments(slot);
     ++work.ripups;
   }
@@ -317,11 +317,10 @@ SimTime RouterNode::route_wire_id(NodeApi& api, WireId wire_id,
   // Price the chosen path against the global oracle *before* committing it
   // there (measurement only — see MpShared::truth).
   if (iteration + 1 == config_.iterations) {
-    std::int64_t true_cost = 0;
-    for (const GridPoint& p : slot.cells) true_cost += shared_.truth.read(p);
-    shared_.occupancy[static_cast<std::size_t>(self_)] += true_cost;
+    shared_.occupancy[static_cast<std::size_t>(self_)] +=
+        price_runs(shared_.truth, slot.runs);
   }
-  add_cells(shared_.truth, slot.cells, +1);
+  add_runs(shared_.truth, slot.runs, +1);
   if (config_.observer != nullptr) {
     config_.observer->on_wire_routed(self_, wire_id, iteration);
   }

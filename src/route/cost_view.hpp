@@ -23,16 +23,18 @@
 // pricing order. Every view but a capturing tracer returns nullptr.
 //
 // Span write: add_row() applies one commit or rip-up run of a channel row
-// in one call. for_each_row_run() splits a sorted cell list (a
-// WireRoute's cells) into those runs, and add_cells() commits it run by
-// run. The default add_row() is the per-cell add() loop in x order, so a
-// tracing view notes exactly the references a per-cell commit would.
+// in one call. A WireRoute is stored as those runs: add_runs() writes them
+// one add_row() each and price_runs() reads them one read_row() each. The
+// default add_row() is the per-cell add() loop in x order, so a tracing
+// view notes exactly the references a per-cell commit would.
 #pragma once
 
 #include <cstdint>
 #include <span>
+#include <vector>
 
 #include "geom/point.hpp"
+#include "route/path.hpp"
 
 namespace locus {
 
@@ -92,29 +94,21 @@ class CostView {
   virtual ReadTracer* read_tracer() { return nullptr; }
 };
 
-/// Calls fn(channel, x_lo, x_hi) once per maximal run of `cells` that stays
-/// in one channel with consecutive x, in list order. Sorted cells (channel,
-/// then x) give one run per channel stretch of a path.
-template <typename Fn>
-void for_each_row_run(std::span<const GridPoint> cells, Fn&& fn) {
-  std::size_t i = 0;
-  while (i < cells.size()) {
-    std::size_t j = i + 1;
-    while (j < cells.size() && cells[j].channel == cells[i].channel &&
-           cells[j].x == cells[j - 1].x + 1) {
-      ++j;
-    }
-    fn(cells[i].channel, cells[i].x, cells[j - 1].x);
-    i = j;
-  }
+/// Adds `delta` to every cell of `runs`: one add_row() per run.
+inline void add_runs(CostView& view, std::span<const RowRun> runs, std::int32_t delta) {
+  for (const RowRun& r : runs) view.add_row(r.channel, r.x_lo, r.x_hi, delta);
 }
 
-/// Adds `delta` to every cell of `cells`: one add_row() per run.
-inline void add_cells(CostView& view, std::span<const GridPoint> cells,
-                      std::int32_t delta) {
-  for_each_row_run(cells, [&](std::int32_t channel, std::int32_t x_lo, std::int32_t x_hi) {
-    view.add_row(channel, x_lo, x_hi, delta);
-  });
+/// Sum of the clamped values of every cell of `runs`: one read_row() per run.
+inline std::int64_t price_runs(CostView& view, std::span<const RowRun> runs) {
+  thread_local std::vector<std::int32_t> row;
+  std::int64_t sum = 0;
+  for (const RowRun& r : runs) {
+    row.resize(static_cast<std::size_t>(r.length()));
+    view.read_row(r.channel, r.x_lo, r.x_hi, row);
+    for (const std::int32_t v : row) sum += v;
+  }
+  return sum;
 }
 
 }  // namespace locus

@@ -16,26 +16,10 @@ void Route::append(Segment seg) {
   segments_.push_back(seg);
 }
 
-std::int32_t Route::cell_count() const {
-  std::int32_t count = 0;
-  for_each_cell([&](GridPoint) { ++count; });
-  return count;
-}
-
-Rect Route::bbox() const {
-  Rect box;
-  for (const Segment& seg : segments_) {
-    box.expand(seg.from);
-    box.expand(seg.to);
-  }
-  return box;
-}
-
-std::vector<GridPoint> collect_unique_cells(const std::vector<Route>& routes) {
-  // Interval-union sweep instead of push-all + sort + unique: each route is
-  // at most a handful of axis-aligned segments, so per channel there are
-  // only a few x-intervals. Merging those directly skips materializing (and
-  // sorting) every covered cell — the dominant cost for long wires.
+std::vector<RowRun> collect_row_runs(const std::vector<Route>& routes) {
+  // Interval-union sweep: each route is at most a handful of axis-aligned
+  // segments, so per channel there are only a few x-intervals. Merging
+  // those directly never materializes a covered cell.
   struct Interval {
     std::int32_t lo;
     std::int32_t hi;
@@ -46,14 +30,12 @@ std::vector<GridPoint> collect_unique_cells(const std::vector<Route>& routes) {
   };
   thread_local Scratch s;
 
-  std::size_t bound = 0;  // cell-count upper bound (overlaps double-counted)
   const auto add_interval = [&](std::int32_t c, std::int32_t lo, std::int32_t hi) {
     const auto cz = static_cast<std::size_t>(c);
     if (cz >= s.buckets.size()) s.buckets.resize(cz + 1);
     std::vector<Interval>& b = s.buckets[cz];
     if (b.empty()) s.used.push_back(c);
     b.push_back(Interval{lo, hi});
-    bound += static_cast<std::size_t>(hi - lo + 1);
   };
 
   for (const Route& r : routes) {
@@ -71,8 +53,8 @@ std::vector<GridPoint> collect_unique_cells(const std::vector<Route>& routes) {
   }
 
   std::sort(s.used.begin(), s.used.end());
-  std::vector<GridPoint> cells;
-  cells.reserve(bound);
+  std::vector<RowRun> runs;
+  runs.reserve(s.used.size());  // most channels hold one run
   for (const std::int32_t c : s.used) {
     std::vector<Interval>& b = s.buckets[static_cast<std::size_t>(c)];
     // Insertion sort by lo: a channel rarely holds more than a few intervals.
@@ -85,8 +67,7 @@ std::vector<GridPoint> collect_unique_cells(const std::vector<Route>& routes) {
       }
       b[j] = v;
     }
-    // Sweep, coalescing overlapping or touching intervals, emitting each
-    // covered x exactly once in ascending order.
+    // Sweep, coalescing overlapping or touching intervals into one run.
     std::size_t i = 0;
     while (i < b.size()) {
       std::int32_t lo = b[i].lo;
@@ -96,12 +77,24 @@ std::vector<GridPoint> collect_unique_cells(const std::vector<Route>& routes) {
         hi = std::max(hi, b[i].hi);
         ++i;
       }
-      for (std::int32_t x = lo; x <= hi; ++x) cells.push_back(GridPoint{c, x});
+      runs.push_back(RowRun{c, lo, hi});
     }
     b.clear();
   }
   s.used.clear();
-  return cells;
+  return runs;
+}
+
+bool covers(std::span<const RowRun> runs, GridPoint p) {
+  // The last run starting at or before p in (channel, x_lo) order is the
+  // only one that can hold it.
+  const auto after = std::upper_bound(
+      runs.begin(), runs.end(), p, [](GridPoint q, const RowRun& r) {
+        return q.channel != r.channel ? q.channel < r.channel : q.x < r.x_lo;
+      });
+  if (after == runs.begin()) return false;
+  const RowRun& r = *(after - 1);
+  return r.channel == p.channel && p.x <= r.x_hi;
 }
 
 }  // namespace locus

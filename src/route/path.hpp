@@ -1,14 +1,15 @@
 // Route geometry: a routed connection is a connected chain of horizontal
 // (within-channel) and vertical (channel-crossing) segments over the cost
-// array. Committing a route increments every covered cell once; ripping it
-// up decrements the same cells (paper §3).
+// array. A wire's committed cells are stored as row runs, the horizontal
+// stretches of channel rows that committing a route increments once each and
+// ripping it up decrements (paper §3).
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "geom/point.hpp"
-#include "geom/rect.hpp"
 
 namespace locus {
 
@@ -24,6 +25,18 @@ struct Segment {
   }
 
   friend constexpr auto operator<=>(const Segment&, const Segment&) = default;
+};
+
+/// Columns [x_lo, x_hi] (inclusive) of one channel row: the unit a committed
+/// wire is stored, priced and written in.
+struct RowRun {
+  std::int32_t channel;
+  std::int32_t x_lo;
+  std::int32_t x_hi;
+
+  std::int32_t length() const { return x_hi - x_lo + 1; }
+
+  friend constexpr auto operator<=>(const RowRun&, const RowRun&) = default;
 };
 
 /// A connected chain of segments: segment i+1 starts where segment i ends.
@@ -65,12 +78,6 @@ class Route {
     }
   }
 
-  /// Number of distinct cells along the path (junctions counted once).
-  std::int32_t cell_count() const;
-
-  /// Bounding box over all covered cells.
-  Rect bbox() const;
-
  private:
   /// Steps from `a` toward `b` along the single differing axis.
   static GridPoint step_toward(GridPoint a, GridPoint b) {
@@ -85,9 +92,14 @@ class Route {
   std::vector<Segment> segments_;
 };
 
-/// Collects a route's cells, sorted and deduplicated. Used to merge the
-/// per-pin-pair routes of a multi-pin wire so each wire contributes at most
-/// one unit of cost per cell.
-std::vector<GridPoint> collect_unique_cells(const std::vector<Route>& routes);
+/// The union of the routes' cells as row runs, sorted by (channel, x_lo),
+/// maximal and disjoint: two runs in one channel leave a gap of at least one
+/// cell. Merges the per-pin-pair routes of a multi-pin wire so each wire
+/// contributes at most one unit of cost per cell.
+std::vector<RowRun> collect_row_runs(const std::vector<Route>& routes);
+
+/// Whether `p` lies in one of `runs`, which must be sorted and disjoint (as
+/// collect_row_runs returns them): a binary search on (channel, x_lo).
+bool covers(std::span<const RowRun> runs, GridPoint p);
 
 }  // namespace locus

@@ -21,7 +21,7 @@ std::int64_t circuit_height(const CostArray& cost) {
 CostArray rebuild_cost(std::int32_t channels, std::int32_t grids,
                        std::span<const WireRoute> routes) {
   CostArray cost(channels, grids);
-  for (const WireRoute& r : routes) add_cells(cost, r.cells, +1);
+  for (const WireRoute& r : routes) add_runs(cost, r.runs, +1);
   return cost;
 }
 

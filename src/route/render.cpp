@@ -1,6 +1,6 @@
 #include "route/render.hpp"
 
-#include <algorithm>
+#include <span>
 #include <sstream>
 
 #include "support/assert.hpp"
@@ -17,15 +17,13 @@ char cell_char(std::int32_t value) {
 }
 
 std::string render_window(const CostArray& cost, std::int32_t x_lo,
-                          std::int32_t x_hi,
-                          const std::vector<GridPoint>* highlight) {
+                          std::int32_t x_hi, std::span<const RowRun> highlight) {
   LOCUS_ASSERT(x_lo >= 0 && x_hi < cost.grids() && x_lo <= x_hi);
   std::ostringstream os;
   for (std::int32_t c = 0; c < cost.channels(); ++c) {
     for (std::int32_t x = x_lo; x <= x_hi; ++x) {
       const GridPoint p{c, x};
-      if (highlight != nullptr &&
-          std::binary_search(highlight->begin(), highlight->end(), p)) {
+      if (covers(highlight, p)) {
         os << '*';
       } else {
         os << cell_char(cost.at(p));
@@ -39,18 +37,18 @@ std::string render_window(const CostArray& cost, std::int32_t x_lo,
 }  // namespace
 
 std::string render_cost_array(const CostArray& cost) {
-  return render_window(cost, 0, cost.grids() - 1, nullptr);
+  return render_window(cost, 0, cost.grids() - 1, {});
 }
 
 std::string render_cost_array(const CostArray& cost, std::int32_t x_lo,
                               std::int32_t x_hi) {
-  return render_window(cost, x_lo, x_hi, nullptr);
+  return render_window(cost, x_lo, x_hi, {});
 }
 
 std::string render_route(const CostArray& cost, const WireRoute& route) {
-  // WireRoute::cells is sorted (collect_unique_cells), enabling the binary
-  // search in the renderer.
-  return render_window(cost, 0, cost.grids() - 1, &route.cells);
+  // WireRoute::runs is sorted and disjoint (collect_row_runs), which the
+  // binary search in covers() needs.
+  return render_window(cost, 0, cost.grids() - 1, route.runs);
 }
 
 }  // namespace locus

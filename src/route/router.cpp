@@ -55,9 +55,15 @@ std::vector<std::pair<std::size_t, std::size_t>> connection_pairs(
 
 }  // namespace
 
+std::int64_t WireRoute::cell_count() const {
+  std::int64_t cells = 0;
+  for (const RowRun& r : runs) cells += r.length();
+  return cells;
+}
+
 Rect WireRoute::bbox() const {
   Rect box;
-  for (const GridPoint& p : cells) box.expand(p);
+  for (const RowRun& r : runs) box.expand(Rect::of(r.channel, r.channel, r.x_lo, r.x_hi));
   return box;
 }
 
@@ -76,33 +82,30 @@ WireRoute WireRouter::route_wire(const Wire& wire, CostView& view,
     out.connections.push_back(std::move(res.route));
   }
 
-  out.cells = collect_unique_cells(out.connections);
+  out.runs = collect_row_runs(out.connections);
 
   // Price the final (deduplicated) path at decision time: this is the
-  // wire's occupancy-factor contribution, and each read is a probe. Cells
-  // are sorted (channel, then x), so each channel's cells form contiguous
-  // runs priced with one bulk read per run, and each run goes to the view's
-  // read tracer, if any, as the per-cell reads it stands for.
-  ReadTracer* const tracer = view.read_tracer();
-  thread_local std::vector<std::int32_t> run;
-  for_each_row_run(out.cells, [&](std::int32_t channel, std::int32_t x_lo,
-                                  std::int32_t x_hi) {
-    run.resize(static_cast<std::size_t>(x_hi - x_lo + 1));
-    view.read_row(channel, x_lo, x_hi, run);
-    for (const std::int32_t v : run) out.path_cost += v;
-    if (tracer != nullptr) tracer->read_run(GridPoint{channel, x_lo}, GridPoint{channel, x_hi});
-  });
-  stats.probes += static_cast<std::int64_t>(out.cells.size());
+  // wire's occupancy-factor contribution, and each read is a probe. Each
+  // run goes to the view's read tracer, if any, as the per-cell reads it
+  // stands for.
+  out.path_cost = price_runs(view, out.runs);
+  if (ReadTracer* const tracer = view.read_tracer()) {
+    for (const RowRun& r : out.runs) {
+      tracer->read_run(GridPoint{r.channel, r.x_lo}, GridPoint{r.channel, r.x_hi});
+    }
+  }
+  const std::int64_t cells = out.cell_count();
+  stats.probes += cells;
 
   // Commit, one span write per run.
-  add_cells(view, out.cells, +1);
-  stats.cells_committed += static_cast<std::int64_t>(out.cells.size());
+  add_runs(view, out.runs, +1);
+  stats.cells_committed += cells;
   stats.wires_routed += 1;
   return out;
 }
 
 void WireRouter::rip_up(const WireRoute& route, CostView& view) {
-  add_cells(view, route.cells, -1);
+  add_runs(view, route.runs, -1);
 }
 
 }  // namespace locus

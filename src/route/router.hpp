@@ -1,13 +1,14 @@
 // Wire-level routing: decompose a (possibly multi-pin) wire into two-point
 // connections, pick the cheapest candidate for each, and commit the union of
-// covered cells to the cost view. Re-routing in a later iteration first rips
-// the previous commitment up (paper §3).
+// covered cells to the cost view as row runs. Re-routing in a later
+// iteration first rips the previous commitment up (paper §3).
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
 #include "circuit/circuit.hpp"
+#include "geom/rect.hpp"
 #include "route/cost_view.hpp"
 #include "route/explorer.hpp"
 #include "route/path.hpp"
@@ -33,16 +34,24 @@ struct WireRoute {
   WireId wire = -1;
   /// One chosen route per x-adjacent pin pair.
   std::vector<Route> connections;
-  /// Sorted, deduplicated cells actually committed (each +1 in the array).
-  std::vector<GridPoint> cells;
+  /// The committed cells (each +1 in the array) as collect_row_runs()
+  /// returns them: sorted by (channel, x_lo), maximal and disjoint. This is
+  /// the wire's only stored cell list.
+  std::vector<RowRun> runs;
   /// Priced cost of the final path at decision time — the wire's
   /// contribution to the occupancy factor (paper §3).
   std::int64_t path_cost = 0;
 
-  bool routed() const { return !cells.empty(); }
+  bool routed() const { return !runs.empty(); }
 
-  /// Bounding box over committed cells.
+  /// Number of committed cells: the sum of the run lengths.
+  std::int64_t cell_count() const;
+
+  /// Bounding box over committed cells, in O(runs).
   Rect bbox() const;
+
+  /// Bit-identical routes: the fault-recovery invariant.
+  friend bool operator==(const WireRoute&, const WireRoute&) = default;
 };
 
 /// Aggregate work counters; drive both reporting and the simulated time

@@ -49,18 +49,15 @@ class TracingView final : public CostView, private ReadTracer {
     note_cell(p, MemOp::kWrite);
     if (defer_) {
       LOCUS_ASSERT_MSG(d == 1, "only route commits are deferred");
-      deferred_cells_.push_back(p);
     } else {
       shared_.add(p, d);
     }
   }
 
-  /// While deferring, add(+1) buffers instead of applying: the wire's
-  /// commitment becomes visible only when the executor applies it at the
-  /// wire's finish time.
+  /// While deferring, add(+1) notes its references but skips the shared
+  /// write: the wire's commitment becomes visible only when the executor
+  /// applies its stored runs at the wire's finish time.
   void set_defer(bool defer) { defer_ = defer; }
-
-  std::vector<GridPoint> take_deferred() { return std::move(deferred_cells_); }
 
   /// Logs a non-cost-array shared access (the distributed loop counter).
   void note_other(std::uint32_t addr, MemOp op) {
@@ -89,7 +86,6 @@ class TracingView final : public CostView, private ReadTracer {
   CostArray& shared_;
   bool capture_;
   bool defer_ = false;
-  std::vector<GridPoint> deferred_cells_;
   RefTrace trace_;
 };
 
@@ -100,15 +96,16 @@ struct ProcState {
   bool done = false;
 };
 
-/// Commits/rip-ups that take effect when their wire finishes. Wires being
-/// routed simultaneously by different processors do not see each other's
+/// A wire's commitment, applied when the wire finishes: wires routed
+/// simultaneously by different processors do not see each other's
 /// occupancy — exactly the interference that degrades quality as the
-/// processor count grows (paper §5.4).
+/// processor count grows (paper §5.4). It adds the wire's stored runs,
+/// which hold until then: every pending commit lands at the barrier,
+/// before the next iteration re-routes its wire.
 struct PendingCommit {
   SimTime time;
   std::uint64_t seq;
-  std::vector<GridPoint> cells;
-  std::int32_t delta;
+  WireId wire;
 };
 struct PendingLater {
   bool operator()(const PendingCommit& a, const PendingCommit& b) const {
@@ -181,8 +178,8 @@ ShmRunResult run_shared_memory(const Circuit& circuit, const ShmConfig& config) 
   std::uint64_t commit_seq = 0;
   auto apply_pending_until = [&](SimTime t) {
     while (!pending_commits.empty() && pending_commits.top().time <= t) {
-      const PendingCommit& pc = pending_commits.top();
-      add_cells(result.cost, pc.cells, pc.delta);
+      const WireId wire = pending_commits.top().wire;
+      add_runs(result.cost, result.routes[static_cast<std::size_t>(wire)].runs, +1);
       pending_commits.pop();
     }
   };
@@ -248,7 +245,7 @@ ShmRunResult run_shared_memory(const Circuit& circuit, const ShmConfig& config) 
       SimTime rip_cost = 0;
       if (slot.routed()) {
         WireRouter::rip_up(slot, view);
-        rip_cost = static_cast<SimTime>(slot.cells.size()) * tm.commit_ns;
+        rip_cost = static_cast<SimTime>(slot.cell_count()) * tm.commit_ns;
         ++result.work.ripups;
       }
       view.set_defer(true);
@@ -262,8 +259,7 @@ ShmRunResult run_shared_memory(const Circuit& circuit, const ShmConfig& config) 
       view.flush_wire(ps.clock, duration);
       if (route_spans) route_spans.span(next, ps.clock, duration, wire_id, iter);
       ps.clock += duration;
-      pending_commits.push(
-          PendingCommit{ps.clock, commit_seq++, view.take_deferred(), +1});
+      pending_commits.push(PendingCommit{ps.clock, commit_seq++, wire_id});
 
       if (last) {
         // On the shared array the decision-time price is the true price.

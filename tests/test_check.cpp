@@ -129,14 +129,79 @@ TEST(CheckLegality, SequentialRoutesLegalTamperCaught) {
   std::vector<WireRoute> tampered = seq.routes;
   bool broke_one = false;
   for (WireRoute& route : tampered) {
-    if (route.cells.size() < 2) continue;
-    // Drop a committed cell so the route no longer covers its connections.
-    route.cells.pop_back();
+    if (route.cell_count() < 2) continue;
+    // Drop a committed cell so the route no longer covers its connections:
+    // shrink the last run, or drop it if it is a single cell.
+    RowRun& last = route.runs.back();
+    if (last.length() > 1) {
+      --last.x_hi;
+    } else {
+      route.runs.pop_back();
+    }
     broke_one = true;
     break;
   }
   ASSERT_TRUE(broke_one);
   EXPECT_FALSE(check_route_legality(circuit, tampered).legal());
+}
+
+/// Malformed committed runs are reported as issues at the boundary, never
+/// asserted on (run these under ASan+UBSan): inverted, off the grid,
+/// uncoalesced, out of order, or missing a pin.
+TEST(CheckLegality, MalformedRunsReported) {
+  const Circuit circuit = test::make_seeded_circuit();
+  const SequentialResult seq = route_sequential(circuit, {});
+  ASSERT_TRUE(check_route_legality(circuit, seq.routes).legal());
+
+  // A wire whose route has at least two runs, one of them two cells or
+  // longer, so every tamper below has something to work on.
+  const auto target = std::find_if(seq.routes.begin(), seq.routes.end(), [](const WireRoute& r) {
+    return r.runs.size() >= 2 &&
+           std::any_of(r.runs.begin(), r.runs.end(),
+                       [](const RowRun& run) { return run.length() >= 2; });
+  });
+  ASSERT_NE(target, seq.routes.end());
+  const WireId id = target->wire;
+  const std::size_t long_run = static_cast<std::size_t>(
+      std::find_if(target->runs.begin(), target->runs.end(),
+                   [](const RowRun& run) { return run.length() >= 2; }) -
+      target->runs.begin());
+
+  const auto expect_reported = [&](const char* what, auto&& tamper) {
+    std::vector<WireRoute> routes = seq.routes;
+    tamper(routes[static_cast<std::size_t>(id)]);
+    const LegalityReport report = check_route_legality(circuit, routes);
+    ASSERT_EQ(report.issues.size(), 1u) << what;
+    EXPECT_EQ(report.issues.front().wire, id) << what;
+  };
+  expect_reported("inverted run", [&](WireRoute& r) {
+    std::swap(r.runs[long_run].x_lo, r.runs[long_run].x_hi);
+  });
+  expect_reported("run at channel -1", [](WireRoute& r) { r.runs.front().channel = -1; });
+  expect_reported("run past the last grid",
+                  [&](WireRoute& r) { r.runs.back().x_hi = circuit.grids(); });
+  expect_reported("touching runs left uncoalesced", [&](WireRoute& r) {
+    const RowRun run = r.runs[long_run];
+    r.runs[long_run].x_hi = run.x_lo;
+    r.runs.insert(r.runs.begin() + static_cast<std::ptrdiff_t>(long_run) + 1,
+                  RowRun{run.channel, run.x_lo + 1, run.x_hi});
+  });
+  expect_reported("runs out of order",
+                  [](WireRoute& r) { std::swap(r.runs[0], r.runs[1]); });
+  expect_reported("missing pin cell", [&](WireRoute& r) {
+    // A consistent route (runs == the connections' union) that reaches no
+    // pin column: one cell in a column none of the wire's pins use.
+    const Wire& wire = circuit.wire(id);
+    std::int32_t x = 0;
+    while (std::any_of(wire.pins.begin(), wire.pins.end(),
+                       [x](const Pin& p) { return p.x == x; })) {
+      ++x;
+    }
+    Route lone;
+    lone.append(Segment{GridPoint{0, x}, GridPoint{0, x}});
+    r.connections = {lone};
+    r.runs = collect_row_runs(r.connections);
+  });
 }
 
 /// Trace scanner basics: the shm trace of a real run has references on

@@ -12,11 +12,13 @@
 #include <cstdint>
 #include <ios>
 #include <string>
+#include <vector>
 
 #include "circuit/generator.hpp"
 #include "circuit/hier_generator.hpp"
 #include "msg/driver.hpp"
 #include "sim/fault.hpp"
+#include "test_util.hpp"
 
 namespace locus {
 namespace {
@@ -47,8 +49,10 @@ std::uint64_t run_digest(const MpRunResult& r) {
         mix_point(s.to);
       }
     }
-    mix(static_cast<std::int64_t>(w.cells.size()));
-    for (GridPoint p : w.cells) mix_point(p);
+    // The committed cells in (channel, x) order, mixed as a cell list.
+    const std::vector<GridPoint> cells = test::expand_runs(w.runs);
+    mix(static_cast<std::int64_t>(cells.size()));
+    for (GridPoint p : cells) mix_point(p);
     mix(w.path_cost);
   }
   mix(static_cast<std::int64_t>(r.bytes_transferred));

@@ -305,7 +305,7 @@ TEST(LinkConservation, FixedModelIsByteIdenticalToDefaultRun) {
   EXPECT_EQ(a.completion_ns, b.completion_ns);
   EXPECT_EQ(a.network.byte_hops, b.network.byte_hops);
   EXPECT_EQ(a.network.total_link_wait_ns, b.network.total_link_wait_ns);
-  EXPECT_TRUE(routes_identical(a.routes, b.routes));
+  EXPECT_TRUE(a.routes == b.routes);
 }
 
 // --- Transport recovery bit-identity with the M/D/1 model on ---
@@ -332,7 +332,7 @@ TEST(Md1TransportRecovery, FaultedRunIsBitIdenticalToFaultFree) {
     // Recovery happens below the application: routes, completion time, and
     // view staleness are bit-identical to the fault-free run, and the
     // transport ledger balances.
-    EXPECT_TRUE(routes_identical(base.routes, run.routes));
+    EXPECT_TRUE(base.routes == run.routes);
     EXPECT_EQ(base.completion_ns, run.completion_ns);
     EXPECT_EQ(base.view_staleness, run.view_staleness);
     EXPECT_EQ(base.circuit_height, run.circuit_height);

@@ -423,7 +423,7 @@ TEST(ExplorerTrace, RunsEqualReferenceReadsCellForCell) {
 }
 
 /// route_wire writes every probe through the read tracer exactly once: the
-/// explorer's candidate cells, then the final path's cells in sorted order.
+/// explorer's candidate cells, then the final path's runs in stored order.
 TEST(ExplorerTrace, RouteWireTracesEveryProbe) {
   const Circuit circuit = make_tiny_test_circuit();
   CostArray cost(circuit.channels(), circuit.grids());
@@ -432,17 +432,20 @@ TEST(ExplorerTrace, RouteWireTracesEveryProbe) {
     RecordingView view(cost);
     RouteWorkStats stats;
     const WireRoute route = router.route_wire(circuit.wire(w), view, stats);
+    const std::vector<GridPoint> cells = test::expand_runs(route.runs);
     ASSERT_EQ(view.cells.size(), static_cast<std::size_t>(stats.probes)) << "wire " << w;
-    ASSERT_GE(view.cells.size(), route.cells.size());
-    EXPECT_TRUE(std::equal(route.cells.begin(), route.cells.end(),
-                           view.cells.end() - static_cast<std::ptrdiff_t>(route.cells.size())))
+    ASSERT_GE(view.cells.size(), cells.size());
+    EXPECT_TRUE(std::equal(cells.begin(), cells.end(),
+                           view.cells.end() - static_cast<std::ptrdiff_t>(cells.size())))
         << "wire " << w;
   }
 }
 
-/// collect_unique_cells' interval-union sweep against the brute-force
-/// specification: materialize every covered cell, sort, dedupe.
-TEST(RouterProperty2, CollectUniqueCellsMatchesSortBasedReference) {
+/// collect_row_runs' interval-union sweep against the brute-force
+/// specification: materialize every covered cell, sort, dedupe. The runs
+/// must also be strictly ordered and maximal (a gap of at least one cell
+/// between two runs of a channel).
+TEST(RouterProperty2, CollectRowRunsMatchesSortBasedReference) {
   Rng rng(20'260'808);
   for (int trial = 0; trial < 120; ++trial) {
     std::vector<Route> routes(1 + rng.bounded(4));
@@ -469,7 +472,17 @@ TEST(RouterProperty2, CollectUniqueCellsMatchesSortBasedReference) {
       return x.channel != y.channel ? x.channel < y.channel : x.x < y.x;
     });
     want.erase(std::unique(want.begin(), want.end()), want.end());
-    const std::vector<GridPoint> got = collect_unique_cells(routes);
+    const std::vector<RowRun> runs = collect_row_runs(routes);
+    for (std::size_t i = 0; i < runs.size(); ++i) {
+      ASSERT_LE(runs[i].x_lo, runs[i].x_hi) << "trial " << trial << " run " << i;
+      if (i == 0) continue;
+      const RowRun& prev = runs[i - 1];
+      ASSERT_TRUE(prev.channel < runs[i].channel ||
+                  (prev.channel == runs[i].channel && prev.x_hi + 1 < runs[i].x_lo))
+          << "trial " << trial << " run " << i << " not after run " << i - 1
+          << " with a gap";
+    }
+    const std::vector<GridPoint> got = test::expand_runs(runs);
     ASSERT_EQ(got.size(), want.size()) << "trial " << trial;
     for (std::size_t i = 0; i < want.size(); ++i) {
       ASSERT_TRUE(got[i] == want[i]) << "trial " << trial << " i=" << i;

@@ -39,7 +39,7 @@ TEST(Render, RouteOverlay) {
   CostArray cost(2, 4);
   cost.set({1, 3}, 7);
   WireRoute route;
-  route.cells = {{0, 0}, {0, 1}, {1, 1}};  // sorted
+  route.runs = {{0, 0, 1}, {1, 1, 1}};  // sorted, disjoint
   EXPECT_EQ(render_route(cost, route), "**..\n.*.7\n");
 }
 

@@ -11,6 +11,7 @@
 #include "route/quality.hpp"
 #include "route/router.hpp"
 #include "route/sequential.hpp"
+#include "test_util.hpp"
 
 namespace locus {
 namespace {
@@ -26,29 +27,40 @@ TEST(Route, CellEnumerationVisitsJunctionsOnce) {
   EXPECT_EQ(cells.back(), (GridPoint{2, 3}));
   std::set<GridPoint> unique(cells.begin(), cells.end());
   EXPECT_EQ(unique.size(), cells.size());
-  EXPECT_EQ(r.cell_count(), 6);
 }
 
 TEST(Route, ZeroLengthSegmentsAreSingleCells) {
   Route r;
   r.append({{1, 1}, {1, 1}});
-  EXPECT_EQ(r.cell_count(), 1);
+  int cells = 0;
+  r.for_each_cell([&](GridPoint) { ++cells; });
+  EXPECT_EQ(cells, 1);
 }
 
-TEST(Route, BboxCoversAllSegments) {
-  Route r;
-  r.append({{2, 5}, {0, 5}});
-  r.append({{0, 5}, {0, 9}});
-  EXPECT_EQ(r.bbox(), Rect::of(0, 2, 5, 9));
-}
-
-TEST(Route, CollectUniqueCellsDeduplicatesAcrossRoutes) {
+TEST(Route, CollectRowRunsMergesAcrossRoutes) {
   Route a;
   a.append({{0, 0}, {0, 4}});
   Route b;
   b.append({{0, 2}, {0, 6}});
-  auto cells = collect_unique_cells({a, b});
-  EXPECT_EQ(cells.size(), 7u);  // 0..6, overlap 2..4 once
+  Route c;
+  c.append({{0, 7}, {2, 7}});  // touches a+b's run in channel 0
+  // 0..6 with the overlap 2..4 once, then x = 7 coalesced into the same run.
+  EXPECT_EQ(collect_row_runs({a, b}), (std::vector<RowRun>{{0, 0, 6}}));
+  EXPECT_EQ(collect_row_runs({a, b, c}),
+            (std::vector<RowRun>{{0, 0, 7}, {1, 7, 7}, {2, 7, 7}}));
+  EXPECT_EQ(test::expand_runs(collect_row_runs({a, b})).size(), 7u);
+}
+
+TEST(Route, CoversFindsCellsInRunsOnly) {
+  const std::vector<RowRun> runs{{0, 2, 4}, {0, 8, 8}, {3, 0, 1}};
+  for (std::int32_t c = -1; c <= 4; ++c) {
+    for (std::int32_t x = -1; x <= 10; ++x) {
+      const bool want = (c == 0 && ((x >= 2 && x <= 4) || x == 8)) ||
+                        (c == 3 && x >= 0 && x <= 1);
+      EXPECT_EQ(covers(runs, GridPoint{c, x}), want) << c << "," << x;
+    }
+  }
+  EXPECT_FALSE(covers({}, GridPoint{0, 0}));
 }
 
 TEST(Explorer, PrefersEmptyChannel) {
@@ -151,8 +163,8 @@ TEST(Router, CommitIncrementsExactlyRouteCells) {
   for (std::int32_t ch = 0; ch < 4; ++ch) {
     for (std::int32_t x = 0; x < 20; ++x) total += cost.at({ch, x});
   }
-  EXPECT_EQ(total, static_cast<std::int64_t>(route.cells.size()));
-  for (const GridPoint& p : route.cells) {
+  EXPECT_EQ(total, route.cell_count());
+  for (const GridPoint& p : test::expand_runs(route.runs)) {
     EXPECT_EQ(cost.at(p), 1);
   }
 }
@@ -184,8 +196,9 @@ TEST(Router, MultiPinWireCellsAreUnique) {
   WireRouter router(6, {});
   RouteWorkStats stats;
   WireRoute route = router.route_wire(c.wire(0), cost, stats);
-  std::set<GridPoint> unique(route.cells.begin(), route.cells.end());
-  EXPECT_EQ(unique.size(), route.cells.size());
+  const std::vector<GridPoint> cells = test::expand_runs(route.runs);
+  std::set<GridPoint> unique(cells.begin(), cells.end());
+  EXPECT_EQ(unique.size(), cells.size());
   EXPECT_EQ(route.connections.size(), 3u);
 }
 
@@ -199,8 +212,7 @@ TEST(Router, PathCostReflectsOccupancyAtDecisionTime) {
   WireRouter router(4, {});
   RouteWorkStats stats;
   WireRoute route = router.route_wire(c.wire(0), cost, stats);
-  EXPECT_EQ(route.path_cost,
-            static_cast<std::int64_t>(route.cells.size()) * 3);
+  EXPECT_EQ(route.path_cost, route.cell_count() * 3);
 }
 
 TEST(Quality, CircuitHeightSumsChannelMaxima) {
@@ -265,8 +277,8 @@ TEST_P(RouterProperty, CellsWithinBoundsAndConnected) {
   RouteWorkStats stats;
   for (const Wire& w : c.wires()) {
     WireRoute route = router.route_wire(w, cost, stats);
-    ASSERT_FALSE(route.cells.empty());
-    for (const GridPoint& p : route.cells) {
+    ASSERT_TRUE(route.routed());
+    for (const GridPoint& p : test::expand_runs(route.runs)) {
       ASSERT_GE(p.channel, 0);
       ASSERT_LT(p.channel, c.channels());
       ASSERT_GE(p.x, 0);

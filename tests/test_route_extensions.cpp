@@ -30,7 +30,7 @@ std::int64_t total_route_cells(const Circuit& c, Decomposition mode) {
   RouteWorkStats stats;
   std::int64_t cells = 0;
   for (const Wire& w : c.wires()) {
-    cells += static_cast<std::int64_t>(router.route_wire(w, cost, stats).cells.size());
+    cells += router.route_wire(w, cost, stats).cell_count();
   }
   return cells;
 }
@@ -43,7 +43,7 @@ TEST(MstDecomposition, TwoPinWiresIdenticalToChain) {
   RouteWorkStats sa, sb;
   WireRoute a = WireRouter(4, chain).route_wire(c.wire(0), cost_a, sa);
   WireRoute b = WireRouter(4, mst).route_wire(c.wire(0), cost_b, sb);
-  EXPECT_EQ(a.cells, b.cells);
+  EXPECT_EQ(a.runs, b.runs);
 }
 
 TEST(MstDecomposition, StarPatternUsesFewerCells) {
@@ -57,7 +57,7 @@ TEST(MstDecomposition, StarPatternUsesFewerCells) {
   RouteWorkStats sa, sb;
   WireRoute a = WireRouter(6, chain).route_wire(c.wire(0), empty_a, sa);
   WireRoute b = WireRouter(6, mst).route_wire(c.wire(0), empty_b, sb);
-  EXPECT_LE(b.cells.size(), a.cells.size());
+  EXPECT_LE(b.cell_count(), a.cell_count());
 }
 
 TEST(MstDecomposition, ConnectsEveryPinOnRealCircuit) {
@@ -73,10 +73,10 @@ TEST(MstDecomposition, ConnectsEveryPinOnRealCircuit) {
     // Every pin column appears among the committed cells.
     for (const Pin& pin : w.pins) {
       bool found = false;
-      for (const GridPoint& cell : route.cells) {
-        if (cell.x == pin.x &&
-            (cell.channel == pin.channel_above() ||
-             cell.channel == pin.channel_below())) {
+      for (const RowRun& run : route.runs) {
+        if (run.x_lo <= pin.x && pin.x <= run.x_hi &&
+            (run.channel == pin.channel_above() ||
+             run.channel == pin.channel_below())) {
           found = true;
           break;
         }

@@ -26,7 +26,7 @@ TEST(ScaleSmoke, TenKWiresAt64ProcsRoutesToCompletion) {
   const MpRunResult r = run_message_passing(circuit, /*procs=*/64, config);
   EXPECT_EQ(static_cast<std::int32_t>(r.routes.size()), circuit.num_wires());
   for (const WireRoute& route : r.routes) {
-    EXPECT_FALSE(route.cells.empty()) << "wire " << route.wire;
+    EXPECT_TRUE(route.routed()) << "wire " << route.wire;
   }
   EXPECT_GT(r.circuit_height, 0);
   EXPECT_GT(r.completion_ns, 0);

@@ -89,7 +89,9 @@ TEST_F(ShmRunTest, TraceWritesMatchCommitVolume) {
     });
   }
   std::uint64_t committed = 0;
-  for (const WireRoute& route : r.routes) committed += route.cells.size();
+  for (const WireRoute& route : r.routes) {
+    committed += static_cast<std::uint64_t>(route.cell_count());
+  }
   // Final-iteration commits = committed; plus first-iteration commits and
   // rip-ups (unknown split) => at least 2x committed writes.
   EXPECT_GE(cost_writes, 2 * committed);

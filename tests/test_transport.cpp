@@ -141,18 +141,6 @@ TEST(TransportChannel, DedupAndReleaseAcrossWindowBoundary) {
 
 // --- integration helpers -------------------------------------------------
 
-bool routes_equal(const std::vector<WireRoute>& a,
-                  const std::vector<WireRoute>& b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (a[i].wire != b[i].wire || a[i].path_cost != b[i].path_cost ||
-        a[i].cells != b[i].cells || a[i].connections != b[i].connections) {
-      return false;
-    }
-  }
-  return true;
-}
-
 MpConfig transport_config(const UpdateSchedule& schedule,
                           const FaultPlan* plan) {
   MpConfig mp;
@@ -167,7 +155,7 @@ MpConfig transport_config(const UpdateSchedule& schedule,
 /// in everything the router produced, and the transport ledger balances.
 void expect_identical(const MpRunResult& run, const MpRunResult& base,
                       const char* what) {
-  EXPECT_TRUE(routes_equal(run.routes, base.routes)) << what;
+  EXPECT_TRUE(run.routes == base.routes) << what;
   EXPECT_EQ(run.completion_ns, base.completion_ns) << what;
   EXPECT_EQ(run.circuit_height, base.circuit_height) << what;
   EXPECT_EQ(run.view_staleness, base.view_staleness) << what;
@@ -360,7 +348,7 @@ TEST(TransportProperty, FiftySeedsConvergeAtEveryDropRate) {
         failures[i] = "ledger imbalance at rate " + std::to_string(rate);
         return;
       }
-      if (!routes_equal(run.routes, base.routes) ||
+      if (run.routes != base.routes ||
           run.completion_ns != base.completion_ns ||
           run.view_staleness != base.view_staleness) {
         failures[i] = "diverged at rate " + std::to_string(rate);

@@ -4,11 +4,13 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "circuit/circuit.hpp"
 #include "circuit/generator.hpp"
 #include "grid/cost_array.hpp"
+#include "route/path.hpp"
 #include "shm/trace.hpp"
 #include "support/rng.hpp"
 
@@ -50,6 +52,16 @@ inline std::vector<MemRef> trace_refs(const RefTrace& trace) {
   refs.reserve(trace.size());
   trace.for_each([&](const MemRef& r) { refs.push_back(r); });
   return refs;
+}
+
+/// The cells of `runs`, run by run and left to right in each: (channel, x)
+/// order for a WireRoute's runs.
+inline std::vector<GridPoint> expand_runs(std::span<const RowRun> runs) {
+  std::vector<GridPoint> cells;
+  for (const RowRun& r : runs) {
+    for (std::int32_t x = r.x_lo; x <= r.x_hi; ++x) cells.push_back(GridPoint{r.channel, x});
+  }
+  return cells;
 }
 
 }  // namespace locus::test
