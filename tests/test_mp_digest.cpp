@@ -6,7 +6,11 @@
 // fails here. The cases cover the paper's six bnrE schedules, a batched
 // scale-circuit run with 2x128 tiles, and the two MP runs of the
 // checked-faults benchmark (2k wires on a fat tree with M/D/1 links, the
-// reliable transport recovering 2% drops).
+// reliable transport recovering 2% drops). The cases after those pin the
+// protocol variants: both dynamic modes under the single-wire FIFO
+// protocol, batched FIFO grants, the scale benchmark's locality grants,
+// the wire-based and whole-region packet structures, and a batched
+// receiver schedule (the batched ReqLocData response).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -71,7 +75,32 @@ struct DigestCase {
   std::uint64_t bytes;
   std::int64_t completion_ns;
   std::int64_t suppressed;
+  /// Settings on top of the circuit's defaults; null keeps them.
+  void (*configure)(MpConfig&) = nullptr;
 };
+
+void polled(MpConfig& c) { c.assignment_mode = WireAssignmentMode::kDynamicPolled; }
+void interrupt(MpConfig& c) { c.assignment_mode = WireAssignmentMode::kDynamicInterrupt; }
+void fifo_batch8(MpConfig& c) {
+  interrupt(c);
+  c.dynamic.grant_batch = 8;
+}
+/// scale-10k's dyn-local run (perfbench): locality grants over batched
+/// updates on 2x128 tiles.
+void dyn_local(MpConfig& c) {
+  c.shard.batch_updates = true;
+  c.shard.tile = TileDims{2, 128};
+  interrupt(c);
+  c.dynamic.policy = GrantPolicy::kLocality;
+  c.dynamic.grant_batch = 16;
+  c.dynamic.locality_radius = 2;
+}
+void wire_based(MpConfig& c) { c.packet_structure = PacketStructure::kWireBased; }
+void whole_region(MpConfig& c) { c.packet_structure = PacketStructure::kWholeRegion; }
+void batched(MpConfig& c) {
+  c.shard.batch_updates = true;
+  c.shard.tile = TileDims{2, 128};
+}
 
 /// Recorded while views and delta arrays could still be dense; the dense
 /// and the tiled runs gave these same values.
@@ -96,6 +125,22 @@ const DigestCase kDigestCases[] = {
     {"FaultsReceiverBlk1_30", DigestCircuit::kFaults,
      UpdateSchedule::receiver(1, 30, /*blocking=*/true),
      0x2d4048873c8a3c8eULL, 243185, 17424011316, 0},
+    // Recorded before the two update forms and the two grant engines of
+    // RouterNode were merged into one each.
+    {"BnrePolledSender2_10", DigestCircuit::kBnre, UpdateSchedule::sender(2, 10),
+     0xc2febdee7cd08e01ULL, 209600, 1982959000, 1, polled},
+    {"BnreInterruptSender2_10", DigestCircuit::kBnre, UpdateSchedule::sender(2, 10),
+     0x4ea9279915c17fe0ULL, 204345, 1269924400, 1, interrupt},
+    {"BnreFifoBatch8Sender2_10", DigestCircuit::kBnre, UpdateSchedule::sender(2, 10),
+     0xc9fd40fc5a30e32aULL, 177464, 1216540700, 1, fifo_batch8},
+    {"Scale1kDynLocal", DigestCircuit::kScale1k, UpdateSchedule::sender(2, 10),
+     0x40eb3c904cca5024ULL, 613117, 5390249000, 28, dyn_local},
+    {"BnreWireBasedSender2_1", DigestCircuit::kBnre, UpdateSchedule::sender(2, 1),
+     0x9119e03806bbd713ULL, 328584, 1419887200, 188, wire_based},
+    {"BnreWholeRegionSender2_1", DigestCircuit::kBnre, UpdateSchedule::sender(2, 1),
+     0xd0109194bf9a06e7ULL, 1077991, 2130758800, 196, whole_region},
+    {"Scale1kBatchedReceiver5_10", DigestCircuit::kScale1k, UpdateSchedule::receiver(5, 10),
+     0x19a0ba9c52d216d8ULL, 147582, 4259644800, 0, batched},
 };
 
 void PrintTo(const DigestCase& c, std::ostream* os) { *os << c.name; }
@@ -120,7 +165,9 @@ TEST_P(MpRunDigest, MatchesRecordedRun) {
   MpConfig config;
   config.schedule = c.schedule;
   FaultPlan faults;
-  if (c.circuit == DigestCircuit::kScale1k) {
+  if (c.configure != nullptr) {
+    c.configure(config);
+  } else if (c.circuit == DigestCircuit::kScale1k) {
     config.shard.batch_updates = true;
     config.shard.tile = TileDims{2, 128};
   } else if (c.circuit == DigestCircuit::kFaults) {
@@ -137,6 +184,9 @@ TEST_P(MpRunDigest, MatchesRecordedRun) {
   EXPECT_EQ(r.updates_suppressed, c.suppressed);
   if (c.circuit == DigestCircuit::kFaults) {
     EXPECT_GT(r.faults.dropped, 0u);
+  }
+  if (c.schedule.req_loc_requests > 0) {  // the ReqLocData path ran
+    EXPECT_GT(r.sent_by_kind[msg_kind_index(kMsgReqLocData)].packets, 0u);
   }
   const std::uint64_t digest = run_digest(r);
   EXPECT_EQ(digest, c.digest) << "digest 0x" << std::hex << digest;
