@@ -38,7 +38,7 @@ void BM_DeltaExtract(benchmark::State& state) {
                 1);
     }
     state.ResumeTiming();
-    auto extract = delta.extract_region(0);
+    auto extract = delta.extract_region(0, delta.whole_grid());
     benchmark::DoNotOptimize(extract);
   }
 }

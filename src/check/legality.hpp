@@ -7,7 +7,6 @@
 
 #include <cstdint>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "circuit/circuit.hpp"
@@ -17,7 +16,7 @@ namespace locus {
 
 struct LegalityIssue {
   WireId wire = -1;
-  std::string what;
+  const char* what = "";  ///< a string literal
 };
 
 struct LegalityReport {

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <utility>
 
 #include "support/assert.hpp"
 
@@ -116,26 +115,11 @@ std::int64_t DeltaArray::nonzero_count(ProcId region) const {
   return nonzero_count_[static_cast<std::size_t>(region)];
 }
 
-std::optional<DeltaArray::Extract> DeltaArray::extract_region(ProcId region) {
-  last_scan_cells_ = 0;
-  if (nonzero_count_[static_cast<std::size_t>(region)] == 0) return std::nullopt;
-  // One tile spanning the whole grid: a single tight bounding box.
-  std::vector<Extract> blocks =
-      take_blocks(region, TileDims{partition_->channels(), partition_->grids()});
-  LOCUS_ASSERT(blocks.size() == 1);
-  return std::move(blocks.front());
-}
-
-std::optional<std::vector<DeltaArray::Extract>> DeltaArray::extract_region_blocks(
-    ProcId region, TileDims dims) {
-  last_scan_cells_ = 0;
-  if (nonzero_count_[static_cast<std::size_t>(region)] == 0) return std::nullopt;
-  LOCUS_ASSERT(dims.channels >= 1 && dims.cols >= 1);
-  return take_blocks(region, dims);
-}
-
-std::vector<DeltaArray::Extract> DeltaArray::take_blocks(ProcId region, TileDims dims) {
+std::vector<UpdateBlock> DeltaArray::extract_region(ProcId region, TileDims dims) {
   const auto r = static_cast<std::size_t>(region);
+  last_scan_cells_ = 0;
+  if (nonzero_count_[r] == 0) return {};
+  LOCUS_ASSERT(dims.channels >= 1 && dims.cols >= 1);
   // The scan covers the conservative box, and its area is the simulated
   // scan cost whatever tiles are resident. It reads only resident row
   // chunks (an absent tile holds only zeros) and grows each `dims` tile's
@@ -176,7 +160,7 @@ std::vector<DeltaArray::Extract> DeltaArray::take_blocks(ProcId region, TileDims
     }
   }
 
-  std::vector<Extract> blocks;
+  std::vector<UpdateBlock> blocks;
   for (const Rect& tight : block_table_) {
     if (!tight.is_empty()) blocks.push_back(take_rect(tight));
   }
@@ -186,8 +170,8 @@ std::vector<DeltaArray::Extract> DeltaArray::take_blocks(ProcId region, TileDims
   return blocks;
 }
 
-DeltaArray::Extract DeltaArray::take_rect(const Rect& box) {
-  Extract out;
+UpdateBlock DeltaArray::take_rect(const Rect& box) {
+  UpdateBlock out;
   out.bbox = box;
   out.values.reserve(static_cast<std::size_t>(box.area()));
   for (std::int32_t c = box.channel_lo; c <= box.channel_hi; ++c) {

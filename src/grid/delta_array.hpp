@@ -3,7 +3,8 @@
 // Paper §4.1/§4.3: each message passing processor keeps, alongside its cost
 // array view, a delta array of the same dimensions recording the changes it
 // has made but not yet propagated. Update packets carry the bounding box of
-// the nonzero deltas inside one owned region.
+// the nonzero deltas inside one owned region, or one tight box per tile of
+// them (the region-batched format).
 //
 // This class also implements the *cancellation* effect the paper credits for
 // much of the traffic gap (§5.2): a rip-up decrement followed by a re-route
@@ -23,7 +24,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -33,6 +33,13 @@
 #include "grid/tile_grid.hpp"
 
 namespace locus {
+
+/// One rectangle of cell values: a block of extracted deltas, and the unit
+/// every update packet carries (msg/packets.hpp).
+struct UpdateBlock {
+  Rect bbox;
+  std::vector<std::int32_t> values;  ///< row-major over bbox
+};
 
 class DeltaArray {
  public:
@@ -70,32 +77,28 @@ class DeltaArray {
   /// Number of currently nonzero cells in `region`.
   std::int64_t nonzero_count(ProcId region) const;
 
-  /// Simulated work performed by the last extract_region() /
-  /// extract_region_blocks() scan, in cells visited (drives the
-  /// packet-assembly time model).
+  /// Simulated work performed by the last extract_region() scan, in cells
+  /// visited (drives the packet-assembly time model).
   std::int64_t last_scan_cells() const { return last_scan_cells_; }
 
-  struct Extract {
-    Rect bbox;                         ///< tight bounding box of changes
-    std::vector<std::int32_t> values;  ///< row-major deltas within bbox
-  };
-
-  /// Scans `region` for changes; if dirty, returns the tight bounding box
-  /// and its delta values and *clears* those deltas (they are now considered
-  /// propagated). Returns nullopt if the region is clean — the caller then
-  /// suppresses the update (paper §4.3.2).
-  std::optional<Extract> extract_region(ProcId region);
-
-  /// Like extract_region(), but splits the changes into one tight rectangle
-  /// per `dims`-shaped tile (row-major tile order) instead of one bounding
-  /// box over them all — the per-destination batched packet format. The scan
-  /// covers exactly the box extract_region() would (same last_scan_cells),
-  /// and concatenating the blocks covers exactly the nonzero deltas, so a
-  /// receiver applying every block reaches the same state as one applying
-  /// the single-bbox extract; only packet byte counts differ. `dims` need
+  /// Scans `region` for changes and, if it is dirty, returns one tight
+  /// rectangle of changes per `dims`-shaped tile (row-major tile order) and
+  /// *clears* those deltas (they are now considered propagated). Returns no
+  /// blocks if the region is clean — the caller then suppresses the update
+  /// (paper §4.3.2). With `dims` covering the whole grid (whole_grid()) the
+  /// single block is the tight bounding box of every change; finer `dims`
+  /// give the region-batched packet format. The scan covers the same box
+  /// whatever `dims` is (same last_scan_cells), and the blocks together
+  /// cover exactly the nonzero deltas, so a receiver applying every block
+  /// reaches the same state; only packet byte counts differ. `dims` need
   /// not match the storage tiles.
-  std::optional<std::vector<Extract>> extract_region_blocks(ProcId region,
-                                                            TileDims dims);
+  std::vector<UpdateBlock> extract_region(ProcId region, TileDims dims);
+
+  /// One tile spanning the whole grid: extract_region() then returns a
+  /// single bounding box.
+  TileDims whole_grid() const {
+    return TileDims{partition_->channels(), partition_->grids()};
+  }
 
   const Partition& partition() const { return *partition_; }
 
@@ -108,17 +111,15 @@ class DeltaArray {
   template <typename ValueAt>
   void add_run(std::int32_t channel, std::int32_t x_lo, std::int32_t x_hi,
                ValueAt value_at);
-  /// Scans `region`'s dirty box and takes one tight block per `dims` tile.
-  std::vector<Extract> take_blocks(ProcId region, TileDims dims);
   /// Copies out the deltas inside `box` (row-major) and zeroes them.
-  Extract take_rect(const Rect& box);
+  UpdateBlock take_rect(const Rect& box);
 
   const Partition* partition_;
   TileGrid tiles_;
   std::vector<Rect> dirty_bbox_;             // per region, conservative
   std::vector<std::int64_t> nonzero_count_;  // per region, exact
   std::int64_t last_scan_cells_ = 0;
-  std::vector<Rect> block_table_;  // take_blocks scratch: one tight rect per tile
+  std::vector<Rect> block_table_;  // extract_region scratch: one tight rect per tile
 };
 
 }  // namespace locus

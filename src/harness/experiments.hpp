@@ -90,7 +90,7 @@ Table run_speedup(const Circuit& bnre, const Circuit& mdc,
 /// How the sweep hands wires to processors (DESIGN.md §11):
 ///   kGeographic       static ThresholdCost-infinity assignment (the ISSUE 8
 ///                     baseline — fully local, but load follows geography),
-///   kDynamicFifo      the legacy §4.2 master queue (FIFO grants, one wire
+///   kDynamicFifo      the §4.2 master queue (FIFO grants, one wire
 ///                     per round trip),
 ///   kDynamicLocality  extended protocol: locality-scored batched grants.
 enum class ScaleAssignMode : std::int8_t {

@@ -33,11 +33,11 @@ struct MpRunResult {
   RouteWorkStats work;                  ///< summed over processors
   TimeBreakdown time_breakdown;         ///< summed over processors
   std::int64_t updates_suppressed = 0;
+  /// Sent ReqLocData + ReqRmtData + WireRequest packets (from sent_by_kind).
   std::int64_t requests_sent = 0;
-  /// Dynamic-scheduling counters (all zero for static runs / the legacy
-  /// FIFO protocol where noted).
-  std::int64_t grants_issued = 0;    ///< extended protocol only
-  std::int64_t grant_wires = 0;      ///< extended protocol only
+  /// Dynamic-scheduling counters (all zero for static runs).
+  std::int64_t grants_issued = 0;    ///< sent WireGrant packets (from sent_by_kind)
+  std::int64_t grant_wires = 0;      ///< wires carried by those grants
   std::int64_t affinity_grants = 0;  ///< GrantPolicy::kLocality only
   /// Packets and application bytes per message kind (msg_kind_index), as
   /// the nodes handed them to the network and as they were delivered.

@@ -14,14 +14,13 @@ namespace {
 /// Cap on resident-region ids carried by one extended wire request.
 constexpr std::size_t kResidentSummaryCap = 32;
 
-/// Converts extracted delta blocks into wire-format update blocks.
-std::vector<UpdateBlock> to_update_blocks(std::vector<DeltaArray::Extract> extracts) {
-  std::vector<UpdateBlock> blocks;
-  blocks.reserve(extracts.size());
-  for (DeltaArray::Extract& e : extracts) {
-    blocks.push_back(UpdateBlock{e.bbox, std::move(e.values)});
-  }
-  return blocks;
+std::shared_ptr<const RegionUpdatePayload> make_update(ProcId region, bool absolute,
+                                                       std::vector<UpdateBlock> blocks) {
+  auto update = std::make_shared<RegionUpdatePayload>();
+  update->region = region;
+  update->absolute = absolute;
+  update->blocks = std::move(blocks);
+  return update;
 }
 
 }  // namespace
@@ -33,18 +32,17 @@ RouterNode::RouterNode(const Circuit& circuit, const Partition& partition,
       my_wires_(std::move(my_wires)), self_(self), shared_(shared),
       view_(circuit.channels(), circuit.grids(), config.shard.tile),
       delta_(partition, config.shard.tile),
+      update_dims_(config.shard.batch_updates ? config.shard.tile : delta_.whole_grid()),
       view_with_delta_(view_, delta_),
       router_(circuit.channels(), config.router),
       touch_count_(static_cast<std::size_t>(partition.num_regions()), 0),
       interest_bbox_(static_cast<std::size_t>(partition.num_regions())),
       req_rmt_received_(static_cast<std::size_t>(partition.num_regions()), 0),
-      segments_changed_(static_cast<std::size_t>(partition.num_regions()), 0),
-      granted_to_(static_cast<std::size_t>(partition.num_regions()), false) {
+      segments_changed_(static_cast<std::size_t>(partition.num_regions()), 0) {
   // The own region is pinned resident up front: it receives every remote
   // delta and must answer absolute requests from wire 0.
   view_.ensure_rect(partition.region(self));
-  if (config.assignment_mode != WireAssignmentMode::kStatic &&
-      config.dynamic.extended_protocol() && self == 0 &&
+  if (config.assignment_mode != WireAssignmentMode::kStatic && self == 0 &&
       config.dynamic.policy == GrantPolicy::kLocality) {
     affinity_ = std::make_unique<WireAffinityIndex>(circuit, partition);
   }
@@ -61,13 +59,9 @@ bool RouterNode::blocked() const {
   if (config_.assignment_mode == WireAssignmentMode::kStatic || self_ == 0) {
     return false;
   }
-  if (config_.dynamic.extended_protocol()) {
-    // Extended worker parked while its queue is drained and a grant is in
-    // flight.
-    return queue_head_ >= wire_queue_.size() && waiting_grant_ && !no_more_;
-  }
-  // Dynamic-assignment worker parked until its wire grant arrives.
-  return waiting_grant_ && granted_wire_ < 0 && !no_more_;
+  // Dynamic worker parked while its queue is drained and a grant is in
+  // flight.
+  return queue_head_ >= wire_queue_.size() && waiting_grant_ && !no_more_;
 }
 
 void RouterNode::on_packet(NodeApi& api, const Packet& packet) {
@@ -86,22 +80,14 @@ void RouterNode::on_packet(NodeApi& api, const Packet& packet) {
     case kMsgRspRmtData: {
       const auto& update = packet.payload_as<RegionUpdatePayload>();
       LOCUS_ASSERT(update.absolute);
-      // Replace our view of the sender's region with its absolute data
-      // (paper §4.3.2: "receiving processors replace their view"). A
-      // batched packet replaces each tight block instead of the whole box.
-      if (!update.blocks.empty()) {
-        for (const UpdateBlock& block : update.blocks) {
-          view_.write_rect(block.bbox, block.values);
-        }
-      } else {
-        view_.write_rect(update.bbox, update.values);
+      // Replace our view of each block with the sender's absolute data
+      // (paper §4.3.2: "receiving processors replace their view").
+      for (const UpdateBlock& block : update.blocks) {
+        view_.write_rect(block.bbox, block.values);
       }
-      if (packet.type == kMsgRspRmtData) {
-        // A duplicated response (fault injection) must not drive the count
-        // negative; the extra copy is just a redundant view refresh.
-        if (pending_responses_ > 0) --pending_responses_;
-        ++shared_.responses_received;
-      }
+      // A duplicated response (fault injection) must not drive the count
+      // negative; the extra copy is just a redundant view refresh.
+      if (packet.type == kMsgRspRmtData && pending_responses_ > 0) --pending_responses_;
       break;
     }
     case kMsgSendRmtData: {
@@ -109,12 +95,20 @@ void RouterNode::on_packet(NodeApi& api, const Packet& packet) {
       LOCUS_ASSERT(!update.absolute);
       LOCUS_ASSERT_MSG(update.region == self_,
                        "delta updates are addressed to the region owner");
-      if (!update.blocks.empty()) {
-        for (const UpdateBlock& block : update.blocks) {
-          apply_delta_block(block.bbox, block.values);
+      for (const UpdateBlock& block : update.blocks) {
+        view_.add_rect(block.bbox, block.values);
+        if (config_.observer != nullptr) {
+          config_.observer->on_delta_applied(self_, block.bbox, block.values);
         }
-      } else {
-        apply_delta_block(update.bbox, update.values);
+        // These changes are now part of our own region's state and must
+        // reach the neighbors in the next SendLocData: mark the own-region
+        // delta bounding box (values there are never sent; absolute data is).
+        const std::span<const std::int32_t> values = block.values;
+        const auto width = static_cast<std::size_t>(block.bbox.width());
+        for (std::int32_t c = block.bbox.channel_lo; c <= block.bbox.channel_hi; ++c) {
+          const auto row = static_cast<std::size_t>(c - block.bbox.channel_lo);
+          delta_.add_row(c, block.bbox.x_lo, values.subspan(row * width, width));
+        }
       }
       break;
     }
@@ -127,92 +121,51 @@ void RouterNode::on_packet(NodeApi& api, const Packet& packet) {
         std::int32_t& count = req_rmt_received_[static_cast<std::size_t>(packet.src)];
         if (++count >= config_.schedule.req_loc_requests) {
           count = 0;
-          auto [req, req_data] = make_payload<RequestPayload>();
-          req_data->region = self_;
-          req_data->bbox = partition_.region(self_);
-          api.advance(config_.time.msg_fixed_ns);
-          breakdown().msg_software_ns += config_.time.msg_fixed_ns;
-          api.send(packet.src, kMsgReqLocData, request_packet_bytes(), std::move(req));
-          note_sent(kMsgReqLocData, request_packet_bytes());
-          breakdown().network_copy_ns += config_.time.process_time_ns;
-          ++shared_.requests_sent;
+          send_request(api, packet.src, kMsgReqLocData, self_, partition_.region(self_));
         }
       }
       // Always respond (a blocking requester is waiting): absolute values
       // inside the requested window of our region.
-      Rect window = Rect::intersection(
+      std::vector<UpdateBlock> blocks(1);
+      UpdateBlock& window = blocks.front();
+      window.bbox = Rect::intersection(
           request.bbox.is_empty() ? partition_.region(self_) : request.bbox,
           partition_.region(self_));
-      LOCUS_ASSERT(!window.is_empty());
-      std::vector<std::int32_t> values;
-      view_.read_rect(window, values);
-      send_data_update(api, packet.src, kMsgRspRmtData, self_, window,
-                       /*absolute=*/true, std::move(values));
+      LOCUS_ASSERT(!window.bbox.is_empty());
+      view_.read_rect(window.bbox, window.values);
+      send_update(api, packet.src, kMsgRspRmtData,
+                  make_update(self_, /*absolute=*/true, std::move(blocks)));
       break;
     }
     case kMsgReqLocData: {
       const auto& request = packet.payload_as<RequestPayload>();
       LOCUS_ASSERT(request.region != self_);
       // The owner of `request.region` wants our pending deltas for it.
-      if (config_.shard.batch_updates) {
-        if (auto blocks =
-                delta_.extract_region_blocks(request.region, config_.shard.tile)) {
-          api.advance(delta_.last_scan_cells() * config_.time.scan_cell_ns);
-          breakdown().msg_software_ns +=
-              delta_.last_scan_cells() * config_.time.scan_cell_ns;
-          send_batched_update(api, packet.src, kMsgSendRmtData, request.region,
-                              /*absolute=*/false,
-                              to_update_blocks(std::move(*blocks)));
-          break;
-        }
+      std::vector<UpdateBlock> blocks = take_deltas(api, request.region);
+      if (blocks.empty()) {
         ++shared_.updates_suppressed;
         break;
       }
-      if (auto extract = delta_.extract_region(request.region)) {
-        api.advance(delta_.last_scan_cells() * config_.time.scan_cell_ns);
-        breakdown().msg_software_ns += delta_.last_scan_cells() * config_.time.scan_cell_ns;
-        send_data_update(api, packet.src, kMsgSendRmtData, request.region,
-                         extract->bbox, /*absolute=*/false,
-                         std::move(extract->values));
-      } else {
-        ++shared_.updates_suppressed;
-      }
+      send_update(api, packet.src, kMsgSendRmtData,
+                  make_update(request.region, /*absolute=*/false, std::move(blocks)));
       break;
     }
     case kMsgWireRequest: {
       LOCUS_ASSERT_MSG(self_ == 0, "wire requests go to the queue owner");
-      if (config_.dynamic.extended_protocol()) {
-        const auto& request = packet.payload_as<WireRequestPayload>();
-        outstanding_wires_ -= request.completed;
-        LOCUS_ASSERT(outstanding_wires_ >= 0);
-        pending_ext_.push_back(PendingRequest{packet.src, request.resident});
-        drain_pending_grants_ext(api);
-        break;
-      }
-      note_request_from(packet.src);
-      pending_requests_.push_back(packet.src);
+      const auto& request = packet.payload_as<WireRequestPayload>();
+      outstanding_wires_ -= request.completed;
+      LOCUS_ASSERT(outstanding_wires_ >= 0);
+      queued_requests_.push_back(PendingRequest{packet.src, request.resident});
       drain_pending_grants(api);
       break;
     }
     case kMsgWireGrant: {
-      if (config_.dynamic.extended_protocol()) {
-        const auto& grant = packet.payload_as<WireListPayload>();
-        waiting_grant_ = false;
-        if (grant.wires.empty()) {
-          no_more_ = true;
-        } else {
-          wire_queue_.insert(wire_queue_.end(), grant.wires.begin(),
-                             grant.wires.end());
-          granted_iteration_ = grant.iteration;
-        }
-        break;
-      }
-      const auto& grant = packet.payload_as<GrantPayload>();
+      const auto& grant = packet.payload_as<WireListPayload>();
       waiting_grant_ = false;
-      if (grant.wire < 0) {
+      if (grant.wires.empty()) {
         no_more_ = true;
       } else {
-        granted_wire_ = grant.wire;
+        wire_queue_.insert(wire_queue_.end(), grant.wires.begin(), grant.wires.end());
         granted_iteration_ = grant.iteration;
       }
       break;
@@ -228,7 +181,7 @@ void RouterNode::on_packet(NodeApi& api, const Packet& packet) {
 
 bool RouterNode::on_step(NodeApi& api) {
   if (config_.assignment_mode != WireAssignmentMode::kStatic) {
-    return dynamic_step(api);
+    return self_ == 0 ? master_step(api) : worker_step(api);
   }
   if (cursor_ >= my_wires_.size()) {
     ++iteration_;
@@ -263,16 +216,8 @@ void RouterNode::advance_lookahead(NodeApi& api) {
           Rect::intersection(wire_box, partition_.region(region)));
       if (++touch_count_[r] >= sched.req_rmt_touches) {
         touch_count_[r] = 0;
-        auto [req, req_data] = make_payload<RequestPayload>();
-        req_data->region = region;
-        req_data->bbox = interest_bbox_[r];
+        send_request(api, region, kMsgReqRmtData, region, interest_bbox_[r]);
         interest_bbox_[r] = Rect::empty();
-        api.advance(config_.time.msg_fixed_ns);
-        breakdown().msg_software_ns += config_.time.msg_fixed_ns;
-        api.send(region, kMsgReqRmtData, request_packet_bytes(), std::move(req));
-        note_sent(kMsgReqRmtData, request_packet_bytes());
-        breakdown().network_copy_ns += config_.time.process_time_ns;
-        ++shared_.requests_sent;
         ++pending_responses_;
       }
     }
@@ -327,128 +272,7 @@ SimTime RouterNode::route_wire_id(NodeApi& api, WireId wire_id,
   return cost;
 }
 
-// --- dynamic wire assignment (paper §4.2's two dynamic schemes) ---
-
-WireId RouterNode::take_next_wire(std::int32_t* iteration) {
-  if (dyn_next_wire_ >= circuit_.num_wires()) {
-    if (dyn_iteration_ + 1 >= config_.iterations) {
-      *iteration = dyn_iteration_;
-      return kGrantDone;
-    }
-    // The next iteration only starts once every granted wire has been
-    // routed (the grantee's next request confirms it); granting across the
-    // boundary would let two processors hold the same wire's route slot.
-    if (outstanding_grants_ > 0) {
-      *iteration = dyn_iteration_;
-      return kGrantWait;
-    }
-    ++dyn_iteration_;
-    dyn_next_wire_ = 0;
-  }
-  *iteration = dyn_iteration_;
-  return dyn_next_wire_++;
-}
-
-void RouterNode::note_request_from(ProcId src) {
-  auto s = static_cast<std::size_t>(src);
-  if (granted_to_[s]) {
-    granted_to_[s] = false;
-    --outstanding_grants_;
-    LOCUS_ASSERT(outstanding_grants_ >= 0);
-  }
-}
-
-void RouterNode::send_grant(NodeApi& api, ProcId dst, WireId wire,
-                            std::int32_t iteration) {
-  auto [grant, grant_data] = make_payload<GrantPayload>();
-  grant_data->wire = wire;
-  grant_data->iteration = iteration;
-  api.advance(config_.time.msg_fixed_ns);
-  breakdown().msg_software_ns += config_.time.msg_fixed_ns;
-  api.send(dst, kMsgWireGrant, grant_packet_bytes(), std::move(grant));
-  note_sent(kMsgWireGrant, grant_packet_bytes());
-  breakdown().network_copy_ns += config_.time.process_time_ns;
-  if (wire >= 0) {
-    granted_to_[static_cast<std::size_t>(dst)] = true;
-    ++outstanding_grants_;
-  }
-}
-
-void RouterNode::drain_pending_grants(NodeApi& api) {
-  while (!pending_requests_.empty()) {
-    std::int32_t iteration = 0;
-    WireId wire = take_next_wire(&iteration);
-    if (wire == kGrantWait) return;  // rollover pending; keep them queued
-    ProcId dst = pending_requests_.front();
-    pending_requests_.erase(pending_requests_.begin());
-    send_grant(api, dst, wire, iteration);
-  }
-}
-
-void RouterNode::request_wire(NodeApi& api) {
-  waiting_grant_ = true;
-  api.advance(config_.time.msg_fixed_ns);
-  breakdown().msg_software_ns += config_.time.msg_fixed_ns;
-  api.send(0, kMsgWireRequest, request_packet_bytes(), nullptr);
-  note_sent(kMsgWireRequest, request_packet_bytes());
-  breakdown().network_copy_ns += config_.time.process_time_ns;
-  ++shared_.requests_sent;
-}
-
-bool RouterNode::dynamic_step(NodeApi& api) {
-  if (config_.dynamic.extended_protocol()) {
-    return self_ == 0 ? master_step_ext(api) : worker_step_ext(api);
-  }
-  if (self_ == 0) {
-    // Queue owner: continue a sliced wire first (requests were serviced by
-    // on_packet between slices — the "interrupt" model).
-    if (slice_remaining_ > 0) {
-      const SimTime slice = std::min(slice_remaining_, config_.interrupt_slice_ns);
-      api.advance(slice);
-      breakdown().routing_ns += slice;
-      slice_remaining_ -= slice;
-      if (slice_remaining_ == 0) fire_sender_updates(api);
-      return true;
-    }
-    std::int32_t iteration = 0;
-    const WireId wire = take_next_wire(&iteration);
-    if (wire == kGrantDone || wire == kGrantWait) {
-      // Nothing to route now; arriving requests will wake us.
-      return false;
-    }
-    const SimTime cost = route_wire_id(api, wire, iteration, /*charge_now=*/false);
-    if (config_.assignment_mode == WireAssignmentMode::kDynamicInterrupt) {
-      slice_remaining_ = cost;
-      const SimTime slice = std::min(slice_remaining_, config_.interrupt_slice_ns);
-      api.advance(slice);
-      breakdown().routing_ns += slice;
-      slice_remaining_ -= slice;
-      if (slice_remaining_ == 0) fire_sender_updates(api);
-    } else {
-      api.advance(cost);
-      breakdown().routing_ns += cost;
-      fire_sender_updates(api);
-    }
-    return true;
-  }
-
-  // Worker: request, wait (blocked()), route, repeat.
-  if (no_more_) return false;
-  if (granted_wire_ < 0) {
-    if (!waiting_grant_) request_wire(api);
-    return true;  // the engine parks us via blocked() until the grant lands
-  }
-  const WireId wire = granted_wire_;
-  const std::int32_t iteration = granted_iteration_;
-  granted_wire_ = -1;
-  waiting_grant_ = false;
-  route_wire_id(api, wire, iteration, /*charge_now=*/true);
-  fire_sender_updates(api);
-  request_wire(api);
-  return true;
-}
-
-// --- extended dynamic protocol: locality grants and batching ---
+// --- dynamic wire assignment (paper §4.2, DESIGN.md §11) ---
 
 std::span<const ProcId> RouterNode::resident_summary() {
   if (config_.dynamic.policy != GrantPolicy::kLocality) return {};
@@ -476,7 +300,7 @@ std::span<const ProcId> RouterNode::resident_summary() {
   return resident_summary_;
 }
 
-RouterNode::TakeStatus RouterNode::take_wires_ext(
+RouterNode::TakeStatus RouterNode::take_wires(
     ProcId home, std::span<const ProcId> resident, std::int32_t count,
     std::int32_t* iteration, std::vector<WireId>* out) {
   const bool locality = config_.dynamic.policy == GrantPolicy::kLocality;
@@ -491,9 +315,9 @@ RouterNode::TakeStatus RouterNode::take_wires_ext(
         *iteration = dyn_iteration_;
         return TakeStatus::kDone;
       }
-      // Same gate as the legacy protocol: the next iteration starts only
-      // once every granted wire's completion has been reported, so no two
-      // processors can hold one wire's route slot.
+      // The next iteration starts only once every granted wire's
+      // completion has been reported; granting across the boundary would
+      // let two processors hold the same wire's route slot.
       if (outstanding_wires_ > 0) {
         *iteration = dyn_iteration_;
         return TakeStatus::kWait;
@@ -506,10 +330,10 @@ RouterNode::TakeStatus RouterNode::take_wires_ext(
       }
       // The fresh iteration rearms every bucket, so radius-deferred
       // requesters become serviceable again.
-      for (PendingRequest& d : deferred_ext_) {
-        pending_ext_.push_back(std::move(d));
+      for (PendingRequest& d : deferred_requests_) {
+        queued_requests_.push_back(std::move(d));
       }
-      deferred_ext_.clear();
+      deferred_requests_.clear();
       continue;
     }
     if (locality) {
@@ -544,113 +368,99 @@ RouterNode::TakeStatus RouterNode::take_wires_ext(
   return TakeStatus::kOk;
 }
 
-void RouterNode::send_grant_ext(NodeApi& api, ProcId dst,
-                                std::vector<WireId> wires,
-                                std::int32_t iteration) {
+void RouterNode::send_grant(NodeApi& api, ProcId dst, std::vector<WireId> wires,
+                            std::int32_t iteration) {
   const auto count = static_cast<std::int32_t>(wires.size());
-  // Single-wire (and no-more) grants keep the legacy 8-byte payload; only
-  // real batches pay the list form.
+  // Single-wire (and no-more) grants carry an 8-byte payload; only real
+  // batches pay the list form.
   const std::int32_t bytes =
       count <= 1 ? grant_packet_bytes() : batch_grant_packet_bytes(count);
   auto [grant, grant_data] = make_payload<WireListPayload>();
   grant_data->iteration = iteration;
   grant_data->wires = std::move(wires);
-  api.advance(config_.time.msg_fixed_ns);
-  breakdown().msg_software_ns += config_.time.msg_fixed_ns;
-  api.send(dst, kMsgWireGrant, bytes, std::move(grant));
-  note_sent(kMsgWireGrant, bytes);
-  breakdown().network_copy_ns += config_.time.process_time_ns;
+  send_packet(api, dst, kMsgWireGrant, bytes, std::move(grant), config_.time.msg_fixed_ns);
   outstanding_wires_ += count;
-  ++shared_.grants_issued;
   shared_.grant_wires += count;
 }
 
-void RouterNode::drain_pending_grants_ext(NodeApi& api) {
-  while (!pending_ext_.empty()) {
-    // By value: the rollover inside take_wires_ext re-queues deferred
-    // requests into pending_ext_, which may reallocate it.
-    PendingRequest head = std::move(pending_ext_.front());
-    pending_ext_.erase(pending_ext_.begin());
+void RouterNode::drain_pending_grants(NodeApi& api) {
+  while (!queued_requests_.empty()) {
+    // By value: the rollover inside take_wires re-queues deferred requests
+    // into queued_requests_, which may reallocate it.
+    PendingRequest head = std::move(queued_requests_.front());
+    queued_requests_.erase(queued_requests_.begin());
     std::int32_t iteration = 0;
     std::vector<WireId> wires;
-    const TakeStatus status =
-        take_wires_ext(head.src, head.resident, config_.dynamic.grant_batch,
-                       &iteration, &wires);
+    const TakeStatus status = take_wires(head.src, head.resident,
+                                         config_.dynamic.grant_batch, &iteration, &wires);
     if (status == TakeStatus::kWait) {
       // Rollover gated on outstanding completions; keep the queue intact.
-      pending_ext_.insert(pending_ext_.begin(), std::move(head));
+      queued_requests_.insert(queued_requests_.begin(), std::move(head));
       return;
     }
     if (status == TakeStatus::kDefer) {
-      deferred_ext_.push_back(std::move(head));
+      deferred_requests_.push_back(std::move(head));
       continue;
     }
     if (status == TakeStatus::kDone) {
       // Run exhausted: radius-deferred requesters get the same final
       // no-more grant as everyone else.
-      for (PendingRequest& d : deferred_ext_) {
-        pending_ext_.push_back(std::move(d));
+      for (PendingRequest& d : deferred_requests_) {
+        queued_requests_.push_back(std::move(d));
       }
-      deferred_ext_.clear();
+      deferred_requests_.clear();
     }
-    send_grant_ext(api, head.src, std::move(wires), iteration);
+    send_grant(api, head.src, std::move(wires), iteration);
   }
 }
 
-void RouterNode::request_wire_ext(NodeApi& api) {
+void RouterNode::request_wire(NodeApi& api) {
   waiting_grant_ = true;
   auto [request, request_data] = make_payload<WireRequestPayload>();
   request_data->completed = completed_unreported_;
   completed_unreported_ = 0;
   const std::span<const ProcId> resident = resident_summary();
   request_data->resident.assign(resident.begin(), resident.end());
+  // The single-wire format sends the header only: its one completion is
+  // implied, and FIFO grants read no resident summary.
   const std::int32_t bytes =
-      wire_request_packet_bytes(static_cast<std::int32_t>(resident.size()));
-  api.advance(config_.time.msg_fixed_ns);
-  breakdown().msg_software_ns += config_.time.msg_fixed_ns;
-  api.send(0, kMsgWireRequest, bytes, std::move(request));
-  note_sent(kMsgWireRequest, bytes);
-  breakdown().network_copy_ns += config_.time.process_time_ns;
-  ++shared_.requests_sent;
+      config_.dynamic.extended_protocol()
+          ? wire_request_packet_bytes(static_cast<std::int32_t>(resident.size()))
+          : request_packet_bytes();
+  send_packet(api, 0, kMsgWireRequest, bytes, std::move(request), config_.time.msg_fixed_ns);
 }
 
-bool RouterNode::master_step_ext(NodeApi& api) {
-  // Same slicing structure as the legacy master: requests are serviced by
-  // on_packet between slices (the "interrupt" model).
-  if (slice_remaining_ > 0) {
-    const SimTime slice = std::min(slice_remaining_, config_.interrupt_slice_ns);
-    api.advance(slice);
-    breakdown().routing_ns += slice;
-    slice_remaining_ -= slice;
-    if (slice_remaining_ == 0) fire_sender_updates(api);
-    return true;
-  }
-  std::int32_t iteration = 0;
-  std::vector<WireId> mine;
-  const TakeStatus status =
-      take_wires_ext(0, resident_summary(), 1, &iteration, &mine);
-  if (status != TakeStatus::kOk) {
-    return false;  // nothing to route now; arriving requests will wake us
-  }
-  LOCUS_ASSERT(mine.size() == 1);
-  const SimTime cost =
-      route_wire_id(api, mine.front(), iteration, /*charge_now=*/false);
-  if (config_.assignment_mode == WireAssignmentMode::kDynamicInterrupt) {
+bool RouterNode::master_step(NodeApi& api) {
+  // Queue owner: routes wires itself. Requests are serviced by on_packet
+  // between wires (polled) or between routing slices (the "interrupt"
+  // model), so a sliced wire is continued first.
+  if (slice_remaining_ == 0) {
+    std::int32_t iteration = 0;
+    std::vector<WireId> mine;
+    if (take_wires(0, resident_summary(), 1, &iteration, &mine) != TakeStatus::kOk) {
+      return false;  // nothing to route now; arriving requests will wake us
+    }
+    LOCUS_ASSERT(mine.size() == 1);
+    const SimTime cost =
+        route_wire_id(api, mine.front(), iteration, /*charge_now=*/false);
+    if (config_.assignment_mode != WireAssignmentMode::kDynamicInterrupt) {
+      api.advance(cost);
+      breakdown().routing_ns += cost;
+      fire_sender_updates(api);
+      return true;
+    }
     slice_remaining_ = cost;
-    const SimTime slice = std::min(slice_remaining_, config_.interrupt_slice_ns);
-    api.advance(slice);
-    breakdown().routing_ns += slice;
-    slice_remaining_ -= slice;
-    if (slice_remaining_ == 0) fire_sender_updates(api);
-  } else {
-    api.advance(cost);
-    breakdown().routing_ns += cost;
-    fire_sender_updates(api);
   }
+  const SimTime slice = std::min(slice_remaining_, config_.interrupt_slice_ns);
+  api.advance(slice);
+  breakdown().routing_ns += slice;
+  slice_remaining_ -= slice;
+  if (slice_remaining_ == 0) fire_sender_updates(api);
   return true;
 }
 
-bool RouterNode::worker_step_ext(NodeApi& api) {
+bool RouterNode::worker_step(NodeApi& api) {
+  // Worker: request, wait (blocked()), route the granted wires, repeat.
   if (queue_head_ < wire_queue_.size()) {
     const WireId wire = wire_queue_[queue_head_++];
     if (queue_head_ >= wire_queue_.size()) {
@@ -660,158 +470,117 @@ bool RouterNode::worker_step_ext(NodeApi& api) {
     route_wire_id(api, wire, granted_iteration_, /*charge_now=*/true);
     ++completed_unreported_;
     fire_sender_updates(api);
+    // The single-wire protocol asks for its next wire in the step that
+    // routed this one; the extended protocol asks in the next step, after
+    // the packets that arrived meanwhile have been handled.
+    if (!config_.dynamic.extended_protocol()) request_wire(api);
     return true;
   }
   if (no_more_) return false;
   if (waiting_grant_) {
     return true;  // the engine parks us via blocked() until a reply lands
   }
-  request_wire_ext(api);
+  request_wire(api);
   return true;
 }
 
 void RouterNode::fire_sender_updates(NodeApi& api) {
   const UpdateSchedule& sched = config_.schedule;
-  const TimeModel& tm = config_.time;
 
   if (sched.send_rmt_period > 0 && ++wires_since_send_rmt_ >= sched.send_rmt_period) {
     wires_since_send_rmt_ = 0;
     for (ProcId region = 0; region < partition_.num_regions(); ++region) {
       if (region == self_) continue;
       if (!delta_.region_dirty(region)) continue;
-      if (config_.shard.batch_updates) {
-        auto blocks = delta_.extract_region_blocks(region, config_.shard.tile);
-        LOCUS_ASSERT(blocks.has_value());
-        api.advance(delta_.last_scan_cells() * tm.scan_cell_ns);
-        breakdown().msg_software_ns += delta_.last_scan_cells() * tm.scan_cell_ns;
-        send_batched_update(api, region, kMsgSendRmtData, region,
-                            /*absolute=*/false, to_update_blocks(std::move(*blocks)));
-        continue;
-      }
-      auto extract = delta_.extract_region(region);
-      LOCUS_ASSERT(extract.has_value());
-      api.advance(delta_.last_scan_cells() * tm.scan_cell_ns);
-      breakdown().msg_software_ns += delta_.last_scan_cells() * tm.scan_cell_ns;
-      send_data_update(api, region, kMsgSendRmtData, region, extract->bbox,
-                       /*absolute=*/false, std::move(extract->values));
+      std::vector<UpdateBlock> blocks = take_deltas(api, region);
+      LOCUS_ASSERT(!blocks.empty());
+      send_update(api, region, kMsgSendRmtData,
+                  make_update(region, /*absolute=*/false, std::move(blocks)));
     }
   }
 
   if (sched.send_loc_period > 0 && ++wires_since_send_loc_ >= sched.send_loc_period) {
     wires_since_send_loc_ = 0;
-    if (config_.shard.batch_updates) {
-      if (auto blocks = delta_.extract_region_blocks(self_, config_.shard.tile)) {
-        api.advance(delta_.last_scan_cells() * tm.scan_cell_ns);
-        breakdown().msg_software_ns += delta_.last_scan_cells() * tm.scan_cell_ns;
-        // The delta values only located the changes; each block carries
-        // absolute data from the view.
-        std::vector<UpdateBlock> update_blocks = to_update_blocks(std::move(*blocks));
-        for (UpdateBlock& block : update_blocks) {
-          view_.read_rect(block.bbox, block.values);
-        }
-        for (ProcId neighbor : partition_.neighbors(self_)) {
-          send_batched_update(api, neighbor, kMsgSendLocData, self_,
-                              /*absolute=*/true, update_blocks);
-        }
-        segments_changed_[static_cast<std::size_t>(self_)] = 0;
-      } else {
-        ++shared_.updates_suppressed;
-      }
+    std::vector<UpdateBlock> blocks = take_deltas(api, self_);
+    if (blocks.empty()) {
+      ++shared_.updates_suppressed;
       return;
     }
-    if (auto extract = delta_.extract_region(self_)) {
-      api.advance(delta_.last_scan_cells() * tm.scan_cell_ns);
-      breakdown().msg_software_ns += delta_.last_scan_cells() * tm.scan_cell_ns;
-      // Absolute data comes from the view; the extracted delta values only
-      // located the changes.
-      std::vector<std::int32_t> values;
-      view_.read_rect(extract->bbox, values);
-      // Optimization from §4.3.2: absolute broadcasts go to the four mesh
-      // neighbors only.
-      for (ProcId neighbor : partition_.neighbors(self_)) {
-        send_data_update(api, neighbor, kMsgSendLocData, self_, extract->bbox,
-                         /*absolute=*/true, values);
-      }
-      segments_changed_[static_cast<std::size_t>(self_)] = 0;
-    } else {
-      ++shared_.updates_suppressed;
+    // The delta values only located the changes; each block carries
+    // absolute data from the view.
+    for (UpdateBlock& block : blocks) view_.read_rect(block.bbox, block.values);
+    const auto update = make_update(self_, /*absolute=*/true, std::move(blocks));
+    // Optimization from §4.3.2: absolute broadcasts go to the four mesh
+    // neighbors only.
+    for (ProcId neighbor : partition_.neighbors(self_)) {
+      send_update(api, neighbor, kMsgSendLocData, update);
+    }
+    segments_changed_[static_cast<std::size_t>(self_)] = 0;
+  }
+}
+
+std::vector<UpdateBlock> RouterNode::take_deltas(NodeApi& api, ProcId region) {
+  std::vector<UpdateBlock> blocks = delta_.extract_region(region, update_dims_);
+  if (!blocks.empty()) {
+    const SimTime scan = delta_.last_scan_cells() * config_.time.scan_cell_ns;
+    api.advance(scan);
+    breakdown().msg_software_ns += scan;
+  }
+  return blocks;
+}
+
+void RouterNode::send_update(NodeApi& api, ProcId dst, std::int32_t type,
+                             const std::shared_ptr<const RegionUpdatePayload>& update) {
+  const TimeModel& tm = config_.time;
+  const std::vector<UpdateBlock>& blocks = update->blocks;
+  LOCUS_ASSERT(!blocks.empty());
+  const auto r = static_cast<std::size_t>(update->region);
+  std::int32_t bytes = 0;
+  // Batching splits the delta scan's changes per tile; a ReqRmtData
+  // response is one requested window and keeps the bounding-box price.
+  if (config_.shard.batch_updates && type != kMsgRspRmtData) {
+    bytes = batched_update_packet_bytes(blocks, update->absolute);
+  } else {
+    LOCUS_ASSERT(blocks.size() == 1);
+    bytes = update_packet_bytes(config_.packet_structure, blocks.front().bbox,
+                                update->absolute, segments_changed_[r],
+                                partition_.region(update->region).area());
+    if (config_.packet_structure == PacketStructure::kWireBased &&
+        type != kMsgSendLocData) {
+      segments_changed_[r] = 0;
     }
   }
-}
-
-void RouterNode::send_data_update(NodeApi& api, ProcId dst, std::int32_t type,
-                                  ProcId region, const Rect& bbox, bool absolute,
-                                  std::vector<std::int32_t> values) {
-  const TimeModel& tm = config_.time;
-  auto r = static_cast<std::size_t>(region);
-  const std::int32_t bytes = update_packet_bytes(
-      config_.packet_structure, bbox, absolute, segments_changed_[r],
-      partition_.region(region).area());
-  if (config_.packet_structure == PacketStructure::kWireBased &&
-      type != kMsgSendLocData) {
-    segments_changed_[r] = 0;
-  }
-  if (type == kMsgSendRmtData && config_.observer != nullptr) {
-    config_.observer->on_delta_sent(self_, region, bbox, values);
-  }
-  auto [payload, payload_data] = make_payload<RegionUpdatePayload>();
-  payload_data->region = region;
-  payload_data->bbox = bbox;
-  payload_data->absolute = absolute;
-  payload_data->values = std::move(values);
-  // Assembly cost: fixed software overhead plus per-byte packing.
-  const SimTime pack_cost = tm.msg_fixed_ns + static_cast<SimTime>(bytes) * tm.pack_byte_ns;
-  api.advance(pack_cost);
-  breakdown().msg_software_ns += pack_cost;
-  api.send(dst, type, bytes, std::move(payload));
-  note_sent(type, bytes);
-  breakdown().network_copy_ns += tm.process_time_ns;
-}
-
-void RouterNode::send_batched_update(NodeApi& api, ProcId dst, std::int32_t type,
-                                     ProcId region, bool absolute,
-                                     std::vector<UpdateBlock> blocks) {
-  LOCUS_ASSERT(!blocks.empty());
-  LOCUS_ASSERT_MSG(config_.packet_structure == PacketStructure::kBoundingBox,
-                   "region batching tightens the bounding-box structure only");
-  const TimeModel& tm = config_.time;
-  Rect bbox;
-  for (const UpdateBlock& block : blocks) bbox.expand(block.bbox);
-  const std::int32_t bytes = batched_update_packet_bytes(blocks, absolute);
   if (type == kMsgSendRmtData && config_.observer != nullptr) {
     // One ledger event per block: applies fire per block on the receiver, so
-    // sent/applied keys must match block-for-block.
+    // sent/applied keys match block for block.
     for (const UpdateBlock& block : blocks) {
-      config_.observer->on_delta_sent(self_, region, block.bbox, block.values);
+      config_.observer->on_delta_sent(self_, update->region, block.bbox, block.values);
     }
   }
-  auto [payload, payload_data] = make_payload<RegionUpdatePayload>();
-  payload_data->region = region;
-  payload_data->bbox = bbox;
-  payload_data->absolute = absolute;
-  payload_data->blocks = std::move(blocks);
-  const SimTime pack_cost = tm.msg_fixed_ns + static_cast<SimTime>(bytes) * tm.pack_byte_ns;
-  api.advance(pack_cost);
-  breakdown().msg_software_ns += pack_cost;
-  api.send(dst, type, bytes, std::move(payload));
-  note_sent(type, bytes);
-  breakdown().network_copy_ns += tm.process_time_ns;
+  // Assembly cost: fixed software overhead plus per-byte packing.
+  send_packet(api, dst, type, bytes, update,
+              tm.msg_fixed_ns + static_cast<SimTime>(bytes) * tm.pack_byte_ns);
 }
 
-void RouterNode::apply_delta_block(const Rect& bbox,
-                                   std::span<const std::int32_t> values) {
-  view_.add_rect(bbox, values);
-  if (config_.observer != nullptr) {
-    config_.observer->on_delta_applied(self_, bbox, values);
-  }
-  // These changes are now part of our own region's state and must reach
-  // the neighbors in the next SendLocData: mark the own-region delta
-  // bounding box (values there are never sent; absolute data is).
-  const auto width = static_cast<std::size_t>(bbox.width());
-  for (std::int32_t c = bbox.channel_lo; c <= bbox.channel_hi; ++c) {
-    const auto row = static_cast<std::size_t>(c - bbox.channel_lo);
-    delta_.add_row(c, bbox.x_lo, values.subspan(row * width, width));
-  }
+void RouterNode::send_request(NodeApi& api, ProcId dst, std::int32_t type,
+                              ProcId region, const Rect& bbox) {
+  auto [request, request_data] = make_payload<RequestPayload>();
+  request_data->region = region;
+  request_data->bbox = bbox;
+  send_packet(api, dst, type, request_packet_bytes(), std::move(request),
+              config_.time.msg_fixed_ns);
+}
+
+void RouterNode::send_packet(NodeApi& api, ProcId dst, std::int32_t type,
+                             std::int32_t bytes, std::shared_ptr<const PacketPayload> payload,
+                             SimTime software_ns) {
+  api.advance(software_ns);
+  breakdown().msg_software_ns += software_ns;
+  api.send(dst, type, bytes, std::move(payload));
+  KindTraffic& sent = shared_.sent[msg_kind_index(type)];
+  ++sent.packets;
+  sent.bytes += static_cast<std::uint64_t>(bytes);
+  breakdown().network_copy_ns += config_.time.process_time_ns;
 }
 
 void RouterNode::note_route_segments(const WireRoute& route) {

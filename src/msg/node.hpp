@@ -2,15 +2,23 @@
 //
 // Each node owns one region of the cost array, holds a private view of the
 // whole array plus a delta array of unpropagated changes, and routes its
-// statically assigned wires. Both are tiled (grid/tile_grid.hpp): only the
-// tiles the node touches are allocated, and an absent tile reads as the
-// initial zero. Between wires it:
-//   * applies arrived updates (absolute region replacements or delta adds),
+// statically assigned wires, or the wires the dynamic queue grants it.
+// Both arrays are tiled (grid/tile_grid.hpp): only the tiles the node
+// touches are allocated, and an absent tile reads as the initial zero.
+// Between wires it:
+//   * applies arrived updates (absolute replacements or delta adds), block
+//     by block: every update carries a block list, one bounding box when
+//     unbatched or one tight box per tile when batched, and one send path
+//     prices either form;
 //   * answers ReqRmtData with absolute data and ReqLocData with deltas,
 //   * fires sender-initiated SendLocData / SendRmtData on their wire
 //     periods (suppressed when nothing changed),
 //   * orders receiver-initiated ReqRmtData a few wires ahead of routing,
 //     optionally blocking until the responses arrive.
+// Under dynamic assignment one grant engine serves both modes and every
+// grant policy; DynamicScheduleConfig::extended_protocol() picks only the
+// request format (header-only single-wire, or completion count plus
+// resident regions) and when a worker sends it.
 // Quality is later computed from the committed routes, never from the
 // (deliberately stale) views.
 #pragma once
@@ -79,11 +87,8 @@ struct MpShared {
   std::vector<RouteWorkStats> work;          ///< per proc
   std::vector<TimeBreakdown> time_breakdown; ///< per proc
   std::int64_t updates_suppressed = 0;       ///< clean-region updates skipped
-  std::int64_t requests_sent = 0;
-  std::int64_t responses_received = 0;
-  // Dynamic-scheduling counters (extended protocol, DESIGN.md §11).
-  std::int64_t grants_issued = 0;    ///< grant packets the queue owner sent
-  std::int64_t grant_wires = 0;      ///< wires carried by those grants
+  // Dynamic-scheduling counters (DESIGN.md §11).
+  std::int64_t grant_wires = 0;      ///< wires carried by grant packets
   std::int64_t affinity_grants = 0;  ///< wires taken from a resident bucket
   KindTally sent{};      ///< per message kind, as handed to the network
   KindTally received{};  ///< per message kind, as delivered to a node
@@ -116,61 +121,55 @@ class RouterNode final : public Node {
   /// charge to slice it).
   SimTime route_wire_id(NodeApi& api, WireId wire_id, std::int32_t iteration,
                         bool charge_now);
-  bool dynamic_step(NodeApi& api);
-  /// Master-side wire queue. Returns kGrantWait when the next iteration
-  /// cannot start yet (grants outstanding), kGrantDone when exhausted.
-  WireId take_next_wire(std::int32_t* iteration);
-  void note_request_from(ProcId src);
-  void drain_pending_grants(NodeApi& api);
-  void send_grant(NodeApi& api, ProcId dst, WireId wire, std::int32_t iteration);
-  void request_wire(NodeApi& api);
 
-  // Extended dynamic protocol (config_.dynamic.extended_protocol()):
-  // locality-scored batched grants.
+  // Dynamic wire assignment (paper §4.2, DESIGN.md §11): processor 0 owns
+  // the wire queue and routes wires itself; the others request, wait and
+  // route what they are granted.
   enum class TakeStatus : std::int8_t { kOk, kWait, kDefer, kDone };
-  bool master_step_ext(NodeApi& api);
-  bool worker_step_ext(NodeApi& api);
-  /// Pops up to `count` wires of the current iteration for `home`,
-  /// preferring its resident regions under GrantPolicy::kLocality. Batches
-  /// never straddle an iteration boundary; kWait means the rollover is
-  /// gated on outstanding wires, kDefer that nothing is reachable for this
-  /// requester inside the locality radius (park it until rollover), kDone
-  /// that the run is exhausted.
-  TakeStatus take_wires_ext(ProcId home, std::span<const ProcId> resident,
-                            std::int32_t count, std::int32_t* iteration,
-                            std::vector<WireId>* out);
-  void drain_pending_grants_ext(NodeApi& api);
-  void send_grant_ext(NodeApi& api, ProcId dst, std::vector<WireId> wires,
-                      std::int32_t iteration);
-  void request_wire_ext(NodeApi& api);
+  bool master_step(NodeApi& api);
+  bool worker_step(NodeApi& api);
+  /// Pops up to `count` wires of the current iteration for `home`: in
+  /// ascending id order under GrantPolicy::kFifoOrder, preferring its
+  /// resident regions under kLocality. Batches never straddle an iteration
+  /// boundary; kWait means the rollover is gated on outstanding wires,
+  /// kDefer that nothing is reachable for this requester inside the
+  /// locality radius (park it until rollover), kDone that the run is
+  /// exhausted.
+  TakeStatus take_wires(ProcId home, std::span<const ProcId> resident,
+                        std::int32_t count, std::int32_t* iteration,
+                        std::vector<WireId>* out);
+  void drain_pending_grants(NodeApi& api);
+  void send_grant(NodeApi& api, ProcId dst, std::vector<WireId> wires,
+                  std::int32_t iteration);
+  /// Sends a wire request in the configured format: header-only for the
+  /// single-wire protocol, else wire_request_packet_bytes().
+  void request_wire(NodeApi& api);
   /// Regions where this node's view currently backs storage, nearest first,
   /// capped at kResidentSummaryCap (node.cpp). Recomputed only
   /// when the view's resident footprint changed; empty unless the grant
   /// policy is kLocality.
   std::span<const ProcId> resident_summary();
   void fire_sender_updates(NodeApi& api);
-  void send_data_update(NodeApi& api, ProcId dst, std::int32_t type, ProcId region,
-                        const Rect& bbox, bool absolute,
-                        std::vector<std::int32_t> values);
-  /// Region-batched form (ShardConfig::batch_updates): one packet carrying
-  /// tight per-tile blocks. Fires on_delta_sent per block for delta packets
-  /// so the conservation ledger keys still match per-block applies.
-  void send_batched_update(NodeApi& api, ProcId dst, std::int32_t type,
-                           ProcId region, bool absolute,
-                           std::vector<UpdateBlock> blocks);
-  /// Applies one delta rectangle to the view and mirrors the nonzero cells
-  /// into our own-region delta bookkeeping (shared by the single-bbox and
-  /// batched receive paths).
-  void apply_delta_block(const Rect& bbox, std::span<const std::int32_t> values);
+  /// Extracts `region`'s pending deltas as blocks of update_dims_ (none if
+  /// clean) and charges the scan.
+  std::vector<UpdateBlock> take_deltas(NodeApi& api, ProcId region);
+  /// Sends one update packet to `dst`, charging its pack cost and bytes:
+  /// batched_update_packet_bytes() for a delta-scan update under
+  /// ShardConfig::batch_updates, else update_packet_bytes() of the
+  /// configured PacketStructure. Fires
+  /// on_delta_sent per block of a delta packet, matching the per-block
+  /// applies on the receiver.
+  void send_update(NodeApi& api, ProcId dst, std::int32_t type,
+                   const std::shared_ptr<const RegionUpdatePayload>& update);
+  /// Sends a header-only ReqRmtData / ReqLocData for `bbox` of `region`.
+  void send_request(NodeApi& api, ProcId dst, std::int32_t type, ProcId region,
+                    const Rect& bbox);
+  /// Charges `software_ns` of message software, hands the packet to the
+  /// network, tallies it per kind and books the send-side NI copy.
+  void send_packet(NodeApi& api, ProcId dst, std::int32_t type, std::int32_t bytes,
+                   std::shared_ptr<const PacketPayload> payload, SimTime software_ns);
   void note_route_segments(const WireRoute& route);
   TimeBreakdown& breakdown();
-
-  /// Per-kind sent-traffic tally.
-  void note_sent(std::int32_t type, std::int32_t bytes) {
-    KindTraffic& k = shared_.sent[msg_kind_index(type)];
-    ++k.packets;
-    k.bytes += static_cast<std::uint64_t>(bytes);
-  }
 
   const Circuit& circuit_;
   const Partition& partition_;
@@ -181,6 +180,9 @@ class RouterNode final : public Node {
 
   TiledCostArray view_;  ///< own region pinned resident from the start
   DeltaArray delta_;
+  /// Block shape of every update: shard.tile when batching, else the whole
+  /// grid (one bounding box per update).
+  TileDims update_dims_;
   ViewWithDelta view_with_delta_;
   WireRouter router_;
 
@@ -203,30 +205,22 @@ class RouterNode final : public Node {
   std::vector<std::int64_t> segments_changed_;  ///< per region
 
   // Dynamic wire assignment state (config_.assignment_mode != kStatic).
-  static constexpr WireId kGrantWait = -2;
-  static constexpr WireId kGrantDone = -1;
-  WireId granted_wire_ = -1;          ///< worker: wire in hand
-  std::int32_t granted_iteration_ = 0;
-  bool waiting_grant_ = false;        ///< worker: request outstanding
-  bool no_more_ = false;              ///< worker: queue exhausted
-  std::int32_t dyn_next_wire_ = 0;    ///< master: queue cursor
-  std::int32_t dyn_iteration_ = 0;    ///< master: current iteration
-  std::int32_t outstanding_grants_ = 0;      ///< master: granted, not re-requested
-  std::vector<bool> granted_to_;             ///< master: per worker
-  std::vector<ProcId> pending_requests_;     ///< master: waiting for rollover
-  SimTime slice_remaining_ = 0;       ///< master: sliced charge (interrupt mode)
-
-  // Extended dynamic protocol state (config_.dynamic.extended_protocol()).
   struct PendingRequest {
     ProcId src = -1;
     std::vector<ProcId> resident;  ///< requester's resident-region summary
   };
+  std::int32_t granted_iteration_ = 0;  ///< worker: iteration of its queue
+  bool waiting_grant_ = false;        ///< worker: request outstanding
+  bool no_more_ = false;              ///< worker: queue exhausted
+  std::int32_t dyn_next_wire_ = 0;    ///< master: FIFO queue cursor
+  std::int32_t dyn_iteration_ = 0;    ///< master: current iteration
+  SimTime slice_remaining_ = 0;       ///< master: sliced charge (interrupt mode)
   std::unique_ptr<WireAffinityIndex> affinity_;  ///< master, kLocality only
   std::int64_t outstanding_wires_ = 0;  ///< master: granted, not yet reported
-  std::vector<PendingRequest> pending_ext_;  ///< master: queued requests
+  std::vector<PendingRequest> queued_requests_;  ///< master
   /// Master: requests refused by the locality radius, parked until the
   /// iteration rolls over (or the run ends) re-queues them.
-  std::vector<PendingRequest> deferred_ext_;
+  std::vector<PendingRequest> deferred_requests_;
   std::vector<WireId> wire_queue_;    ///< worker: granted, not yet routed
   std::size_t queue_head_ = 0;
   std::int32_t completed_unreported_ = 0;  ///< worker: since last report

@@ -6,7 +6,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <map>
-#include <optional>
 #include <utility>
 #include <vector>
 
@@ -127,19 +126,20 @@ TEST_F(DeltaArrayTest, CancellationCleansRegion) {
   delta_.add(p, -1);
   EXPECT_FALSE(delta_.region_dirty(0));
   EXPECT_TRUE(delta_.dirty_bbox(0).is_empty());
-  EXPECT_FALSE(delta_.extract_region(0).has_value());
+  EXPECT_TRUE(delta_.extract_region(0, delta_.whole_grid()).empty());
 }
 
 TEST_F(DeltaArrayTest, ExtractReturnsTightBboxAndClears) {
   delta_.add({0, 2}, 1);
   delta_.add({2, 8}, -2);
   // Conservative bbox covers both; extraction tightens to exactly them.
-  auto extract = delta_.extract_region(0);
-  ASSERT_TRUE(extract.has_value());
-  EXPECT_EQ(extract->bbox, Rect::of(0, 2, 2, 8));
-  EXPECT_EQ(extract->values.size(), static_cast<std::size_t>(3 * 7));
-  EXPECT_EQ(extract->values.front(), 1);   // (0,2)
-  EXPECT_EQ(extract->values.back(), -2);   // (2,8)
+  const std::vector<UpdateBlock> blocks = delta_.extract_region(0, delta_.whole_grid());
+  ASSERT_EQ(blocks.size(), 1u);
+  const UpdateBlock& extract = blocks.front();
+  EXPECT_EQ(extract.bbox, Rect::of(0, 2, 2, 8));
+  EXPECT_EQ(extract.values.size(), static_cast<std::size_t>(3 * 7));
+  EXPECT_EQ(extract.values.front(), 1);   // (0,2)
+  EXPECT_EQ(extract.values.back(), -2);   // (2,8)
   EXPECT_FALSE(delta_.region_dirty(0));
   EXPECT_EQ(delta_.at({0, 2}), 0);
 }
@@ -149,15 +149,15 @@ TEST_F(DeltaArrayTest, BboxTightensAfterPartialCancellation) {
   delta_.add({2, 9}, 1);
   delta_.add({2, 9}, -1);  // outer corner cancels
   ASSERT_TRUE(delta_.region_dirty(0));
-  auto extract = delta_.extract_region(0);
-  ASSERT_TRUE(extract.has_value());
-  EXPECT_EQ(extract->bbox, Rect::single({0, 0}));  // tightened by the scan
+  const std::vector<UpdateBlock> blocks = delta_.extract_region(0, delta_.whole_grid());
+  ASSERT_EQ(blocks.size(), 1u);
+  EXPECT_EQ(blocks.front().bbox, Rect::single({0, 0}));  // tightened by the scan
 }
 
 TEST_F(DeltaArrayTest, ScanCostReported) {
   delta_.add({0, 0}, 1);
   delta_.add({1, 10}, 1);
-  delta_.extract_region(0);
+  delta_.extract_region(0, delta_.whole_grid());
   // Conservative box spans channels 0..1, x 0..10 => 22 cells scanned.
   EXPECT_EQ(delta_.last_scan_cells(), 22);
 }
@@ -169,7 +169,7 @@ TEST_F(DeltaArrayTest, RegionsAreIndependent) {
   EXPECT_TRUE(delta_.region_dirty(0));
   EXPECT_TRUE(delta_.region_dirty(1));
   EXPECT_TRUE(delta_.region_dirty(2));
-  delta_.extract_region(1);
+  delta_.extract_region(1, delta_.whole_grid());
   EXPECT_TRUE(delta_.region_dirty(0));
   EXPECT_FALSE(delta_.region_dirty(1));
   EXPECT_TRUE(delta_.region_dirty(2));
@@ -296,17 +296,18 @@ TEST_P(DeltaArrayProperty, AgreesWithMirrorModel) {
     const Rect scanned = scan_box[static_cast<std::size_t>(region)];
     scan_box[static_cast<std::size_t>(region)] = Rect::empty();
     region_nonzero[static_cast<std::size_t>(region)] = 0;
-    auto extract = delta.extract_region(region);
-    ASSERT_EQ(extract.has_value(), nonzero > 0);
+    const std::vector<UpdateBlock> blocks = delta.extract_region(region, delta.whole_grid());
+    ASSERT_EQ(blocks.size(), nonzero > 0 ? 1u : 0u);
     ASSERT_EQ(delta.last_scan_cells(), scanned.area());
     ASSERT_FALSE(delta.region_dirty(region));
-    if (!extract) continue;
-    ASSERT_EQ(extract->bbox, tight);
+    if (blocks.empty()) continue;
+    const UpdateBlock& extract = blocks.front();
+    ASSERT_EQ(extract.bbox, tight);
     // Apply extraction to the mirror: those deltas are now propagated.
     std::size_t i = 0;
     for (std::int32_t c = tight.channel_lo; c <= tight.channel_hi; ++c) {
       for (std::int32_t x = tight.x_lo; x <= tight.x_hi; ++x, ++i) {
-        ASSERT_EQ(extract->values[i], cell(c, x));
+        ASSERT_EQ(extract.values[i], cell(c, x));
         cell(c, x) = 0;
       }
     }
@@ -319,10 +320,10 @@ TEST_P(DeltaArrayProperty, AgreesWithMirrorModel) {
 /// (tile row, tile col), then a per-cell copy-out. It clears the taken
 /// deltas with add() of their negation, which leaves the same counts and
 /// boxes as the extraction's bookkeeping reset.
-std::optional<std::vector<DeltaArray::Extract>> map_reference_blocks(
-    DeltaArray& delta, ProcId region, TileDims dims, std::int64_t* scan_cells) {
+std::vector<UpdateBlock> map_reference_blocks(DeltaArray& delta, ProcId region,
+                                              TileDims dims, std::int64_t* scan_cells) {
   *scan_cells = 0;
-  if (!delta.region_dirty(region)) return std::nullopt;
+  if (!delta.region_dirty(region)) return {};
   const Rect scan = delta.dirty_bbox(region);
   std::map<std::pair<std::int32_t, std::int32_t>, Rect> tight_by_tile;
   for (std::int32_t c = scan.channel_lo; c <= scan.channel_hi; ++c) {
@@ -333,9 +334,9 @@ std::optional<std::vector<DeltaArray::Extract>> map_reference_blocks(
       }
     }
   }
-  std::vector<DeltaArray::Extract> blocks;
+  std::vector<UpdateBlock> blocks;
   for (const auto& [tile, tight] : tight_by_tile) {
-    DeltaArray::Extract out;
+    UpdateBlock out;
     out.bbox = tight;
     for (std::int32_t c = tight.channel_lo; c <= tight.channel_hi; ++c) {
       for (std::int32_t x = tight.x_lo; x <= tight.x_hi; ++x) {
@@ -344,7 +345,7 @@ std::optional<std::vector<DeltaArray::Extract>> map_reference_blocks(
     }
     blocks.push_back(std::move(out));
   }
-  for (const DeltaArray::Extract& block : blocks) {
+  for (const UpdateBlock& block : blocks) {
     std::size_t i = 0;
     for (std::int32_t c = block.bbox.channel_lo; c <= block.bbox.channel_hi; ++c) {
       for (std::int32_t x = block.bbox.x_lo; x <= block.bbox.x_hi; ++x, ++i) {
@@ -355,7 +356,7 @@ std::optional<std::vector<DeltaArray::Extract>> map_reference_blocks(
   return blocks;
 }
 
-/// Property: on identical random span workloads, extract_region_blocks
+/// Property: on identical random span workloads, extract_region
 /// returns the map reference's blocks block for block — same order, boxes
 /// and values — at the same scan cost, for block shapes equal to, finer
 /// than, coarser than and unaligned with the storage tiles, and leaves the
@@ -379,15 +380,12 @@ TEST_P(DeltaArrayProperty, BlocksMatchMapReference) {
     const TileDims dims = block_dims[rng.bounded(4)];
     std::int64_t reference_scan = 0;
     const auto want = map_reference_blocks(reference, region, dims, &reference_scan);
-    const auto got = fast.extract_region_blocks(region, dims);
-    ASSERT_EQ(got.has_value(), want.has_value());
+    const auto got = fast.extract_region(region, dims);
     ASSERT_EQ(fast.last_scan_cells(), reference_scan);
-    if (got.has_value()) {
-      ASSERT_EQ(got->size(), want->size());
-      for (std::size_t b = 0; b < got->size(); ++b) {
-        ASSERT_EQ((*got)[b].bbox, (*want)[b].bbox) << "block " << b;
-        ASSERT_EQ((*got)[b].values, (*want)[b].values) << "block " << b;
-      }
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t b = 0; b < got.size(); ++b) {
+      ASSERT_EQ(got[b].bbox, want[b].bbox) << "block " << b;
+      ASSERT_EQ(got[b].values, want[b].values) << "block " << b;
     }
     for (ProcId r = 0; r < 4; ++r) {
       ASSERT_EQ(fast.dirty_bbox(r), reference.dirty_bbox(r)) << r;

@@ -136,9 +136,18 @@ MpRunResult run_ext(const Circuit& circuit, const DynamicScheduleConfig& dyn,
 TEST_F(DynamicAssignment, DefaultConfigKeepsLegacyProtocol) {
   EXPECT_FALSE(DynamicScheduleConfig{}.extended_protocol());
   MpRunResult r = run_mode(circuit_, WireAssignmentMode::kDynamicPolled);
-  // The legacy path never touches the extended counters.
-  EXPECT_EQ(r.grants_issued, 0);
-  EXPECT_EQ(r.grant_wires, 0);
+  // Single-wire requests are header-only.
+  const KindTraffic& requests = r.sent_by_kind[msg_kind_index(kMsgWireRequest)];
+  EXPECT_EQ(requests.bytes, requests.packets * request_packet_bytes());
+  EXPECT_EQ(r.requests_sent, static_cast<std::int64_t>(requests.packets));
+  // Every grant packet counts. Each of the three workers gets one wire per
+  // grant and a final empty no-more grant, and asks once per grant.
+  EXPECT_EQ(r.grants_issued, static_cast<std::int64_t>(
+                                 r.sent_by_kind[msg_kind_index(kMsgWireGrant)].packets));
+  EXPECT_EQ(r.grant_wires, r.grants_issued - 3);
+  EXPECT_EQ(r.requests_sent, r.grants_issued);
+  EXPECT_EQ(r.grant_wires,
+            r.work.wires_routed - r.routed_per_proc.front());
   EXPECT_EQ(r.affinity_grants, 0);
 }
 

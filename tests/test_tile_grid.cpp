@@ -7,7 +7,6 @@
 
 #include <cstdint>
 #include <map>
-#include <optional>
 #include <vector>
 
 #include "geom/partition.hpp"
@@ -218,7 +217,7 @@ TEST(DeltaArrayTiled, FullCancellationSuppressesExtraction) {
   tiled.add({1, 10}, -2);
   tiled.add({0, 3}, -5);
   tiled.add({1, 10}, 2);
-  EXPECT_FALSE(tiled.extract_region(partition.owner({0, 3})).has_value());
+  EXPECT_TRUE(tiled.extract_region(partition.owner({0, 3}), tiled.whole_grid()).empty());
 }
 
 /// Block extraction against the single-bbox form on identical delta state:
@@ -238,19 +237,20 @@ TEST(DeltaArrayTiled, RegionBlocksCoverSingleBboxExtraction) {
       split.add(p, d);
     }
     for (ProcId r = 0; r < 4; ++r) {
-      std::optional<DeltaArray::Extract> single = whole.extract_region(r);
+      const std::vector<UpdateBlock> singles = whole.extract_region(r, whole.whole_grid());
       const std::int64_t single_scan = whole.last_scan_cells();
-      std::optional<std::vector<DeltaArray::Extract>> blocks =
-          split.extract_region_blocks(r, kSmallTiles);
-      ASSERT_EQ(blocks.has_value(), single.has_value());
+      const std::vector<UpdateBlock> blocks = split.extract_region(r, kSmallTiles);
+      ASSERT_LE(singles.size(), 1u);
+      ASSERT_EQ(blocks.empty(), singles.empty());
       ASSERT_EQ(split.last_scan_cells(), single_scan);
       EXPECT_FALSE(split.region_dirty(r));
-      if (!single.has_value()) continue;
+      if (singles.empty()) continue;
+      const UpdateBlock* single = &singles.front();
       // Scatter the block cells into a map; they must be disjoint, inside
       // the region, inside the union bbox, and each block bbox tight enough
       // to be non-empty.
       std::map<std::pair<std::int32_t, std::int32_t>, std::int32_t> from_blocks;
-      for (const DeltaArray::Extract& block : *blocks) {
+      for (const UpdateBlock& block : blocks) {
         ASSERT_FALSE(block.bbox.is_empty());
         ASSERT_TRUE(partition.region(r).contains(block.bbox));
         ASSERT_TRUE(single->bbox.contains(block.bbox));
