@@ -25,9 +25,6 @@ locus_add_bench(ablation_protocols ${LOCUS_TABLE_LIBS})
 locus_add_bench(ablation_topology ${LOCUS_TABLE_LIBS})
 
 locus_add_bench(micro_router locus_route locus_circuit locus_grid locus_geom locus_support benchmark::benchmark)
-locus_add_bench(micro_explorer locus_route locus_circuit locus_grid locus_geom locus_sim_pool locus_support)
-locus_add_bench(micro_network locus_sim locus_sim_pool locus_geom locus_support)
-locus_add_bench(micro_sim locus_sim locus_sim_pool locus_geom locus_support)
 locus_add_bench(micro_coherence locus_coherence locus_shm locus_route locus_circuit locus_grid locus_assign locus_sim locus_geom locus_support benchmark::benchmark)
 
 locus_add_bench(overhead_breakdown ${LOCUS_TABLE_LIBS})
@@ -38,7 +35,6 @@ locus_add_bench(ablation_schedule_knobs ${LOCUS_TABLE_LIBS})
 locus_add_bench(view_staleness ${LOCUS_TABLE_LIBS})
 locus_add_bench(micro_msg locus_msg locus_grid locus_geom locus_support benchmark::benchmark)
 locus_add_bench(scaling_large ${LOCUS_TABLE_LIBS})
-locus_add_bench(micro_scale ${LOCUS_TABLE_LIBS})
 locus_add_bench(scale_sweep ${LOCUS_TABLE_LIBS})
 locus_add_bench(ablation_cache_size ${LOCUS_TABLE_LIBS})
 locus_add_bench(topology_sweep ${LOCUS_TABLE_LIBS})

@@ -3,27 +3,19 @@
 // and reports wall time. Each binary reproduces one table/figure/section of
 // the paper's evaluation; see DESIGN.md's experiment index.
 //
-// --json=PATH additionally emits a machine-readable run record (per-section
-// wall time plus any counters the section recorded via benchmain::record()),
-// the format scripts/bench_compare.py diffs to catch performance
-// regressions. Convention: counters named *_s are wall-clock seconds (lower
-// is better, 15% gate), *_rps are throughput rates (higher is better, 15%
-// gate), *_x are ratios — displayed in diffs but never gated, since a ratio
-// of two measured times doubles the host noise and its components are
-// already gated individually — unsuffixed integers are exact-match work
-// counters (cells_probed, events_executed, ...), and unsuffixed
-// non-integers are informational only (host-dependent numbers like
-// thread-pool wall times and speedups).
+// The wall times printed here are for the reader, not a regression gate:
+// host time is measured by perfbench (BENCHMARK.json), which runs the
+// parent and the change in alternating pairs on one host, and the exact
+// simulated figures are pinned by ctest.
 //
 // --only=SUBSTRING restricts a run to the sections whose title contains the
-// substring (case-sensitive) — e.g. `micro_sim --only=pool_profile` is the
-// pool contention profiler on its own.
+// substring (case-sensitive) — e.g. `ablation_router --only=iteration` runs
+// the convergence section alone.
 #pragma once
 
 #include <cstdio>
 #include <functional>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "circuit/generator.hpp"
@@ -39,55 +31,10 @@ struct Section {
   std::function<Table()> build;
 };
 
-namespace detail {
-
-/// Counters recorded by the currently running section, in insertion order.
-inline std::vector<std::pair<std::string, double>>& counters() {
-  static std::vector<std::pair<std::string, double>> c;
-  return c;
-}
-
-inline std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char ch : s) {
-    if (ch == '"' || ch == '\\') out.push_back('\\');
-    out.push_back(ch);
-  }
-  return out;
-}
-
-/// Formats doubles compactly: integral values without a fraction (counter
-/// semantics), everything else with enough digits to round-trip timings.
-inline std::string json_number(double v) {
-  char buf[64];
-  if (v == static_cast<double>(static_cast<long long>(v))) {
-    std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(v));
-  } else {
-    std::snprintf(buf, sizeof(buf), "%.6g", v);
-  }
-  return buf;
-}
-
-}  // namespace detail
-
-/// Records (or overwrites) a named counter on the section being built.
-/// Values land in the --json record; no-op for plain table runs.
-inline void record(const std::string& name, double value) {
-  for (auto& [n, v] : detail::counters()) {
-    if (n == name) {
-      v = value;
-      return;
-    }
-  }
-  detail::counters().emplace_back(name, value);
-}
-
 inline int run(int argc, char** argv, const std::string& heading,
                const std::vector<Section>& sections) {
   Cli cli;
   cli.flag("csv", "emit CSV instead of aligned tables", false);
-  cli.flag("json", "also write a JSON run record to this path", "");
   cli.flag("only", "run only sections whose title contains this substring",
            "");
   cli.flag("threads",
@@ -96,16 +43,8 @@ inline int run(int argc, char** argv, const std::string& heading,
            "0");
   if (!cli.parse(argc, argv)) return 1;
   const bool csv = cli.get_bool("csv");
-  const std::string json_path = cli.get("json");
   const std::string only = cli.get("only");
   set_sim_threads(static_cast<int>(cli.get_int("threads")));
-
-  struct SectionRecord {
-    std::string title;
-    double wall_s;
-    std::vector<std::pair<std::string, double>> counters;
-  };
-  std::vector<SectionRecord> records;
 
   std::printf("=== %s ===\n", heading.c_str());
   Stopwatch total;
@@ -113,44 +52,13 @@ inline int run(int argc, char** argv, const std::string& heading,
     if (!only.empty() && section.title.find(only) == std::string::npos) {
       continue;
     }
-    detail::counters().clear();
     Stopwatch sw;
     Table table = section.build();
     const double wall = sw.seconds();
     std::printf("\n-- %s (built in %.2fs) --\n", section.title.c_str(), wall);
     std::fputs((csv ? table.render_csv() : table.render()).c_str(), stdout);
-    records.push_back(SectionRecord{section.title, wall, detail::counters()});
   }
-  const double total_wall = total.seconds();
-  std::printf("\ntotal wall time: %.2fs\n", total_wall);
-
-  if (!json_path.empty()) {
-    std::FILE* f = std::fopen(json_path.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
-      return 1;
-    }
-    std::fprintf(f, "{\n  \"bench\": \"%s\",\n  \"sections\": [\n",
-                 detail::json_escape(heading).c_str());
-    for (std::size_t i = 0; i < records.size(); ++i) {
-      const SectionRecord& r = records[i];
-      std::fprintf(f, "    {\"title\": \"%s\", \"wall_s\": %.6f",
-                   detail::json_escape(r.title).c_str(), r.wall_s);
-      if (!r.counters.empty()) {
-        std::fprintf(f, ", \"counters\": {");
-        for (std::size_t j = 0; j < r.counters.size(); ++j) {
-          std::fprintf(f, "%s\"%s\": %s", j == 0 ? "" : ", ",
-                       detail::json_escape(r.counters[j].first).c_str(),
-                       detail::json_number(r.counters[j].second).c_str());
-        }
-        std::fprintf(f, "}");
-      }
-      std::fprintf(f, "}%s\n", i + 1 < records.size() ? "," : "");
-    }
-    std::fprintf(f, "  ],\n  \"total_wall_s\": %.6f\n}\n", total_wall);
-    std::fclose(f);
-    std::printf("json record: %s\n", json_path.c_str());
-  }
+  std::printf("\ntotal wall time: %.2fs\n", total.seconds());
   return 0;
 }
 

@@ -9,9 +9,8 @@
 //   LOCUS_SCALE_COST_MODEL  per-link timing discipline out of
 //                      fixed,md1 (default "fixed")
 // Runs with tiled views and region-batched updates (the configuration
-// the scale tier exists to exercise). The headline sim_route_rps counter
-// reports the first listed mode, so existing baselines are unchanged when
-// LOCUS_SCALE_MODES is unset.
+// the scale tier exists to exercise). The table is the output; the exact
+// figures of its 10k and 100k points are pinned in tests/test_scale.cpp.
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -82,26 +81,5 @@ int main(int argc, char** argv) {
   options.cost_model = parse_cost_model("LOCUS_SCALE_COST_MODEL");
   return locus::benchmain::run(
       argc, argv, "Scale sweep: hierarchical circuits, sharded views",
-      {{"procs x wires", [&] {
-          locus::ScaleSweepResult result = locus::run_scale_sweep(options);
-          locus::benchmain::record("sim_route_rps", result.headline_route_rps);
-          locus::benchmain::record(
-              "traffic_bytes",
-              static_cast<double>(result.headline_traffic_bytes));
-          locus::benchmain::record(
-              "view_resident_bytes",
-              static_cast<double>(result.headline_resident_bytes));
-          // Per-mode counters for the largest combination, keyed by mode
-          // name so a multi-mode lane can gate the dynamic-vs-geographic
-          // ratios directly.
-          for (const locus::ScaleModeMetrics& m : result.headline_modes) {
-            const std::string prefix = locus::scale_assign_mode_name(m.mode);
-            locus::benchmain::record(prefix + "_rps", m.route_rps);
-            locus::benchmain::record(prefix + "_view_bytes",
-                                     static_cast<double>(m.resident_bytes));
-            locus::benchmain::record(prefix + "_routed_stddev",
-                                     m.routed_stddev);
-          }
-          return std::move(result.table);
-        }}});
+      {{"procs x wires", [&] { return locus::run_scale_sweep(options).table; }}});
 }

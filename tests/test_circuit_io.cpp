@@ -1,11 +1,15 @@
-// Tests for the .ckt text format: round trips and rejection of every
-// malformed-input class with the right line number.
+// Tests for the .ckt text format: round trips, rejection of every
+// malformed-input class with the right line number, and a seeded mutation
+// fuzz of a written circuit.
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <sstream>
+#include <string>
 
 #include "circuit/generator.hpp"
 #include "circuit/io.hpp"
+#include "support/rng.hpp"
 
 namespace locus {
 namespace {
@@ -71,6 +75,67 @@ TEST(CircuitIo, FileRoundTrip) {
 
 TEST(CircuitIo, MissingFileThrows) {
   EXPECT_THROW(read_circuit_file("/nonexistent/nope.ckt"), std::runtime_error);
+}
+
+/// Seeded mutation fuzz: byte flips, truncations and dropped lines of a
+/// written circuit either parse into a circuit whose pins are all in range
+/// and which round-trips write_circuit -> read_circuit unchanged, or throw
+/// CircuitParseError (a std::runtime_error) -- never an abort.
+TEST(CircuitIoFuzz, MutatedInputParsesOrThrows) {
+  std::ostringstream written;
+  write_circuit(written, make_tiny_test_circuit());
+  const std::string clean = written.str();
+
+  Rng rng(0xC4C7);
+  int parsed = 0;
+  int rejected = 0;
+  for (int iter = 0; iter < 2000; ++iter) {
+    std::string data = clean;
+    const std::uint64_t kind = rng.bounded(3);
+    if (kind == 0) {
+      data.resize(rng.bounded(data.size()));
+    } else if (kind == 1) {
+      const auto flips = 1 + rng.bounded(4);
+      for (std::uint64_t f = 0; f < flips; ++f) {
+        data[rng.bounded(data.size())] ^= static_cast<char>(1u << rng.bounded(8));
+      }
+    } else {
+      // Drop one whole line, newline included.
+      std::size_t begin = data.rfind('\n', rng.bounded(data.size()));
+      begin = begin == std::string::npos ? 0 : begin + 1;
+      const std::size_t end = data.find('\n', begin);
+      data.erase(begin, end == std::string::npos ? std::string::npos : end - begin + 1);
+    }
+    std::optional<Circuit> maybe;
+    try {
+      maybe = parse(data);
+    } catch (const std::runtime_error&) {
+      ++rejected;
+      continue;
+    }
+    ++parsed;
+    const Circuit& circuit = *maybe;
+    for (const Wire& wire : circuit.wires()) {
+      ASSERT_GE(wire.pins.size(), 2u) << data;
+      for (const Pin& pin : wire.pins) {
+        ASSERT_TRUE(pin.x >= 0 && pin.x < circuit.grids() && pin.row >= 0 &&
+                    pin.row < circuit.num_cell_rows())
+            << data;
+      }
+    }
+    std::ostringstream out;
+    write_circuit(out, circuit);
+    const Circuit again = parse(out.str());
+    ASSERT_EQ(again.name(), circuit.name()) << data;
+    ASSERT_EQ(again.channels(), circuit.channels()) << data;
+    ASSERT_EQ(again.grids(), circuit.grids()) << data;
+    ASSERT_EQ(again.num_wires(), circuit.num_wires()) << data;
+    for (WireId w = 0; w < circuit.num_wires(); ++w) {
+      ASSERT_EQ(again.wire(w).pins, circuit.wire(w).pins) << data;
+    }
+  }
+  EXPECT_GT(parsed, 0);
+  EXPECT_GT(rejected, 0);
 }
 
 struct BadInput {

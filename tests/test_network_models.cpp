@@ -4,7 +4,9 @@
 // model x topology; transport recovery bit-identity with the M/D/1 model
 // on; and the full differential-oracle matrix (four MP schedules x three
 // topologies x two cost models) with the consistency checker and
-// transport ledger asserted everywhere.
+// transport ledger asserted everywhere. Last, the exact work counts of
+// three fixed injection storms (a 4x4 mesh under each link cost model and
+// a 16-leaf binary fat tree under M/D/1).
 #include <algorithm>
 #include <cstdint>
 #include <map>
@@ -16,7 +18,9 @@
 #include "check/oracle.hpp"
 #include "harness/experiments.hpp"
 #include "msg/driver.hpp"
+#include "sim/event_queue.hpp"
 #include "sim/link_cost.hpp"
+#include "sim/network.hpp"
 #include "sim/topology.hpp"
 #include "support/rng.hpp"
 #include "test_util.hpp"
@@ -374,6 +378,77 @@ TEST(TopologySweep, EmitsFullMatrixAndPassesChecks) {
                              "max util", "stalls"}) {
     EXPECT_NE(rendered.find(needle), std::string::npos) << needle;
   }
+}
+
+// --- Injection storms: exact simulated work counts ---
+
+struct StormCounts {
+  std::uint64_t delivered = 0;
+  SimTime finish = 0;
+  std::uint64_t byte_hops = 0;
+  std::uint64_t stalls = 0;
+  std::uint64_t events = 0;
+  std::size_t peak_pending = 0;
+  std::size_t in_flight_after = 0;
+};
+
+/// 4096 packets of 64 B on a 16-node topology (source i % 16, destination
+/// (7i + 1) % 16, bumped off the source), injected in 32 waves 50 ns apart
+/// and priced under `kind`.
+StormCounts run_storm(const Topology& topo, LinkCostModelKind kind) {
+  StormCounts out;
+  EventQueue q;
+  NetworkParams params;
+  params.cost.kind = kind;
+  Network net(topo, params, q, [&](const Packet&, SimTime at) {
+    ++out.delivered;
+    out.finish = std::max(out.finish, at);
+  });
+  for (int i = 0; i < 4096; ++i) {
+    Packet p;
+    p.src = i % 16;
+    p.dst = (i * 7 + 1) % 16;
+    if (p.dst == p.src) p.dst = (p.dst + 1) % 16;
+    p.type = 1;
+    p.bytes = 64;
+    net.schedule_inject(std::move(p), (i % 32) * 50);
+  }
+  q.run();
+  out.byte_hops = net.stats().byte_hops;
+  out.stalls = net.link_usage(out.finish).stalls;
+  out.events = q.executed();
+  out.peak_pending = q.peak_pending();
+  out.in_flight_after = net.packets_in_flight();
+  return out;
+}
+
+TEST(NetworkStorm, MeshStormUnderEachLinkCostModel) {
+  const Topology mesh({4, 4}, Topology::Edges::kMesh);
+  // kFixed is the default, so this is also the storm under default params.
+  const StormCounts fixed = run_storm(mesh, LinkCostModelKind::kFixed);
+  EXPECT_EQ(fixed.delivered, 4096u);
+  EXPECT_EQ(fixed.events, 8192u);
+  EXPECT_EQ(fixed.peak_pending, 4096u);
+  EXPECT_EQ(fixed.in_flight_after, 0u);
+  EXPECT_EQ(fixed.finish, 3'279'600);
+  EXPECT_EQ(fixed.byte_hops, 589'824u);
+  EXPECT_EQ(fixed.stalls, 768u);
+  const StormCounts md1 = run_storm(mesh, LinkCostModelKind::kMd1);
+  EXPECT_EQ(md1.delivered, 4096u);
+  EXPECT_EQ(md1.finish, 3'407'710);
+  EXPECT_EQ(md1.byte_hops, 589'824u);
+  EXPECT_EQ(md1.stalls, 9182u);
+}
+
+TEST(NetworkStorm, FatTreeRoutesAndMd1Storm) {
+  const Topology tree = Topology::fat_tree(16, 2);
+  std::size_t hops = 0;
+  for (int i = 0; i < 100'000; ++i) hops += tree.route(i % 16, (i * 13 + 5) % 16).size();
+  EXPECT_EQ(hops, 625'000u);
+  const StormCounts md1 = run_storm(tree, LinkCostModelKind::kMd1);
+  EXPECT_EQ(md1.delivered, 4096u);
+  EXPECT_EQ(md1.finish, 3'238'394);
+  EXPECT_EQ(md1.stalls, 24'516u);
 }
 
 }  // namespace
