@@ -17,8 +17,10 @@
 #include <string>
 #include <vector>
 
-#include "bench_main.hpp"
 #include "harness/experiments.hpp"
+#include "harness/sim_pool.hpp"
+#include "support/cli.hpp"
+#include "support/stopwatch.hpp"
 
 namespace {
 
@@ -74,12 +76,22 @@ locus::LinkCostModelKind parse_cost_model(const char* env) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  locus::Cli cli;
+  cli.flag("threads",
+           "worker threads for the sweep; table bytes are identical at any "
+           "value (0: LOCUS_THREADS, else serial)",
+           "0");
+  if (!cli.parse(argc, argv)) return 1;
+  locus::set_sim_threads(static_cast<int>(cli.get_int("threads")));
   locus::ScaleSweepOptions options;
   options.wire_counts = parse_list("LOCUS_SCALE_WIRES", "100000");
   options.proc_counts = parse_list("LOCUS_SCALE_PROCS", "16,64");
   options.modes = parse_modes("LOCUS_SCALE_MODES");
   options.cost_model = parse_cost_model("LOCUS_SCALE_COST_MODEL");
-  return locus::benchmain::run(
-      argc, argv, "Scale sweep: hierarchical circuits, sharded views",
-      {{"procs x wires", [&] { return locus::run_scale_sweep(options).table; }}});
+  locus::Stopwatch sw;
+  const locus::Table table = locus::run_scale_sweep(options).table;
+  std::printf("=== Scale sweep: hierarchical circuits, sharded views ===\n\n%s"
+              "\ntotal wall time: %.2fs\n",
+              table.render().c_str(), sw.seconds());
+  return 0;
 }

@@ -5,22 +5,29 @@
 // independent, which scripts/verify.sh --bench diffs at --threads=1 vs 4.
 #include <cstdio>
 
-#include "bench_main.hpp"
+#include "circuit/generator.hpp"
 #include "harness/experiments.hpp"
+#include "harness/sim_pool.hpp"
+#include "support/cli.hpp"
+#include "support/stopwatch.hpp"
 
 int main(int argc, char** argv) {
-  locus::Circuit bnre = locus::make_bnre_like();
-  bool all_ok = true;
-  const int status = locus::benchmain::run(
-      argc, argv, "Topology sweep: protocols x topologies x link cost models",
-      {{"protocol x topology x cost model", [&] {
-          locus::TopologySweepResult result = locus::run_topology_sweep(bnre);
-          all_ok = all_ok && result.all_ok;
-          return std::move(result.table);
-        }}});
-  if (status == 0 && !all_ok) {
+  locus::Cli cli;
+  cli.flag("threads",
+           "worker threads for the sweep; table bytes are identical at any "
+           "value (0: LOCUS_THREADS, else serial)",
+           "0");
+  if (!cli.parse(argc, argv)) return 1;
+  locus::set_sim_threads(static_cast<int>(cli.get_int("threads")));
+  locus::Stopwatch sw;
+  const locus::TopologySweepResult result =
+      locus::run_topology_sweep(locus::make_bnre_like());
+  std::printf("=== Topology sweep: protocols x topologies x link cost models "
+              "===\n\n%s\ntotal wall time: %.2fs\n",
+              result.table.render().c_str(), sw.seconds());
+  if (!result.all_ok) {
     std::fprintf(stderr, "FAIL: a sweep cell failed consistency or the ledger\n");
     return 1;
   }
-  return status;
+  return 0;
 }

@@ -16,10 +16,11 @@
 #                                 # sweep (every row must converge
 #                                 # bit-identically)
 #   scripts/verify.sh --bench     # tier-1 + pool determinism gate: the
-#                                 # sec52/table1 benches, a dyn-local scale
-#                                 # sweep, the topology sweep and the scale
-#                                 # sweep under each link cost model must emit
-#                                 # identical rows at --threads=1 and =4
+#                                 # sec52/table1 reproduce_paper sections, a
+#                                 # dyn-local scale sweep, the topology sweep
+#                                 # and the scale sweep under each link cost
+#                                 # model must emit identical rows at
+#                                 # --threads=1 and =4
 #                                 # (host time is perfbench's job; see
 #                                 # perfbench/README.md)
 #   scripts/verify.sh --obs       # tier-1 + observability smoke: trace +
@@ -63,23 +64,24 @@ ctest -L check --output-on-failure -j "$(nproc)"
 ctest -L transport --output-on-failure -j "$(nproc)"
 ctest -L network --output-on-failure -j "$(nproc)"
 
-# Optional pool determinism gates: every bench below must print the same
+# Optional pool determinism gates: every run below must print the same
 # data rows at SimPool widths 1 and 4.
 if [[ "$RUN_BENCH" == 1 ]]; then
   cd ..
-  # Pool determinism gate: the table fan-outs must produce byte-identical
-  # data rows at any thread count; only the wall-time lines may differ.
-  for b in sec52_mp_vs_shm table1_sender_initiated; do
-    "./$BUILD_DIR/bench/$b" --threads=1 \
-      | grep -v 'built in\|total wall time' > /tmp/locus-bench-serial.txt
-    "./$BUILD_DIR/bench/$b" --threads=4 \
-      | grep -v 'built in\|total wall time' > /tmp/locus-bench-pooled.txt
-    if ! diff -u /tmp/locus-bench-serial.txt /tmp/locus-bench-pooled.txt; then
-      echo "FAIL: $b output diverges between --threads=1 and --threads=4" >&2
-      exit 1
-    fi
-    echo "pool determinism: $b identical at --threads=1 and --threads=4"
+  # Pool determinism gate: the table fan-outs must write byte-identical
+  # reports at any thread count; only the total build time line may differ.
+  for threads in 1 4; do
+    "./$BUILD_DIR/examples/reproduce_paper" \
+      --only=sec52_mp_vs_shm,table1_sender_initiated --threads="$threads" \
+      --out="/tmp/locus-report-$threads.md" > /dev/null
+    grep -v '^Total build time' "/tmp/locus-report-$threads.md" \
+      > "/tmp/locus-report-$threads.txt"
   done
+  if ! diff -u /tmp/locus-report-1.txt /tmp/locus-report-4.txt; then
+    echo "FAIL: report diverges between --threads=1 and --threads=4" >&2
+    exit 1
+  fi
+  echo "pool determinism: sec52/table1 report identical at --threads=1 and =4"
   # Dynamic-assignment sweep determinism gate: the locality grant protocol
   # is simulated-time deterministic, so a small sweep must emit
   # byte-identical data rows at any SimPool width (only wall-time lines and

@@ -22,6 +22,14 @@ bool clean_line(std::string& line) {
   return true;
 }
 
+/// Throws if a line holds tokens after the fields its keyword takes.
+void reject_trailing(std::istringstream& fields, int line_no) {
+  std::string extra;
+  if (fields >> extra) {
+    throw CircuitParseError(line_no, "unexpected trailing token '" + extra + "'");
+  }
+}
+
 }  // namespace
 
 Circuit read_circuit(std::istream& in) {
@@ -49,6 +57,7 @@ Circuit read_circuit(std::istream& in) {
       if (!(fields >> name >> channels >> grids)) {
         throw CircuitParseError(line_no, "expected: circuit <name> <channels> <grids>");
       }
+      reject_trailing(fields, line_no);
       if (channels < 2 || grids < 1) {
         throw CircuitParseError(line_no, "invalid circuit dimensions");
       }
@@ -62,6 +71,7 @@ Circuit read_circuit(std::istream& in) {
       if (!(fields >> pins_expected) || pins_expected < 2) {
         throw CircuitParseError(line_no, "expected: wire <pin-count >= 2>");
       }
+      reject_trailing(fields, line_no);
       wires.emplace_back();
       current = &wires.back();
     } else if (keyword == "pin") {
@@ -70,6 +80,7 @@ Circuit read_circuit(std::istream& in) {
       if (!(fields >> pin.x >> pin.row)) {
         throw CircuitParseError(line_no, "expected: pin <x> <row>");
       }
+      reject_trailing(fields, line_no);
       if (pin.x < 0 || pin.x >= grids || pin.row < 0 || pin.row >= channels - 1) {
         throw CircuitParseError(line_no, "pin coordinates out of range");
       }
@@ -79,6 +90,7 @@ Circuit read_circuit(std::istream& in) {
       current->pins.push_back(pin);
     } else if (keyword == "end") {
       if (!saw_header) throw CircuitParseError(line_no, "end before circuit header");
+      reject_trailing(fields, line_no);
       saw_end = true;
       break;
     } else {

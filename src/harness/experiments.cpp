@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <iterator>
 #include <optional>
+#include <stdexcept>
 #include <utility>
 
 #include "assign/locality.hpp"
@@ -836,6 +837,23 @@ const char* scale_assign_mode_name(ScaleAssignMode mode) {
   return "?";
 }
 
+namespace {
+
+// Fixed knobs of run_scale_sweep.
+constexpr std::uint64_t kScaleSeed = 0x5CA1EULL;
+constexpr std::int32_t kScaleIterations = 2;
+/// Region-batched update packets (requires bounding-box structure).
+constexpr bool kScaleBatchUpdates = true;
+/// Grant batch of the dynamic locality mode (cost-budgeted: a grant
+/// carries about this many mean-cost wires' worth of work).
+constexpr std::int32_t kScaleGrantBatch = 16;
+/// Roam radius in mesh hops of the dynamic locality mode: bounds how many
+/// processors replicate any region's tiles, which is what keeps dynamic
+/// resident memory near the geographic baseline.
+constexpr std::int32_t kScaleLocalityRadius = 2;
+
+}  // namespace
+
 ScaleSweepResult run_scale_sweep(const ScaleSweepOptions& options) {
   LOCUS_ASSERT(!options.wire_counts.empty());
   LOCUS_ASSERT(!options.proc_counts.empty());
@@ -851,7 +869,7 @@ ScaleSweepResult run_scale_sweep(const ScaleSweepOptions& options) {
   std::vector<Circuit> circuits;
   circuits.reserve(options.wire_counts.size());
   for (std::int32_t wires : options.wire_counts) {
-    circuits.push_back(make_scale_circuit(wires, options.seed));
+    circuits.push_back(make_scale_circuit(wires, kScaleSeed));
   }
 
   struct Job {
@@ -900,8 +918,8 @@ ScaleSweepResult run_scale_sweep(const ScaleSweepOptions& options) {
         make_assignment(circuit, partition, AssignMethod::kThresholdInf);
     MpConfig config;
     config.schedule = schedule;
-    config.iterations = options.iterations;
-    config.shard.batch_updates = options.batch_updates;
+    config.iterations = kScaleIterations;
+    config.shard.batch_updates = kScaleBatchUpdates;
     config.link_cost.kind = options.cost_model;
     switch (job.mode) {
       case ScaleAssignMode::kGeographic:
@@ -912,8 +930,8 @@ ScaleSweepResult run_scale_sweep(const ScaleSweepOptions& options) {
       case ScaleAssignMode::kDynamicLocality:
         config.assignment_mode = WireAssignmentMode::kDynamicInterrupt;
         config.dynamic.policy = GrantPolicy::kLocality;
-        config.dynamic.grant_batch = options.grant_batch;
-        config.dynamic.locality_radius = options.locality_radius;
+        config.dynamic.grant_batch = kScaleGrantBatch;
+        config.dynamic.locality_radius = kScaleLocalityRadius;
         break;
     }
     const MpRunResult r =
@@ -924,7 +942,7 @@ ScaleSweepResult run_scale_sweep(const ScaleSweepOptions& options) {
     ScaleModeMetrics& m = o.m;
     m.mode = job.mode;
     const double routed_total = static_cast<double>(circuit.num_wires()) *
-                                static_cast<double>(options.iterations);
+                                static_cast<double>(kScaleIterations);
     m.route_rps = o.seconds == 0.0 ? 0.0 : routed_total / o.seconds;
     m.traffic_bytes = r.bytes_transferred;
     m.resident_bytes = r.view_resident_bytes;
@@ -1311,6 +1329,17 @@ Table run_check_trace_scan(const Circuit& circuit, const ExperimentConfig& confi
   return t;
 }
 
+namespace {
+
+// Fixed knobs of run_topology_sweep (every cell also runs the reliable
+// transport and checks its ledger).
+constexpr std::int32_t kTopologyIterations = 2;
+constexpr std::int32_t kTopologyFatTreeArity = 2;
+/// Conservation checkpoint period of the per-run view-consistency checker.
+constexpr std::int32_t kTopologyCheckpointPeriod = 4;
+
+}  // namespace
+
 TopologySweepResult run_topology_sweep(const Circuit& circuit,
                                        const TopologySweepOptions& options) {
   LOCUS_ASSERT(!options.proc_counts.empty());
@@ -1378,16 +1407,16 @@ TopologySweepResult run_topology_sweep(const Circuit& circuit,
   const auto runs = pool_map(jobs.size(), [&](std::size_t i) {
     const Job& job = jobs[i];
     ConsistencyOptions check_options;
-    check_options.checkpoint_period = options.checkpoint_period;
+    check_options.checkpoint_period = kTopologyCheckpointPeriod;
     ViewConsistencyChecker checker(check_options);
 
     MpConfig mp;
     mp.schedule = scheds[job.sched].schedule;
-    mp.iterations = options.iterations;
+    mp.iterations = kTopologyIterations;
     mp.edges = topos[job.topo].edges;
-    mp.fat_tree_arity = options.fat_tree_arity;
+    mp.fat_tree_arity = kTopologyFatTreeArity;
     mp.link_cost.kind = models[job.model];
-    mp.transport.enabled = options.transport;
+    mp.transport.enabled = true;
     mp.observer = &checker;
     const MpRunResult r = run_message_passing(circuit, job.procs, mp);
 
@@ -1400,7 +1429,7 @@ TopologySweepResult run_topology_sweep(const Circuit& circuit,
     const ConsistencyReport report = checker.report();
     o.consistent = report.consistent();
     o.converged = report.converged();
-    o.ledger_ok = !options.transport || r.transport.books_balance();
+    o.ledger_ok = r.transport.books_balance();
     std::uint64_t link_bytes_total = 0;
     for (std::uint64_t b : r.link_bytes) link_bytes_total += b;
     o.conserved = link_bytes_total == r.network.byte_hops;
@@ -1514,6 +1543,139 @@ Table run_fault_recovery_sweep(const Circuit& circuit,
     }
   }
   return t;
+}
+
+namespace {
+
+/// A catalog step that yields one table.
+ExperimentStep step(std::string title, std::function<Table(const PaperCircuits&)> build,
+                    bool slow = false) {
+  return {{std::move(title)},
+          slow,
+          [build = std::move(build)](const PaperCircuits& c) {
+            return std::vector<Table>{build(c)};
+          }};
+}
+
+constexpr bool kSlow = true;
+
+std::vector<Experiment> build_catalog() {
+  using C = const PaperCircuits&;
+  return {
+      {"table1_sender_initiated",
+       {step("Table 1 — sender initiated updates",
+             [](C c) { return run_table1_sender_initiated(c.bnre); })}},
+      {"table2_receiver_initiated",
+       {step("Table 2 — non-blocking receiver initiated updates",
+             [](C c) { return run_table2_receiver_initiated(c.bnre); })}},
+      {"sec513_blocking_mixed",
+       {step("Section 5.1.3 — blocking vs non-blocking",
+             [](C c) { return run_sec513_blocking(c.bnre); }),
+        step("Section 5.1.3 — mixed schedules",
+             [](C c) { return run_sec513_mixed(c.bnre); })}},
+      {"table3_cache_line_size",
+       {{{"Table 3 — shm traffic vs cache line size",
+          "Table 3 — traffic breakdown by cause"},
+         kSlow,
+         [](C c) {
+           Table3Result r = run_table3_line_size(c.bnre);
+           return std::vector<Table>{std::move(r.table), std::move(r.breakdown)};
+         }}}},
+      {"sec52_mp_vs_shm",
+       {step("Section 5.2 — MP vs SHM",
+             [](C c) { return run_sec52_comparison(c.bnre); }, kSlow)}},
+      {"table4_locality_mp",
+       {step("Table 4 — locality, message passing",
+             [](C c) { return run_table4_locality_mp(c.bnre, c.mdc); }),
+        step("Section 5.3.1 — receiver initiated locality traffic",
+             [](C c) { return run_table4_receiver_locality(c.bnre); })}},
+      {"table5_locality_shm",
+       {step("Table 5 — locality, shared memory",
+             [](C c) { return run_table5_locality_shm(c.bnre, c.mdc); }, kSlow)}},
+      {"locality_measure",
+       {step("Section 5.3.3 — locality measure",
+             [](C c) { return run_locality_measure(c.bnre, c.mdc); })}},
+      {"table6_scaling",
+       {step("Table 6 — processor scaling",
+             [](C c) { return run_table6_scaling(c.bnre); })}},
+      {"speedup",
+       {step("Section 5.4 — speedup",
+             [](C c) { return run_speedup(c.bnre, c.mdc); })}},
+      {"overhead_breakdown",
+       {step("Section 5.1.1 — message software overhead",
+             [](C c) { return run_overhead_breakdown(c.bnre); })}},
+      {"ablation_packet_structure",
+       {step("Ablation — packet structure",
+             [](C c) { return run_ablation_packet_structure(c.bnre); })}},
+      {"ablation_protocols",
+       {step("Ablation — coherence protocols",
+             [](C c) { return run_ablation_protocols(c.bnre); }, kSlow)}},
+      {"ablation_topology",
+       {step("Ablation — topology",
+             [](C c) { return run_ablation_topology(c.bnre); })}},
+      {"ablation_dynamic_assignment",
+       {step("Ablation — dynamic wire distribution",
+             [](C c) { return run_ablation_dynamic_assignment(c.bnre); })}},
+      {"ablation_router",
+       {step("Ablation — router design choices",
+             [](C c) { return run_ablation_router(c.bnre); }),
+        step("Section 3 — iteration convergence",
+             [](C c) { return run_iteration_convergence(c.bnre); })}},
+      {"ablation_schedule_knobs",
+       {step("Ablation — request lookahead",
+             [](C c) { return run_ablation_lookahead(c.bnre); }),
+        step("Ablation — ThresholdCost sweep",
+             [](C c) { return run_threshold_sweep(c.bnre); })}},
+      {"hierarchical_shm",
+       {step("Extension — hierarchical shm / bus occupancy",
+             [](C c) { return run_hierarchical_shm(c.bnre); }, kSlow)}},
+      {"view_staleness",
+       {step("Extension — view staleness per schedule",
+             [](C c) { return run_view_staleness(c.bnre); })}},
+      {"ablation_cache_size",
+       {step("Ablation — finite caches (footnote 3)",
+             [](C c) { return run_ablation_cache_size(c.bnre); }, kSlow)}},
+      // The 64-processor sweep is slow, the iteration sweep is not.
+      {"scaling_large",
+       {step("Extension — scaling to 64 processors",
+             [](C) { return run_scaling_large(make_industrial_like()); }, kSlow),
+        step("Extension — MP iteration sweep",
+             [](C c) { return run_mp_iteration_sweep(c.bnre); })}},
+      {"seed_robustness",
+       {step("Robustness — traffic hierarchy across circuit seeds",
+             [](C) { return run_seed_robustness(); }, kSlow)}},
+  };
+}
+
+}  // namespace
+
+const std::vector<Experiment>& experiment_catalog() {
+  static const std::vector<Experiment> catalog = build_catalog();
+  return catalog;
+}
+
+std::vector<const Experiment*> select_experiments(const std::string& names) {
+  const std::vector<Experiment>& catalog = experiment_catalog();
+  std::vector<bool> wanted(catalog.size(), names.empty());
+  for (std::size_t pos = 0; !names.empty() && pos <= names.size();) {
+    std::size_t comma = names.find(',', pos);
+    if (comma == std::string::npos) comma = names.size();
+    const std::string name = names.substr(pos, comma - pos);
+    pos = comma + 1;
+    const auto it = std::find_if(catalog.begin(), catalog.end(),
+                                 [&](const Experiment& e) { return e.name == name; });
+    if (it == catalog.end()) {
+      std::string message = "unknown experiment '" + name + "'; valid names:";
+      for (const Experiment& e : catalog) message += " " + e.name;
+      throw std::invalid_argument(message);
+    }
+    wanted[static_cast<std::size_t>(it - catalog.begin())] = true;
+  }
+  std::vector<const Experiment*> out;
+  for (std::size_t i = 0; i < catalog.size(); ++i) {
+    if (wanted[i]) out.push_back(&catalog[i]);
+  }
+  return out;
 }
 
 }  // namespace locus

@@ -1,11 +1,12 @@
 // Experiment definitions: one function per table/figure of the paper's
 // evaluation (§5), each returning a printable Table with measured values
-// next to the published ones. The bench binaries are thin wrappers over
-// these, and the integration tests assert the qualitative claims on small
-// circuits through the same code paths.
+// next to the published ones. experiment_catalog() lists them once, in
+// report order, for examples/reproduce_paper; the integration tests assert
+// the qualitative claims on small circuits through the same code paths.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -100,22 +101,14 @@ enum class ScaleAssignMode : std::int8_t {
 };
 const char* scale_assign_mode_name(ScaleAssignMode mode);
 
+/// The sweep's fixed knobs (circuit seed, two iterations, region-batched
+/// updates, the locality grant batch and radius) are constants in
+/// experiments.cpp.
 struct ScaleSweepOptions {
   std::vector<std::int32_t> wire_counts{10'000};
   std::vector<std::int32_t> proc_counts{16, 64};
   /// Assignment policies to sweep per wires x procs combination.
   std::vector<ScaleAssignMode> modes{ScaleAssignMode::kGeographic};
-  std::uint64_t seed = 0x5CA1EULL;
-  std::int32_t iterations = 2;
-  /// Grant batch for the dynamic locality/steal modes (cost-budgeted:
-  /// a grant carries about this many mean-cost wires' worth of work).
-  std::int32_t grant_batch = 16;
-  /// Roam radius in mesh hops for the locality/steal modes: bounds how many
-  /// distinct thieves replicate any donor region's tiles, which is what
-  /// keeps dynamic resident memory near the geographic baseline.
-  std::int32_t locality_radius = 2;
-  /// Region-batched update packets (requires bounding-box structure).
-  bool batch_updates = true;
   /// Per-link interconnect timing for every run of the sweep
   /// (sim/link_cost.hpp); the default keeps the tables byte-identical to
   /// the pre-seam sweep.
@@ -141,8 +134,7 @@ struct ScaleModeMetrics {
 struct ScaleSweepResult {
   Table table;
   /// Metrics of the last completed (largest) run of the FIRST mode in
-  /// ScaleSweepOptions::modes, for bench gating. With the default modes
-  /// list this is byte-identical to the pre-mode sweep.
+  /// ScaleSweepOptions::modes (tests/test_scale.cpp pins them).
   double headline_route_rps = 0.0;       ///< simulated wire routes per second
   std::uint64_t headline_traffic_bytes = 0;
   std::int64_t headline_resident_bytes = 0;
@@ -162,22 +154,17 @@ ScaleSweepResult run_scale_sweep(const ScaleSweepOptions& options);
 
 // --- E15: interconnect cost models (ISSUE 10) — the four MP update
 //     protocols priced on {mesh, torus, fat-tree} x {fixed, md1} ---
+/// Every cell runs two iterations on a binary fat tree (where the topology
+/// is one) with the reliable transport on, and asserts its ledger balanced
+/// and the view-consistency checker (checkpoint every 4 wires) clean.
 struct TopologySweepOptions {
   std::vector<std::int32_t> proc_counts{16};
-  std::int32_t iterations = 2;
-  std::int32_t fat_tree_arity = 2;
-  /// Run with the reliable transport on and assert its conservation ledger
-  /// balanced for every cell of the matrix.
-  bool transport = true;
-  /// Conservation checkpoint period of the per-run view-consistency
-  /// checker.
-  std::int32_t checkpoint_period = 4;
 };
 
 struct TopologySweepResult {
   Table table;
-  /// Every run passed the view-consistency checker (and, with transport
-  /// on, balanced the transport ledger) — the acceptance gate.
+  /// Every run passed the view-consistency checker and balanced the
+  /// transport ledger — the acceptance gate.
   bool all_ok = false;
   std::int32_t runs = 0;
   /// Summed per-link stall events across all runs (kFixed rows included:
@@ -266,5 +253,40 @@ Table run_check_trace_scan(const Circuit& circuit,
 /// run, with the transport ledger balanced.
 Table run_fault_recovery_sweep(const Circuit& circuit,
                                const ExperimentConfig& config = {});
+
+// --- The experiment catalog: every table of the reproduction report ---
+/// The circuits the catalog's experiments share. The industrial-like
+/// circuit and the seed-robustness circuits are built by the one
+/// experiment that reads each.
+struct PaperCircuits {
+  Circuit bnre;
+  Circuit mdc;
+};
+
+/// One harness call of a catalog entry and the titled tables it yields, in
+/// report order (Table 3's call yields two).
+struct ExperimentStep {
+  std::vector<std::string> titles;
+  /// Seconds rather than milliseconds (trace replays, larger circuits):
+  /// reproduce_paper --skip-slow skips it.
+  bool slow = false;
+  std::function<std::vector<Table>(const PaperCircuits&)> build;
+};
+
+/// A named group of report sections, e.g. `table1_sender_initiated` or
+/// `scaling_large`; `reproduce_paper --only=` selects entries by name.
+struct Experiment {
+  std::string name;
+  std::vector<ExperimentStep> steps;
+};
+
+/// Every experiment of the reproduction report, in report order.
+const std::vector<Experiment>& experiment_catalog();
+
+/// The catalog entries named in `names`, a comma-separated list matched
+/// exactly against Experiment::name, in catalog order; an empty string
+/// selects every entry. Throws std::invalid_argument naming an unknown
+/// name and listing the valid ones.
+std::vector<const Experiment*> select_experiments(const std::string& names);
 
 }  // namespace locus

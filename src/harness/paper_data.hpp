@@ -1,4 +1,4 @@
-// The paper's reported numbers, embedded so every bench prints measured
+// The paper's reported numbers, embedded so every table prints measured
 // values next to the published ones and EXPERIMENTS.md can be regenerated
 // mechanically. Absolute values are not expected to match (synthetic
 // circuits, analytic time model); orderings and ratios are.

@@ -19,8 +19,8 @@
 //
 // Thread count resolution, in priority order:
 //   1. the explicit constructor argument (> 0),
-//   2. the process-wide default set via set_sim_threads() (bench binaries
-//      wire their --threads flag here),
+//   2. the process-wide default set via set_sim_threads() (reproduce_paper
+//      and the bench binaries wire their --threads flag here),
 //   3. the LOCUS_THREADS environment variable,
 //   4. serial (1 thread — the pool then runs jobs inline on the caller,
 //      spawning nothing, which is the mode every existing test runs in).

@@ -178,7 +178,15 @@ INSTANTIATE_TEST_SUITE_P(
         BadInput{"unknown keyword", "circuit x 4 20\nfrob 1\nend\n", 2},
         BadInput{"missing end", "circuit x 4 20\nwire 2\npin 0 0\npin 1 0\n", 4},
         BadInput{"last wire incomplete", "circuit x 4 20\nwire 2\npin 0 0\nend\n",
-                 4}),
+                 4},
+        BadInput{"header trailing token", "circuit x 4 20 extra\nend\n", 1},
+        BadInput{"wire trailing token",
+                 "circuit x 4 20\nwire 2 7\npin 0 0\npin 1 0\nend\n", 2},
+        BadInput{"pin trailing word",
+                 "circuit x 4 20\nwire 2\npin 0 0 junk\npin 1 0\nend\n", 3},
+        BadInput{"pin trailing numbers",
+                 "circuit x 4 20\nwire 2\npin 5 1 9 9\npin 1 0\nend\n", 3},
+        BadInput{"end trailing token", "circuit x 4 20\nend trailing\n", 2}),
     [](const ::testing::TestParamInfo<BadInput>& param_info) {
       std::string name = param_info.param.label;
       for (char& ch : name) {

@@ -3,6 +3,11 @@
 // data is internally consistent.
 #include <gtest/gtest.h>
 
+#include <set>
+#include <stdexcept>
+#include <string>
+#include <vector>
+
 #include "circuit/generator.hpp"
 #include "harness/experiments.hpp"
 #include "harness/paper_data.hpp"
@@ -129,6 +134,95 @@ TEST(HarnessHelpers, MakeAssignmentDispatches) {
   for (AssignMethod m : {AssignMethod::kRoundRobin, AssignMethod::kThreshold30,
                          AssignMethod::kThreshold1000, AssignMethod::kThresholdInf}) {
     EXPECT_TRUE(assignment_is_valid(make_assignment(c, part, m), c));
+  }
+}
+
+std::vector<std::string> section_titles(
+    const std::vector<const Experiment*>& experiments) {
+  std::vector<std::string> titles;
+  for (const Experiment* experiment : experiments) {
+    for (const ExperimentStep& step : experiment->steps) {
+      titles.insert(titles.end(), step.titles.begin(), step.titles.end());
+    }
+  }
+  return titles;
+}
+
+TEST(ExperimentCatalog, NamesAreUnique) {
+  std::set<std::string> names;
+  for (const Experiment& experiment : experiment_catalog()) {
+    EXPECT_TRUE(names.insert(experiment.name).second) << experiment.name;
+  }
+  EXPECT_EQ(names.size(), 22u);
+}
+
+TEST(ExperimentCatalog, SectionTitlesFollowTheReport) {
+  const std::vector<std::string> report = {
+      "Table 1 — sender initiated updates",
+      "Table 2 — non-blocking receiver initiated updates",
+      "Section 5.1.3 — blocking vs non-blocking",
+      "Section 5.1.3 — mixed schedules",
+      "Table 3 — shm traffic vs cache line size",
+      "Table 3 — traffic breakdown by cause",
+      "Section 5.2 — MP vs SHM",
+      "Table 4 — locality, message passing",
+      "Section 5.3.1 — receiver initiated locality traffic",
+      "Table 5 — locality, shared memory",
+      "Section 5.3.3 — locality measure",
+      "Table 6 — processor scaling",
+      "Section 5.4 — speedup",
+      "Section 5.1.1 — message software overhead",
+      "Ablation — packet structure",
+      "Ablation — coherence protocols",
+      "Ablation — topology",
+      "Ablation — dynamic wire distribution",
+      "Ablation — router design choices",
+      "Section 3 — iteration convergence",
+      "Ablation — request lookahead",
+      "Ablation — ThresholdCost sweep",
+      "Extension — hierarchical shm / bus occupancy",
+      "Extension — view staleness per schedule",
+      "Ablation — finite caches (footnote 3)",
+      "Extension — scaling to 64 processors",
+      "Extension — MP iteration sweep",
+      "Robustness — traffic hierarchy across circuit seeds",
+  };
+  EXPECT_EQ(section_titles(select_experiments("")), report);
+}
+
+TEST(ExperimentCatalog, SelectsNamedEntriesInCatalogOrder) {
+  const std::vector<const Experiment*> selected =
+      select_experiments("scaling_large,table3_cache_line_size");
+  ASSERT_EQ(selected.size(), 2u);
+  EXPECT_EQ(selected[0]->name, "table3_cache_line_size");
+  EXPECT_EQ(selected[1]->name, "scaling_large");
+  const std::vector<std::string> want = {
+      "Table 3 — shm traffic vs cache line size",
+      "Table 3 — traffic breakdown by cause",
+      "Extension — scaling to 64 processors",
+      "Extension — MP iteration sweep",
+  };
+  EXPECT_EQ(section_titles(selected), want);
+}
+
+TEST(ExperimentCatalog, RejectsUnknownName) {
+  struct Case {
+    const char* names;
+    const char* unknown;
+  };
+  for (const Case& c : {Case{"nope", "nope"},
+                        Case{"table1_sender_initiated,nope", "nope"},
+                        Case{"table1", "table1"},
+                        Case{"table1_sender_initiated,", ""}}) {
+    try {
+      select_experiments(c.names);
+      ADD_FAILURE() << "accepted " << c.names;
+    } catch (const std::invalid_argument& e) {
+      const std::string message = e.what();
+      EXPECT_NE(message.find("'" + std::string(c.unknown) + "'"), std::string::npos)
+          << message;
+      EXPECT_NE(message.find("table1_sender_initiated"), std::string::npos);
+    }
   }
 }
 

@@ -228,9 +228,11 @@ TEST(PoolDeterminism, MergedObsCsvIsBitIdenticalAtAnyWidth) {
 // serve it. Release-only (Debug wall times measure the allocator's
 // bookkeeping, not the pool) and guarded on the affinity mask — on 1-cpu
 // CI runners the clamp makes pooled == serial and a speedup assertion
-// would be asserting on physics.
+// would be asserting on physics. DISABLED_: other load on a shared host
+// can sink the ratio, so ctest leaves it out and the nightly scale lane
+// runs it with --gtest_also_run_disabled_tests.
 
-TEST(PoolScaling, FourWorkersBeatSerialOnMultiCoreHosts) {
+TEST(PoolScaling, DISABLED_FourWorkersBeatSerialOnMultiCoreHosts) {
 #ifndef NDEBUG
   GTEST_SKIP() << "Release-only: Debug timings do not reflect the pool";
 #endif
