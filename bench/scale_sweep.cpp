@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -82,7 +83,12 @@ int main(int argc, char** argv) {
            "value (0: LOCUS_THREADS, else serial)",
            "0");
   if (!cli.parse(argc, argv)) return 1;
-  locus::set_sim_threads(static_cast<int>(cli.get_int("threads")));
+  try {
+    locus::set_sim_threads(cli.get_bounded_int("threads", 0, 1024));
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    return 2;
+  }
   locus::ScaleSweepOptions options;
   options.wire_counts = parse_list("LOCUS_SCALE_WIRES", "100000");
   options.proc_counts = parse_list("LOCUS_SCALE_PROCS", "16,64");

@@ -4,6 +4,7 @@
 // and exits 1 when any cell fails. The table bytes are pool-width
 // independent, which scripts/verify.sh --bench diffs at --threads=1 vs 4.
 #include <cstdio>
+#include <stdexcept>
 
 #include "circuit/generator.hpp"
 #include "harness/experiments.hpp"
@@ -18,7 +19,12 @@ int main(int argc, char** argv) {
            "value (0: LOCUS_THREADS, else serial)",
            "0");
   if (!cli.parse(argc, argv)) return 1;
-  locus::set_sim_threads(static_cast<int>(cli.get_int("threads")));
+  try {
+    locus::set_sim_threads(cli.get_bounded_int("threads", 0, 1024));
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    return 2;
+  }
   locus::Stopwatch sw;
   const locus::TopologySweepResult result =
       locus::run_topology_sweep(locus::make_bnre_like());

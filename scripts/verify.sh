@@ -7,7 +7,7 @@
 #
 #   scripts/verify.sh             # tier-1
 #   scripts/verify.sh --sanitize  # same suite under ASan + UBSan
-#   scripts/verify.sh --tsan      # SimPool suites under ThreadSanitizer
+#   scripts/verify.sh --tsan      # pool suites under ThreadSanitizer
 #                                 # at LOCUS_THREADS=4
 #   scripts/verify.sh --check     # tier-1 + checking-subsystem smoke via
 #                                 # examples/check_tool: differential oracle,
@@ -38,7 +38,7 @@ if [[ "${1:-}" == "--sanitize" ]]; then
   BUILD_DIR=build-sanitize
   CMAKE_FLAGS+=(-DLOCUS_SANITIZE=address,undefined)
 elif [[ "${1:-}" == "--tsan" ]]; then
-  # Race check for the SimPool fan-outs: only the suites that actually
+  # Race check for the pool fan-outs: only the suites that actually
   # spawn threads, at a real pool width.
   cmake --preset tsan
   cmake --build --preset tsan -j --target locus_tests locus_pool_tests \
@@ -65,7 +65,7 @@ ctest -L transport --output-on-failure -j "$(nproc)"
 ctest -L network --output-on-failure -j "$(nproc)"
 
 # Optional pool determinism gates: every run below must print the same
-# data rows at SimPool widths 1 and 4.
+# data rows at pool widths 1 and 4.
 if [[ "$RUN_BENCH" == 1 ]]; then
   cd ..
   # Pool determinism gate: the table fan-outs must write byte-identical
@@ -84,7 +84,7 @@ if [[ "$RUN_BENCH" == 1 ]]; then
   echo "pool determinism: sec52/table1 report identical at --threads=1 and =4"
   # Dynamic-assignment sweep determinism gate: the locality grant protocol
   # is simulated-time deterministic, so a small sweep must emit
-  # byte-identical data rows at any SimPool width (only wall-time lines and
+  # byte-identical data rows at any pool width (only wall-time lines and
   # the wall-clock-dependent counters may differ).
   LOCUS_SCALE_WIRES=2000 LOCUS_SCALE_PROCS=16 LOCUS_SCALE_MODES=geo,dyn-local \
     "./$BUILD_DIR/bench/scale_sweep" --threads=1 \

@@ -1,7 +1,7 @@
 #include "check/oracle.hpp"
 
-#include <memory>
 #include <optional>
+#include <string>
 #include <utility>
 
 #include "harness/sim_pool.hpp"
@@ -53,27 +53,30 @@ std::string OracleResult::describe() const {
   return out;
 }
 
+std::span<const CheckSchedule> checking_schedules() {
+  static const CheckSchedule kSchedules[] = {
+      {"sender(10,5)", UpdateSchedule::sender(10, 5)},
+      {"receiver(5,2)", UpdateSchedule::receiver(5, 2)},
+      {"receiver-blk(5,2)", UpdateSchedule::receiver(5, 2, /*blocking=*/true)},
+      {"mixed", [] {
+         UpdateSchedule mixed;
+         mixed.send_loc_period = 10;
+         mixed.send_rmt_period = 5;
+         mixed.req_rmt_touches = 3;
+         mixed.req_loc_requests = 2;
+         return mixed;
+       }()},
+  };
+  return kSchedules;
+}
+
 OracleResult run_differential_oracle(const Circuit& circuit,
                                      const OracleConfig& config) {
   // The engine x schedule matrix: every variant is an independent,
-  // deterministic simulation, so the six runs execute on the SimPool and
-  // are collected in this fixed submission order. The tolerance bands
-  // depend on the sequential baseline and are applied after the join.
-  struct MsgCase {
-    const char* name;
-    UpdateSchedule schedule;
-  };
-  UpdateSchedule mixed;
-  mixed.send_loc_period = 10;
-  mixed.send_rmt_period = 5;
-  mixed.req_rmt_touches = 3;
-  mixed.req_loc_requests = 2;
-  const MsgCase cases[] = {
-      {"msg sender(10,5)", UpdateSchedule::sender(10, 5)},
-      {"msg receiver(5,2)", UpdateSchedule::receiver(5, 2, /*blocking=*/false)},
-      {"msg receiver-blk(5,2)", UpdateSchedule::receiver(5, 2, /*blocking=*/true)},
-      {"msg mixed", mixed},
-  };
+  // deterministic simulation, so the six runs fan out on run_indexed and
+  // are collected by index. The tolerance bands depend on the sequential
+  // baseline and are applied after the join.
+  const std::span<const CheckSchedule> schedules = checking_schedules();
 
   // Job 0: the sequential reference (also the bands' baseline).
   std::optional<SequentialResult> seq;
@@ -82,35 +85,33 @@ OracleResult run_differential_oracle(const Circuit& circuit,
   // Jobs 2..5: the four message passing schedules, each with its own
   // view-consistency checker (the checker is per-run mutable state).
   struct MsgOutcome {
-    std::optional<MpRunResult> run;
-    std::unique_ptr<ViewConsistencyChecker> checker;
+    MpRunResult run;
+    ConsistencyReport report;
   };
-  MsgOutcome msg[4];
+  std::vector<MsgOutcome> msg(schedules.size());
 
-  std::vector<SimJob> jobs;
-  jobs.push_back({"oracle:sequential", [&] {
-    SequentialParams seq_params;
-    seq_params.router = config.router;
-    seq_params.iterations = config.iterations;
-    seq.emplace(route_sequential(circuit, seq_params));
-  }});
-  jobs.push_back({"oracle:shm", [&] {
-    ShmConfig shm;
-    shm.router = config.router;
-    shm.time = config.time;
-    shm.iterations = config.iterations;
-    shm.procs = config.procs;
-    shm.capture_trace = false;
-    shm_run.emplace(run_shared_memory(circuit, shm));
-  }});
-  for (std::size_t i = 0; i < 4; ++i) {
-    jobs.push_back({std::string("oracle:") + cases[i].name, [&, i] {
+  run_indexed(2 + schedules.size(), [&](std::size_t job) {
+    if (job == 0) {
+      SequentialParams seq_params;
+      seq_params.router = config.router;
+      seq_params.iterations = config.iterations;
+      seq.emplace(route_sequential(circuit, seq_params));
+    } else if (job == 1) {
+      ShmConfig shm;
+      shm.router = config.router;
+      shm.time = config.time;
+      shm.iterations = config.iterations;
+      shm.procs = config.procs;
+      shm.capture_trace = false;
+      shm_run.emplace(run_shared_memory(circuit, shm));
+    } else {
+      const std::size_t i = job - 2;
       ConsistencyOptions check_options;
       check_options.checkpoint_period = config.checkpoint_period;
-      auto checker = std::make_unique<ViewConsistencyChecker>(check_options);
+      ViewConsistencyChecker checker(check_options);
 
       MpConfig mp;
-      mp.schedule = cases[i].schedule;
+      mp.schedule = schedules[i].schedule;
       mp.router = config.router;
       mp.time = config.time;
       mp.iterations = config.iterations;
@@ -119,12 +120,11 @@ OracleResult run_differential_oracle(const Circuit& circuit,
       mp.edges = config.edges;
       mp.fat_tree_arity = config.fat_tree_arity;
       mp.link_cost = config.link_cost;
-      mp.observer = checker.get();
-      msg[i].run.emplace(run_message_passing(circuit, config.procs, mp));
-      msg[i].checker = std::move(checker);
-    }});
-  }
-  SimPool(config.threads).run_all(std::move(jobs));
+      mp.observer = &checker;
+      msg[i].run = run_message_passing(circuit, config.procs, mp);
+      msg[i].report = checker.report();
+    }
+  });
 
   OracleResult result;
   result.seq_height = seq->circuit_height;
@@ -148,14 +148,14 @@ OracleResult run_differential_oracle(const Circuit& circuit,
     apply_bands(variant, config, result.seq_height, result.seq_occupancy);
     result.variants.push_back(std::move(variant));
   }
-  for (std::size_t i = 0; i < 4; ++i) {
+  for (std::size_t i = 0; i < msg.size(); ++i) {
     OracleVariant variant;
-    variant.name = cases[i].name;
+    variant.name = std::string("msg ") + schedules[i].name;
     variant.is_message_passing = true;
-    variant.circuit_height = msg[i].run->circuit_height;
-    variant.occupancy_factor = msg[i].run->occupancy_factor;
-    variant.legality = check_route_legality(circuit, msg[i].run->routes);
-    variant.consistency = msg[i].checker->report();
+    variant.circuit_height = msg[i].run.circuit_height;
+    variant.occupancy_factor = msg[i].run.occupancy_factor;
+    variant.legality = check_route_legality(circuit, msg[i].run.routes);
+    variant.consistency = msg[i].report;
     apply_bands(variant, config, result.seq_height, result.seq_occupancy);
     result.variants.push_back(std::move(variant));
   }

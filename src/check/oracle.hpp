@@ -14,12 +14,14 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "check/consistency.hpp"
 #include "check/legality.hpp"
 #include "circuit/circuit.hpp"
+#include "msg/config.hpp"
 #include "msg/transport.hpp"
 #include "route/cost_model.hpp"
 #include "route/router.hpp"
@@ -57,12 +59,20 @@ struct OracleConfig {
   Topology::Edges edges = Topology::Edges::kMesh;
   std::int32_t fat_tree_arity = 2;
   LinkCostParams link_cost;
-  /// Worker threads for the engine x schedule matrix (the six runs are
-  /// independent simulations). <= 0 resolves via sim_threads(); any value
-  /// yields byte-identical results — the matrix is collected in submission
-  /// order and each run is deterministic in isolation.
-  int threads = 0;
 };
+
+/// A named message passing schedule of the checking sweeps.
+struct CheckSchedule {
+  const char* name;
+  UpdateSchedule schedule;
+};
+
+/// The four update schedules every checking sweep runs, in this order:
+/// sender(10,5), receiver(5,2), receiver-blk(5,2) and mixed (send_loc 10,
+/// send_rmt 5, req_rmt 3, req_loc 2). The differential oracle names its
+/// variants "msg " + name; the topology and fault recovery sweeps use the
+/// bare names.
+std::span<const CheckSchedule> checking_schedules();
 
 /// One implementation's outcome and verdicts.
 struct OracleVariant {

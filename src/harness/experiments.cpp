@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <iterator>
 #include <optional>
+#include <span>
 #include <stdexcept>
 #include <utility>
 
@@ -101,21 +102,6 @@ ShmTraffic run_shm_traffic(const Circuit& circuit, const ExperimentConfig& confi
   return out;
 }
 
-/// Fans `fn(i)` for i in [0, n) onto the process-default SimPool
-/// (set_sim_threads / LOCUS_THREADS / --threads) and returns the results in
-/// index order. The table building that follows every fan-out stays serial
-/// and consumes results in submission order, so each table is byte-identical
-/// to the old serial loop at any thread count. Results are wrapped in
-/// optional because several result types (CostArray members) have no
-/// default constructor.
-template <typename Fn>
-auto pool_map(std::size_t n, Fn&& fn) {
-  using Result = decltype(fn(std::size_t{}));
-  std::vector<std::optional<Result>> out(n);
-  SimPool().run_indexed(n, [&](std::size_t i) { out[i].emplace(fn(i)); });
-  return out;
-}
-
 /// Table 4/5 rows name their assignment method; map back to the enum.
 AssignMethod method_from_name(const char* name) {
   return std::string(name) == "round robin" ? AssignMethod::kRoundRobin
@@ -132,7 +118,7 @@ Table run_table1_sender_initiated(const Circuit& circuit,
   t.column("SendRmt").column("SendLoc").column("CktHt").column("Occup.")
       .column("MBytes").column("Time(s)")
       .column("paper:Ht").column("paper:MB").column("paper:T");
-  const auto runs = pool_map(paper::kTable1.size(), [&](std::size_t i) {
+  const auto runs = map_indexed(paper::kTable1.size(), [&](std::size_t i) {
     const paper::SenderRow& row = paper::kTable1[i];
     return run_mp(circuit, config,
                   UpdateSchedule::sender(row.send_rmt, row.send_loc));
@@ -142,7 +128,7 @@ Table run_table1_sender_initiated(const Circuit& circuit,
     const paper::SenderRow& row = paper::kTable1[i];
     if (row.send_rmt != last_rmt && last_rmt != -1) t.separator();
     last_rmt = row.send_rmt;
-    const MpRunResult& r = *runs[i];
+    const MpRunResult& r = runs[i];
     t.row().cell(row.send_rmt).cell(row.send_loc)
         .cell(static_cast<long long>(r.circuit_height))
         .cell(static_cast<long long>(r.occupancy_factor))
@@ -158,7 +144,7 @@ Table run_table2_receiver_initiated(const Circuit& circuit,
   t.column("ReqLoc").column("ReqRmt").column("CktHt").column("Occup.")
       .column("MBytes").column("Time(s)")
       .column("paper:Ht").column("paper:MB").column("paper:T");
-  const auto runs = pool_map(paper::kTable2.size(), [&](std::size_t i) {
+  const auto runs = map_indexed(paper::kTable2.size(), [&](std::size_t i) {
     const paper::ReceiverRow& row = paper::kTable2[i];
     return run_mp(circuit, config,
                   UpdateSchedule::receiver(row.req_loc, row.req_rmt));
@@ -168,7 +154,7 @@ Table run_table2_receiver_initiated(const Circuit& circuit,
     const paper::ReceiverRow& row = paper::kTable2[i];
     if (row.req_loc != last_loc && last_loc != -1) t.separator();
     last_loc = row.req_loc;
-    const MpRunResult& r = *runs[i];
+    const MpRunResult& r = runs[i];
     t.row().cell(row.req_loc).cell(row.req_rmt)
         .cell(static_cast<long long>(r.circuit_height))
         .cell(static_cast<long long>(r.occupancy_factor))
@@ -189,15 +175,15 @@ Table run_sec513_blocking(const Circuit& circuit, const ExperimentConfig& config
   }
   // Two independent runs (non-blocking at even indices, blocking at odd)
   // per schedule row.
-  const auto runs = pool_map(rows.size() * 2, [&](std::size_t i) {
+  const auto runs = map_indexed(rows.size() * 2, [&](std::size_t i) {
     const paper::ReceiverRow& row = rows[i / 2];
     return run_mp(circuit, config,
                   UpdateSchedule::receiver(row.req_loc, row.req_rmt, i % 2 == 1));
   });
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const paper::ReceiverRow& row = rows[i];
-    const MpRunResult& nb = *runs[2 * i];
-    const MpRunResult& b = *runs[2 * i + 1];
+    const MpRunResult& nb = runs[2 * i];
+    const MpRunResult& b = runs[2 * i + 1];
     const double slowdown = nb.completion_ns == 0
                                 ? 0.0
                                 : static_cast<double>(b.completion_ns) /
@@ -227,11 +213,11 @@ Table run_sec513_mixed(const Circuit& circuit, const ExperimentConfig& config) {
       {"receiver (loc=1, rmt=5)", UpdateSchedule::receiver(1, 5)},
       {"mixed (5,2,1,5)", mixed},
   };
-  const auto runs = pool_map(std::size(cases), [&](std::size_t i) {
+  const auto runs = map_indexed(std::size(cases), [&](std::size_t i) {
     return run_mp(circuit, config, cases[i].second);
   });
   for (std::size_t i = 0; i < std::size(cases); ++i) {
-    const MpRunResult& r = *runs[i];
+    const MpRunResult& r = runs[i];
     t.row().cell(cases[i].first).cell(static_cast<long long>(r.circuit_height))
         .cell(static_cast<long long>(r.occupancy_factor))
         .cell(r.mbytes(), 3).cell(r.seconds(), 3);
@@ -271,25 +257,20 @@ Table3Result run_table3_line_size(const Circuit& circuit,
 
 Table run_sec52_comparison(const Circuit& circuit, const ExperimentConfig& config) {
   // Representative points: the paper's best-height sender schedule, the
-  // lowest-traffic receiver schedule, and shm at 8-byte lines. Three
-  // independent engines, so heterogeneous pool jobs rather than a map.
-  std::optional<MpRunResult> sender_run;
-  std::optional<MpRunResult> receiver_run;
+  // lowest-traffic receiver schedule, and shm at 8-byte lines.
+  const UpdateSchedule schedules[] = {UpdateSchedule::sender(2, 10),
+                                      UpdateSchedule::receiver(1, 30)};
+  MpRunResult mp[2];
   std::optional<ShmTraffic> shm_run;
-  SimPool().run_all({
-      {"sec52:sender", [&] {
-         sender_run.emplace(run_mp(circuit, config, UpdateSchedule::sender(2, 10)));
-       }},
-      {"sec52:receiver", [&] {
-         receiver_run.emplace(
-             run_mp(circuit, config, UpdateSchedule::receiver(1, 30)));
-       }},
-      {"sec52:shm", [&] {
-         shm_run.emplace(run_shm_traffic(circuit, config, kBaselineAssign, {8}));
-       }},
+  run_indexed(3, [&](std::size_t i) {
+    if (i < 2) {
+      mp[i] = run_mp(circuit, config, schedules[i]);
+    } else {
+      shm_run.emplace(run_shm_traffic(circuit, config, kBaselineAssign, {8}));
+    }
   });
-  const MpRunResult& sender = *sender_run;
-  const MpRunResult& receiver = *receiver_run;
+  const MpRunResult& sender = mp[0];
+  const MpRunResult& receiver = mp[1];
   const ShmTraffic& shm = *shm_run;
 
   Table t;
@@ -318,7 +299,7 @@ Table run_table4_locality_mp(const Circuit& bnre, const Circuit& mdc,
       .column("CktHt").column("MBytes").column("Time(s)")
       .column("paper:Ht").column("paper:MB").column("paper:T");
   const UpdateSchedule schedule = UpdateSchedule::sender(2, 10);
-  const auto runs = pool_map(paper::kTable4.size(), [&](std::size_t i) {
+  const auto runs = map_indexed(paper::kTable4.size(), [&](std::size_t i) {
     const paper::LocalityMpRow& row = paper::kTable4[i];
     const Circuit& circuit = std::string(row.circuit) == "bnrE" ? bnre : mdc;
     return run_mp(circuit, config, schedule, method_from_name(row.method));
@@ -329,7 +310,7 @@ Table run_table4_locality_mp(const Circuit& bnre, const Circuit& mdc,
         std::string(row.circuit) == "MDC") {
       t.separator();
     }
-    const MpRunResult& r = *runs[i];
+    const MpRunResult& r = runs[i];
     t.row().cell(row.circuit).cell(row.method)
         .cell(static_cast<long long>(r.circuit_height))
         .cell(r.mbytes(), 3).cell(r.seconds(), 3)
@@ -341,13 +322,13 @@ Table run_table4_locality_mp(const Circuit& bnre, const Circuit& mdc,
 Table run_table4_receiver_locality(const Circuit& circuit,
                                    const ExperimentConfig& config) {
   const UpdateSchedule schedule = UpdateSchedule::receiver(1, 5);
-  const auto runs = pool_map(2, [&](std::size_t i) {
+  const auto runs = map_indexed(2, [&](std::size_t i) {
     return run_mp(circuit, config, schedule,
                   i == 0 ? AssignMethod::kRoundRobin
                          : AssignMethod::kThresholdInf);
   });
-  const MpRunResult& rr = *runs[0];
-  const MpRunResult& local = *runs[1];
+  const MpRunResult& rr = runs[0];
+  const MpRunResult& local = runs[1];
   const double drop =
       rr.bytes_transferred == 0
           ? 0.0
@@ -368,7 +349,7 @@ Table run_table5_locality_shm(const Circuit& bnre, const Circuit& mdc,
   Table t;
   t.column("circuit", Align::kLeft).column("method", Align::kLeft)
       .column("CktHt").column("MBytes").column("paper:Ht").column("paper:MB");
-  const auto runs = pool_map(paper::kTable5.size(), [&](std::size_t i) {
+  const auto runs = map_indexed(paper::kTable5.size(), [&](std::size_t i) {
     const paper::LocalityShmRow& row = paper::kTable5[i];
     const Circuit& circuit = std::string(row.circuit) == "bnrE" ? bnre : mdc;
     return run_shm_traffic(circuit, config, method_from_name(row.method), {8});
@@ -379,7 +360,7 @@ Table run_table5_locality_shm(const Circuit& bnre, const Circuit& mdc,
         std::string(row.circuit) == "MDC") {
       t.separator();
     }
-    const ShmTraffic& shm = *runs[i];
+    const ShmTraffic& shm = runs[i];
     t.row().cell(row.circuit).cell(row.method)
         .cell(static_cast<long long>(shm.run.circuit_height))
         .cell(static_cast<double>(shm.traffic[0].total_bytes()) / 1e6, 3)
@@ -408,7 +389,7 @@ Table run_locality_measure(const Circuit& bnre, const Circuit& mdc,
   }
   // The measure needs the run's assignment/partition, so it is computed
   // inside each job and only the scalar crosses the join.
-  const auto measures = pool_map(cases.size(), [&](std::size_t i) {
+  const auto measures = map_indexed(cases.size(), [&](std::size_t i) {
     const LocCase& lc = cases[i];
     const Partition partition(lc.circuit->channels(), lc.circuit->grids(),
                               MeshShape::for_procs(config.procs));
@@ -428,7 +409,7 @@ Table run_locality_measure(const Circuit& bnre, const Circuit& mdc,
                        2);
     }
     t.row().cell(lc.circuit->name()).cell(assign_method_name(lc.method))
-        .cell(*measures[i], 2).cell(paper_value);
+        .cell(measures[i], 2).cell(paper_value);
     if (lc.circuit == &bnre && i + 1 < cases.size() &&
         cases[i + 1].circuit != &bnre) {
       t.separator();
@@ -442,13 +423,13 @@ Table run_table6_scaling(const Circuit& circuit, const ExperimentConfig& config)
   t.column("procs").column("CktHt").column("Occup.").column("MBytes")
       .column("Time(s)").column("paper:Ht").column("paper:MB").column("paper:T");
   const UpdateSchedule schedule = UpdateSchedule::sender(2, 10);
-  const auto runs = pool_map(paper::kTable6.size(), [&](std::size_t i) {
+  const auto runs = map_indexed(paper::kTable6.size(), [&](std::size_t i) {
     return run_mp(circuit, config, schedule, kBaselineAssign,
                   paper::kTable6[i].procs);
   });
   for (std::size_t i = 0; i < paper::kTable6.size(); ++i) {
     const paper::ScalingRow& row = paper::kTable6[i];
-    const MpRunResult& r = *runs[i];
+    const MpRunResult& r = runs[i];
     t.row().cell(row.procs).cell(static_cast<long long>(r.circuit_height))
         .cell(static_cast<long long>(r.occupancy_factor))
         .cell(r.mbytes(), 3).cell(r.seconds(), 3)
@@ -473,7 +454,7 @@ Table run_speedup(const Circuit& bnre, const Circuit& mdc,
   for (const Circuit* circuit : {&bnre, &mdc}) {
     for (std::int32_t procs : {2, 4, 9, 16}) cases.push_back({circuit, procs});
   }
-  const auto runs = pool_map(cases.size(), [&](std::size_t i) {
+  const auto runs = map_indexed(cases.size(), [&](std::size_t i) {
     return run_mp(*cases[i].circuit, config, schedule, kBaselineAssign,
                   cases[i].procs);
   });
@@ -481,7 +462,7 @@ Table run_speedup(const Circuit& bnre, const Circuit& mdc,
   for (const Circuit* circuit : {&bnre, &mdc}) {
     double t2 = 0.0;
     for (std::int32_t procs : {2, 4, 9, 16}) {
-      const MpRunResult& r = *runs[idx++];
+      const MpRunResult& r = runs[idx++];
       if (procs == 2) t2 = r.seconds();
       // The paper computes speedup relative to the two-processor run, x2.
       const double speedup = r.seconds() == 0.0 ? 0.0 : 2.0 * t2 / r.seconds();
@@ -510,14 +491,14 @@ Table run_ablation_dynamic_assignment(const Circuit& circuit,
       {"dynamic, polled between wires", WireAssignmentMode::kDynamicPolled},
       {"dynamic, reception interrupts", WireAssignmentMode::kDynamicInterrupt},
   };
-  const auto runs = pool_map(std::size(cases), [&](std::size_t i) {
+  const auto runs = map_indexed(std::size(cases), [&](std::size_t i) {
     ExperimentConfig c = config;
     c.mp_base.assignment_mode = cases[i].second;
     return run_mp(circuit, c, schedule);
   });
   for (std::size_t i = 0; i < std::size(cases); ++i) {
     const char* name = cases[i].first;
-    const MpRunResult& r = *runs[i];
+    const MpRunResult& r = runs[i];
     t.row().cell(name).cell(static_cast<long long>(r.circuit_height))
         .cell(static_cast<long long>(r.occupancy_factor))
         .cell(r.mbytes(), 3).cell(r.seconds(), 3)
@@ -535,12 +516,12 @@ Table run_hierarchical_shm(const Circuit& circuit, const ExperimentConfig& confi
   constexpr AssignMethod kMethods[] = {
       AssignMethod::kRoundRobin, AssignMethod::kThreshold30,
       AssignMethod::kThreshold1000, AssignMethod::kThresholdInf};
-  const auto runs = pool_map(std::size(kMethods), [&](std::size_t i) {
+  const auto runs = map_indexed(std::size(kMethods), [&](std::size_t i) {
     return run_shm_traffic(circuit, config, kMethods[i], {8});
   });
   for (std::size_t i = 0; i < std::size(kMethods); ++i) {
     const AssignMethod method = kMethods[i];
-    const ShmTraffic& shm = *runs[i];
+    const ShmTraffic& shm = runs[i];
     NumaEstimate numa = estimate_numa(shm.run.trace, partition);
     BusEstimate bus = estimate_bus(shm.traffic[0]);
     t.row().cell(assign_method_name(method))
@@ -575,13 +556,13 @@ Table run_ablation_router(const Circuit& circuit) {
       {"thorough exploration", thorough},
       {"all three combined", all},
   };
-  const auto runs = pool_map(std::size(cases), [&](std::size_t i) {
+  const auto runs = map_indexed(std::size(cases), [&](std::size_t i) {
     SequentialParams sp;
     sp.router = cases[i].second;
     return route_sequential(circuit, sp);
   });
   for (std::size_t i = 0; i < std::size(cases); ++i) {
-    const SequentialResult& r = *runs[i];
+    const SequentialResult& r = runs[i];
     t.row().cell(cases[i].first)
         .cell(static_cast<long long>(r.circuit_height))
         .cell(static_cast<long long>(r.occupancy_factor))
@@ -594,14 +575,14 @@ Table run_iteration_convergence(const Circuit& circuit) {
   Table t;
   t.column("iterations").column("CktHt").column("Occup.").column("probes");
   constexpr std::int32_t kIterations[] = {1, 2, 3, 4, 6};
-  const auto runs = pool_map(std::size(kIterations), [&](std::size_t i) {
+  const auto runs = map_indexed(std::size(kIterations), [&](std::size_t i) {
     SequentialParams sp;
     sp.iterations = kIterations[i];
     return route_sequential(circuit, sp);
   });
   for (std::size_t i = 0; i < std::size(kIterations); ++i) {
     const std::int32_t iterations = kIterations[i];
-    const SequentialResult& r = *runs[i];
+    const SequentialResult& r = runs[i];
     t.row().cell(iterations).cell(static_cast<long long>(r.circuit_height))
         .cell(static_cast<long long>(r.occupancy_factor))
         .cell(static_cast<long long>(r.work.probes));
@@ -615,14 +596,14 @@ Table run_ablation_lookahead(const Circuit& circuit,
   t.column("lookahead (wires)").column("CktHt").column("Occup.")
       .column("MBytes").column("Time(s)");
   constexpr std::int32_t kLookaheads[] = {1, 3, 5, 10, 20};
-  const auto runs = pool_map(std::size(kLookaheads), [&](std::size_t i) {
+  const auto runs = map_indexed(std::size(kLookaheads), [&](std::size_t i) {
     UpdateSchedule schedule = UpdateSchedule::receiver(1, 5);
     schedule.request_lookahead = kLookaheads[i];
     return run_mp(circuit, config, schedule);
   });
   for (std::size_t i = 0; i < std::size(kLookaheads); ++i) {
     const std::int32_t lookahead = kLookaheads[i];
-    const MpRunResult& r = *runs[i];
+    const MpRunResult& r = runs[i];
     t.row().cell(lookahead).cell(static_cast<long long>(r.circuit_height))
         .cell(static_cast<long long>(r.occupancy_factor))
         .cell(r.mbytes(), 3).cell(r.seconds(), 3);
@@ -651,7 +632,7 @@ Table run_threshold_sweep(const Circuit& circuit, const ExperimentConfig& config
     MpRunResult run;
     double imbalance;
   };
-  const auto runs = pool_map(cases.size(), [&](std::size_t i) {
+  const auto runs = map_indexed(cases.size(), [&](std::size_t i) {
     const Assignment assignment =
         assign_threshold_cost(circuit, partition, cases[i].second);
     MpRunResult r = run_message_passing(circuit, partition, assignment,
@@ -660,10 +641,10 @@ Table run_threshold_sweep(const Circuit& circuit, const ExperimentConfig& config
     return SweepOut{std::move(r), imbalance};
   });
   for (std::size_t i = 0; i < cases.size(); ++i) {
-    const MpRunResult& r = runs[i]->run;
+    const MpRunResult& r = runs[i].run;
     t.row().cell(cases[i].first).cell(static_cast<long long>(r.circuit_height))
         .cell(r.mbytes(), 3).cell(r.seconds(), 3)
-        .cell(runs[i]->imbalance, 2);
+        .cell(runs[i].imbalance, 2);
   }
   return t;
 }
@@ -686,11 +667,11 @@ Table run_view_staleness(const Circuit& circuit, const ExperimentConfig& config)
          return s;
        }()},
   };
-  const auto runs = pool_map(std::size(cases), [&](std::size_t i) {
+  const auto runs = map_indexed(std::size(cases), [&](std::size_t i) {
     return run_mp(circuit, config, cases[i].second);
   });
   for (std::size_t i = 0; i < std::size(cases); ++i) {
-    const MpRunResult& r = *runs[i];
+    const MpRunResult& r = runs[i];
     t.row().cell(cases[i].first).cell(r.view_staleness, 3)
         .cell(r.own_region_staleness, 3)
         .cell(static_cast<long long>(r.circuit_height))
@@ -705,13 +686,13 @@ Table run_scaling_large(const Circuit& circuit, const ExperimentConfig& config) 
       .column("Time(s)").column("speedup");
   const UpdateSchedule schedule = UpdateSchedule::sender(2, 10);
   constexpr std::int32_t kProcs[] = {4, 16, 36, 64};
-  const auto runs = pool_map(std::size(kProcs), [&](std::size_t i) {
+  const auto runs = map_indexed(std::size(kProcs), [&](std::size_t i) {
     return run_mp(circuit, config, schedule, kBaselineAssign, kProcs[i]);
   });
   double t4 = 0.0;
   for (std::size_t i = 0; i < std::size(kProcs); ++i) {
     const std::int32_t procs = kProcs[i];
-    const MpRunResult& r = *runs[i];
+    const MpRunResult& r = runs[i];
     if (procs == 4) t4 = r.seconds();
     const double speedup = r.seconds() == 0.0 ? 0.0 : 4.0 * t4 / r.seconds();
     t.row().cell(procs).cell(static_cast<long long>(r.circuit_height))
@@ -728,14 +709,14 @@ Table run_mp_iteration_sweep(const Circuit& circuit,
       .column("Time(s)");
   const UpdateSchedule schedule = UpdateSchedule::sender(2, 10);
   constexpr std::int32_t kSweepIters[] = {1, 2, 3, 4};
-  const auto runs = pool_map(std::size(kSweepIters), [&](std::size_t i) {
+  const auto runs = map_indexed(std::size(kSweepIters), [&](std::size_t i) {
     ExperimentConfig c = config;
     c.iterations = kSweepIters[i];
     return run_mp(circuit, c, schedule);
   });
   for (std::size_t i = 0; i < std::size(kSweepIters); ++i) {
     const std::int32_t iterations = kSweepIters[i];
-    const MpRunResult& r = *runs[i];
+    const MpRunResult& r = runs[i];
     t.row().cell(iterations).cell(static_cast<long long>(r.circuit_height))
         .cell(static_cast<long long>(r.occupancy_factor))
         .cell(r.mbytes(), 3).cell(r.seconds(), 3);
@@ -756,7 +737,7 @@ Table run_ablation_cache_size(const Circuit& circuit,
       {"16 KB", 2048},         {"64 KB", 8192},
       {"infinite (paper)", 0},
   };
-  const auto traffics = pool_map(std::size(cases), [&](std::size_t i) {
+  const auto traffics = map_indexed(std::size(cases), [&](std::size_t i) {
     CoherenceParams params;
     params.line_size = 8;
     params.capacity_lines = cases[i].second;
@@ -766,7 +747,7 @@ Table run_ablation_cache_size(const Circuit& circuit,
   });
   for (std::size_t i = 0; i < std::size(cases); ++i) {
     const char* name = cases[i].first;
-    const CoherenceTraffic& traffic = *traffics[i];
+    const CoherenceTraffic& traffic = traffics[i];
     t.row().cell(name)
         .cell(static_cast<double>(traffic.total_bytes()) / 1e6, 3)
         .cell(static_cast<double>(traffic.eviction_writeback_bytes) / 1e6, 3)
@@ -788,7 +769,7 @@ Table run_seed_robustness(const ExperimentConfig& config) {
     double sender_mb;
     double receiver_mb;
   };
-  const auto runs = pool_map(std::size(kSeeds), [&](std::size_t s) {
+  const auto runs = map_indexed(std::size(kSeeds), [&](std::size_t s) {
     GeneratorParams params;  // bnrE-shaped, reseeded
     params.name = "seeded";
     params.channels = 10;
@@ -817,7 +798,7 @@ Table run_seed_robustness(const ExperimentConfig& config) {
                    sender.mbytes(), receiver.mbytes()};
   });
   for (std::size_t s = 0; s < std::size(kSeeds); ++s) {
-    const SeedOut& r = *runs[s];
+    const SeedOut& r = runs[s];
     const bool holds = r.shm_mb > r.sender_mb && r.sender_mb > r.receiver_mb;
     char label[32];
     std::snprintf(label, sizeof label, "0x%llX",
@@ -896,9 +877,9 @@ ScaleSweepResult run_scale_sweep(const ScaleSweepOptions& options) {
     double bytes_per_wire = 0.0;
     ScaleModeMetrics m;
   };
-  // Fanned over the process SimPool; every job is an independent
+  // Fanned out by map_indexed; every job is an independent
   // deterministic simulation, so the sweep is pool-width independent.
-  const auto runs = pool_map(jobs.size(), [&](std::size_t i) {
+  const auto runs = map_indexed(jobs.size(), [&](std::size_t i) {
     RunOut o;
     const Job& job = jobs[i];
     if (job.skipped) return o;
@@ -992,7 +973,7 @@ ScaleSweepResult run_scale_sweep(const ScaleSweepOptions& options) {
           .cell("-").cell("-").cell("-");
       continue;
     }
-    const RunOut& r = *runs[i];
+    const RunOut& r = runs[i];
     if (base_seconds[mode_idx] == 0.0) base_seconds[mode_idx] = r.seconds;
     const double speedup =
         r.seconds == 0.0 ? 0.0 : base_seconds[mode_idx] / r.seconds;
@@ -1031,11 +1012,11 @@ Table run_overhead_breakdown(const Circuit& circuit,
       {"receiver (1,5)", UpdateSchedule::receiver(1, 5)},
       {"receiver (1,30)", UpdateSchedule::receiver(1, 30)},
   };
-  const auto runs = pool_map(std::size(cases), [&](std::size_t i) {
+  const auto runs = map_indexed(std::size(cases), [&](std::size_t i) {
     return run_mp(circuit, config, cases[i].second);
   });
   for (std::size_t i = 0; i < std::size(cases); ++i) {
-    const TimeBreakdown& tb = runs[i]->time_breakdown;
+    const TimeBreakdown& tb = runs[i].time_breakdown;
     t.row().cell(cases[i].first)
         .cell(static_cast<double>(tb.routing_ns) / 1e9, 3)
         .cell(static_cast<double>(tb.msg_software_ns) / 1e9, 3)
@@ -1056,14 +1037,14 @@ Table run_ablation_packet_structure(const Circuit& circuit,
       {"whole region", PacketStructure::kWholeRegion},
       {"bounding box (paper)", PacketStructure::kBoundingBox},
   };
-  const auto runs = pool_map(std::size(cases), [&](std::size_t i) {
+  const auto runs = map_indexed(std::size(cases), [&](std::size_t i) {
     ExperimentConfig c = config;
     c.mp_base.packet_structure = cases[i].second;
     return run_mp(circuit, c, schedule);
   });
   for (std::size_t i = 0; i < std::size(cases); ++i) {
     const char* name = cases[i].first;
-    const MpRunResult& r = *runs[i];
+    const MpRunResult& r = runs[i];
     t.row().cell(name).cell(static_cast<long long>(r.circuit_height))
         .cell(r.mbytes(), 3).cell(r.seconds(), 3);
   }
@@ -1098,7 +1079,7 @@ Table run_ablation_protocols(const Circuit& circuit,
         {"Dragon (write update)", ProtocolKind::kDragon}}) {
     for (std::int32_t line : {8, 32}) cases.push_back({name, protocol, line});
   }
-  const auto traffics = pool_map(cases.size(), [&](std::size_t i) {
+  const auto traffics = map_indexed(cases.size(), [&](std::size_t i) {
     CoherenceParams params;
     params.line_size = cases[i].line;
     params.protocol = cases[i].protocol;
@@ -1107,7 +1088,7 @@ Table run_ablation_protocols(const Circuit& circuit,
     return sim.traffic();
   });
   for (std::size_t i = 0; i < cases.size(); ++i) {
-    const CoherenceTraffic& traffic = *traffics[i];
+    const CoherenceTraffic& traffic = traffics[i];
     t.row().cell(std::string(cases[i].name) + " @" +
                  std::to_string(cases[i].line) + "B")
         .cell(static_cast<double>(traffic.total_bytes()) / 1e6, 3)
@@ -1147,7 +1128,7 @@ Table run_ablation_topology(const Circuit& circuit, const ExperimentConfig& conf
     cases.insert(cases.begin() + 2,
                  TopoCase{"binary hypercube", Topology::Edges::kTorus, cube_dims});
   }
-  const auto runs = pool_map(cases.size(), [&](std::size_t i) {
+  const auto runs = map_indexed(cases.size(), [&](std::size_t i) {
     ExperimentConfig c = config;
     c.mp_base.edges = cases[i].edges;
     c.mp_base.topology_dims = cases[i].dims;
@@ -1155,7 +1136,7 @@ Table run_ablation_topology(const Circuit& circuit, const ExperimentConfig& conf
   });
   for (std::size_t i = 0; i < cases.size(); ++i) {
     const char* name = cases[i].name;
-    const MpRunResult& r = *runs[i];
+    const MpRunResult& r = runs[i];
     const double mean_latency_us =
         r.network.packets == 0
             ? 0.0
@@ -1251,7 +1232,7 @@ Table run_check_faults(const Circuit& circuit, const ExperimentConfig& config) {
     MpRunResult run;
     ConsistencyReport rep;
   };
-  const auto runs = pool_map(cases.size(), [&](std::size_t i) {
+  const auto runs = map_indexed(cases.size(), [&](std::size_t i) {
     ConsistencyOptions opts;
     opts.checkpoint_period = 8;
     ViewConsistencyChecker checker(opts);
@@ -1266,8 +1247,8 @@ Table run_check_faults(const Circuit& circuit, const ExperimentConfig& config) {
   });
   for (std::size_t i = 0; i < cases.size(); ++i) {
     const Case& c = cases[i];
-    const MpRunResult& run = runs[i]->run;
-    const ConsistencyReport& rep = runs[i]->rep;
+    const MpRunResult& run = runs[i].run;
+    const ConsistencyReport& rep = runs[i].rep;
     const std::uint64_t injected = run.faults.dropped + run.faults.duplicated +
                                    run.faults.delayed + run.faults.reordered +
                                    run.faults.stalls;
@@ -1298,14 +1279,14 @@ Table run_check_trace_scan(const Circuit& circuit, const ExperimentConfig& confi
       .column("ww").column("wr").column("rw")
       .column("hottest", Align::kLeft).column("histogram", Align::kLeft);
   constexpr std::int32_t kLines[] = {4, 8, 16, 32};
-  const auto reports = pool_map(std::size(kLines), [&](std::size_t i) {
+  const auto reports = map_indexed(std::size(kLines), [&](std::size_t i) {
     TraceScanOptions opts;
     opts.line_bytes = kLines[i];
     return scan_trace_conflicts(run.trace, opts);
   });
   for (std::size_t i = 0; i < std::size(kLines); ++i) {
     const std::int32_t line = kLines[i];
-    const TraceScanReport& rep = *reports[i];
+    const TraceScanReport& rep = reports[i];
     std::string hottest = "-";
     if (!rep.hottest.empty()) {
       hottest = "line " + std::to_string(rep.hottest.front().line) + " x" +
@@ -1343,21 +1324,7 @@ constexpr std::int32_t kTopologyCheckpointPeriod = 4;
 TopologySweepResult run_topology_sweep(const Circuit& circuit,
                                        const TopologySweepOptions& options) {
   LOCUS_ASSERT(!options.proc_counts.empty());
-  struct Sched {
-    const char* name;
-    UpdateSchedule schedule;
-  };
-  UpdateSchedule mixed;
-  mixed.send_loc_period = 10;
-  mixed.send_rmt_period = 5;
-  mixed.req_rmt_touches = 3;
-  mixed.req_loc_requests = 2;
-  const Sched scheds[] = {
-      {"sender(10,5)", UpdateSchedule::sender(10, 5)},
-      {"receiver(5,2)", UpdateSchedule::receiver(5, 2)},
-      {"receiver-blk(5,2)", UpdateSchedule::receiver(5, 2, /*blocking=*/true)},
-      {"mixed", mixed},
-  };
+  const std::span<const CheckSchedule> scheds = checking_schedules();
   struct Topo {
     const char* name;
     Topology::Edges edges;
@@ -1382,7 +1349,7 @@ TopologySweepResult run_topology_sweep(const Circuit& circuit,
   for (std::int32_t procs : options.proc_counts) {
     for (std::size_t topo = 0; topo < std::size(topos); ++topo) {
       for (std::size_t model = 0; model < std::size(models); ++model) {
-        for (std::size_t sched = 0; sched < std::size(scheds); ++sched) {
+        for (std::size_t sched = 0; sched < scheds.size(); ++sched) {
           jobs.push_back({sched, topo, model, procs});
         }
       }
@@ -1402,9 +1369,9 @@ TopologySweepResult run_topology_sweep(const Circuit& circuit,
     bool ok() const { return consistent && converged && ledger_ok && conserved; }
   };
   // Each cell of the matrix is an independent deterministic simulation with
-  // its own consistency checker; pool_map keeps the table bytes identical at
+  // its own consistency checker; map_indexed keeps the table bytes identical at
   // any pool width.
-  const auto runs = pool_map(jobs.size(), [&](std::size_t i) {
+  const auto runs = map_indexed(jobs.size(), [&](std::size_t i) {
     const Job& job = jobs[i];
     ConsistencyOptions check_options;
     check_options.checkpoint_period = kTopologyCheckpointPeriod;
@@ -1446,7 +1413,7 @@ TopologySweepResult run_topology_sweep(const Circuit& circuit,
   std::int32_t prev_procs = jobs.empty() ? 0 : jobs.front().procs;
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     const Job& job = jobs[i];
-    const RunOut& r = *runs[i];
+    const RunOut& r = runs[i];
     if (job.procs != prev_procs) {
       t.separator();
       prev_procs = job.procs;
@@ -1472,35 +1439,21 @@ TopologySweepResult run_topology_sweep(const Circuit& circuit,
 
 Table run_fault_recovery_sweep(const Circuit& circuit,
                                const ExperimentConfig& config) {
-  struct Sched {
-    const char* name;
-    UpdateSchedule schedule;
-  };
-  UpdateSchedule mixed;
-  mixed.send_loc_period = 10;
-  mixed.send_rmt_period = 5;
-  mixed.req_rmt_touches = 3;
-  mixed.req_loc_requests = 2;
-  const Sched scheds[] = {
-      {"sender(10,5)", UpdateSchedule::sender(10, 5)},
-      {"receiver(5,2)", UpdateSchedule::receiver(5, 2)},
-      {"receiver-blk(5,2)", UpdateSchedule::receiver(5, 2, /*blocking=*/true)},
-      {"mixed", mixed},
-  };
+  const std::span<const CheckSchedule> scheds = checking_schedules();
   constexpr double kRates[] = {0.0, 0.005, 0.02, 0.05};
-  constexpr std::size_t kNumScheds = std::size(scheds);
+  const std::size_t num_scheds = scheds.size();
   constexpr std::size_t kNumRates = std::size(kRates);
 
   // Plans live in a stable vector: MpConfig keeps a pointer into it across
   // the pooled runs. Drops hit every packet type — including blocking-mode
   // responses, which without the transport would deadlock the requester.
-  std::vector<FaultPlan> plans(kNumScheds * kNumRates);
-  for (std::size_t s = 0; s < kNumScheds; ++s) {
+  std::vector<FaultPlan> plans(num_scheds * kNumRates);
+  for (std::size_t s = 0; s < num_scheds; ++s) {
     for (std::size_t r = 0; r < kNumRates; ++r) {
       plans[s * kNumRates + r].drop_rate = kRates[r];
     }
   }
-  const auto runs = pool_map(kNumScheds * kNumRates, [&](std::size_t i) {
+  const auto runs = map_indexed(num_scheds * kNumRates, [&](std::size_t i) {
     MpConfig mp = config.mp(scheds[i / kNumRates].schedule);
     mp.transport.enabled = true;
     mp.faults = &plans[i];
@@ -1512,11 +1465,11 @@ Table run_fault_recovery_sweep(const Circuit& circuit,
       .column("retx").column("dedup").column("acks").column("MBytes")
       .column("ovh%").column("lag(us)").column("identical", Align::kLeft)
       .column("ledger", Align::kLeft);
-  for (std::size_t s = 0; s < kNumScheds; ++s) {
+  for (std::size_t s = 0; s < num_scheds; ++s) {
     if (s > 0) t.separator();
-    const MpRunResult& base = *runs[s * kNumRates];
+    const MpRunResult& base = runs[s * kNumRates];
     for (std::size_t r = 0; r < kNumRates; ++r) {
-      const MpRunResult& run = *runs[s * kNumRates + r];
+      const MpRunResult& run = runs[s * kNumRates + r];
       // The convergence guarantee: a faulted run is bit-identical to the
       // same schedule's fault-free run in everything the router produced.
       const bool identical = run.routes == base.routes &&

@@ -144,7 +144,7 @@ struct ScaleSweepResult {
 };
 
 /// Sweeps proc_counts x wire_counts x modes, fanned over the process
-/// SimPool (results are pool-width independent). Rows whose mesh cannot
+/// job runner (results are pool-width independent). Rows whose mesh cannot
 /// band the circuit (more mesh rows than channels) are reported as skipped.
 /// Columns: wires, procs, mode, CktHt, routes/sec, traffic per wire,
 /// speedup vs the first proc count of that circuit in the same mode,
@@ -173,7 +173,7 @@ struct TopologySweepResult {
 };
 
 /// Sweeps schedule x topology x cost model x procs, fanned over the
-/// process SimPool (table bytes are pool-width independent). Columns:
+/// job runner (table bytes are pool-width independent). Columns:
 /// schedule, topology, cost model, procs, CktHt, completion ms, traffic
 /// KB, per-link max/mean utilization, links used, stalls, and the
 /// consistency + ledger verdict.

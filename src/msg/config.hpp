@@ -48,6 +48,10 @@ enum class WireAssignmentMode : std::int8_t {
   kDynamicInterrupt,
 };
 
+/// Routing-time slice of the queue owner under kDynamicInterrupt: arriving
+/// wire requests are serviced within one slice.
+inline constexpr std::int64_t kInterruptSliceNs = 1'000'000;
+
 /// Grant-ordering policy of the dynamic wire queue owner (DESIGN.md §11).
 enum class GrantPolicy : std::int8_t {
   kFifoOrder,  ///< ascending wire id, the §4.2 queue
@@ -170,9 +174,6 @@ struct MpConfig {
   /// keeps runs bit-identical to the pre-seam network.
   LinkCostParams link_cost;
   WireAssignmentMode assignment_mode = WireAssignmentMode::kStatic;
-  /// Routing-time slice of the queue owner under kDynamicInterrupt:
-  /// arriving requests are serviced within one slice (>= 1).
-  std::int64_t interrupt_slice_ns = 1'000'000;
   /// Locality/batching knobs for the dynamic modes; the defaults are the
   /// §4.2 FIFO single-wire protocol. Unused under kStatic.
   DynamicScheduleConfig dynamic;

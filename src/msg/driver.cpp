@@ -52,10 +52,6 @@ void MpConfig::validate(std::int32_t procs) const {
     reject("dynamic.locality_radius must be >= 0, got " +
            std::to_string(dynamic.locality_radius));
   }
-  // A zero slice never drains the queue owner's sliced charge.
-  if (interrupt_slice_ns < 1) {
-    reject("interrupt_slice_ns must be >= 1, got " + std::to_string(interrupt_slice_ns));
-  }
   // The wire queue counts on every request and grant arriving exactly once
   // (a duplicated request would report its completions twice); only the
   // reliable transport restores that under drops and duplicates.

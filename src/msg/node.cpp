@@ -451,7 +451,7 @@ bool RouterNode::master_step(NodeApi& api) {
     }
     slice_remaining_ = cost;
   }
-  const SimTime slice = std::min(slice_remaining_, config_.interrupt_slice_ns);
+  const SimTime slice = std::min(slice_remaining_, kInterruptSliceNs);
   api.advance(slice);
   breakdown().routing_ns += slice;
   slice_remaining_ -= slice;

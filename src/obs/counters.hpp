@@ -4,7 +4,7 @@
 // deterministic simulators all run on one host thread. Names are
 // registered once (idempotent; mutex-protected, intended for setup time)
 // and return a stable MetricId; increments are then a plain uint64 add.
-// Concurrent runs (SimPool jobs) each own a registry, and the caller folds
+// Concurrent runs (run_indexed jobs) each own a registry, and the caller folds
 // them together with merge_from() once the workers have joined.
 //
 // Histograms bucket samples by log2 (bucket 0: sample 0, bucket k:
@@ -86,7 +86,7 @@ class CounterRegistry {
   std::vector<std::pair<std::string, HistogramSnapshot>> merged_histograms() const;
 
   /// Merge of a whole sibling registry: registers every metric of `other`
-  /// here (by name) and adds its totals in. Each SimPool job runs against
+  /// here (by name) and adds its totals in. Each run_indexed job runs against
   /// its own registry, and the caller absorbs them in submission order once
   /// the workers have joined, so the combined totals are deterministic. Not
   /// thread safe; call after the join.

@@ -77,7 +77,7 @@ CandidateWindow candidate_window(const Pin& a, const Pin& b, std::int32_t channe
 }
 
 /// Reusable buffers for the pricing loops. One instance per thread: the
-/// SimPool workers price concurrently, and capacity persists across calls
+/// run_indexed workers price concurrently, and capacity persists across calls
 /// so steady-state pricing allocates nothing. Everything after `win` is
 /// structure-of-arrays: per-channel rows of contiguous lanes the pricing
 /// loops stream over.

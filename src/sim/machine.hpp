@@ -15,8 +15,7 @@
 // buffer rather than a per-node priority queue. Deliveries are invoked in
 // global (time, sequence) event order, so per-node arrivals are already
 // sorted when they are pushed — the ring just appends at the tail and pops
-// at the head, no heap discipline needed. A sorted-insert fallback keeps
-// the (time, seq) order exact even if an out-of-order push ever appears.
+// at the head, no heap discipline needed; push asserts that order.
 #pragma once
 
 #include <cstdint>
@@ -28,6 +27,7 @@
 #include "sim/network.hpp"
 #include "sim/packet.hpp"
 #include "sim/topology.hpp"
+#include "support/assert.hpp"
 
 namespace locus {
 
@@ -135,9 +135,9 @@ class Machine {
     Packet packet;
   };
 
-  /// FIFO ring of arrivals kept sorted by (time, seq). Pushes append in
-  /// practice (deliveries happen in global event order); the rotate-back
-  /// fallback preserves exact order for any stray out-of-order push.
+  /// FIFO ring of arrivals in (time, seq) order. The network delivers
+  /// only from its delivery events, at the event's time, and arrival_seq_
+  /// only grows, so every push lands at or after the tail.
   class ArrivalRing {
    public:
     bool empty() const { return count_ == 0; }
@@ -151,24 +151,13 @@ class Machine {
     }
 
     void push(Arrival&& arrival) {
+      LOCUS_ASSERT(count_ == 0 || slots_[index(count_ - 1)].time <= arrival.time);
       if (count_ == slots_.size()) grow();
-      std::size_t at = index(count_);
-      slots_[at] = std::move(arrival);
+      slots_[index(count_)] = std::move(arrival);
       ++count_;
-      // Restore (time, seq) order in the (never expected) case of an
-      // out-of-order arrival: bubble the new entry toward the head.
-      while (at != head_) {
-        const std::size_t prev = at == 0 ? slots_.size() - 1 : at - 1;
-        if (!later(slots_[prev], slots_[at])) break;
-        std::swap(slots_[prev], slots_[at]);
-        at = prev;
-      }
     }
 
    private:
-    static bool later(const Arrival& a, const Arrival& b) {
-      return a.time != b.time ? a.time > b.time : a.seq > b.seq;
-    }
     std::size_t next(std::size_t i) const {
       return i + 1 == slots_.size() ? 0 : i + 1;
     }

@@ -194,18 +194,6 @@ TEST(MpConfigValidate, NegativeLocalityRadiusThrows) {
   EXPECT_EQ(validate_error(config, 4), "");
 }
 
-// A zero slice never drains the queue owner's sliced charge, so the run
-// would never end.
-TEST(MpConfigValidate, ZeroInterruptSliceThrows) {
-  MpConfig config;
-  config.assignment_mode = WireAssignmentMode::kDynamicInterrupt;
-  config.interrupt_slice_ns = 0;
-  EXPECT_NE(validate_error(config, 4).find("interrupt_slice_ns must be >= 1, got 0"),
-            std::string::npos);
-  config.interrupt_slice_ns = 1;
-  EXPECT_EQ(validate_error(config, 4), "");
-}
-
 // The wire queue needs each request and grant delivered exactly once: a
 // duplicated request would report its completions twice.
 TEST(MpConfigValidate, LossyWireQueueNeedsTransport) {

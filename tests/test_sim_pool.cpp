@@ -1,16 +1,21 @@
-// SimPool runner and determinism tests: every job runs exactly once with
-// submission-ordered collection, errors propagate as the lowest-index
-// failure, thread-count resolution follows explicit > set_sim_threads() >
-// LOCUS_THREADS > serial, and — the property the whole design rests on —
-// fanning real simulations out over the pool yields bit-identical results
-// and bit-identical merged observability output at every thread count.
+// Job runner and determinism tests: every job runs exactly once with
+// index-ordered collection, errors propagate as the lowest-index failure,
+// the width resolves set_sim_threads() > LOCUS_THREADS > serial, a run
+// really holds its full width of jobs at once, and — the property the
+// whole design rests on — fanning real simulations out yields
+// bit-identical results and bit-identical merged observability output at
+// every width. No test starts more than 4 workers.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <cstdlib>
 #include <memory>
+#include <mutex>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -21,7 +26,7 @@
 #include "msg/driver.hpp"
 #include "obs/counters.hpp"
 #include "sim/event_queue.hpp"
-#include "support/stopwatch.hpp"
+#include "test_util.hpp"
 
 namespace locus {
 namespace {
@@ -30,9 +35,9 @@ TEST(SimPool, RunsEveryJobExactlyOnce) {
   constexpr std::size_t kJobs = 257;  // deliberately not a multiple of width
   std::vector<int> hits(kJobs, 0);
   std::atomic<int> total{0};
-  SimPool pool(4);
-  EXPECT_EQ(pool.threads(), 4);
-  pool.run_indexed(kJobs, [&](std::size_t i) {
+  const test::ScopedSimThreads width(4);
+  EXPECT_EQ(sim_threads(), 4);
+  run_indexed(kJobs, [&](std::size_t i) {
     ++hits[i];  // each slot has exactly one writer
     total.fetch_add(1, std::memory_order_relaxed);
   });
@@ -43,36 +48,41 @@ TEST(SimPool, RunsEveryJobExactlyOnce) {
 }
 
 TEST(SimPool, MapCollectsInSubmissionOrder) {
-  const std::vector<std::int64_t> out =
-      SimPool(4).map(100, [](std::size_t i) {
-        return static_cast<std::int64_t>(i) * static_cast<std::int64_t>(i);
-      });
+  // No default constructor: map_indexed must not need one.
+  struct Square {
+    explicit Square(std::size_t i) : value(static_cast<std::int64_t>(i * i)) {}
+    std::int64_t value;
+  };
+  const test::ScopedSimThreads width(4);
+  const std::vector<Square> out =
+      map_indexed(100, [](std::size_t i) { return Square(i); });
   ASSERT_EQ(out.size(), 100u);
   for (std::size_t i = 0; i < out.size(); ++i) {
-    EXPECT_EQ(out[i], static_cast<std::int64_t>(i * i));
+    EXPECT_EQ(out[i].value, static_cast<std::int64_t>(i * i));
   }
 }
 
 TEST(SimPool, ZeroAndSingleJobRunInline) {
-  SimPool pool(8);
-  pool.run_indexed(0, [](std::size_t) { FAIL() << "no jobs to run"; });
+  const test::ScopedSimThreads width(4);
+  run_indexed(0, [](std::size_t) { FAIL() << "no jobs to run"; });
   std::vector<std::size_t> seen;
-  pool.run_indexed(1, [&](std::size_t i) { seen.push_back(i); });
+  run_indexed(1, [&](std::size_t i) { seen.push_back(i); });
   ASSERT_EQ(seen.size(), 1u);  // push_back un-synchronized: inline-only is load-bearing
   EXPECT_EQ(seen[0], 0u);
 }
 
 TEST(SimPool, FirstErrorByJobIndexWins) {
-  // Three jobs throw; whichever finishes first, the pool must rethrow the
-  // lowest submission index so failures are reproducible across widths.
+  // Three jobs throw; whichever finishes first, the runner must rethrow the
+  // lowest index so failures are reproducible across widths.
   for (int threads : {1, 4}) {
+    const test::ScopedSimThreads width(threads);
     try {
-      SimPool(threads).run_indexed(16, [](std::size_t i) {
+      run_indexed(16, [](std::size_t i) {
         if (i == 9 || i == 3 || i == 5) {
           throw std::runtime_error(std::to_string(i));
         }
       });
-      FAIL() << "expected the pool to rethrow";
+      FAIL() << "expected the runner to rethrow";
     } catch (const std::runtime_error& e) {
       EXPECT_STREQ(e.what(), "3") << "threads=" << threads;
     }
@@ -80,18 +90,22 @@ TEST(SimPool, FirstErrorByJobIndexWins) {
 }
 
 TEST(SimPool, ThreadResolutionPrecedence) {
-  set_sim_threads(3);
-  EXPECT_EQ(sim_threads(), 3);
-  EXPECT_EQ(SimPool().threads(), 3);
-  EXPECT_EQ(SimPool(2).threads(), 2);  // explicit beats the session default
+  const char* saved = std::getenv("LOCUS_THREADS");
+  const std::optional<std::string> env =
+      saved != nullptr ? std::optional<std::string>(saved) : std::nullopt;
 
+  ::setenv("LOCUS_THREADS", "2", 1);
+  set_sim_threads(3);
+  EXPECT_EQ(sim_threads(), 3);   // set_sim_threads beats the environment
   set_sim_threads(0);
   ::setenv("LOCUS_THREADS", "5", 1);
-  EXPECT_EQ(sim_threads(), 5);   // env applies once the default is cleared
+  EXPECT_EQ(sim_threads(), 5);   // env applies once the setting is cleared
   ::setenv("LOCUS_THREADS", "not-a-number", 1);
   EXPECT_EQ(sim_threads(), 1);   // garbage degrades to serial
   ::unsetenv("LOCUS_THREADS");
   EXPECT_EQ(sim_threads(), 1);   // nothing configured: serial
+
+  if (env.has_value()) ::setenv("LOCUS_THREADS", env->c_str(), 1);
 }
 
 TEST(SimPool, AvailableCpusIsAtLeastOne) {
@@ -100,14 +114,35 @@ TEST(SimPool, AvailableCpusIsAtLeastOne) {
   EXPECT_GE(available_cpus(), 1);
 }
 
-TEST(SimPool, RunAllExecutesNamedJobs) {
-  std::vector<int> done(3, 0);
-  std::vector<SimJob> jobs;
-  for (int i = 0; i < 3; ++i) {
-    jobs.push_back(SimJob{"job" + std::to_string(i), [&done, i] { done[static_cast<std::size_t>(i)] = i + 1; }});
+TEST(SimPool, FullWidthOfJobsRunsAtOnce) {
+  // W = min(4, cpus) jobs each wait at a shared rendezvous until all W have
+  // started. That only completes if W workers hold a job at the same time;
+  // a narrower run leaves the first job waiting until the bounded wait
+  // gives up, and the test fails instead of hanging.
+  const std::size_t jobs = static_cast<std::size_t>(std::min(4, available_cpus()));
+  const test::ScopedSimThreads width(4);
+  std::mutex mutex;
+  std::condition_variable all_started;
+  std::size_t started = 0;
+  bool gave_up = false;
+  std::vector<int> met(jobs, 0);
+  run_indexed(jobs, [&](std::size_t i) {
+    std::unique_lock<std::mutex> lock(mutex);
+    ++started;
+    all_started.notify_all();
+    met[i] = all_started.wait_for(lock, std::chrono::seconds(60), [&] {
+      return started == jobs || gave_up;
+    }) && !gave_up;
+    if (met[i] == 0) {
+      gave_up = true;
+      all_started.notify_all();
+    }
+  });
+  EXPECT_EQ(started, jobs);
+  for (std::size_t i = 0; i < jobs; ++i) {
+    EXPECT_EQ(met[i], 1) << "job " << i << " of " << jobs
+                         << " ran without the others";
   }
-  SimPool(2).run_all(std::move(jobs));
-  EXPECT_EQ(done, (std::vector<int>{1, 2, 3}));
 }
 
 // ---------------------------------------------------------------------------
@@ -163,12 +198,10 @@ std::vector<UpdateSchedule> sweep_schedules() {
 std::vector<MpRunResult> run_sweep(const Circuit& circuit, int threads) {
   const std::vector<UpdateSchedule> schedules = sweep_schedules();
   const ExperimentConfig config;
-  std::vector<MpRunResult> results(schedules.size());
-  SimPool(threads).run_indexed(schedules.size(), [&](std::size_t i) {
-    results[i] =
-        run_message_passing(circuit, config.procs, config.mp(schedules[i]));
+  const test::ScopedSimThreads width(threads);
+  return map_indexed(schedules.size(), [&](std::size_t i) {
+    return run_message_passing(circuit, config.procs, config.mp(schedules[i]));
   });
-  return results;
 }
 
 TEST(PoolDeterminism, MpSweepIsBitIdenticalAtAnyWidth) {
@@ -201,7 +234,8 @@ TEST(PoolDeterminism, MergedObsCsvIsBitIdenticalAtAnyWidth) {
   constexpr std::size_t kJobs = 12;
   const auto run_at = [](int threads) {
     std::vector<std::unique_ptr<obs::CounterRegistry>> regs(kJobs);
-    SimPool(threads).run_indexed(kJobs, [&](std::size_t i) {
+    const test::ScopedSimThreads width(threads);
+    run_indexed(kJobs, [&](std::size_t i) {
       auto reg = std::make_unique<obs::CounterRegistry>();
       const obs::MetricId events = reg->counter("job.events");
       const obs::MetricId shared = reg->counter("sweep.total");
@@ -221,72 +255,6 @@ TEST(PoolDeterminism, MergedObsCsvIsBitIdenticalAtAnyWidth) {
   EXPECT_NE(serial_csv.find("histogram,job.depth.count,78\n"), std::string::npos);
   EXPECT_EQ(run_at(2), serial_csv);
   EXPECT_EQ(run_at(4), serial_csv);
-}
-
-// ---------------------------------------------------------------------------
-// Scaling smoke: the pool must actually go faster where the hardware can
-// serve it. Release-only (Debug wall times measure the allocator's
-// bookkeeping, not the pool) and guarded on the affinity mask — on 1-cpu
-// CI runners the clamp makes pooled == serial and a speedup assertion
-// would be asserting on physics. DISABLED_: other load on a shared host
-// can sink the ratio, so ctest leaves it out and the nightly scale lane
-// runs it with --gtest_also_run_disabled_tests.
-
-TEST(PoolScaling, DISABLED_FourWorkersBeatSerialOnMultiCoreHosts) {
-#ifndef NDEBUG
-  GTEST_SKIP() << "Release-only: Debug timings do not reflect the pool";
-#endif
-  const int cpus = available_cpus();
-  if (cpus < 4) {
-    GTEST_SKIP() << "needs >= 4 available cpus, have " << cpus;
-  }
-
-  // At least 8 independent MP sims (2 per worker at width 4).
-  const Circuit circuit = make_bnre_like();
-  const std::vector<UpdateSchedule> schedules = {
-      UpdateSchedule::sender(2, 5),    UpdateSchedule::sender(2, 10),
-      UpdateSchedule::sender(5, 10),   UpdateSchedule::sender(10, 20),
-      UpdateSchedule::receiver(1, 5),  UpdateSchedule::receiver(1, 30),
-      UpdateSchedule::receiver(2, 10), UpdateSchedule::receiver(5, 2),
-  };
-  const ExperimentConfig config;
-  const auto batch = [&](int threads) {
-    SimPool pool(threads);
-    std::vector<std::int64_t> heights(schedules.size());
-    pool.run_indexed(schedules.size(), [&](std::size_t i) {
-      heights[i] = run_message_passing(circuit, config.procs,
-                                       config.mp(schedules[i]))
-                       .circuit_height;
-    });
-    return heights;
-  };
-  // One batch lasts only ~30-90 ms, short enough for a scheduler hiccup to
-  // swing the ratio, so each sample repeats the batch for >= 0.5 s and
-  // reports seconds per batch. Steady state: warm caches once per width,
-  // then median of 3 samples.
-  const auto sample = [&](int threads) {
-    Stopwatch sw;
-    int reps = 0;
-    double elapsed = 0.0;
-    do {
-      batch(threads);
-      ++reps;
-      elapsed = sw.seconds();
-    } while (elapsed < 0.5);
-    return elapsed / reps;
-  };
-  const auto median3 = [&](int threads) {
-    batch(threads);  // warm-up, not timed
-    std::vector<double> times(3);
-    for (double& t : times) t = sample(threads);
-    std::sort(times.begin(), times.end());
-    return times[1];
-  };
-  EXPECT_EQ(batch(4), batch(1)) << "width changed the results";
-  const double t1 = median3(1);
-  const double t4 = median3(4);
-  EXPECT_GE(t1 / t4, 1.5) << "4-worker batch speedup regressed: t1=" << t1
-                          << "s t4=" << t4 << "s";
 }
 
 }  // namespace

@@ -322,7 +322,7 @@ TEST(TransportIntegration, ObsCountersMirrorTransportStats) {
 
 /// 50 random circuits x drop rates {0.5%, 2%, 5%}: every faulted run is
 /// bit-identical to that circuit's fault-free run under the mixed schedule,
-/// and every ledger balances. Seeds fan out on the SimPool; verdicts are
+/// and every ledger balances. Seeds fan out on run_indexed; verdicts are
 /// collected per seed and asserted deterministically on the main thread.
 TEST(TransportProperty, FiftySeedsConvergeAtEveryDropRate) {
   constexpr std::size_t kSeeds = 50;
@@ -334,7 +334,7 @@ TEST(TransportProperty, FiftySeedsConvergeAtEveryDropRate) {
   mixed.req_loc_requests = 2;
 
   std::vector<std::string> failures(kSeeds);
-  SimPool().run_indexed(kSeeds, [&](std::size_t i) {
+  run_indexed(kSeeds, [&](std::size_t i) {
     const Circuit circuit = test::make_seeded_circuit(i + 1);
     const MpRunResult base =
         run_message_passing(circuit, 4, transport_config(mixed, nullptr));
@@ -364,29 +364,16 @@ TEST(TransportProperty, FiftySeedsConvergeAtEveryDropRate) {
 /// The schedule matrix at one rate: all four update protocols (including
 /// the blocking receiver) recover to their fault-free outcome.
 TEST(TransportProperty, EveryScheduleConvergesUnderDrops) {
-  const UpdateSchedule schedules[] = {
-      UpdateSchedule::sender(10, 5),
-      UpdateSchedule::receiver(5, 2),
-      UpdateSchedule::receiver(5, 2, /*blocking=*/true),
-      [] {
-        UpdateSchedule s;
-        s.send_loc_period = 10;
-        s.send_rmt_period = 5;
-        s.req_rmt_touches = 3;
-        s.req_loc_requests = 2;
-        return s;
-      }(),
-  };
   for (std::uint64_t seed : {3ull, 11ull, 29ull}) {
     const Circuit circuit = test::make_seeded_circuit(seed);
-    for (const UpdateSchedule& schedule : schedules) {
+    for (const CheckSchedule& s : checking_schedules()) {
       const MpRunResult base =
-          run_message_passing(circuit, 4, transport_config(schedule, nullptr));
+          run_message_passing(circuit, 4, transport_config(s.schedule, nullptr));
       FaultPlan plan;
       plan.drop_rate = 0.02;
       plan.seed = seed;
       const MpRunResult run =
-          run_message_passing(circuit, 4, transport_config(schedule, &plan));
+          run_message_passing(circuit, 4, transport_config(s.schedule, &plan));
       expect_identical(run, base, "schedule matrix");
     }
   }
@@ -410,7 +397,7 @@ TEST(TransportOracle, FaultedOraclePassesWithTransportOn) {
 }
 
 /// Pool determinism: the recovery sweep renders bit-identically at any
-/// SimPool width (name matches the tsan-threads preset filter).
+/// pool width (name matches the tsan-threads preset filter).
 TEST(FaultRecoverySweep, BitIdenticalAtAnyPoolWidth) {
   const Circuit circuit = test::make_seeded_circuit(7);
   ExperimentConfig config;
@@ -418,10 +405,9 @@ TEST(FaultRecoverySweep, BitIdenticalAtAnyPoolWidth) {
   std::string rendered[3];
   const int widths[] = {1, 2, 4};
   for (int i = 0; i < 3; ++i) {
-    set_sim_threads(widths[i]);
+    const test::ScopedSimThreads width(widths[i]);
     rendered[i] = run_fault_recovery_sweep(circuit, config).render();
   }
-  set_sim_threads(0);
   EXPECT_EQ(rendered[0], rendered[1]);
   EXPECT_EQ(rendered[0], rendered[2]);
   // Every row of the sweep must report identical routes and balanced books.

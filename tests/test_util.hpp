@@ -10,6 +10,7 @@
 #include "circuit/circuit.hpp"
 #include "circuit/generator.hpp"
 #include "grid/cost_array.hpp"
+#include "harness/sim_pool.hpp"
 #include "route/path.hpp"
 #include "shm/trace.hpp"
 #include "support/rng.hpp"
@@ -63,5 +64,15 @@ inline std::vector<GridPoint> expand_runs(std::span<const RowRun> runs) {
   }
   return cells;
 }
+
+/// Sets the process-wide simulation width (set_sim_threads) for one scope;
+/// on exit the width resolves from LOCUS_THREADS again.
+class ScopedSimThreads {
+ public:
+  explicit ScopedSimThreads(int threads) { set_sim_threads(threads); }
+  ~ScopedSimThreads() { set_sim_threads(0); }
+  ScopedSimThreads(const ScopedSimThreads&) = delete;
+  ScopedSimThreads& operator=(const ScopedSimThreads&) = delete;
+};
 
 }  // namespace locus::test
