@@ -10,3 +10,18 @@ endfunction()
 
 locus_add_bench(scale_sweep)
 locus_add_bench(topology_sweep)
+
+# scale_sweep exits 2 on a bad LOCUS_SCALE_* list before any circuit is
+# built (an abort would fail these even under WILL_FAIL). The valid list
+# beside each bad one is tiny, so a missed rejection still ends quickly.
+add_test(NAME ScaleSweep.RejectsNonNumericProcs COMMAND scale_sweep)
+add_test(NAME ScaleSweep.RejectsNegativeProcs COMMAND scale_sweep)
+add_test(NAME ScaleSweep.RejectsZeroWires COMMAND scale_sweep)
+set_tests_properties(ScaleSweep.RejectsNonNumericProcs PROPERTIES
+  ENVIRONMENT "LOCUS_SCALE_WIRES=600;LOCUS_SCALE_PROCS=abc")
+set_tests_properties(ScaleSweep.RejectsNegativeProcs PROPERTIES
+  ENVIRONMENT "LOCUS_SCALE_WIRES=600;LOCUS_SCALE_PROCS=-4")
+set_tests_properties(ScaleSweep.RejectsZeroWires PROPERTIES
+  ENVIRONMENT "LOCUS_SCALE_WIRES=0;LOCUS_SCALE_PROCS=4")
+set_tests_properties(ScaleSweep.RejectsNonNumericProcs ScaleSweep.RejectsNegativeProcs
+  ScaleSweep.RejectsZeroWires PROPERTIES WILL_FAIL TRUE)

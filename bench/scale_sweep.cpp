@@ -11,6 +11,7 @@
 // Runs with tiled views and region-batched updates (the configuration
 // the scale tier exists to exercise). The table is the output; the exact
 // figures of its 10k and 100k points are pinned in tests/test_scale.cpp.
+#include <charconv>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -25,6 +26,8 @@
 
 namespace {
 
+/// Reads a comma-separated list of counts in 1..2^20; exits 2 on an entry
+/// that is not one.
 std::vector<std::int32_t> parse_list(const char* env, const char* fallback) {
   const char* raw = std::getenv(env);
   std::string s = raw != nullptr && raw[0] != '\0' ? raw : fallback;
@@ -33,9 +36,16 @@ std::vector<std::int32_t> parse_list(const char* env, const char* fallback) {
   while (pos < s.size()) {
     std::size_t comma = s.find(',', pos);
     if (comma == std::string::npos) comma = s.size();
-    out.push_back(
-        static_cast<std::int32_t>(std::stol(s.substr(pos, comma - pos))));
+    const std::string entry = s.substr(pos, comma - pos);
     pos = comma + 1;
+    std::int32_t v = 0;
+    const auto [end, ec] = std::from_chars(entry.data(), entry.data() + entry.size(), v);
+    if (ec != std::errc() || end != entry.data() + entry.size() || v < 1 || v > (1 << 20)) {
+      std::fprintf(stderr, "%s entry '%s' is not an integer in 1..%d\n", env,
+                   entry.c_str(), 1 << 20);
+      std::exit(2);
+    }
+    out.push_back(v);
   }
   return out;
 }

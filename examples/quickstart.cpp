@@ -3,6 +3,7 @@
 //
 //   $ ./examples/quickstart [--iterations=2]
 #include <cstdio>
+#include <stdexcept>
 
 #include "circuit/generator.hpp"
 #include "circuit/stats.hpp"
@@ -14,12 +15,17 @@ int main(int argc, char** argv) {
   locus::Cli cli;
   cli.flag("iterations", "routing iterations (rip-up and reroute passes)", "2");
   if (!cli.parse(argc, argv)) return 1;
+  locus::SequentialParams params;
+  try {
+    params.iterations = cli.get_bounded_int("iterations", 1, 1 << 20);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "quickstart: %s\n", e.what());
+    return 1;
+  }
 
   locus::Circuit circuit = locus::make_bnre_like();
   std::printf("%s\n\n", locus::describe(circuit).c_str());
 
-  locus::SequentialParams params;
-  params.iterations = static_cast<std::int32_t>(cli.get_int("iterations"));
   locus::SequentialResult result = locus::route_sequential(circuit, params);
 
   std::printf("sequential LocusRoute, %d iteration(s):\n", params.iterations);

@@ -5,6 +5,7 @@
 //
 //   $ ./examples/route_circuit_file [circuit.ckt] [--iterations=2]
 #include <cstdio>
+#include <stdexcept>
 #include <string>
 
 #include "circuit/generator.hpp"
@@ -15,13 +16,11 @@
 #include "support/cli.hpp"
 #include "support/table.hpp"
 
-int main(int argc, char** argv) {
-  locus::Cli cli;
-  cli.flag("iterations", "rip-up and reroute passes", "2");
-  cli.flag("save", "where to save the generated circuit when no file is given",
-           "generated.ckt");
-  if (!cli.parse(argc, argv)) return 1;
+namespace {
 
+int run(const locus::Cli& cli) {
+  locus::SequentialParams params;
+  params.iterations = cli.get_bounded_int("iterations", 1, 1 << 20);
   locus::Circuit circuit = [&] {
     if (!cli.positional().empty()) {
       return locus::read_circuit_file(cli.positional().front());
@@ -35,8 +34,6 @@ int main(int argc, char** argv) {
 
   std::printf("%s\n\n", locus::describe(circuit).c_str());
 
-  locus::SequentialParams params;
-  params.iterations = static_cast<std::int32_t>(cli.get_int("iterations"));
   locus::SequentialResult result = locus::route_sequential(circuit, params);
 
   locus::Table report;
@@ -50,4 +47,20 @@ int main(int argc, char** argv) {
               static_cast<long long>(result.circuit_height),
               static_cast<long long>(result.occupancy_factor));
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  locus::Cli cli;
+  cli.flag("iterations", "rip-up and reroute passes", "2");
+  cli.flag("save", "where to save the generated circuit when no file is given",
+           "generated.ckt");
+  if (!cli.parse(argc, argv)) return 1;
+  try {
+    return run(cli);
+  } catch (const std::exception& e) {  // a bad count, an unreadable or malformed file
+    std::fprintf(stderr, "route_circuit_file: %s\n", e.what());
+    return 1;
+  }
 }

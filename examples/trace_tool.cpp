@@ -67,7 +67,7 @@ int main(int argc, char** argv) {
       const std::int32_t procs =
           cli.get_bounded_int("procs", 1, std::numeric_limits<std::int16_t>::max());
       return collect(cli.get("circuit"), procs, cli.get("out"));
-    } catch (const std::invalid_argument& e) {
+    } catch (const std::exception& e) {  // a bad flag or an unwritable --out
       std::fprintf(stderr, "collect: %s\n", e.what());
       return 1;
     }
@@ -78,23 +78,21 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "analyze needs a .trc path\n");
       return 1;
     }
-    const std::int64_t procs_flag = cli.get_int("procs");
-    if (procs_flag < 1 || procs_flag > 32) {
-      std::fprintf(stderr, "analyze: --procs=%lld out of range (the coherence model "
-                           "tracks 1..32 caches)\n", static_cast<long long>(procs_flag));
-      return 1;
-    }
-    const auto procs = static_cast<std::int32_t>(procs_flag);
+    std::int32_t procs = 0;
     locus::CoherenceParams params;
-    const std::int64_t line_flag = cli.get_int("line-size");
-    if (line_flag < params.word_size || line_flag > (1 << 30) ||
-        (line_flag & (line_flag - 1)) != 0) {
-      std::fprintf(stderr,
-                   "analyze: --line-size=%lld must be a power of two from %d to 2^30\n",
-                   static_cast<long long>(line_flag), params.word_size);
+    try {
+      // The coherence model tracks 1..32 caches.
+      procs = cli.get_bounded_int("procs", 1, 32);
+      params.line_size = cli.get_bounded_int("line-size", params.word_size, 1 << 30);
+    } catch (const std::invalid_argument& e) {
+      std::fprintf(stderr, "analyze: %s\n", e.what());
       return 1;
     }
-    params.line_size = static_cast<std::int32_t>(line_flag);
+    if ((params.line_size & (params.line_size - 1)) != 0) {
+      std::fprintf(stderr, "analyze: --line-size=%d must be a power of two\n",
+                   params.line_size);
+      return 1;
+    }
     const std::optional<locus::ProtocolKind> protocol = parse_protocol(cli.get("protocol"));
     if (!protocol) {
       std::fprintf(stderr, "analyze: unknown --protocol=%s (valid: wbi, wt, mesi, dragon)\n",

@@ -19,13 +19,12 @@ bool in_band(std::int64_t value, std::int64_t base, double rel, std::int64_t abs
          static_cast<double>(base) * (1.0 + rel) + static_cast<double>(abs);
 }
 
-void apply_bands(OracleVariant& variant, const OracleConfig& config,
-                 std::int64_t seq_height, std::int64_t seq_occupancy) {
+void apply_bands(OracleVariant& variant, std::int64_t seq_height,
+                 std::int64_t seq_occupancy) {
   variant.height_in_band = in_band(variant.circuit_height, seq_height,
-                                   config.height_rel, config.height_abs);
-  variant.occupancy_in_band =
-      in_band(variant.occupancy_factor, seq_occupancy, config.occupancy_rel,
-              config.occupancy_abs);
+                                   kOracleHeightRel, kOracleHeightAbs);
+  variant.occupancy_in_band = in_band(variant.occupancy_factor, seq_occupancy,
+                                      kOracleOccupancyRel, kOracleOccupancyAbs);
 }
 
 }  // namespace
@@ -93,13 +92,10 @@ OracleResult run_differential_oracle(const Circuit& circuit,
   run_indexed(2 + schedules.size(), [&](std::size_t job) {
     if (job == 0) {
       SequentialParams seq_params;
-      seq_params.router = config.router;
       seq_params.iterations = config.iterations;
       seq.emplace(route_sequential(circuit, seq_params));
     } else if (job == 1) {
       ShmConfig shm;
-      shm.router = config.router;
-      shm.time = config.time;
       shm.iterations = config.iterations;
       shm.procs = config.procs;
       shm.capture_trace = false;
@@ -112,8 +108,6 @@ OracleResult run_differential_oracle(const Circuit& circuit,
 
       MpConfig mp;
       mp.schedule = schedules[i].schedule;
-      mp.router = config.router;
-      mp.time = config.time;
       mp.iterations = config.iterations;
       mp.faults = config.faults;
       mp.transport = config.transport;
@@ -136,7 +130,7 @@ OracleResult run_differential_oracle(const Circuit& circuit,
     variant.circuit_height = seq->circuit_height;
     variant.occupancy_factor = seq->occupancy_factor;
     variant.legality = check_route_legality(circuit, seq->routes);
-    apply_bands(variant, config, result.seq_height, result.seq_occupancy);
+    apply_bands(variant, result.seq_height, result.seq_occupancy);
     result.variants.push_back(std::move(variant));
   }
   {
@@ -145,7 +139,7 @@ OracleResult run_differential_oracle(const Circuit& circuit,
     variant.circuit_height = shm_run->circuit_height;
     variant.occupancy_factor = shm_run->occupancy_factor;
     variant.legality = check_route_legality(circuit, shm_run->routes);
-    apply_bands(variant, config, result.seq_height, result.seq_occupancy);
+    apply_bands(variant, result.seq_height, result.seq_occupancy);
     result.variants.push_back(std::move(variant));
   }
   for (std::size_t i = 0; i < msg.size(); ++i) {
@@ -156,7 +150,7 @@ OracleResult run_differential_oracle(const Circuit& circuit,
     variant.occupancy_factor = msg[i].run.occupancy_factor;
     variant.legality = check_route_legality(circuit, msg[i].run.routes);
     variant.consistency = msg[i].report;
-    apply_bands(variant, config, result.seq_height, result.seq_occupancy);
+    apply_bands(variant, result.seq_height, result.seq_occupancy);
     result.variants.push_back(std::move(variant));
   }
   return result;

@@ -23,26 +23,23 @@
 #include "circuit/circuit.hpp"
 #include "msg/config.hpp"
 #include "msg/transport.hpp"
-#include "route/cost_model.hpp"
-#include "route/router.hpp"
 #include "sim/fault.hpp"
 #include "sim/link_cost.hpp"
 #include "sim/topology.hpp"
 
 namespace locus {
 
+/// Quality bands, relative to the sequential baseline: a variant passes
+/// when  value <= base * (1 + rel) + abs.  Parallel quality degrades with
+/// staleness (paper §5.1) but must stay in the same league.
+inline constexpr double kOracleHeightRel = 0.35;
+inline constexpr std::int64_t kOracleHeightAbs = 2;
+inline constexpr double kOracleOccupancyRel = 2.0;
+inline constexpr std::int64_t kOracleOccupancyAbs = 100;
+
 struct OracleConfig {
   std::int32_t procs = 4;
   std::int32_t iterations = 2;
-  RouterParams router;
-  TimeModel time;
-  /// Quality bands, relative to the sequential baseline: a variant passes
-  /// when  value <= base * (1 + rel) + abs.  Parallel quality degrades with
-  /// staleness (paper §5.1) but must stay in the same league.
-  double height_rel = 0.35;
-  std::int64_t height_abs = 2;
-  double occupancy_rel = 2.0;
-  std::int64_t occupancy_abs = 100;
   /// Conservation checkpoint period (routed wires) for the mp runs.
   std::int32_t checkpoint_period = 4;
   /// Optional fault plan installed into the message passing machines (the

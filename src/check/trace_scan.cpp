@@ -61,7 +61,7 @@ TraceScanReport scan_trace_conflicts(const RefTrace& trace,
               if (a.total() != b.total()) return a.total() > b.total();
               return a.line < b.line;
             });
-  if (conflicted.size() > options.top_lines) conflicted.resize(options.top_lines);
+  if (conflicted.size() > kTraceScanTopLines) conflicted.resize(kTraceScanTopLines);
   report.hottest = std::move(conflicted);
   return report;
 }

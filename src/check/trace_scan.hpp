@@ -18,9 +18,11 @@
 
 namespace locus {
 
+/// Hottest lines a scan reports individually.
+inline constexpr std::size_t kTraceScanTopLines = 8;
+
 struct TraceScanOptions {
   std::int32_t line_bytes = 16;  ///< coherence line size the scan models
-  std::size_t top_lines = 8;     ///< hottest lines reported individually
 };
 
 /// Conflict counts of one cache line.
@@ -44,7 +46,7 @@ struct TraceScanReport {
   /// histogram[b] = number of lines whose conflict count c satisfies
   /// 2^b <= c < 2^(b+1) (bucket 0 holds c == 1).
   std::vector<std::int64_t> histogram;
-  /// The `top_lines` lines with the most conflicts, descending.
+  /// The kTraceScanTopLines lines with the most conflicts, descending.
   std::vector<LineConflicts> hottest;
 
   std::int64_t conflicts() const { return ww + wr + rw; }

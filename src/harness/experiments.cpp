@@ -1155,8 +1155,6 @@ Table run_check_oracle(const Circuit& circuit, const ExperimentConfig& config,
   OracleConfig oracle;
   oracle.procs = config.procs;
   oracle.iterations = config.iterations;
-  oracle.router = config.mp_base.router;
-  oracle.time = config.mp_base.time;
   oracle.faults = faults;
   const OracleResult result = run_differential_oracle(circuit, oracle);
 

@@ -19,8 +19,6 @@
 #include "geom/partition.hpp"
 #include "grid/tile_grid.hpp"
 #include "msg/transport.hpp"
-#include "route/cost_model.hpp"
-#include "route/router.hpp"
 #include "sim/link_cost.hpp"
 #include "sim/topology.hpp"
 
@@ -159,8 +157,6 @@ struct ShardConfig {
 
 struct MpConfig {
   UpdateSchedule schedule;
-  RouterParams router;
-  TimeModel time;
   std::int32_t iterations = 2;
   PacketStructure packet_structure = PacketStructure::kBoundingBox;
   /// Tile shape of the per-node views + optional region-batched updates.

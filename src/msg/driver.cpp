@@ -64,29 +64,6 @@ void MpConfig::validate(std::int32_t procs) const {
   if (edges == Topology::Edges::kFatTree && fat_tree_arity < 2) {
     reject("fat_tree_arity must be >= 2, got " + std::to_string(fat_tree_arity));
   }
-  // ReliableTransport's constructor asserts these; reject them here first.
-  if (transport.enabled) {
-    const auto at_least_one = [&](const char* field, std::int64_t v) {
-      if (v < 1) reject(std::string(field) + " must be >= 1, got " + std::to_string(v));
-    };
-    at_least_one("transport.window", transport.window);
-    at_least_one("transport.rto_ns", transport.rto_ns);
-    at_least_one("transport.max_attempts", transport.max_attempts);
-    at_least_one("transport.ack_every", transport.ack_every);
-    if (!(transport.backoff >= 1.0)) {
-      reject("transport.backoff must be >= 1.0, got " + std::to_string(transport.backoff));
-    }
-    if (transport.max_backoff_exp < 0) {
-      reject("transport.max_backoff_exp must be >= 0, got " +
-             std::to_string(transport.max_backoff_exp));
-    }
-    // A negative holdoff would schedule the delayed ack before now and could
-    // land on ack_due_at's -1 "no ack due" sentinel.
-    if (transport.ack_delay_ns < 0) {
-      reject("transport.ack_delay_ns must be >= 0, got " +
-             std::to_string(transport.ack_delay_ns));
-    }
-  }
   if (edges != Topology::Edges::kFatTree && !topology_dims.empty()) {
     std::int64_t product = 1;
     for (std::int32_t d : topology_dims) product *= d;
@@ -186,19 +163,14 @@ MpRunResult run_message_passing(const Circuit& circuit, const Partition& partiti
     return Topology(dims, config.edges);
   }();
 
-  NetworkParams net;
-  net.hop_time_ns = config.time.hop_time_ns;
-  net.process_time_ns = config.time.process_time_ns;
-  net.cost = config.link_cost;
-  Machine machine(topology, net);
+  Machine machine(topology, config.link_cost);
   if (config.faults != nullptr && config.faults->any()) {
     machine.set_fault_plan(*config.faults);
   }
   std::unique_ptr<ReliableTransport> transport;
   if (config.transport.enabled) {
     transport = std::make_unique<ReliableTransport>(
-        config.transport, machine.network_mut(), machine.queue(),
-        machine.fault_injector());
+        machine.network_mut(), machine.queue(), machine.fault_injector());
     machine.network_mut().set_transport(transport.get());
   }
 

@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "msg/observer.hpp"
+#include "route/cost_model.hpp"
 #include "support/assert.hpp"
 
 namespace locus {
@@ -34,7 +35,7 @@ RouterNode::RouterNode(const Circuit& circuit, const Partition& partition,
       delta_(partition, config.shard.tile),
       update_dims_(config.shard.batch_updates ? config.shard.tile : delta_.whole_grid()),
       view_with_delta_(view_, delta_),
-      router_(circuit.channels(), config.router),
+      router_(circuit.channels(), RouterParams{}),
       touch_count_(static_cast<std::size_t>(partition.num_regions()), 0),
       interest_bbox_(static_cast<std::size_t>(partition.num_regions())),
       req_rmt_received_(static_cast<std::size_t>(partition.num_regions()), 0),
@@ -65,10 +66,9 @@ bool RouterNode::blocked() const {
 }
 
 void RouterNode::on_packet(NodeApi& api, const Packet& packet) {
-  const TimeModel& tm = config_.time;
   // Receive-side software: fixed handling plus per-byte disassembly.
   const SimTime unpack_cost =
-      tm.msg_fixed_ns + static_cast<SimTime>(packet.bytes) * tm.unpack_byte_ns;
+      TimeModel::kMsgFixedNs + static_cast<SimTime>(packet.bytes) * TimeModel::kUnpackByteNs;
   api.advance(unpack_cost);
   breakdown().msg_software_ns += unpack_cost;
   KindTraffic& received = shared_.received[msg_kind_index(packet.type)];
@@ -230,7 +230,6 @@ void RouterNode::route_one_wire(NodeApi& api) {
 
 SimTime RouterNode::route_wire_id(NodeApi& api, WireId wire_id,
                                   std::int32_t iteration, bool charge_now) {
-  const TimeModel& tm = config_.time;
   const Wire& wire = circuit_.wire(wire_id);
   WireRoute& slot = shared_.final_routes[static_cast<std::size_t>(wire_id)];
 
@@ -239,15 +238,15 @@ SimTime RouterNode::route_wire_id(NodeApi& api, WireId wire_id,
   if (slot.routed()) {
     WireRouter::rip_up(slot, view_with_delta_);
     WireRouter::rip_up(slot, shared_.truth);
-    cost += static_cast<SimTime>(slot.cell_count()) * tm.commit_ns;
+    cost += static_cast<SimTime>(slot.cell_count()) * TimeModel::kCommitNs;
     note_route_segments(slot);
     ++work.ripups;
   }
 
   const RouteWorkStats before = work;
   slot = router_.route_wire(wire, view_with_delta_, work);
-  cost += tm.routing_time_ns(work.probes - before.probes,
-                             work.cells_committed - before.cells_committed, 1);
+  cost += TimeModel::routing_time_ns(work.probes - before.probes,
+                                     work.cells_committed - before.cells_committed, 1);
   note_route_segments(slot);
 
   if (charge_now) {
@@ -378,7 +377,7 @@ void RouterNode::send_grant(NodeApi& api, ProcId dst, std::vector<WireId> wires,
   auto [grant, grant_data] = make_payload<WireListPayload>();
   grant_data->iteration = iteration;
   grant_data->wires = std::move(wires);
-  send_packet(api, dst, kMsgWireGrant, bytes, std::move(grant), config_.time.msg_fixed_ns);
+  send_packet(api, dst, kMsgWireGrant, bytes, std::move(grant), TimeModel::kMsgFixedNs);
   outstanding_wires_ += count;
   shared_.grant_wires += count;
 }
@@ -427,7 +426,7 @@ void RouterNode::request_wire(NodeApi& api) {
       config_.dynamic.extended_protocol()
           ? wire_request_packet_bytes(static_cast<std::int32_t>(resident.size()))
           : request_packet_bytes();
-  send_packet(api, 0, kMsgWireRequest, bytes, std::move(request), config_.time.msg_fixed_ns);
+  send_packet(api, 0, kMsgWireRequest, bytes, std::move(request), TimeModel::kMsgFixedNs);
 }
 
 bool RouterNode::master_step(NodeApi& api) {
@@ -522,7 +521,7 @@ void RouterNode::fire_sender_updates(NodeApi& api) {
 std::vector<UpdateBlock> RouterNode::take_deltas(NodeApi& api, ProcId region) {
   std::vector<UpdateBlock> blocks = delta_.extract_region(region, update_dims_);
   if (!blocks.empty()) {
-    const SimTime scan = delta_.last_scan_cells() * config_.time.scan_cell_ns;
+    const SimTime scan = delta_.last_scan_cells() * TimeModel::kScanCellNs;
     api.advance(scan);
     breakdown().msg_software_ns += scan;
   }
@@ -531,7 +530,6 @@ std::vector<UpdateBlock> RouterNode::take_deltas(NodeApi& api, ProcId region) {
 
 void RouterNode::send_update(NodeApi& api, ProcId dst, std::int32_t type,
                              const std::shared_ptr<const RegionUpdatePayload>& update) {
-  const TimeModel& tm = config_.time;
   const std::vector<UpdateBlock>& blocks = update->blocks;
   LOCUS_ASSERT(!blocks.empty());
   const auto r = static_cast<std::size_t>(update->region);
@@ -559,7 +557,7 @@ void RouterNode::send_update(NodeApi& api, ProcId dst, std::int32_t type,
   }
   // Assembly cost: fixed software overhead plus per-byte packing.
   send_packet(api, dst, type, bytes, update,
-              tm.msg_fixed_ns + static_cast<SimTime>(bytes) * tm.pack_byte_ns);
+              TimeModel::kMsgFixedNs + static_cast<SimTime>(bytes) * TimeModel::kPackByteNs);
 }
 
 void RouterNode::send_request(NodeApi& api, ProcId dst, std::int32_t type,
@@ -568,7 +566,7 @@ void RouterNode::send_request(NodeApi& api, ProcId dst, std::int32_t type,
   request_data->region = region;
   request_data->bbox = bbox;
   send_packet(api, dst, type, request_packet_bytes(), std::move(request),
-              config_.time.msg_fixed_ns);
+              TimeModel::kMsgFixedNs);
 }
 
 void RouterNode::send_packet(NodeApi& api, ProcId dst, std::int32_t type,
@@ -580,7 +578,7 @@ void RouterNode::send_packet(NodeApi& api, ProcId dst, std::int32_t type,
   KindTraffic& sent = shared_.sent[msg_kind_index(type)];
   ++sent.packets;
   sent.bytes += static_cast<std::uint64_t>(bytes);
-  breakdown().network_copy_ns += config_.time.process_time_ns;
+  breakdown().network_copy_ns += kProcessTimeNs;
 }
 
 void RouterNode::note_route_segments(const WireRoute& route) {

@@ -27,6 +27,7 @@
 #include <span>
 #include <vector>
 
+#include "circuit/circuit.hpp"
 #include "geom/partition.hpp"
 #include "geom/rect.hpp"
 #include "grid/delta_array.hpp"

@@ -65,25 +65,23 @@ std::uint32_t TransportChannel::on_ack(std::uint32_t ack) {
 }
 
 TransportChannel::TimeoutVerdict TransportChannel::on_timeout(
-    std::uint32_t seq, std::int32_t attempt, SimTime now,
-    const TransportConfig& config) {
+    std::uint32_t seq, std::int32_t attempt, SimTime now) {
   TimeoutVerdict verdict;
   auto it = unacked_.begin();
   while (it != unacked_.end() && it->seq != seq) ++it;
   if (it == unacked_.end()) return verdict;   // already acked (or given up)
   if (it->attempts != attempt) return verdict;  // a newer attempt superseded
-  if (it->attempts >= config.max_attempts) {
+  if (it->attempts >= kTransportMaxAttempts) {
     verdict.gave_up = true;
     unacked_.erase(it);
     return verdict;
   }
   ++it->attempts;
-  const std::int32_t exp =
-      std::min(it->attempts - 1, config.max_backoff_exp);
+  const std::int32_t exp = std::min(it->attempts - 1, kTransportMaxBackoffExp);
   double scale = 1.0;
-  for (std::int32_t i = 0; i < exp; ++i) scale *= config.backoff;
+  for (std::int32_t i = 0; i < exp; ++i) scale *= kTransportBackoff;
   it->next_timeout = now + static_cast<SimTime>(
-                               static_cast<double>(config.rto_ns) * scale);
+                               static_cast<double>(kTransportRtoNs) * scale);
   verdict.retransmit = true;
   verdict.entry = *it;
   return verdict;
@@ -126,18 +124,12 @@ TransportChannel::Arrival TransportChannel::on_arrival(std::uint32_t seq,
 
 // --- ReliableTransport ---------------------------------------------------
 
-ReliableTransport::ReliableTransport(const TransportConfig& config,
-                                     Network& network, EventQueue& queue,
+ReliableTransport::ReliableTransport(Network& network, EventQueue& queue,
                                      FaultInjector* injector)
-    : config_(config),
-      network_(network),
+    : network_(network),
       queue_(queue),
       injector_(injector),
       procs_(network.topology().num_nodes()) {
-  LOCUS_ASSERT(config_.enabled);
-  LOCUS_ASSERT(config_.window > 0 && config_.rto_ns > 0);
-  LOCUS_ASSERT(config_.backoff >= 1.0 && config_.max_backoff_exp >= 0);
-  LOCUS_ASSERT(config_.max_attempts >= 1 && config_.ack_every >= 1);
   LOCUS_ASSERT(procs_ > 0 && procs_ < (1 << 16));  // pack_dir uses 16 bits
   channels_.resize(static_cast<std::size_t>(procs_) *
                    static_cast<std::size_t>(procs_));
@@ -166,10 +158,10 @@ void ReliableTransport::on_wire(const Packet& packet, SimTime nominal,
   const ProcId dst = packet.dst;
   TransportChannel& ch = channel(src, dst);
   ++stats_.data_packets;
-  if (ch.window_full(config_.window)) ++stats_.window_stalls;
+  if (ch.window_full()) ++stats_.window_stalls;
   const std::int32_t wire_bytes = packet.bytes + kTransportFrameBytes;
   const std::uint32_t seq = ch.begin_send(packet.type, wire_bytes, nominal,
-                                          nominal + config_.rto_ns);
+                                          nominal + kTransportRtoNs);
   stats_.peak_window = std::max(stats_.peak_window, ch.in_flight());
   // Piggyback the reverse direction's cumulative ack and cancel any standalone
   // ack it was waiting to send — this frame carries it for free.
@@ -177,7 +169,7 @@ void ReliableTransport::on_wire(const Packet& packet, SimTime nominal,
   const std::uint32_t ack = rev.rcv_cum();
   rev.pending_data = 0;
   rev.ack_due_at = -1;
-  queue_.schedule(nominal + config_.rto_ns, h_timer_, pack_dir(src, dst, seq),
+  queue_.schedule(nominal + kTransportRtoNs, h_timer_, pack_dir(src, dst, seq),
                   /*attempt=*/1);
   route_attempt(src, dst, seq, ack, action, nominal, /*is_retx=*/false,
                 /*ack_only=*/false);
@@ -206,8 +198,7 @@ void ReliableTransport::route_attempt(ProcId src, ProcId dst,
       // Two copies reach the receiver; the dedup path absorbs the second.
       if (!ack_only) ++stats_.dup_wire_copies;
       queue_.schedule(nominal, h_arrival_, a, b);
-      queue_.schedule(nominal + network_.params().process_time_ns, h_arrival_,
-                      a, b);
+      queue_.schedule(nominal + kProcessTimeNs, h_arrival_, a, b);
       break;
     case FaultInjector::Action::kDelay:
       queue_.schedule(nominal + (injector_ != nullptr
@@ -273,12 +264,12 @@ void ReliableTransport::handle_data_arrival(SimTime now, ProcId src,
 void ReliableTransport::note_pending_ack(ProcId src, ProcId dst, SimTime now) {
   TransportChannel& ch = channel(src, dst);
   ++ch.pending_data;
-  if (ch.pending_data >= config_.ack_every) {
+  if (ch.pending_data >= kTransportAckEvery) {
     send_standalone_ack(src, dst, now);
     return;
   }
   if (ch.ack_due_at < 0) {
-    ch.ack_due_at = now + config_.ack_delay_ns;
+    ch.ack_due_at = now + kTransportAckDelayNs;
     queue_.schedule(ch.ack_due_at, h_ack_due_, pack_dir(src, dst, 0),
                     static_cast<std::uint64_t>(ch.ack_due_at));
   }
@@ -310,7 +301,7 @@ void ReliableTransport::on_timer_event(void* ctx, SimTime now, std::uint64_t a,
   const std::uint32_t seq = unpack_seq(a);
   TransportChannel& ch = self->channel(src, dst);
   const TransportChannel::TimeoutVerdict verdict =
-      ch.on_timeout(seq, static_cast<std::int32_t>(b), now, self->config_);
+      ch.on_timeout(seq, static_cast<std::int32_t>(b), now);
   if (verdict.gave_up) {
     ++self->stats_.gave_up;
     return;

@@ -42,36 +42,46 @@
 
 namespace locus {
 
-/// Knobs for the reliable transport (MpConfig::transport). Default-off:
-/// with enabled == false nothing in the run changes, byte for byte.
+/// Reliable transport switch (MpConfig::transport). Default-off: with
+/// enabled == false nothing in the run changes, byte for byte.
 struct TransportConfig {
   bool enabled = false;
-  /// Sender window: unacked sequence numbers per (src,dst) channel before
-  /// the sender counts a window stall. The DES sender cannot defer the
-  /// foreground send without perturbing the nominal timeline, so in the
-  /// integrated run the window is an accounted invariant (stalls + peak
-  /// occupancy), while TransportChannel enforces it for unit-level use.
-  std::int32_t window = 32;
-  /// Initial retransmit timeout, measured from the attempt's nominal
-  /// delivery time (the forward latency is already excluded). Must exceed
-  /// ack_delay_ns plus the reverse-path latency — including a piggybacking
-  /// reverse data packet's drain time — or delivered packets retransmit
-  /// spuriously.
-  SimTime rto_ns = 400'000;
-  /// RTO multiplier per retransmit attempt (exponential backoff), capped at
-  /// backoff^max_backoff_exp.
-  double backoff = 2.0;
-  std::int32_t max_backoff_exp = 5;
-  /// Give up on a sequence number after this many wire attempts (first send
-  /// included). The application was already served at the nominal time, so
-  /// giving up only ends the control-plane recovery; it is counted.
-  std::int32_t max_attempts = 16;
-  /// Standalone-ack holdoff after a data arrival: a reverse-direction data
-  /// packet inside this window piggybacks the ack for free.
-  SimTime ack_delay_ns = 30'000;
-  /// Force a standalone ack once this many data arrivals are unacked.
-  std::int32_t ack_every = 4;
 };
+
+/// Sender window: unacked sequence numbers per (src,dst) channel before the
+/// sender counts a window stall. The DES sender cannot defer the foreground
+/// send without perturbing the nominal timeline, so in the integrated run
+/// the window is an accounted invariant (stalls + peak occupancy), while
+/// TransportChannel enforces it for unit-level use.
+inline constexpr std::int32_t kTransportWindow = 32;
+/// Initial retransmit timeout, measured from the attempt's nominal delivery
+/// time (the forward latency is already excluded). Must exceed
+/// kTransportAckDelayNs plus the reverse-path latency — including a
+/// piggybacking reverse data packet's drain time — or delivered packets
+/// retransmit spuriously.
+inline constexpr SimTime kTransportRtoNs = 400'000;
+/// RTO multiplier per retransmit attempt (exponential backoff), capped at
+/// kTransportBackoff^kTransportMaxBackoffExp.
+inline constexpr double kTransportBackoff = 2.0;
+inline constexpr std::int32_t kTransportMaxBackoffExp = 5;
+/// Give up on a sequence number after this many wire attempts (first send
+/// included). The application was already served at the nominal time, so
+/// giving up only ends the control-plane recovery; it is counted.
+inline constexpr std::int32_t kTransportMaxAttempts = 16;
+/// Standalone-ack holdoff after a data arrival: a reverse-direction data
+/// packet inside this window piggybacks the ack for free.
+inline constexpr SimTime kTransportAckDelayNs = 30'000;
+/// Force a standalone ack once this many data arrivals are unacked.
+inline constexpr std::int32_t kTransportAckEvery = 4;
+
+static_assert(kTransportWindow >= 1 && kTransportRtoNs >= 1 &&
+              kTransportMaxAttempts >= 1 && kTransportAckEvery >= 1);
+static_assert(kTransportBackoff >= 1.0 && kTransportMaxBackoffExp >= 0);
+// A negative holdoff would schedule the delayed ack before now and could
+// land on ack_due_at's -1 "no ack due" sentinel.
+static_assert(kTransportAckDelayNs >= 0);
+static_assert(kTransportRtoNs > kTransportAckDelayNs,
+              "a retransmit timer must outlast the delayed ack");
 
 /// Control-plane accounting. The books must balance (books_balance()):
 ///   arrivals == data_packets + retransmits + dup_wire_copies - wire_losses
@@ -82,7 +92,7 @@ struct TransportStats {
   std::uint64_t data_packets = 0;     ///< application packets carried
   std::uint64_t retransmits = 0;      ///< mp.retx
   std::uint64_t retransmit_bytes = 0; ///< wire bytes of retransmit copies
-  std::uint64_t gave_up = 0;          ///< seqs abandoned after max_attempts
+  std::uint64_t gave_up = 0;          ///< seqs abandoned after kTransportMaxAttempts
   std::uint64_t acks_sent = 0;        ///< standalone kMsgAck packets
   std::uint64_t ack_bytes = 0;        ///< mp.ack_bytes (standalone acks)
   std::uint64_t ack_wire_losses = 0;  ///< standalone acks the injector killed
@@ -140,8 +150,8 @@ class TransportChannel {
   std::uint32_t begin_send(std::int32_t type, std::int32_t wire_bytes,
                            SimTime nominal, SimTime timeout_at);
 
-  bool window_full(std::int32_t window) const {
-    return static_cast<std::int32_t>(unacked_.size()) >= window;
+  bool window_full() const {
+    return static_cast<std::int32_t>(unacked_.size()) >= kTransportWindow;
   }
   std::int64_t in_flight() const {
     return static_cast<std::int64_t>(unacked_.size());
@@ -152,10 +162,9 @@ class TransportChannel {
 
   /// RTO fired for (seq, attempt). Stale timers (seq already acked or a
   /// newer attempt superseded this timer) return a no-op verdict. A live
-  /// timer either schedules a retransmit (attempts < max_attempts; backoff
-  /// applied to the next timeout from `now`) or abandons the seq.
-  TimeoutVerdict on_timeout(std::uint32_t seq, std::int32_t attempt, SimTime now,
-                            const TransportConfig& config);
+  /// timer either schedules a retransmit (attempts < kTransportMaxAttempts;
+  /// backoff applied to the next timeout from `now`) or abandons the seq.
+  TimeoutVerdict on_timeout(std::uint32_t seq, std::int32_t attempt, SimTime now);
 
   const Unacked* find_unacked(std::uint32_t seq) const;
   std::uint32_t next_seq() const { return next_seq_; }
@@ -203,8 +212,7 @@ class ReliableTransport final : public PacketTransport {
  public:
   /// `injector` may be null (fault-free run: the control plane still runs —
   /// seqnos, acks, timers — but every attempt arrives and no RTO fires).
-  ReliableTransport(const TransportConfig& config, Network& network,
-                    EventQueue& queue, FaultInjector* injector);
+  ReliableTransport(Network& network, EventQueue& queue, FaultInjector* injector);
 
   std::int32_t frame_bytes() const override;
   void on_wire(const Packet& packet, SimTime nominal,
@@ -215,7 +223,6 @@ class ReliableTransport final : public PacketTransport {
   void finalize();
 
   const TransportStats& stats() const { return stats_; }
-  const TransportConfig& config() const { return config_; }
 
   /// Test hook: the channel carrying src -> dst traffic.
   TransportChannel& channel(ProcId src, ProcId dst);
@@ -241,7 +248,6 @@ class ReliableTransport final : public PacketTransport {
 
   std::size_t channel_index(ProcId src, ProcId dst) const;
 
-  TransportConfig config_;
   Network& network_;
   EventQueue& queue_;
   FaultInjector* injector_;

@@ -114,7 +114,7 @@ struct RouteSpanObs {
 
 /// coherence/simulator.cpp: protocol traffic mirrored into named counters.
 /// CoherenceSim::publish_obs() performs the copy (the replay loop itself
-/// stays untouched); prefix distinguishes multiple replays in one registry.
+/// stays untouched); replays published into one registry add up.
 struct CoherenceObsNames {
   static constexpr const char* kAccesses = "coh.accesses";
   static constexpr const char* kReadMisses = "coh.read_misses";

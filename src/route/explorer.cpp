@@ -166,17 +166,13 @@ ExploreResult explore_window(const Pin& a, const Pin& b, CostView& view,
   std::int64_t best_cost = 0;
   std::int32_t best_c1 = 0, best_c2 = 0, best_xj = 0;
   bool have_best = false;
-  const std::int64_t bend = params.bend_penalty;
 
   // Per-channel pass: evaluates the single-channel candidate for every c
   // and precomputes the Z-pair constants. With pins at the window edges,
   // the head run (a.x -> xj) takes the fwd lane when a is the left pin and
   // the rev lane plus the full-row sum when a is the right pin (the row sum
   // is constant per channel, so it folds into the pair constant); the tail
-  // run mirrors it. A Z candidate always turns at least 3 times (xj is
-  // strictly between the pin columns); only the entry drops are
-  // conditional, and each depends on one endpoint channel alone, so the
-  // whole bend term splits across hconst/tconst too.
+  // run mirrors it.
   const bool a_is_left = a.x <= b.x;
   s.hconst.resize(static_cast<std::size_t>(C));
   s.tconst.resize(static_cast<std::size_t>(C));
@@ -190,11 +186,7 @@ ExploreResult explore_window(const Pin& a, const Pin& b, CostView& view,
     const std::int64_t tail = col_sum(b.x, c, eb) - pv_at(c, b.x);
     const std::int64_t row_total = s.rowp[ci * (Wz + 1) + Wz];
 
-    std::int64_t cost = head + row_total + tail;
-    if (bend != 0) {
-      const std::int32_t turns = (ea != c) + (a.x != b.x) + (eb != c);
-      if (turns > 1) cost += bend * (turns - 1);
-    }
+    const std::int64_t cost = head + row_total + tail;
     best.stats.cells_probed += (vdist(ea, c) + 1) + W + (vdist(eb, c) + 1) - 2;
     ++best.stats.routes_evaluated;
     if (!have_best || cost < best_cost) {
@@ -205,8 +197,8 @@ ExploreResult explore_window(const Pin& a, const Pin& b, CostView& view,
       have_best = true;
     }
 
-    s.hconst[ci] = head + (a_is_left ? 0 : row_total) + bend * (ea != c ? 1 : 0);
-    s.tconst[ci] = tail + (a_is_left ? row_total : 0) + bend * (2 + (eb != c ? 1 : 0));
+    s.hconst[ci] = head + (a_is_left ? 0 : row_total);
+    s.tconst[ci] = tail + (a_is_left ? row_total : 0);
     s.hcells[ci] = vdist(ea, c);
     s.tcells[ci] = vdist(eb, c);
   }

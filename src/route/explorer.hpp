@@ -37,8 +37,6 @@ struct ExplorerParams {
   std::int32_t channel_slack = 1;
   /// Jog positions are sampled every max(1, |dx| / jog_samples) grids.
   std::int32_t jog_samples = 8;
-  /// Cost added per direction change (0 reproduces plain occupancy pricing).
-  std::int32_t bend_penalty = 0;
   /// Cell price as a function of occupancy v: 1 -> v (the paper's linear
   /// sum), 2 -> v^2 (congestion-averse; spreads wires at the cost of
   /// wirelength). Higher powers penalize hot cells superlinearly.

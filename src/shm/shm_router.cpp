@@ -6,6 +6,7 @@
 #include <queue>
 
 #include "grid/cost_array.hpp"
+#include "route/cost_model.hpp"
 #include "support/assert.hpp"
 
 namespace locus {
@@ -154,7 +155,6 @@ ShmRunResult run_shared_memory(const Circuit& circuit, const ShmConfig& config) 
 
   // The one shared array everyone routes against is the result slot itself.
   TracingView view(result.cost, config.capture_trace);
-  const TimeModel& tm = config.time;
 
   obs::RouteSpanObs route_spans;
   route_spans.bind(config.obs);
@@ -163,7 +163,7 @@ ShmRunResult run_shared_memory(const Circuit& circuit, const ShmConfig& config) 
       route_spans.trace->set_track_name(p, "proc " + std::to_string(p));
     }
   }
-  WireRouter router(circuit.channels(), config.router);
+  WireRouter router(circuit.channels(), RouterParams{});
 
   std::vector<ProcState> procs(static_cast<std::size_t>(config.procs));
   if (!dynamic) {
@@ -216,7 +216,7 @@ ShmRunResult run_shared_memory(const Circuit& circuit, const ShmConfig& config) 
         // Distributed loop: shared counter fetch-and-increment (traced).
         view.note_other(kLoopCounterAddr, MemOp::kRead);
         view.note_other(kLoopCounterAddr, MemOp::kWrite);
-        fetch_cost = tm.shm_read_ns + tm.shm_write_ns;
+        fetch_cost = TimeModel::kShmReadNs + TimeModel::kShmWriteNs;
         if (loop_counter >= circuit.num_wires()) {
           ps.done = true;
           view.flush_wire(ps.clock, fetch_cost);
@@ -245,7 +245,7 @@ ShmRunResult run_shared_memory(const Circuit& circuit, const ShmConfig& config) 
       SimTime rip_cost = 0;
       if (slot.routed()) {
         WireRouter::rip_up(slot, view);
-        rip_cost = static_cast<SimTime>(slot.cell_count()) * tm.commit_ns;
+        rip_cost = static_cast<SimTime>(slot.cell_count()) * TimeModel::kCommitNs;
         ++result.work.ripups;
       }
       view.set_defer(true);
@@ -254,8 +254,9 @@ ShmRunResult run_shared_memory(const Circuit& circuit, const ShmConfig& config) 
       view.set_defer(false);
       const SimTime duration =
           fetch_cost + rip_cost +
-          tm.routing_time_ns(result.work.probes - before.probes,
-                             result.work.cells_committed - before.cells_committed, 1);
+          TimeModel::routing_time_ns(result.work.probes - before.probes,
+                                     result.work.cells_committed - before.cells_committed,
+                                     1);
       view.flush_wire(ps.clock, duration);
       if (route_spans) route_spans.span(next, ps.clock, duration, wire_id, iter);
       ps.clock += duration;

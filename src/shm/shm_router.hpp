@@ -25,7 +25,6 @@
 #include "circuit/circuit.hpp"
 #include "grid/cost_array.hpp"
 #include "obs/obs.hpp"
-#include "route/cost_model.hpp"
 #include "route/quality.hpp"
 #include "route/router.hpp"
 #include "shm/trace.hpp"
@@ -33,8 +32,6 @@
 namespace locus {
 
 struct ShmConfig {
-  RouterParams router;
-  TimeModel time;
   std::int32_t iterations = 2;
   std::int32_t procs = 16;
   /// Static assignment; if unset, the dynamic distributed loop is used.

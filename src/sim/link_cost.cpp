@@ -15,10 +15,10 @@ const char* link_cost_model_name(LinkCostModelKind kind) {
   return "?";
 }
 
-SimTime md1_wait_ns(SimTime service_ns, double rho, double rho_max) {
+SimTime md1_wait_ns(SimTime service_ns, double rho) {
   LOCUS_ASSERT(service_ns >= 0);
   if (rho <= 0.0 || service_ns == 0) return 0;
-  rho = std::min(rho, rho_max);
+  rho = std::min(rho, kMd1RhoMax);
   // Pollaczek–Khinchine with deterministic service (Cs^2 = 0):
   //   Wq = rho / (2·mu·(1-rho)) = S·rho / (2·(1-rho)).
   const double wait =
@@ -54,8 +54,8 @@ namespace {
 /// capacity scaling, busy for L bytes at one byte per HopTime.
 class FixedLinkCost final : public LinkCostModel {
  public:
-  FixedLinkCost(std::size_t num_links, std::int64_t hop_time_ns)
-      : LinkCostModel(LinkCostModelKind::kFixed, num_links, hop_time_ns) {}
+  explicit FixedLinkCost(std::size_t num_links)
+      : LinkCostModel(LinkCostModelKind::kFixed, num_links) {}
 
   SimTime cross(std::int32_t link_in, SimTime head_in, std::int64_t bytes,
                 SimTime& waited) override {
@@ -64,9 +64,9 @@ class FixedLinkCost final : public LinkCostModel {
     const SimTime start = std::max(head_in, free_at);
     waited += start - head_in;
     stall(link, start - head_in);
-    free_at = start + bytes * hop_time_ns_;
-    charge(link, bytes, bytes * hop_time_ns_);
-    return start + hop_time_ns_;
+    free_at = start + bytes * kHopTimeNs;
+    charge(link, bytes, bytes * kHopTimeNs);
+    return start + kHopTimeNs;
   }
 };
 
@@ -75,13 +75,10 @@ class FixedLinkCost final : public LinkCostModel {
 /// HopTime so a head always occupies the link it crosses.
 class Md1LinkCost final : public LinkCostModel {
  public:
-  Md1LinkCost(const Topology& topology, std::int64_t hop_time_ns,
-              double rho_max)
+  explicit Md1LinkCost(const Topology& topology)
       : LinkCostModel(LinkCostModelKind::kMd1,
-                      static_cast<std::size_t>(topology.num_links()),
-                      hop_time_ns),
-        scale_(static_cast<std::size_t>(topology.num_links())),
-        rho_max_(rho_max) {
+                      static_cast<std::size_t>(topology.num_links())),
+        scale_(static_cast<std::size_t>(topology.num_links())) {
     for (std::size_t link = 0; link < scale_.size(); ++link) {
       scale_[link] =
           topology.link_capacity_scale(static_cast<std::int32_t>(link));
@@ -93,7 +90,7 @@ class Md1LinkCost final : public LinkCostModel {
                 SimTime& waited) override {
     const auto link = static_cast<std::size_t>(link_in);
     const SimTime service = std::max<SimTime>(
-        hop_time_ns_, bytes * hop_time_ns_ / scale_[link]);
+        kHopTimeNs, bytes * kHopTimeNs / scale_[link]);
     // Utilization this head observes: the link's cumulative busy time over
     // elapsed simulated time. Deterministic — it depends only on the
     // simulated schedule, never on wall clock.
@@ -101,33 +98,30 @@ class Md1LinkCost final : public LinkCostModel {
         head_in <= 0 ? 0.0
                      : static_cast<double>(busy_ns_[link]) /
                            static_cast<double>(head_in);
-    const SimTime queue_wait = md1_wait_ns(service, rho, rho_max_);
+    const SimTime queue_wait = md1_wait_ns(service, rho);
     SimTime& free_at = free_[link];
     const SimTime start = std::max(head_in + queue_wait, free_at);
     waited += start - head_in;
     stall(link, start - head_in);
     free_at = start + service;
     charge(link, bytes, service);
-    return start + hop_time_ns_;
+    return start + kHopTimeNs;
   }
 
  private:
   std::vector<std::int32_t> scale_;
-  double rho_max_;
 };
 
 }  // namespace
 
 std::unique_ptr<LinkCostModel> LinkCostModel::make(const Topology& topology,
-                                                   const LinkCostParams& params,
-                                                   std::int64_t hop_time_ns) {
+                                                   const LinkCostParams& params) {
   const auto links = static_cast<std::size_t>(topology.num_links());
   switch (params.kind) {
     case LinkCostModelKind::kFixed:
-      return std::make_unique<FixedLinkCost>(links, hop_time_ns);
+      return std::make_unique<FixedLinkCost>(links);
     case LinkCostModelKind::kMd1:
-      return std::make_unique<Md1LinkCost>(topology, hop_time_ns,
-                                           params.md1_rho_max);
+      return std::make_unique<Md1LinkCost>(topology);
   }
   LOCUS_UNREACHABLE("bad LinkCostModelKind");
 }

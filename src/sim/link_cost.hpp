@@ -14,7 +14,7 @@
 //           mean waiting time  Wq = S·rho / (2·(1-rho))  (S = the packet's
 //           service time on that link). Utilization is tracked per link as
 //           cumulative busy time over elapsed simulated time, clamped at
-//           rho_max so delay stays finite and monotone as rho -> 1 (the
+//           kMd1RhoMax so delay stays finite and monotone as rho -> 1 (the
 //           zsim MD1MemRouter discipline).
 //
 // Both models keep the per-link accounting the contention experiments
@@ -34,24 +34,28 @@
 
 namespace locus {
 
+/// HopTime (paper §2.1): one byte crossing one link.
+inline constexpr SimTime kHopTimeNs = 100;
+
+/// kMd1 utilization clamp. The closed form diverges at rho = 1; clamping
+/// keeps the delay finite, monotone, and overflow-free in saturation.
+inline constexpr double kMd1RhoMax = 0.95;
+
 enum class LinkCostModelKind : std::int8_t { kFixed, kMd1 };
 
 const char* link_cost_model_name(LinkCostModelKind kind);
 
 struct LinkCostParams {
   LinkCostModelKind kind = LinkCostModelKind::kFixed;
-  /// kMd1: utilization clamp. The closed form diverges at rho = 1; clamping
-  /// keeps the delay finite, monotone, and overflow-free in saturation.
-  double md1_rho_max = 0.95;
 };
 
 /// M/D/1 mean queueing delay for a packet whose deterministic service time
 /// is `service_ns`, entering a server at utilization `rho`:
 ///     Wq = service_ns · rho / (2 · (1 - rho)),   rho clamped to
-///     [0, rho_max].
+///     [0, kMd1RhoMax].
 /// Pure and total: never overflows, and is monotone non-decreasing in rho
 /// (the golden tests pin the closed form and the saturation clamp).
-SimTime md1_wait_ns(SimTime service_ns, double rho, double rho_max = 0.95);
+SimTime md1_wait_ns(SimTime service_ns, double rho);
 
 /// End-of-run aggregate of the per-link counters (utilization needs a
 /// "now"; the harness passes the machine's drain time).
@@ -66,15 +70,14 @@ struct LinkUsageSummary {
 class LinkCostModel {
  public:
   static std::unique_ptr<LinkCostModel> make(const Topology& topology,
-                                             const LinkCostParams& params,
-                                             std::int64_t hop_time_ns);
+                                             const LinkCostParams& params);
   virtual ~LinkCostModel() = default;
 
   LinkCostModelKind kind() const { return kind_; }
 
   /// Crosses one link: the head arrives at the link's entrance at `head_in`
   /// and the packet's `bytes` follow. Returns the head's exit time, which is
-  /// always `start + hop_time` where `start >= head_in` is when the head was
+  /// always `start + kHopTimeNs` where `start >= head_in` is when the head was
   /// granted the link; adds `start - head_in` to `waited`. Also charges the
   /// per-link byte/busy/stall accounting.
   virtual SimTime cross(std::int32_t link, SimTime head_in, std::int64_t bytes,
@@ -107,11 +110,9 @@ class LinkCostModel {
   LinkUsageSummary summary(SimTime now) const;
 
  protected:
-  LinkCostModel(LinkCostModelKind kind, std::size_t num_links,
-                std::int64_t hop_time_ns)
-      : kind_(kind), hop_time_ns_(hop_time_ns), free_(num_links, 0),
-        bytes_(num_links, 0), busy_ns_(num_links, 0), stalls_(num_links, 0),
-        stall_ns_(num_links, 0) {}
+  LinkCostModel(LinkCostModelKind kind, std::size_t num_links)
+      : kind_(kind), free_(num_links, 0), bytes_(num_links, 0),
+        busy_ns_(num_links, 0), stalls_(num_links, 0), stall_ns_(num_links, 0) {}
 
   void charge(std::size_t link, std::int64_t bytes, SimTime busy) {
     bytes_[link] += static_cast<std::uint64_t>(bytes);
@@ -124,7 +125,6 @@ class LinkCostModel {
   }
 
   LinkCostModelKind kind_;
-  std::int64_t hop_time_ns_;
   std::vector<SimTime> free_;  ///< per-link: busy streaming until here
   std::vector<std::uint64_t> bytes_;
   std::vector<SimTime> busy_ns_;

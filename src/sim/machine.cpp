@@ -33,7 +33,7 @@ void NodeApi::send(ProcId dst, std::int32_t type, std::int32_t bytes,
                    std::shared_ptr<const PacketPayload> payload) {
   // Send-side ProcessTime: the processor is busy copying the message to the
   // network interface (paper §2.1).
-  advance(machine_->network_->params().process_time_ns);
+  advance(kProcessTimeNs);
   Packet packet;
   packet.src = self_;
   packet.dst = dst;
@@ -50,12 +50,12 @@ void NodeApi::send(ProcId dst, std::int32_t type, std::int32_t bytes,
                                       machine_->state(self_).clock);
 }
 
-Machine::Machine(Topology topology, NetworkParams net_params)
+Machine::Machine(Topology topology, LinkCostParams link_cost)
     : topology_(std::move(topology)),
       nodes_(static_cast<std::size_t>(topology_.num_nodes())) {
   h_resume_ = queue_.add_handler(&Machine::on_resume_event, this);
   network_ = std::make_unique<Network>(
-      topology_, net_params, queue_,
+      topology_, link_cost, queue_,
       [this](const Packet& p, SimTime arrival) { deliver(p, arrival); });
 }
 

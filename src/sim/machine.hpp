@@ -89,7 +89,7 @@ class Machine {
  public:
   /// Takes its own copy of the topology: Machine and its Network outlive
   /// any caller-side temporary.
-  Machine(Topology topology, NetworkParams net_params);
+  Machine(Topology topology, LinkCostParams link_cost);
 
   /// Installs the program for one node (must cover every node before run()).
   void set_node(ProcId proc, std::unique_ptr<Node> node);

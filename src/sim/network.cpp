@@ -7,11 +7,10 @@
 
 namespace locus {
 
-Network::Network(const Topology& topology, NetworkParams params, EventQueue& queue,
+Network::Network(const Topology& topology, LinkCostParams link_cost, EventQueue& queue,
                  DeliverFn deliver)
-    : topology_(topology), params_(params), queue_(queue),
-      deliver_(std::move(deliver)),
-      cost_(LinkCostModel::make(topology, params.cost, params.hop_time_ns)),
+    : topology_(topology), queue_(queue), deliver_(std::move(deliver)),
+      cost_(LinkCostModel::make(topology, link_cost)),
       ni_free_(static_cast<std::size_t>(topology.num_nodes()), 0),
       held_(static_cast<std::size_t>(topology.num_nodes()), kNoSlot),
       h_deliver_(queue.add_handler(&Network::on_deliver, this)),
@@ -32,7 +31,7 @@ SimTime Network::charge_control(ProcId src, ProcId dst, std::int32_t type,
   const std::vector<LinkId> path = topology_.route(src, dst);
   const auto D = static_cast<std::int64_t>(path.size());
   const SimTime latency =
-      2 * params_.process_time_ns + (D + L) * params_.hop_time_ns;
+      2 * kProcessTimeNs + (D + L) * kHopTimeNs;
 
   stats_.packets += 1;
   stats_.bytes += static_cast<std::uint64_t>(L);
@@ -158,7 +157,7 @@ SimTime Network::inject(Packet packet, SimTime ready) {
     if (obs_) {
       if (obs::TraceSink* t = obs_.obs->trace(); t != nullptr && t->hop_detail()) {
         t->instant(packet.src, obs_.cat_net, obs_.n_hop,
-                   head - params_.hop_time_ns, obs_.a_link,
+                   head - kHopTimeNs, obs_.a_link,
                    topology_.link_index(link), obs_.a_bytes, L);
       }
     }
@@ -167,10 +166,10 @@ SimTime Network::inject(Packet packet, SimTime ready) {
   // Tail drains into the destination, then the receive-side copy runs. With
   // no contention this yields exactly the paper's 2·ProcessTime +
   // HopTime·(D + L) once both ProcessTime charges are counted.
-  const SimTime tail_arrival = head + L * params_.hop_time_ns;
-  const SimTime delivered = tail_arrival + params_.process_time_ns;
+  const SimTime tail_arrival = head + L * kHopTimeNs;
+  const SimTime delivered = tail_arrival + kProcessTimeNs;
 
-  ni = inject_at + L * params_.hop_time_ns;  // injection pipeline busy for L bytes
+  ni = inject_at + L * kHopTimeNs;  // injection pipeline busy for L bytes
 
   stats_.packets += 1;
   stats_.bytes += static_cast<std::uint64_t>(L);
@@ -225,7 +224,7 @@ SimTime Network::inject(Packet packet, SimTime ready) {
       // reference, so the second delivery reuses the same packet bytes).
       const SlotId id = alloc_slot(std::move(packet), 2);
       schedule_delivery(id, delivered);
-      schedule_delivery(id, delivered + params_.process_time_ns);
+      schedule_delivery(id, delivered + kProcessTimeNs);
       break;
     }
     case FaultInjector::Action::kDelay:

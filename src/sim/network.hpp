@@ -10,7 +10,7 @@
 // free — the dominant effect of wormhole blocking at the low loads these
 // workloads generate (flit-level backpressure of upstream links is not
 // modeled; DESIGN.md records this simplification). The per-link timing
-// discipline itself is pluggable (NetworkParams::cost selects a
+// discipline itself is pluggable (the constructor's LinkCostParams select a
 // LinkCostModel — fixed or M/D/1 queueing; sim/link_cost.hpp); the packet
 // plane above it is unchanged.
 //
@@ -33,13 +33,9 @@
 
 namespace locus {
 
-struct NetworkParams {
-  std::int64_t hop_time_ns = 100;       ///< per byte-hop (paper §2.1)
-  std::int64_t process_time_ns = 2000;  ///< per node<->network copy
-  /// Per-link timing discipline (sim/link_cost.hpp). The default kFixed is
-  /// bit-identical to the paper's charge.
-  LinkCostParams cost;
-};
+/// ProcessTime (paper §2.1): one node <-> network copy, charged at each end.
+/// HopTime is kHopTimeNs (sim/link_cost.hpp).
+inline constexpr SimTime kProcessTimeNs = 2000;
 
 struct NetworkStats {
   std::uint64_t packets = 0;
@@ -82,7 +78,9 @@ class Network {
  public:
   using DeliverFn = std::function<void(const Packet&, SimTime arrival)>;
 
-  Network(const Topology& topology, NetworkParams params, EventQueue& queue,
+  /// `link_cost` picks the per-link timing discipline (sim/link_cost.hpp);
+  /// the default kFixed is bit-identical to the paper's charge.
+  Network(const Topology& topology, LinkCostParams link_cost, EventQueue& queue,
           DeliverFn deliver);
 
   /// Injects `packet` from its src at time `ready` (the moment the sending
@@ -129,7 +127,6 @@ class Network {
   void set_obs(obs::Obs* o) { obs_.bind(o); }
 
   const NetworkStats& stats() const { return stats_; }
-  const NetworkParams& params() const { return params_; }
   const Topology& topology() const { return topology_; }
   /// The active link cost model, for per-link byte/stall/utilization
   /// inspection (sim/link_cost.hpp).
@@ -164,7 +161,6 @@ class Network {
   static void on_inject(void* ctx, SimTime now, std::uint64_t a, std::uint64_t b);
 
   const Topology& topology_;
-  NetworkParams params_;
   EventQueue& queue_;
   DeliverFn deliver_;
   NetworkStats stats_;

@@ -7,6 +7,7 @@
 #include "msg/config.hpp"
 #include "msg/packets.hpp"
 #include "route/cost_model.hpp"
+#include "sim/network.hpp"
 #include "support/log.hpp"
 #include "support/stopwatch.hpp"
 
@@ -36,19 +37,17 @@ TEST(Stopwatch, MeasuresElapsedTime) {
 }
 
 TEST(TimeModel, RoutingTimeIsLinear) {
-  TimeModel tm;
-  tm.probe_ns = 10;
-  tm.commit_ns = 3;
-  tm.wire_fixed_ns = 100;
-  EXPECT_EQ(tm.routing_time_ns(0, 0, 0), 0);
-  EXPECT_EQ(tm.routing_time_ns(5, 2, 1), 50 + 6 + 100);
-  EXPECT_EQ(tm.routing_time_ns(5, 2, 2), 50 + 6 + 200);
+  constexpr std::int64_t probe = TimeModel::kProbeNs;
+  constexpr std::int64_t commit = TimeModel::kCommitNs;
+  constexpr std::int64_t wire = TimeModel::kWireFixedNs;
+  EXPECT_EQ(TimeModel::routing_time_ns(0, 0, 0), 0);
+  EXPECT_EQ(TimeModel::routing_time_ns(5, 2, 1), 5 * probe + 2 * commit + wire);
+  EXPECT_EQ(TimeModel::routing_time_ns(5, 2, 2), 5 * probe + 2 * commit + 2 * wire);
 }
 
 TEST(TimeModel, PaperNetworkConstants) {
-  TimeModel tm;
-  EXPECT_EQ(tm.hop_time_ns, 100);      // paper §2.1
-  EXPECT_EQ(tm.process_time_ns, 2000); // paper §2.1
+  EXPECT_EQ(kHopTimeNs, 100);       // paper §2.1
+  EXPECT_EQ(kProcessTimeNs, 2000);  // paper §2.1
 }
 
 TEST(UpdateScheduleFactories, SenderEnablesOnlySenderSide) {

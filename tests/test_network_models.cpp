@@ -221,7 +221,7 @@ TEST(Md1Golden, ClosedFormAtPinnedUtilizations) {
 }
 
 TEST(Md1Golden, SaturationIsClampedFiniteAndMonotone) {
-  // Past rho_max the delay pins at the clamp value instead of diverging:
+  // Past kMd1RhoMax the delay pins at the clamp value instead of diverging:
   // S * 0.95 / (2 * 0.05) = 9.5 * S, which lands at 9499 after the binary
   // representation of (1 - 0.95) and the truncating ns cast.
   const SimTime clamp = md1_wait_ns(1000, 0.95);
@@ -239,8 +239,6 @@ TEST(Md1Golden, SaturationIsClampedFiniteAndMonotone) {
     EXPECT_LE(w, static_cast<SimTime>(9.5 * 1e9) + 1);
     prev = w;
   }
-  // A tighter clamp saturates earlier.
-  EXPECT_EQ(md1_wait_ns(1000, 0.9, 0.5), 500);
 }
 
 // --- Conservation: per-link bytes sum exactly to byte_hops ---
@@ -398,9 +396,7 @@ struct StormCounts {
 StormCounts run_storm(const Topology& topo, LinkCostModelKind kind) {
   StormCounts out;
   EventQueue q;
-  NetworkParams params;
-  params.cost.kind = kind;
-  Network net(topo, params, q, [&](const Packet&, SimTime at) {
+  Network net(topo, LinkCostParams{kind}, q, [&](const Packet&, SimTime at) {
     ++out.delivered;
     out.finish = std::max(out.finish, at);
   });

@@ -133,13 +133,6 @@ ExploreResult explore_reference(const Pin& a, const Pin& b, std::int32_t channel
       cost += params.congestion_power == 2 ? v * v : v;
       ++best.stats.cells_probed;
     });
-    if (params.bend_penalty != 0) {
-      std::int32_t turns = 0;
-      for (const Segment& seg : route.segments()) {
-        if (seg.from != seg.to) ++turns;
-      }
-      if (turns > 1) cost += static_cast<std::int64_t>(params.bend_penalty) * (turns - 1);
-    }
     ++best.stats.routes_evaluated;
     if (!have_best || cost < best.cost) {
       best.route = std::move(route);
@@ -255,7 +248,6 @@ TEST_P(BulkVsReferenceMatrix, BulkPricingMatchesReferenceBitForBit) {
     ExplorerParams params;
     params.channel_slack = static_cast<std::int32_t>(rng.bounded(3));
     params.jog_samples = 1 + static_cast<std::int32_t>(rng.bounded(16));
-    params.bend_penalty = rng.chance(0.5) ? 0 : 3;
     params.congestion_power = rng.chance(0.5) ? 1 : 2;
     for (int pair = 0; pair < 4; ++pair, ++tuples) {
       Pin a{static_cast<std::int32_t>(rng.bounded(grids)),

@@ -126,17 +126,6 @@ TEST(Explorer, DeterministicTieBreak) {
   EXPECT_EQ(r1.cost, r2.cost);
 }
 
-TEST(Explorer, BendPenaltyDiscouragesZRoutes) {
-  CostArray cost(4, 30);
-  Pin a{0, 0}, b{20, 0};
-  ExplorerParams straight_biased;
-  straight_biased.bend_penalty = 100;
-  ExploreResult res = explore_connection(a, b, 4, cost, straight_biased);
-  // With empty cost and a heavy bend penalty, the straight route wins and
-  // carries no penalty beyond its (zero) occupancy.
-  EXPECT_EQ(res.cost, 0);
-}
-
 TEST(Explorer, ChannelSlackWidensSearch) {
   CostArray cost(6, 20);
   Pin a{2, 2}, b{15, 2};  // pins use channels 2/3

@@ -207,7 +207,7 @@ class NetworkTest : public ::testing::Test {
  protected:
   NetworkTest()
       : topo_({4, 4}, Topology::Edges::kMesh),
-        net_(topo_, NetworkParams{}, queue_,
+        net_(topo_, LinkCostParams{}, queue_,
              [this](const Packet& p, SimTime at) {
                deliveries_.push_back({p, at});
              }) {}

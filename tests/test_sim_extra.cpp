@@ -237,79 +237,6 @@ TEST(MpConfigValidate, FatTreeArityBelowTwoThrows) {
   EXPECT_EQ(validate_error(config, 4), "");
 }
 
-/// A config with the transport on, after `edit` changed one of its fields.
-template <typename Edit>
-MpConfig transport_config(Edit&& edit) {
-  MpConfig config;
-  config.transport.enabled = true;
-  edit(config.transport);
-  return config;
-}
-
-// ReliableTransport's constructor asserts these preconditions; validate()
-// rejects each one first, and only when the transport is on.
-TEST(MpConfigValidate, TransportWindowBelowOneThrows) {
-  MpConfig config = transport_config([](TransportConfig& t) { t.window = 0; });
-  EXPECT_THROW(run_message_passing(make_tiny_test_circuit(), 4, config),
-               std::invalid_argument);
-  EXPECT_NE(validate_error(config, 4).find("transport.window must be >= 1, got 0"),
-            std::string::npos);
-  config.transport.enabled = false;
-  EXPECT_EQ(validate_error(config, 4), "");
-}
-
-TEST(MpConfigValidate, TransportRtoBelowOneThrows) {
-  MpConfig config = transport_config([](TransportConfig& t) { t.rto_ns = 0; });
-  EXPECT_NE(validate_error(config, 4).find("transport.rto_ns must be >= 1, got 0"),
-            std::string::npos);
-  config.transport.rto_ns = 1;
-  EXPECT_EQ(validate_error(config, 4), "");
-}
-
-TEST(MpConfigValidate, TransportMaxAttemptsBelowOneThrows) {
-  MpConfig config = transport_config([](TransportConfig& t) { t.max_attempts = 0; });
-  EXPECT_NE(validate_error(config, 4).find("transport.max_attempts must be >= 1, got 0"),
-            std::string::npos);
-  config.transport.max_attempts = 1;
-  EXPECT_EQ(validate_error(config, 4), "");
-}
-
-TEST(MpConfigValidate, TransportAckEveryBelowOneThrows) {
-  MpConfig config = transport_config([](TransportConfig& t) { t.ack_every = -3; });
-  EXPECT_NE(validate_error(config, 4).find("transport.ack_every must be >= 1, got -3"),
-            std::string::npos);
-  config.transport.ack_every = 1;
-  EXPECT_EQ(validate_error(config, 4), "");
-}
-
-TEST(MpConfigValidate, TransportBackoffBelowOneThrows) {
-  MpConfig config = transport_config([](TransportConfig& t) { t.backoff = 0.5; });
-  EXPECT_NE(validate_error(config, 4).find("transport.backoff must be >= 1.0"),
-            std::string::npos);
-  config.transport.backoff = 1.0;
-  EXPECT_EQ(validate_error(config, 4), "");
-}
-
-TEST(MpConfigValidate, TransportNegativeMaxBackoffExpThrows) {
-  MpConfig config = transport_config([](TransportConfig& t) { t.max_backoff_exp = -1; });
-  EXPECT_NE(validate_error(config, 4).find("transport.max_backoff_exp must be >= 0, got -1"),
-            std::string::npos);
-  config.transport.max_backoff_exp = 0;
-  EXPECT_EQ(validate_error(config, 4), "");
-}
-
-// A negative holdoff would schedule the delayed ack before now; at time 0 a
-// holdoff of -1 would even set ack_due_at to its -1 "no ack due" sentinel.
-TEST(MpConfigValidate, TransportNegativeAckDelayThrows) {
-  MpConfig config = transport_config([](TransportConfig& t) { t.ack_delay_ns = -1; });
-  EXPECT_THROW(run_message_passing(make_tiny_test_circuit(), 4, config),
-               std::invalid_argument);
-  EXPECT_NE(validate_error(config, 4).find("transport.ack_delay_ns must be >= 0, got -1"),
-            std::string::npos);
-  config.transport.ack_delay_ns = 0;
-  EXPECT_EQ(validate_error(config, 4), "");
-}
-
 TEST(NetworkInvariants, ByteHopsAtLeastBytes) {
   Circuit c = make_tiny_test_circuit();
   MpConfig config;

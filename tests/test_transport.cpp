@@ -25,16 +25,10 @@ namespace {
 
 // --- TransportChannel: pure state machine with injected times ------------
 
-TransportConfig unit_config() {
-  TransportConfig c;
-  c.enabled = true;
-  c.window = 4;
-  c.rto_ns = 1'000;
-  c.backoff = 2.0;
-  c.max_backoff_exp = 3;
-  c.max_attempts = 3;
-  return c;
-}
+// The unit tests below run against the fixed transport constants; the
+// backoff expectations assume doubling and at least three attempts.
+static_assert(kTransportBackoff == 2.0 && kTransportMaxBackoffExp >= 2 &&
+              kTransportMaxAttempts >= 3);
 
 TEST(TransportChannel, SeqsMonotonicAndCumulativeAckRetires) {
   TransportChannel ch;
@@ -50,59 +44,58 @@ TEST(TransportChannel, SeqsMonotonicAndCumulativeAckRetires) {
 }
 
 TEST(TransportChannel, TimeoutRetransmitsWithExponentialBackoff) {
-  const TransportConfig config = unit_config();
   TransportChannel ch;
   const std::uint32_t seq =
-      ch.begin_send(kMsgSendRmtData, 64, 100, 100 + config.rto_ns);
+      ch.begin_send(kMsgSendRmtData, 64, 100, 100 + kTransportRtoNs);
 
-  auto v1 = ch.on_timeout(seq, 1, 1'100, config);
+  auto v1 = ch.on_timeout(seq, 1, 1'100);
   ASSERT_TRUE(v1.retransmit);
   EXPECT_EQ(v1.entry.attempts, 2);
-  EXPECT_EQ(v1.entry.next_timeout, 1'100 + 2 * config.rto_ns);
+  EXPECT_EQ(v1.entry.next_timeout, 1'100 + 2 * kTransportRtoNs);
 
   // The superseded attempt-1 timer must be a no-op if it somehow refires.
-  EXPECT_FALSE(ch.on_timeout(seq, 1, 1'200, config).retransmit);
+  EXPECT_FALSE(ch.on_timeout(seq, 1, 1'200).retransmit);
 
-  auto v2 = ch.on_timeout(seq, 2, 3'100, config);
+  auto v2 = ch.on_timeout(seq, 2, 3'100);
   ASSERT_TRUE(v2.retransmit);
   EXPECT_EQ(v2.entry.attempts, 3);
-  EXPECT_EQ(v2.entry.next_timeout, 3'100 + 4 * config.rto_ns);
+  EXPECT_EQ(v2.entry.next_timeout, 3'100 + 4 * kTransportRtoNs);
 }
 
 TEST(TransportChannel, StaleTimerAfterAckIsNoop) {
-  const TransportConfig config = unit_config();
   TransportChannel ch;
   const std::uint32_t seq = ch.begin_send(kMsgSendRmtData, 64, 100, 1'100);
   EXPECT_EQ(ch.on_ack(seq), 1u);
-  const auto verdict = ch.on_timeout(seq, 1, 1'100, config);
+  const auto verdict = ch.on_timeout(seq, 1, 1'100);
   EXPECT_FALSE(verdict.retransmit);
   EXPECT_FALSE(verdict.gave_up);
 }
 
 TEST(TransportChannel, GivesUpAfterMaxAttempts) {
-  const TransportConfig config = unit_config();  // max_attempts = 3
   TransportChannel ch;
   const std::uint32_t seq = ch.begin_send(kMsgSendRmtData, 64, 100, 1'100);
-  EXPECT_TRUE(ch.on_timeout(seq, 1, 1'100, config).retransmit);
-  EXPECT_TRUE(ch.on_timeout(seq, 2, 3'100, config).retransmit);
-  const auto last = ch.on_timeout(seq, 3, 7'100, config);
+  SimTime now = 1'100;
+  for (std::int32_t attempt = 1; attempt < kTransportMaxAttempts; ++attempt) {
+    EXPECT_TRUE(ch.on_timeout(seq, attempt, now).retransmit) << "attempt " << attempt;
+    now += 2'000;
+  }
+  const auto last = ch.on_timeout(seq, kTransportMaxAttempts, now);
   EXPECT_FALSE(last.retransmit);
   EXPECT_TRUE(last.gave_up);
   EXPECT_EQ(ch.in_flight(), 0);
   // Anything after the give-up is stale.
-  EXPECT_FALSE(ch.on_timeout(seq, 4, 9'000, config).gave_up);
+  EXPECT_FALSE(ch.on_timeout(seq, kTransportMaxAttempts + 1, now + 2'000).gave_up);
 }
 
 TEST(TransportChannel, WindowTracksInFlight) {
-  const TransportConfig config = unit_config();  // window = 4
   TransportChannel ch;
-  for (int i = 0; i < 4; ++i) {
-    EXPECT_FALSE(ch.window_full(config.window));
+  for (std::int32_t i = 0; i < kTransportWindow; ++i) {
+    EXPECT_FALSE(ch.window_full());
     ch.begin_send(kMsgSendRmtData, 64, 100 + i, 1'100 + i);
   }
-  EXPECT_TRUE(ch.window_full(config.window));
+  EXPECT_TRUE(ch.window_full());
   ch.on_ack(1);
-  EXPECT_FALSE(ch.window_full(config.window));
+  EXPECT_FALSE(ch.window_full());
 }
 
 TEST(TransportChannel, DedupAndReleaseAcrossWindowBoundary) {
