@@ -35,7 +35,7 @@ int run(const locus::Cli& cli) {
   params.num_wires = cli.get_bounded_int("wires", 1, 1 << 20);
   params.channels = cli.get_bounded_int("channels", 2, 1 << 20);
   params.grids = cli.get_bounded_int("grids", 8, 1 << 20);
-  params.seed = static_cast<std::uint64_t>(cli.get_int("seed"));
+  params.seed = cli.get_uint64("seed");
   emit(locus::generate_circuit(params), params.name + ".ckt");
   return 0;
 }
@@ -53,7 +53,7 @@ int main(int argc, char** argv) {
   if (!cli.parse(argc, argv)) return 1;
   try {
     return run(cli);
-  } catch (const std::exception& e) {  // a bad count or an unwritable --out
+  } catch (const std::exception& e) {  // a bad count or seed, or an unwritable --out
     std::fprintf(stderr, "circuit_tool: %s\n", e.what());
     return 1;
   }

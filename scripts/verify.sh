@@ -59,10 +59,11 @@ cmake --build "$BUILD_DIR" -j
 cd "$BUILD_DIR"
 ctest --output-on-failure -j "$(nproc)"
 
-# The check, transport, and network labels must exist and pass on their own.
-ctest -L check --output-on-failure -j "$(nproc)"
-ctest -L transport --output-on-failure -j "$(nproc)"
-ctest -L network --output-on-failure -j "$(nproc)"
+# The check, transport, and network labels must exist and pass on their own:
+# without --no-tests=error, ctest exits 0 on a label that matches no test.
+ctest -L check --no-tests=error --output-on-failure -j "$(nproc)"
+ctest -L transport --no-tests=error --output-on-failure -j "$(nproc)"
+ctest -L network --no-tests=error --output-on-failure -j "$(nproc)"
 
 # Optional pool determinism gates: every run below must print the same
 # data rows at pool widths 1 and 4.

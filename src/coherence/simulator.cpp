@@ -21,12 +21,11 @@ CoherenceSim::CoherenceSim(std::int32_t procs, CoherenceParams params)
   }
 }
 
-void CoherenceSim::cover(std::uint32_t addr) {
-  if (addr >= kDenseAddrBound) return;
-  const std::uint32_t line_addr = addr >> line_shift_;
-  if (line_addr < dense_.size()) return;
+CoherenceSim::LineState& CoherenceSim::grown_line_state(std::uint32_t line_addr) {
+  if (line_addr >= dense_lines_) return sparse_[line_addr];
   dense_.resize(std::min<std::size_t>(
       dense_lines_, std::max<std::size_t>(line_addr + 1, 2 * dense_.size())));
+  return dense_[line_addr];
 }
 
 std::size_t CoherenceSim::lines_touched() const {
@@ -86,18 +85,6 @@ void dispatch(const CoherenceParams& params, Fn&& fn) {
   }
 }
 
-/// The highest byte address below CoherenceSim::kDenseAddrBound that `trace`
-/// references (0 when there is none): what the line tables must cover.
-std::uint32_t max_dense_addr(const RefTrace& trace) {
-  std::uint32_t hi = 0;
-  for (std::size_t p = 0; p < trace.streams(); ++p) {
-    trace.for_each_entry(p, [&hi](const RefTrace::Entry& e) {
-      if (e.addr < CoherenceSim::kDenseAddrBound) hi = std::max(hi, e.addr);
-    });
-  }
-  return hi;
-}
-
 }  // namespace
 
 template <ProtocolKind P, bool kFinite>
@@ -124,24 +111,86 @@ void CoherenceSim::step(std::int32_t proc, std::uint32_t addr, MemOp op) {
 void CoherenceSim::access(std::int32_t proc, std::uint32_t addr, MemOp op) {
   LOCUS_ASSERT(proc >= 0 && proc < procs_);
   ++traffic_.accesses;
-  cover(addr);
   dispatch(params_, [&]<ProtocolKind P, bool kFinite>() { step<P, kFinite>(proc, addr, op); });
+}
+
+template <ProtocolKind P>
+void CoherenceSim::interval_read(std::int32_t proc, std::uint32_t addr,
+                                 const RefTrace::Position& at) {
+  const std::uint32_t line_addr = addr >> line_shift_;
+  const std::uint32_t bit = 1u << proc;
+  LineState& line = line_state(line_addr);
+  // A read hit changes nothing under any protocol.
+  if (line.dirty_owner == proc || (line.present & bit) != 0) return;
+  if constexpr (P == ProtocolKind::kWriteThrough || P == ProtocolKind::kDragon) {
+    // No read ever clears a dirty owner here, so reads between writes commute.
+    step<P, false>(proc, addr, MemOp::kRead);
+  } else {
+    // A dirty line at a read miss was dirty when the interval began, and its
+    // first reader by key takes the flush. Every other reader fetches the line
+    // as a cold fetch or a refetch by its own ever-held bit, so a read that
+    // comes before the slot's holder only trades fetches with it. The slot
+    // lives until the interval's write clears flush_slots_.
+    const bool held = (line.ever_held & bit) != 0;
+    FlushSlot* earlier = nullptr;
+    if (line.dirty_owner >= 0) {
+      line.flush_slot = static_cast<std::uint32_t>(flush_slots_.size());
+      flush_slots_.push_back(FlushSlot{line_addr, held, at.key()});
+    } else if (line.flush_slot < flush_slots_.size() &&
+               flush_slots_[line.flush_slot].line == line_addr) {
+      FlushSlot& slot = flush_slots_[line.flush_slot];
+      const RefTrace::Key key = at.key();
+      if (key < slot.key) {
+        earlier = &slot;
+        slot.key = key;
+      }
+    }
+    step<P, false>(proc, addr, MemOp::kRead);
+    if (earlier != nullptr) {
+      // This read was charged its own fetch; it takes the flush instead, and
+      // the reader it displaces pays the fetch its ever-held bit gives.
+      if (earlier->held != held) {
+        const auto line_bytes = static_cast<std::uint64_t>(params_.line_size);
+        (held ? traffic_.refetch_bytes : traffic_.cold_fetch_bytes) -= line_bytes;
+        (earlier->held ? traffic_.refetch_bytes : traffic_.cold_fetch_bytes) += line_bytes;
+      }
+      earlier->held = held;
+    }
+  }
 }
 
 void CoherenceSim::replay_all(std::span<CoherenceSim> sims, const RefTrace& trace) {
   if (sims.empty()) return;
-  const std::uint32_t hi = max_dense_addr(trace);
   for (CoherenceSim& sim : sims) {
     LOCUS_ASSERT(sim.params_.protocol == sims[0].params_.protocol &&
                  sim.params_.capacity_lines == sims[0].params_.capacity_lines);
     // Every stream's processor is in range, so no reference needs a check.
     LOCUS_ASSERT(trace.streams() <= static_cast<std::size_t>(sim.procs_));
-    sim.cover(hi);
+    sim.flush_slots_.clear();  // slots of an earlier replay's last interval
   }
   dispatch(sims[0].params_, [&]<ProtocolKind P, bool kFinite>() {
-    trace.for_each([&](const MemRef& ref) {
-      for (CoherenceSim& sim : sims) sim.step<P, kFinite>(ref.proc, ref.addr, ref.op);
-    });
+    if constexpr (kFinite) {
+      trace.for_each([&](const MemRef& ref) {
+        for (CoherenceSim& sim : sims) sim.step<P, true>(ref.proc, ref.addr, ref.op);
+      });
+    } else {
+      trace.for_each_write_interval(
+          [&](std::size_t proc, std::span<const std::uint32_t> addrs, RefTrace::Position at) {
+            const auto p = static_cast<std::int32_t>(proc);
+            for (CoherenceSim& sim : sims) {
+              for (std::uint32_t j = 0; j < addrs.size(); ++j) {
+                sim.interval_read<P>(p, addrs[j], RefTrace::Position{at.block, at.i + j});
+              }
+            }
+          },
+          [&](std::size_t proc, std::uint32_t addr, const RefTrace::Key&) {
+            const auto p = static_cast<std::int32_t>(proc);
+            for (CoherenceSim& sim : sims) {
+              sim.step<P, false>(p, addr, MemOp::kWrite);
+              sim.flush_slots_.clear();
+            }
+          });
+    }
   });
   for (CoherenceSim& sim : sims) sim.traffic_.accesses += trace.size();
 }

@@ -6,16 +6,21 @@
 // the protocol events themselves.
 //
 // Line state lives in a dense table indexed by line address, up to
-// kDenseAddrBound bytes of address space — the cost array's range. The few
-// shared objects above the bound (the distributed loop counter) go to a
-// small side map.
+// kDenseAddrBound bytes of address space — the cost array's range — and
+// grown on first touch of a line past its end. The few shared objects
+// above the bound (the distributed loop counter) go to a small side map.
 //
-// Replay dispatch: replay() and sweep_line_sizes() choose the protocol and
-// finite versus infinite caches once per call, size the line table for the
-// trace's highest address, then run a handler specialised at compile time
-// for that pair, so the per-reference loop carries no protocol switch, no
-// LRU test and no table growth. access() routes single references to the
-// same handlers (DESIGN.md §7.6).
+// Replay: replay() and sweep_line_sizes() choose the protocol and finite
+// versus infinite caches once per call and run handlers specialised at
+// compile time for that pair (DESIGN.md §7.6). Infinite caches replay by
+// write intervals (RefTrace::for_each_write_interval): writes in global
+// order, and between two writes each processor's reads in its own order.
+// Reads between two writes commute except in which reader takes a dirty
+// line's flush under write-back-invalidate and MESI; a per-line flush slot
+// hands it to the earliest reader by key. Finite caches do not decompose (an
+// LRU eviction reorders with other processors' reads), so they step through
+// the globally merged RefTrace::for_each. access() routes single references
+// to the same handlers.
 #pragma once
 
 #include <cstdint>
@@ -65,29 +70,46 @@ class CoherenceSim {
     std::uint32_t present = 0;     ///< bitmask of procs with a valid copy
     std::uint32_t ever_held = 0;   ///< procs that held the line at some point;
                                    ///< nonzero once the line is touched
-    std::int32_t dirty_owner = -1; ///< proc holding it dirty, or -1
+    std::uint32_t flush_slot = 0;  ///< index in flush_slots_, live only if
+                                   ///< that slot names this line
+    std::int8_t dirty_owner = -1;  ///< proc holding it dirty, or -1
     bool exclusive_clean = false;  ///< MESI E state (single clean holder)
   };
 
-  /// Replays `trace` into every simulator of `sims` in turn, reference by
-  /// reference. All of them share one protocol and capacity.
+  /// The read that took a line's dirty flush in the current write interval
+  /// of an interval replay.
+  struct FlushSlot {
+    std::uint32_t line;
+    bool held;  ///< whether that reader had held the line before the read
+    RefTrace::Key key;
+  };
+
+  /// Replays `trace` into every simulator of `sims`. All of them share one
+  /// protocol and capacity.
   static void replay_all(std::span<CoherenceSim> sims, const RefTrace& trace);
 
   /// Applies one reference with the protocol and cache kind fixed at compile
-  /// time. The line must already be covered by the table (cover()); the
-  /// caller counts the access.
+  /// time; the caller counts the access.
   template <ProtocolKind P, bool kFinite>
   void step(std::int32_t proc, std::uint32_t addr, MemOp op);
 
-  /// Grows the dense table to cover byte address `addr` (a no-op above
-  /// kDenseAddrBound, whose lines live in the side map).
-  void cover(std::uint32_t addr);
+  /// Applies one read of an infinite-cache interval replay, which visits the
+  /// reads between two writes stream by stream. Under write-back-invalidate
+  /// and MESI it settles which reader takes a dirty line's flush: the first
+  /// by key, not the first visited.
+  template <ProtocolKind P>
+  void interval_read(std::int32_t proc, std::uint32_t addr,
+                     const RefTrace::Position& at);
 
-  /// The state of line `line_addr`, created (untouched) on first use of a
-  /// side-map line. The reference is valid until the next call.
+  /// The state of line `line_addr`, created (untouched) on first use. The
+  /// reference is valid until the next call.
   LineState& line_state(std::uint32_t line_addr) {
-    return line_addr < dense_.size() ? dense_[line_addr] : sparse_[line_addr];
+    if (line_addr < dense_.size()) [[likely]] return dense_[line_addr];
+    return grown_line_state(line_addr);
   }
+  /// line_state() beyond the dense table: grows it (doubling, up to
+  /// kDenseAddrBound) or uses the side map.
+  LineState& grown_line_state(std::uint32_t line_addr);
 
   void access_wbi(LineState& line, std::uint32_t bit, std::int32_t proc, MemOp op);
   void access_write_through(LineState& line, std::uint32_t bit, std::int32_t proc,
@@ -101,10 +123,11 @@ class CoherenceSim {
   std::int32_t procs_;
   CoherenceParams params_;
   CoherenceTraffic traffic_;
-  std::vector<LineState> dense_;  ///< lines below dense_lines_, grown by cover()
+  std::vector<LineState> dense_;  ///< lines below dense_lines_, grown on demand
   std::uint32_t dense_lines_ = 0;
   int line_shift_ = 0;  ///< log2(line_size)
   std::unordered_map<std::uint32_t, LineState> sparse_;  ///< lines above it
+  std::vector<FlushSlot> flush_slots_;  ///< flushes taken since the last write
   std::vector<std::list<std::uint32_t>> lru_order_;  ///< per proc, front = MRU
   std::vector<std::unordered_map<std::uint32_t, std::list<std::uint32_t>::iterator>>
       lru_map_;

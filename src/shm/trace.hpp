@@ -18,13 +18,18 @@
 // the address column, and its op bits (reads are 0) are cleared a whole
 // 64-bit word at a time.
 //
-// Order: no time-ordered copy is ever built. for_each() heap-merges the
-// stream heads on (time, block emission seq), which visits the references
-// in global time order with equal times in emission order — the order a
-// stable sort by time of the emission-ordered trace gives (DESIGN.md §7.6).
+// Order: no time-ordered copy is ever built. A reference's place in the
+// global order is its Key (time, block emission seq, index in the block),
+// the order a stable sort by time of the emission-ordered trace gives
+// (DESIGN.md §7.6). for_each() heap-merges the stream heads on that key and
+// visits every reference in it. for_each_write_interval() orders only the
+// writes: it merges the streams' next-write positions, and before each write
+// visits, stream by stream, the reads that precede it, finding each stream's
+// split by inverting the block stamps (refs_before), so no read is merged.
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <limits>
 #include <memory>
@@ -126,6 +131,71 @@ class RefTrace {
   /// One more than the highest processor with a reference (0 when empty).
   std::size_t streams() const { return used_; }
 
+  /// `n` consecutive references of a stream, stamped across [t0, t0+duration].
+  struct Block {
+    SimTime t0;
+    SimTime duration;
+    std::uint32_t n;
+    std::uint64_t seq;  ///< emission order across all streams
+  };
+
+  /// A reference's place in the global order: its stamp, its block's seq
+  /// and its index in the block. Keys are distinct, and for_each() visits
+  /// them in increasing order.
+  struct Key {
+    SimTime time;
+    std::uint64_t seq;
+    std::uint32_t i;
+    friend auto operator<=>(const Key&, const Key&) = default;
+  };
+
+  /// Reference i of block b, whose key for_each_write_interval() computes
+  /// only on demand.
+  struct Position {
+    const Block* block;
+    std::uint32_t i;
+    Key key() const { return Key{stamp(*block, i), block->seq, i}; }
+  };
+
+  /// Reference i of block b is stamped t0 + duration·(i+1)/(n+1).
+  static SimTime stamp(const Block& b, std::uint32_t i) {
+    return b.t0 + b.duration * static_cast<SimTime>(i + 1) /
+                      (static_cast<SimTime>(b.n) + 1);
+  }
+
+  /// How many of b's references have a key below k: the split of b before
+  /// k. Within k's own block that is k.i. In any other block, ties in time
+  /// go to the lower seq, so the count is the first i whose stamp reaches
+  /// T = k.time + (b.seq < k.seq), and floor division inverts exactly:
+  /// stamp(b, i) >= T iff duration·(i+1) >= (T − t0)·(n+1).
+  static std::uint32_t refs_before(const Block& b, const Key& k) {
+    if (b.seq == k.seq) return k.i;
+    const __int128 gap = __int128{k.time} + (b.seq < k.seq ? 1 : 0) - b.t0;  // T − t0
+    if (gap <= 0) return 0;             // every stamp is at least t0 >= T
+    if (gap >= b.duration) return b.n;  // every stamp is below t0 + duration <= T
+    // 0 < gap < duration: the least i+1 with duration·(i+1) >= gap·(n+1). The
+    // product fits in 64 bits whenever duration·n does (stamp() needs that),
+    // so the 128-bit division is only a fallback.
+    const auto need = static_cast<unsigned __int128>(gap) * (std::uint64_t{b.n} + 1);
+    const auto duration = static_cast<std::uint64_t>(b.duration);
+    if (need <= std::numeric_limits<std::uint64_t>::max()) {
+      const auto narrow = static_cast<std::uint64_t>(need);
+      return static_cast<std::uint32_t>(narrow / duration + (narrow % duration != 0) - 1);
+    }
+    return static_cast<std::uint32_t>((need + duration - 1) / duration - 1);
+  }
+
+  /// Visits every write in global order, calling on_write(proc, addr, key).
+  /// Before each write it visits the reads between the previous write and
+  /// this one, stream by stream in processor order and each stream in its
+  /// own order; after the last write, the reads that follow it. Reads come
+  /// in runs: on_reads(proc, addrs, first) gets consecutive reads of one
+  /// block, the first of them at `first` and read j at first.i + j. So every
+  /// read sees the writes that precede it, but reads between two writes come
+  /// in stream order, not in global order.
+  template <class OnReads, class OnWrite>
+  void for_each_write_interval(OnReads&& on_reads, OnWrite&& on_write) const;
+
  private:
   /// kChunkRefs consecutive references of a stream, left uninitialised
   /// until written.
@@ -136,13 +206,6 @@ class RefTrace {
     MemOp op(std::size_t i) const {
       return static_cast<MemOp>((ops[i / 64] >> (i % 64)) & 1u);
     }
-  };
-  /// `n` consecutive references of a stream, stamped across [t0, t0+duration].
-  struct Block {
-    SimTime t0;
-    SimTime duration;
-    std::uint32_t n;
-    std::uint64_t seq;  ///< emission order across all streams
   };
   struct Stream {
     std::vector<std::unique_ptr<Chunk>> chunks;
@@ -182,12 +245,21 @@ class RefTrace {
       const Chunk& c = *chunks[k / kChunkRefs];
       return Entry{c.addr[k % kChunkRefs], c.op(k % kChunkRefs)};
     }
+    /// Position of the first write at or after `from` among the closed
+    /// references, or `closed` when there is none. Bits above a word's last
+    /// written reference are clear, so a whole word is tested at once.
+    std::size_t next_write(std::size_t from) const {
+      for (std::size_t k = from; k < closed;) {
+        const std::size_t off = k % kChunkRefs;
+        const std::uint64_t word = chunks[k / kChunkRefs]->ops[off / 64] >> (off % 64);
+        if (word != 0) {
+          return std::min(closed, k + static_cast<std::size_t>(std::countr_zero(word)));
+        }
+        k += 64 - off % 64;
+      }
+      return closed;
+    }
   };
-
-  static SimTime stamp(const Block& b, std::uint32_t i) {
-    return b.t0 + b.duration * static_cast<SimTime>(i + 1) /
-                      (static_cast<SimTime>(b.n) + 1);
-  }
 
   static constexpr std::size_t kNoBlock = std::numeric_limits<std::size_t>::max();
 
@@ -256,6 +328,88 @@ void RefTrace::for_each(Fn&& fn) const {
     }
     heap[hole] = top;
   }
+}
+
+/// Each stream keeps a read cursor and its next write. The next write in
+/// global order is the least of the streams' next-write keys (a linear scan:
+/// there are at most a few dozen streams); every stream's cursor then visits
+/// its references below that key, which are all reads because the stream's
+/// own next write is not below it.
+template <class OnReads, class OnWrite>
+void RefTrace::for_each_write_interval(OnReads&& on_reads, OnWrite&& on_write) const {
+  struct Cursor {
+    std::size_t block = 0;  ///< block of the next reference to visit
+    std::uint32_t i = 0;    ///< its index in the block
+    std::size_t pos = 0;    ///< its stream position
+    std::size_t write = 0;  ///< stream position of the next write, or closed
+    std::size_t write_block = 0;
+    std::size_t write_base = 0;  ///< stream position of write_block's first reference
+    Key write_key{};
+  };
+  std::vector<Cursor> cursors(streams_.size());
+  auto seek_write = [&](std::size_t p, std::size_t from) {
+    const Stream& s = streams_[p];
+    Cursor& c = cursors[p];
+    c.write = s.next_write(from);
+    if (c.write == s.closed) return;
+    while (c.write - c.write_base >= s.blocks[c.write_block].n) {
+      c.write_base += s.blocks[c.write_block++].n;
+    }
+    const Block& b = s.blocks[c.write_block];
+    const auto i = static_cast<std::uint32_t>(c.write - c.write_base);
+    c.write_key = Key{stamp(b, i), b.seq, i};
+  };
+  // Visits stream p's references below `limit`, or all that are left when
+  // `limit` is null.
+  auto visit_reads = [&](std::size_t p, const Key* limit) {
+    const Stream& s = streams_[p];
+    Cursor& c = cursors[p];
+    while (c.block < s.blocks.size()) {
+      const Block& b = s.blocks[c.block];
+      const std::uint32_t end = limit != nullptr ? refs_before(b, *limit) : b.n;
+      if (end <= c.i) return;
+      for (std::uint32_t i = c.i; i < end;) {
+        const std::size_t off = c.pos % kChunkRefs;
+        const std::uint32_t* addr = s.chunks[c.pos / kChunkRefs]->addr + off;
+        const auto m =
+            static_cast<std::uint32_t>(std::min<std::size_t>(end - i, kChunkRefs - off));
+        on_reads(p, std::span<const std::uint32_t>(addr, m), Position{&b, i});
+        i += m;
+        c.pos += m;
+      }
+      if (end < b.n) {
+        c.i = end;
+        return;
+      }
+      c.i = 0;
+      ++c.block;
+    }
+  };
+
+  for (std::size_t p = 0; p < streams_.size(); ++p) seek_write(p, 0);
+  for (;;) {
+    std::size_t q = streams_.size();
+    for (std::size_t p = 0; p < streams_.size(); ++p) {
+      if (cursors[p].write < streams_[p].closed &&
+          (q == streams_.size() || cursors[p].write_key < cursors[q].write_key)) {
+        q = p;
+      }
+    }
+    if (q == streams_.size()) break;
+    const Key key = cursors[q].write_key;
+    for (std::size_t p = 0; p < streams_.size(); ++p) visit_reads(p, &key);
+    // Stream q's cursor now stands on the write.
+    const Stream& s = streams_[q];
+    Cursor& c = cursors[q];
+    on_write(q, s.entry(c.pos).addr, key);
+    ++c.pos;
+    if (++c.i == s.blocks[c.block].n) {
+      c.i = 0;
+      ++c.block;
+    }
+    seek_write(q, c.pos);
+  }
+  for (std::size_t p = 0; p < streams_.size(); ++p) visit_reads(p, nullptr);
 }
 
 template <class Fn>

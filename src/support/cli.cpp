@@ -94,6 +94,17 @@ std::int32_t Cli::get_bounded_int(const std::string& name, std::int64_t lo,
   return static_cast<std::int32_t>(v);
 }
 
+std::uint64_t Cli::get_uint64(const std::string& name) const {
+  const std::string text = get(name);
+  std::uint64_t v = 0;
+  const auto [end, ec] = std::from_chars(text.data(), text.data() + text.size(), v);
+  if (ec != std::errc() || end != text.data() + text.size()) {
+    throw std::invalid_argument("--" + name + "=" + text +
+                                " is not a whole number in 0..2^64-1");
+  }
+  return v;
+}
+
 double Cli::get_double(const std::string& name) const {
   return std::strtod(get(name).c_str(), nullptr);
 }

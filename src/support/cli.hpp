@@ -33,6 +33,10 @@ class Cli {
   /// flag otherwise. For counts and sizes read at a tool's boundary.
   std::int32_t get_bounded_int(const std::string& name, std::int64_t lo,
                                std::int64_t hi) const;
+  /// Value of a flag that must be a whole non-negative decimal number below
+  /// 2^64, such as a seed; throws std::invalid_argument naming the flag
+  /// otherwise.
+  std::uint64_t get_uint64(const std::string& name) const;
   double get_double(const std::string& name) const;
 
   /// Positional (non-flag) arguments in order.

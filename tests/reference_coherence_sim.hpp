@@ -40,6 +40,13 @@ class ReferenceCoherenceSim {
 
   const CoherenceTraffic& traffic() const { return traffic_; }
 
+  /// Number of distinct lines ever touched.
+  std::size_t lines_touched() const {
+    const auto dense = std::count_if(dense_.begin(), dense_.end(),
+                                     [](const LineState& l) { return l.ever_held != 0; });
+    return static_cast<std::size_t>(dense) + sparse_.size();
+  }
+
   static constexpr std::uint32_t kDenseAddrBound = 1u << 24;
 
   void access(std::int32_t proc, std::uint32_t addr, MemOp op) {

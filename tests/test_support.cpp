@@ -2,6 +2,7 @@
 // table/CSV rendering, CLI parsing.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <set>
 #include <stdexcept>
 
@@ -164,6 +165,25 @@ TEST(Cli, BoundedIntRejectsMalformedAndOutOfRange) {
   EXPECT_EQ(cli.get_bounded_int("n", 1, 8), 8);
   for (const char* name : {"lo", "hi", "word", "tail", "empty"}) {
     EXPECT_THROW(cli.get_bounded_int(name, 1, 8), std::invalid_argument) << name;
+  }
+}
+
+TEST(Cli, Uint64RejectsMalformedAndNegative) {
+  Cli cli;
+  cli.flag("seed", "seed", "1");
+  cli.flag("max", "largest", "18446744073709551615");
+  cli.flag("over", "2^64", "18446744073709551616");
+  cli.flag("neg", "negative", "-1");
+  cli.flag("plus", "signed", "+1");
+  cli.flag("word", "not a number", "abc");
+  cli.flag("tail", "trailing junk", "12x");
+  cli.flag("empty", "empty", "");
+  const char* argv[] = {"prog", "--seed=7"};
+  ASSERT_TRUE(cli.parse(2, const_cast<char**>(argv)));
+  EXPECT_EQ(cli.get_uint64("seed"), 7u);
+  EXPECT_EQ(cli.get_uint64("max"), std::numeric_limits<std::uint64_t>::max());
+  for (const char* name : {"over", "neg", "plus", "word", "tail", "empty"}) {
+    EXPECT_THROW(cli.get_uint64(name), std::invalid_argument) << name;
   }
 }
 

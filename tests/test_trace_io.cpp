@@ -3,8 +3,10 @@
 
 #include <algorithm>
 #include <limits>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "circuit/generator.hpp"
@@ -433,6 +435,131 @@ TEST(RefTrace, AppendVisitsInAppendOrder) {
   for (std::size_t i = 0; i < refs.size(); ++i) {
     EXPECT_EQ(visited[i].proc, refs[i].proc);
     EXPECT_EQ(visited[i].addr, refs[i].addr);
+  }
+}
+
+/// The number of b's references whose key is below k, by a linear scan of
+/// stamp(): the definition RefTrace::refs_before() inverts.
+std::uint32_t scanned_refs_before(const RefTrace::Block& b, const RefTrace::Key& k) {
+  std::uint32_t count = 0;
+  for (std::uint32_t i = 0; i < b.n; ++i) {
+    if (RefTrace::Key{RefTrace::stamp(b, i), b.seq, i} < k) ++count;
+  }
+  return count;
+}
+
+/// refs_before() against the linear scan on seeded blocks of duration 0,
+/// of durations below n (runs of equal stamps) and longer ones. Keys from
+/// another block take every time from before t0 to past the block's end,
+/// t0 itself included, with a lower and a higher seq, so equal times across
+/// streams resolve by seq; keys inside the block are each of its references.
+TEST(RefTraceSplit, EqualsLinearScanOfStamps) {
+  Rng rng(0x5B117u);
+  for (int trial = 0; trial < 300; ++trial) {
+    const auto n = static_cast<std::uint32_t>(1 + rng.bounded(12));
+    SimTime duration = 0;
+    switch (trial % 3) {
+      case 0:
+        break;
+      case 1:
+        duration = static_cast<SimTime>(rng.bounded(n));
+        break;
+      default:
+        duration = static_cast<SimTime>(rng.bounded(5 * n + 5));
+        break;
+    }
+    const RefTrace::Block b{static_cast<SimTime>(rng.bounded(20)) - 10, duration, n, 5};
+    for (SimTime t = b.t0 - 2; t <= b.t0 + duration + 2; ++t) {
+      for (const std::uint64_t seq : {4u, 6u}) {
+        const RefTrace::Key k{t, seq, 0};
+        ASSERT_EQ(RefTrace::refs_before(b, k), scanned_refs_before(b, k))
+            << "trial " << trial << " t=" << t << " seq=" << seq;
+      }
+    }
+    for (std::uint32_t i = 0; i < n; ++i) {
+      const RefTrace::Key k{RefTrace::stamp(b, i), b.seq, i};
+      ASSERT_EQ(RefTrace::refs_before(b, k), i) << "trial " << trial;
+      ASSERT_EQ(scanned_refs_before(b, k), i) << "trial " << trial;
+    }
+  }
+}
+
+/// Blocks whose stamps fit in SimTime but where (T − t0)·(n+1) does not:
+/// one long block where it passes 2^63 inside the block, and one starting
+/// far below zero where T − t0 itself passes 2^63 and the product 2^64.
+TEST(RefTraceSplit, ProductsBeyond64BitsStayExact) {
+  constexpr SimTime kMax = std::numeric_limits<SimTime>::max();
+  constexpr SimTime kMin = std::numeric_limits<SimTime>::min();
+  // One reference stamped at duration/2: (T − t0)·2 passes 2^63 near the end.
+  const SimTime big = (SimTime{1} << 62) + 12345;
+  const RefTrace::Block one{0, big, 1, 5};
+  // A block starting far below zero: T − t0 passes 2^63 for large T.
+  const RefTrace::Block low{-(SimTime{1} << 62), SimTime{1} << 52, 1000, 5};
+  for (const RefTrace::Block& b : {one, low}) {
+    const SimTime first = RefTrace::stamp(b, 0);
+    const SimTime last = RefTrace::stamp(b, b.n - 1);
+    for (const SimTime t : {kMin, b.t0, first - 1, first, first + 1, last - 1, last,
+                            last + 1, b.t0 + b.duration - 1, b.t0 + b.duration, kMax}) {
+      for (const std::uint64_t seq : {4u, 6u}) {
+        const RefTrace::Key k{t, seq, 0};
+        EXPECT_EQ(RefTrace::refs_before(b, k), scanned_refs_before(b, k))
+            << "t0=" << b.t0 << " t=" << t << " seq=" << seq;
+      }
+    }
+  }
+}
+
+/// for_each_write_interval() on seeded overlapping traces: the writes come in
+/// for_each()'s order with their keys, every read comes once and after
+/// exactly the writes that precede it in that order, and the reads between
+/// two writes come stream by stream, each stream in its own order.
+TEST(RefTrace, WriteIntervalsFollowMergedOrder) {
+  struct Visit {
+    std::size_t proc;
+    std::uint32_t addr;
+    MemOp op;
+    SimTime time;
+    std::uint64_t interval;  ///< writes visited before this reference
+    bool operator==(const Visit&) const = default;
+  };
+  for (std::uint64_t seed = 0; seed < 60; ++seed) {
+    Rng rng(seed);
+    const auto procs = static_cast<std::int32_t>(1 + rng.bounded(8));
+    const RefTrace trace = test::make_overlapping_trace(rng, procs, 150);
+    std::vector<Visit> want;
+    std::uint64_t interval = 0;
+    trace.for_each([&](const MemRef& r) {
+      want.push_back(Visit{static_cast<std::size_t>(r.proc), r.addr, r.op, r.time, interval});
+      if (r.op == MemOp::kWrite) ++interval;
+    });
+    std::stable_sort(want.begin(), want.end(), [](const Visit& a, const Visit& b) {
+      const auto rank = [](const Visit& v) {
+        return std::tuple(v.interval, v.op == MemOp::kWrite, v.proc);
+      };
+      return rank(a) < rank(b);
+    });
+
+    std::vector<Visit> got;
+    interval = 0;
+    std::optional<RefTrace::Key> previous;
+    trace.for_each_write_interval(
+        [&](std::size_t proc, std::span<const std::uint32_t> addrs, RefTrace::Position at) {
+          for (std::uint32_t j = 0; j < addrs.size(); ++j) {
+            const RefTrace::Position read{at.block, at.i + j};
+            got.push_back(Visit{proc, addrs[j], MemOp::kRead, read.key().time, interval});
+          }
+        },
+        [&](std::size_t proc, std::uint32_t addr, const RefTrace::Key& key) {
+          if (previous) {
+            EXPECT_LT(*previous, key) << "seed " << seed;
+          }
+          previous = key;
+          got.push_back(Visit{proc, addr, MemOp::kWrite, key.time, interval++});
+        });
+    ASSERT_EQ(got.size(), want.size()) << "seed " << seed;
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      ASSERT_TRUE(got[i] == want[i]) << "seed " << seed << " i=" << i;
+    }
   }
 }
 

@@ -9,6 +9,7 @@
 
 #include "circuit/circuit.hpp"
 #include "circuit/generator.hpp"
+#include "coherence/simulator.hpp"
 #include "grid/cost_array.hpp"
 #include "harness/sim_pool.hpp"
 #include "route/path.hpp"
@@ -53,6 +54,69 @@ inline std::vector<MemRef> trace_refs(const RefTrace& trace) {
   refs.reserve(trace.size());
   trace.for_each([&](const MemRef& r) { refs.push_back(r); });
   return refs;
+}
+
+/// A seeded trace built the way the shm tracer builds one (open_block,
+/// push, push_read_run, close_block): `blocks` multi-reference blocks from
+/// `procs` processors whose time spans overlap across streams. A block starts
+/// 0–2 ns after its stream's previous one ends and lasts 0 ns, less than its
+/// reference count (runs of equal stamps) or up to 40 ns, so stamps tie within
+/// and across streams. Addresses mix 128 cost-array words, odd byte
+/// addresses, the loop counter and words above CoherenceSim::kDenseAddrBound;
+/// read runs below the bound step by ±4, 1 or 40 bytes (a -4 run from a low
+/// address wraps to the top of the address space), and runs above it by 4.
+/// A pushed reference is a write 30% of the time.
+inline RefTrace make_overlapping_trace(Rng& rng, std::int32_t procs, std::size_t blocks) {
+  auto addr = [&rng]() -> std::uint32_t {
+    switch (rng.bounded(12)) {
+      case 0:
+        return kLoopCounterAddr;
+      case 1:
+        return CoherenceSim::kDenseAddrBound + static_cast<std::uint32_t>(rng.bounded(16)) * 4;
+      case 2:
+        return static_cast<std::uint32_t>(rng.bounded(512));  // any byte
+      default:
+        return static_cast<std::uint32_t>(rng.bounded(128)) * 4;
+    }
+  };
+  constexpr std::int32_t kStrides[] = {4, -4, 1, 40};
+  RefTrace trace;
+  std::vector<SimTime> clock(static_cast<std::size_t>(procs));
+  for (std::size_t b = 0; b < blocks; ++b) {
+    const auto proc = static_cast<std::int16_t>(rng.bounded(clock.size()));
+    SimTime& end = clock[static_cast<std::size_t>(proc)];
+    const SimTime t0 = end + static_cast<SimTime>(rng.bounded(3));
+    trace.open_block(proc);
+    std::uint64_t n = 0;
+    for (std::uint64_t piece = 1 + rng.bounded(4); piece > 0; --piece) {
+      if (rng.chance(0.5)) {
+        trace.push(addr(), rng.chance(0.3) ? MemOp::kWrite : MemOp::kRead);
+        ++n;
+      } else {
+        const std::uint64_t len = rng.bounded(9);
+        const std::uint32_t start = addr();
+        // Runs above the bound step upwards, so the dense tables stay small.
+        const std::int32_t stride =
+            start >= CoherenceSim::kDenseAddrBound ? 4 : kStrides[rng.bounded(4)];
+        trace.push_read_run(start, stride, len);
+        n += len;
+      }
+    }
+    SimTime duration = 0;
+    switch (rng.bounded(3)) {
+      case 0:
+        break;
+      case 1:
+        duration = static_cast<SimTime>(rng.bounded(n + 1));
+        break;
+      default:
+        duration = static_cast<SimTime>(rng.bounded(41));
+        break;
+    }
+    trace.close_block(t0, duration);
+    end = t0 + duration;
+  }
+  return trace;
 }
 
 /// The cells of `runs`, run by run and left to right in each: (channel, x)
