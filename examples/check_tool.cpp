@@ -1,9 +1,10 @@
 // Fault-injection and differential-oracle checking tool.
 //
 // Runs the src/check subsystem from the command line: cross-check the
-// sequential, shared memory, and message passing routers against each other,
-// inject network faults described by a --faults spec, or scan the shm
-// reference trace for unlocked write conflicts.
+// sequential, shared memory, and message passing routers against each other
+// (with network faults from a --faults spec, oracle mode only), sweep the
+// fault classes or transport drop rates, or scan the shm reference trace
+// for unlocked write conflicts.
 //
 //   $ ./examples/check_tool oracle --circuit=bnre --procs=4
 //   $ ./examples/check_tool oracle --faults=drop:0.01,delay:500
@@ -36,6 +37,11 @@ int run(const locus::Cli& cli) {
 
   std::optional<locus::FaultPlan> faults;
   if (!cli.get("faults").empty()) {
+    if (mode != "oracle") {
+      std::fprintf(stderr, "--faults applies to oracle mode only, not '%s'\n",
+                   mode.c_str());
+      return 1;
+    }
     faults = locus::FaultPlan::parse(cli.get("faults"));
     if (!faults.has_value()) {
       std::fprintf(stderr, "bad --faults spec '%s'\n", cli.get("faults").c_str());
@@ -78,7 +84,7 @@ int main(int argc, char** argv) {
   cli.flag("iterations", "routing iterations", "2");
   cli.flag("faults",
            "fault spec, e.g. drop:0.01,delay:500 or "
-           "dup:0.1,types:2,seed:7 (oracle/faults modes)",
+           "dup:0.1,types:2,seed:7 (oracle mode only)",
            "");
   if (!cli.parse(argc, argv)) return 1;
   if (cli.positional().empty()) {

@@ -16,7 +16,7 @@
 #                                 # sweep (every row must converge
 #                                 # bit-identically)
 #   scripts/verify.sh --bench     # tier-1 + pool determinism gate: the
-#                                 # sec52/table1 reproduce_paper sections, a
+#                                 # full reproduce_paper report, a
 #                                 # dyn-local scale sweep, the topology sweep
 #                                 # and the scale sweep under each link cost
 #                                 # model must emit identical rows at
@@ -69,20 +69,17 @@ ctest -L network --no-tests=error --output-on-failure -j "$(nproc)"
 # data rows at pool widths 1 and 4.
 if [[ "$RUN_BENCH" == 1 ]]; then
   cd ..
-  # Pool determinism gate: the table fan-outs must write byte-identical
-  # reports at any thread count; only the total build time line may differ.
+  # Pool determinism gate: the table fan-outs must write a byte-identical
+  # full report at any thread count.
   for threads in 1 4; do
-    "./$BUILD_DIR/examples/reproduce_paper" \
-      --only=sec52_mp_vs_shm,table1_sender_initiated --threads="$threads" \
+    "./$BUILD_DIR/examples/reproduce_paper" --threads="$threads" \
       --out="/tmp/locus-report-$threads.md" > /dev/null
-    grep -v '^Total build time' "/tmp/locus-report-$threads.md" \
-      > "/tmp/locus-report-$threads.txt"
   done
-  if ! diff -u /tmp/locus-report-1.txt /tmp/locus-report-4.txt; then
+  if ! cmp /tmp/locus-report-1.md /tmp/locus-report-4.md; then
     echo "FAIL: report diverges between --threads=1 and --threads=4" >&2
     exit 1
   fi
-  echo "pool determinism: sec52/table1 report identical at --threads=1 and =4"
+  echo "pool determinism: full report identical at --threads=1 and =4"
   # Dynamic-assignment sweep determinism gate: the locality grant protocol
   # is simulated-time deterministic, so a small sweep must emit
   # byte-identical data rows at any pool width (only wall-time lines and

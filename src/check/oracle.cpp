@@ -103,7 +103,7 @@ OracleResult run_differential_oracle(const Circuit& circuit,
     } else {
       const std::size_t i = job - 2;
       ConsistencyOptions check_options;
-      check_options.checkpoint_period = config.checkpoint_period;
+      check_options.checkpoint_period = kOracleCheckpointPeriod;
       ViewConsistencyChecker checker(check_options);
 
       MpConfig mp;
@@ -112,7 +112,6 @@ OracleResult run_differential_oracle(const Circuit& circuit,
       mp.faults = config.faults;
       mp.transport = config.transport;
       mp.edges = config.edges;
-      mp.fat_tree_arity = config.fat_tree_arity;
       mp.link_cost = config.link_cost;
       mp.observer = &checker;
       msg[i].run = run_message_passing(circuit, config.procs, mp);

@@ -36,12 +36,12 @@ inline constexpr double kOracleHeightRel = 0.35;
 inline constexpr std::int64_t kOracleHeightAbs = 2;
 inline constexpr double kOracleOccupancyRel = 2.0;
 inline constexpr std::int64_t kOracleOccupancyAbs = 100;
+/// Conservation checkpoint period (routed wires) of the mp runs' checkers.
+inline constexpr std::int32_t kOracleCheckpointPeriod = 4;
 
 struct OracleConfig {
   std::int32_t procs = 4;
   std::int32_t iterations = 2;
-  /// Conservation checkpoint period (routed wires) for the mp runs.
-  std::int32_t checkpoint_period = 4;
   /// Optional fault plan installed into the message passing machines (the
   /// sequential and shm runs have no network to fault).
   const FaultPlan* faults = nullptr;
@@ -52,9 +52,9 @@ struct OracleConfig {
   /// Interconnect shape and per-link timing for the message passing
   /// machines. The conservation law is timing-independent, so the oracle
   /// must pass under every cost model x topology pair (the network test
-  /// battery sweeps exactly that).
+  /// battery sweeps exactly that). A fat tree is binary (MpConfig's
+  /// default arity).
   Topology::Edges edges = Topology::Edges::kMesh;
-  std::int32_t fat_tree_arity = 2;
   LinkCostParams link_cost;
 };
 

@@ -9,6 +9,7 @@
 #include <span>
 #include <stdexcept>
 #include <utility>
+#include <variant>
 
 #include "assign/locality.hpp"
 #include "check/consistency.hpp"
@@ -53,14 +54,14 @@ Assignment make_assignment(const Circuit& circuit, const Partition& partition,
 }
 
 MpConfig ExperimentConfig::mp(const UpdateSchedule& schedule) const {
-  MpConfig config = mp_base;
+  MpConfig config;
   config.schedule = schedule;
   config.iterations = iterations;
   return config;
 }
 
 ShmConfig ExperimentConfig::shm() const {
-  ShmConfig config = shm_base;
+  ShmConfig config;
   config.procs = procs;
   config.iterations = iterations;
   return config;
@@ -72,15 +73,27 @@ namespace {
 /// same static wire assignment"; Table 4 identifies it as TC = 1000).
 constexpr AssignMethod kBaselineAssign = AssignMethod::kThreshold1000;
 
-MpRunResult run_mp(const Circuit& circuit, const ExperimentConfig& config,
-                   const UpdateSchedule& schedule,
-                   AssignMethod method = kBaselineAssign,
-                   std::int32_t procs_override = -1) {
-  const std::int32_t procs = procs_override > 0 ? procs_override : config.procs;
-  const Partition partition(circuit.channels(), circuit.grids(),
-                            MeshShape::for_procs(procs));
-  const Assignment assignment = make_assignment(circuit, partition, method);
-  return run_message_passing(circuit, partition, assignment, config.mp(schedule));
+/// One message passing run, with the partition and static assignment it
+/// ran on (the locality measure and the cost imbalance read them).
+struct MpRun {
+  Partition partition;
+  Assignment assignment;
+  MpRunResult result;
+};
+
+/// Runs `circuit` on a `procs`-region mesh under `mp`. The static
+/// assignment is `assign`'s method, or ThresholdCost = that value (the
+/// ThresholdCost sweep's thresholds are not all AssignMethods).
+MpRun run_mp(const Circuit& circuit, std::int32_t procs, const MpConfig& mp,
+             std::variant<AssignMethod, std::int64_t> assign = kBaselineAssign) {
+  Partition partition(circuit.channels(), circuit.grids(),
+                      MeshShape::for_procs(procs));
+  Assignment assignment =
+      std::holds_alternative<AssignMethod>(assign)
+          ? make_assignment(circuit, partition, std::get<AssignMethod>(assign))
+          : assign_threshold_cost(circuit, partition, std::get<std::int64_t>(assign));
+  MpRunResult result = run_message_passing(circuit, partition, assignment, mp);
+  return {std::move(partition), std::move(assignment), std::move(result)};
 }
 
 struct ShmTraffic {
@@ -88,83 +101,82 @@ struct ShmTraffic {
   std::vector<CoherenceTraffic> traffic;  ///< one per requested line size
 };
 
+/// One shm run of `circuit` from `method`'s static assignment, its trace
+/// replayed at each of `line_sizes` (infinite caches, the paper's protocol).
 ShmTraffic run_shm_traffic(const Circuit& circuit, const ExperimentConfig& config,
-                           std::optional<AssignMethod> method,
+                           AssignMethod method,
                            const std::vector<std::int32_t>& line_sizes) {
   ShmConfig shm_config = config.shm();
-  if (method.has_value()) {
-    const Partition partition(circuit.channels(), circuit.grids(),
-                              MeshShape::for_procs(config.procs));
-    shm_config.assignment = make_assignment(circuit, partition, *method);
-  }
+  const Partition partition(circuit.channels(), circuit.grids(),
+                            MeshShape::for_procs(config.procs));
+  shm_config.assignment = make_assignment(circuit, partition, method);
   ShmTraffic out{.run = run_shared_memory(circuit, shm_config), .traffic = {}};
   out.traffic = sweep_line_sizes(out.run.trace, config.procs, line_sizes);
   return out;
 }
 
-/// Table 4/5 rows name their assignment method; map back to the enum.
-AssignMethod method_from_name(const char* name) {
-  return std::string(name) == "round robin" ? AssignMethod::kRoundRobin
-         : std::string(name) == "tc30"      ? AssignMethod::kThreshold30
-         : std::string(name) == "tc1000"    ? AssignMethod::kThreshold1000
-                                            : AssignMethod::kThresholdInf;
+double mbytes(const CoherenceTraffic& traffic) {
+  return static_cast<double>(traffic.total_bytes()) / 1e6;
 }
 
-}  // namespace
+/// Appends the "CktHt", "Occup.", "MBytes" and "Time(s)" columns.
+Table& run_columns(Table& t) {
+  return t.column("CktHt").column("Occup.").column("MBytes").column("Time(s)");
+}
 
-Table run_table1_sender_initiated(const Circuit& circuit,
+/// Appends an MP run's cells for run_columns() to the current row.
+Table& run_cells(Table& t, const MpRunResult& r) {
+  return t.cell(static_cast<long long>(r.circuit_height))
+      .cell(static_cast<long long>(r.occupancy_factor))
+      .cell(r.mbytes(), 3).cell(r.seconds(), 3);
+}
+
+Table run_table1_sender_initiated(const PaperCircuits& c,
                                   const ExperimentConfig& config) {
   Table t;
-  t.column("SendRmt").column("SendLoc").column("CktHt").column("Occup.")
-      .column("MBytes").column("Time(s)")
+  run_columns(t.column("SendRmt").column("SendLoc"))
       .column("paper:Ht").column("paper:MB").column("paper:T");
   const auto runs = map_indexed(paper::kTable1.size(), [&](std::size_t i) {
     const paper::SenderRow& row = paper::kTable1[i];
-    return run_mp(circuit, config,
-                  UpdateSchedule::sender(row.send_rmt, row.send_loc));
+    return run_mp(c.bnre, config.procs,
+                  config.mp(UpdateSchedule::sender(row.send_rmt, row.send_loc)))
+        .result;
   });
   std::int32_t last_rmt = -1;
   for (std::size_t i = 0; i < paper::kTable1.size(); ++i) {
     const paper::SenderRow& row = paper::kTable1[i];
     if (row.send_rmt != last_rmt && last_rmt != -1) t.separator();
     last_rmt = row.send_rmt;
-    const MpRunResult& r = runs[i];
-    t.row().cell(row.send_rmt).cell(row.send_loc)
-        .cell(static_cast<long long>(r.circuit_height))
-        .cell(static_cast<long long>(r.occupancy_factor))
-        .cell(r.mbytes(), 3).cell(r.seconds(), 3)
+    run_cells(t.row().cell(row.send_rmt).cell(row.send_loc), runs[i])
         .cell(row.ckt_height).cell(row.mbytes, 3).cell(row.seconds, 3);
   }
   return t;
 }
 
-Table run_table2_receiver_initiated(const Circuit& circuit,
+Table run_table2_receiver_initiated(const PaperCircuits& c,
                                     const ExperimentConfig& config) {
   Table t;
-  t.column("ReqLoc").column("ReqRmt").column("CktHt").column("Occup.")
-      .column("MBytes").column("Time(s)")
+  run_columns(t.column("ReqLoc").column("ReqRmt"))
       .column("paper:Ht").column("paper:MB").column("paper:T");
   const auto runs = map_indexed(paper::kTable2.size(), [&](std::size_t i) {
     const paper::ReceiverRow& row = paper::kTable2[i];
-    return run_mp(circuit, config,
-                  UpdateSchedule::receiver(row.req_loc, row.req_rmt));
+    return run_mp(c.bnre, config.procs,
+                  config.mp(UpdateSchedule::receiver(row.req_loc, row.req_rmt)))
+        .result;
   });
   std::int32_t last_loc = -1;
   for (std::size_t i = 0; i < paper::kTable2.size(); ++i) {
     const paper::ReceiverRow& row = paper::kTable2[i];
     if (row.req_loc != last_loc && last_loc != -1) t.separator();
     last_loc = row.req_loc;
-    const MpRunResult& r = runs[i];
-    t.row().cell(row.req_loc).cell(row.req_rmt)
-        .cell(static_cast<long long>(r.circuit_height))
-        .cell(static_cast<long long>(r.occupancy_factor))
-        .cell(r.mbytes(), 3).cell(r.seconds(), 3)
+    run_cells(t.row().cell(row.req_loc).cell(row.req_rmt), runs[i])
         .cell(row.ckt_height).cell(row.mbytes, 3).cell(row.seconds, 3);
   }
   return t;
 }
 
-Table run_sec513_blocking(const Circuit& circuit, const ExperimentConfig& config) {
+/// §5.1.3: blocking vs non-blocking receivers on the busy Table 2 schedules.
+Table run_sec513_blocking(const PaperCircuits& c, const ExperimentConfig& config) {
   Table t;
   t.column("ReqLoc").column("ReqRmt").column("NB time").column("B time")
       .column("slowdown").column("NB Ht").column("B Ht");
@@ -177,8 +189,10 @@ Table run_sec513_blocking(const Circuit& circuit, const ExperimentConfig& config
   // per schedule row.
   const auto runs = map_indexed(rows.size() * 2, [&](std::size_t i) {
     const paper::ReceiverRow& row = rows[i / 2];
-    return run_mp(circuit, config,
-                  UpdateSchedule::receiver(row.req_loc, row.req_rmt, i % 2 == 1));
+    return run_mp(c.bnre, config.procs,
+                  config.mp(UpdateSchedule::receiver(row.req_loc, row.req_rmt,
+                                                     i % 2 == 1)))
+        .result;
   });
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const paper::ReceiverRow& row = rows[i];
@@ -198,7 +212,7 @@ Table run_sec513_blocking(const Circuit& circuit, const ExperimentConfig& config
   return t;
 }
 
-Table run_sec513_mixed(const Circuit& circuit, const ExperimentConfig& config) {
+Table run_sec513_mixed(const PaperCircuits& c, const ExperimentConfig& config) {
   UpdateSchedule mixed;
   mixed.send_loc_period = paper::kMixedSendLoc;
   mixed.send_rmt_period = paper::kMixedSendRmt;
@@ -206,56 +220,60 @@ Table run_sec513_mixed(const Circuit& circuit, const ExperimentConfig& config) {
   mixed.req_rmt_touches = paper::kMixedReqRmt;
 
   Table t;
-  t.column("schedule", Align::kLeft).column("CktHt").column("Occup.")
-      .column("MBytes").column("Time(s)");
+  run_columns(t.column("schedule", Align::kLeft));
   const std::pair<const char*, UpdateSchedule> cases[] = {
       {"sender (rmt=2, loc=5)", UpdateSchedule::sender(2, 5)},
       {"receiver (loc=1, rmt=5)", UpdateSchedule::receiver(1, 5)},
       {"mixed (5,2,1,5)", mixed},
   };
   const auto runs = map_indexed(std::size(cases), [&](std::size_t i) {
-    return run_mp(circuit, config, cases[i].second);
+    return run_mp(c.bnre, config.procs, config.mp(cases[i].second)).result;
   });
   for (std::size_t i = 0; i < std::size(cases); ++i) {
-    const MpRunResult& r = runs[i];
-    t.row().cell(cases[i].first).cell(static_cast<long long>(r.circuit_height))
-        .cell(static_cast<long long>(r.occupancy_factor))
-        .cell(r.mbytes(), 3).cell(r.seconds(), 3);
+    run_cells(t.row().cell(cases[i].first), runs[i]);
   }
   return t;
 }
 
-Table3Result run_table3_line_size(const Circuit& circuit,
-                                  const ExperimentConfig& config) {
+/// Table 3's shm run: the bnrE trace replayed at the paper's line sizes.
+ShmTraffic table3_traffic(const PaperCircuits& c, const ExperimentConfig& config) {
   std::vector<std::int32_t> sizes;
   for (const paper::LineSizeRow& row : paper::kTable3) sizes.push_back(row.line_size);
-  ShmTraffic shm = run_shm_traffic(circuit, config, kBaselineAssign, sizes);
+  return run_shm_traffic(c.bnre, config, kBaselineAssign, sizes);
+}
 
-  Table3Result out;
-  out.table.column("line size").column("MBytes").column("paper:MB")
-      .column("write frac");
-  out.breakdown.column("line size").column("cold fetch").column("refetch")
+Table run_table3_line_size(const PaperCircuits& c, const ExperimentConfig& config) {
+  const ShmTraffic shm = table3_traffic(c, config);
+  Table t;
+  t.column("line size").column("MBytes").column("paper:MB").column("write frac");
+  for (std::size_t i = 0; i < paper::kTable3.size(); ++i) {
+    t.row().cell(paper::kTable3[i].line_size).cell(mbytes(shm.traffic[i]), 2)
+        .cell(paper::kTable3[i].mbytes, 2)
+        .cell(shm.traffic[i].write_fraction(), 2);
+  }
+  return t;
+}
+
+Table run_table3_breakdown(const PaperCircuits& c, const ExperimentConfig& config) {
+  const ShmTraffic shm = table3_traffic(c, config);
+  Table t;
+  t.column("line size").column("cold fetch").column("refetch")
       .column("write fetch").column("word writes").column("flushes")
       .column("invalidations");
-  for (std::size_t i = 0; i < sizes.size(); ++i) {
+  for (std::size_t i = 0; i < paper::kTable3.size(); ++i) {
     const CoherenceTraffic& traffic = shm.traffic[i];
-    out.table.row().cell(sizes[i])
-        .cell(static_cast<double>(traffic.total_bytes()) / 1e6, 2)
-        .cell(paper::kTable3[i].mbytes, 2)
-        .cell(traffic.write_fraction(), 2);
-    out.breakdown.row().cell(sizes[i])
+    t.row().cell(paper::kTable3[i].line_size)
         .cell(format_mbytes(traffic.cold_fetch_bytes))
         .cell(format_mbytes(traffic.refetch_bytes))
         .cell(format_mbytes(traffic.write_fetch_bytes))
         .cell(format_mbytes(traffic.word_write_bytes))
         .cell(format_mbytes(traffic.read_flush_bytes + traffic.write_flush_bytes))
         .cell(static_cast<unsigned long long>(traffic.invalidation_msgs));
-    if (sizes[i] == 8) out.write_fraction_8b = traffic.write_fraction();
   }
-  return out;
+  return t;
 }
 
-Table run_sec52_comparison(const Circuit& circuit, const ExperimentConfig& config) {
+Table run_sec52_comparison(const PaperCircuits& c, const ExperimentConfig& config) {
   // Representative points: the paper's best-height sender schedule, the
   // lowest-traffic receiver schedule, and shm at 8-byte lines.
   const UpdateSchedule schedules[] = {UpdateSchedule::sender(2, 10),
@@ -264,9 +282,9 @@ Table run_sec52_comparison(const Circuit& circuit, const ExperimentConfig& confi
   std::optional<ShmTraffic> shm_run;
   run_indexed(3, [&](std::size_t i) {
     if (i < 2) {
-      mp[i] = run_mp(circuit, config, schedules[i]);
+      mp[i] = run_mp(c.bnre, config.procs, config.mp(schedules[i])).result;
     } else {
-      shm_run.emplace(run_shm_traffic(circuit, config, kBaselineAssign, {8}));
+      shm_run.emplace(run_shm_traffic(c.bnre, config, kBaselineAssign, {8}));
     }
   });
   const MpRunResult& sender = mp[0];
@@ -276,7 +294,7 @@ Table run_sec52_comparison(const Circuit& circuit, const ExperimentConfig& confi
   Table t;
   t.column("approach", Align::kLeft).column("CktHt").column("MBytes")
       .column("vs shm traffic");
-  const double shm_mb = static_cast<double>(shm.traffic[0].total_bytes()) / 1e6;
+  const double shm_mb = mbytes(shm.traffic[0]);
   auto ratio = [&](double mb) {
     return mb == 0.0 ? std::string("-") : format_fixed(shm_mb / mb, 1) + "x";
   };
@@ -292,26 +310,29 @@ Table run_sec52_comparison(const Circuit& circuit, const ExperimentConfig& confi
   return t;
 }
 
-Table run_table4_locality_mp(const Circuit& bnre, const Circuit& mdc,
-                             const ExperimentConfig& config) {
+/// Tables 4/5 rows name their circuit as the paper does.
+const Circuit& paper_circuit(const PaperCircuits& c, const char* name) {
+  return std::string(name) == "bnrE" ? c.bnre : c.mdc;
+}
+
+Table run_table4_locality_mp(const PaperCircuits& c, const ExperimentConfig& config) {
   Table t;
   t.column("circuit", Align::kLeft).column("method", Align::kLeft)
       .column("CktHt").column("MBytes").column("Time(s)")
       .column("paper:Ht").column("paper:MB").column("paper:T");
-  const UpdateSchedule schedule = UpdateSchedule::sender(2, 10);
+  const MpConfig mp = config.mp(UpdateSchedule::sender(2, 10));
   const auto runs = map_indexed(paper::kTable4.size(), [&](std::size_t i) {
     const paper::LocalityMpRow& row = paper::kTable4[i];
-    const Circuit& circuit = std::string(row.circuit) == "bnrE" ? bnre : mdc;
-    return run_mp(circuit, config, schedule, method_from_name(row.method));
+    return run_mp(paper_circuit(c, row.circuit), config.procs, mp, row.method)
+        .result;
   });
   for (std::size_t i = 0; i < paper::kTable4.size(); ++i) {
     const paper::LocalityMpRow& row = paper::kTable4[i];
-    if (method_from_name(row.method) == AssignMethod::kRoundRobin &&
-        std::string(row.circuit) == "MDC") {
+    if (row.method == AssignMethod::kRoundRobin && std::string(row.circuit) == "MDC") {
       t.separator();
     }
     const MpRunResult& r = runs[i];
-    t.row().cell(row.circuit).cell(row.method)
+    t.row().cell(row.circuit).cell(assign_method_name(row.method))
         .cell(static_cast<long long>(r.circuit_height))
         .cell(r.mbytes(), 3).cell(r.seconds(), 3)
         .cell(row.ckt_height).cell(row.mbytes, 3).cell(row.seconds, 3);
@@ -319,13 +340,14 @@ Table run_table4_locality_mp(const Circuit& bnre, const Circuit& mdc,
   return t;
 }
 
-Table run_table4_receiver_locality(const Circuit& circuit,
+/// §5.3.1: receiver-initiated traffic drops up to 63% going fully local.
+Table run_table4_receiver_locality(const PaperCircuits& c,
                                    const ExperimentConfig& config) {
-  const UpdateSchedule schedule = UpdateSchedule::receiver(1, 5);
+  const MpConfig mp = config.mp(UpdateSchedule::receiver(1, 5));
   const auto runs = map_indexed(2, [&](std::size_t i) {
-    return run_mp(circuit, config, schedule,
-                  i == 0 ? AssignMethod::kRoundRobin
-                         : AssignMethod::kThresholdInf);
+    return run_mp(c.bnre, config.procs, mp,
+                  i == 0 ? AssignMethod::kRoundRobin : AssignMethod::kThresholdInf)
+        .result;
   });
   const MpRunResult& rr = runs[0];
   const MpRunResult& local = runs[1];
@@ -344,43 +366,40 @@ Table run_table4_receiver_locality(const Circuit& circuit,
   return t;
 }
 
-Table run_table5_locality_shm(const Circuit& bnre, const Circuit& mdc,
+Table run_table5_locality_shm(const PaperCircuits& c,
                               const ExperimentConfig& config) {
   Table t;
   t.column("circuit", Align::kLeft).column("method", Align::kLeft)
       .column("CktHt").column("MBytes").column("paper:Ht").column("paper:MB");
   const auto runs = map_indexed(paper::kTable5.size(), [&](std::size_t i) {
     const paper::LocalityShmRow& row = paper::kTable5[i];
-    const Circuit& circuit = std::string(row.circuit) == "bnrE" ? bnre : mdc;
-    return run_shm_traffic(circuit, config, method_from_name(row.method), {8});
+    return run_shm_traffic(paper_circuit(c, row.circuit), config, row.method, {8});
   });
   for (std::size_t i = 0; i < paper::kTable5.size(); ++i) {
     const paper::LocalityShmRow& row = paper::kTable5[i];
-    if (method_from_name(row.method) == AssignMethod::kRoundRobin &&
-        std::string(row.circuit) == "MDC") {
+    if (row.method == AssignMethod::kRoundRobin && std::string(row.circuit) == "MDC") {
       t.separator();
     }
     const ShmTraffic& shm = runs[i];
-    t.row().cell(row.circuit).cell(row.method)
+    t.row().cell(row.circuit).cell(assign_method_name(row.method))
         .cell(static_cast<long long>(shm.run.circuit_height))
-        .cell(static_cast<double>(shm.traffic[0].total_bytes()) / 1e6, 3)
+        .cell(mbytes(shm.traffic[0]), 3)
         .cell(row.ckt_height).cell(row.mbytes, 3);
   }
   return t;
 }
 
-Table run_locality_measure(const Circuit& bnre, const Circuit& mdc,
-                           const ExperimentConfig& config) {
+Table run_locality_measure(const PaperCircuits& c, const ExperimentConfig& config) {
   Table t;
   t.column("circuit", Align::kLeft).column("method", Align::kLeft)
       .column("measure").column("paper");
-  const UpdateSchedule schedule = UpdateSchedule::sender(2, 10);
+  const MpConfig mp = config.mp(UpdateSchedule::sender(2, 10));
   struct LocCase {
     const Circuit* circuit;
     AssignMethod method;
   };
   std::vector<LocCase> cases;
-  for (const Circuit* circuit : {&bnre, &mdc}) {
+  for (const Circuit* circuit : {&c.bnre, &c.mdc}) {
     for (AssignMethod method :
          {AssignMethod::kRoundRobin, AssignMethod::kThreshold30,
           AssignMethod::kThresholdInf}) {
@@ -390,49 +409,39 @@ Table run_locality_measure(const Circuit& bnre, const Circuit& mdc,
   // The measure needs the run's assignment/partition, so it is computed
   // inside each job and only the scalar crosses the join.
   const auto measures = map_indexed(cases.size(), [&](std::size_t i) {
-    const LocCase& lc = cases[i];
-    const Partition partition(lc.circuit->channels(), lc.circuit->grids(),
-                              MeshShape::for_procs(config.procs));
-    const Assignment assignment =
-        make_assignment(*lc.circuit, partition, lc.method);
-    const MpRunResult r = run_message_passing(*lc.circuit, partition, assignment,
-                                              config.mp(schedule));
-    return locality_measure(r.routes, assignment, partition);
+    const MpRun run = run_mp(*cases[i].circuit, config.procs, mp, cases[i].method);
+    return locality_measure(run.result.routes, run.assignment, run.partition);
   });
   for (std::size_t i = 0; i < cases.size(); ++i) {
     const LocCase& lc = cases[i];
     std::string paper_value = "-";
     if (lc.method == AssignMethod::kThresholdInf) {
       paper_value =
-          format_fixed(lc.circuit == &bnre ? paper::kLocalityMeasureBnre
-                                           : paper::kLocalityMeasureMdc,
+          format_fixed(lc.circuit == &c.bnre ? paper::kLocalityMeasureBnre
+                                             : paper::kLocalityMeasureMdc,
                        2);
     }
     t.row().cell(lc.circuit->name()).cell(assign_method_name(lc.method))
         .cell(measures[i], 2).cell(paper_value);
-    if (lc.circuit == &bnre && i + 1 < cases.size() &&
-        cases[i + 1].circuit != &bnre) {
+    if (lc.circuit == &c.bnre && i + 1 < cases.size() &&
+        cases[i + 1].circuit != &c.bnre) {
       t.separator();
     }
   }
   return t;
 }
 
-Table run_table6_scaling(const Circuit& circuit, const ExperimentConfig& config) {
+Table run_table6_scaling(const PaperCircuits& c, const ExperimentConfig& config) {
   Table t;
-  t.column("procs").column("CktHt").column("Occup.").column("MBytes")
-      .column("Time(s)").column("paper:Ht").column("paper:MB").column("paper:T");
-  const UpdateSchedule schedule = UpdateSchedule::sender(2, 10);
+  run_columns(t.column("procs"))
+      .column("paper:Ht").column("paper:MB").column("paper:T");
+  const MpConfig mp = config.mp(UpdateSchedule::sender(2, 10));
   const auto runs = map_indexed(paper::kTable6.size(), [&](std::size_t i) {
-    return run_mp(circuit, config, schedule, kBaselineAssign,
-                  paper::kTable6[i].procs);
+    return run_mp(c.bnre, paper::kTable6[i].procs, mp).result;
   });
   for (std::size_t i = 0; i < paper::kTable6.size(); ++i) {
     const paper::ScalingRow& row = paper::kTable6[i];
-    const MpRunResult& r = runs[i];
-    t.row().cell(row.procs).cell(static_cast<long long>(r.circuit_height))
-        .cell(static_cast<long long>(r.occupancy_factor))
-        .cell(r.mbytes(), 3).cell(r.seconds(), 3)
+    run_cells(t.row().cell(row.procs), runs[i])
         .cell(row.ckt_height == 0 ? std::string("?")
                                   : std::to_string(row.ckt_height))
         .cell(row.mbytes, 3).cell(row.seconds, 3);
@@ -440,26 +449,24 @@ Table run_table6_scaling(const Circuit& circuit, const ExperimentConfig& config)
   return t;
 }
 
-Table run_speedup(const Circuit& bnre, const Circuit& mdc,
-                  const ExperimentConfig& config) {
+Table run_speedup(const PaperCircuits& c, const ExperimentConfig& config) {
   Table t;
   t.column("circuit", Align::kLeft).column("procs").column("Time(s)")
       .column("speedup").column("paper@16");
-  const UpdateSchedule schedule = UpdateSchedule::sender(2, 10);
+  const MpConfig mp = config.mp(UpdateSchedule::sender(2, 10));
   struct SpeedCase {
     const Circuit* circuit;
     std::int32_t procs;
   };
   std::vector<SpeedCase> cases;
-  for (const Circuit* circuit : {&bnre, &mdc}) {
+  for (const Circuit* circuit : {&c.bnre, &c.mdc}) {
     for (std::int32_t procs : {2, 4, 9, 16}) cases.push_back({circuit, procs});
   }
   const auto runs = map_indexed(cases.size(), [&](std::size_t i) {
-    return run_mp(*cases[i].circuit, config, schedule, kBaselineAssign,
-                  cases[i].procs);
+    return run_mp(*cases[i].circuit, cases[i].procs, mp).result;
   });
   std::size_t idx = 0;
-  for (const Circuit* circuit : {&bnre, &mdc}) {
+  for (const Circuit* circuit : {&c.bnre, &c.mdc}) {
     double t2 = 0.0;
     for (std::int32_t procs : {2, 4, 9, 16}) {
       const MpRunResult& r = runs[idx++];
@@ -468,56 +475,55 @@ Table run_speedup(const Circuit& bnre, const Circuit& mdc,
       const double speedup = r.seconds() == 0.0 ? 0.0 : 2.0 * t2 / r.seconds();
       std::string paper_value = "-";
       if (procs == 16) {
-        paper_value = format_fixed(circuit == &bnre ? paper::kSpeedup16Bnre
-                                                    : paper::kSpeedup16Mdc,
+        paper_value = format_fixed(circuit == &c.bnre ? paper::kSpeedup16Bnre
+                                                      : paper::kSpeedup16Mdc,
                                    1);
       }
       t.row().cell(circuit->name()).cell(procs).cell(r.seconds(), 3)
           .cell(speedup, 1).cell(paper_value);
     }
-    if (circuit == &bnre) t.separator();
+    if (circuit == &c.bnre) t.separator();
   }
   return t;
 }
 
-Table run_ablation_dynamic_assignment(const Circuit& circuit,
+/// §4.2's two dynamic wire-distribution schemes (which CBS could not
+/// simulate) vs the paper's static assignment.
+Table run_ablation_dynamic_assignment(const PaperCircuits& c,
                                       const ExperimentConfig& config) {
   Table t;
-  t.column("wire distribution", Align::kLeft).column("CktHt").column("Occup.")
-      .column("MBytes").column("Time(s)").column("packets");
-  const UpdateSchedule schedule = UpdateSchedule::sender(2, 10);
+  run_columns(t.column("wire distribution", Align::kLeft)).column("packets");
   const std::pair<const char*, WireAssignmentMode> cases[] = {
       {"static (ThresholdCost=1000)", WireAssignmentMode::kStatic},
       {"dynamic, polled between wires", WireAssignmentMode::kDynamicPolled},
       {"dynamic, reception interrupts", WireAssignmentMode::kDynamicInterrupt},
   };
   const auto runs = map_indexed(std::size(cases), [&](std::size_t i) {
-    ExperimentConfig c = config;
-    c.mp_base.assignment_mode = cases[i].second;
-    return run_mp(circuit, c, schedule);
+    MpConfig mp = config.mp(UpdateSchedule::sender(2, 10));
+    mp.assignment_mode = cases[i].second;
+    return run_mp(c.bnre, config.procs, mp).result;
   });
   for (std::size_t i = 0; i < std::size(cases); ++i) {
-    const char* name = cases[i].first;
-    const MpRunResult& r = runs[i];
-    t.row().cell(name).cell(static_cast<long long>(r.circuit_height))
-        .cell(static_cast<long long>(r.occupancy_factor))
-        .cell(r.mbytes(), 3).cell(r.seconds(), 3)
-        .cell(static_cast<unsigned long long>(r.network.packets));
+    run_cells(t.row().cell(cases[i].first), runs[i])
+        .cell(static_cast<unsigned long long>(runs[i].network.packets));
   }
   return t;
 }
 
-Table run_hierarchical_shm(const Circuit& circuit, const ExperimentConfig& config) {
+/// §5.3's hierarchical shared memory argument quantified: remote-reference
+/// fraction and NUMA memory time per wire assignment, plus snooping-bus
+/// occupancy (§5.1.1 footnote 2).
+Table run_hierarchical_shm(const PaperCircuits& c, const ExperimentConfig& config) {
   Table t;
   t.column("assignment", Align::kLeft).column("remote refs")
       .column("NUMA mem(s)").column("bus busy(s)").column("bus util");
-  const Partition partition(circuit.channels(), circuit.grids(),
+  const Partition partition(c.bnre.channels(), c.bnre.grids(),
                             MeshShape::for_procs(config.procs));
   constexpr AssignMethod kMethods[] = {
       AssignMethod::kRoundRobin, AssignMethod::kThreshold30,
       AssignMethod::kThreshold1000, AssignMethod::kThresholdInf};
   const auto runs = map_indexed(std::size(kMethods), [&](std::size_t i) {
-    return run_shm_traffic(circuit, config, kMethods[i], {8});
+    return run_shm_traffic(c.bnre, config, kMethods[i], {8});
   });
   for (std::size_t i = 0; i < std::size(kMethods); ++i) {
     const AssignMethod method = kMethods[i];
@@ -534,7 +540,9 @@ Table run_hierarchical_shm(const Circuit& circuit, const ExperimentConfig& confi
   return t;
 }
 
-Table run_ablation_router(const Circuit& circuit) {
+/// Router design ablation: pin decomposition (chain vs MST), congestion
+/// pricing power, exploration width — sequential quality vs work.
+Table run_ablation_router(const PaperCircuits& c, const ExperimentConfig&) {
   Table t;
   t.column("router variant", Align::kLeft).column("CktHt").column("Occup.")
       .column("probes");
@@ -559,7 +567,7 @@ Table run_ablation_router(const Circuit& circuit) {
   const auto runs = map_indexed(std::size(cases), [&](std::size_t i) {
     SequentialParams sp;
     sp.router = cases[i].second;
-    return route_sequential(circuit, sp);
+    return route_sequential(c.bnre, sp);
   });
   for (std::size_t i = 0; i < std::size(cases); ++i) {
     const SequentialResult& r = runs[i];
@@ -571,14 +579,16 @@ Table run_ablation_router(const Circuit& circuit) {
   return t;
 }
 
-Table run_iteration_convergence(const Circuit& circuit) {
+/// §3's "performing several iterations improves the final solution
+/// quality": quality vs rip-up-and-reroute iteration count.
+Table run_iteration_convergence(const PaperCircuits& c, const ExperimentConfig&) {
   Table t;
   t.column("iterations").column("CktHt").column("Occup.").column("probes");
   constexpr std::int32_t kIterations[] = {1, 2, 3, 4, 6};
   const auto runs = map_indexed(std::size(kIterations), [&](std::size_t i) {
     SequentialParams sp;
     sp.iterations = kIterations[i];
-    return route_sequential(circuit, sp);
+    return route_sequential(c.bnre, sp);
   });
   for (std::size_t i = 0; i < std::size(kIterations); ++i) {
     const std::int32_t iterations = kIterations[i];
@@ -590,34 +600,29 @@ Table run_iteration_convergence(const Circuit& circuit) {
   return t;
 }
 
-Table run_ablation_lookahead(const Circuit& circuit,
-                             const ExperimentConfig& config) {
+/// §4.3.3's "we chose to have processors request updates for five wires at
+/// a time": request lookahead sweep under the receiver schedule.
+Table run_ablation_lookahead(const PaperCircuits& c, const ExperimentConfig& config) {
   Table t;
-  t.column("lookahead (wires)").column("CktHt").column("Occup.")
-      .column("MBytes").column("Time(s)");
+  run_columns(t.column("lookahead (wires)"));
   constexpr std::int32_t kLookaheads[] = {1, 3, 5, 10, 20};
   const auto runs = map_indexed(std::size(kLookaheads), [&](std::size_t i) {
     UpdateSchedule schedule = UpdateSchedule::receiver(1, 5);
     schedule.request_lookahead = kLookaheads[i];
-    return run_mp(circuit, config, schedule);
+    return run_mp(c.bnre, config.procs, config.mp(schedule)).result;
   });
   for (std::size_t i = 0; i < std::size(kLookaheads); ++i) {
-    const std::int32_t lookahead = kLookaheads[i];
-    const MpRunResult& r = runs[i];
-    t.row().cell(lookahead).cell(static_cast<long long>(r.circuit_height))
-        .cell(static_cast<long long>(r.occupancy_factor))
-        .cell(r.mbytes(), 3).cell(r.seconds(), 3);
+    run_cells(t.row().cell(kLookaheads[i]), runs[i]);
   }
   return t;
 }
 
-Table run_threshold_sweep(const Circuit& circuit, const ExperimentConfig& config) {
+/// §4.2's ThresholdCost knob as a continuous sweep: locality vs balance.
+Table run_threshold_sweep(const PaperCircuits& c, const ExperimentConfig& config) {
   Table t;
   t.column("ThresholdCost", Align::kLeft).column("CktHt").column("MBytes")
       .column("Time(s)").column("cost imbalance");
-  const UpdateSchedule schedule = UpdateSchedule::sender(2, 10);
-  const Partition partition(circuit.channels(), circuit.grids(),
-                            MeshShape::for_procs(config.procs));
+  const MpConfig mp = config.mp(UpdateSchedule::sender(2, 10));
   std::vector<std::pair<std::string, std::int64_t>> cases;
   for (std::int64_t threshold : {std::int64_t{1}, std::int64_t{10},
                                  std::int64_t{30}, std::int64_t{100},
@@ -626,30 +631,21 @@ Table run_threshold_sweep(const Circuit& circuit, const ExperimentConfig& config
     cases.emplace_back(std::to_string(threshold), threshold);
   }
   cases.emplace_back("infinity", kThresholdInfinity);
-  // The imbalance comes from the per-job assignment, so it crosses the
-  // join alongside the run.
-  struct SweepOut {
-    MpRunResult run;
-    double imbalance;
-  };
   const auto runs = map_indexed(cases.size(), [&](std::size_t i) {
-    const Assignment assignment =
-        assign_threshold_cost(circuit, partition, cases[i].second);
-    MpRunResult r = run_message_passing(circuit, partition, assignment,
-                                        config.mp(schedule));
-    const double imbalance = assignment.cost_imbalance(circuit);
-    return SweepOut{std::move(r), imbalance};
+    return run_mp(c.bnre, config.procs, mp, cases[i].second);
   });
   for (std::size_t i = 0; i < cases.size(); ++i) {
-    const MpRunResult& r = runs[i].run;
+    const MpRunResult& r = runs[i].result;
     t.row().cell(cases[i].first).cell(static_cast<long long>(r.circuit_height))
         .cell(r.mbytes(), 3).cell(r.seconds(), 3)
-        .cell(runs[i].imbalance, 2);
+        .cell(runs[i].assignment.cost_imbalance(c.bnre), 2);
   }
   return t;
 }
 
-Table run_view_staleness(const Circuit& circuit, const ExperimentConfig& config) {
+/// §4's central idea quantified: how stale the per-processor views end up
+/// under each update schedule, next to the quality it buys.
+Table run_view_staleness(const PaperCircuits& c, const ExperimentConfig& config) {
   Table t;
   t.column("schedule", Align::kLeft).column("view MAE").column("own-region MAE")
       .column("CktHt").column("Occup.");
@@ -668,7 +664,7 @@ Table run_view_staleness(const Circuit& circuit, const ExperimentConfig& config)
        }()},
   };
   const auto runs = map_indexed(std::size(cases), [&](std::size_t i) {
-    return run_mp(circuit, config, cases[i].second);
+    return run_mp(c.bnre, config.procs, config.mp(cases[i].second)).result;
   });
   for (std::size_t i = 0; i < std::size(cases); ++i) {
     const MpRunResult& r = runs[i];
@@ -680,53 +676,49 @@ Table run_view_staleness(const Circuit& circuit, const ExperimentConfig& config)
   return t;
 }
 
-Table run_scaling_large(const Circuit& circuit, const ExperimentConfig& config) {
+/// §5.4 extended past the paper's 16 processors on the larger
+/// industrial-like circuit, which this table alone reads.
+Table run_scaling_large(const PaperCircuits&, const ExperimentConfig& config) {
+  const Circuit circuit = make_industrial_like();
   Table t;
-  t.column("procs").column("CktHt").column("Occup.").column("MBytes")
-      .column("Time(s)").column("speedup");
-  const UpdateSchedule schedule = UpdateSchedule::sender(2, 10);
+  run_columns(t.column("procs")).column("speedup");
+  const MpConfig mp = config.mp(UpdateSchedule::sender(2, 10));
   constexpr std::int32_t kProcs[] = {4, 16, 36, 64};
   const auto runs = map_indexed(std::size(kProcs), [&](std::size_t i) {
-    return run_mp(circuit, config, schedule, kBaselineAssign, kProcs[i]);
+    return run_mp(circuit, kProcs[i], mp).result;
   });
   double t4 = 0.0;
   for (std::size_t i = 0; i < std::size(kProcs); ++i) {
-    const std::int32_t procs = kProcs[i];
     const MpRunResult& r = runs[i];
-    if (procs == 4) t4 = r.seconds();
+    if (kProcs[i] == 4) t4 = r.seconds();
     const double speedup = r.seconds() == 0.0 ? 0.0 : 4.0 * t4 / r.seconds();
-    t.row().cell(procs).cell(static_cast<long long>(r.circuit_height))
-        .cell(static_cast<long long>(r.occupancy_factor))
-        .cell(r.mbytes(), 3).cell(r.seconds(), 3).cell(speedup, 1);
+    run_cells(t.row().cell(kProcs[i]), r).cell(speedup, 1);
   }
   return t;
 }
 
-Table run_mp_iteration_sweep(const Circuit& circuit,
-                             const ExperimentConfig& config) {
+/// Iterations x staleness: does rip-up-and-reroute still converge when the
+/// views are stale? (MP sender schedule, iteration sweep.)
+Table run_mp_iteration_sweep(const PaperCircuits& c, const ExperimentConfig& config) {
   Table t;
-  t.column("iterations").column("CktHt").column("Occup.").column("MBytes")
-      .column("Time(s)");
-  const UpdateSchedule schedule = UpdateSchedule::sender(2, 10);
+  run_columns(t.column("iterations"));
   constexpr std::int32_t kSweepIters[] = {1, 2, 3, 4};
   const auto runs = map_indexed(std::size(kSweepIters), [&](std::size_t i) {
-    ExperimentConfig c = config;
-    c.iterations = kSweepIters[i];
-    return run_mp(circuit, c, schedule);
+    MpConfig mp = config.mp(UpdateSchedule::sender(2, 10));
+    mp.iterations = kSweepIters[i];
+    return run_mp(c.bnre, config.procs, mp).result;
   });
   for (std::size_t i = 0; i < std::size(kSweepIters); ++i) {
-    const std::int32_t iterations = kSweepIters[i];
-    const MpRunResult& r = runs[i];
-    t.row().cell(iterations).cell(static_cast<long long>(r.circuit_height))
-        .cell(static_cast<long long>(r.occupancy_factor))
-        .cell(r.mbytes(), 3).cell(r.seconds(), 3);
+    run_cells(t.row().cell(kSweepIters[i]), runs[i]);
   }
   return t;
 }
 
-Table run_ablation_cache_size(const Circuit& circuit,
+/// The paper's footnote-3 assumption relaxed: coherence traffic with finite
+/// LRU caches of various sizes vs the infinite-cache model.
+Table run_ablation_cache_size(const PaperCircuits& c,
                               const ExperimentConfig& config) {
-  ShmTraffic shm = run_shm_traffic(circuit, config, kBaselineAssign, {});
+  const ShmTraffic shm = run_shm_traffic(c.bnre, config, kBaselineAssign, {});
   Table t;
   t.column("cache per proc", Align::kLeft).column("MBytes")
       .column("evict WB MB").column("evictions");
@@ -738,25 +730,22 @@ Table run_ablation_cache_size(const Circuit& circuit,
       {"infinite (paper)", 0},
   };
   const auto traffics = map_indexed(std::size(cases), [&](std::size_t i) {
-    CoherenceParams params;
-    params.line_size = 8;
-    params.capacity_lines = cases[i].second;
-    CoherenceSim sim(config.procs, params);
-    sim.replay(shm.run.trace);
-    return sim.traffic();
+    return sweep_line_sizes(shm.run.trace, config.procs, {8},
+                            ProtocolKind::kWriteBackInvalidate, cases[i].second)[0];
   });
   for (std::size_t i = 0; i < std::size(cases); ++i) {
-    const char* name = cases[i].first;
     const CoherenceTraffic& traffic = traffics[i];
-    t.row().cell(name)
-        .cell(static_cast<double>(traffic.total_bytes()) / 1e6, 3)
+    t.row().cell(cases[i].first).cell(mbytes(traffic), 3)
         .cell(static_cast<double>(traffic.eviction_writeback_bytes) / 1e6, 3)
         .cell(static_cast<unsigned long long>(traffic.capacity_evictions));
   }
   return t;
 }
 
-Table run_seed_robustness(const ExperimentConfig& config) {
+/// Robustness: the headline traffic hierarchy (shm > sender MP > receiver
+/// MP) across independently seeded synthetic circuits, which this table
+/// alone builds.
+Table run_seed_robustness(const PaperCircuits&, const ExperimentConfig& config) {
   Table t;
   t.column("seed", Align::kLeft).column("shm MB").column("sender MB")
       .column("receiver MB").column("hierarchy holds");
@@ -770,32 +759,15 @@ Table run_seed_robustness(const ExperimentConfig& config) {
     double receiver_mb;
   };
   const auto runs = map_indexed(std::size(kSeeds), [&](std::size_t s) {
-    GeneratorParams params;  // bnrE-shaped, reseeded
-    params.name = "seeded";
-    params.channels = 10;
-    params.grids = 341;
-    params.num_wires = 420;
-    params.seed = kSeeds[s];
-    params.clusters = 24;
-    params.global_fraction = 0.12;
-    params.local_span_mean = 18.0;
-    Circuit circuit = generate_circuit(params);
-
-    MpRunResult sender =
-        run_mp(circuit, config, UpdateSchedule::sender(2, 10));
-    MpRunResult receiver =
-        run_mp(circuit, config, UpdateSchedule::receiver(1, 5));
-    ShmConfig sc = config.shm();
-    const Partition partition(circuit.channels(), circuit.grids(),
-                              MeshShape::for_procs(config.procs));
-    sc.assignment = assign_threshold_cost(circuit, partition, 1000);
-    ShmRunResult shm = run_shared_memory(circuit, sc);
-    CoherenceParams cp;
-    cp.line_size = 8;
-    CoherenceSim sim(config.procs, cp);
-    sim.replay(shm.trace);
-    return SeedOut{static_cast<double>(sim.traffic().total_bytes()) / 1e6,
-                   sender.mbytes(), receiver.mbytes()};
+    // bnrE's shape (the generator's defaults), reseeded.
+    const Circuit circuit = generate_circuit({.name = "seeded", .seed = kSeeds[s]});
+    const auto mp_mbytes = [&](const UpdateSchedule& schedule) {
+      return run_mp(circuit, config.procs, config.mp(schedule)).result.mbytes();
+    };
+    return SeedOut{
+        mbytes(run_shm_traffic(circuit, config, kBaselineAssign, {8}).traffic[0]),
+        mp_mbytes(UpdateSchedule::sender(2, 10)),
+        mp_mbytes(UpdateSchedule::receiver(1, 5))};
   });
   for (std::size_t s = 0; s < std::size(kSeeds); ++s) {
     const SeedOut& r = runs[s];
@@ -808,6 +780,8 @@ Table run_seed_robustness(const ExperimentConfig& config) {
   }
   return t;
 }
+
+}  // namespace
 
 const char* scale_assign_mode_name(ScaleAssignMode mode) {
   switch (mode) {
@@ -999,8 +973,11 @@ ScaleSweepResult run_scale_sweep(const ScaleSweepOptions& options) {
   return out;
 }
 
-Table run_overhead_breakdown(const Circuit& circuit,
-                             const ExperimentConfig& config) {
+namespace {
+
+/// §5.1.1: packet assembly/disassembly "take up to one fourth of the
+/// processing time" at frequent updates.
+Table run_overhead_breakdown(const PaperCircuits& c, const ExperimentConfig& config) {
   Table t;
   t.column("schedule", Align::kLeft).column("routing(s)").column("msg sw(s)")
       .column("NI copy(s)").column("msg fraction");
@@ -1013,7 +990,7 @@ Table run_overhead_breakdown(const Circuit& circuit,
       {"receiver (1,30)", UpdateSchedule::receiver(1, 30)},
   };
   const auto runs = map_indexed(std::size(cases), [&](std::size_t i) {
-    return run_mp(circuit, config, cases[i].second);
+    return run_mp(c.bnre, config.procs, config.mp(cases[i].second)).result;
   });
   for (std::size_t i = 0; i < std::size(cases); ++i) {
     const TimeBreakdown& tb = runs[i].time_breakdown;
@@ -1026,39 +1003,31 @@ Table run_overhead_breakdown(const Circuit& circuit,
   return t;
 }
 
-Table run_ablation_packet_structure(const Circuit& circuit,
+Table run_ablation_packet_structure(const PaperCircuits& c,
                                     const ExperimentConfig& config) {
   Table t;
   t.column("packet structure", Align::kLeft).column("CktHt").column("MBytes")
       .column("Time(s)");
-  const UpdateSchedule schedule = UpdateSchedule::sender(2, 10);
   const std::pair<const char*, PacketStructure> cases[] = {
       {"wire based", PacketStructure::kWireBased},
       {"whole region", PacketStructure::kWholeRegion},
       {"bounding box (paper)", PacketStructure::kBoundingBox},
   };
   const auto runs = map_indexed(std::size(cases), [&](std::size_t i) {
-    ExperimentConfig c = config;
-    c.mp_base.packet_structure = cases[i].second;
-    return run_mp(circuit, c, schedule);
+    MpConfig mp = config.mp(UpdateSchedule::sender(2, 10));
+    mp.packet_structure = cases[i].second;
+    return run_mp(c.bnre, config.procs, mp).result;
   });
   for (std::size_t i = 0; i < std::size(cases); ++i) {
-    const char* name = cases[i].first;
     const MpRunResult& r = runs[i];
-    t.row().cell(name).cell(static_cast<long long>(r.circuit_height))
+    t.row().cell(cases[i].first).cell(static_cast<long long>(r.circuit_height))
         .cell(r.mbytes(), 3).cell(r.seconds(), 3);
   }
   return t;
 }
 
-Table run_ablation_protocols(const Circuit& circuit,
-                             const ExperimentConfig& config) {
-  ShmConfig shm_config = config.shm();
-  const Partition partition(circuit.channels(), circuit.grids(),
-                            MeshShape::for_procs(config.procs));
-  shm_config.assignment = make_assignment(circuit, partition, kBaselineAssign);
-  ShmRunResult run = run_shared_memory(circuit, shm_config);
-
+Table run_ablation_protocols(const PaperCircuits& c, const ExperimentConfig& config) {
+  const ShmTraffic shm = run_shm_traffic(c.bnre, config, kBaselineAssign, {});
   Table t;
   t.column("protocol", Align::kLeft).column("MBytes").column("write frac")
       .column("invalidations");
@@ -1080,25 +1049,21 @@ Table run_ablation_protocols(const Circuit& circuit,
     for (std::int32_t line : {8, 32}) cases.push_back({name, protocol, line});
   }
   const auto traffics = map_indexed(cases.size(), [&](std::size_t i) {
-    CoherenceParams params;
-    params.line_size = cases[i].line;
-    params.protocol = cases[i].protocol;
-    CoherenceSim sim(config.procs, params);
-    sim.replay(run.trace);
-    return sim.traffic();
+    return sweep_line_sizes(shm.run.trace, config.procs, {cases[i].line},
+                            cases[i].protocol)[0];
   });
   for (std::size_t i = 0; i < cases.size(); ++i) {
     const CoherenceTraffic& traffic = traffics[i];
     t.row().cell(std::string(cases[i].name) + " @" +
                  std::to_string(cases[i].line) + "B")
-        .cell(static_cast<double>(traffic.total_bytes()) / 1e6, 3)
+        .cell(mbytes(traffic), 3)
         .cell(traffic.write_fraction(), 2)
         .cell(static_cast<unsigned long long>(traffic.invalidation_msgs));
   }
   return t;
 }
 
-Table run_ablation_topology(const Circuit& circuit, const ExperimentConfig& config) {
+Table run_ablation_topology(const PaperCircuits& c, const ExperimentConfig& config) {
   Table t;
   t.column("topology", Align::kLeft).column("CktHt").column("MBytes")
       .column("byte-hops").column("Time(s)").column("mean latency (us)");
@@ -1106,7 +1071,6 @@ Table run_ablation_topology(const Circuit& circuit, const ExperimentConfig& conf
   // arbitrary owners), so wraparound edges actually shorten paths. CBS
   // simulated k-ary n-cubes generally; the binary 4-cube (hypercube) and
   // the 1D ring bound the mesh from both sides.
-  const UpdateSchedule schedule = UpdateSchedule::receiver(1, 5);
   struct TopoCase {
     const char* name;
     Topology::Edges edges;
@@ -1129,26 +1093,27 @@ Table run_ablation_topology(const Circuit& circuit, const ExperimentConfig& conf
                  TopoCase{"binary hypercube", Topology::Edges::kTorus, cube_dims});
   }
   const auto runs = map_indexed(cases.size(), [&](std::size_t i) {
-    ExperimentConfig c = config;
-    c.mp_base.edges = cases[i].edges;
-    c.mp_base.topology_dims = cases[i].dims;
-    return run_mp(circuit, c, schedule);
+    MpConfig mp = config.mp(UpdateSchedule::receiver(1, 5));
+    mp.edges = cases[i].edges;
+    mp.topology_dims = cases[i].dims;
+    return run_mp(c.bnre, config.procs, mp).result;
   });
   for (std::size_t i = 0; i < cases.size(); ++i) {
-    const char* name = cases[i].name;
     const MpRunResult& r = runs[i];
     const double mean_latency_us =
         r.network.packets == 0
             ? 0.0
             : static_cast<double>(r.network.total_latency_ns) /
                   static_cast<double>(r.network.packets) / 1e3;
-    t.row().cell(name).cell(static_cast<long long>(r.circuit_height))
+    t.row().cell(cases[i].name).cell(static_cast<long long>(r.circuit_height))
         .cell(r.mbytes(), 3)
         .cell(static_cast<unsigned long long>(r.network.byte_hops))
         .cell(r.seconds(), 3).cell(mean_latency_us, 1);
   }
   return t;
 }
+
+}  // namespace
 
 Table run_check_oracle(const Circuit& circuit, const ExperimentConfig& config,
                        const FaultPlan* faults) {
@@ -1268,9 +1233,7 @@ Table run_check_faults(const Circuit& circuit, const ExperimentConfig& config) {
 }
 
 Table run_check_trace_scan(const Circuit& circuit, const ExperimentConfig& config) {
-  ShmConfig shm = config.shm();
-  shm.capture_trace = true;
-  const ShmRunResult run = run_shared_memory(circuit, shm);
+  const ShmRunResult run = run_shared_memory(circuit, config.shm());
 
   Table t;
   t.column("line B").column("refs").column("lines").column("conflicted")
@@ -1311,9 +1274,9 @@ Table run_check_trace_scan(const Circuit& circuit, const ExperimentConfig& confi
 namespace {
 
 // Fixed knobs of run_topology_sweep (every cell also runs the reliable
-// transport and checks its ledger).
+// transport and checks its ledger; a fat tree keeps MpConfig's binary
+// default arity).
 constexpr std::int32_t kTopologyIterations = 2;
-constexpr std::int32_t kTopologyFatTreeArity = 2;
 /// Conservation checkpoint period of the per-run view-consistency checker.
 constexpr std::int32_t kTopologyCheckpointPeriod = 4;
 
@@ -1379,7 +1342,6 @@ TopologySweepResult run_topology_sweep(const Circuit& circuit,
     mp.schedule = scheds[job.sched].schedule;
     mp.iterations = kTopologyIterations;
     mp.edges = topos[job.topo].edges;
-    mp.fat_tree_arity = kTopologyFatTreeArity;
     mp.link_cost.kind = models[job.model];
     mp.transport.enabled = true;
     mp.observer = &checker;
@@ -1498,103 +1460,62 @@ Table run_fault_recovery_sweep(const Circuit& circuit,
 
 namespace {
 
-/// A catalog step that yields one table.
-ExperimentStep step(std::string title, std::function<Table(const PaperCircuits&)> build,
-                    bool slow = false) {
-  return {{std::move(title)},
-          slow,
-          [build = std::move(build)](const PaperCircuits& c) {
-            return std::vector<Table>{build(c)};
-          }};
-}
-
 constexpr bool kSlow = true;
 
 std::vector<Experiment> build_catalog() {
-  using C = const PaperCircuits&;
   return {
       {"table1_sender_initiated",
-       {step("Table 1 — sender initiated updates",
-             [](C c) { return run_table1_sender_initiated(c.bnre); })}},
+       {{"Table 1 — sender initiated updates", run_table1_sender_initiated}}},
       {"table2_receiver_initiated",
-       {step("Table 2 — non-blocking receiver initiated updates",
-             [](C c) { return run_table2_receiver_initiated(c.bnre); })}},
+       {{"Table 2 — non-blocking receiver initiated updates",
+         run_table2_receiver_initiated}}},
       {"sec513_blocking_mixed",
-       {step("Section 5.1.3 — blocking vs non-blocking",
-             [](C c) { return run_sec513_blocking(c.bnre); }),
-        step("Section 5.1.3 — mixed schedules",
-             [](C c) { return run_sec513_mixed(c.bnre); })}},
+       {{"Section 5.1.3 — blocking vs non-blocking", run_sec513_blocking},
+        {"Section 5.1.3 — mixed schedules", run_sec513_mixed}}},
       {"table3_cache_line_size",
-       {{{"Table 3 — shm traffic vs cache line size",
-          "Table 3 — traffic breakdown by cause"},
-         kSlow,
-         [](C c) {
-           Table3Result r = run_table3_line_size(c.bnre);
-           return std::vector<Table>{std::move(r.table), std::move(r.breakdown)};
-         }}}},
+       {{"Table 3 — shm traffic vs cache line size", run_table3_line_size, kSlow},
+        {"Table 3 — traffic breakdown by cause", run_table3_breakdown, kSlow}}},
       {"sec52_mp_vs_shm",
-       {step("Section 5.2 — MP vs SHM",
-             [](C c) { return run_sec52_comparison(c.bnre); }, kSlow)}},
+       {{"Section 5.2 — MP vs SHM", run_sec52_comparison, kSlow}}},
       {"table4_locality_mp",
-       {step("Table 4 — locality, message passing",
-             [](C c) { return run_table4_locality_mp(c.bnre, c.mdc); }),
-        step("Section 5.3.1 — receiver initiated locality traffic",
-             [](C c) { return run_table4_receiver_locality(c.bnre); })}},
+       {{"Table 4 — locality, message passing", run_table4_locality_mp},
+        {"Section 5.3.1 — receiver initiated locality traffic",
+         run_table4_receiver_locality}}},
       {"table5_locality_shm",
-       {step("Table 5 — locality, shared memory",
-             [](C c) { return run_table5_locality_shm(c.bnre, c.mdc); }, kSlow)}},
+       {{"Table 5 — locality, shared memory", run_table5_locality_shm, kSlow}}},
       {"locality_measure",
-       {step("Section 5.3.3 — locality measure",
-             [](C c) { return run_locality_measure(c.bnre, c.mdc); })}},
-      {"table6_scaling",
-       {step("Table 6 — processor scaling",
-             [](C c) { return run_table6_scaling(c.bnre); })}},
-      {"speedup",
-       {step("Section 5.4 — speedup",
-             [](C c) { return run_speedup(c.bnre, c.mdc); })}},
+       {{"Section 5.3.3 — locality measure", run_locality_measure}}},
+      {"table6_scaling", {{"Table 6 — processor scaling", run_table6_scaling}}},
+      {"speedup", {{"Section 5.4 — speedup", run_speedup}}},
       {"overhead_breakdown",
-       {step("Section 5.1.1 — message software overhead",
-             [](C c) { return run_overhead_breakdown(c.bnre); })}},
+       {{"Section 5.1.1 — message software overhead", run_overhead_breakdown}}},
       {"ablation_packet_structure",
-       {step("Ablation — packet structure",
-             [](C c) { return run_ablation_packet_structure(c.bnre); })}},
+       {{"Ablation — packet structure", run_ablation_packet_structure}}},
       {"ablation_protocols",
-       {step("Ablation — coherence protocols",
-             [](C c) { return run_ablation_protocols(c.bnre); }, kSlow)}},
-      {"ablation_topology",
-       {step("Ablation — topology",
-             [](C c) { return run_ablation_topology(c.bnre); })}},
+       {{"Ablation — coherence protocols", run_ablation_protocols, kSlow}}},
+      {"ablation_topology", {{"Ablation — topology", run_ablation_topology}}},
       {"ablation_dynamic_assignment",
-       {step("Ablation — dynamic wire distribution",
-             [](C c) { return run_ablation_dynamic_assignment(c.bnre); })}},
+       {{"Ablation — dynamic wire distribution", run_ablation_dynamic_assignment}}},
       {"ablation_router",
-       {step("Ablation — router design choices",
-             [](C c) { return run_ablation_router(c.bnre); }),
-        step("Section 3 — iteration convergence",
-             [](C c) { return run_iteration_convergence(c.bnre); })}},
+       {{"Ablation — router design choices", run_ablation_router},
+        {"Section 3 — iteration convergence", run_iteration_convergence}}},
       {"ablation_schedule_knobs",
-       {step("Ablation — request lookahead",
-             [](C c) { return run_ablation_lookahead(c.bnre); }),
-        step("Ablation — ThresholdCost sweep",
-             [](C c) { return run_threshold_sweep(c.bnre); })}},
+       {{"Ablation — request lookahead", run_ablation_lookahead},
+        {"Ablation — ThresholdCost sweep", run_threshold_sweep}}},
       {"hierarchical_shm",
-       {step("Extension — hierarchical shm / bus occupancy",
-             [](C c) { return run_hierarchical_shm(c.bnre); }, kSlow)}},
+       {{"Extension — hierarchical shm / bus occupancy", run_hierarchical_shm,
+         kSlow}}},
       {"view_staleness",
-       {step("Extension — view staleness per schedule",
-             [](C c) { return run_view_staleness(c.bnre); })}},
+       {{"Extension — view staleness per schedule", run_view_staleness}}},
       {"ablation_cache_size",
-       {step("Ablation — finite caches (footnote 3)",
-             [](C c) { return run_ablation_cache_size(c.bnre); }, kSlow)}},
+       {{"Ablation — finite caches (footnote 3)", run_ablation_cache_size, kSlow}}},
       // The 64-processor sweep is slow, the iteration sweep is not.
       {"scaling_large",
-       {step("Extension — scaling to 64 processors",
-             [](C) { return run_scaling_large(make_industrial_like()); }, kSlow),
-        step("Extension — MP iteration sweep",
-             [](C c) { return run_mp_iteration_sweep(c.bnre); })}},
+       {{"Extension — scaling to 64 processors", run_scaling_large, kSlow},
+        {"Extension — MP iteration sweep", run_mp_iteration_sweep}}},
       {"seed_robustness",
-       {step("Robustness — traffic hierarchy across circuit seeds",
-             [](C) { return run_seed_robustness(); }, kSlow)}},
+       {{"Robustness — traffic hierarchy across circuit seeds", run_seed_robustness,
+         kSlow}}},
   };
 }
 

@@ -1,12 +1,15 @@
-// Experiment definitions: one function per table/figure of the paper's
-// evaluation (§5), each returning a printable Table with measured values
-// next to the published ones. experiment_catalog() lists them once, in
-// report order, for examples/reproduce_paper; the integration tests assert
-// the qualitative claims on small circuits through the same code paths.
+// Experiment definitions. experiment_catalog() is the only way to the
+// report's tables: every table of the paper's evaluation (§5) and of this
+// project's extensions is one file-local function with one signature,
+// Table(const PaperCircuits&, const ExperimentConfig&), printing measured
+// values next to the published ones. examples/reproduce_paper walks the
+// catalog, and the tests reach each table by entry name through it. The
+// sweeps declared here are the tools' own: run_check_* and
+// run_fault_recovery_sweep for check_tool, run_scale_sweep and
+// run_topology_sweep for bench/.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -31,59 +34,19 @@ const char* assign_method_name(AssignMethod method);
 Assignment make_assignment(const Circuit& circuit, const Partition& partition,
                            AssignMethod method);
 
-/// Baseline knobs shared by every experiment. The paper's defaults: 16
-/// processors in a 4x4 mesh, two routing iterations, static ThresholdCost =
-/// 1000 assignment, bounding-box packets.
+/// The two settings every report table shares. The paper's defaults: 16
+/// processors in a 4x4 mesh and two routing iterations. Each table builds
+/// its own runs from these (static ThresholdCost = 1000 assignment and
+/// bounding-box packets unless the table varies them).
 struct ExperimentConfig {
   std::int32_t procs = 16;
   std::int32_t iterations = 2;
-  MpConfig mp_base;   ///< schedule is overridden per experiment
-  ShmConfig shm_base; ///< assignment/procs overridden per experiment
 
+  /// A default MpConfig running `schedule` for `iterations`.
   MpConfig mp(const UpdateSchedule& schedule) const;
+  /// A default ShmConfig on `procs` loops for `iterations`.
   ShmConfig shm() const;
 };
-
-// --- E1/E2/E3: update strategies (§5.1) ---
-Table run_table1_sender_initiated(const Circuit& circuit,
-                                  const ExperimentConfig& config = {});
-Table run_table2_receiver_initiated(const Circuit& circuit,
-                                    const ExperimentConfig& config = {});
-/// Blocking vs non-blocking sweep plus the mixed schedule comparison.
-Table run_sec513_blocking(const Circuit& circuit,
-                          const ExperimentConfig& config = {});
-Table run_sec513_mixed(const Circuit& circuit, const ExperimentConfig& config = {});
-
-// --- E4/E11: shared memory traffic (§5.2, Table 3) ---
-struct Table3Result {
-  Table table;       ///< traffic vs line size, with paper column
-  Table breakdown;   ///< per-cause byte breakdown at each line size
-  double write_fraction_8b = 0.0;
-};
-Table3Result run_table3_line_size(const Circuit& circuit,
-                                  const ExperimentConfig& config = {});
-
-// --- E5: MP vs SHM summary (§5.2) ---
-Table run_sec52_comparison(const Circuit& circuit,
-                           const ExperimentConfig& config = {});
-
-// --- E6/E7: locality (§5.3, Tables 4/5) ---
-Table run_table4_locality_mp(const Circuit& bnre, const Circuit& mdc,
-                             const ExperimentConfig& config = {});
-/// The §5.3.1 receiver-initiated locality traffic claim (63% reduction).
-Table run_table4_receiver_locality(const Circuit& circuit,
-                                   const ExperimentConfig& config = {});
-Table run_table5_locality_shm(const Circuit& bnre, const Circuit& mdc,
-                              const ExperimentConfig& config = {});
-
-// --- E8: locality measure (§5.3.3) ---
-Table run_locality_measure(const Circuit& bnre, const Circuit& mdc,
-                           const ExperimentConfig& config = {});
-
-// --- E9/E10: scaling (§5.4, Table 6) ---
-Table run_table6_scaling(const Circuit& circuit, const ExperimentConfig& config = {});
-Table run_speedup(const Circuit& bnre, const Circuit& mdc,
-                  const ExperimentConfig& config = {});
 
 // --- E13: scale tier (ISSUE 8) — Table 6's sweep extended to 64-256
 //     virtual processors on hierarchical 10k-1M wire circuits with sharded
@@ -180,59 +143,6 @@ struct TopologySweepResult {
 TopologySweepResult run_topology_sweep(const Circuit& circuit,
                                        const TopologySweepOptions& options = {});
 
-// --- E12: message software overhead (§5.1.1: packet assembly/disassembly
-//     "take up to one fourth of the processing time" at frequent updates) ---
-Table run_overhead_breakdown(const Circuit& circuit,
-                             const ExperimentConfig& config = {});
-
-// --- A1/A2: ablations ---
-Table run_ablation_packet_structure(const Circuit& circuit,
-                                    const ExperimentConfig& config = {});
-Table run_ablation_protocols(const Circuit& circuit,
-                             const ExperimentConfig& config = {});
-Table run_ablation_topology(const Circuit& circuit,
-                            const ExperimentConfig& config = {});
-/// §4.2's two dynamic wire-distribution schemes (which CBS could not
-/// simulate) vs the paper's static assignment.
-Table run_ablation_dynamic_assignment(const Circuit& circuit,
-                                      const ExperimentConfig& config = {});
-/// §5.3's hierarchical shared memory argument quantified: remote-reference
-/// fraction and NUMA memory time per wire assignment, plus snooping-bus
-/// occupancy (§5.1.1 footnote 2).
-Table run_hierarchical_shm(const Circuit& circuit,
-                           const ExperimentConfig& config = {});
-/// Router design ablation: pin decomposition (chain vs MST), congestion
-/// pricing power, exploration width — sequential quality vs work.
-Table run_ablation_router(const Circuit& circuit);
-/// §3's "performing several iterations improves the final solution
-/// quality": quality vs rip-up-and-reroute iteration count.
-Table run_iteration_convergence(const Circuit& circuit);
-/// §4.3.3's "we chose to have processors request updates for five wires at
-/// a time": request lookahead sweep under the receiver schedule.
-Table run_ablation_lookahead(const Circuit& circuit,
-                             const ExperimentConfig& config = {});
-/// §4.2's ThresholdCost knob as a continuous sweep: locality vs balance.
-Table run_threshold_sweep(const Circuit& circuit,
-                          const ExperimentConfig& config = {});
-/// §4's central idea quantified: how stale the per-processor views end up
-/// under each update schedule, next to the quality it buys.
-Table run_view_staleness(const Circuit& circuit,
-                         const ExperimentConfig& config = {});
-/// §5.4 extended past the paper's 16 processors on a larger circuit.
-Table run_scaling_large(const Circuit& circuit,
-                        const ExperimentConfig& config = {});
-/// Iterations x staleness: does rip-up-and-reroute still converge when the
-/// views are stale? (MP sender schedule, iteration sweep.)
-Table run_mp_iteration_sweep(const Circuit& circuit,
-                             const ExperimentConfig& config = {});
-/// The paper's footnote-3 assumption relaxed: coherence traffic with finite
-/// LRU caches of various sizes vs the infinite-cache model.
-Table run_ablation_cache_size(const Circuit& circuit,
-                              const ExperimentConfig& config = {});
-/// Robustness: the headline traffic hierarchy (shm > sender MP > receiver
-/// MP) across independently seeded synthetic circuits.
-Table run_seed_robustness(const ExperimentConfig& config = {});
-
 // --- C1/C2/C3: checking subsystem (src/check) ---
 /// Differential oracle: sequential vs shm vs the four message passing
 /// schedules, with legality, quality-band, and view-consistency verdicts.
@@ -263,14 +173,14 @@ struct PaperCircuits {
   Circuit mdc;
 };
 
-/// One harness call of a catalog entry and the titled tables it yields, in
-/// report order (Table 3's call yields two).
+/// One titled table of the report, built from the paper circuits and the
+/// shared settings.
 struct ExperimentStep {
-  std::vector<std::string> titles;
+  std::string title;
+  Table (*build)(const PaperCircuits&, const ExperimentConfig&);
   /// Seconds rather than milliseconds (trace replays, larger circuits):
   /// reproduce_paper --skip-slow skips it.
   bool slow = false;
-  std::function<std::vector<Table>(const PaperCircuits&)> build;
 };
 
 /// A named group of report sections, e.g. `table1_sender_initiated` or

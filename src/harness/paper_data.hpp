@@ -7,6 +7,8 @@
 #include <array>
 #include <cstdint>
 
+#include "harness/experiments.hpp"
+
 namespace locus::paper {
 
 /// Table 1 — sender initiated updates, bnrE, 16 procs.
@@ -83,20 +85,20 @@ inline constexpr std::int32_t kShmBnreHeight = 131;
 /// Table 4 — effect of locality, message passing (sender initiated).
 struct LocalityMpRow {
   const char* circuit;
-  const char* method;  // "round robin", "tc30", "tc1000", "inf"
+  AssignMethod method;
   std::int32_t ckt_height;
   double mbytes;
   double seconds;
 };
 inline constexpr std::array<LocalityMpRow, 8> kTable4 = {{
-    {"bnrE", "round robin", 147, 0.156, 1.478},
-    {"bnrE", "tc30", 141, 0.153, 1.392},
-    {"bnrE", "tc1000", 141, 0.140, 1.445},
-    {"bnrE", "inf", 140, 0.139, 2.468},
-    {"MDC", "round robin", 150, 0.242, 2.181},
-    {"MDC", "tc30", 146, 0.232, 1.768},
-    {"MDC", "tc1000", 147, 0.217, 1.866},
-    {"MDC", "inf", 146, 0.220, 3.684},
+    {"bnrE", AssignMethod::kRoundRobin, 147, 0.156, 1.478},
+    {"bnrE", AssignMethod::kThreshold30, 141, 0.153, 1.392},
+    {"bnrE", AssignMethod::kThreshold1000, 141, 0.140, 1.445},
+    {"bnrE", AssignMethod::kThresholdInf, 140, 0.139, 2.468},
+    {"MDC", AssignMethod::kRoundRobin, 150, 0.242, 2.181},
+    {"MDC", AssignMethod::kThreshold30, 146, 0.232, 1.768},
+    {"MDC", AssignMethod::kThreshold1000, 147, 0.217, 1.866},
+    {"MDC", AssignMethod::kThresholdInf, 146, 0.220, 3.684},
 }};
 /// §5.3.1: receiver-initiated traffic drops up to 63% going local.
 inline constexpr double kReceiverLocalityTrafficDrop = 0.63;
@@ -104,19 +106,19 @@ inline constexpr double kReceiverLocalityTrafficDrop = 0.63;
 /// Table 5 — effect of locality, shared memory (8-byte lines).
 struct LocalityShmRow {
   const char* circuit;
-  const char* method;
+  AssignMethod method;
   std::int32_t ckt_height;
   double mbytes;
 };
 inline constexpr std::array<LocalityShmRow, 8> kTable5 = {{
-    {"bnrE", "round robin", 139, 3.960},
-    {"bnrE", "tc30", 134, 3.770},
-    {"bnrE", "tc1000", 131, 3.730},
-    {"bnrE", "inf", 139, 3.730},
-    {"MDC", "round robin", 144, 4.833},
-    {"MDC", "tc30", 138, 4.625},
-    {"MDC", "tc1000", 143, 4.600},
-    {"MDC", "inf", 143, 4.687},
+    {"bnrE", AssignMethod::kRoundRobin, 139, 3.960},
+    {"bnrE", AssignMethod::kThreshold30, 134, 3.770},
+    {"bnrE", AssignMethod::kThreshold1000, 131, 3.730},
+    {"bnrE", AssignMethod::kThresholdInf, 139, 3.730},
+    {"MDC", AssignMethod::kRoundRobin, 144, 4.833},
+    {"MDC", AssignMethod::kThreshold30, 138, 4.625},
+    {"MDC", AssignMethod::kThreshold1000, 143, 4.600},
+    {"MDC", AssignMethod::kThresholdInf, 143, 4.687},
 }};
 
 /// §5.3.3 — locality measure under the most local assignment.

@@ -1,9 +1,13 @@
-// Tests for the experiment harness: every experiment function runs on a
-// small configuration and produces a well-formed table; paper reference
-// data is internally consistent.
+// Tests for the experiment harness: every report table is reached through
+// experiment_catalog() by entry name, as reproduce_paper reaches it, on a
+// small configuration; its rendered bytes are pinned by digest; paper
+// reference data is internally consistent.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <set>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -16,109 +20,174 @@ namespace locus {
 namespace {
 
 /// Small, fast configuration: 4 processors on the tiny circuit.
-ExperimentConfig tiny_config() {
-  ExperimentConfig config;
-  config.procs = 4;
-  return config;
+constexpr ExperimentConfig kTinyConfig{.procs = 4};
+
+const PaperCircuits& tiny_circuits() {
+  static const PaperCircuits circuits{make_tiny_test_circuit(),
+                                      make_tiny_test_circuit(11)};
+  return circuits;
 }
 
-class HarnessTest : public ::testing::Test {
- protected:
-  HarnessTest() : tiny_(make_tiny_test_circuit()), tiny2_(make_tiny_test_circuit(11)) {}
-  Circuit tiny_;
-  Circuit tiny2_;
+/// The tables of catalog entry `name`, one per step, on the tiny circuits.
+std::vector<Table> entry_tables(const std::string& name) {
+  std::vector<Table> tables;
+  for (const ExperimentStep& step : select_experiments(name).at(0)->steps) {
+    tables.push_back(step.build(tiny_circuits(), kTinyConfig));
+  }
+  return tables;
+}
+
+std::uint64_t fnv1a(const std::string& bytes) {
+  std::uint64_t hash = 14695981039346656037ULL;
+  for (unsigned char byte : bytes) {
+    hash ^= byte;
+    hash *= 1099511628211ULL;
+  }
+  return hash;
+}
+
+struct RecordedStep {
+  const char* title;
+  std::uint64_t digest;  ///< fnv1a of Table::render() at kTinyConfig
 };
 
-TEST_F(HarnessTest, Table1Produces12Rows) {
-  Table t = run_table1_sender_initiated(tiny_, tiny_config());
+/// Every step of the report in order, with the digest of its table on the
+/// tiny circuits, recorded before the tables moved behind the catalog.
+const RecordedStep kRecordedSteps[] = {
+    {"Table 1 — sender initiated updates", 0xE276BCC380C370A8ULL},
+    {"Table 2 — non-blocking receiver initiated updates", 0x1435B7E45C6F3CFFULL},
+    {"Section 5.1.3 — blocking vs non-blocking", 0xD937392E2BB7E6E0ULL},
+    {"Section 5.1.3 — mixed schedules", 0x076628303A997965ULL},
+    {"Table 3 — shm traffic vs cache line size", 0x4B8A823F919B9726ULL},
+    {"Table 3 — traffic breakdown by cause", 0x153E51F169E8DD12ULL},
+    {"Section 5.2 — MP vs SHM", 0x6115208225C07468ULL},
+    {"Table 4 — locality, message passing", 0xD598AEF86949C779ULL},
+    {"Section 5.3.1 — receiver initiated locality traffic", 0x0459D22F9C721ED1ULL},
+    {"Table 5 — locality, shared memory", 0xA988C556BFD0FB10ULL},
+    {"Section 5.3.3 — locality measure", 0xABFC86897FE6180EULL},
+    {"Table 6 — processor scaling", 0x3DCB2E21281BCF21ULL},
+    {"Section 5.4 — speedup", 0x3D6D02A2E0D4F4D7ULL},
+    {"Section 5.1.1 — message software overhead", 0x5B8456A06F4DA1AEULL},
+    {"Ablation — packet structure", 0x70F9BC2548A5605AULL},
+    {"Ablation — coherence protocols", 0x4A162011AABF3F83ULL},
+    {"Ablation — topology", 0x5B236C513B6CD550ULL},
+    {"Ablation — dynamic wire distribution", 0xD77E3D1553F527CAULL},
+    {"Ablation — router design choices", 0x406931C2D7CA33EAULL},
+    {"Section 3 — iteration convergence", 0xCB4ECCAFEF7CE85EULL},
+    {"Ablation — request lookahead", 0x18689CDD261CC46BULL},
+    {"Ablation — ThresholdCost sweep", 0x6317EE963FB71A9EULL},
+    {"Extension — hierarchical shm / bus occupancy", 0x51C1D7474F397916ULL},
+    {"Extension — view staleness per schedule", 0xE74CA18479DE6677ULL},
+    {"Ablation — finite caches (footnote 3)", 0xF0D46D7B9B40563CULL},
+    {"Extension — scaling to 64 processors", 0x4543A025A461C45DULL},
+    {"Extension — MP iteration sweep", 0x5A54D54AA36E9259ULL},
+    {"Robustness — traffic hierarchy across circuit seeds", 0x11085ED156978CECULL},
+};
+
+TEST(HarnessTest, Table1Produces12Rows) {
+  const Table t = entry_tables("table1_sender_initiated").at(0);
   EXPECT_EQ(t.row_count(), 12u);
   EXPECT_NE(t.render().find("SendRmt"), std::string::npos);
 }
 
-TEST_F(HarnessTest, Table2Produces9Rows) {
-  Table t = run_table2_receiver_initiated(tiny_, tiny_config());
-  EXPECT_EQ(t.row_count(), 9u);
+TEST(HarnessTest, Table2Produces9Rows) {
+  EXPECT_EQ(entry_tables("table2_receiver_initiated").at(0).row_count(), 9u);
 }
 
-TEST_F(HarnessTest, BlockingTableHasSlowdownColumn) {
-  Table t = run_sec513_blocking(tiny_, tiny_config());
+TEST(HarnessTest, BlockingTableHasSlowdownColumn) {
+  const Table t = entry_tables("sec513_blocking_mixed").at(0);
   EXPECT_GT(t.row_count(), 0u);
   EXPECT_NE(t.render().find("slowdown"), std::string::npos);
 }
 
-TEST_F(HarnessTest, MixedTableHasThreeSchedules) {
-  Table t = run_sec513_mixed(tiny_, tiny_config());
+TEST(HarnessTest, MixedTableHasThreeSchedules) {
+  const Table t = entry_tables("sec513_blocking_mixed").at(1);
   EXPECT_EQ(t.row_count(), 3u);
   EXPECT_NE(t.render().find("mixed"), std::string::npos);
 }
 
-TEST_F(HarnessTest, Table3CoversFourLineSizes) {
-  Table3Result r = run_table3_line_size(tiny_, tiny_config());
-  EXPECT_EQ(r.table.row_count(), 4u);
-  EXPECT_EQ(r.breakdown.row_count(), 4u);
-  EXPECT_GT(r.write_fraction_8b, 0.0);
-  EXPECT_LE(r.write_fraction_8b, 1.0);
+TEST(HarnessTest, Table3CoversFourLineSizes) {
+  const std::vector<Table> tables = entry_tables("table3_cache_line_size");
+  ASSERT_EQ(tables.size(), 2u);
+  EXPECT_EQ(tables[0].row_count(), 4u);
+  EXPECT_EQ(tables[1].row_count(), 4u);
+  // The 8-byte row's "write frac", the last CSV column, is a fraction.
+  std::istringstream csv(tables[0].render_csv());
+  std::string line;
+  std::getline(csv, line);
+  EXPECT_EQ(line.substr(line.rfind(',') + 1), "write frac");
+  bool found = false;
+  while (std::getline(csv, line)) {
+    if (line.rfind("8,", 0) != 0) continue;
+    found = true;
+    const double write_fraction = std::stod(line.substr(line.rfind(',') + 1));
+    EXPECT_GT(write_fraction, 0.0) << line;
+    EXPECT_LE(write_fraction, 1.0) << line;
+  }
+  EXPECT_TRUE(found);
 }
 
-TEST_F(HarnessTest, ComparisonTableHasThreeApproaches) {
-  Table t = run_sec52_comparison(tiny_, tiny_config());
-  EXPECT_EQ(t.row_count(), 3u);
+TEST(HarnessTest, ComparisonTableHasThreeApproaches) {
+  EXPECT_EQ(entry_tables("sec52_mp_vs_shm").at(0).row_count(), 3u);
 }
 
-TEST_F(HarnessTest, LocalityTablesCoverBothCircuits) {
-  Table mp = run_table4_locality_mp(tiny_, tiny2_, tiny_config());
-  EXPECT_EQ(mp.row_count(), 8u);
-  Table shm = run_table5_locality_shm(tiny_, tiny2_, tiny_config());
-  EXPECT_EQ(shm.row_count(), 8u);
+TEST(HarnessTest, LocalityTablesCoverBothCircuits) {
+  EXPECT_EQ(entry_tables("table4_locality_mp").at(0).row_count(), 8u);
+  EXPECT_EQ(entry_tables("table5_locality_shm").at(0).row_count(), 8u);
 }
 
-TEST_F(HarnessTest, ReceiverLocalityTableComputesDrop) {
-  Table t = run_table4_receiver_locality(tiny_, tiny_config());
+TEST(HarnessTest, ReceiverLocalityTableComputesDrop) {
+  const Table t = entry_tables("table4_locality_mp").at(1);
   EXPECT_EQ(t.row_count(), 2u);
   EXPECT_NE(t.render().find("%"), std::string::npos);
 }
 
-TEST_F(HarnessTest, LocalityMeasureTableHasSixRows) {
-  Table t = run_locality_measure(tiny_, tiny2_, tiny_config());
-  EXPECT_EQ(t.row_count(), 6u);
+TEST(HarnessTest, LocalityMeasureTableHasSixRows) {
+  EXPECT_EQ(entry_tables("locality_measure").at(0).row_count(), 6u);
 }
 
-TEST_F(HarnessTest, ScalingTableCoversPaperProcCounts) {
-  Table t = run_table6_scaling(tiny_, tiny_config());
-  EXPECT_EQ(t.row_count(), 4u);
+TEST(HarnessTest, ScalingTableCoversPaperProcCounts) {
+  EXPECT_EQ(entry_tables("table6_scaling").at(0).row_count(), 4u);
 }
 
-TEST_F(HarnessTest, SpeedupTableEightRows) {
-  Table t = run_speedup(tiny_, tiny2_, tiny_config());
-  EXPECT_EQ(t.row_count(), 8u);
+TEST(HarnessTest, SpeedupTableEightRows) {
+  EXPECT_EQ(entry_tables("speedup").at(0).row_count(), 8u);
 }
 
-TEST_F(HarnessTest, AblationsRun) {
-  EXPECT_EQ(run_ablation_packet_structure(tiny_, tiny_config()).row_count(), 3u);
+TEST(HarnessTest, AblationsRun) {
+  EXPECT_EQ(entry_tables("ablation_packet_structure").at(0).row_count(), 3u);
   // 4 protocols x 2 line sizes.
-  EXPECT_EQ(run_ablation_protocols(tiny_, tiny_config()).row_count(), 8u);
+  EXPECT_EQ(entry_tables("ablation_protocols").at(0).row_count(), 8u);
   // mesh, torus, hypercube (4 = 2^2), ring.
-  EXPECT_EQ(run_ablation_topology(tiny_, tiny_config()).row_count(), 4u);
-  EXPECT_EQ(run_ablation_dynamic_assignment(tiny_, tiny_config()).row_count(), 3u);
+  EXPECT_EQ(entry_tables("ablation_topology").at(0).row_count(), 4u);
+  EXPECT_EQ(entry_tables("ablation_dynamic_assignment").at(0).row_count(), 3u);
 }
 
-TEST_F(HarnessTest, ExtensionTablesRun) {
-  Table hier = run_hierarchical_shm(tiny_, tiny_config());
+TEST(HarnessTest, ExtensionTablesRun) {
+  const Table hier = entry_tables("hierarchical_shm").at(0);
   EXPECT_EQ(hier.row_count(), 4u);
   EXPECT_NE(hier.render().find("remote refs"), std::string::npos);
-  Table overhead = run_overhead_breakdown(tiny_, tiny_config());
+  const Table overhead = entry_tables("overhead_breakdown").at(0);
   EXPECT_EQ(overhead.row_count(), 6u);
   EXPECT_NE(overhead.render().find("msg fraction"), std::string::npos);
-  EXPECT_EQ(run_view_staleness(tiny_, tiny_config()).row_count(), 7u);
-  EXPECT_EQ(run_mp_iteration_sweep(tiny_, tiny_config()).row_count(), 4u);
+  EXPECT_EQ(entry_tables("view_staleness").at(0).row_count(), 7u);
+  EXPECT_EQ(entry_tables("scaling_large").at(1).row_count(), 4u);
 }
 
-TEST_F(HarnessTest, CsvRendersForAllTables) {
-  Table t = run_sec513_mixed(tiny_, tiny_config());
-  std::string csv = t.render_csv();
+TEST(HarnessTest, CsvRendersForAllTables) {
+  const std::string csv = entry_tables("sec513_blocking_mixed").at(1).render_csv();
   EXPECT_NE(csv.find("schedule,"), std::string::npos);
   // header + 3 rows = 4 lines
   EXPECT_EQ(std::count(csv.begin(), csv.end(), '\n'), 4);
+}
+
+TEST(KnobSweeps, TablesWellFormed) {
+  const std::vector<Table> router = entry_tables("ablation_router");
+  EXPECT_EQ(router.at(0).row_count(), 5u);  // router variants
+  EXPECT_EQ(router.at(1).row_count(), 5u);  // iteration counts
+  const std::vector<Table> knobs = entry_tables("ablation_schedule_knobs");
+  EXPECT_EQ(knobs.at(0).row_count(), 5u);  // request lookaheads
+  EXPECT_EQ(knobs.at(1).row_count(), 8u);  // ThresholdCost values
 }
 
 TEST(HarnessHelpers, AssignMethodNamesAreStable) {
@@ -141,9 +210,7 @@ std::vector<std::string> section_titles(
     const std::vector<const Experiment*>& experiments) {
   std::vector<std::string> titles;
   for (const Experiment* experiment : experiments) {
-    for (const ExperimentStep& step : experiment->steps) {
-      titles.insert(titles.end(), step.titles.begin(), step.titles.end());
-    }
+    for (const ExperimentStep& step : experiment->steps) titles.push_back(step.title);
   }
   return titles;
 }
@@ -157,37 +224,24 @@ TEST(ExperimentCatalog, NamesAreUnique) {
 }
 
 TEST(ExperimentCatalog, SectionTitlesFollowTheReport) {
-  const std::vector<std::string> report = {
-      "Table 1 — sender initiated updates",
-      "Table 2 — non-blocking receiver initiated updates",
-      "Section 5.1.3 — blocking vs non-blocking",
-      "Section 5.1.3 — mixed schedules",
-      "Table 3 — shm traffic vs cache line size",
-      "Table 3 — traffic breakdown by cause",
-      "Section 5.2 — MP vs SHM",
-      "Table 4 — locality, message passing",
-      "Section 5.3.1 — receiver initiated locality traffic",
-      "Table 5 — locality, shared memory",
-      "Section 5.3.3 — locality measure",
-      "Table 6 — processor scaling",
-      "Section 5.4 — speedup",
-      "Section 5.1.1 — message software overhead",
-      "Ablation — packet structure",
-      "Ablation — coherence protocols",
-      "Ablation — topology",
-      "Ablation — dynamic wire distribution",
-      "Ablation — router design choices",
-      "Section 3 — iteration convergence",
-      "Ablation — request lookahead",
-      "Ablation — ThresholdCost sweep",
-      "Extension — hierarchical shm / bus occupancy",
-      "Extension — view staleness per schedule",
-      "Ablation — finite caches (footnote 3)",
-      "Extension — scaling to 64 processors",
-      "Extension — MP iteration sweep",
-      "Robustness — traffic hierarchy across circuit seeds",
-  };
+  std::vector<std::string> report;
+  for (const RecordedStep& step : kRecordedSteps) report.emplace_back(step.title);
   EXPECT_EQ(section_titles(select_experiments("")), report);
+}
+
+TEST(ExperimentCatalog, TinyTablesMatchRecordedDigests) {
+  std::size_t i = 0;
+  for (const Experiment& experiment : experiment_catalog()) {
+    for (const ExperimentStep& step : experiment.steps) {
+      ASSERT_LT(i, std::size(kRecordedSteps)) << step.title;
+      const std::string rendered = step.build(tiny_circuits(), kTinyConfig).render();
+      EXPECT_EQ(step.title, kRecordedSteps[i].title);
+      EXPECT_EQ(fnv1a(rendered), kRecordedSteps[i].digest)
+          << step.title << "\n" << rendered;
+      ++i;
+    }
+  }
+  EXPECT_EQ(i, std::size(kRecordedSteps));
 }
 
 TEST(ExperimentCatalog, SelectsNamedEntriesInCatalogOrder) {

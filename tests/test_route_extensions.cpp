@@ -1,11 +1,10 @@
 // Tests for the router extensions: MST pin decomposition, congestion-power
-// pricing, the thorough exploration preset, and the knob-sweep experiment
-// helpers.
+// pricing, the thorough exploration preset, and the quality a second
+// iteration buys.
 #include <gtest/gtest.h>
 
 #include "circuit/generator.hpp"
 #include "grid/cost_array.hpp"
-#include "harness/experiments.hpp"
 #include "route/router.hpp"
 #include "route/sequential.hpp"
 
@@ -131,16 +130,6 @@ TEST(ThoroughPreset, ExploresMore) {
   // Wider search cannot yield a worse occupancy on the same iteration
   // schedule by much (allow small rip-up interaction noise).
   EXPECT_LE(rt.occupancy_factor, rb.occupancy_factor * 11 / 10);
-}
-
-TEST(KnobSweeps, TablesWellFormed) {
-  Circuit tiny = make_tiny_test_circuit();
-  ExperimentConfig config;
-  config.procs = 4;
-  EXPECT_EQ(run_ablation_router(tiny).row_count(), 5u);
-  EXPECT_EQ(run_iteration_convergence(tiny).row_count(), 5u);
-  EXPECT_EQ(run_ablation_lookahead(tiny, config).row_count(), 5u);
-  EXPECT_EQ(run_threshold_sweep(tiny, config).row_count(), 8u);
 }
 
 TEST(KnobSweeps, SecondIterationImprovesQuality) {
