@@ -17,10 +17,14 @@
 // order, and between two writes each processor's reads in its own order.
 // Reads between two writes commute except in which reader takes a dirty
 // line's flush under write-back-invalidate and MESI; a per-line flush slot
-// hands it to the earliest reader by key. Finite caches do not decompose (an
-// LRU eviction reorders with other processors' reads), so they step through
-// the globally merged RefTrace::for_each. access() routes single references
-// to the same handlers.
+// hands it to the earliest reader by key. A hit filter shared by every size
+// skips each read whose reader has held its smallest-size line since the
+// last foreign write anywhere in the widest-size line around it: that read
+// hits at every size and a hit changes no state. Finite caches do not
+// decompose (an LRU eviction reorders with other processors' reads, and even
+// a hit reorders recency), so they step through the globally merged
+// RefTrace::for_each. access() routes single references to the same
+// handlers.
 #pragma once
 
 #include <cstdint>

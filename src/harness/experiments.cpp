@@ -1032,33 +1032,25 @@ Table run_ablation_protocols(const PaperCircuits& c, const ExperimentConfig& con
   t.column("protocol", Align::kLeft).column("MBytes").column("write frac")
       .column("invalidations");
   // Sweep 8B and 32B lines: invalidate protocols scale with line size,
-  // the update protocol does not (no refetches). Eight independent replays
-  // of the same const trace — one pool job each.
-  struct ProtoCase {
-    const char* name;
-    ProtocolKind protocol;
-    std::int32_t line;
-  };
-  std::vector<ProtoCase> cases;
-  for (auto [name, protocol] :
-       {std::pair<const char*, ProtocolKind>{"write back w/ invalidate (paper)",
-                                             ProtocolKind::kWriteBackInvalidate},
-        {"write through", ProtocolKind::kWriteThrough},
-        {"Illinois MESI", ProtocolKind::kMesi},
-        {"Dragon (write update)", ProtocolKind::kDragon}}) {
-    for (std::int32_t line : {8, 32}) cases.push_back({name, protocol, line});
-  }
-  const auto traffics = map_indexed(cases.size(), [&](std::size_t i) {
-    return sweep_line_sizes(shm.run.trace, config.procs, {cases[i].line},
-                            cases[i].protocol)[0];
+  // the update protocol does not (no refetches). Four independent two-size
+  // sweeps of the same const trace — one pool job per protocol.
+  const std::pair<const char*, ProtocolKind> protocols[] = {
+      {"write back w/ invalidate (paper)", ProtocolKind::kWriteBackInvalidate},
+      {"write through", ProtocolKind::kWriteThrough},
+      {"Illinois MESI", ProtocolKind::kMesi},
+      {"Dragon (write update)", ProtocolKind::kDragon}};
+  const std::vector<std::int32_t> lines = {8, 32};
+  const auto sweeps = map_indexed(std::size(protocols), [&](std::size_t i) {
+    return sweep_line_sizes(shm.run.trace, config.procs, lines, protocols[i].second);
   });
-  for (std::size_t i = 0; i < cases.size(); ++i) {
-    const CoherenceTraffic& traffic = traffics[i];
-    t.row().cell(std::string(cases[i].name) + " @" +
-                 std::to_string(cases[i].line) + "B")
-        .cell(mbytes(traffic), 3)
-        .cell(traffic.write_fraction(), 2)
-        .cell(static_cast<unsigned long long>(traffic.invalidation_msgs));
+  for (std::size_t i = 0; i < std::size(protocols); ++i) {
+    for (std::size_t k = 0; k < lines.size(); ++k) {
+      const CoherenceTraffic& traffic = sweeps[i][k];
+      t.row().cell(std::string(protocols[i].first) + " @" + std::to_string(lines[k]) + "B")
+          .cell(mbytes(traffic), 3)
+          .cell(traffic.write_fraction(), 2)
+          .cell(static_cast<unsigned long long>(traffic.invalidation_msgs));
+    }
   }
   return t;
 }

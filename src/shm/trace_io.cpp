@@ -5,6 +5,7 @@
 #include <fstream>
 #include <limits>
 #include <stdexcept>
+#include <string>
 
 namespace locus {
 
@@ -88,6 +89,10 @@ RefTrace read_trace(std::istream& in) {
                                " (negative proc " + std::to_string(ref.proc) + ")");
     }
     if (tail[2] > 1) throw std::runtime_error("corrupt .trc record (bad op)");
+    if (tail[3] != 0) {
+      throw std::runtime_error("corrupt .trc record " + std::to_string(i) +
+                               " (nonzero pad byte)");
+    }
     ref.op = static_cast<MemOp>(tail[2]);
     if (ref.time < last) {
       throw std::runtime_error("corrupt .trc record " + std::to_string(i) +
@@ -95,6 +100,10 @@ RefTrace read_trace(std::istream& in) {
     }
     last = ref.time;
     trace.append(ref);
+  }
+  if (in.peek() != std::char_traits<char>::eof()) {
+    throw std::runtime_error("corrupt .trc file (bytes after its " +
+                             std::to_string(count) + " records)");
   }
   return trace;
 }

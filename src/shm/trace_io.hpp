@@ -9,7 +9,8 @@
 //   magic   "LTRC"                  4 bytes
 //   version u32 (currently 1)       4 bytes
 //   count   u64                     8 bytes
-//   records count x { time i64, addr u32, proc i16, op u8, pad u8 }
+//   records count x { time i64, addr u32, proc i16, op u8, pad u8 = 0 }
+//   nothing after the last record
 #pragma once
 
 #include <iosfwd>
@@ -25,8 +26,9 @@ void write_trace_file(const std::string& path, const RefTrace& trace);
 
 /// Reads a .trc stream. Throws std::runtime_error on malformed input: bad
 /// magic or version, a truncated record, an op other than read/write, a
-/// negative proc, or a timestamp earlier than the record before it (a
-/// trace is globally time-ordered). The file keeps no wire boundaries, so
+/// nonzero pad byte, a negative proc, a timestamp earlier than the record
+/// before it (a trace is globally time-ordered), or bytes after the
+/// declared record count. The file keeps no wire boundaries, so
 /// the result holds one block per reference.
 RefTrace read_trace(std::istream& in);
 RefTrace read_trace_file(const std::string& path);

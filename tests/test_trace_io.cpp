@@ -54,7 +54,7 @@ std::string encode_trc(const std::vector<MemRef>& refs) {
 }
 
 /// Byte offset of record `i`'s field at `field_offset` (16-byte header,
-/// 16-byte records: time 0, addr 8, proc 12, op 14).
+/// 16-byte records: time 0, addr 8, proc 12, op 14, zero pad 15).
 std::size_t record_byte(std::size_t i, std::size_t field_offset) {
   return 16 + 16 * i + field_offset;
 }
@@ -125,6 +125,21 @@ TEST(TraceIo, FileRoundTripOfRealTrace) {
 TEST(TraceIo, RejectsNegativeProc) {
   std::string data = serialized(sample_trace());
   data[record_byte(1, 13)] = static_cast<char>(0x80);  // proc high byte
+  std::stringstream buf(data);
+  EXPECT_THROW(read_trace(buf), std::runtime_error);
+}
+
+TEST(TraceIo, RejectsTrailingBytes) {
+  const std::string data = serialized(sample_trace());
+  std::stringstream junk(data + "x");
+  EXPECT_THROW(read_trace(junk), std::runtime_error);
+  std::stringstream two(data + data);  // a second trace after the first
+  EXPECT_THROW(read_trace(two), std::runtime_error);
+}
+
+TEST(TraceIo, RejectsNonzeroPadByte) {
+  std::string data = serialized(sample_trace());
+  data[record_byte(2, 15)] = 1;
   std::stringstream buf(data);
   EXPECT_THROW(read_trace(buf), std::runtime_error);
 }
