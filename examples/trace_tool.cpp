@@ -5,7 +5,6 @@
 //   $ ./examples/trace_tool collect --circuit=bnre --procs=16 --out=run.trc
 //   $ ./examples/trace_tool analyze run.trc --line-size=16 --protocol=dragon
 #include <cstdio>
-#include <limits>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -63,9 +62,9 @@ int main(int argc, char** argv) {
 
   if (mode == "collect") {
     try {
-      // A trace stores each reference's processor in 16 bits.
-      const std::int32_t procs =
-          cli.get_bounded_int("procs", 1, std::numeric_limits<std::int16_t>::max());
+      // analyze replays into 1..32 caches, so a trace from more processors
+      // could never be read back.
+      const std::int32_t procs = cli.get_bounded_int("procs", 1, 32);
       return collect(cli.get("circuit"), procs, cli.get("out"));
     } catch (const std::exception& e) {  // a bad flag or an unwritable --out
       std::fprintf(stderr, "collect: %s\n", e.what());

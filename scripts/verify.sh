@@ -24,8 +24,9 @@
 #                                 # (host time is perfbench's job; see
 #                                 # perfbench/README.md)
 #   scripts/verify.sh --obs       # tier-1 + observability smoke: trace +
-#                                 # metrics export via examples/obs_tool, and
-#                                 # its rejection of bad input (exit != 0)
+#                                 # metrics export via examples/obs_tool
+#                                 # (the tools' rejections of bad flags are
+#                                 # ctest tests, run by tier-1)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -149,20 +150,13 @@ if [[ "$RUN_CHECK" == 1 ]]; then
   fi
 fi
 
-# Optional observability smoke: export a Chrome trace + metrics CSV, check
-# the trace parses as JSON, and check that a bogus circuit, schedule or
-# processor count each exits non-zero.
+# Optional observability smoke: export a Chrome trace + metrics CSV and
+# check the trace parses as JSON.
 if [[ "$RUN_OBS" == 1 ]]; then
   OBS_OUT=/tmp/locus-obs
   mkdir -p "$OBS_OUT"
   ./examples/obs_tool mp --circuit=tiny --procs=4 \
     --trace="$OBS_OUT/trace.json" --metrics="$OBS_OUT/metrics.csv" >/dev/null
   python3 -c "import json,sys; json.load(open(sys.argv[1]))" "$OBS_OUT/trace.json"
-  for bad in --circuit=bogus --schedule=bogus --procs=0; do
-    if ./examples/obs_tool mp --circuit=tiny "$bad" >/dev/null 2>&1; then
-      echo "FAIL: obs_tool accepted $bad" >&2
-      exit 1
-    fi
-  done
   echo "obs artifacts: $OBS_OUT/trace.json $OBS_OUT/metrics.csv"
 fi

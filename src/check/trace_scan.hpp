@@ -2,13 +2,21 @@
 //
 // The shm implementation follows the paper in running *unlocked*: all
 // processors hit one cost array with no mutual exclusion, accepting the
-// quality noise. This scanner replays the recorded reference trace
-// (shm/trace.hpp) in time order and counts, per cache line, every pair of
-// consecutive accesses by *different* processors where at least one is a
+// quality noise. This scanner counts, per cache line of the recorded
+// reference trace (shm/trace.hpp), every pair of accesses consecutive in the
+// trace's time order by *different* processors where at least one is a
 // write — the unsynchronized write-write / write-read / read-write sharing
-// the design tolerates. The output is a histogram over lines (log2 buckets
-// of per-line conflict counts) plus the hottest lines, quantifying how much
-// silent contention a run actually produced and where it concentrates.
+// the design tolerates (the race model of Butelle and Coti, PAPERS.md). The
+// output is a histogram over lines (log2 buckets of per-line conflict
+// counts) plus the hottest lines, quantifying how much silent contention a
+// run actually produced and where it concentrates.
+//
+// The scan walks the trace by write intervals (RefTrace::
+// for_each_write_interval), not in full time order: between two writes a
+// line sees only reads, which never conflict with each other, so per line
+// and interval only the least-key reader (paired with the access before it)
+// and the greatest-key reader (paired with the access after it) count, and
+// the line keeps just those two and its last accessor before the interval.
 #pragma once
 
 #include <cstdint>
@@ -52,8 +60,8 @@ struct TraceScanReport {
   std::int64_t conflicts() const { return ww + wr + rw; }
 };
 
-/// Scans `trace` in its time order (the order the coherence simulator
-/// replays) against the given line size. Deterministic.
+/// Scans `trace` against the given line size; the counts are those of its
+/// time order (the order the coherence simulator replays). Deterministic.
 TraceScanReport scan_trace_conflicts(const RefTrace& trace,
                                      TraceScanOptions options = {});
 

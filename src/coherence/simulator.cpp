@@ -2,10 +2,27 @@
 
 #include <algorithm>
 #include <bit>
+#include <limits>
+#include <stdexcept>
 
 #include "support/assert.hpp"
 
 namespace locus {
+
+namespace {
+
+/// Protocols with a finite-cache model: those whose interval replay stays
+/// exact under LRU eviction (simulator.hpp).
+template <ProtocolKind P>
+constexpr bool kHasFiniteModel =
+    P == ProtocolKind::kWriteBackInvalidate || P == ProtocolKind::kWriteThrough;
+
+/// A flush slot's key before the event it records is visited.
+constexpr RefTrace::Key kNoKey{std::numeric_limits<SimTime>::max(),
+                               std::numeric_limits<std::uint64_t>::max(),
+                               std::numeric_limits<std::uint32_t>::max()};
+
+}  // namespace
 
 CoherenceSim::CoherenceSim(std::int32_t procs, CoherenceParams params)
     : procs_(procs), params_(params) {
@@ -13,6 +30,12 @@ CoherenceSim::CoherenceSim(std::int32_t procs, CoherenceParams params)
   LOCUS_ASSERT(params.line_size >= params.word_size && params.line_size > 0);
   LOCUS_ASSERT((params.line_size & (params.line_size - 1)) == 0);
   LOCUS_ASSERT(params.capacity_lines >= 0);
+  if (params.capacity_lines > 0 && params.protocol != ProtocolKind::kWriteBackInvalidate &&
+      params.protocol != ProtocolKind::kWriteThrough) {
+    throw std::invalid_argument(
+        "finite caches (capacity_lines > 0) are modelled under write-back-invalidate "
+        "and write-through only");
+  }
   line_shift_ = std::countr_zero(static_cast<std::uint32_t>(params.line_size));
   dense_lines_ = kDenseAddrBound >> line_shift_;
   if (params.capacity_lines > 0) {
@@ -34,7 +57,8 @@ std::size_t CoherenceSim::lines_touched() const {
   return static_cast<std::size_t>(dense) + sparse_.size();
 }
 
-void CoherenceSim::lru_touch(std::int32_t proc, std::uint32_t line_addr) {
+std::optional<std::uint32_t> CoherenceSim::lru_touch(std::int32_t proc,
+                                                     std::uint32_t line_addr) {
   auto p = static_cast<std::size_t>(proc);
   auto& order = lru_order_[p];
   auto& map = lru_map_[p];
@@ -43,35 +67,60 @@ void CoherenceSim::lru_touch(std::int32_t proc, std::uint32_t line_addr) {
   }
   order.push_front(line_addr);
   map[line_addr] = order.begin();
-  if (static_cast<std::int32_t>(order.size()) <= params_.capacity_lines) return;
+  if (static_cast<std::int32_t>(order.size()) <= params_.capacity_lines) return std::nullopt;
 
-  // Evict the least recently used line; a dirty victim is written back.
   const std::uint32_t victim = order.back();
   order.pop_back();
   map.erase(victim);
   ++traffic_.capacity_evictions;
-  LineState& line = line_state(victim);
+  return victim;
+}
+
+void CoherenceSim::evict(LineState& line, std::int32_t proc) {
   line.present &= ~(1u << proc);
   if (line.dirty_owner == proc) {
     line.dirty_owner = -1;
-    traffic_.eviction_writeback_bytes +=
-        static_cast<std::uint64_t>(params_.line_size);
+    traffic_.eviction_writeback_bytes += static_cast<std::uint64_t>(params_.line_size);
+  }
+}
+
+CoherenceSim::FlushSlot* CoherenceSim::live_slot(const LineState& line,
+                                                 std::uint32_t line_addr) {
+  if (line.flush_slot < flush_slots_.size() &&
+      flush_slots_[line.flush_slot].line == line_addr) {
+    return &flush_slots_[line.flush_slot];
+  }
+  return nullptr;
+}
+
+void CoherenceSim::open_slot(LineState& line, const FlushSlot& slot) {
+  line.flush_slot = static_cast<std::uint32_t>(flush_slots_.size());
+  flush_slots_.push_back(slot);
+}
+
+void CoherenceSim::settle(const FlushSlot& slot, bool refund) {
+  const auto line_bytes = static_cast<std::uint64_t>(params_.line_size);
+  const std::uint64_t bytes = refund ? 0 - line_bytes : line_bytes;  // wraps to subtract
+  if (slot.read < slot.evict) {
+    traffic_.read_flush_bytes += bytes;
+    (slot.held ? traffic_.refetch_bytes : traffic_.cold_fetch_bytes) -= bytes;
+  } else {
+    traffic_.eviction_writeback_bytes += bytes;
   }
 }
 
 namespace {
 
 /// Calls fn.template operator()<P, kFinite>() for the protocol and cache
-/// kind of `params`: the one runtime choice a replay makes.
+/// kind of `params`: the one runtime choice a replay makes. The constructor
+/// admits finite caches only for protocols with kHasFiniteModel.
 template <class Fn>
 void dispatch(const CoherenceParams& params, Fn&& fn) {
-  const bool finite = params.capacity_lines > 0;
   const auto with = [&]<ProtocolKind P>() {
-    if (finite) {
-      fn.template operator()<P, true>();
-    } else {
-      fn.template operator()<P, false>();
+    if constexpr (kHasFiniteModel<P>) {
+      if (params.capacity_lines > 0) return fn.template operator()<P, true>();
     }
+    fn.template operator()<P, false>();
   };
   switch (params.protocol) {
     case ProtocolKind::kWriteBackInvalidate:
@@ -145,7 +194,9 @@ void CoherenceSim::step(std::int32_t proc, std::uint32_t addr, MemOp op) {
   // evicted before the protocol handler can be confused by it. (Note the
   // handler below may invalidate other procs' copies; stale LRU entries of
   // invalidated lines are harmless — re-access refreshes them.)
-  if constexpr (kFinite) lru_touch(proc, line_addr);
+  if constexpr (kFinite) {
+    if (const auto victim = lru_touch(proc, line_addr)) evict(line_state(*victim), proc);
+  }
   LineState& line = line_state(line_addr);
   if constexpr (P == ProtocolKind::kWriteBackInvalidate) {
     access_wbi(line, bit, proc, op);
@@ -164,11 +215,14 @@ void CoherenceSim::access(std::int32_t proc, std::uint32_t addr, MemOp op) {
   dispatch(params_, [&]<ProtocolKind P, bool kFinite>() { step<P, kFinite>(proc, addr, op); });
 }
 
-template <ProtocolKind P>
+template <ProtocolKind P, bool kFinite>
 void CoherenceSim::interval_read(std::int32_t proc, std::uint32_t addr,
                                  const RefTrace::Position& at) {
   const std::uint32_t line_addr = addr >> line_shift_;
   const std::uint32_t bit = 1u << proc;
+  if constexpr (kFinite) {
+    if (const auto victim = lru_touch(proc, line_addr)) interval_evict<P>(proc, *victim, at);
+  }
   LineState& line = line_state(line_addr);
   // A read hit changes nothing under any protocol.
   if (line.dirty_owner == proc || (line.present & bit) != 0) return;
@@ -177,36 +231,49 @@ void CoherenceSim::interval_read(std::int32_t proc, std::uint32_t addr,
     step<P, false>(proc, addr, MemOp::kRead);
   } else {
     // A dirty line at a read miss was dirty when the interval began, and its
-    // first reader by key takes the flush. Every other reader fetches the line
-    // as a cold fetch or a refetch by its own ever-held bit, so a read that
-    // comes before the slot's holder only trades fetches with it. The slot
-    // lives until the interval's write clears flush_slots_.
+    // first foreign reader by key takes the flush unless the owner evicted
+    // the line first. Every other reader fetches the line as a cold fetch or
+    // a refetch by its own ever-held bit, so a read that comes before the
+    // slot's reader only trades fetches with it (and, against the owner's
+    // eviction, the flush with the write-back). The slot lives until the
+    // interval's write clears flush_slots_.
     const bool held = (line.ever_held & bit) != 0;
-    FlushSlot* earlier = nullptr;
     if (line.dirty_owner >= 0) {
-      line.flush_slot = static_cast<std::uint32_t>(flush_slots_.size());
-      flush_slots_.push_back(FlushSlot{line_addr, held, at.key()});
-    } else if (line.flush_slot < flush_slots_.size() &&
-               flush_slots_[line.flush_slot].line == line_addr) {
-      FlushSlot& slot = flush_slots_[line.flush_slot];
-      const RefTrace::Key key = at.key();
-      if (key < slot.key) {
-        earlier = &slot;
-        slot.key = key;
-      }
+      open_slot(line, FlushSlot{line_addr, line.dirty_owner, held, at.key(), kNoKey});
+      step<P, false>(proc, addr, MemOp::kRead);  // charges the flush
+      return;
     }
-    step<P, false>(proc, addr, MemOp::kRead);
-    if (earlier != nullptr) {
-      // This read was charged its own fetch; it takes the flush instead, and
-      // the reader it displaces pays the fetch its ever-held bit gives.
-      if (earlier->held != held) {
-        const auto line_bytes = static_cast<std::uint64_t>(params_.line_size);
-        (held ? traffic_.refetch_bytes : traffic_.cold_fetch_bytes) -= line_bytes;
-        (earlier->held ? traffic_.refetch_bytes : traffic_.cold_fetch_bytes) += line_bytes;
-      }
-      earlier->held = held;
+    FlushSlot* slot = live_slot(line, line_addr);
+    step<P, false>(proc, addr, MemOp::kRead);  // charges this reader's fetch
+    if (slot == nullptr || slot->owner == proc) return;
+    const RefTrace::Key key = at.key();
+    if (!(key < slot->read)) return;
+    // This read becomes the slot's reader, and the reader it displaces pays
+    // its own fetch again.
+    settle(*slot, true);
+    slot->read = key;
+    slot->held = held;
+    settle(*slot, false);
+  }
+}
+
+template <ProtocolKind P>
+void CoherenceSim::interval_evict(std::int32_t proc, std::uint32_t victim,
+                                  const RefTrace::Position& at) {
+  LineState& line = line_state(victim);
+  if constexpr (P == ProtocolKind::kWriteBackInvalidate) {
+    // Only the owner's first eviction of a line dirty since the interval
+    // began can reorder with another processor's read of it.
+    if (line.dirty_owner == proc) {
+      open_slot(line, FlushSlot{victim, line.dirty_owner, false, kNoKey, at.key()});
+    } else if (FlushSlot* slot = live_slot(line, victim);
+               slot != nullptr && slot->owner == proc && slot->evict == kNoKey) {
+      settle(*slot, true);
+      slot->evict = at.key();
+      settle(*slot, false);
     }
   }
+  evict(line, proc);  // the write-back of a line still dirty, charged once
 }
 
 void CoherenceSim::replay_all(std::span<CoherenceSim> sims, const RefTrace& trace) {
@@ -219,36 +286,35 @@ void CoherenceSim::replay_all(std::span<CoherenceSim> sims, const RefTrace& trac
     sim.flush_slots_.clear();  // slots of an earlier replay's last interval
   }
   dispatch(sims[0].params_, [&]<ProtocolKind P, bool kFinite>() {
-    if constexpr (kFinite) {
-      trace.for_each([&](const MemRef& ref) {
-        for (CoherenceSim& sim : sims) sim.step<P, true>(ref.proc, ref.addr, ref.op);
-      });
-    } else {
-      const auto [smallest, widest] = std::minmax_element(
-          sims.begin(), sims.end(), [](const CoherenceSim& a, const CoherenceSim& b) {
-            return a.params_.line_size < b.params_.line_size;
-          });
-      HitFilter filter(static_cast<std::uint32_t>(smallest->params_.line_size),
-                       static_cast<std::uint32_t>(widest->params_.line_size));
-      trace.for_each_write_interval(
-          [&](std::size_t proc, std::span<const std::uint32_t> addrs, RefTrace::Position at) {
-            const auto p = static_cast<std::int32_t>(proc);
-            for (std::uint32_t j = 0; j < addrs.size(); ++j) {
+    // Infinite caches skip the reads the hit filter proves hits; with finite
+    // caches every read reaches every simulator, since under LRU even a hit
+    // reorders recency.
+    const auto [smallest, widest] = std::minmax_element(
+        sims.begin(), sims.end(), [](const CoherenceSim& a, const CoherenceSim& b) {
+          return a.params_.line_size < b.params_.line_size;
+        });
+    HitFilter filter(static_cast<std::uint32_t>(smallest->params_.line_size),
+                     static_cast<std::uint32_t>(widest->params_.line_size));
+    trace.for_each_write_interval(
+        [&](std::size_t proc, std::span<const std::uint32_t> addrs, RefTrace::Position at) {
+          const auto p = static_cast<std::int32_t>(proc);
+          for (std::uint32_t j = 0; j < addrs.size(); ++j) {
+            if constexpr (!kFinite) {
               if (filter.hit(1u << p, addrs[j])) continue;
-              for (CoherenceSim& sim : sims) {
-                sim.interval_read<P>(p, addrs[j], RefTrace::Position{at.block, at.i + j});
-              }
             }
-          },
-          [&](std::size_t proc, std::uint32_t addr, const RefTrace::Key&) {
-            const auto p = static_cast<std::int32_t>(proc);
-            filter.write(1u << p, addr);
             for (CoherenceSim& sim : sims) {
-              sim.step<P, false>(p, addr, MemOp::kWrite);
-              sim.flush_slots_.clear();
+              sim.interval_read<P, kFinite>(p, addrs[j], RefTrace::Position{at.block, at.i + j});
             }
-          });
-    }
+          }
+        },
+        [&](std::size_t proc, std::uint32_t addr, const RefTrace::Key&) {
+          const auto p = static_cast<std::int32_t>(proc);
+          if constexpr (!kFinite) filter.write(1u << p, addr);
+          for (CoherenceSim& sim : sims) {
+            sim.step<P, kFinite>(p, addr, MemOp::kWrite);
+            sim.flush_slots_.clear();
+          }
+        });
   });
   for (CoherenceSim& sim : sims) sim.traffic_.accesses += trace.size();
 }

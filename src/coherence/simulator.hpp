@@ -1,9 +1,10 @@
-// Trace-driven coherence simulation with infinite caches.
+// Trace-driven coherence simulation, with infinite caches (the paper's
+// footnote 3) or finite LRU caches.
 //
 // Per cache line we track which processors hold a clean copy (a bitmask)
-// and which single processor, if any, holds it dirty. Caches are infinite
-// (paper footnote 3: no capacity misses), so state only changes through
-// the protocol events themselves.
+// and which single processor, if any, holds it dirty. With infinite caches
+// state only changes through the protocol events themselves; a finite cache
+// (capacity_lines > 0) also evicts its least recently used line.
 //
 // Line state lives in a dense table indexed by line address, up to
 // kDenseAddrBound bytes of address space — the cost array's range — and
@@ -12,23 +13,37 @@
 //
 // Replay: replay() and sweep_line_sizes() choose the protocol and finite
 // versus infinite caches once per call and run handlers specialised at
-// compile time for that pair (DESIGN.md §7.6). Infinite caches replay by
-// write intervals (RefTrace::for_each_write_interval): writes in global
-// order, and between two writes each processor's reads in its own order.
-// Reads between two writes commute except in which reader takes a dirty
-// line's flush under write-back-invalidate and MESI; a per-line flush slot
-// hands it to the earliest reader by key. A hit filter shared by every size
-// skips each read whose reader has held its smallest-size line since the
-// last foreign write anywhere in the widest-size line around it: that read
-// hits at every size and a hit changes no state. Finite caches do not
-// decompose (an LRU eviction reorders with other processors' reads, and even
-// a hit reorders recency), so they step through the globally merged
-// RefTrace::for_each. access() routes single references to the same
-// handlers.
+// compile time for that pair (DESIGN.md §7.6). Both replay by write
+// intervals (RefTrace::for_each_write_interval): writes in global order,
+// and between two writes each processor's reads in its own order. Reads
+// between two writes commute except in which reader takes a dirty line's
+// flush under write-back-invalidate and MESI; a per-line flush slot hands
+// it to the earliest foreign reader by key.
+//
+// Infinite caches: a hit filter shared by every size skips each read whose
+// reader has held its smallest-size line since the last foreign write
+// anywhere in the widest-size line around it: that read hits at every size
+// and a hit changes no state.
+//
+// Finite caches: each processor's LRU order, and so every eviction, depends
+// only on its own stream, so every read is replayed (even a hit reorders
+// recency) and the reads of an interval still commute but for one question
+// under write-back-invalidate: does the dirty owner's first eviction of a
+// line come before its least-key foreign read miss? The flush slot records
+// both keys; the reader takes the flush if it comes first, otherwise the
+// owner writes back at the eviction and every reader fetches by its own
+// ever-held bit. Write-through keeps no dirty lines. MESI and Dragon do not
+// decompose so: MESI's E state depends on whether a read miss comes before
+// another holder's eviction, and under Dragon, where a read leaves the owner
+// dirty, each reader takes a flush or a fetch by its own place against the
+// owner's eviction (DESIGN.md §7.6 gives a trace for each). The constructor
+// throws std::invalid_argument for them with capacity_lines > 0. access()
+// routes single references to the same handlers.
 #pragma once
 
 #include <cstdint>
 #include <list>
+#include <optional>
 #include <span>
 #include <unordered_map>
 #include <vector>
@@ -41,6 +56,7 @@ namespace locus {
 
 class CoherenceSim {
  public:
+  /// Throws std::invalid_argument for finite caches under MESI or Dragon.
   CoherenceSim(std::int32_t procs, CoherenceParams params);
 
   /// Applies one shared reference.
@@ -80,12 +96,15 @@ class CoherenceSim {
     bool exclusive_clean = false;  ///< MESI E state (single clean holder)
   };
 
-  /// The read that took a line's dirty flush in the current write interval
-  /// of an interval replay.
+  /// A line that was dirty when the current write interval of a replay
+  /// began and that a foreign read miss or the owner's eviction has touched
+  /// since. A key not yet visited is the greatest possible one.
   struct FlushSlot {
     std::uint32_t line;
-    bool held;  ///< whether that reader had held the line before the read
-    RefTrace::Key key;
+    std::int8_t owner;   ///< the line's dirty owner when the interval began
+    bool held;           ///< whether the reader at `read` had held the line before
+    RefTrace::Key read;  ///< the least-key foreign read miss visited so far
+    RefTrace::Key evict; ///< the owner's first eviction of the line (finite caches)
   };
 
   /// Replays `trace` into every simulator of `sims`. All of them share one
@@ -97,13 +116,29 @@ class CoherenceSim {
   template <ProtocolKind P, bool kFinite>
   void step(std::int32_t proc, std::uint32_t addr, MemOp op);
 
-  /// Applies one read of an infinite-cache interval replay, which visits the
-  /// reads between two writes stream by stream. Under write-back-invalidate
-  /// and MESI it settles which reader takes a dirty line's flush: the first
-  /// by key, not the first visited.
-  template <ProtocolKind P>
+  /// Applies one read of an interval replay, which visits the reads between
+  /// two writes stream by stream. Under write-back-invalidate and MESI it
+  /// settles which reader takes a dirty line's flush: the first foreign one
+  /// by key, not the first visited, and with finite caches only if the
+  /// owner has not evicted the line before it.
+  template <ProtocolKind P, bool kFinite>
   void interval_read(std::int32_t proc, std::uint32_t addr,
                      const RefTrace::Position& at);
+
+  /// Evicts `victim` from `proc`'s cache at the read `at` of an interval
+  /// replay, recording the dirty owner's first eviction in the line's slot.
+  template <ProtocolKind P>
+  void interval_evict(std::int32_t proc, std::uint32_t victim, const RefTrace::Position& at);
+
+  /// The slot of `line` in the current interval, or null.
+  FlushSlot* live_slot(const LineState& line, std::uint32_t line_addr);
+  /// Gives `line` the new slot `slot` for the rest of the interval.
+  void open_slot(LineState& line, const FlushSlot& slot);
+  /// Charges, or with `refund` takes back, how a slot's line settles on top
+  /// of every foreign read miss's own fetch: if its reader comes before the
+  /// owner's eviction, the flush in place of that reader's fetch; otherwise
+  /// the write-back.
+  void settle(const FlushSlot& slot, bool refund);
 
   /// The state of line `line_addr`, created (untouched) on first use. The
   /// reference is valid until the next call.
@@ -121,8 +156,11 @@ class CoherenceSim {
   void access_mesi(LineState& line, std::uint32_t bit, std::int32_t proc, MemOp op);
   void access_dragon(LineState& line, std::uint32_t bit, std::int32_t proc, MemOp op);
 
-  /// LRU bookkeeping for finite caches (capacity_lines > 0).
-  void lru_touch(std::int32_t proc, std::uint32_t line_addr);
+  /// LRU bookkeeping for finite caches (capacity_lines > 0): makes the line
+  /// `proc`'s most recent one and returns the line it evicts, if any.
+  std::optional<std::uint32_t> lru_touch(std::int32_t proc, std::uint32_t line_addr);
+  /// Removes `proc`'s copy of a line; a dirty one is written back.
+  void evict(LineState& line, std::int32_t proc);
 
   std::int32_t procs_;
   CoherenceParams params_;
@@ -131,7 +169,7 @@ class CoherenceSim {
   std::uint32_t dense_lines_ = 0;
   int line_shift_ = 0;  ///< log2(line_size)
   std::unordered_map<std::uint32_t, LineState> sparse_;  ///< lines above it
-  std::vector<FlushSlot> flush_slots_;  ///< flushes taken since the last write
+  std::vector<FlushSlot> flush_slots_;  ///< slots opened since the last write
   std::vector<std::list<std::uint32_t>> lru_order_;  ///< per proc, front = MRU
   std::vector<std::unordered_map<std::uint32_t, std::list<std::uint32_t>::iterator>>
       lru_map_;

@@ -21,11 +21,15 @@
 // Order: no time-ordered copy is ever built. A reference's place in the
 // global order is its Key (time, block emission seq, index in the block),
 // the order a stable sort by time of the emission-ordered trace gives
-// (DESIGN.md §7.6). for_each() heap-merges the stream heads on that key and
-// visits every reference in it. for_each_write_interval() orders only the
-// writes: it merges the streams' next-write positions, and before each write
-// visits, stream by stream, the reads that precede it, finding each stream's
-// split by inverting the block stamps (refs_before), so no read is merged.
+// (DESIGN.md §7.6). for_each_write_interval() is the only ordered walk, and
+// it orders only the writes: it merges the streams' next-write positions,
+// and before each write visits, stream by stream, the reads that precede it,
+// finding each stream's split by inverting the block stamps (refs_before),
+// so no read is merged. Only writes need a global order: the coherence
+// replay and the conflict scan stay exact on this walk, because the reads
+// between two writes commute except for a per-line question each of them
+// settles by key. Consumers that need no order walk each stream alone
+// (for_each_entry, blocks, entry).
 #pragma once
 
 #include <algorithm>
@@ -114,11 +118,6 @@ class RefTrace {
   /// order.
   void append(MemRef ref);
 
-  /// Calls fn(const MemRef&) for every reference in global time order, equal
-  /// times in emission order.
-  template <class Fn>
-  void for_each(Fn&& fn) const;
-
   /// Calls fn(const Entry&) for every reference of `proc`'s stream in its
   /// own (time) order. Streams are visited independently, so this is the
   /// cheap walk for consumers that need no global order.
@@ -127,6 +126,9 @@ class RefTrace {
 
   std::size_t size() const { return size_; }
   std::uint64_t count(MemOp op) const;
+
+  /// Reference k of `proc`'s stream, counted from the stream's start.
+  Entry entry(std::size_t proc, std::size_t k) const { return streams_[proc].entry(k); }
 
   /// One more than the highest processor with a reference (0 when empty).
   std::size_t streams() const { return used_; }
@@ -139,9 +141,11 @@ class RefTrace {
     std::uint64_t seq;  ///< emission order across all streams
   };
 
+  /// The closed blocks of `proc`'s stream, in stream order.
+  std::span<const Block> blocks(std::size_t proc) const { return streams_[proc].blocks; }
+
   /// A reference's place in the global order: its stamp, its block's seq
-  /// and its index in the block. Keys are distinct, and for_each() visits
-  /// them in increasing order.
+  /// and its index in the block. Keys are distinct.
   struct Key {
     SimTime time;
     std::uint64_t seq;
@@ -270,65 +274,6 @@ class RefTrace {
   std::uint64_t next_seq_ = 0;
   SimTime last_ = std::numeric_limits<SimTime>::min();  ///< latest stamp overall
 };
-
-/// Each stream is sorted by (time, block seq, i), and block seqs are distinct
-/// across streams, so a min-heap of the stream heads on (time, seq) yields
-/// the global order. The root is replaced by its stream's next reference
-/// (or the last head once the stream drains) and sifted down in place.
-template <class Fn>
-void RefTrace::for_each(Fn&& fn) const {
-  struct Head {
-    SimTime time;
-    std::uint64_t seq;
-    std::size_t proc;
-  };
-  struct Cursor {
-    std::size_t block = 0;
-    std::uint32_t i = 0;  ///< reference within the block
-    std::size_t entry = 0;
-  };
-  auto before = [](const Head& a, const Head& b) {
-    return a.time != b.time ? a.time < b.time : a.seq < b.seq;
-  };
-
-  std::vector<Head> heap;
-  for (std::size_t p = 0; p < streams_.size(); ++p) {
-    const Stream& s = streams_[p];
-    if (!s.blocks.empty()) heap.push_back(Head{stamp(s.blocks[0], 0), s.blocks[0].seq, p});
-  }
-  std::make_heap(heap.begin(), heap.end(),
-                 [&](const Head& a, const Head& b) { return before(b, a); });
-  std::vector<Cursor> cursors(streams_.size());
-
-  while (!heap.empty()) {
-    Head top = heap.front();
-    const Stream& s = streams_[top.proc];
-    Cursor& c = cursors[top.proc];
-    const Entry e = s.entry(c.entry++);
-    fn(MemRef{top.time, e.addr, static_cast<std::int16_t>(top.proc), e.op});
-    if (++c.i == s.blocks[c.block].n) {
-      c.i = 0;
-      ++c.block;
-    }
-    if (c.block < s.blocks.size()) {
-      const Block& b = s.blocks[c.block];
-      top.time = stamp(b, c.i);
-      top.seq = b.seq;
-    } else {
-      top = heap.back();
-      heap.pop_back();
-      if (heap.empty()) break;
-    }
-    std::size_t hole = 0;
-    for (std::size_t child = 1; child < heap.size(); child = 2 * hole + 1) {
-      if (child + 1 < heap.size() && before(heap[child + 1], heap[child])) ++child;
-      if (!before(heap[child], top)) break;
-      heap[hole] = heap[child];
-      hole = child;
-    }
-    heap[hole] = top;
-  }
-}
 
 /// Each stream keeps a read cursor and its next write. The next write in
 /// global order is the least of the streams' next-write keys (a linear scan:

@@ -1,8 +1,10 @@
 // The coherence simulator as it stood before the replay was specialised on
 // protocol and cache kind: one switch on the protocol, one LRU test and a
-// grow-on-demand line lookup per access. The production CoherenceSim must
-// match it field for field on every protocol and capacity
-// (test_coherence.cpp, ReferenceCoherenceSim.*).
+// grow-on-demand line lookup per access, stepping through the trace in
+// global order (test::trace_refs). It keeps a finite-cache model for every
+// protocol. The production CoherenceSim must match it field for field on
+// every protocol and capacity it models (test_coherence.cpp,
+// ReferenceCoherenceSim.*, IntervalReplayProperty.*).
 #pragma once
 
 #include <algorithm>
@@ -15,6 +17,7 @@
 #include "coherence/protocol.hpp"
 #include "shm/trace.hpp"
 #include "support/assert.hpp"
+#include "test_util.hpp"
 
 namespace locus::test {
 
@@ -35,7 +38,7 @@ class ReferenceCoherenceSim {
   }
 
   void replay(const RefTrace& trace) {
-    trace.for_each([&](const MemRef& ref) { access(ref.proc, ref.addr, ref.op); });
+    for (const MemRef& ref : trace_refs(trace)) access(ref.proc, ref.addr, ref.op);
   }
 
   const CoherenceTraffic& traffic() const { return traffic_; }

@@ -16,6 +16,8 @@
 #include "route/sequential.hpp"
 #include "shm/shm_router.hpp"
 #include "sim/fault.hpp"
+#include "reference_trace_scan.hpp"
+#include "support/rng.hpp"
 #include "test_util.hpp"
 
 namespace locus {
@@ -232,6 +234,54 @@ TEST(CheckTraceScan, CountsConsistentAcrossLineSizes) {
     prev_lines = report.lines_touched;
     for (const LineConflicts& hot : report.hottest) EXPECT_GT(hot.total(), 0);
   }
+}
+
+/// Checks the write-interval scan against the merged scan it replaced
+/// (test::reference_scan_trace_conflicts) at 4, 8, 16 and 32 B, field by
+/// field: counts, histogram and hottest lines.
+void expect_scan_matches_reference(const RefTrace& trace) {
+  for (const std::int32_t line : {4, 8, 16, 32}) {
+    TraceScanOptions options;
+    options.line_bytes = line;
+    const TraceScanReport got = scan_trace_conflicts(trace, options);
+    const TraceScanReport want = test::reference_scan_trace_conflicts(trace, options);
+    SCOPED_TRACE(::testing::Message() << "line " << line);
+    EXPECT_EQ(got.refs, want.refs);
+    EXPECT_EQ(got.lines_touched, want.lines_touched);
+    EXPECT_EQ(got.lines_with_conflicts, want.lines_with_conflicts);
+    EXPECT_EQ(got.ww, want.ww);
+    EXPECT_EQ(got.wr, want.wr);
+    EXPECT_EQ(got.rw, want.rw);
+    EXPECT_EQ(got.histogram, want.histogram);
+    ASSERT_EQ(got.hottest.size(), want.hottest.size());
+    for (std::size_t i = 0; i < want.hottest.size(); ++i) {
+      EXPECT_EQ(got.hottest[i].line, want.hottest[i].line) << "hottest " << i;
+      EXPECT_EQ(got.hottest[i].ww, want.hottest[i].ww) << "hottest " << i;
+      EXPECT_EQ(got.hottest[i].wr, want.hottest[i].wr) << "hottest " << i;
+      EXPECT_EQ(got.hottest[i].rw, want.hottest[i].rw) << "hottest " << i;
+    }
+  }
+}
+
+/// Seeded traces whose multi-reference blocks overlap across up to 32
+/// streams (test::make_overlapping_trace), so many readers of a line meet
+/// between two writes in an order the stream-by-stream visit does not follow.
+TEST(CheckTraceScan, EqualsMergedScanOnOverlappingTraces) {
+  for (std::uint64_t seed = 0; seed < 40; ++seed) {
+    Rng rng(seed ^ 0x5CA7u);
+    const auto procs = static_cast<std::int32_t>(1 + rng.bounded(32));
+    SCOPED_TRACE(::testing::Message() << "seed " << seed << " procs " << procs);
+    expect_scan_matches_reference(test::make_overlapping_trace(rng, procs, 400));
+  }
+}
+
+/// The 60-wire bnrE shm trace (16 processors, dynamic loop).
+TEST(CheckTraceScan, EqualsMergedScanOnBnre60ShmTrace) {
+  ShmConfig config;
+  config.procs = 16;
+  const RefTrace trace = run_shared_memory(test::make_bnre60(), config).trace;
+  ASSERT_GT(trace.size(), 1'000'000u);
+  expect_scan_matches_reference(trace);
 }
 
 /// Golden coherence claim (paper Table 3 in miniature): bus traffic grows

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <set>
+#include <stdexcept>
 
 #include "coherence/simulator.hpp"
 #include "reference_coherence_sim.hpp"
@@ -312,6 +313,60 @@ TEST(FiniteCache, LargeCapacityMatchesInfinite) {
   EXPECT_EQ(a.traffic().total_bytes(), b.traffic().total_bytes());
 }
 
+/// The eviction-versus-first-reader rule on one dirty line: the owner writes
+/// line 0, then, before any other write, reads line 1 (evicting line 0 from
+/// its one-line cache) while the other processor reads line 0. If the read
+/// comes first it takes the owner's flush; if the eviction comes first the
+/// owner writes the line back and the reader fetches it cold. Both processor
+/// numberings run, so the write-interval walk visits the owner's stream first
+/// in one and the reader's in the other.
+TEST(FiniteCache, OwnerEvictionBeforeOrAfterFirstReader) {
+  for (const std::int16_t owner : {0, 1}) {
+    const auto reader = static_cast<std::int16_t>(1 - owner);
+    for (const bool read_first : {true, false}) {
+      RefTrace trace;
+      trace.append({0, 0, owner, MemOp::kWrite});
+      if (read_first) {
+        trace.append({1, 0, reader, MemOp::kRead});
+        trace.append({2, 8, owner, MemOp::kRead});
+      } else {
+        trace.append({1, 8, owner, MemOp::kRead});
+        trace.append({2, 0, reader, MemOp::kRead});
+      }
+      CoherenceParams params;
+      params.line_size = 8;
+      params.capacity_lines = 1;
+      CoherenceSim sim(2, params);
+      sim.replay(trace);
+      test::ReferenceCoherenceSim reference(2, params);
+      reference.replay(trace);
+      SCOPED_TRACE(::testing::Message() << "owner " << owner << " read first " << read_first);
+      const CoherenceTraffic& t = sim.traffic();
+      EXPECT_TRUE(t == reference.traffic());
+      EXPECT_EQ(t.capacity_evictions, 1u);
+      EXPECT_EQ(t.read_flush_bytes, read_first ? 8u : 0u);
+      EXPECT_EQ(t.eviction_writeback_bytes, read_first ? 0u : 8u);
+      EXPECT_EQ(t.cold_fetch_bytes, read_first ? 8u : 16u);  // the owner's line 1, the reader's line 0
+    }
+  }
+}
+
+/// MESI and Dragon have no finite-cache model: a replay in write intervals
+/// would not be exact for them (DESIGN.md §7.6), so a capacity is rejected
+/// when the simulator is built.
+TEST(FiniteCache, MesiAndDragonRejectCapacity) {
+  RefTrace trace;
+  trace.append({0, 0, 0, MemOp::kRead});
+  for (const ProtocolKind protocol : {ProtocolKind::kMesi, ProtocolKind::kDragon}) {
+    CoherenceParams params;
+    params.protocol = protocol;
+    EXPECT_NO_THROW(CoherenceSim(4, params));
+    params.capacity_lines = 3;
+    EXPECT_THROW(CoherenceSim(4, params), std::invalid_argument);
+    EXPECT_THROW(sweep_line_sizes(trace, 4, {8}, protocol, 3), std::invalid_argument);
+  }
+}
+
 /// Property: on a false-sharing workload, WBI traffic is monotone
 /// non-decreasing in line size (the paper's Table 3 direction).
 class LineSizeProperty : public ::testing::TestWithParam<std::uint64_t> {};
@@ -341,9 +396,19 @@ constexpr ProtocolKind kAllProtocols[] = {
     ProtocolKind::kWriteBackInvalidate, ProtocolKind::kWriteThrough,
     ProtocolKind::kMesi, ProtocolKind::kDragon};
 
+/// The protocols CoherenceSim models with finite caches.
+constexpr ProtocolKind kFiniteProtocols[] = {ProtocolKind::kWriteBackInvalidate,
+                                             ProtocolKind::kWriteThrough};
+
+bool has_finite_model(ProtocolKind protocol) {
+  return std::find(std::begin(kFiniteProtocols), std::end(kFiniteProtocols), protocol) !=
+         std::end(kFiniteProtocols);
+}
+
 /// Property: the single-pass sweep equals one CoherenceSim::replay per line
-/// size — every traffic field, for every protocol, with infinite and finite
-/// caches — on seeded traces that mix cost-array addresses with the loop
+/// size — every traffic field, for every protocol with infinite caches and
+/// every finite-cache protocol with 3-line caches — on seeded traces that
+/// mix cost-array addresses with the loop
 /// counter and other addresses above the dense line table's bound. Each
 /// replay's lines_touched() equals the trace's distinct line count.
 class FusedSweepProperty : public ::testing::TestWithParam<std::uint64_t> {};
@@ -373,6 +438,7 @@ TEST_P(FusedSweepProperty, EqualsSeparateReplayPerSize) {
   const std::vector<std::int32_t> sizes = {4, 8, 16, 32};
   for (ProtocolKind protocol : kAllProtocols) {
     for (std::int32_t capacity : {0, 3}) {
+      if (capacity > 0 && !has_finite_model(protocol)) continue;
       const std::vector<CoherenceTraffic> fused =
           sweep_line_sizes(trace, procs, sizes, protocol, capacity);
       ASSERT_EQ(fused.size(), sizes.size());
@@ -389,9 +455,11 @@ TEST_P(FusedSweepProperty, EqualsSeparateReplayPerSize) {
         EXPECT_TRUE(fused[k] == sim.traffic());
         EXPECT_EQ(fused[k].total_bytes(), sim.traffic().total_bytes());
         std::set<std::uint32_t> lines;
-        trace.for_each([&](const MemRef& r) {
-          lines.insert(r.addr / static_cast<std::uint32_t>(sizes[k]));
-        });
+        for (std::size_t p = 0; p < trace.streams(); ++p) {
+          trace.for_each_entry(p, [&](const RefTrace::Entry& e) {
+            lines.insert(e.addr / static_cast<std::uint32_t>(sizes[k]));
+          });
+        }
         EXPECT_EQ(sim.lines_touched(), lines.size());
       }
     }
@@ -403,12 +471,14 @@ INSTANTIATE_TEST_SUITE_P(Seeds, FusedSweepProperty,
 
 /// Checks sweep_line_sizes() at every size of `sizes`, and replay() at each
 /// size of `replay_sizes`, against the switch-per-access ReferenceCoherenceSim, field by
-/// field, for every protocol with infinite caches and with 3-line caches.
+/// field, for every protocol with infinite caches and every finite-cache
+/// protocol with 3-line caches.
 void expect_matches_reference(const RefTrace& trace, std::int32_t procs,
                               const std::vector<std::int32_t>& sizes,
                               const std::vector<std::int32_t>& replay_sizes) {
   for (ProtocolKind protocol : kAllProtocols) {
     for (std::int32_t capacity : {0, 3}) {
+      if (capacity > 0 && !has_finite_model(protocol)) continue;
       const std::vector<CoherenceTraffic> swept =
           sweep_line_sizes(trace, procs, sizes, protocol, capacity);
       ASSERT_EQ(swept.size(), sizes.size());
@@ -533,6 +603,42 @@ TEST_P(IntervalReplayProperty, EqualsMergedReference) {
       EXPECT_TRUE(sim.traffic() == reference.traffic());
       EXPECT_EQ(sim.traffic().total_bytes(), reference.traffic().total_bytes());
       EXPECT_EQ(sim.lines_touched(), reference.lines_touched());
+    }
+  }
+}
+
+/// Finite caches replay on the same walk, every read reaching every
+/// simulator: for capacities of 1 to 64 lines under write-back-invalidate
+/// and write-through, the sweep and single-size replays equal the
+/// reference's replay in global order in every traffic field and in
+/// lines_touched(). Small caches evict dirty lines between two writes while
+/// other processors read them, in both orders of the walk's visit.
+TEST_P(IntervalReplayProperty, FiniteCachesEqualMergedReference) {
+  Rng rng(GetParam() ^ 0xF1C4u);
+  const auto procs = static_cast<std::int32_t>(1 + rng.bounded(32));
+  const RefTrace trace = test::make_overlapping_trace(rng, procs, 600);
+  const std::vector<std::int32_t> sizes = {4, 8, 16, 32};
+  for (ProtocolKind protocol : kFiniteProtocols) {
+    for (std::int32_t capacity : {1, 2, 3, 8, 64}) {
+      const std::vector<CoherenceTraffic> swept =
+          sweep_line_sizes(trace, procs, sizes, protocol, capacity);
+      ASSERT_EQ(swept.size(), sizes.size());
+      for (std::size_t k = 0; k < sizes.size(); ++k) {
+        CoherenceParams params;
+        params.line_size = sizes[k];
+        params.protocol = protocol;
+        params.capacity_lines = capacity;
+        test::ReferenceCoherenceSim reference(procs, params);
+        reference.replay(trace);
+        CoherenceSim sim(procs, params);
+        sim.replay(trace);
+        SCOPED_TRACE(::testing::Message() << "procs " << procs << " protocol "
+                                          << static_cast<int>(protocol) << " capacity "
+                                          << capacity << " line " << sizes[k]);
+        EXPECT_TRUE(swept[k] == reference.traffic());
+        EXPECT_TRUE(sim.traffic() == reference.traffic());
+        EXPECT_EQ(sim.lines_touched(), reference.lines_touched());
+      }
     }
   }
 }

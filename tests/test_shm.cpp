@@ -67,12 +67,12 @@ TEST_F(ShmRunTest, TraceIsTimeOrdered) {
   ShmRunResult r = run(4);
   ASSERT_GT(r.trace.size(), 0u);
   SimTime last = 0;
-  r.trace.for_each([&](const MemRef& ref) {
+  for (const MemRef& ref : test::trace_refs(r.trace)) {
     EXPECT_GE(ref.time, last);
     last = ref.time;
     EXPECT_GE(ref.proc, 0);
     EXPECT_LT(ref.proc, 4);
-  });
+  }
 }
 
 TEST_F(ShmRunTest, TraceWritesMatchCommitVolume) {
@@ -166,12 +166,12 @@ std::uint64_t trace_digest(const RefTrace& trace) {
       h *= 0x100000001b3ULL;
     }
   };
-  trace.for_each([&](const MemRef& r) {
+  for (const MemRef& r : test::trace_refs(trace)) {
     mix(static_cast<std::uint64_t>(r.time), 8);
     mix(r.addr, 4);
     mix(static_cast<std::uint16_t>(r.proc), 2);
     mix(static_cast<std::uint8_t>(r.op), 1);
-  });
+  }
   return h;
 }
 
@@ -186,8 +186,8 @@ struct DigestCase {
 };
 
 /// Digests recorded from the sort-based capture (a stable sort by time of
-/// the emission-ordered trace); the per-processor merge must reproduce them
-/// bit for bit.
+/// the emission-ordered trace); the per-processor streams, merged by key
+/// (test::trace_refs), must reproduce them bit for bit.
 const DigestCase kDigestCases[] = {
     {"TinyDynamic", false, DigestMode::kDynamic,
      28727, 0x8b6c9dec17ea7d03ULL},

@@ -1,4 +1,4 @@
-// Tests for the binary .trc trace format.
+// Tests for the binary .trc trace format (version 2, the stream form).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -24,6 +24,10 @@ RefTrace sample_trace() {
   t.append({0, 0, 0, MemOp::kRead});
   t.append({1000, 40, 0x7FFF, MemOp::kWrite});
   t.append({1LL << 60, kLoopCounterAddr, 0, MemOp::kWrite});
+  const RefTrace::Entry block[] = {{8, MemOp::kWrite}, {12, MemOp::kRead}, {16, MemOp::kRead},
+                                   {20, MemOp::kWrite}, {24, MemOp::kRead}, {28, MemOp::kRead},
+                                   {32, MemOp::kRead},  {36, MemOp::kRead}, {40, MemOp::kWrite}};
+  t.append_block(3, 1LL << 60, 1000, block);  // nine references: two op bytes
   return t;
 }
 
@@ -33,31 +37,72 @@ std::string serialized(const RefTrace& trace) {
   return buf.str();
 }
 
-/// .trc bytes for `refs` exactly as given, encoded here rather than through
-/// write_trace so a test can hand the reader records RefTrace cannot hold
-/// (time going backwards).
-std::string encode_trc(const std::vector<MemRef>& refs) {
+/// One block as a .trc file stores it, `proc` the raw 16-bit field.
+struct RawBlock {
+  std::uint16_t proc;
+  SimTime t0;
+  SimTime duration;
+  std::vector<RefTrace::Entry> entries;
+};
+
+/// .trc bytes for `blocks` exactly as given, encoded here rather than
+/// through write_trace so a test can hand the reader blocks RefTrace cannot
+/// hold (empty ones, negative durations, stream time going backwards).
+std::string encode_trc(const std::vector<RawBlock>& blocks, std::uint32_t version = 2) {
   std::string out = "LTRC";
   auto put = [&out](std::uint64_t v, int bytes) {
     for (int i = 0; i < bytes; ++i) out.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
   };
-  put(1, 4);
-  put(refs.size(), 8);
-  for (const MemRef& r : refs) {
-    put(static_cast<std::uint64_t>(r.time), 8);
-    put(r.addr, 4);
-    put(static_cast<std::uint16_t>(r.proc), 2);
-    put(static_cast<std::uint8_t>(r.op), 1);
-    put(0, 1);
+  put(version, 4);
+  put(blocks.size(), 8);
+  for (const RawBlock& b : blocks) {
+    put(b.proc, 2);
+    put(b.entries.size(), 4);
+    put(static_cast<std::uint64_t>(b.t0), 8);
+    put(static_cast<std::uint64_t>(b.duration), 8);
+    for (const RefTrace::Entry& e : b.entries) put(e.addr, 4);
+    for (std::size_t i = 0; i < b.entries.size(); i += 8) {
+      std::uint64_t bits = 0;
+      for (std::size_t j = i; j < std::min(b.entries.size(), i + 8); ++j) {
+        bits |= static_cast<std::uint64_t>(b.entries[j].op) << (j - i);
+      }
+      put(bits, 1);
+    }
   }
   return out;
 }
 
-/// Byte offset of record `i`'s field at `field_offset` (16-byte header,
-/// 16-byte records: time 0, addr 8, proc 12, op 14, zero pad 15).
-std::size_t record_byte(std::size_t i, std::size_t field_offset) {
-  return 16 + 16 * i + field_offset;
+/// `trace`'s blocks in emission order, as a .trc file stores them.
+std::vector<RawBlock> raw_blocks(const RefTrace& trace) {
+  std::vector<std::pair<std::uint64_t, RawBlock>> keyed;
+  for (std::size_t p = 0; p < trace.streams(); ++p) {
+    std::size_t k = 0;
+    for (const RefTrace::Block& b : trace.blocks(p)) {
+      RawBlock raw{static_cast<std::uint16_t>(p), b.t0, b.duration, {}};
+      for (std::uint32_t i = 0; i < b.n; ++i) raw.entries.push_back(trace.entry(p, k++));
+      keyed.emplace_back(b.seq, std::move(raw));
+    }
+  }
+  std::sort(keyed.begin(), keyed.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  std::vector<RawBlock> blocks;
+  for (auto& [seq, raw] : keyed) blocks.push_back(std::move(raw));
+  return blocks;
 }
+
+/// Whether read_trace rejects `data` with std::runtime_error.
+bool rejects(const std::string& data) {
+  std::stringstream buf(data);
+  try {
+    read_trace(buf);
+  } catch (const std::runtime_error&) {
+    return true;
+  }
+  return false;
+}
+
+const std::vector<RefTrace::Entry> kThreeReads = {
+    {0, MemOp::kRead}, {4, MemOp::kRead}, {8, MemOp::kRead}};
 
 TEST(TraceIo, RoundTripsAllFields) {
   RefTrace original = sample_trace();
@@ -87,25 +132,29 @@ TEST(TraceIo, RejectsBadMagic) {
   EXPECT_THROW(read_trace(buf), std::runtime_error);
 }
 
+/// Only version 2 is read: a version-1 file (one record per reference in
+/// global order) is named as such.
 TEST(TraceIo, RejectsBadVersion) {
-  std::stringstream buf;
-  buf.write("LTRC", 4);
-  const char version[4] = {9, 0, 0, 0};
-  buf.write(version, 4);
-  const char count[8] = {0};
-  buf.write(count, 8);
-  EXPECT_THROW(read_trace(buf), std::runtime_error);
+  EXPECT_TRUE(rejects(encode_trc({}, 9)));
+  std::stringstream v1(encode_trc({}, 1));
+  try {
+    read_trace(v1);
+    ADD_FAILURE() << "a version-1 file was read";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "unsupported .trc version 1");
+  }
+  EXPECT_FALSE(rejects(encode_trc({}, 2)));
 }
 
 TEST(TraceIo, RejectsTruncatedFile) {
-  RefTrace original = sample_trace();
-  std::stringstream buf;
-  write_trace(buf, original);
-  std::string data = buf.str();
-  std::stringstream cut(data.substr(0, data.size() - 7));
-  EXPECT_THROW(read_trace(cut), std::runtime_error);
+  const std::string data = serialized(sample_trace());
+  for (const std::size_t cut : {std::size_t{1}, std::size_t{7}, data.size() - 10}) {
+    EXPECT_TRUE(rejects(data.substr(0, data.size() - cut))) << "cut " << cut;
+  }
 }
 
+/// A real trace comes back with the same blocks (t0, duration, n and seq)
+/// and references in every stream, so every key, and the order, is kept.
 TEST(TraceIo, FileRoundTripOfRealTrace) {
   ShmConfig config;
   config.procs = 4;
@@ -115,38 +164,59 @@ TEST(TraceIo, FileRoundTripOfRealTrace) {
   RefTrace parsed = read_trace_file(path);
   ASSERT_EQ(parsed.size(), trace.size());
   EXPECT_EQ(parsed.count(MemOp::kWrite), trace.count(MemOp::kWrite));
-  // Spot-check first/last records.
-  const std::vector<MemRef> got = test::trace_refs(parsed);
-  const std::vector<MemRef> want = test::trace_refs(trace);
-  EXPECT_EQ(got.front().addr, want.front().addr);
-  EXPECT_EQ(got.back().time, want.back().time);
+  ASSERT_EQ(parsed.streams(), trace.streams());
+  for (std::size_t p = 0; p < trace.streams(); ++p) {
+    const auto want = trace.blocks(p);
+    const auto got = parsed.blocks(p);
+    ASSERT_EQ(got.size(), want.size()) << "proc " << p;
+    std::size_t refs = 0;
+    for (std::size_t b = 0; b < want.size(); ++b) {
+      EXPECT_EQ(got[b].t0, want[b].t0);
+      EXPECT_EQ(got[b].duration, want[b].duration);
+      EXPECT_EQ(got[b].n, want[b].n);
+      EXPECT_EQ(got[b].seq, want[b].seq);
+      refs += want[b].n;
+    }
+    for (std::size_t k = 0; k < refs; ++k) {
+      ASSERT_EQ(parsed.entry(p, k).addr, trace.entry(p, k).addr) << "proc " << p << " k=" << k;
+      ASSERT_EQ(parsed.entry(p, k).op, trace.entry(p, k).op) << "proc " << p << " k=" << k;
+    }
+  }
+  // One record per reference took 16 B; a reference's address and op bit
+  // take 4.125 B here, plus 22 B per block.
+  EXPECT_LT(serialized(trace).size(), 5 * trace.size());
 }
 
 TEST(TraceIo, RejectsNegativeProc) {
-  std::string data = serialized(sample_trace());
-  data[record_byte(1, 13)] = static_cast<char>(0x80);  // proc high byte
-  std::stringstream buf(data);
-  EXPECT_THROW(read_trace(buf), std::runtime_error);
+  EXPECT_FALSE(rejects(encode_trc({{0x7FFF, 0, 10, kThreeReads}})));
+  EXPECT_TRUE(rejects(encode_trc({{0x8000, 0, 10, kThreeReads}})));
+  EXPECT_TRUE(rejects(encode_trc({{0xFFFF, 0, 10, kThreeReads}})));
 }
 
 TEST(TraceIo, RejectsTrailingBytes) {
   const std::string data = serialized(sample_trace());
-  std::stringstream junk(data + "x");
-  EXPECT_THROW(read_trace(junk), std::runtime_error);
-  std::stringstream two(data + data);  // a second trace after the first
-  EXPECT_THROW(read_trace(two), std::runtime_error);
+  EXPECT_TRUE(rejects(data + "x"));
+  EXPECT_TRUE(rejects(data + data));  // a second trace after the first
 }
 
+/// The op bits past a block's last reference pad its last op byte with
+/// zeros.
 TEST(TraceIo, RejectsNonzeroPadByte) {
-  std::string data = serialized(sample_trace());
-  data[record_byte(2, 15)] = 1;
-  std::stringstream buf(data);
-  EXPECT_THROW(read_trace(buf), std::runtime_error);
+  std::string data = encode_trc({{0, 0, 10, kThreeReads}});
+  EXPECT_FALSE(rejects(data));
+  data.back() = static_cast<char>(0x80);
+  EXPECT_TRUE(rejects(data));
+  data.back() = static_cast<char>(0x08);  // the first bit past n = 3
+  EXPECT_TRUE(rejects(data));
 }
 
+/// A stream's next block may not start before its last stamp; another
+/// stream's may.
 TEST(TraceIo, RejectsTimeGoingBackwards) {
-  std::stringstream buf(encode_trc({{10, 0, 0, MemOp::kRead}, {9, 4, 1, MemOp::kRead}}));
-  EXPECT_THROW(read_trace(buf), std::runtime_error);
+  // Stamps of a 3-reference block over [0, 40]: 10, 20, 30.
+  EXPECT_TRUE(rejects(encode_trc({{0, 0, 40, kThreeReads}, {0, 29, 0, kThreeReads}})));
+  EXPECT_FALSE(rejects(encode_trc({{0, 0, 40, kThreeReads}, {0, 30, 0, kThreeReads}})));
+  EXPECT_FALSE(rejects(encode_trc({{0, 0, 40, kThreeReads}, {1, 0, 0, kThreeReads}})));
 }
 
 TEST(TraceIo, AcceptsEqualTimestamps) {
@@ -157,16 +227,41 @@ TEST(TraceIo, AcceptsEqualTimestamps) {
   EXPECT_EQ(read_trace(buf).size(), 2u);
 }
 
-/// Seeded mutation fuzz: byte flips and truncations of a real trace either
-/// parse into a trace that keeps the reader's guarantees (procs >= 0, time
-/// never going backwards) or throw std::runtime_error — never anything else.
+TEST(TraceIo, RejectsEmptyBlock) {
+  EXPECT_TRUE(rejects(encode_trc({{0, 0, 10, {}}})));
+  EXPECT_TRUE(rejects(encode_trc({{0, 0, 10, kThreeReads}, {1, 5, 0, {}}})));
+}
+
+TEST(TraceIo, RejectsNegativeDuration) {
+  EXPECT_TRUE(rejects(encode_trc({{0, 0, -1, kThreeReads}})));
+  EXPECT_FALSE(rejects(encode_trc({{0, 0, 0, kThreeReads}})));
+}
+
+/// Stamps are t0 + duration·(i+1)/(n+1): a block whose t0 + duration or
+/// duration·(n+1) leaves 64 bits is rejected before any stamp is formed.
+TEST(TraceIo, RejectsStampOverflow) {
+  constexpr SimTime kMax = std::numeric_limits<SimTime>::max();
+  constexpr SimTime kMin = std::numeric_limits<SimTime>::min();
+  EXPECT_TRUE(rejects(encode_trc({{0, kMax - 5, 6, kThreeReads}})));
+  EXPECT_FALSE(rejects(encode_trc({{0, kMax - 5, 5, kThreeReads}})));
+  EXPECT_TRUE(rejects(encode_trc({{0, kMin, kMax / 4 + 1, kThreeReads}})));  // ·4
+  EXPECT_FALSE(rejects(encode_trc({{0, kMin, kMax / 4, kThreeReads}})));
+}
+
+/// Seeded mutation fuzz: byte flips and truncations of a real trace's first
+/// blocks either parse into a trace that keeps the reader's guarantees (each
+/// stream's stamps never going backwards, and the file written back byte
+/// for byte, since the format has one encoding per trace) or throw
+/// std::runtime_error — never anything else.
 TEST(TraceIoFuzz, MutatedInputParsesOrThrows) {
   ShmConfig config;
   config.procs = 4;
-  std::vector<MemRef> base =
-      test::trace_refs(run_shared_memory(make_tiny_test_circuit(), config).trace);
-  base.resize(64);
+  std::vector<RawBlock> base =
+      raw_blocks(run_shared_memory(make_tiny_test_circuit(), config).trace);
+  base.resize(8);
+  for (RawBlock& b : base) b.entries.resize(std::min<std::size_t>(b.entries.size(), 10));
   const std::string clean = encode_trc(base);
+  ASSERT_FALSE(rejects(clean));
 
   Rng rng(0x7EC0);
   int parsed = 0;
@@ -185,12 +280,14 @@ TEST(TraceIoFuzz, MutatedInputParsesOrThrows) {
     try {
       const RefTrace trace = read_trace(buf);
       ++parsed;
-      SimTime last = std::numeric_limits<SimTime>::min();
-      for (const MemRef& r : test::trace_refs(trace)) {
-        ASSERT_GE(r.proc, 0);
-        ASSERT_GE(r.time, last);
-        last = r.time;
+      for (std::size_t p = 0; p < trace.streams(); ++p) {
+        SimTime last = std::numeric_limits<SimTime>::min();
+        for (const RefTrace::Block& b : trace.blocks(p)) {
+          ASSERT_GE(RefTrace::stamp(b, 0), last) << "iter " << iter;
+          last = RefTrace::stamp(b, b.n - 1);
+        }
       }
+      ASSERT_EQ(serialized(trace), data) << "iter " << iter;
     } catch (const std::runtime_error&) {
       ++rejected;
     }
@@ -350,7 +447,7 @@ TEST(RefTraceChunks, StreamsSpanningChunksStayExact) {
 /// over a fresh chunk's uninitialised words; start at kChunkRefs - 3 and
 /// cross into a new chunk; step by negative strides, wrapping below address
 /// 0; and hold one reference or none. Addresses, ops, count(kWrite) and the
-/// for_each order must agree.
+/// merged order must agree.
 TEST(RefTraceChunks, ReadRunsEqualPerReferencePushes) {
   constexpr std::size_t kChunk = RefTrace::kChunkRefs;
   RefTrace runs;
@@ -525,7 +622,7 @@ TEST(RefTraceSplit, ProductsBeyond64BitsStayExact) {
 }
 
 /// for_each_write_interval() on seeded overlapping traces: the writes come in
-/// for_each()'s order with their keys, every read comes once and after
+/// the merged order (test::trace_refs) with their keys, every read comes once and after
 /// exactly the writes that precede it in that order, and the reads between
 /// two writes come stream by stream, each stream in its own order.
 TEST(RefTrace, WriteIntervalsFollowMergedOrder) {
@@ -543,10 +640,10 @@ TEST(RefTrace, WriteIntervalsFollowMergedOrder) {
     const RefTrace trace = test::make_overlapping_trace(rng, procs, 150);
     std::vector<Visit> want;
     std::uint64_t interval = 0;
-    trace.for_each([&](const MemRef& r) {
+    for (const MemRef& r : test::trace_refs(trace)) {
       want.push_back(Visit{static_cast<std::size_t>(r.proc), r.addr, r.op, r.time, interval});
       if (r.op == MemOp::kWrite) ++interval;
-    });
+    }
     std::stable_sort(want.begin(), want.end(), [](const Visit& a, const Visit& b) {
       const auto rank = [](const Visit& v) {
         return std::tuple(v.interval, v.op == MemOp::kWrite, v.proc);

@@ -3,8 +3,10 @@
 // landscape" mean the same thing everywhere.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "circuit/circuit.hpp"
@@ -47,12 +49,29 @@ inline Circuit make_bnre60() {
   return generate_circuit(p);
 }
 
-/// The references of `trace` in visitation order, copied out so a test can
-/// index them.
+/// The references of `trace` in global order, copied out so a test can index
+/// them: every reference with its key (RefTrace::Key), sorted. The library
+/// walks a trace only by write intervals (RefTrace::for_each_write_interval);
+/// this merged walk is the reference order the tests hold it to.
 inline std::vector<MemRef> trace_refs(const RefTrace& trace) {
+  std::vector<std::pair<RefTrace::Key, MemRef>> keyed;
+  keyed.reserve(trace.size());
+  for (std::size_t p = 0; p < trace.streams(); ++p) {
+    std::size_t k = 0;
+    for (const RefTrace::Block& b : trace.blocks(p)) {
+      for (std::uint32_t i = 0; i < b.n; ++i, ++k) {
+        const RefTrace::Entry e = trace.entry(p, k);
+        const SimTime t = RefTrace::stamp(b, i);
+        keyed.emplace_back(RefTrace::Key{t, b.seq, i},
+                           MemRef{t, e.addr, static_cast<std::int16_t>(p), e.op});
+      }
+    }
+  }
+  std::sort(keyed.begin(), keyed.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
   std::vector<MemRef> refs;
-  refs.reserve(trace.size());
-  trace.for_each([&](const MemRef& r) { refs.push_back(r); });
+  refs.reserve(keyed.size());
+  for (const auto& [key, ref] : keyed) refs.push_back(ref);
   return refs;
 }
 
