@@ -1,7 +1,7 @@
-# The two sweep drivers that do more than print a catalog table:
-# scale_sweep is sized by environment for the nightly scale lane, and
-# topology_sweep exits 1 when a cell fails. Every paper table runs through
-# examples/reproduce_paper.
+# The sweep driver that does more than print a catalog table: scale_sweep
+# is sized by environment for the nightly scale lane. Every paper table runs
+# through examples/reproduce_paper, and every checked sweep through
+# examples/check_tool.
 function(locus_add_bench name)
   add_executable(${name} ${CMAKE_CURRENT_LIST_DIR}/../bench/${name}.cpp)
   target_link_libraries(${name} PRIVATE locus_harness locus_warnings)
@@ -9,7 +9,6 @@ function(locus_add_bench name)
 endfunction()
 
 locus_add_bench(scale_sweep)
-locus_add_bench(topology_sweep)
 
 # scale_sweep exits 2 on a bad LOCUS_SCALE_* list before any circuit is
 # built (an abort would fail these even under WILL_FAIL). The valid list

@@ -3,14 +3,17 @@
 // Runs the src/check subsystem from the command line: cross-check the
 // sequential, shared memory, and message passing routers against each other
 // (with network faults from a --faults spec, oracle mode only), sweep the
-// fault classes or transport drop rates, or scan the shm reference trace
-// for unlocked write conflicts.
+// fault classes or transport drop rates, scan the shm reference trace for
+// unlocked write conflicts, or price the four MP update protocols on every
+// topology x link cost model with the consistency checker and the
+// transport ledger checked on each cell (exits 1 when a cell fails).
 //
 //   $ ./examples/check_tool oracle --circuit=bnre --procs=4
 //   $ ./examples/check_tool oracle --faults=drop:0.01,delay:500
 //   $ ./examples/check_tool faults --circuit=tiny --procs=4
 //   $ ./examples/check_tool recovery --circuit=tiny --procs=4
 //   $ ./examples/check_tool scan --circuit=tiny --procs=16
+//   $ ./examples/check_tool topology --circuit=bnre --procs=16
 #include <cstdio>
 #include <stdexcept>
 #include <string>
@@ -24,7 +27,8 @@ namespace {
 
 int run(const locus::Cli& cli) {
   const std::string mode = cli.positional()[0];
-  if (mode != "oracle" && mode != "faults" && mode != "recovery" && mode != "scan") {
+  if (mode != "oracle" && mode != "faults" && mode != "recovery" && mode != "scan" &&
+      mode != "topology") {
     std::fprintf(stderr, "unknown mode '%s'\n", mode.c_str());
     return 1;
   }
@@ -69,6 +73,16 @@ int run(const locus::Cli& cli) {
                 circuit.name().c_str(), config.procs, t.render().c_str());
     return 0;
   }
+  if (mode == "topology") {
+    const locus::TopologySweepResult result = run_topology_sweep(circuit, config);
+    std::printf("topology sweep on %s, %d procs:\n%s", circuit.name().c_str(),
+                config.procs, result.table.render().c_str());
+    if (!result.all_ok) {
+      std::fprintf(stderr, "FAIL: a sweep cell failed consistency or the ledger\n");
+      return 1;
+    }
+    return 0;
+  }
   const locus::Table t = run_check_trace_scan(circuit, config);
   std::printf("trace conflict scan on %s, %d procs:\n%s",
               circuit.name().c_str(), config.procs, t.render().c_str());
@@ -88,7 +102,7 @@ int main(int argc, char** argv) {
            "");
   if (!cli.parse(argc, argv)) return 1;
   if (cli.positional().empty()) {
-    std::fprintf(stderr, "usage: check_tool oracle|faults|recovery|scan [flags]\n");
+    std::fprintf(stderr, "usage: check_tool oracle|faults|recovery|scan|topology [flags]\n");
     return 1;
   }
   try {

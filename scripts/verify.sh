@@ -20,20 +20,18 @@
 #                                 # dyn-local scale sweep, the topology sweep
 #                                 # and the scale sweep under each link cost
 #                                 # model must emit identical rows at
-#                                 # --threads=1 and =4
+#                                 # pool widths 1 and 4
 #                                 # (host time is perfbench's job; see
 #                                 # perfbench/README.md)
-#   scripts/verify.sh --obs       # tier-1 + observability smoke: trace +
-#                                 # metrics export via examples/obs_tool
-#                                 # (the tools' rejections of bad flags are
-#                                 # ctest tests, run by tier-1)
+#
+# The tools' rejections of bad flags and the observability export
+# (StrategyExplorer.ExportsObsArtifacts) are ctest tests, run by tier-1.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 BUILD_DIR=build
 CMAKE_FLAGS=()
 RUN_BENCH=0
-RUN_OBS=0
 RUN_CHECK=0
 if [[ "${1:-}" == "--sanitize" ]]; then
   BUILD_DIR=build-sanitize
@@ -48,8 +46,6 @@ elif [[ "${1:-}" == "--tsan" ]]; then
   exit 0
 elif [[ "${1:-}" == "--bench" ]]; then
   RUN_BENCH=1
-elif [[ "${1:-}" == "--obs" ]]; then
-  RUN_OBS=1
 elif [[ "${1:-}" == "--check" ]]; then
   RUN_CHECK=1
 fi
@@ -98,20 +94,21 @@ if [[ "$RUN_BENCH" == 1 ]]; then
   echo "dynamic-sweep determinism: dyn-local identical at --threads=1 and =4"
   # Interconnect determinism gates. First the full topology sweep — four MP
   # schedules x {mesh, torus, fat-tree} x {fixed, md1} with per-link
-  # utilization columns — must emit byte-identical rows at any pool width.
+  # utilization columns — must emit byte-identical output at any pool width
+  # (check_tool's fan-outs read their width from LOCUS_THREADS).
   # Then the scale sweep is re-priced under the fixed and the M/D/1 link
   # cost models: each must match itself across widths 1 and 4 (queueing
   # waits are functions of cumulative simulated busy time, never of which
   # worker ran the job).
-  "./$BUILD_DIR/bench/topology_sweep" --threads=1 \
-    | grep -v 'built in\|total wall time' > /tmp/locus-topo-serial.txt
-  "./$BUILD_DIR/bench/topology_sweep" --threads=4 \
-    | grep -v 'built in\|total wall time' > /tmp/locus-topo-pooled.txt
+  LOCUS_THREADS=1 "./$BUILD_DIR/examples/check_tool" topology --circuit=bnre \
+    --procs=16 > /tmp/locus-topo-serial.txt
+  LOCUS_THREADS=4 "./$BUILD_DIR/examples/check_tool" topology --circuit=bnre \
+    --procs=16 > /tmp/locus-topo-pooled.txt
   if ! diff -u /tmp/locus-topo-serial.txt /tmp/locus-topo-pooled.txt; then
-    echo "FAIL: topology sweep diverges between --threads=1 and --threads=4" >&2
+    echo "FAIL: topology sweep diverges between LOCUS_THREADS=1 and =4" >&2
     exit 1
   fi
-  echo "topology-sweep determinism: identical at --threads=1 and --threads=4"
+  echo "topology-sweep determinism: identical at LOCUS_THREADS=1 and =4"
   for model in fixed md1; do
     LOCUS_SCALE_WIRES=2000 LOCUS_SCALE_PROCS=16 LOCUS_SCALE_MODES=geo \
       LOCUS_SCALE_COST_MODEL="$model" \
@@ -148,15 +145,4 @@ if [[ "$RUN_CHECK" == 1 ]]; then
     echo "FAIL: fault-recovery sweep diverged from the fault-free run" >&2
     exit 1
   fi
-fi
-
-# Optional observability smoke: export a Chrome trace + metrics CSV and
-# check the trace parses as JSON.
-if [[ "$RUN_OBS" == 1 ]]; then
-  OBS_OUT=/tmp/locus-obs
-  mkdir -p "$OBS_OUT"
-  ./examples/obs_tool mp --circuit=tiny --procs=4 \
-    --trace="$OBS_OUT/trace.json" --metrics="$OBS_OUT/metrics.csv" >/dev/null
-  python3 -c "import json,sys; json.load(open(sys.argv[1]))" "$OBS_OUT/trace.json"
-  echo "obs artifacts: $OBS_OUT/trace.json $OBS_OUT/metrics.csv"
 fi

@@ -1265,18 +1265,14 @@ Table run_check_trace_scan(const Circuit& circuit, const ExperimentConfig& confi
 
 namespace {
 
-// Fixed knobs of run_topology_sweep (every cell also runs the reliable
-// transport and checks its ledger; a fat tree keeps MpConfig's binary
-// default arity).
-constexpr std::int32_t kTopologyIterations = 2;
-/// Conservation checkpoint period of the per-run view-consistency checker.
+/// Conservation checkpoint period of run_topology_sweep's per-run
+/// view-consistency checker.
 constexpr std::int32_t kTopologyCheckpointPeriod = 4;
 
 }  // namespace
 
 TopologySweepResult run_topology_sweep(const Circuit& circuit,
-                                       const TopologySweepOptions& options) {
-  LOCUS_ASSERT(!options.proc_counts.empty());
+                                       const ExperimentConfig& config) {
   const std::span<const CheckSchedule> scheds = checking_schedules();
   struct Topo {
     const char* name;
@@ -1296,15 +1292,12 @@ TopologySweepResult run_topology_sweep(const Circuit& circuit,
     std::size_t sched = 0;
     std::size_t topo = 0;
     std::size_t model = 0;
-    std::int32_t procs = 0;
   };
   std::vector<Job> jobs;
-  for (std::int32_t procs : options.proc_counts) {
-    for (std::size_t topo = 0; topo < std::size(topos); ++topo) {
-      for (std::size_t model = 0; model < std::size(models); ++model) {
-        for (std::size_t sched = 0; sched < scheds.size(); ++sched) {
-          jobs.push_back({sched, topo, model, procs});
-        }
+  for (std::size_t topo = 0; topo < std::size(topos); ++topo) {
+    for (std::size_t model = 0; model < std::size(models); ++model) {
+      for (std::size_t sched = 0; sched < scheds.size(); ++sched) {
+        jobs.push_back({sched, topo, model});
       }
     }
   }
@@ -1330,14 +1323,12 @@ TopologySweepResult run_topology_sweep(const Circuit& circuit,
     check_options.checkpoint_period = kTopologyCheckpointPeriod;
     ViewConsistencyChecker checker(check_options);
 
-    MpConfig mp;
-    mp.schedule = scheds[job.sched].schedule;
-    mp.iterations = kTopologyIterations;
+    MpConfig mp = config.mp(scheds[job.sched].schedule);
     mp.edges = topos[job.topo].edges;
     mp.link_cost.kind = models[job.model];
     mp.transport.enabled = true;
     mp.observer = &checker;
-    const MpRunResult r = run_message_passing(circuit, job.procs, mp);
+    const MpRunResult r = run_message_passing(circuit, config.procs, mp);
 
     RunOut o;
     o.height = r.circuit_height;
@@ -1362,16 +1353,11 @@ TopologySweepResult run_topology_sweep(const Circuit& circuit,
       .column("Time(ms)").column("KB").column("max util").column("mean util")
       .column("links").column("stalls").column("checks", Align::kLeft);
   out.all_ok = true;
-  std::int32_t prev_procs = jobs.empty() ? 0 : jobs.front().procs;
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     const Job& job = jobs[i];
     const RunOut& r = runs[i];
-    if (job.procs != prev_procs) {
-      t.separator();
-      prev_procs = job.procs;
-    }
     t.row().cell(scheds[job.sched].name).cell(topos[job.topo].name)
-        .cell(link_cost_model_name(models[job.model])).cell(job.procs)
+        .cell(link_cost_model_name(models[job.model])).cell(config.procs)
         .cell(static_cast<long long>(r.height))
         .cell(static_cast<double>(r.completion_ns) / 1e6, 2)
         .cell(static_cast<double>(r.bytes) / 1e3, 1)
@@ -1383,7 +1369,6 @@ TopologySweepResult run_topology_sweep(const Circuit& circuit,
                                      : (!r.ledger_ok ? "IMBALANCED"
                                                      : "INCONSISTENT")));
     out.all_ok = out.all_ok && r.ok();
-    out.total_stalls += r.usage.stalls;
     ++out.runs;
   }
   return out;

@@ -4,9 +4,9 @@
 // Table(const PaperCircuits&, const ExperimentConfig&), printing measured
 // values next to the published ones. examples/reproduce_paper walks the
 // catalog, and the tests reach each table by entry name through it. The
-// sweeps declared here are the tools' own: run_check_* and
-// run_fault_recovery_sweep for check_tool, run_scale_sweep and
-// run_topology_sweep for bench/.
+// sweeps declared here are the tools' own: run_check_*,
+// run_fault_recovery_sweep and run_topology_sweep for check_tool, and
+// run_scale_sweep for bench/.
 #pragma once
 
 #include <cstdint>
@@ -117,31 +117,24 @@ ScaleSweepResult run_scale_sweep(const ScaleSweepOptions& options);
 
 // --- E15: interconnect cost models (ISSUE 10) — the four MP update
 //     protocols priced on {mesh, torus, fat-tree} x {fixed, md1} ---
-/// Every cell runs two iterations on a binary fat tree (where the topology
-/// is one) with the reliable transport on, and asserts its ledger balanced
-/// and the view-consistency checker (checkpoint every 4 wires) clean.
-struct TopologySweepOptions {
-  std::vector<std::int32_t> proc_counts{16};
-};
-
+/// Every cell runs config.iterations on config.procs nodes (a binary fat
+/// tree where the topology is one) with the reliable transport on, and
+/// asserts its ledger balanced and the view-consistency checker
+/// (checkpoint every 4 wires) clean.
 struct TopologySweepResult {
   Table table;
   /// Every run passed the view-consistency checker and balanced the
   /// transport ledger — the acceptance gate.
   bool all_ok = false;
   std::int32_t runs = 0;
-  /// Summed per-link stall events across all runs (kFixed rows included:
-  /// its stalls are head link waits).
-  std::uint64_t total_stalls = 0;
 };
 
-/// Sweeps schedule x topology x cost model x procs, fanned over the
-/// job runner (table bytes are pool-width independent). Columns:
-/// schedule, topology, cost model, procs, CktHt, completion ms, traffic
-/// KB, per-link max/mean utilization, links used, stalls, and the
-/// consistency + ledger verdict.
+/// Sweeps schedule x topology x cost model, fanned over the job runner
+/// (table bytes are pool-width independent). Columns: schedule, topology,
+/// cost model, procs, CktHt, completion ms, traffic KB, per-link max/mean
+/// utilization, links used, stalls, and the consistency + ledger verdict.
 TopologySweepResult run_topology_sweep(const Circuit& circuit,
-                                       const TopologySweepOptions& options = {});
+                                       const ExperimentConfig& config = {});
 
 // --- C1/C2/C3: checking subsystem (src/check) ---
 /// Differential oracle: sequential vs shm vs the four message passing

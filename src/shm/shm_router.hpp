@@ -52,7 +52,9 @@ struct ShmRunResult {
   double seconds() const { return static_cast<double>(completion_ns) / 1e9; }
   RouteWorkStats work;
   std::vector<SimTime> proc_finish_ns;
-  RefTrace trace;  ///< per-processor streams; for_each() visits in time order
+  /// Per-processor streams; for_each_write_interval() visits the writes in
+  /// time order and the reads between them.
+  RefTrace trace;
   std::vector<WireRoute> routes;
   CostArray cost;  ///< final shared array
 };

@@ -361,13 +361,12 @@ TEST(NetworkOracleMatrix, AllSchedulesPassUnderEveryModelAndTopology) {
   }
 }
 
-// --- run_topology_sweep: the experiment the bench lane records ---
+// --- run_topology_sweep: the sweep check_tool topology runs ---
 
 TEST(TopologySweep, EmitsFullMatrixAndPassesChecks) {
   const Circuit circuit = test::make_seeded_circuit(7);
-  TopologySweepOptions options;
-  options.proc_counts = {4};
-  const TopologySweepResult result = run_topology_sweep(circuit, options);
+  const TopologySweepResult result =
+      run_topology_sweep(circuit, ExperimentConfig{.procs = 4});
   // 4 schedules x 3 topologies x 2 cost models.
   EXPECT_EQ(result.runs, 24);
   EXPECT_TRUE(result.all_ok);
