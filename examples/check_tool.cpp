@@ -6,7 +6,13 @@
 // fault classes or transport drop rates, scan the shm reference trace for
 // unlocked write conflicts, or price the four MP update protocols on every
 // topology x link cost model with the consistency checker and the
-// transport ledger checked on each cell (exits 1 when a cell fails).
+// transport ledger checked on each cell.
+//
+// Every checked sweep exits 1 when a row fails: a topology cell that is not
+// ok, a fault plan the checkers misclassified (WRONG), a recovery row that
+// diverged from its fault-free run (NO) or left the ledger IMBALANCED, and
+// an oracle row that FAILs — unless a --faults plan was given, whose point
+// is to make a router diverge.
 //
 //   $ ./examples/check_tool oracle --circuit=bnre --procs=4
 //   $ ./examples/check_tool oracle --faults=drop:0.01,delay:500
@@ -54,38 +60,33 @@ int run(const locus::Cli& cli) {
     std::printf("faults: %s\n", faults->describe().c_str());
   }
 
+  if (mode == "scan") {
+    const locus::Table t = run_check_trace_scan(circuit, config);
+    std::printf("trace conflict scan on %s, %d procs:\n%s", circuit.name().c_str(),
+                config.procs, t.render().c_str());
+    return 0;
+  }
+  locus::CheckedSweep sweep;
+  const char* title = nullptr;
   if (mode == "oracle") {
-    const locus::Table t = run_check_oracle(
-        circuit, config, faults.has_value() ? &*faults : nullptr);
-    std::printf("differential oracle on %s, %d procs:\n%s", circuit.name().c_str(),
-                config.procs, t.render().c_str());
-    return 0;
+    sweep = run_check_oracle(circuit, config, faults.has_value() ? &*faults : nullptr);
+    title = "differential oracle";
+  } else if (mode == "faults") {
+    sweep = run_check_faults(circuit, config);
+    title = "fault sweep";
+  } else if (mode == "recovery") {
+    sweep = run_fault_recovery_sweep(circuit, config);
+    title = "transport recovery sweep";
+  } else {
+    sweep = run_topology_sweep(circuit, config);
+    title = "topology sweep";
   }
-  if (mode == "faults") {
-    const locus::Table t = run_check_faults(circuit, config);
-    std::printf("fault sweep on %s, %d procs:\n%s", circuit.name().c_str(),
-                config.procs, t.render().c_str());
-    return 0;
+  std::printf("%s on %s, %d procs:\n%s", title, circuit.name().c_str(), config.procs,
+              sweep.table.render().c_str());
+  if (!sweep.all_ok && !faults.has_value()) {
+    std::fprintf(stderr, "FAIL: a %s row failed its check\n", title);
+    return 1;
   }
-  if (mode == "recovery") {
-    const locus::Table t = run_fault_recovery_sweep(circuit, config);
-    std::printf("transport recovery sweep on %s, %d procs:\n%s",
-                circuit.name().c_str(), config.procs, t.render().c_str());
-    return 0;
-  }
-  if (mode == "topology") {
-    const locus::TopologySweepResult result = run_topology_sweep(circuit, config);
-    std::printf("topology sweep on %s, %d procs:\n%s", circuit.name().c_str(),
-                config.procs, result.table.render().c_str());
-    if (!result.all_ok) {
-      std::fprintf(stderr, "FAIL: a sweep cell failed consistency or the ledger\n");
-      return 1;
-    }
-    return 0;
-  }
-  const locus::Table t = run_check_trace_scan(circuit, config);
-  std::printf("trace conflict scan on %s, %d procs:\n%s",
-              circuit.name().c_str(), config.procs, t.render().c_str());
   return 0;
 }
 

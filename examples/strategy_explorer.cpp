@@ -6,18 +6,21 @@
 //   $ ./examples/strategy_explorer --paradigm=mp --procs=16 --send-rmt=2
 //         (--send-loc=10 --assign=tc1000 --circuit=bnre ...)
 //   $ ./examples/strategy_explorer --paradigm=shm --procs=16 --line-size=8
+//         (--protocol=dragon ...)
 //   $ ./examples/strategy_explorer --paradigm=shm --assign=loop --trace=shm.json
 //
 // --render adds the per-channel track table and an ASCII window of the final
 // cost array. --metrics and --trace attach the obs layer to an mp or shm run
 // and write its metrics CSV and a Chrome trace JSON (loads in Perfetto /
 // chrome://tracing). --assign=loop runs shm as the distributed loop, with
-// no static assignment.
+// no static assignment. An shm run replays its reference trace in memory
+// through the --protocol coherence model at --line-size (infinite caches)
+// and prints the traffic by cause, the invalidations and the bus busy time.
 //
-// An unknown paradigm or assignment, an unreadable circuit, a count or line
-// size out of range, or a flag the paradigm cannot use exits 1 with a
-// message before anything runs; so does an output path that cannot be
-// written, after the run.
+// An unknown paradigm, assignment or protocol, an unreadable circuit, a
+// count or line size out of range, or a flag the paradigm cannot use exits 1
+// with a message before anything runs; so does an output path that cannot
+// be written, after the run.
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
@@ -30,6 +33,7 @@
 #include "circuit/generator.hpp"
 #include "circuit/io.hpp"
 #include "circuit/stats.hpp"
+#include "coherence/bus.hpp"
 #include "coherence/simulator.hpp"
 #include "harness/experiments.hpp"
 #include "msg/driver.hpp"
@@ -67,6 +71,38 @@ std::optional<locus::AssignMethod> pick_method(const std::string& name) {
   if (name == "inf") return locus::AssignMethod::kThresholdInf;
   throw std::invalid_argument("unknown assignment '" + name +
                               "' (valid: rr | tc30 | tc1000 | inf | loop)");
+}
+
+/// The coherence protocol named by --protocol.
+locus::ProtocolKind pick_protocol(const std::string& name) {
+  if (name == "wbi") return locus::ProtocolKind::kWriteBackInvalidate;
+  if (name == "wt") return locus::ProtocolKind::kWriteThrough;
+  if (name == "mesi") return locus::ProtocolKind::kMesi;
+  if (name == "dragon") return locus::ProtocolKind::kDragon;
+  throw std::invalid_argument("unknown protocol '" + name +
+                              "' (valid: wbi | wt | mesi | dragon)");
+}
+
+/// Rejects every flag given on the command line that `paradigm` does not
+/// read, so a flag is never silently ignored.
+void reject_unused_flags(const locus::Cli& cli, const std::string& paradigm) {
+  struct Scope {
+    const char* flag;
+    const char* paradigms;  ///< the paradigms that read it
+  };
+  static constexpr Scope kScopes[] = {
+      {"procs", "mp | shm"},    {"assign", "mp | shm"},  {"send-rmt", "mp"},
+      {"send-loc", "mp"},       {"req-loc", "mp"},       {"req-rmt", "mp"},
+      {"blocking", "mp"},       {"line-size", "shm"},    {"protocol", "shm"},
+      {"metrics", "mp | shm"},  {"trace", "mp | shm"},   {"hop-detail", "mp | shm"},
+  };
+  for (const Scope& s : kScopes) {
+    // No paradigm's name is part of another's.
+    if (cli.given(s.flag) && std::string(s.paradigms).find(paradigm) == std::string::npos) {
+      throw std::invalid_argument(std::string("--") + s.flag + " applies to --paradigm=" +
+                                  s.paradigms + " only");
+    }
+  }
 }
 
 /// Prints the tracks each channel requires and a window of the final cost
@@ -114,6 +150,7 @@ int run(const locus::Cli& cli) {
     throw std::invalid_argument("unknown paradigm '" + paradigm +
                                 "' (valid: seq | mp | shm)");
   }
+  reject_unused_flags(cli, paradigm);
   // The shm replay's coherence model tracks at most 32 caches.
   const std::int32_t procs =
       cli.get_bounded_int("procs", 1, paradigm == "shm" ? 32 : 1 << 20);
@@ -124,6 +161,7 @@ int run(const locus::Cli& cli) {
     throw std::invalid_argument("--line-size=" + cli.get("line-size") +
                                 " is not a power of two");
   }
+  const locus::ProtocolKind protocol = pick_protocol(cli.get("protocol"));
   locus::UpdateSchedule schedule;
   schedule.send_rmt_period = cli.get_bounded_int("send-rmt", 0, 1 << 20);
   schedule.send_loc_period = cli.get_bounded_int("send-loc", 0, 1 << 20);
@@ -137,9 +175,6 @@ int run(const locus::Cli& cli) {
   const std::string metrics_path = cli.get("metrics");
   const std::string trace_path = cli.get("trace");
   const bool observe = !metrics_path.empty() || !trace_path.empty();
-  if (observe && paradigm == "seq") {
-    throw std::invalid_argument("--metrics and --trace apply to mp and shm only");
-  }
   if (cli.get_bool("hop-detail") && trace_path.empty()) {
     throw std::invalid_argument("--hop-detail needs --trace");
   }
@@ -216,9 +251,11 @@ int run(const locus::Cli& cli) {
   locus::ShmRunResult r = run_shared_memory(circuit, shm_config);
   locus::CoherenceParams params;
   params.line_size = line_size;
+  params.protocol = protocol;
   locus::CoherenceSim sim(procs, params);
   sim.replay(r.trace);
   if (observe) sim.publish_obs(obs);
+  const locus::CoherenceTraffic& t = sim.traffic();
 
   std::printf("shared memory run:\n");
   std::printf("  circuit height    : %lld tracks\n",
@@ -227,10 +264,20 @@ int run(const locus::Cli& cli) {
               static_cast<long long>(r.occupancy_factor));
   std::printf("  execution time    : %.3f simulated seconds\n", r.seconds());
   std::printf("  shared references : %zu traced\n", r.trace.size());
-  std::printf("  coherence traffic : %.3f MB at %d-byte lines "
+  std::printf("  coherence traffic : %.3f MB at %d-byte lines, protocol %s "
               "(%.0f%% caused by writes)\n",
-              static_cast<double>(sim.traffic().total_bytes()) / 1e6,
-              params.line_size, sim.traffic().write_fraction() * 100.0);
+              static_cast<double>(t.total_bytes()) / 1e6, params.line_size,
+              cli.get("protocol").c_str(), t.write_fraction() * 100.0);
+  std::printf("  traffic by cause  : cold %.3f / refetch %.3f / fills %.3f / "
+              "words %.3f / flushes %.3f MB\n",
+              static_cast<double>(t.cold_fetch_bytes) / 1e6,
+              static_cast<double>(t.refetch_bytes) / 1e6,
+              static_cast<double>(t.write_fetch_bytes) / 1e6,
+              static_cast<double>(t.word_write_bytes) / 1e6,
+              static_cast<double>(t.read_flush_bytes + t.write_flush_bytes) / 1e6);
+  std::printf("  invalidations     : %llu, bus busy %.3f s\n",
+              static_cast<unsigned long long>(t.invalidation_msgs),
+              static_cast<double>(locus::estimate_bus(t).busy_ns()) / 1e9);
   if (show) render(r.cost);
   return emit(obs, metrics_path, trace_path);
 }
@@ -242,16 +289,19 @@ int main(int argc, char** argv) {
   cli.flag("paradigm", "seq (sequential), mp (message passing) or shm (shared memory)",
            "mp");
   cli.flag("circuit", "bnre | mdc | tiny | path to .ckt", "bnre");
-  cli.flag("procs", "number of processors", "16");
+  cli.flag("procs", "number of processors (mp and shm)", "16");
   cli.flag("iterations", "routing iterations", "2");
-  cli.flag("assign", "rr | tc30 | tc1000 | inf, or loop (shm only: no static assignment)",
+  cli.flag("assign",
+           "rr | tc30 | tc1000 | inf (mp and shm), or loop (shm only: no static "
+           "assignment)",
            "tc1000");
-  cli.flag("send-rmt", "SendRmtData period in wires (0 = off)", "0");
-  cli.flag("send-loc", "SendLocData period in wires (0 = off)", "0");
-  cli.flag("req-loc", "ReqLocData request threshold (0 = off)", "0");
-  cli.flag("req-rmt", "ReqRmtData touch threshold (0 = off)", "0");
-  cli.flag("blocking", "block until requested updates arrive", false);
+  cli.flag("send-rmt", "SendRmtData period in wires (0 = off; mp only)", "0");
+  cli.flag("send-loc", "SendLocData period in wires (0 = off; mp only)", "0");
+  cli.flag("req-loc", "ReqLocData request threshold (0 = off; mp only)", "0");
+  cli.flag("req-rmt", "ReqRmtData touch threshold (0 = off; mp only)", "0");
+  cli.flag("blocking", "block until requested updates arrive (mp only)", false);
   cli.flag("line-size", "cache line size in bytes (shm only)", "8");
+  cli.flag("protocol", "coherence protocol: wbi | wt | mesi | dragon (shm only)", "wbi");
   cli.flag("render", "print the track table and an ASCII window of the cost array", false);
   cli.flag("metrics", "write the obs metrics CSV here (mp and shm)", "");
   cli.flag("trace", "write the obs Chrome trace JSON here (mp and shm)", "");

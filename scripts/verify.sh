@@ -9,12 +9,6 @@
 #   scripts/verify.sh --sanitize  # same suite under ASan + UBSan
 #   scripts/verify.sh --tsan      # pool suites under ThreadSanitizer
 #                                 # at LOCUS_THREADS=4
-#   scripts/verify.sh --check     # tier-1 + checking-subsystem smoke via
-#                                 # examples/check_tool: differential oracle,
-#                                 # the fault-signature sweep (no row may be
-#                                 # WRONG) and the transport fault-recovery
-#                                 # sweep (every row must converge
-#                                 # bit-identically)
 #   scripts/verify.sh --bench     # tier-1 + pool determinism gate: the
 #                                 # full reproduce_paper report, a
 #                                 # dyn-local scale sweep, the topology sweep
@@ -24,15 +18,17 @@
 #                                 # (host time is perfbench's job; see
 #                                 # perfbench/README.md)
 #
-# The tools' rejections of bad flags and the observability export
-# (StrategyExplorer.ExportsObsArtifacts) are ctest tests, run by tier-1.
+# The tools' rejections of bad flags, the observability export
+# (StrategyExplorer.ExportsObsArtifacts) and the checked check_tool sweeps
+# (CheckTool.OracleOnTiny, CheckTool.FaultsOnBnre, CheckTool.RecoveryOnTiny,
+# CheckTool.TopologyOnTiny: check_tool exits 1 on a failed row) are ctest
+# tests, run by tier-1.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 BUILD_DIR=build
 CMAKE_FLAGS=()
 RUN_BENCH=0
-RUN_CHECK=0
 if [[ "${1:-}" == "--sanitize" ]]; then
   BUILD_DIR=build-sanitize
   CMAKE_FLAGS+=(-DLOCUS_SANITIZE=address,undefined)
@@ -46,8 +42,6 @@ elif [[ "${1:-}" == "--tsan" ]]; then
   exit 0
 elif [[ "${1:-}" == "--bench" ]]; then
   RUN_BENCH=1
-elif [[ "${1:-}" == "--check" ]]; then
-  RUN_CHECK=1
 fi
 
 cmake -B "$BUILD_DIR" -S . "${CMAKE_FLAGS[@]}"
@@ -124,25 +118,4 @@ if [[ "$RUN_BENCH" == 1 ]]; then
     fi
     echo "cost-model determinism: $model identical at --threads=1 and =4"
   done
-fi
-
-# Optional checking-subsystem smoke: the differential oracle, the
-# fault-signature sweep and the transport fault-recovery sweep. Every
-# fault-sweep row must be detected as its fault class predicts (no WRONG);
-# every recovery row must report identical routes and a balanced ledger.
-# grep enforces both on the rendered tables.
-if [[ "$RUN_CHECK" == 1 ]]; then
-  ./examples/check_tool oracle --circuit=tiny --procs=4
-  FAULTS=$(./examples/check_tool faults --circuit=bnre --procs=4)
-  echo "$FAULTS"
-  if echo "$FAULTS" | grep -q 'WRONG'; then
-    echo "FAIL: fault-signature sweep misclassified a fault plan" >&2
-    exit 1
-  fi
-  RECOVERY=$(./examples/check_tool recovery --circuit=tiny --procs=4)
-  echo "$RECOVERY"
-  if echo "$RECOVERY" | grep -qE 'NO|IMBALANCED'; then
-    echo "FAIL: fault-recovery sweep diverged from the fault-free run" >&2
-    exit 1
-  fi
 fi

@@ -1107,15 +1107,18 @@ Table run_ablation_topology(const PaperCircuits& c, const ExperimentConfig& conf
 
 }  // namespace
 
-Table run_check_oracle(const Circuit& circuit, const ExperimentConfig& config,
-                       const FaultPlan* faults) {
+CheckedSweep run_check_oracle(const Circuit& circuit, const ExperimentConfig& config,
+                              const FaultPlan* faults) {
   OracleConfig oracle;
   oracle.procs = config.procs;
   oracle.iterations = config.iterations;
   oracle.faults = faults;
   const OracleResult result = run_differential_oracle(circuit, oracle);
 
-  Table t;
+  CheckedSweep out;
+  out.all_ok = result.all_ok();
+  out.runs = static_cast<std::int32_t>(result.variants.size());
+  Table& t = out.table;
   t.column("implementation", Align::kLeft).column("CktHt").column("Occup.")
       .column("legal", Align::kLeft).column("bands", Align::kLeft)
       .column("checkpoints").column("consistent", Align::kLeft)
@@ -1133,11 +1136,13 @@ Table run_check_oracle(const Circuit& circuit, const ExperimentConfig& config,
                                    : "-")
         .cell(v.ok() ? "OK" : "FAIL");
   }
-  return t;
+  return out;
 }
 
-Table run_check_faults(const Circuit& circuit, const ExperimentConfig& config) {
-  Table t;
+CheckedSweep run_check_faults(const Circuit& circuit, const ExperimentConfig& config) {
+  CheckedSweep out;
+  out.all_ok = true;
+  Table& t = out.table;
   t.column("fault plan", Align::kLeft).column("injected").column("violations")
       .column("unmatched").column("inflight").column("lost pkts")
       .column("converged", Align::kLeft).column("detected", Align::kLeft);
@@ -1220,8 +1225,10 @@ Table run_check_faults(const Circuit& circuit, const ExperimentConfig& config) {
         .cell(static_cast<long long>(rep.final_outstanding_packets))
         .cell(rep.converged() ? "yes" : "NO")
         .cell(!detected_correctly ? "WRONG" : diverged ? "divergence" : "clean");
+    out.all_ok = out.all_ok && detected_correctly;
+    ++out.runs;
   }
-  return t;
+  return out;
 }
 
 Table run_check_trace_scan(const Circuit& circuit, const ExperimentConfig& config) {
@@ -1271,8 +1278,8 @@ constexpr std::int32_t kTopologyCheckpointPeriod = 4;
 
 }  // namespace
 
-TopologySweepResult run_topology_sweep(const Circuit& circuit,
-                                       const ExperimentConfig& config) {
+CheckedSweep run_topology_sweep(const Circuit& circuit,
+                                const ExperimentConfig& config) {
   const std::span<const CheckSchedule> scheds = checking_schedules();
   struct Topo {
     const char* name;
@@ -1346,7 +1353,7 @@ TopologySweepResult run_topology_sweep(const Circuit& circuit,
     return o;
   });
 
-  TopologySweepResult out;
+  CheckedSweep out;
   Table& t = out.table;
   t.column("schedule", Align::kLeft).column("topology", Align::kLeft)
       .column("model", Align::kLeft).column("procs").column("CktHt")
@@ -1374,8 +1381,8 @@ TopologySweepResult run_topology_sweep(const Circuit& circuit,
   return out;
 }
 
-Table run_fault_recovery_sweep(const Circuit& circuit,
-                               const ExperimentConfig& config) {
+CheckedSweep run_fault_recovery_sweep(const Circuit& circuit,
+                                      const ExperimentConfig& config) {
   const std::span<const CheckSchedule> scheds = checking_schedules();
   constexpr double kRates[] = {0.0, 0.005, 0.02, 0.05};
   const std::size_t num_scheds = scheds.size();
@@ -1397,7 +1404,9 @@ Table run_fault_recovery_sweep(const Circuit& circuit,
     return run_message_passing(circuit, config.procs, mp);
   });
 
-  Table t;
+  CheckedSweep out;
+  out.all_ok = true;
+  Table& t = out.table;
   t.column("schedule", Align::kLeft).column("drop").column("dropped")
       .column("retx").column("dedup").column("acks").column("MBytes")
       .column("ovh%").column("lag(us)").column("identical", Align::kLeft)
@@ -1430,9 +1439,11 @@ Table run_fault_recovery_sweep(const Circuit& circuit,
           .cell(static_cast<double>(run.transport.max_recovery_lag_ns) / 1e3, 1)
           .cell(identical ? "yes" : "NO")
           .cell(run.transport.books_balance() ? "ok" : "IMBALANCED");
+      out.all_ok = out.all_ok && identical && run.transport.books_balance();
+      ++out.runs;
     }
   }
-  return t;
+  return out;
 }
 
 namespace {

@@ -115,36 +115,41 @@ struct ScaleSweepResult {
 /// processors (the load-balance story next to the throughput story).
 ScaleSweepResult run_scale_sweep(const ScaleSweepOptions& options);
 
+/// A checked sweep's table and its verdict: check_tool prints the table and
+/// exits 1 unless every row passed.
+struct CheckedSweep {
+  Table table;
+  /// Every row passed its sweep's check — the acceptance gate.
+  bool all_ok = false;
+  std::int32_t runs = 0;  ///< rows checked
+};
+
 // --- E15: interconnect cost models (ISSUE 10) — the four MP update
 //     protocols priced on {mesh, torus, fat-tree} x {fixed, md1} ---
 /// Every cell runs config.iterations on config.procs nodes (a binary fat
 /// tree where the topology is one) with the reliable transport on, and
-/// asserts its ledger balanced and the view-consistency checker
-/// (checkpoint every 4 wires) clean.
-struct TopologySweepResult {
-  Table table;
-  /// Every run passed the view-consistency checker and balanced the
-  /// transport ledger — the acceptance gate.
-  bool all_ok = false;
-  std::int32_t runs = 0;
-};
-
+/// passes when its ledger balanced, its link bytes were conserved and the
+/// view-consistency checker (checkpoint every 4 wires) stayed clean.
 /// Sweeps schedule x topology x cost model, fanned over the job runner
 /// (table bytes are pool-width independent). Columns: schedule, topology,
 /// cost model, procs, CktHt, completion ms, traffic KB, per-link max/mean
 /// utilization, links used, stalls, and the consistency + ledger verdict.
-TopologySweepResult run_topology_sweep(const Circuit& circuit,
-                                       const ExperimentConfig& config = {});
+CheckedSweep run_topology_sweep(const Circuit& circuit,
+                                const ExperimentConfig& config = {});
 
 // --- C1/C2/C3: checking subsystem (src/check) ---
 /// Differential oracle: sequential vs shm vs the four message passing
 /// schedules, with legality, quality-band, and view-consistency verdicts.
-/// `faults` (optional) is installed into the message passing machines.
-Table run_check_oracle(const Circuit& circuit, const ExperimentConfig& config = {},
-                       const FaultPlan* faults = nullptr);
+/// `faults` (optional) is installed into the message passing machines. A row
+/// passes when its verdict is OK (with `faults`, a FAIL row may be the
+/// divergence the plan was meant to cause).
+CheckedSweep run_check_oracle(const Circuit& circuit, const ExperimentConfig& config = {},
+                              const FaultPlan* faults = nullptr);
 /// Fault-injection sweep: one row per fault class showing what the network
-/// injected and which checker signature detected it.
-Table run_check_faults(const Circuit& circuit, const ExperimentConfig& config = {});
+/// injected and which checker signature detected it. A row passes unless it
+/// is WRONG: it diverged without a divergence-class fault firing, or did not
+/// diverge when one fired.
+CheckedSweep run_check_faults(const Circuit& circuit, const ExperimentConfig& config = {});
 /// Unlocked write-conflict scan of the shm reference trace per line size.
 Table run_check_trace_scan(const Circuit& circuit,
                            const ExperimentConfig& config = {});
@@ -153,9 +158,9 @@ Table run_check_trace_scan(const Circuit& circuit,
 /// recovery cost (retransmits, dedup discards, acks, overhead vs the
 /// fault-free run) and asserts the convergence guarantee: routes, completion
 /// time, and view staleness bit-identical to the same schedule's fault-free
-/// run, with the transport ledger balanced.
-Table run_fault_recovery_sweep(const Circuit& circuit,
-                               const ExperimentConfig& config = {});
+/// run, with the transport ledger balanced. A row passes when both hold.
+CheckedSweep run_fault_recovery_sweep(const Circuit& circuit,
+                                      const ExperimentConfig& config = {});
 
 // --- The experiment catalog: every table of the reproduction report ---
 /// The circuits the catalog's experiments share. The industrial-like

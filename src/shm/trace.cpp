@@ -34,13 +34,6 @@ void RefTrace::close_block(SimTime t0, SimTime duration) {
   open_ = kNoBlock;
 }
 
-void RefTrace::append_block(std::int16_t proc, SimTime t0, SimTime duration,
-                            std::span<const Entry> entries) {
-  open_block(proc);
-  for (const Entry& e : entries) push(e.addr, e.op);
-  close_block(t0, duration);
-}
-
 void RefTrace::append(MemRef ref) {
   LOCUS_ASSERT_MSG(ref.time >= last_, "trace time goes backwards");
   open_block(ref.proc);

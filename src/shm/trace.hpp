@@ -16,7 +16,9 @@
 // arrive as straight runs of cells, so a run of reads is appended in one
 // call: its addresses are an arithmetic progression written straight into
 // the address column, and its op bits (reads are 0) are cleared a whole
-// 64-bit word at a time.
+// 64-bit word at a time. The storage is private to this header: a trace
+// lives only in memory, from the run that records it to the replays and
+// scans that read it in the same process.
 //
 // Order: no time-ordered copy is ever built. A reference's place in the
 // global order is its Key (time, block emission seq, index in the block),
@@ -108,10 +110,6 @@ class RefTrace {
   /// clock runs next) starts a processor's next wire no earlier than its
   /// previous one ended. An empty block adds nothing.
   void close_block(SimTime t0, SimTime duration);
-
-  /// open_block(proc), push() of every entry, close_block(t0, duration).
-  void append_block(std::int16_t proc, SimTime t0, SimTime duration,
-                    std::span<const Entry> entries);
 
   /// Appends one reference as a one-entry block of duration 0. Time must not
   /// decrease from one append to the next, so visitation order is append

@@ -62,6 +62,7 @@ bool Cli::parse(int argc, char** argv) {
       }
     }
     it->second.value = std::move(value);
+    it->second.given = true;
   }
   return true;
 }
@@ -70,6 +71,12 @@ std::string Cli::get(const std::string& name) const {
   auto it = flags_.find(name);
   LOCUS_ASSERT_MSG(it != flags_.end(), "unregistered flag queried");
   return it->second.value;
+}
+
+bool Cli::given(const std::string& name) const {
+  auto it = flags_.find(name);
+  LOCUS_ASSERT_MSG(it != flags_.end(), "unregistered flag queried");
+  return it->second.given;
 }
 
 bool Cli::get_bool(const std::string& name) const {

@@ -26,6 +26,8 @@ class Cli {
   bool parse(int argc, char** argv);
 
   std::string get(const std::string& name) const;
+  /// Whether the command line set `name`, even to its default value.
+  bool given(const std::string& name) const;
   bool get_bool(const std::string& name) const;
   std::int64_t get_int(const std::string& name) const;
   /// Value of an integer flag that must be a whole decimal number in
@@ -49,6 +51,7 @@ class Cli {
     std::string help;
     std::string value;
     bool is_bool = false;
+    bool given = false;
   };
   std::map<std::string, Flag> flags_;
   std::vector<std::string> order_;

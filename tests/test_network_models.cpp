@@ -365,7 +365,7 @@ TEST(NetworkOracleMatrix, AllSchedulesPassUnderEveryModelAndTopology) {
 
 TEST(TopologySweep, EmitsFullMatrixAndPassesChecks) {
   const Circuit circuit = test::make_seeded_circuit(7);
-  const TopologySweepResult result =
+  const CheckedSweep result =
       run_topology_sweep(circuit, ExperimentConfig{.procs = 4});
   // 4 schedules x 3 topologies x 2 cost models.
   EXPECT_EQ(result.runs, 24);

@@ -145,6 +145,22 @@ TEST(Cli, SeparateValueForm) {
   EXPECT_EQ(cli.get_int("n"), 9);
 }
 
+/// A flag set on the command line is given even at its default value; one
+/// left out is not.
+TEST(Cli, GivenTracksTheCommandLine) {
+  Cli cli;
+  cli.flag("n", "count", "1");
+  cli.flag("m", "count", "2");
+  cli.flag("quiet", "terse", false);
+  cli.flag("verbose", "chatty", false);
+  const char* argv[] = {"prog", "--n=1", "--verbose"};
+  ASSERT_TRUE(cli.parse(3, const_cast<char**>(argv)));
+  EXPECT_TRUE(cli.given("n"));
+  EXPECT_FALSE(cli.given("m"));
+  EXPECT_FALSE(cli.given("quiet"));
+  EXPECT_TRUE(cli.given("verbose"));
+}
+
 TEST(Cli, RejectsUnknownFlag) {
   Cli cli;
   cli.flag("n", "count", "1");

@@ -399,7 +399,9 @@ TEST(FaultRecoverySweep, BitIdenticalAtAnyPoolWidth) {
   const int widths[] = {1, 2, 4};
   for (int i = 0; i < 3; ++i) {
     const test::ScopedSimThreads width(widths[i]);
-    rendered[i] = run_fault_recovery_sweep(circuit, config).render();
+    const CheckedSweep sweep = run_fault_recovery_sweep(circuit, config);
+    EXPECT_TRUE(sweep.all_ok) << "width " << widths[i];
+    rendered[i] = sweep.table.render();
   }
   EXPECT_EQ(rendered[0], rendered[1]);
   EXPECT_EQ(rendered[0], rendered[2]);
